@@ -29,11 +29,6 @@
                           queries at domain budgets 1/2/4, speedups and
                           partition-task counts; writes
                           bench/BENCH_scale.json (or --json=FILE)
-     main.exe offload   — relational-backend offload: XMark Q8/Q9 plus
-                          group-by/order-by shapes under the native, rel
-                          and auto backends, with byte-identity checks;
-                          writes bench/BENCH_offload.json (or
-                          --json=FILE)
      main.exe update    — update microbenchmark: small XQUF updates on a
                           1MB XMark document, incremental index
                           maintenance vs reparse-on-write; writes
@@ -307,21 +302,6 @@ let ablation () =
   row "XMark Q8 (equi-join + group-by), 1MB" xctx (Xqc_workload.Xmark_queries.q8);
   row "XMark Q12 (inequality join -> sort join), 1MB" xctx (Xqc_workload.Xmark_queries.q12);
   row "Clio N3 (3-way join, triple nesting), 250KB" dctx Xqc_workload.Clio.n3;
-  (* tuple-field access: compiled slots vs dynamic lookup (the paper's
-     "direct compiled memory access" claim), on a query with many field
-     reads per tuple *)
-  Printf.printf "XMark Q10 (field-access heavy), 1MB
-";
-  Printf.printf "  %-26s %s
-" "compiled slot access"
-    (cell (fun () -> run_query Xqc.Optimized xctx (Xqc_workload.Xmark_queries.q10)));
-  Printf.printf "  %-26s %s
-" "dynamic field lookup"
-    (cell (fun () ->
-         Xqc.Eval.dynamic_field_lookup := true;
-         Fun.protect
-           ~finally:(fun () -> Xqc.Eval.dynamic_field_lookup := false)
-           (fun () -> run_query Xqc.Optimized xctx (Xqc_workload.Xmark_queries.q10))));
   (* document projection (Marian-Simeon), measured on parse + narrow query *)
   Printf.printf "Document projection: XMark Q6 (count of items), 2MB
 ";
@@ -433,7 +413,7 @@ let metrics () =
 
 (* Existential/positional queries where the streaming pipeline should
    stop after a bounded prefix, run streamed and fully materialized (the
-   [~materialize] debug knob) on the same XMark document.  Pulled-tuple
+   [Eval.force_materialize] debug knob) on the same XMark document.  Pulled-tuple
    and pulled-item totals come from the obs collector; the CI smoke step
    asserts the streamed counts stay below a constant bound. *)
 let early_exit () =
@@ -469,7 +449,10 @@ let early_exit () =
     (fun (qname, q) ->
       List.iter
         (fun materialize ->
-          let prepared = Xqc.prepare ~stats:true ~materialize q in
+          let saved = !Xqc.Eval.force_materialize in
+          Xqc.Eval.force_materialize := materialize;
+          Fun.protect ~finally:(fun () -> Xqc.Eval.force_materialize := saved) @@ fun () ->
+          let prepared = Xqc.prepare ~stats:true q in
           let t0 = Unix.gettimeofday () in
           let result = Xqc.run prepared ctx in
           let dt = (Unix.gettimeofday () -. t0) *. 1000.0 in
@@ -761,151 +744,6 @@ let fused_bench () =
   match !metrics_json_file with
   | Some path -> Printf.eprintf "wrote fused-tier records to %s\n" path
   | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Relational-offload benchmark                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Join/group-by/order-by workloads under the three backend modes.  The
-   backend is a planning-time choice, so each mode gets its own prepare;
-   every mode's serialized result is checked byte-identical against the
-   native run. *)
-let offload_bench () =
-  let module Obs = Xqc_obs.Obs in
-  let module Rel = Xqc.Rel_algebra in
-  let size = 1_000_000 in
-  let warm_runs = 5 in
-  let doc = Xqc_workload.Xmark.generate ~target_bytes:size () in
-  let ctx = make_xmark_ctx doc in
-  let queries =
-    [
-      ("Q8", Xqc_workload.Xmark_queries.q8);
-      ("Q9", Xqc_workload.Xmark_queries.q9);
-      ( "group-count",
-        {|for $p in $auction/site/people/person
-          let $w := for $o in $auction/site/open_auctions/open_auction
-                    where $o/bidder/personref/@person = $p/@id
-                    return $o
-          return <bids person="{$p/@id}">{count($w)}</bids>|} );
-      ( "order-names",
-        {|for $p in $auction/site/people/person
-          order by $p/name descending empty least
-          return $p/name/text()|} );
-    ]
-  in
-  let counter name =
-    match List.assoc_opt name (Obs.global_counters ()) with
-    | Some n -> n
-    | None -> 0
-  in
-  Printf.eprintf
-    "=== Relational-offload microbenchmark: %dKB XMark document ===\n"
-    (size / 1000);
-  Printf.eprintf "%-12s %-8s %10s %10s %9s %10s %6s %6s\n" "query" "mode"
-    "cold_ms" "warm_ms" "subplans" "rel_rows" "fallbk" "match";
-  let saved_backend = !Rel.backend in
-  let records = ref [] in
-  let warm_times = Hashtbl.create 16 in
-  let modes = [ ("native", Rel.Native); ("rel", Rel.Rel); ("auto", Rel.Auto) ] in
-  (* Plan every (query, mode) pair before any execution: the auto gate
-     consults index statistics, which only exist after a run, so
-     planning up front reproduces what a fresh process (the CLI) sees. *)
-  let plans =
-    List.map
-      (fun (qname, q) ->
-        let per_mode =
-          List.map
-            (fun (mode_name, mode) ->
-              Rel.backend := mode;
-              let prepared = Xqc.prepare q in
-              let static_subplans =
-                match Xqc.physical_plan prepared with
-                | None -> 0
-                | Some pq ->
-                    Xqc.Physical.fold
-                      (fun acc (n : Xqc.Physical.t) ->
-                        match n.Xqc.Physical.pop with
-                        | Xqc.Physical.PRelational _ -> acc + 1
-                        | _ -> acc)
-                      0 pq.Xqc.Physical.pmain
-              in
-              (mode_name, prepared, static_subplans))
-            modes
-        in
-        (qname, per_mode))
-      queries
-  in
-  Rel.backend := saved_backend;
-  List.iter
-    (fun (qname, per_mode) ->
-      let reference = ref "" in
-      List.iter
-        (fun (mode_name, prepared, static_subplans) ->
-          let sub0 = counter "rel_subplans" in
-          let rows0 = counter "rel_rows" in
-          let fb0 = counter "rel_fallbacks" in
-          let t0 = Unix.gettimeofday () in
-          let result = Xqc.run prepared ctx in
-          let cold = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          let subplans = counter "rel_subplans" - sub0 in
-          let rel_rows = counter "rel_rows" - rows0 in
-          let fallbacks = counter "rel_fallbacks" - fb0 in
-          let warm = ref infinity in
-          for _ = 1 to warm_runs do
-            let t0 = Unix.gettimeofday () in
-            ignore (Xqc.run prepared ctx);
-            warm := Float.min !warm ((Unix.gettimeofday () -. t0) *. 1000.0)
-          done;
-          let rendered = Xqc.serialize result in
-          if mode_name = "native" then reference := rendered;
-          let identical = rendered = !reference in
-          if not identical then
-            Printf.eprintf "MISMATCH: %s under %s diverges from native\n" qname
-              mode_name;
-          Hashtbl.replace warm_times (qname, mode_name) !warm;
-          Printf.eprintf "%-12s %-8s %10.3f %10.4f %9d %10d %6d %6s\n" qname
-            mode_name cold !warm static_subplans rel_rows fallbacks
-            (if identical then "ok" else "DIFF");
-          records :=
-            Obs.Obj
-              [
-                ("query", Obs.Str qname);
-                ("mode", Obs.Str mode_name);
-                ("cold_ms", Obs.Float cold);
-                ("warm_ms", Obs.Float !warm);
-                ("rel_subplans_static", Obs.Int static_subplans);
-                ("rel_subplans_run", Obs.Int subplans);
-                ("rel_rows", Obs.Int rel_rows);
-                ("rel_fallbacks", Obs.Int fallbacks);
-                ("identical_to_native", Obs.Bool identical);
-                ("result_items", Obs.Int (List.length result));
-              ]
-            :: !records)
-        per_mode)
-    plans;
-  List.iter
-    (fun (qname, _) ->
-      let native = Hashtbl.find warm_times (qname, "native") in
-      let rel = Hashtbl.find warm_times (qname, "rel") in
-      Printf.eprintf "%-12s rel vs native %8.2fx\n" qname
-        (native /. Float.max rel 0.0001))
-    queries;
-  let record =
-    Obs.Obj
-      [
-        ("bench", Obs.Str "offload");
-        ("doc_bytes", Obs.Int size);
-        ("runs", Obs.Arr (List.rev !records));
-      ]
-  in
-  let path = Option.value !metrics_json_file ~default:"bench/BENCH_offload.json" in
-  try
-    let oc = open_out_bin path in
-    output_string oc (Obs.json_to_string record);
-    output_char oc '\n';
-    close_out oc;
-    Printf.eprintf "wrote %s\n%!" path
-  with Sys_error m -> Printf.eprintf "could not write %s: %s\n%!" path m
 
 (* ------------------------------------------------------------------ *)
 (* Planner benchmark                                                   *)
@@ -1588,7 +1426,6 @@ let () =
     | "planner" -> planner_bench ()
     | "micro" -> micro ()
     | "scale" -> scale_bench ()
-    | "offload" -> offload_bench ()
     | "update" -> update_bench ()
     | "serve" -> serve_bench ()
     | "all" ->
@@ -1600,7 +1437,7 @@ let () =
         ablation ()
     | other ->
         Printf.eprintf
-          "unknown benchmark %S (expected table3|table4|table5|figure4|saxon|ablation|metrics|early-exit|axis-index|fused|planner|micro|scale|offload|update|serve|all)\n"
+          "unknown benchmark %S (expected table3|table4|table5|figure4|saxon|ablation|metrics|early-exit|axis-index|fused|planner|micro|scale|update|serve|all)\n"
           other;
         Stdlib.exit 1
   in

@@ -57,29 +57,6 @@ let par_arg =
 
 let apply_par par = Option.iter (fun n -> Xqc.Domain_pool.set_budget (Some n)) par
 
-let backend_conv =
-  let parse s =
-    match Xqc.Rel_algebra.backend_of_string s with
-    | Some b -> Ok b
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown backend %S (native, rel or auto)" s))
-  in
-  Arg.conv
-    (parse, fun ppf b -> Format.pp_print_string ppf (Xqc.Rel_algebra.backend_name b))
-
-let backend_arg =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "backend" ] ~docv:"MODE"
-        ~doc:
-          "Relational offload mode: native (never offload), rel (offload \
-           every lowerable subplan to the shredded-table engine), or auto \
-           (cost-based per-subplan choice).  Overrides XQC_BACKEND; default \
-           native.")
-
-let apply_backend b = Option.iter (fun b -> Xqc.Rel_algebra.backend := b) b
-
 let collections_arg =
   Arg.(
     value & opt_all string []
@@ -191,7 +168,7 @@ let write_stats_json prepared path =
   | None, _ -> ()
 
 let run_cmd =
-  let action strategy project no_fuse par backend indent stats stats_json query
+  let action strategy project no_fuse par indent stats stats_json query
       query_file docs vars collections =
     match load_query query query_file with
     | Error m ->
@@ -201,10 +178,9 @@ let run_cmd =
         try
           if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
           apply_par par;
-          apply_backend backend;
           let ctx = make_context ~collections docs vars in
           let stats = stats || stats_json <> None in
-          let prepared = Xqc.prepare ~strategy ~project ~fuse:(not no_fuse) ~stats q in
+          let prepared = Xqc.prepare ~strategy ~project ~stats q in
           let result = Xqc.run prepared ctx in
           print_endline
             (if indent then Xqc.Serializer.sequence_to_string_indented result
@@ -224,7 +200,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Evaluate a query and print the serialized result.")
     Term.(
       const action $ strategy_arg $ project_arg $ no_fuse_arg $ par_arg
-      $ backend_arg $ indent_arg $ stats_arg $ stats_json_arg $ query_arg
+      $ indent_arg $ stats_arg $ stats_json_arg $ query_arg
       $ query_file_arg $ docs_arg $ vars_arg $ collections_arg)
 
 let explain_cmd =
@@ -237,7 +213,7 @@ let explain_cmd =
              and print phase timings, per-operator runtime statistics, and \
              the rewrite-rule trace instead of the static report.")
   in
-  let action strategy project no_fuse backend analyze stats_json query
+  let action strategy project no_fuse analyze stats_json query
       query_file docs vars collections =
     match load_query query query_file with
     | Error m ->
@@ -246,12 +222,9 @@ let explain_cmd =
     | Ok q -> (
         try
           if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
-          apply_backend backend;
           if analyze then begin
             let ctx = make_context ~collections docs vars in
-            let prepared =
-              Xqc.prepare ~strategy ~project ~fuse:(not no_fuse) ~stats:true q
-            in
+            let prepared = Xqc.prepare ~strategy ~project ~stats:true q in
             ignore (Xqc.run prepared ctx);
             print_string (Xqc.explain_analyze prepared);
             Option.iter (write_stats_json prepared) stats_json
@@ -274,9 +247,9 @@ let explain_cmd =
           the query and print the EXPLAIN ANALYZE report (annotated plan \
           with per-operator calls, time and cardinality).")
     Term.(
-      const action $ strategy_arg $ project_arg $ no_fuse_arg $ backend_arg
-      $ analyze_arg $ stats_json_arg $ query_arg $ query_file_arg $ docs_arg
-      $ vars_arg $ collections_arg)
+      const action $ strategy_arg $ project_arg $ no_fuse_arg $ analyze_arg
+      $ stats_json_arg $ query_arg $ query_file_arg $ docs_arg $ vars_arg
+      $ collections_arg)
 
 let gen_cmd =
   let kind_arg =
@@ -432,11 +405,11 @@ let serve_cmd =
           ~doc:"Queue-depth/inflight gauge sampling period.")
   in
   let action unix_socket host port workers queue_depth timeout_ms preload
-      strategy no_fuse par backend verbose trace_sample slow_ms slow_log
+      strategy no_fuse par verbose trace_sample slow_ms slow_log
       no_slow_analyze gauge_interval_ms =
     try
+      if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
       apply_par par;
-      apply_backend backend;
       let preload =
         List.map
           (fun spec ->
@@ -457,7 +430,6 @@ let serve_cmd =
           default_timeout_ms = timeout_ms;
           preload;
           strategy;
-          fuse = not no_fuse;
           verbose;
           trace_sample;
           slow_ms;
@@ -486,7 +458,7 @@ let serve_cmd =
     Term.(
       const action $ unix_socket_arg $ host_arg $ port_arg $ workers_arg
       $ queue_arg $ timeout_arg $ preload_arg $ strategy_arg $ no_fuse_arg
-      $ par_arg $ backend_arg $ verbose_arg $ trace_sample_arg $ slow_ms_arg
+      $ par_arg $ verbose_arg $ trace_sample_arg $ slow_ms_arg
       $ slow_log_arg $ no_slow_analyze_arg
       $ gauge_interval_arg)
 

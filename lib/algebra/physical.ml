@@ -151,17 +151,6 @@ and pop =
   | PMaterialize of t
       (** pipeline breaker: the planner marks the build sides of joins
           and products so blocking boundaries are visible in the plan *)
-  | PRelational of {
-      rplan : Xqc_rel.Rel_algebra.plan;
-      rfields : field list;  (** output layout, = the rel plan's cols *)
-      rparams : string list;  (** free variables the scans read *)
-      fallback : t;
-          (** the native twin: compiled lazily, run when the relational
-              engine signals a limitation at execution time *)
-    }
-      (** a whole table subplan offloaded to the relational backend:
-          executed over shredded documents by [Xqc_rel.Rel_exec] and
-          bridged back into the tuple pipeline *)
   (* maps *)
   | PMap of t * t
   | POMap of field * t
@@ -224,9 +213,6 @@ let children (p : t) : t list =
   | PSortJoin { left_key; right_key; left; right; _ } ->
       [ left_key; right_key; left; right ]
   | PMaterialize a -> [ a ]
-  (* the native twin is an alternative, not a sub-computation: keep it
-     out of traversals (size/cost/fused-segment discovery) *)
-  | PRelational _ -> []
   | PMap (d, i) | PMapConcat (d, i) -> [ d; i ]
   | POMap (_, i) -> [ i ]
   | POMapConcat (_, d, i) -> [ d; i ]

@@ -125,14 +125,6 @@ and pop =
       right : t;
     }
   | PMaterialize of t  (** explicit pipeline breaker (join build sides) *)
-  | PRelational of {
-      rplan : Xqc_rel.Rel_algebra.plan;
-      rfields : field list;  (** output layout, = the rel plan's cols *)
-      rparams : string list;  (** free variables the scans read *)
-      fallback : t;
-          (** native twin, run when the relational engine signals a
-              limitation at execution time (not reported as a child) *)
-    }  (** a table subplan offloaded to the relational backend *)
   | PMap of t * t
   | POMap of field * t
   | PMapConcat of t * t

@@ -343,10 +343,6 @@ let physical_label (p : Physical.t) : string =
   | PSortJoin { outer; op; _ } ->
       Printf.sprintf "PSortJoin%s%s" (cmp_tag op) (outer_tag outer)
   | PMaterialize _ -> "Materialize"
-  | PRelational { rplan; rfields; _ } ->
-      Printf.sprintf "Relational[%d ops -> %s]"
-        (Xqc_rel.Rel_algebra.size rplan)
-        (String.concat ";" rfields)
   | PMap _ -> "Map"
   | POMap (q, _) -> Printf.sprintf "OMap[%s]" q
   | PMapConcat _ -> "MapConcat"

@@ -48,11 +48,6 @@ module Store = Xqc_store.Store
 module Domain_pool = Xqc_runtime.Domain_pool
 module Par_exec = Xqc_runtime.Par_exec
 module Codegen = Xqc_codegen.Codegen
-module Rel_algebra = Xqc_rel.Rel_algebra
-module Rel_sql = Xqc_rel.Rel_sql
-module Rel_exec = Xqc_rel.Rel_exec
-module Shred = Xqc_rel.Shred
-module Rel_lower = Xqc_rel_lower.Lower
 module Obs = Xqc_obs.Obs
 module Trace = Xqc_obs.Trace
 module Slow_log = Xqc_obs.Slow_log
@@ -210,8 +205,7 @@ let with_projection ?(ph = fun _name f -> f ())
    inferred projection paths before evaluation (Marian-Siméon document
    projection). *)
 let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
-    ?(materialize = false) ?(fuse = true) ?force_join ?par (source : string) :
-    prepared =
+    ?force_join ?par (source : string) : prepared =
   let collector = if stats then Some (Obs.collector ()) else None in
   (* time a prepare-side phase *)
   let ph name f = match collector with Some c -> Obs.phase c name f | None -> f () in
@@ -263,42 +257,20 @@ let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
             ph "plan" (fun () ->
                 plan_query (planner_config ?par strategy force_join) compiled)
           in
-          (* [Eval.run] recompiles closures per run, so toggling the
-             materialization and fusion knobs around it covers the whole
-             plan *)
-          let run_fused ctx =
-            if fuse then Eval.run ?stats:collector ctx planned
-            else begin
-              let saved = !Codegen.mode in
-              Codegen.mode := Codegen.Off;
-              Fun.protect
-                ~finally:(fun () -> Codegen.mode := saved)
-                (fun () -> Eval.run ?stats:collector ctx planned)
-            end
-          in
-          let run_compiled ctx =
-            if materialize then begin
-              let saved = !Eval.force_materialize in
-              Eval.force_materialize := true;
-              Fun.protect
-                ~finally:(fun () -> Eval.force_materialize := saved)
-                (fun () -> run_fused ctx)
-            end
-            else run_fused ctx
-          in
-          finish run_compiled (Some compiled.Compile.cmain) (Some planned))
+          finish
+            (fun ctx -> Eval.run ?stats:collector ctx planned)
+            (Some compiled.Compile.cmain) (Some planned))
 
 (* ------------------------------------------------------------------ *)
 (* Prepared-plan cache                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* LRU cache over [prepare], keyed by everything that shapes the
-   compiled plan: query text, strategy, the projection, materialization
-   and fusion knobs, the store's index mode, the codegen mode, and the
-   relational backend mode — physical planning is statistics-sensitive,
-   so a plan prepared with indexing off must not be reused once indexes
-   are available (and vice versa), and a fuse- or backend-mode change
-   must replan for the same reason.
+   compiled plan: query text, strategy, the projection knob, the store's
+   index mode and the codegen mode — physical planning is
+   statistics-sensitive, so a plan prepared with indexing off must not
+   be reused once indexes are available (and vice versa), and a codegen
+   mode change must replan for the same reason.
    Stats-collecting preparations are never cached — each caller of
    [~stats:true] expects its own collector.  Recency is a global tick;
    eviction scans for the minimum (the cache is small, capacity beats
@@ -310,17 +282,13 @@ let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
    key is built.  [m_par] is the parallelism degree the plan was
    annotated with: a plan annotated under [--par 4] must not be reused
    after the budget drops to 1 (and vice versa) — the annotation changes
-   the compiled execution strategy, not just a runtime gate.  [m_backend]
-   keys the relational-offload mode the planner spliced under. *)
+   the compiled execution strategy, not just a runtime gate. *)
 type exec_modes = {
   m_strategy : strategy;
   m_project : bool;
-  m_materialize : bool;
-  m_fuse : bool;
   m_par : int;  (** domain-pool per-query degree at planning time *)
   m_index : Store.mode;
   m_codegen : Codegen.mode;
-  m_backend : Rel_algebra.backend;
   m_docs_gen : int;
       (** the MVCC document-state generation at planning time: plans are
           costed against index statistics, and an applied update changes
@@ -331,16 +299,13 @@ type exec_modes = {
 
 (* The ambient execution modes: everything not passed explicitly is read
    from the process-wide knobs, exactly as [prepare] will read them. *)
-let current_exec_modes ~strategy ~project ~materialize ~fuse () : exec_modes =
+let current_exec_modes ~strategy ~project () : exec_modes =
   {
     m_strategy = strategy;
     m_project = project;
-    m_materialize = materialize;
-    m_fuse = fuse;
     m_par = Domain_pool.query_degree ();
     m_index = !Store.mode;
     m_codegen = !Codegen.mode;
-    m_backend = !Rel_algebra.backend;
     m_docs_gen = Version.generation ();
   }
 
@@ -380,12 +345,10 @@ let evict_lru () =
   in
   match victim with Some (key, _) -> Hashtbl.remove plan_cache key | None -> ()
 
-let prepare_cached ?(strategy = Optimized) ?(project = false)
-    ?(materialize = false) ?(fuse = true) (source : string) : prepared =
+let prepare_cached ?(strategy = Optimized) ?(project = false) (source : string) :
+    prepared =
   Trace.in_span "plan-cache" @@ fun () ->
-  let key =
-    (source, current_exec_modes ~strategy ~project ~materialize ~fuse ())
-  in
+  let key = (source, current_exec_modes ~strategy ~project ()) in
   let hit =
     Obs.with_lock plan_lock (fun () ->
         incr plan_tick;
@@ -405,8 +368,7 @@ let prepare_cached ?(strategy = Optimized) ?(project = false)
   | None ->
       Trace.annotate_current [ ("hit", "false") ];
       let p =
-        Trace.in_span "compile" (fun () ->
-            prepare ~strategy ~project ~materialize ~fuse source)
+        Trace.in_span "compile" (fun () -> prepare ~strategy ~project source)
       in
       Obs.with_lock plan_lock (fun () ->
           if !plan_cache_capacity > 0 then begin
@@ -437,12 +399,12 @@ let parse_document ?uri (xml : string) : Node.t = Xml_parser.parse_string ?uri x
 let serialize (s : Item.sequence) : string = Serializer.sequence_to_string s
 
 (* One-shot evaluation with optional bindings. *)
-let eval_string ?strategy ?project ?materialize ?fuse ?force_join ?schema
-    ?(variables = []) ?(documents = []) (source : string) : Item.sequence =
+let eval_string ?strategy ?project ?force_join ?schema ?(variables = [])
+    ?(documents = []) (source : string) : Item.sequence =
   let ctx = context ?schema () in
   List.iter (fun (name, value) -> bind_variable ctx name value) variables;
   List.iter (fun (uri, doc) -> bind_document ctx uri doc) documents;
-  run (prepare ?strategy ?project ?materialize ?fuse ?force_join source) ctx
+  run (prepare ?strategy ?project ?force_join source) ctx
 
 (* A multi-section compilation report: the Core form and the logical plan
    before and after optimization, in the paper's notation, plus the
@@ -489,28 +451,6 @@ let explain ?(strategy = Optimized) (source : string) : string =
       let config = planner_config strategy None in
       let physical = Planner.plan ~config optimized in
       Buffer.add_string buf (Pretty.physical_to_string physical);
-      (match
-         List.rev
-           (Physical.fold
-              (fun acc (n : Physical.t) ->
-                match n.Physical.pop with
-                | Physical.PRelational { rplan; rfields; _ } ->
-                    (rplan, rfields) :: acc
-                | _ -> acc)
-              [] physical)
-       with
-      | [] -> ()
-      | subplans ->
-          Buffer.add_string buf "\n\n=== Relational subplans ===\n";
-          List.iteri
-            (fun i (rplan, rfields) ->
-              Buffer.add_string buf
-                (Printf.sprintf "#%d [%d ops -> %s]\n%s\nSQL:\n%s\n" (i + 1)
-                   (Rel_algebra.size rplan)
-                   (String.concat ";" rfields)
-                   (Rel_algebra.to_string rplan)
-                   (Rel_sql.emit rplan)))
-            subplans);
       (match Codegen.annotate physical with
       | [] -> ()
       | segments ->

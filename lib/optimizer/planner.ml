@@ -35,8 +35,6 @@ open Algebra
 module Promotion = Xqc_types.Promotion
 module P = Physical
 module Store = Xqc_store.Store
-module Rel = Xqc_rel.Rel_algebra
-module Lower = Xqc_rel_lower.Lower
 
 type config = {
   force_join : P.join_algorithm option;
@@ -286,61 +284,7 @@ let par_gate (config : config) (est_rows : float) : int =
 let par_gate_join (config : config) : int = max 1 config.par_degree
 
 let plan ?(config = default_config) (p : plan) : P.t =
-  (* Set while planning a relational twin: the fallback plan must be
-     fully native, and a rejected candidate must not re-offer its own
-     subtree (its children still may). *)
-  let offload_disabled = ref false in
   let rec go (p : plan) : P.t =
-    match try_offload p with Some t -> t | None -> go_core p
-  (* Offload a table subplan to the relational backend when the second
-     lowering accepts it.  Candidates are the table-operator roots the
-     lowering grammar can start from; [uses_input p] rules out plans
-     whose scans depend on the surrounding tuple (the relational bridge
-     evaluates with only the variable environment).  Under [Rel] every
-     lowerable candidate offloads; under [Auto] only subplans containing
-     a join or group-by, and only when the native twin's estimated cost
-     clears [auto_cost_threshold] (optimistic when no statistics
-     exist, mirroring the parallelism gate). *)
-  and try_offload (p : plan) : P.t option =
-    if !offload_disabled || !Rel.backend = Rel.Native then None
-    else
-      match p with
-      | (Join _ | LOuterJoin _ | GroupBy _ | OrderBy _ | Select _)
-        when not (uses_input p) -> (
-          match Lower.lower p with
-          | None -> None
-          | Some rplan ->
-              let twin =
-                offload_disabled := true;
-                Fun.protect
-                  ~finally:(fun () -> offload_disabled := false)
-                  (fun () -> go_core p)
-              in
-              let offload =
-                match !Rel.backend with
-                | Rel.Native -> false
-                | Rel.Rel -> true
-                | Rel.Auto ->
-                    Lower.heavy rplan
-                    && (match Store.total_elements () with
-                       | None -> true
-                       | Some _ -> cost twin >= !Rel.auto_cost_threshold)
-              in
-              if not offload then None
-              else
-                Some
-                  (mk
-                     (P.PRelational
-                        {
-                          rplan;
-                          rfields = output_fields p;
-                          rparams = Rel.params rplan;
-                          fallback = twin;
-                        })
-                     ~rows:(rows twin)
-                     ~cost:((0.3 *. cost twin) +. rows twin)))
-      | _ -> None
-  and go_core (p : plan) : P.t =
     match p with
     | Input -> mk P.PInput ~rows:1. ~cost:0.
     | Empty -> mk P.PEmpty ~rows:0. ~cost:0.

@@ -44,13 +44,26 @@ let env_budget =
   | None -> None
 
 let override : int option ref = ref None
-let hw_budget = lazy (Domain.recommended_domain_count ())
+
+(* The hardware budget is resolved on first use, not at module
+   initialisation: [Domain.recommended_domain_count] follows the CPU
+   affinity, so a process that pins itself before running queries gets
+   the pinned count.  It is memoised in an atomic, not a [lazy]: OCaml
+   5's [Lazy.force] raises [Lazy.Undefined] when two domains force the
+   same suspension at once, which is what a server's first concurrent
+   requests do.  Racing first users may each compute it; the first to
+   publish wins, so every caller sees one value. *)
+let hw_cell = Atomic.make 0
+
+let hw_budget () =
+  if Atomic.get hw_cell = 0 then
+    ignore (Atomic.compare_and_set hw_cell 0 (Domain.recommended_domain_count ()));
+  Atomic.get hw_cell
 
 let budget () =
   match !override with
   | Some n -> max 1 n
-  | None -> (
-      match env_budget with Some n -> n | None -> Lazy.force hw_budget)
+  | None -> ( match env_budget with Some n -> n | None -> hw_budget ())
 
 let set_budget o = override := o
 

@@ -118,16 +118,14 @@ let resolve_document ctx uri : Node.t =
 (* Escape hatch for long-lived contexts: drop every cached document so
    the next fn:doc re-resolves (e.g. after the file changed on disk).
    The per-root caches keyed on the evicted trees — structural name
-   indexes, shredded tables — must go with them: nothing else reaches
-   those roots any more, so a stale entry is a leak that the
-   opportunistic purges (which only fire on re-registration of the
-   *same* root) never collect. *)
+   indexes — must go with them: nothing else reaches those roots any
+   more, so a stale entry is a leak that the opportunistic purges
+   (which only fire on re-registration of the *same* root) never
+   collect. *)
 let clear_doc_cache ctx =
   Hashtbl.iter
     (fun _ doc ->
-      let root = Node.root doc in
-      Xqc_store.Store.purge_root root;
-      Xqc_rel.Shred.purge_root root)
+      Xqc_store.Store.purge_root (Node.root doc))
     ctx.documents;
   Hashtbl.reset ctx.documents
 

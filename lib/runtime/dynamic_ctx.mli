@@ -82,7 +82,7 @@ val clear_doc_cache : t -> unit
 (** Drop every cached document so the next [fn:doc] re-resolves —
     the escape hatch for long-lived contexts whose backing files
     change.  Also purges the per-root caches keyed on the evicted
-    trees (structural indexes, shredded tables): nothing reaches those
+    trees (structural indexes): nothing reaches those
     roots afterwards, so keeping the entries would leak them. *)
 
 val with_params : t -> (string * xvalue) list -> (unit -> 'a) -> 'a

@@ -75,11 +75,6 @@ let ebv (v : dval) : bool = Item.effective_boolean_value (as_items v)
 let true_flag : Item.sequence = [ Item.Atom (Atomic.Boolean true) ]
 let false_flag : Item.sequence = [ Item.Atom (Atomic.Boolean false) ]
 
-(* Relational-backend bridge telemetry (see the PRelational case). *)
-let c_rel_subplans = Obs.global_counter "rel_subplans"
-let c_rel_rows = Obs.global_counter "rel_rows"
-let c_rel_fallbacks = Obs.global_counter "rel_fallbacks"
-
 (* ------------------------------------------------------------------ *)
 (* Layout management                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -267,13 +262,6 @@ let construct_attribute name (items : Item.sequence) : Item.t =
    their O(answer) pull bounds survive. *)
 type cenv = { layout : layout; drain : bool }
 
-(* Ablation knob: when set, IN#q accesses scan the tuple layout by name at
-   every evaluation instead of using the index resolved at compile time —
-   simulating the dynamic-context lookups of the pre-paper engine that
-   Table 3 credits part of the algebra speedup to.  Affects plans compiled
-   while the flag is set. *)
-let dynamic_field_lookup = ref false
-
 (* Debug knob: when set, every compiled operator drains its cursor eagerly
    at call time and the cursor-based early-termination special cases are
    disabled, restoring the fully materialized evaluation the streaming
@@ -297,8 +285,7 @@ let stream_kind_of (pop : P.pop) : Obs.stream_kind =
   | P.PTupleConstruct _ | P.PMapSome _ | P.PMapEvery _ ->
       Obs.Streamed
   | P.POrderBy _ | P.PGroupBy _ | P.PNestedLoop _ | P.PHashJoin _
-  | P.PSortJoin _ | P.PProduct _ | P.PMapToItem _ | P.PMaterialize _
-  | P.PRelational _ ->
+  | P.PSortJoin _ | P.PProduct _ | P.PMapToItem _ | P.PMaterialize _ ->
       Obs.Blocking
   | _ -> Obs.Opaque
 
@@ -890,22 +877,11 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
   | P.PFieldAccess q -> (
       match field_index env.layout q with
       | Some i ->
-          if !dynamic_field_lookup then
-            let layout = env.layout in
-            ( (fun _ctx inp ->
-                match inp with
-                | ITuple t -> (
-                    match field_index layout q with
-                    | Some j -> Xml t.(j)
-                    | None -> dynamic_error "IN#%s not found" q)
-                | IItems _ | INone -> dynamic_error "IN#%s outside a tuple context" q),
-              [] )
-          else
-            ( (fun _ctx inp ->
-                match inp with
-                | ITuple t -> Xml t.(i)
-                | IItems _ | INone -> dynamic_error "IN#%s outside a tuple context" q),
-              [] )
+          ( (fun _ctx inp ->
+              match inp with
+              | ITuple t -> Xml t.(i)
+              | IItems _ | INone -> dynamic_error "IN#%s outside a tuple context" q),
+            [] )
       | None -> compile_error "unknown tuple field #%s (layout: %s)" q (String.concat "," env.layout))
   | P.PSelect (pred, input) ->
       let ci, li = compile env input in
@@ -959,50 +935,6 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       ( (fun ctx inp ->
           match ci ctx inp with Xml _ as v -> v | Tab s -> tab_list (List.of_seq s)),
         li )
-  | P.PRelational { rplan; rfields; rparams = _; fallback } ->
-      (* offloaded table subplan: run the relational engine over the
-         shredded documents and bridge the rows back as a (strict)
-         tuple table.  Any engine signal except a deadline — a stated
-         limitation (Rel_exec.Fallback) or a comparison-level dynamic
-         error — reruns the native twin, which reproduces the exact
-         native result or error.  The twin compiles lazily so the happy
-         path pays nothing for it; its layout can order fields
-         differently, so a positional remap onto [rfields] is computed
-         once at force time. *)
-      let twin =
-        lazy
-          (let c, l = compile env fallback in
-           if l = rfields then c
-           else
-             let perm =
-               Array.of_list
-                 (List.map
-                    (fun f ->
-                      match field_index l f with
-                      | Some i -> i
-                      | None ->
-                          compile_error "relational twin layout lacks #%s" f)
-                    rfields)
-             in
-             fun ctx inp ->
-               Tab
-                 (Seq.map
-                    (fun t -> Array.map (fun i -> t.(i)) perm)
-                    (as_table (c ctx inp))))
-      in
-      ( (fun ctx inp ->
-          match
-            Xqc_rel.Rel_exec.run rplan ~lookup:(fun v -> lookup_variable ctx v)
-          with
-          | tuples ->
-              Obs.incr_counter c_rel_subplans;
-              Obs.add_counter c_rel_rows (List.length tuples);
-              tab_list tuples
-          | exception Dynamic_ctx.Timeout -> raise Dynamic_ctx.Timeout
-          | exception _ ->
-              Obs.incr_counter c_rel_fallbacks;
-              (Lazy.force twin) ctx inp),
-        rfields )
   | P.PMap (dep, input) ->
       let ci, li = compile env input in
       let cd, ld = compile { layout = li; drain = env.drain } dep in

@@ -74,11 +74,6 @@ type cenv = { layout : layout; drain : bool }
     tuple batch.  Pass [true] at scope roots; cleared internally below
     early-terminating consumers. *)
 
-val dynamic_field_lookup : bool ref
-(** Ablation knob: when set during compilation, IN#q accesses scan the
-    layout by name at every evaluation instead of using the resolved slot
-    (simulating the pre-paper dynamic-context lookups). *)
-
 val force_materialize : bool ref
 (** Debug knob: when set during compilation, every operator drains its
     cursor eagerly at call time and the cursor-based early-termination

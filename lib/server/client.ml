@@ -33,9 +33,10 @@ let connect_tcp host port =
       raise (Client_error (Printf.sprintf "unknown host %s" host)));
   make fd
 
-let close t =
-  close_out_noerr t.oc;
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* Closing the output channel flushes it and closes the shared
+   descriptor.  The descriptor must not be closed a second time: by then
+   its number may belong to a socket another thread just opened. *)
+let close t = close_out_noerr t.oc
 
 let field name = function
   | Obs.Obj fields -> List.assoc_opt name fields

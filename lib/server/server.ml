@@ -55,9 +55,6 @@ type config = {
   default_timeout_ms : int option;  (** per-request default deadline *)
   preload : (string * string) list;  (** [name, path] document preloads *)
   strategy : Xqc.strategy;
-  fuse : bool;
-      (** run lowerable pipelines through the fused execution tier
-          (default); [false] pins [Codegen.mode] to [Off] at startup *)
   verbose : bool;
   trace_sample : float;
       (** fraction of admitted requests that get a span tree (1.0 =
@@ -78,7 +75,6 @@ let default_config =
     default_timeout_ms = None;
     preload = [];
     strategy = Xqc.Optimized;
-    fuse = true;
     verbose = false;
     trace_sample = 1.0;
     slow_ms = 100.0;
@@ -883,8 +879,10 @@ let reader_thread t conn () =
   in
   loop ();
   log t "%s disconnected" conn.peer;
-  (try close_in_noerr conn.ic with _ -> ());
-  try Unix.close conn.fd with Unix.Unix_error _ -> ()
+  (* Close the descriptor exactly once, under the write lock: a worker
+     still replying on this connection then fails on the closed channel
+     instead of writing to whatever socket reuses the number next. *)
+  Obs.with_lock conn.wlock (fun () -> close_out_noerr conn.oc)
 
 (* ------------------------------------------------------------------ *)
 (* Listeners and the accept loop                                       *)
@@ -939,7 +937,6 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
   if cfg.unix_socket = None && cfg.tcp = None then
     invalid_arg "Server.serve: no listener (need a unix socket path or a TCP address)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if not cfg.fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
   let nworkers = max 1 cfg.workers in
   (* the worker domains draw from the same machine budget as intra-query
      partition tasks: declare them so each query's partition degree is

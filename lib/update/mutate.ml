@@ -18,10 +18,9 @@
    Deletions never shrink an interval (the freed ids become slack), and
    an insert whose content fits the local slack touches no ancestor
    extent at all — which is what lets the sorted per-name index arrays
-   (Xqc_store) and the shred columns (Xqc_rel) be patched in place
-   instead of rebuilt.  Inserted content is numbered with a small
-   inter-node gap first, so the new subtree is itself updatable,
-   retrying dense when tight; only when even dense numbering does not
+   (Xqc_store) be patched in place instead of rebuilt.  Inserted
+   content is numbered with a small inter-node gap first, so the new
+   subtree is itself updatable, retrying dense when tight; only when even dense numbering does not
    fit does the document fall back to a full [renumber_gapped] (counted
    in [full_renumbers]), which moves the root id and thereby kills every
    cache keyed on it.
@@ -35,7 +34,6 @@
 open Xqc_xml
 module Obs = Xqc_obs.Obs
 module Store = Xqc_store.Store
-module Shred = Xqc_rel.Shred
 
 exception Update_error of string
 
@@ -68,8 +66,8 @@ let set_attrs (p : Node.t) (l : Node.t list) : unit =
    are snapshot nodes): the mutation must still happen — the pending
    list was checked against the snapshot — but it is invisible, and
    its nids are stale (a replace may have reassigned the freed interval
-   to live content), so it must never touch [root]'s indexes, shreds
-   or numbering. *)
+   to live content), so it must never touch [root]'s indexes or
+   numbering. *)
 let attached (root : Node.t) (n : Node.t) : bool =
   let rec up m =
     m == root || match m.Node.parent with Some p -> up p | None -> false
@@ -205,22 +203,13 @@ let try_number (nodes : Node.t list) ~lo ~hi ~from_hi : bool =
 
 let patched b = if b then Obs.incr_counter c_patches
 
-let patch_insert_indexes root sub =
-  patched (Store.patch_insert root sub);
-  patched (Shred.patch_insert root sub)
-
-let patch_delete_indexes root sub =
-  patched (Store.patch_delete root sub);
-  patched (Shred.patch_delete root sub)
-
 (* Gap exhausted (or the tree was never gap-numbered): renumber the
    whole document.  The root's nid moves, so every cache keyed on it —
-   structural indexes, shreds, cached plans — is dead; purge the old
+   structural indexes, cached plans — is dead; purge the old
    key eagerly rather than waiting for the opportunistic sweeps. *)
 let full_renumber (root : Node.t) : unit =
   let old = root.Node.nid in
   Store.purge_nid old;
-  Shred.purge_nid old;
   Node.renumber_gapped root;
   Obs.incr_counter c_renumbers
 
@@ -271,7 +260,7 @@ let insert (root : Node.t) (pos : position) (nodes : Node.t list) : unit =
         try_number nodes ~lo ~hi ~from_hi
       in
       splice_children p pos nodes;
-      if fits then List.iter (patch_insert_indexes root) nodes
+      if fits then List.iter (fun n -> patched (Store.patch_insert root n)) nodes
       else full_renumber root
     end
   end
@@ -285,7 +274,7 @@ let delete (root : Node.t) (n : Node.t) : unit =
       (* A node inside an already-detached subtree still has a parent,
          but its nids are stale — patching the live arrays with them
          would strip whichever nodes now own that interval. *)
-      if live then patch_delete_indexes root n
+      if live then patched (Store.patch_delete root n)
 
 let rename (root : Node.t) (n : Node.t) (name : string) : unit =
   let live = attached root n in
@@ -295,38 +284,22 @@ let rename (root : Node.t) (n : Node.t) (name : string) : unit =
       n.Node.desc <-
         Node.Element
           { ename = name; attrs = e.attrs; children = e.children; eannot = e.eannot };
-      if live then begin
-        patched (Store.patch_rename root n ~old_name);
-        patched (Shred.patch_rename root n)
-      end
+      if live then patched (Store.patch_rename root n ~old_name)
   | Node.Attribute a ->
       let old_name = a.aname in
       n.Node.desc <-
         Node.Attribute { aname = name; avalue = a.avalue; aannot = a.aannot };
-      if live then begin
-        patched (Store.patch_rename root n ~old_name);
-        patched (Shred.patch_rename root n)
-      end
-  | Node.Pi p ->
-      n.Node.desc <- Node.Pi { target = name; pdata = p.pdata };
-      if live then patched (Shred.patch_rename root n)
+      if live then patched (Store.patch_rename root n ~old_name)
+  | Node.Pi p -> n.Node.desc <- Node.Pi { target = name; pdata = p.pdata }
   | _ -> err "rename target must be an element, attribute or processing-instruction"
 
 let replace_value (root : Node.t) (n : Node.t) (s : string) : unit =
-  let live = attached root n in
   match n.Node.desc with
-  | Node.Text _ ->
-      n.Node.desc <- Node.Text s;
-      if live then patched (Shred.patch_value root n)
-  | Node.Comment _ ->
-      n.Node.desc <- Node.Comment s;
-      if live then patched (Shred.patch_value root n)
-  | Node.Pi p ->
-      n.Node.desc <- Node.Pi { target = p.target; pdata = s };
-      if live then patched (Shred.patch_value root n)
+  | Node.Text _ -> n.Node.desc <- Node.Text s
+  | Node.Comment _ -> n.Node.desc <- Node.Comment s
+  | Node.Pi p -> n.Node.desc <- Node.Pi { target = p.target; pdata = s }
   | Node.Attribute a ->
-      n.Node.desc <- Node.Attribute { aname = a.aname; avalue = s; aannot = a.aannot };
-      if live then patched (Shred.patch_value root n)
+      n.Node.desc <- Node.Attribute { aname = a.aname; avalue = s; aannot = a.aannot }
   | Node.Element _ ->
       (* replaceElementContent: every child is dropped and replaced by a
          single text node holding the new value (nothing when empty). *)

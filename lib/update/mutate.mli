@@ -4,10 +4,9 @@
     preserve the preorder-id invariant without renumbering.  Inserts
     number their content into the target position's free id interval —
     the slack reserved by {!Xqc_xml.Node.renumber_gapped} — and patch
-    the live structural indexes ([Xqc_store.Store]) and shred columns
-    ([Xqc_rel.Shred]) in place; only gap exhaustion falls back to a full
-    renumber of the document, which moves the root id and invalidates
-    every cache keyed on it.
+    the live structural indexes ([Xqc_store.Store]) in place; only gap
+    exhaustion falls back to a full renumber of the document, which
+    moves the root id and invalidates every cache keyed on it.
 
     Successful in-place index patches are counted in the
     [incremental_index_patches] global counter, full-renumber fallbacks

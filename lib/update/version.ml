@@ -14,7 +14,7 @@
 
      - readers hold the snapshot: evaluate and apply against a deep
        copy, then publish the copy as the new head.  Nobody waits; the
-       old version retires and its caches (structural indexes, shreds)
+       old version retires and its caches (structural indexes)
        are purged when its last reader unpins.
 
    A global generation counter bumps on every publish; the plan cache
@@ -25,7 +25,6 @@
 open Xqc_xml
 module Obs = Xqc_obs.Obs
 module Store = Xqc_store.Store
-module Shred = Xqc_rel.Shred
 
 exception Unknown_document of string
 
@@ -60,7 +59,6 @@ let bump_generation () = ignore (Stdlib.Atomic.fetch_and_add generation_counter 
    root. *)
 let purge_version (v : version) : unit =
   Store.purge_root v.v_root;
-  Shred.purge_root v.v_root;
   ignore (Stdlib.Atomic.fetch_and_add live (-1))
 
 let find (uri : string) : entry option =
@@ -176,7 +174,6 @@ let with_write (uri : string) (f : Node.t -> in_place:bool -> 'a) : 'a =
             | exception ex ->
                 (* evaluation against the copy may have built caches *)
                 Store.purge_root root';
-                Shred.purge_root root';
                 raise ex)
 
 (* Test support: drop every registration (pinned snapshots keep their

@@ -96,9 +96,19 @@ let arb =
     ~print:(fun (qi, _) -> queries.(qi))
     QCheck.Gen.(pair (int_bound (Array.length queries - 1)) doc_gen)
 
+(* Run [f] with [Eval.force_materialize] set to [m]: every operator
+   drains its cursor eagerly and the early-termination special cases are
+   off — the fully materialized reference the streaming pipeline must
+   agree with. *)
+let with_materialize m f =
+  let saved = !Xqc.Eval.force_materialize in
+  Xqc.Eval.force_materialize := m;
+  Fun.protect ~finally:(fun () -> Xqc.Eval.force_materialize := saved) f
+
 let run_one ?(materialize = false) ?force_join strategy doc q =
+  with_materialize materialize @@ fun () ->
   match
-    Xqc.eval_string ~strategy ~materialize ?force_join
+    Xqc.eval_string ~strategy ?force_join
       ~variables:[ ("d", [ Xqc.Item.Node doc ]) ]
       q
   with
@@ -139,7 +149,7 @@ let prop_all_strategies_agree =
       List.for_all (String.equal (List.hd results)) results)
 
 (* The streaming pipeline against its own materialized execution (the
-   [~materialize] debug knob drains every cursor eagerly and disables
+   [Eval.force_materialize] debug knob drains every cursor eagerly and disables
    the early-termination special cases): cursors must be a pure
    evaluation-order change, never a result change. *)
 let prop_streaming_is_transparent =
@@ -220,7 +230,8 @@ let pulled ~materialize doc q =
      per-operator pull accounting, which a fused segment (one op_node for
      a whole pipeline) would legitimately change *)
   with_fuse_mode Xqc.Codegen.Off @@ fun () ->
-  let p = Xqc.prepare ~stats:true ~materialize q in
+  with_materialize materialize @@ fun () ->
+  let p = Xqc.prepare ~stats:true q in
   let ctx = Xqc.context () in
   Xqc.bind_variable ctx "auction" [ Xqc.Item.Node doc ];
   let result = Xqc.run p ctx in
@@ -318,12 +329,14 @@ let () =
                   List.iter
                     (fun s ->
                       let go materialize =
-                        match
-                          Xqc.eval_string ~strategy:s ~materialize
-                            ~variables:[ ("auction", [ Xqc.Item.Node doc ]) ] q
-                        with
-                        | items -> "OK:" ^ Xqc.serialize items
-                        | exception Xqc.Error m -> "ERROR:" ^ m
+                        with_materialize materialize (fun () ->
+                            match
+                              Xqc.eval_string ~strategy:s
+                                ~variables:[ ("auction", [ Xqc.Item.Node doc ]) ]
+                                q
+                            with
+                            | items -> "OK:" ^ Xqc.serialize items
+                            | exception Xqc.Error m -> "ERROR:" ^ m)
                       in
                       if not (String.equal (go false) (go true)) then
                         Alcotest.failf

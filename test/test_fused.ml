@@ -2,7 +2,7 @@
    EXPLAIN rendering of fused segments, splice points where a fused
    pipeline feeds a blocking operator, the runtime-fallback protocol
    (multi-node sources, user declarations shadowing a fused builtin),
-   the [~fuse]/mode knobs, and the allocation win the tier exists for.
+   the [Codegen.mode] knob, and the allocation win the tier exists for.
    Cross-engine result equivalence is covered separately by the QCheck
    properties in test_equivalence.ml. *)
 
@@ -99,15 +99,6 @@ let test_shadowed_builtin_fallback () =
     "shadow fallback recorded" true
     (counter "fused_fallbacks" > before)
 
-(* The prepare-side knob: [~fuse:false] pins the tier off for that
-   prepared query only, and must agree with the fused default. *)
-let test_prepare_knob () =
-  let q = "$auction/site/regions/africa/item/name" in
-  let variables = [ ("auction", [ Xqc.Item.Node (Lazy.force xmark) ]) ] in
-  let on = Xqc.serialize (Xqc.eval_string ~fuse:true ~variables q) in
-  let off = Xqc.serialize (Xqc.eval_string ~fuse:false ~variables q) in
-  Alcotest.(check string) "~fuse:false agrees" on off
-
 (* The fused tier's reason to exist: a filtered count over the item
    table runs in the bytecode loop with no per-tuple allocation, so its
    allocation footprint must sit well below the closure interpreter's.
@@ -163,8 +154,6 @@ let () =
           Alcotest.test_case "shadowed builtin" `Quick
             test_shadowed_builtin_fallback;
         ] );
-      ( "knobs",
-        [ Alcotest.test_case "prepare ~fuse:false" `Quick test_prepare_knob ] );
       ( "perf",
         [
           Alcotest.test_case "allocation win" `Quick test_allocation_win;

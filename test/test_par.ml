@@ -249,9 +249,229 @@ let test_parallel_list () =
   | _ -> Alcotest.fail "expected the task failure to propagate"
   | exception Failure m -> Alcotest.(check string) "original exception" "boom" m
 
+(* -------- plan-cache keying: flipping any execution mode replans ---- *)
+
+let test_plan_cache_modes () =
+  let q = "for $x in (1,2,3) return $x + 1" in
+  let misses () = counter "plan_cache_misses" in
+  let base () = ignore (Xqc.prepare_cached q) in
+  let check_flip name flip restore =
+    Xqc.clear_plan_cache ();
+    base ();
+    let warm = misses () in
+    base ();
+    Alcotest.(check int) (name ^ ": warm hit") warm (misses ());
+    flip ();
+    Fun.protect ~finally:restore (fun () ->
+        base ();
+        Alcotest.(check int) (name ^ ": flip replans") (warm + 1) (misses ()))
+  in
+  check_flip "strategy"
+    (fun () -> ignore (Xqc.prepare_cached ~strategy:Xqc.Optimized_nl q))
+    (fun () -> ());
+  (* the strategy flip above already compiled under nl; re-anchor *)
+  let saved_store = !Xqc.Store.mode in
+  check_flip "index mode"
+    (fun () -> Xqc.Store.mode := Xqc.Store.Off)
+    (fun () -> Xqc.Store.mode := saved_store);
+  let saved_cg = !Xqc.Codegen.mode in
+  check_flip "codegen mode"
+    (fun () -> Xqc.Codegen.mode := Xqc.Codegen.Off)
+    (fun () -> Xqc.Codegen.mode := saved_cg);
+  check_flip "par degree"
+    (fun () -> Xqc.Domain_pool.set_budget (Some 3))
+    (fun () -> Xqc.Domain_pool.set_budget None);
+  (* projection is an explicit prepare_cached argument *)
+  Xqc.clear_plan_cache ();
+  base ();
+  let warm = misses () in
+  ignore (Xqc.prepare_cached ~project:true q);
+  Alcotest.(check int) "project: flip replans" (warm + 1) (misses ())
+
+(* -------- fn:collection and per-document fan-out -------- *)
+
+let mk_db i =
+  Xqc.parse_document
+    (Printf.sprintf "<db><people>%s</people></db>"
+       (String.concat ""
+          (List.init (i + 2) (fun p ->
+               Printf.sprintf {|<person id="d%dp%d"><name>n%d</name></person>|}
+                 i p p))))
+
+let test_collection_builtin () =
+  let docs = [ mk_db 0; mk_db 1; mk_db 2 ] in
+  let ctx = Xqc.context () in
+  Xqc.Dynamic_ctx.bind_collection ctx "c" docs;
+  let run q = Xqc.serialize (Xqc.run (Xqc.prepare q) ctx) in
+  Alcotest.(check string) "count across documents" "9"
+    (run {|count(collection("c")//person)|});
+  (* the sequence fn:collection returns is in binding order *)
+  Alcotest.(check string) "first member is first bound doc" "d0p0"
+    (run {|string((collection("c"))[1]//person[1]/@id)|});
+  match Xqc.run (Xqc.prepare {|collection("missing")|}) ctx with
+  | _ -> Alcotest.fail "unbound collection must raise"
+  | exception Xqc.Error _ -> ()
+
+let test_collection_parallel () =
+  let docs = List.init 5 mk_db in
+  let q = {|for $p in collection("c")/db/people/person return $p/@id|} in
+  let run () =
+    let ctx = Xqc.context () in
+    Xqc.Dynamic_ctx.bind_collection ctx "c" docs;
+    Xqc.serialize (Xqc.run (Xqc.prepare q) ctx)
+  in
+  let reference = run () in
+  Alcotest.(check string) "per-document fan-out preserves order" reference
+    (with_par 4 run)
+
+let test_chunk_by_root () =
+  let d1 = mk_db 0 and d2 = mk_db 1 in
+  Xqc.Node.renumber d1;
+  Xqc.Node.renumber d2;
+  let items1 = [ Xqc.Item.Node d1 ] and items2 = [ Xqc.Item.Node d2 ] in
+  (* nodes carry parent back-pointers, so compare physically *)
+  let same a b =
+    List.length a = List.length b
+    && List.for_all2
+         (fun x y ->
+           match (x, y) with
+           | Xqc.Item.Node m, Xqc.Item.Node n -> m == n
+           | _ -> false)
+         a b
+  in
+  (match Xqc.Par_exec.chunk_by_root (items1 @ items2) with
+  | Some [ c1; c2 ] ->
+      Alcotest.(check bool) "chunk 1 = doc 1" true (same c1 items1);
+      Alcotest.(check bool) "chunk 2 = doc 2" true (same c2 items2)
+  | _ -> Alcotest.fail "two documents must make two chunks");
+  Alcotest.(check bool) "single root: no doc chunking" true
+    (Option.is_none (Xqc.Par_exec.chunk_by_root items1));
+  Alcotest.(check bool) "atoms: no doc chunking" true
+    (Option.is_none
+       (Xqc.Par_exec.chunk_by_root
+          [ Xqc.Item.Atom (Xqc.Atomic.Integer 1); Xqc.Item.Atom (Xqc.Atomic.Integer 2) ]))
+
+(* -------- plan-cache keying: the sixth mode and the run-time knobs ---- *)
+
+(* An applied update publishes a new document generation: a plan costed
+   against the old statistics must not be served for the new state. *)
+let test_plan_cache_docs_gen () =
+  let q = "for $x in (1,2,3) return $x + 1" in
+  let misses () = counter "plan_cache_misses" in
+  Xqc.Version.clear ();
+  Fun.protect ~finally:Xqc.Version.clear @@ fun () ->
+  Xqc.Version.register "g" (Xqc.parse_document ~uri:"g" "<r/>");
+  Xqc.clear_plan_cache ();
+  ignore (Xqc.prepare_cached q);
+  let warm = misses () in
+  ignore (Xqc.prepare_cached q);
+  Alcotest.(check int) "same generation: hit" warm (misses ());
+  ignore (Xqc.Update.execute ~uri:"g" "insert node <a/> into doc(\"g\")/r");
+  ignore (Xqc.prepare_cached q);
+  Alcotest.(check int) "new generation: replan" (warm + 1) (misses ())
+
+(* [Eval.force_materialize] is read when a prepared plan runs, not when
+   it is compiled, so it is not part of the cache key: flipping it must
+   hit the cached plan, and that plan must give the streamed answer. *)
+let test_plan_cache_materialize () =
+  let q = {|for $p in $d//person where $p/name != "n0" return $p/@id|} in
+  let ctx = Xqc.context () in
+  Xqc.bind_variable ctx "d" [ Xqc.Item.Node (mk_db 3) ];
+  let run () = Xqc.serialize (Xqc.run (Xqc.prepare_cached q) ctx) in
+  Xqc.clear_plan_cache ();
+  let streamed = run () in
+  let warm = counter "plan_cache_misses" in
+  let saved = !Xqc.Eval.force_materialize in
+  Xqc.Eval.force_materialize := true;
+  let materialized =
+    Fun.protect ~finally:(fun () -> Xqc.Eval.force_materialize := saved) run
+  in
+  Alcotest.(check int) "flip hits the cache" warm (counter "plan_cache_misses");
+  Alcotest.(check string) "materialized = streamed" streamed materialized
+
+(* [Codegen.mode] is a cache-key field: each mode gets its own cached
+   plan, and the fused and interpreted plans agree. *)
+let test_plan_cache_codegen_agree () =
+  let q = {|count(for $p in $d//person where $p/name = "n1" return $p)|} in
+  let ctx = Xqc.context () in
+  Xqc.bind_variable ctx "d" [ Xqc.Item.Node (mk_db 4) ];
+  let run mode =
+    with_fuse mode (fun () -> Xqc.serialize (Xqc.run (Xqc.prepare_cached q) ctx))
+  in
+  Xqc.clear_plan_cache ();
+  let fused = run Xqc.Codegen.Force in
+  let interp = run Xqc.Codegen.Off in
+  Alcotest.(check int) "one plan per mode" 2 (Xqc.plan_cache_size ());
+  Alcotest.(check string) "fused = interpreted" interp fused;
+  Alcotest.(check string) "the count itself" "1" fused
+
+(* -------- budget resolution -------- *)
+
+(* The explicit override beats the environment and the hardware count,
+   and declared server workers split it, never below one per query. *)
+let test_budget_override () =
+  Fun.protect
+    ~finally:(fun () ->
+      Xqc.Domain_pool.set_budget None;
+      Xqc.Domain_pool.set_reserved_workers 1)
+  @@ fun () ->
+  let degree () = Xqc.Domain_pool.query_degree () in
+  Xqc.Domain_pool.set_budget (Some 4);
+  Alcotest.(check int) "override" 4 (degree ());
+  Xqc.Domain_pool.set_reserved_workers 2;
+  Alcotest.(check int) "two workers share it" 2 (degree ());
+  Xqc.Domain_pool.set_reserved_workers 8;
+  Alcotest.(check int) "more workers than budget" 1 (degree ());
+  Xqc.Domain_pool.set_reserved_workers 1;
+  Xqc.Domain_pool.set_budget (Some 0);
+  Alcotest.(check int) "non-positive override clamps" 1 (degree ())
+
+(* With no override and no XQC_PAR, the budget is the hardware count. *)
+let test_budget_hardware_default () =
+  Xqc.Domain_pool.set_budget None;
+  Xqc.Domain_pool.set_reserved_workers 1;
+  match Sys.getenv_opt "XQC_PAR" with
+  | Some _ -> ()
+  | None ->
+      Alcotest.(check int) "recommended domain count"
+        (Domain.recommended_domain_count ())
+        (Xqc.Domain_pool.query_degree ())
+
+(* -------- budget resolution under concurrent first use -------- *)
+
+(* Registered first in main, before anything else in the process has
+   asked for the budget: several domains resolving the hardware budget
+   at the same moment — what a server's first concurrent requests do —
+   must all get the same degree and none may raise.  More domains than
+   cores, so some are descheduled mid-resolution: with 4 on an idle
+   2-core machine a racy resolution slipped through every run. *)
+let test_concurrent_first_budget () =
+  let n = 16 in
+  let arrived = Atomic.make 0 in
+  let domains =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            while Atomic.get arrived < n do
+              Domain.cpu_relax ()
+            done;
+            Xqc.Domain_pool.query_degree ()))
+  in
+  let degrees = List.map Domain.join domains in
+  Alcotest.(check (list int))
+    "every domain sees one degree"
+    (List.init n (fun _ -> List.hd degrees))
+    degrees
+
 let () =
   Alcotest.run "par"
     [
+      ( "budget",
+        [
+          Alcotest.test_case "concurrent first use" `Quick test_concurrent_first_budget;
+          Alcotest.test_case "hardware default" `Quick test_budget_hardware_default;
+          Alcotest.test_case "override and workers" `Quick test_budget_override;
+        ] );
       ("equivalence", [ test_equivalence ]);
       ( "determinism",
         [ Alcotest.test_case "repeated runs agree" `Quick test_determinism ] );
@@ -264,5 +484,20 @@ let () =
         [
           Alcotest.test_case "chunk" `Quick test_chunk;
           Alcotest.test_case "parallel_list" `Quick test_parallel_list;
+        ] );
+      ( "plan-cache",
+        [
+          Alcotest.test_case "mode knobs replan" `Quick test_plan_cache_modes;
+          Alcotest.test_case "update replans" `Quick test_plan_cache_docs_gen;
+          Alcotest.test_case "materialize is run-time" `Quick
+            test_plan_cache_materialize;
+          Alcotest.test_case "codegen modes agree" `Quick
+            test_plan_cache_codegen_agree;
+        ] );
+      ( "collection",
+        [
+          Alcotest.test_case "builtin" `Quick test_collection_builtin;
+          Alcotest.test_case "parallel fan-out" `Quick test_collection_parallel;
+          Alcotest.test_case "chunk by root" `Quick test_chunk_by_root;
         ] );
     ]

@@ -246,6 +246,31 @@ let test_prepared_reuse () =
   | Error ("unknown_statement", _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "executing an unknown statement must fail"
 
+(* The server has no fused-tier switch of its own: `xqc serve --no-fuse`
+   and XQC_FUSE=off set [Codegen.mode] before it starts, and its workers
+   must then answer exactly as the fused local oracle does. *)
+let test_unfused_serving () =
+  let queries =
+    [
+      "count($auction//item)";
+      "for $p in $auction/site/people/person where $p/@id = \"person0\" \
+       return $p/name/text()";
+      "count(for $i in $auction//item where $i/location = \"United States\" \
+       return $i)";
+    ]
+  in
+  let expected = expected_results queries in
+  let saved = !Xqc.Codegen.mode in
+  Xqc.Codegen.mode := Xqc.Codegen.Off;
+  Fun.protect ~finally:(fun () -> Xqc.Codegen.mode := saved) @@ fun () ->
+  with_server ~workers:1 ~preload:(preload_xmark ()) @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter
+    (fun (q, want) ->
+      Alcotest.(check string) q want (check_ok q (Client.query c q)))
+    expected
+
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -616,6 +641,7 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "overloaded" `Quick test_overloaded;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
+          Alcotest.test_case "unfused serving" `Quick test_unfused_serving;
         ] );
       ( "telemetry",
         [

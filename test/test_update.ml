@@ -2,20 +2,12 @@
    maintenance, and MVCC snapshot isolation.
 
    The load-bearing property: applying a random update script to a
-   live gap-numbered tree — patching its structural indexes and shred
-   tables in place — must be observationally identical to reparsing
-   the updated bytes and rebuilding everything from scratch, for every
-   execution strategy, with and without the name index, under both the
-   native and relational backends.  Separate units pin XQUF apply
+   live gap-numbered tree — patching its structural indexes in place —
+   must be observationally identical to reparsing the updated bytes and
+   rebuilding everything from scratch, for every execution strategy,
+   with and without the name index.  Separate units pin XQUF apply
    order, conflict detection, and that readers pinned to a snapshot
    never observe a concurrent writer. *)
-
-module Rel = Xqc.Rel_algebra
-
-let with_backend b f =
-  let saved = !Rel.backend in
-  Rel.backend := b;
-  Fun.protect ~finally:(fun () -> Rel.backend := saved) f
 
 let counter name =
   match List.assoc_opt name (Xqc.Obs.global_counters ()) with
@@ -98,7 +90,7 @@ let script_gen : string QCheck.Gen.t =
   int_range 1 4 >>= fun n ->
   list_repeat n stmt_gen >>= fun stmts -> return (String.concat ",\n" stmts)
 
-(* Probes chosen to exercise the name index and the shred columns but
+(* Probes chosen to exercise the name index but
    stay insensitive to text-node merging (the one place the in-place
    tree may differ structurally from its reparse: XQUF-adjacent text
    nodes are kept separate, which serializes identically). *)
@@ -111,18 +103,13 @@ let probes =
     "for $p in $db//person return string($p/name)";
   ]
 
-let rel = Rel.Rel
-let native = Rel.Native
-
-(* Apply [script] to a live gap-numbered (and optionally indexed /
-   shredded) tree, then probe it; reference answers come from a
-   from-scratch reparse of the updated bytes. *)
-let apply_and_probe ~strategy ~index ~backend xml script =
-  with_backend backend @@ fun () ->
+(* Apply [script] to a live gap-numbered (and optionally indexed) tree,
+   then probe it; reference answers come from a from-scratch reparse of
+   the updated bytes. *)
+let apply_and_probe ~strategy ~index xml script =
   let prep root =
     Xqc.Node.renumber_gapped root;
-    if index then ignore (Xqc.Store.index_nodes root);
-    if backend = rel then ignore (Xqc.Shred.of_root root)
+    if index then ignore (Xqc.Store.index_nodes root)
   in
   let root = Xqc.parse_document ~uri:"db.xml" xml in
   prep root;
@@ -140,23 +127,16 @@ let apply_and_probe ~strategy ~index ~backend xml script =
       Ok (bytes, incr, reference)
 
 let combos =
-  List.concat_map
-    (fun s ->
-      List.concat_map
-        (fun index -> [ (s, index, native); (s, index, rel) ])
-        [ false; true ])
-    Xqc.all_strategies
+  List.concat_map (fun s -> [ (s, false); (s, true) ]) Xqc.all_strategies
 
-let combo_name (s, index, b) =
-  Printf.sprintf "%s/%s/%s" (Xqc.strategy_name s)
+let combo_name (s, index) =
+  Printf.sprintf "%s/%s" (Xqc.strategy_name s)
     (if index then "indexed" else "plain")
-    (Rel.backend_name b)
 
 let prop_incremental_equals_reparse (xml, script) =
   let results =
     List.map
-      (fun (s, index, b) ->
-        ((s, index, b), apply_and_probe ~strategy:s ~index ~backend:b xml script))
+      (fun (s, index) -> ((s, index), apply_and_probe ~strategy:s ~index xml script))
       combos
   in
   (* each combo agrees with its own from-scratch reparse *)
@@ -207,7 +187,7 @@ let test_incremental_equals_reparse =
     (QCheck.Test.make
        ~name:
          "random scripts: incremental maintenance = from-scratch reparse, all \
-          strategies x index x backend"
+          strategies x index"
        ~count:40
        (QCheck.make QCheck.Gen.(pair doc_gen script_gen))
        prop_incremental_equals_reparse)

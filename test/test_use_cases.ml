@@ -38,7 +38,10 @@ let variables =
   ]
 
 let eval ?(strategy = Xqc.Optimized) ?(materialize = false) q =
-  Xqc.serialize (Xqc.eval_string ~strategy ~materialize ~variables q)
+  let saved = !Xqc.Eval.force_materialize in
+  Xqc.Eval.force_materialize := materialize;
+  Fun.protect ~finally:(fun () -> Xqc.Eval.force_materialize := saved) @@ fun () ->
+  Xqc.serialize (Xqc.eval_string ~strategy ~variables q)
 
 (* (name, query, expected-or-None) *)
 let cases =
