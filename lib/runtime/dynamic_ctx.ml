@@ -117,17 +117,9 @@ let resolve_document ctx uri : Node.t =
 
 (* Escape hatch for long-lived contexts: drop every cached document so
    the next fn:doc re-resolves (e.g. after the file changed on disk).
-   The per-root caches keyed on the evicted trees — structural name
-   indexes — must go with them: nothing else reaches those roots any
-   more, so a stale entry is a leak that the opportunistic purges
-   (which only fire on re-registration of the *same* root) never
-   collect. *)
-let clear_doc_cache ctx =
-  Hashtbl.iter
-    (fun _ doc ->
-      Xqc_store.Store.purge_root (Node.root doc))
-    ctx.documents;
-  Hashtbl.reset ctx.documents
+   The structural indexes of the evicted trees go away with the trees
+   once nothing else reaches them. *)
+let clear_doc_cache ctx = Hashtbl.reset ctx.documents
 
 (* Context for one intra-query partition task, running on another
    domain while the owner keeps evaluating.  Shared read-only during

@@ -81,9 +81,8 @@ val resolve_document : t -> string -> Node.t
 val clear_doc_cache : t -> unit
 (** Drop every cached document so the next [fn:doc] re-resolves —
     the escape hatch for long-lived contexts whose backing files
-    change.  Also purges the per-root caches keyed on the evicted
-    trees (structural indexes): nothing reaches those
-    roots afterwards, so keeping the entries would leak them. *)
+    change.  The structural indexes of the evicted trees are freed
+    with the trees once nothing else reaches them. *)
 
 val with_params : t -> (string * xvalue) list -> (unit -> 'a) -> 'a
 (** Run with a parameter frame, restoring the caller's frame on exit

@@ -270,7 +270,7 @@ let ctx_of_pins pins =
   ctx
 
 (* Run [f] over a context bound to pinned snapshots; the unpin in
-   [finally] is what lets the version layer purge a retired snapshot
+   [finally] is what lets a retired snapshot (and its indexes) be freed
    once its last reader is done. *)
 let with_snapshot t f =
   let pins = pin_preloads t in

@@ -19,13 +19,31 @@
      fn:count(//t)          hi - lo, no node is touched at all
      fn:exists(//t)         hi > lo
 
-   Validity protocol: indexes are keyed by the root's nid at build time.
-   [Node.renumber] — the only operation that changes ids, called on
-   every construction boundary — gives the root a fresh nid, so a stale
-   index can never be looked up again: the next query misses the cache
-   and rebuilds.  Stale entries are purged opportunistically on build.
-   Nodes copied out of an indexed tree ([Node.copy]) are fresh nodes in
-   a fresh tree and never alias old intervals.
+   Lifetime protocol: an index lives exactly as long as its root is
+   reachable.  Each cache slot holds its entry in an [Ephemeron.K1]
+   keyed on the root node: the entry's node arrays reach the root
+   through parent pointers, but ephemeron semantics keep the entry alive
+   only while something *else* reaches the root, so dropping the last
+   reference to a document frees the tree and its index in the same
+   collection.  Beside the ephemeron, a [Weak] pointer to the root
+   answers liveness, and a per-name count summary (no [Node.t] in it)
+   answers the planner's statistics.
+
+   The publish and statistics paths read liveness with [Weak.check]
+   only.  [Weak.get] (and [Ephemeron.K1.query], which does the same)
+   marks the root it returns: called on a dead root during major-GC
+   marking it revives that root for the whole cycle, and a publish per
+   parsed document is enough to keep every old tree alive forever.  Only
+   the lookup path queries the ephemeron, and there the caller already
+   holds the root.
+
+   Slots are keyed by the root's nid at build time.  [Node.renumber]
+   gives a root a fresh nid, so a renumbered root misses the cache and
+   rebuilds; its old slot is dropped once the root dies, or eagerly via
+   [purge_nid] where a live indexed root is renumbered (the update
+   subsystem's full renumber).  Nodes copied out of an indexed tree
+   ([Node.copy]) are fresh nodes in a fresh tree and never alias old
+   intervals.
 
    The build is a single preorder walk that also verifies the preorder
    invariant (strictly ascending nids); an assembled tree that was never
@@ -56,18 +74,32 @@ let c_build_nodes = Obs.global_counter "index_build_nodes"
 let c_hits = Obs.global_counter "index_hits"
 let c_fallbacks = Obs.global_counter "index_fallbacks"
 
+(* Per-name cardinalities of one indexed tree: what the planner reads.
+   It holds no [Node.t], so a slot's statistics never keep a tree
+   alive. *)
+type counts = {
+  k_elems : (string, int) Hashtbl.t;  (* element qname -> count; "*" -> every element *)
+  k_attrs : (string, int) Hashtbl.t;
+  mutable k_nodes : int;  (* total nodes walked at build (patched on update) *)
+}
+
 type index = {
-  ix_root : Node.t;
   ix_elems : (string, Node.t array) Hashtbl.t;
       (* element qname -> nodes in nid order; "*" -> every element *)
   ix_attrs : (string, Node.t array) Hashtbl.t;
-  mutable ix_nodes : int;  (* total nodes walked at build (patched on update) *)
+  ix_counts : counts;  (* kept equal to the array lengths *)
 }
 
 (* An entry remembers unindexable roots too, so a tree that violates the
    preorder invariant (or is below the Auto threshold) is not re-walked
    on every query. *)
-type entry = Indexed of index | Unindexable of Node.t
+type entry = Indexed of index | Unindexable
+
+type slot = {
+  s_entry : (Node.t, entry) Ephemeron.K1.t;  (* keyed on the root *)
+  s_root : Node.t Weak.t;  (* liveness only: read with [Weak.check] *)
+  s_counts : counts option;  (* [None]: unindexable *)
+}
 
 (* The cache is shared across the query server's worker domains — and,
    since the partitioned execution tier, across the helper domains of a
@@ -81,9 +113,9 @@ type entry = Indexed of index | Unindexable of Node.t
 
    The tmutex now guards only the rebuild/publish path ([entry_for]'s
    miss branch, [clear]), never a read.  Publishing copies the map
-   (persistent [Map], so "copy" is O(log n) path copying), purges stale
-   keys, and [Atomic.set]s the new version; concurrent readers keep the
-   old snapshot until their next lookup.
+   (persistent [Map], so "copy" is O(log n) path copying), drops slots
+   whose root has died, and [Atomic.set]s the new version; concurrent
+   readers keep the old snapshot until their next lookup.
 
    Safety of the unlocked build (unchanged from the double-checked
    scheme this replaces): the walk re-derives subtree extents (writes to
@@ -100,20 +132,24 @@ let lock = Obs.tmutex "store_publish"
 
 module IntMap = Map.Make (Int)
 
-let snapshot : entry IntMap.t Stdlib.Atomic.t = Stdlib.Atomic.make IntMap.empty
+let snapshot : slot IntMap.t Stdlib.Atomic.t = Stdlib.Atomic.make IntMap.empty
 
-let entry_root = function Indexed ix -> ix.ix_root | Unindexable r -> r
-
-let cache_size () = IntMap.cardinal (Stdlib.Atomic.get snapshot)
 let clear () = Obs.with_lock lock (fun () -> Stdlib.Atomic.set snapshot IntMap.empty)
 
-(* Entries whose root has been renumbered since build can never be
-   looked up again (the key is the old nid); drop them so the cache does
-   not keep dead trees alive. *)
-let purge_stale (m : entry IntMap.t) : entry IntMap.t =
-  IntMap.filter (fun key e -> (entry_root e).Node.nid = key) m
+let root_alive s = Weak.check s.s_root 0
 
-let live_entry key e = if (entry_root e).Node.nid = key then Some e else None
+(* Lookup path only: the caller holds [root], so querying the ephemeron
+   cannot revive anything. *)
+let find_entry (m : slot IntMap.t) (root : Node.t) : entry option =
+  match IntMap.find_opt root.Node.nid m with
+  | Some s -> Ephemeron.K1.query s.s_entry root
+  | None -> None
+
+let make_slot (root : Node.t) (e : entry) : slot =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some root);
+  let counts = match e with Indexed ix -> Some ix.ix_counts | Unindexable -> None in
+  { s_entry = Ephemeron.K1.make root e; s_root = w; s_counts = counts }
 
 let empty_array : Node.t array = [||]
 
@@ -151,7 +187,7 @@ let build (root : Node.t) : entry =
     if n.Node.extent = 0 then n.Node.extent <- !count - start
   in
   go root;
-  if not !preorder then Unindexable root
+  if not !preorder then Unindexable
   else begin
     let finalize tbl =
       let out = Hashtbl.create (Hashtbl.length tbl) in
@@ -160,33 +196,39 @@ let build (root : Node.t) : entry =
     in
     let ix_elems = finalize elems in
     Hashtbl.replace ix_elems "*" (Array.of_list (List.rev !all_elems));
+    let ix_attrs = finalize attrs in
+    let lengths tbl =
+      Hashtbl.of_seq (Seq.map (fun (name, arr) -> (name, Array.length arr)) (Hashtbl.to_seq tbl))
+    in
     Obs.incr_counter c_builds;
     Obs.add_counter c_build_nodes !count;
-    Indexed { ix_root = root; ix_elems; ix_attrs = finalize attrs; ix_nodes = !count }
+    let ix_counts = { k_elems = lengths ix_elems; k_attrs = lengths ix_attrs; k_nodes = !count } in
+    Indexed { ix_elems; ix_attrs; ix_counts }
   end
 
 (* Resolve: lock-free snapshot lookup (the hot path — no mutex, no
    write, just an [Atomic.get] and a functional [Map] descent), unlocked
    build on miss, then a locked re-check-and-publish where the loser of
-   a racing build discards its entry and adopts the winner's.  Stale
-   entries are purged as part of assembling the new version. *)
+   a racing build discards its entry and adopts the winner's.  Slots of
+   dead roots are dropped as part of assembling the new version. *)
 let entry_for (root : Node.t) : entry =
-  match IntMap.find_opt root.Node.nid (Stdlib.Atomic.get snapshot) with
-  | Some e when entry_root e == root -> e
-  | _ ->
+  match find_entry (Stdlib.Atomic.get snapshot) root with
+  | Some e -> e
+  | None ->
       let e =
         if !mode = Auto && root.Node.extent > 0 && root.Node.extent < !min_index_size
-        then Unindexable root
+        then Unindexable
         else build root
       in
       Obs.with_lock lock (fun () ->
           let m = Stdlib.Atomic.get snapshot in
-          match IntMap.find_opt root.Node.nid m with
-          | Some e' when entry_root e' == root ->
+          match find_entry m root with
+          | Some e' ->
               (* lost a racing build: adopt the winner's entry *)
               e'
-          | _ ->
-              Stdlib.Atomic.set snapshot (IntMap.add root.Node.nid e (purge_stale m));
+          | None ->
+              let live = IntMap.filter (fun _ s -> root_alive s) m in
+              Stdlib.Atomic.set snapshot (IntMap.add root.Node.nid (make_slot root e) live);
               e)
 
 (* Resolve the index serving [n]'s tree, building it on first use.
@@ -200,7 +242,7 @@ let index_for (n : Node.t) : index option =
       | Indexed ix ->
           Obs.incr_counter c_hits;
           Some ix
-      | Unindexable _ ->
+      | Unindexable ->
           Obs.incr_counter c_fallbacks;
           None)
 
@@ -320,7 +362,7 @@ let attributes_by_name n name : Node.t list option =
       end
       else Some (List.filter (is_child_of ~parent:n) (slice_list arr i j))
 
-let index_nodes n : int option = Option.map (fun ix -> ix.ix_nodes) (index_for n)
+let index_nodes n : int option = Option.map (fun ix -> ix.ix_counts.k_nodes) (index_for n)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental maintenance (the update subsystem)                      *)
@@ -330,20 +372,17 @@ let index_nodes n : int option = Option.map (fun ix -> ix.ix_nodes) (index_for n
    patching must only touch indexes that already exist — a missing one
    is rebuilt lazily by the next query anyway. *)
 let live_index (root : Node.t) : index option =
-  match IntMap.find_opt root.Node.nid (Stdlib.Atomic.get snapshot) with
-  | Some (Indexed ix) when ix.ix_root == root -> Some ix
-  | _ -> None
+  match find_entry (Stdlib.Atomic.get snapshot) root with
+  | Some (Indexed ix) -> Some ix
+  | Some Unindexable | None -> None
 
-(* Drop the entry keyed [nid] (retired document versions, evicted doc
-   caches).  Without this an evicted root's index survives until some
-   later publish happens to purge it — pinned memory, satellite of the
-   renumber-only invalidation protocol. *)
+(* Drop the slot keyed [nid].  Needed only where a live indexed root is
+   renumbered: its old slot can no longer be looked up, but the root is
+   still alive, so the statistics would keep counting it. *)
 let purge_nid (nid : int) : unit =
   Obs.with_lock lock (fun () ->
       let m = Stdlib.Atomic.get snapshot in
       if IntMap.mem nid m then Stdlib.Atomic.set snapshot (IntMap.remove nid m))
-
-let purge_root (root : Node.t) : unit = purge_nid root.Node.nid
 
 (* In-place patching of the per-name arrays.  Only the update subsystem
    calls these, and only on a document version with no admitted readers
@@ -407,6 +446,15 @@ let collect_names (sub : Node.t) =
   go sub;
   (elems, attrs, List.rev !all, !count)
 
+(* Replace one name's node array and its count together, so the
+   planner's summary stays equal to the array lengths under patching. *)
+let set_names (arrays, counts) name arr =
+  Hashtbl.replace arrays name arr;
+  Hashtbl.replace counts name (Array.length arr)
+
+let elem_tables ix = (ix.ix_elems, ix.ix_counts.k_elems)
+let attr_tables ix = (ix.ix_attrs, ix.ix_counts.k_attrs)
+
 (* [sub] was just placed (ids assigned) under [root]: merge its nodes
    into the live per-name arrays.  [false] = no live index to patch. *)
 let patch_insert (root : Node.t) (sub : Node.t) : bool =
@@ -415,17 +463,16 @@ let patch_insert (root : Node.t) (sub : Node.t) : bool =
   | Some ix ->
       let elems, attrs, all, count = collect_names sub in
       Obs.with_lock lock (fun () ->
-          let add tbl name ns =
-            let run = Array.of_list ns in
+          let add tbls name ns =
             let cur =
-              Option.value (Hashtbl.find_opt tbl name) ~default:empty_array
+              Option.value (Hashtbl.find_opt (fst tbls) name) ~default:empty_array
             in
-            Hashtbl.replace tbl name (splice_run cur run)
+            set_names tbls name (splice_run cur (Array.of_list ns))
           in
-          Hashtbl.iter (fun name l -> add ix.ix_elems name !l) elems;
-          Hashtbl.iter (fun name l -> add ix.ix_attrs name !l) attrs;
-          if all <> [] then add ix.ix_elems "*" all;
-          ix.ix_nodes <- ix.ix_nodes + count);
+          Hashtbl.iter (fun name l -> add (elem_tables ix) name !l) elems;
+          Hashtbl.iter (fun name l -> add (attr_tables ix) name !l) attrs;
+          if all <> [] then add (elem_tables ix) "*" all;
+          ix.ix_counts.k_nodes <- ix.ix_counts.k_nodes + count);
       true
 
 (* [sub] is being detached from [root] (ids still intact): remove its
@@ -437,15 +484,15 @@ let patch_delete (root : Node.t) (sub : Node.t) : bool =
       let elems, attrs, all, count = collect_names sub in
       let lo = sub.Node.nid and hi = Node.interval_end sub in
       Obs.with_lock lock (fun () ->
-          let rm tbl name =
-            match Hashtbl.find_opt tbl name with
-            | Some arr -> Hashtbl.replace tbl name (remove_range arr lo hi)
+          let rm tbls name =
+            match Hashtbl.find_opt (fst tbls) name with
+            | Some arr -> set_names tbls name (remove_range arr lo hi)
             | None -> ()
           in
-          Hashtbl.iter (fun name _ -> rm ix.ix_elems name) elems;
-          Hashtbl.iter (fun name _ -> rm ix.ix_attrs name) attrs;
-          if all <> [] then rm ix.ix_elems "*";
-          ix.ix_nodes <- ix.ix_nodes - count);
+          Hashtbl.iter (fun name _ -> rm (elem_tables ix) name) elems;
+          Hashtbl.iter (fun name _ -> rm (attr_tables ix) name) attrs;
+          if all <> [] then rm (elem_tables ix) "*";
+          ix.ix_counts.k_nodes <- ix.ix_counts.k_nodes - count);
       true
 
 (* [n] was renamed in place (same nid): move it between name buckets.
@@ -454,24 +501,24 @@ let patch_rename (root : Node.t) (n : Node.t) ~(old_name : string) : bool =
   match live_index root with
   | None -> false
   | Some ix -> (
-      let tbl =
+      let tbls =
         match n.Node.desc with
-        | Node.Element _ -> Some ix.ix_elems
-        | Node.Attribute _ -> Some ix.ix_attrs
+        | Node.Element _ -> Some (elem_tables ix)
+        | Node.Attribute _ -> Some (attr_tables ix)
         | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> None
       in
-      match (tbl, Node.name n) with
-      | Some tbl, Some new_name when not (String.equal old_name new_name) ->
+      match (tbls, Node.name n) with
+      | Some tbls, Some new_name when not (String.equal old_name new_name) ->
           Obs.with_lock lock (fun () ->
-              (match Hashtbl.find_opt tbl old_name with
+              (match Hashtbl.find_opt (fst tbls) old_name with
               | Some arr ->
-                  Hashtbl.replace tbl old_name
+                  set_names tbls old_name
                     (remove_range arr n.Node.nid (n.Node.nid + 1))
               | None -> ());
               let cur =
-                Option.value (Hashtbl.find_opt tbl new_name) ~default:empty_array
+                Option.value (Hashtbl.find_opt (fst tbls) new_name) ~default:empty_array
               in
-              Hashtbl.replace tbl new_name (splice_run cur [| n |]));
+              set_names tbls new_name (splice_run cur [| n |]));
           true
       | _ -> false)
 
@@ -482,42 +529,33 @@ let patch_rename (root : Node.t) (n : Node.t) ~(old_name : string) : bool =
 type stats = { st_roots : int; st_nodes : int }
 
 (* Statistics read the snapshot lock-free too (the planner calls these
-   on every plan); stale entries are skipped rather than purged — the
-   next publish drops them. *)
-let stats () : stats =
+   on every plan), and only through the count summaries and
+   [Weak.check]: they never touch a root, so they cannot revive a dead
+   one.  Dead slots are skipped here and dropped by the next publish. *)
+let fold_live (f : counts -> 'a -> 'a) (init : 'a) : 'a =
   IntMap.fold
-    (fun key e acc ->
-      match live_entry key e with
-      | Some (Indexed ix) ->
-          { st_roots = acc.st_roots + 1; st_nodes = acc.st_nodes + ix.ix_nodes }
-      | Some (Unindexable _) | None -> acc)
-    (Stdlib.Atomic.get snapshot)
+    (fun _ s acc ->
+      match s.s_counts with Some k when root_alive s -> f k acc | Some _ | None -> acc)
+    (Stdlib.Atomic.get snapshot) init
+
+let stats () : stats =
+  fold_live
+    (fun k acc -> { st_roots = acc.st_roots + 1; st_nodes = acc.st_nodes + k.k_nodes })
     { st_roots = 0; st_nodes = 0 }
 
-(* Exact per-qname cardinality summed over every cached index: the
-   length of the name's node array is the number of elements (or
-   attributes) with that name in the indexed tree.  [None] when no index
-   has been built (or lookups are off), in which case the planner falls
-   back to its selectivity defaults. *)
-let name_count (tbl : index -> (string, Node.t array) Hashtbl.t) (name : string)
-    : int option =
+(* Exact per-qname cardinality summed over every live index.  [None]
+   when no index is live (or lookups are off), in which case the planner
+   falls back to its selectivity defaults. *)
+let name_count (tbl : counts -> (string, int) Hashtbl.t) (name : string) : int option =
   if !mode = Off then None
-  else begin
-    let found = ref false and total = ref 0 in
-    IntMap.iter
-      (fun key e ->
-        match live_entry key e with
-        | Some (Indexed ix) ->
-            found := true;
-            (match Hashtbl.find_opt (tbl ix) name with
-            | Some arr -> total := !total + Array.length arr
-            | None -> ())
-        | Some (Unindexable _) | None -> ())
-      (Stdlib.Atomic.get snapshot);
-    if !found then Some !total else None
-  end
+  else
+    fold_live
+      (fun k acc ->
+        let c = Option.value (Hashtbl.find_opt (tbl k) name) ~default:0 in
+        Some (c + Option.value acc ~default:0))
+      None
 
-let element_count (name : string) : int option = name_count elems name
-let attribute_count (name : string) : int option = name_count attrs name
+let element_count (name : string) : int option = name_count (fun k -> k.k_elems) name
+let attribute_count (name : string) : int option = name_count (fun k -> k.k_attrs) name
 
 let total_elements () : int option = element_count "*"

@@ -11,9 +11,13 @@
     descendant step are answered from the range bounds without touching
     a node.
 
-    Indexes are keyed by the root's nid at build time; [Node.renumber]
-    gives the root a fresh nid, so stale indexes can never be looked up
-    and are purged opportunistically.  Trees violating the preorder
+    An index lives exactly as long as its root is reachable: the cache
+    holds each entry in an ephemeron keyed on the root, so dropping the
+    last reference to a document frees its index too, with no explicit
+    purge.  Statistics come from a per-root count summary and never
+    revive a dead root.  Indexes are keyed by the root's nid at build
+    time; [Node.renumber] gives the root a fresh nid, so a renumbered
+    root rebuilds on its next query.  Trees violating the preorder
     invariant are recorded as unindexable and served by the walking
     fallback.  All query functions return [None] when the caller should
     walk instead (mode off, unindexable tree, below the Auto threshold,
@@ -68,12 +72,12 @@ type stats = { st_roots : int;  (** indexed document roots *)
                st_nodes : int  (** total nodes covered by those indexes *) }
 
 val stats : unit -> stats
-(** Aggregate over every cached index (stale entries purged first). *)
+(** Aggregate over every index whose root is still reachable. *)
 
 val element_count : string -> int option
-(** Exact number of elements with this qname summed over every cached
-    index; [None] when no index has been built (or mode is [Off]), in
-    which case the planner falls back to selectivity defaults. *)
+(** Exact number of elements with this qname summed over every live
+    index; [None] when no index is live (or mode is [Off]), in which
+    case the planner falls back to selectivity defaults. *)
 
 val attribute_count : string -> int option
 
@@ -86,16 +90,13 @@ val index_nodes : Node.t -> int option
 (** Size (in nodes) of the index serving this node's tree, building it
     if needed; [None] when unindexed. *)
 
-val cache_size : unit -> int
 val clear : unit -> unit
 
-val purge_root : Node.t -> unit
-(** Drop the cached entry for this root (retired document versions,
-    evicted doc caches).  Missing entries are a no-op. *)
-
 val purge_nid : int -> unit
-(** Like {!purge_root} when only the old key survives (the root has
-    already been renumbered). *)
+(** Drop the entry keyed by this (old) root nid.  Only needed when a
+    live indexed root is renumbered: the root stays reachable, so its
+    old entry would otherwise keep counting in {!stats}.  Missing
+    entries are a no-op. *)
 
 (** {1 Incremental maintenance} — the update subsystem's in-place index
     patching.  Callers guarantee exclusivity: patches run only on a

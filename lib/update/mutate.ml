@@ -205,8 +205,9 @@ let patched b = if b then Obs.incr_counter c_patches
 
 (* Gap exhausted (or the tree was never gap-numbered): renumber the
    whole document.  The root's nid moves, so every cache keyed on it —
-   structural indexes, cached plans — is dead; purge the old
-   key eagerly rather than waiting for the opportunistic sweeps. *)
+   structural indexes, cached plans — is dead.  The root itself stays
+   alive under its new nid, so the store cannot drop the old index on
+   its own: purge the old key here. *)
 let full_renumber (root : Node.t) : unit =
   let old = root.Node.nid in
   Store.purge_nid old;

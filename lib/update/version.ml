@@ -14,8 +14,8 @@
 
      - readers hold the snapshot: evaluate and apply against a deep
        copy, then publish the copy as the new head.  Nobody waits; the
-       old version retires and its caches (structural indexes)
-       are purged when its last reader unpins.
+       old version retires, and its tree — structural indexes included
+       — is freed once its last reader unpins and drops it.
 
    A global generation counter bumps on every publish; the plan cache
    keys on it, so compiled plans never outlive the document state they
@@ -24,7 +24,6 @@
 
 open Xqc_xml
 module Obs = Xqc_obs.Obs
-module Store = Xqc_store.Store
 
 exception Unknown_document of string
 
@@ -55,11 +54,9 @@ let generation_counter = Stdlib.Atomic.make 0
 let generation () = Stdlib.Atomic.get generation_counter
 let bump_generation () = ignore (Stdlib.Atomic.fetch_and_add generation_counter 1)
 
-(* A version nothing can reach any more: drop the caches keyed on its
-   root. *)
-let purge_version (v : version) : unit =
-  Store.purge_root v.v_root;
-  ignore (Stdlib.Atomic.fetch_and_add live (-1))
+(* A version nothing can reach any more.  Its structural indexes need no
+   purge: the store frees each index together with its root. *)
+let drop_version () : unit = ignore (Stdlib.Atomic.fetch_and_add live (-1))
 
 let find (uri : string) : entry option =
   Obs.with_lock reg_lock (fun () -> Hashtbl.find_opt registry uri)
@@ -83,7 +80,7 @@ let register (uri : string) (root : Node.t) : unit =
           e.e_head <- v;
           let dead = old.v_readers = 0 in
           Mutex.unlock e.e_m;
-          if dead then purge_version old;
+          if dead then drop_version ();
           bump_generation ()
       | None ->
           Hashtbl.replace registry uri
@@ -121,7 +118,7 @@ let unpin (uri : string) (v : version) : unit =
       v.v_readers <- v.v_readers - 1;
       let dead = v.v_retired && v.v_readers = 0 in
       Mutex.unlock e.e_m;
-      if dead then purge_version v
+      if dead then drop_version ()
 
 (* Serialize a write on [uri].  [f] receives the tree to evaluate and
    apply the script against and whether that tree is the live head
@@ -156,28 +153,21 @@ let with_write (uri : string) (f : Node.t -> in_place:bool -> 'a) : 'a =
           else
             let root' = Node.copy hd.v_root in
             Node.renumber_gapped root';
-            match f root' ~in_place:false with
-            | r ->
-                let v' =
-                  { v_root = root'; v_id = fresh_vid (); v_readers = 0; v_retired = false }
-                in
-                ignore (Stdlib.Atomic.fetch_and_add live 1);
-                Mutex.lock e.e_m;
-                let old = e.e_head in
-                old.v_retired <- true;
-                e.e_head <- v';
-                let dead = old.v_readers = 0 in
-                Mutex.unlock e.e_m;
-                if dead then purge_version old;
-                bump_generation ();
-                r
-            | exception ex ->
-                (* evaluation against the copy may have built caches *)
-                Store.purge_root root';
-                raise ex)
+            let r = f root' ~in_place:false in
+            let v' = { v_root = root'; v_id = fresh_vid (); v_readers = 0; v_retired = false } in
+            ignore (Stdlib.Atomic.fetch_and_add live 1);
+            Mutex.lock e.e_m;
+            let old = e.e_head in
+            old.v_retired <- true;
+            e.e_head <- v';
+            let dead = old.v_readers = 0 in
+            Mutex.unlock e.e_m;
+            if dead then drop_version ();
+            bump_generation ();
+            r)
 
 (* Test support: drop every registration (pinned snapshots keep their
-   trees alive; their caches purge on unpin as usual). *)
+   trees, and so their indexes, alive until unpinned). *)
 let clear () : unit =
   Obs.with_lock reg_lock (fun () ->
       Hashtbl.iter
@@ -187,6 +177,6 @@ let clear () : unit =
           hd.v_retired <- true;
           let dead = hd.v_readers = 0 in
           Mutex.unlock e.e_m;
-          if dead then purge_version hd)
+          if dead then drop_version ())
         registry;
       Hashtbl.reset registry)

@@ -5,8 +5,8 @@
     request.  Writers serialize per document ({!with_write}) and either
     apply in place (no admitted readers — incremental index patches on
     the live caches, admissions briefly gated) or publish a fresh copy
-    (readers live — nobody waits, the old version's caches are purged
-    when its last reader unpins).
+    (readers live — nobody waits, the old version's tree and its
+    indexes are freed once its last reader unpins and drops it).
 
     {!generation} bumps on every publish; execution-mode fingerprints
     include it so cached plans die with the document state they were
@@ -41,8 +41,8 @@ val pin : string -> version option
     matched by an {!unpin}. *)
 
 val unpin : string -> version -> unit
-(** Release a pin; the last unpin of a retired version purges the
-    caches keyed on its root. *)
+(** Release a pin; after the last unpin of a retired version nothing in
+    this module reaches its root any more. *)
 
 val with_write : string -> (Node.t -> in_place:bool -> 'a) -> 'a
 (** Run one writer on this document.  The callback receives the tree to

@@ -3,8 +3,9 @@
 
    The contract under test: with indexes forced on, every store answer
    equals the walking answer; renumbering or copying a tree never serves
-   a stale nid range; fn:doc parses once per URI per context; prepare is
-   memoized by (source, strategy, knobs). *)
+   a stale nid range; an index lives exactly as long as its root;
+   fn:doc parses once per URI per context; prepare is memoized by
+   (source, strategy, knobs). *)
 
 module Node = Xqc.Node
 module Store = Xqc.Store
@@ -205,6 +206,58 @@ let test_unindexable_tree () =
           (* accepted is fine only if the answer is right *)
           Alcotest.(check int) "glued count" 1 (List.length l))
 
+(* -------- lifetime: an index lives as long as its root -------- *)
+
+(* Distinct per [i], and above the Auto indexing threshold. *)
+let big_doc i =
+  let items =
+    List.init 40 (fun k -> Printf.sprintf {|<item n="%d"><name>i%d</name></item>|} k (i + k))
+  in
+  Xqc.parse_document ~uri:(Printf.sprintf "d%d.xml" i)
+    ("<site>" ^ String.concat "" items ^ "</site>")
+
+(* The paper's unit of work: load, index, plan and run one document,
+   then drop it. *)
+let load_and_query i =
+  let d = big_doc i in
+  ignore (Store.index_nodes d);
+  Alcotest.(check string) "count" "40" (count_items d "count($d//item)")
+
+(* The planner's statistics read path, run while a major cycle is
+   marking; the cycle then finishes.  A read that fetched a dead root
+   (Weak.get) would mark it and so keep it alive for that cycle. *)
+let stats_mid_marking () =
+  ignore (Gc.major_slice 1);
+  ignore (Store.stats ());
+  ignore (Store.element_count "item");
+  Gc.major ()
+
+let test_dropped_roots_free_indexes () =
+  with_index_mode Store.Auto (fun () ->
+      Store.clear ();
+      let check_roots what =
+        let roots = (Store.stats ()).Store.st_roots in
+        if roots > 1 then Alcotest.failf "%s: %d indexed roots survive their documents" what roots
+      in
+      for i = 1 to 50 do
+        stats_mid_marking ();
+        load_and_query i
+      done;
+      stats_mid_marking ();
+      check_roots "statistics read mid-marking";
+      Gc.full_major ();
+      check_roots "after a full major GC")
+
+let test_live_root_keeps_index () =
+  with_index_mode Store.Auto (fun () ->
+      let d = big_doc 0 in
+      Alcotest.(check string) "first run" "40" (count_items d "count($d//item)");
+      Gc.full_major ();
+      let builds0 = counter "index_builds" in
+      Alcotest.(check string) "after a full major GC" "40" (count_items d "count($d//item)");
+      Alcotest.(check int) "index not rebuilt" builds0 (counter "index_builds");
+      Alcotest.(check (option int)) "still counted" (Some 40) (Store.element_count "item"))
+
 (* -------- QCheck: random trees, indexed = walked -------- *)
 
 let tree_gen : Node.t QCheck.Gen.t =
@@ -317,6 +370,13 @@ let () =
           Alcotest.test_case "constructed trees" `Quick test_constructed_trees;
           Alcotest.test_case "unindexable tree refused" `Quick
             test_unindexable_tree;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "dropped roots free their indexes" `Quick
+            test_dropped_roots_free_indexes;
+          Alcotest.test_case "live root keeps its index" `Quick
+            test_live_root_keeps_index;
         ] );
       ( "caches",
         [

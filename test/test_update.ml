@@ -360,6 +360,49 @@ let test_gap_exhaustion_renumbers () =
     "first child is the newest insert" "true"
     (run_probe ~strategy:Xqc.Optimized root "name(($db/r/*)[1]) = \"x\"")
 
+(* The planner's per-name counts must stay exact under in-place
+   patches: after an insert, a delete and a rename they equal what a
+   fresh index of the reparsed bytes reports. *)
+let test_patched_counts_exact () =
+  let persons =
+    List.init 20 (fun i ->
+        Printf.sprintf {|<person id="p%d"><name>n%d</name><age>%d</age></person>|} i i i)
+  in
+  let xml = "<db><people>" ^ String.concat "" persons ^ "</people></db>" in
+  let counts () =
+    let st = Xqc.Store.stats () in
+    List.map (fun n -> ("element " ^ n, Xqc.Store.element_count n))
+      [ "db"; "people"; "person"; "member"; "name"; "age"; "*" ]
+    @ List.map (fun n -> ("attribute " ^ n, Xqc.Store.attribute_count n)) [ "id"; "key" ]
+    @ [ ("roots", Some st.Xqc.Store.st_roots); ("nodes", Some st.Xqc.Store.st_nodes) ]
+  in
+  let indexed bytes =
+    Xqc.Store.clear ();
+    let root = Xqc.parse_document ~uri:"d.xml" bytes in
+    Xqc.Node.renumber_gapped root;
+    ignore (Xqc.Store.index_nodes root);
+    root
+  in
+  let root = indexed xml in
+  let patches = counter "incremental_index_patches" in
+  let renumbers = counter "full_renumbers" in
+  let c =
+    Xqc.Update.compile
+      "insert node <person id=\"new\"><name>x</name></person> into $d/db/people,\n\
+       delete node ($d//age)[1],\n\
+       rename node ($d//person)[2] as \"member\",\n\
+       rename node ($d//person)[3]/@id as \"key\""
+  in
+  ignore (Xqc.Update.apply_to_root c ~make_ctx:(make_ctx ~var:"d") root);
+  Alcotest.(check int) "no full renumber" renumbers (counter "full_renumbers");
+  Alcotest.(check bool) "all four patched in place" true
+    (counter "incremental_index_patches" - patches >= 4);
+  let patched = counts () in
+  let fresh = indexed (serialize_tree root) in
+  Alcotest.(check (list (pair string (option int))))
+    "patched counts = reparse counts" (counts ()) patched;
+  ignore (Sys.opaque_identity fresh)
+
 (* -------- MVCC snapshot isolation -------- *)
 
 let test_mvcc_snapshot () =
@@ -486,6 +529,8 @@ let () =
         [
           Alcotest.test_case "gap exhaustion renumbers" `Quick
             test_gap_exhaustion_renumbers;
+          Alcotest.test_case "patched counts exact" `Quick
+            test_patched_counts_exact;
         ] );
       ( "mvcc",
         [
