@@ -296,9 +296,16 @@ let trace_fields (tr : Trace.t option) ~(want_trace : bool) :
       ("trace_id", Obs.Int (Trace.id tr))
       :: (if want_trace then [ ("trace", Trace.to_json tr) ] else [])
 
+(* A finished job's outcome code (recorded in its trace and the slow
+   log) and its reply line. *)
+let reply_ok ~id fields = ("ok", Protocol.response_ok ~id fields)
+
+let reply_error ?extra ~id ~code message =
+  (code, Protocol.response_error ?extra ~id ~code message)
+
 (* Evaluate [source] under [deadline]; ok responses carry the serialized
    result and the item count. *)
-let eval_query t ~id ~tr ~want_trace ~source ~deadline : string =
+let eval_query t ~id ~tr ~want_trace ~source ~deadline : string * string =
   let extra = trace_fields tr ~want_trace in
   match
     let prepared = Xqc.prepare_cached ~strategy:t.cfg.strategy source in
@@ -317,18 +324,18 @@ let eval_query t ~id ~tr ~want_trace ~source ~deadline : string =
   with
   | items, text ->
       Obs.incr_counter c_ok;
-      Protocol.response_ok ~id
+      reply_ok ~id
         ([ ("result", Obs.Str text); ("items", Obs.Int (List.length items)) ]
         @ trace_fields tr ~want_trace)
   | exception Xqc.Dynamic_ctx.Timeout ->
       Obs.incr_counter c_timeouts;
-      Protocol.response_error ~extra ~id ~code:"timeout" "deadline exceeded"
+      reply_error ~extra ~id ~code:"timeout" "deadline exceeded"
   | exception Xqc.Error m ->
       Obs.incr_counter c_errors;
-      Protocol.response_error ~extra ~id ~code:"query_error" m
+      reply_error ~extra ~id ~code:"query_error" m
   | exception Json_parse.Parse_error m | exception Failure m ->
       Obs.incr_counter c_errors;
-      Protocol.response_error ~extra ~id ~code:"internal" m
+      reply_error ~extra ~id ~code:"internal" m
 
 (* Run an XQUF script against the preloaded document [doc], under its
    per-document MVCC write lock.  The script's queries evaluate against
@@ -336,12 +343,12 @@ let eval_query t ~id ~tr ~want_trace ~source ~deadline : string =
    bound exactly as a reader would see the document; the reply reports
    how many primitives applied and whether the live head was patched in
    place (vs a new version published for the admitted readers). *)
-let exec_update t ~id ~tr ~want_trace ~doc ~source ~deadline : string =
+let exec_update t ~id ~tr ~want_trace ~doc ~source ~deadline : string * string =
   let extra = trace_fields tr ~want_trace in
   match List.find_opt (fun (n, _) -> String.equal n doc) t.preloaded with
   | None ->
       Obs.incr_counter c_errors;
-      Protocol.response_error ~extra ~id ~code:"unknown_document"
+      reply_error ~extra ~id ~code:"unknown_document"
         (Printf.sprintf "no preloaded document %S" doc)
   | Some (name, path) -> (
       let make_ctx root =
@@ -363,7 +370,7 @@ let exec_update t ~id ~tr ~want_trace ~doc ~source ~deadline : string =
       with
       | r ->
           Obs.incr_counter c_ok;
-          Protocol.response_ok ~id
+          reply_ok ~id
             ([
                ("applied", Obs.Int r.Xqc.Update.u_applied);
                ("version", Obs.Int r.Xqc.Update.u_version);
@@ -372,13 +379,13 @@ let exec_update t ~id ~tr ~want_trace ~doc ~source ~deadline : string =
             @ trace_fields tr ~want_trace)
       | exception Xqc.Dynamic_ctx.Timeout ->
           Obs.incr_counter c_timeouts;
-          Protocol.response_error ~extra ~id ~code:"timeout" "deadline exceeded"
+          reply_error ~extra ~id ~code:"timeout" "deadline exceeded"
       | exception Xqc.Error m ->
           Obs.incr_counter c_errors;
-          Protocol.response_error ~extra ~id ~code:"query_error" m
+          reply_error ~extra ~id ~code:"query_error" m
       | exception Json_parse.Parse_error m | exception Failure m ->
           Obs.incr_counter c_errors;
-          Protocol.response_error ~extra ~id ~code:"internal" m)
+          reply_error ~extra ~id ~code:"internal" m)
 
 (* Offer a finished request to the slow-query ring; when it is admitted
    (and analysis is on), re-run it once with a stats collector to attach
@@ -423,7 +430,7 @@ let handle_job t (job : job) : unit =
   | None -> ());
   Trace.with_current job.jb_trace @@ fun () ->
   let tr = job.jb_trace and want_trace = job.jb_want_trace in
-  let op, source, reply =
+  let op, source, (outcome, reply) =
     match job.jb_req with
     | Protocol.Query { source; _ } ->
         ( "query",
@@ -442,11 +449,11 @@ let handle_job t (job : job) : unit =
               Obs.with_lock t.st_lock (fun () ->
                   Hashtbl.replace t.statements name source);
               Obs.incr_counter c_ok;
-              Protocol.response_ok ~id:job.jb_id
+              reply_ok ~id:job.jb_id
                 (("name", Obs.Str name) :: trace_fields tr ~want_trace)
           | exception Xqc.Error m ->
               Obs.incr_counter c_errors;
-              Protocol.response_error
+              reply_error
                 ~extra:(trace_fields tr ~want_trace)
                 ~id:job.jb_id ~code:"query_error" m ))
     | Protocol.Execute { name; _ } -> (
@@ -462,7 +469,7 @@ let handle_job t (job : job) : unit =
             Obs.incr_counter c_errors;
             ( "execute",
               None,
-              Protocol.response_error
+              reply_error
                 ~extra:(trace_fields tr ~want_trace)
                 ~id:job.jb_id ~code:"unknown_statement"
                 (Printf.sprintf "no prepared statement %S" name) ))
@@ -478,15 +485,6 @@ let handle_job t (job : job) : unit =
   in
   let ms = (Obs.now () -. dequeued) *. 1000. in
   Obs.observe t.latency ms;
-  let outcome =
-    match Json_parse.parse reply with
-    | Obs.Obj fields -> (
-        match (List.assoc_opt "status" fields, List.assoc_opt "code" fields) with
-        | _, Some (Obs.Str code) -> code
-        | Some (Obs.Str s), _ -> s
-        | _ -> "ok")
-    | _ | (exception Json_parse.Parse_error _) -> "ok"
-  in
   (try
      match tr with
      | Some tr -> Trace.span tr "reply-write" (fun () -> write_line job.jb_conn reply)

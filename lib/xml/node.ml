@@ -17,10 +17,10 @@ type t = {
   mutable parent : t option;
   mutable extent : int;
       (* number of nodes in the subtree (self + attributes + descendants),
-         cached by [renumber]; 0 = not yet computed.  Together with [nid]
-         this is the pre/size interval encoding: after a renumber of the
-         containing root, the subtree of [n] occupies exactly the nids
-         [n.nid, n.nid + n.extent). *)
+         cached by [renumber] or set by the parser; 0 = not yet computed.
+         Together with [nid] this is the pre/size interval encoding: after
+         a parse or a renumber of the containing root, the subtree of [n]
+         occupies exactly the nids [n.nid, n.nid + n.extent). *)
   mutable desc : desc;
 }
 
@@ -46,6 +46,13 @@ and desc =
 let counter = Stdlib.Atomic.make 0
 
 let fresh_id () = Stdlib.Atomic.fetch_and_add counter 1 + 1
+
+(* The parser numbers a document itself, top-down, from one block drawn
+   up front ([counter] holds the last id drawn). *)
+let reserve_ids n = Stdlib.Atomic.fetch_and_add counter n + 1
+
+let release_ids ~from ~until =
+  ignore (Stdlib.Atomic.compare_and_set counter (until - 1) (from - 1))
 
 let mk desc = { nid = fresh_id (); parent = None; extent = 0; desc }
 
@@ -166,9 +173,10 @@ let rec copy n =
   | Pi p -> pi p.target p.pdata
 
 (* Re-assign node ids in document order (preorder; attributes between the
-   element and its children).  Trees are built bottom-up by the parser,
-   the constructors and the generators, so each construction boundary
-   renumbers the finished subtree to restore the preorder invariant.
+   element and its children).  Trees are built bottom-up by the
+   constructors and the generators, so each construction boundary
+   renumbers the finished subtree to restore the preorder invariant (the
+   parser builds top-down and assigns final ids as it goes).
 
    The same pass caches each node's subtree extent: ids are drawn
    consecutively from the global counter, so after renumbering the

@@ -3,9 +3,11 @@
     Node identity is physical.  Every node carries a globally unique
     integer id [nid] maintained in document (pre-)order, so document-order
     comparison — including between different documents — is an integer
-    comparison.  Trees are built bottom-up, so each construction boundary
-    (parser, constructors, generators) calls {!renumber} on the finished
-    subtree to restore the preorder invariant. *)
+    comparison.  The parser builds a document top-down and gives every
+    node its final preorder id and extent as it goes.  Constructors and
+    generators build bottom-up, so each such construction boundary calls
+    {!renumber} on the finished subtree to restore the preorder
+    invariant. *)
 
 type qname = string
 
@@ -14,9 +16,10 @@ type t = {
   mutable parent : t option;
   mutable extent : int;
       (** subtree node count (self + attributes + descendants) cached by
-          {!renumber}; 0 until computed.  After a renumber of the
-          containing root, the subtree of [n] occupies exactly the id
-          interval [n.nid, n.nid + n.extent) — the pre/size encoding. *)
+          {!renumber} or set by the parser; 0 until computed.  After a
+          parse or a renumber of the containing root, the subtree of [n]
+          occupies exactly the id interval [n.nid, n.nid + n.extent) —
+          the pre/size encoding. *)
   mutable desc : desc;
 }
 
@@ -43,6 +46,17 @@ val attribute : ?annot:string -> qname -> string -> t
 val text : string -> t
 val comment : string -> t
 val pi : string -> string -> t
+
+val reserve_ids : int -> int
+(** [reserve_ids n] draws [n] consecutive ids in one atomic step and
+    returns the first.  The parser numbers a document from such a block
+    instead of drawing one id per node. *)
+
+val release_ids : from:int -> until:int -> unit
+(** Hand back the unused tail [\[from, until)] of the block most recently
+    drawn by {!reserve_ids}, where [until] is the end of that block.  One
+    compare-and-set: nothing is returned if another domain drew ids
+    since. *)
 
 val copy : t -> t
 (** Deep copy with fresh node ids — the copy performed by XQuery element

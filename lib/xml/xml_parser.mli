@@ -3,15 +3,26 @@
     Supports elements, attributes, character data with the five predefined
     entities and numeric character references, comments, processing
     instructions, CDATA sections and an optional XML declaration.
-    Namespace declarations are kept as plain attributes; DTD internal
-    subsets are skipped.  One pass, O(n). *)
+    Namespace declarations are kept as plain attributes; a DOCTYPE,
+    internal subset included, is skipped.
+
+    One left-to-right scan, O(n), that builds the tree top-down with an
+    explicit element stack: every node gets its final preorder id and
+    subtree extent as it is scanned, from one block of ids reserved for
+    the document, so no renumbering pass follows. *)
 
 exception Parse_error of { position : int; message : string }
 
 val parse_string : ?uri:string -> string -> Node.t
-(** Parse a complete document.  The returned document node has ids in
-    document order.
-    @raise Parse_error on malformed input (position is a byte offset). *)
+(** Parse a complete document.  The returned document node and its
+    descendants carry consecutive ids in document order, and each
+    node's subtree occupies [\[nid, nid + extent)], as after
+    {!Node.renumber}.  Whitespace around the root element is not kept;
+    comments and processing instructions there are.
+    @raise Parse_error on malformed input (position is a byte offset):
+    character data or CDATA outside the root element, duplicate
+    attributes, character references that do not denote an XML [Char],
+    and the usual tag, entity and nesting errors. *)
 
 val parse_file : string -> Node.t
 
@@ -24,4 +35,6 @@ type state = { src : string; mutable pos : int; len : int }
 
 val decode_entity : state -> string
 (** Decode one entity or character reference at the cursor (positioned on
-    ['&']), advancing past the [';']. *)
+    ['&']), advancing past the [';'].  Character references follow XML's
+    [CharRef] grammar and are encoded as UTF-8.
+    @raise Parse_error on a malformed or unknown reference. *)

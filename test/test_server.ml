@@ -598,6 +598,42 @@ let test_slow_query_ring () =
   | _ -> Alcotest.fail "no EXPLAIN ANALYZE attached to the slow entry");
   Alcotest.(check bool) "trace id linked" true (jint "entry" "trace_id" e > 0)
 
+(* The slow ring records each request's real outcome code, not just
+   "ok": a malformed character reference is a query error, and a query
+   past its deadline a timeout. *)
+let test_slow_ring_outcomes () =
+  with_server ~workers:1 ~slow_ms:0.001 ~slow_analyze:false @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let bad = {|"&#-5;"|} and slow = slow_query 2000 in
+  (match Client.query c bad with
+  | Error (code, _) -> Alcotest.(check string) "bad reference" "query_error" code
+  | Ok v -> Alcotest.failf "bad reference returned %S" v);
+  (match Client.query ~timeout_ms:100 c slow with
+  | Error (code, _) -> Alcotest.(check string) "deadline" "timeout" code
+  | Ok v -> Alcotest.failf "slow query returned %S instead of timing out" v);
+  (* note_slow runs after the reply is written: poll for both entries *)
+  let rec poll tries =
+    let m = Client.metrics c in
+    let entries = jarr "slow" "entries" (Option.get (jfield "slow_queries" m)) in
+    let outcome_of q =
+      List.find_map
+        (fun e ->
+          if String.equal (jstr "entry" "source" e) q then Some (jstr "entry" "outcome" e)
+          else None)
+        entries
+    in
+    match (outcome_of bad, outcome_of slow) with
+    | Some a, Some b -> (a, b)
+    | _ when tries > 0 ->
+        Thread.delay 0.05;
+        poll (tries - 1)
+    | _ -> Alcotest.fail "slow ring is missing an entry"
+  in
+  let bad_outcome, slow_outcome = poll 60 in
+  Alcotest.(check string) "query error recorded" "query_error" bad_outcome;
+  Alcotest.(check string) "timeout recorded" "timeout" slow_outcome
+
 (* ------------------------------------------------------------------ *)
 (* Parallel plan compilation is deterministic                          *)
 (* ------------------------------------------------------------------ *)
@@ -652,6 +688,7 @@ let () =
           Alcotest.test_case "deterministic ids" `Quick
             test_deterministic_server_ids;
           Alcotest.test_case "slow query ring" `Quick test_slow_query_ring;
+          Alcotest.test_case "slow ring outcomes" `Quick test_slow_ring_outcomes;
         ] );
       ( "determinism",
         [

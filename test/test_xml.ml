@@ -33,17 +33,191 @@ let test_misc_nodes () =
   check "xml decl skipped" "<a/>" (roundtrip "<?xml version=\"1.0\"?><a/>");
   check "doctype skipped" "<a/>" (roundtrip "<!DOCTYPE a><a/>")
 
+let parse_error s =
+  match P.parse_string s with
+  | exception P.Parse_error _ -> true
+  | _ -> false
+
 let test_parse_errors () =
-  let fails s =
-    match P.parse_string s with
-    | exception P.Parse_error _ -> true
-    | _ -> false
+  check_bool "mismatched tags" true (parse_error "<a></b>");
+  check_bool "unterminated" true (parse_error "<a>");
+  check_bool "no root" true (parse_error "just text");
+  check_bool "bad entity" true (parse_error "<a>&nosuch;</a>");
+  check_bool "trailing garbage" true (parse_error "<a/><b/>...")
+
+(* Character references follow XML's CharRef grammar, denote only XML
+   Chars, and encode as UTF-8 (4 bytes above U+FFFF); anything else is a
+   Parse_error, never another exception. *)
+let test_char_refs () =
+  let text s = N.string_value (parse ("<a>" ^ s ^ "</a>")) in
+  check "decimal" "A" (text "&#65;");
+  check "hex" "A" (text "&#x41;");
+  check "two bytes" "\xC3\xA9" (text "&#233;");
+  check "astral plane" "\xF0\x9F\x98\x80" (text "&#x1F600;");
+  check "last code point" "\xF4\x8F\xBF\xBF" (text "&#x10FFFF;");
+  check "tab is a Char" "\t" (text "&#9;");
+  check "in attribute" "x\xF0\x9F\x98\x80y"
+    (match N.attributes (List.hd (N.children (parse "<a v='x&#128512;y'/>"))) with
+    | [ a ] -> N.string_value a
+    | _ -> Alcotest.fail "one attribute");
+  List.iter
+    (fun r -> check_bool r true (parse_error ("<a>" ^ r ^ "</a>")))
+    [ "&#-5;"; "&#x110000;"; "&#99999999999;"; "&#99999999999999999999999;";
+      "&#+65;"; "&#0x41;"; "&#1_0_0;"; "&#0;"; "&#X41;"; "&#;"; "&#x;";
+      "&#xD800;"; "&#xFFFE;"; "&#8;"; "&#65"; "&#65 ;"; "&;"; "& b" ]
+
+let test_document_level () =
+  check_bool "text after root" true (parse_error "<a/>junk");
+  check_bool "text before root" true (parse_error "junk<a/>");
+  check_bool "CDATA after root" true (parse_error "<a/><![CDATA[x]]>");
+  check_bool "reference after root" true (parse_error "<a/>&amp;");
+  check_bool "second root" true (parse_error "<a/><b/>");
+  check_bool "end tag outside root" true (parse_error "<a/></a>");
+  check_bool "late XML declaration" true (parse_error "<a><?xml version='1.0'?></a>");
+  check_bool "duplicate attribute" true (parse_error "<a x='1' x='2'/>");
+  check_bool "duplicate attribute, not adjacent" true (parse_error "<a x='1' y='2' x='3'/>");
+  check_bool "attributes need whitespace between" true (parse_error "<a x='1'y='2'/>");
+  check_bool "'<' in attribute value" true (parse_error "<a x='<'/>");
+  check_bool "unterminated" true (parse_error "<a><b></b>");
+  check_bool "empty" true (parse_error "");
+  check_bool "whitespace only" true (parse_error " \n ");
+  let kinds s =
+    String.concat "," (List.map (fun n -> N.kind_name (N.kind n)) (N.children (parse s)))
   in
-  check_bool "mismatched tags" true (fails "<a></b>");
-  check_bool "unterminated" true (fails "<a>");
-  check_bool "no root" true (fails "just text");
-  check_bool "bad entity" true (fails "<a>&nosuch;</a>");
-  check_bool "trailing garbage" true (fails "<a/><b/>...")
+  check "prolog and epilog whitespace dropped" "element"
+    (kinds "<?xml version=\"1.0\"?>\n<a> </a>\n\n");
+  check "prolog comment and PI kept" "comment,processing-instruction,element,comment"
+    (kinds "<!--c-->\n<?xml-stylesheet href='s'?>\n<a/>\n<!--d-->");
+  check "DOCTYPE with internal subset skipped" "<a/>"
+    (roundtrip "<!DOCTYPE a [ <!ELEMENT a EMPTY> <!ATTLIST a x CDATA '>'> ]>\n<a/>");
+  check "whitespace inside the root kept" "<a> <b/> </a>" (roundtrip "<a> <b/> </a>");
+  check "same attribute name on two elements" {|<a x="1"><b x="2"/></a>|}
+    (roundtrip "<a x='1'><b x='2'/></a>")
+
+(* The parser keeps no recursion per nesting level. *)
+let test_deep_nesting () =
+  let depth = 200_000 in
+  let b = Buffer.create (depth * 7) in
+  for _ = 1 to depth do Buffer.add_string b "<a>" done;
+  for _ = 1 to depth do Buffer.add_string b "</a>" done;
+  let doc = parse (Buffer.contents b) in
+  check_int "document extent" (depth + 1) doc.N.extent;
+  check_bool "unclosed deep nesting is an error" true
+    (parse_error (String.concat "" (List.init depth (fun _ -> "<a>"))))
+
+(* ------------------------------------------------------------------ *)
+(* Loader invariants                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Walk [doc] in preorder (attributes before children) checking what
+   [N.renumber] would establish: ids consecutive from [doc.nid], each
+   subtree occupying [nid, nid + extent), and parent links matching the
+   walk.  Returns the node count. *)
+let check_numbering doc =
+  let next = ref doc.N.nid in
+  let rec walk parent n =
+    if n.N.nid <> !next then Alcotest.failf "id %d where %d was due" n.N.nid !next;
+    (match (parent, n.N.parent) with
+    | None, None -> ()
+    | Some p, Some q when p == q -> ()
+    | _ -> Alcotest.failf "wrong parent link at id %d" n.N.nid);
+    incr next;
+    List.iter (walk (Some n)) (N.attributes n);
+    List.iter (walk (Some n)) (N.children n);
+    if n.N.nid + n.N.extent <> !next then
+      Alcotest.failf "extent %d of id %d does not cover its subtree" n.N.extent n.N.nid
+  in
+  walk None doc;
+  !next - doc.N.nid
+
+(* The parsed tree and a renumbered copy of it, walked in lockstep:
+   relative ids, extents and parent links agree. *)
+let check_like_renumber doc =
+  let copy = N.copy doc in
+  N.renumber copy;
+  let rel root n = n.N.nid - root.N.nid in
+  let rec walk a b =
+    check_int "relative id" (rel copy b) (rel doc a);
+    check_int "extent" b.N.extent a.N.extent;
+    (match (a.N.parent, b.N.parent) with
+    | None, None -> ()
+    | Some p, Some q -> check_int "parent's relative id" (rel copy q) (rel doc p)
+    | _ -> Alcotest.fail "parent link present on one side only");
+    List.iter2 walk (N.attributes a) (N.attributes b);
+    List.iter2 walk (N.children a) (N.children b)
+  in
+  walk doc copy
+
+let generated =
+  List.concat_map
+    (fun seed ->
+      List.map
+        (fun bytes ->
+          [ (Printf.sprintf "xmark seed %d, %d B" seed bytes,
+             Xqc_workload.Xmark.generate_string ~seed ~target_bytes:bytes ());
+            (Printf.sprintf "clio seed %d, %d B" seed bytes,
+             Xqc_workload.Clio.generate_string ~seed ~target_bytes:bytes ()) ])
+        [ 2_000; 30_000; 120_000 ]
+      |> List.concat)
+    [ 1; 7; 42 ]
+
+let test_numbering_matches_renumber () =
+  List.iter
+    (fun (what, s) ->
+      let doc = parse s in
+      check_int (what ^ ": node count") (N.count_nodes doc) (check_numbering doc);
+      check_like_renumber doc)
+    generated
+
+let test_generated_roundtrip () =
+  List.iter (fun (what, s) -> check what s (S.node_to_string (parse s))) generated
+
+(* Documents parsed at once on two domains draw disjoint blocks, each
+   internally consecutive. *)
+let test_parallel_loads () =
+  let s = Xqc_workload.Xmark.generate_string ~seed:3 ~target_bytes:200_000 () in
+  for _ = 1 to 3 do
+    let other = Domain.spawn (fun () -> List.init 4 (fun _ -> parse s)) in
+    let mine = List.init 4 (fun _ -> parse s) in
+    let docs = mine @ Domain.join other in
+    List.iter (fun d -> ignore (check_numbering d)) docs;
+    let intervals =
+      List.sort compare (List.map (fun d -> (d.N.nid, d.N.nid + d.N.extent)) docs)
+    in
+    let rec disjoint = function
+      | (_, hi) :: ((lo, _) :: _ as rest) -> hi <= lo && disjoint rest
+      | _ -> true
+    in
+    check_bool "disjoint intervals" true (disjoint intervals)
+  done
+
+(* Mutants of a small XMark document parse to a well-numbered tree or
+   fail with Parse_error — never another exception. *)
+let fuzz_base = Xqc_workload.Xmark.generate_string ~seed:5 ~target_bytes:3_000 ()
+
+let gen_mutant : string QCheck.arbitrary =
+  let open QCheck.Gen in
+  let n = String.length fuzz_base in
+  let insert s =
+    int_bound n >|= fun i -> String.sub fuzz_base 0 i ^ s ^ String.sub fuzz_base i (n - i)
+  in
+  let mutation =
+    oneof
+      [ (int_bound (n - 1) >>= fun i ->
+         char >|= fun c -> String.mapi (fun j x -> if i = j then c else x) fuzz_base);
+        (int_bound n >|= fun i -> String.sub fuzz_base 0 i);
+        (oneofl [ "<"; "&"; "]]>"; "&#"; "&#x1F600;"; "&#-5;"; "&#x110000;"; "&#65;";
+                  "&amp"; "</"; "<!--"; "<![CDATA["; "<?"; " x='1'"; "\"" ]
+         >>= insert) ]
+  in
+  QCheck.make ~print:(fun s -> s) mutation
+
+let prop_fuzz_loader =
+  QCheck.Test.make ~name:"mutated XMark: numbered tree or Parse_error" ~count:300
+    gen_mutant (fun s ->
+      match P.parse_string s with
+      | exception P.Parse_error _ -> true
+      | doc -> check_numbering doc = N.count_nodes doc)
 
 let test_string_value () =
   let doc = parse "<a>one<b>two<c>three</c></b><!--x-->four</a>" in
@@ -194,6 +368,17 @@ let () =
           Alcotest.test_case "entities" `Quick test_entities;
           Alcotest.test_case "misc nodes" `Quick test_misc_nodes;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "character references" `Quick test_char_refs;
+          Alcotest.test_case "document level" `Quick test_document_level;
+          Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
+        ] );
+      ( "loader",
+        [
+          Alcotest.test_case "numbering matches renumber" `Quick
+            test_numbering_matches_renumber;
+          Alcotest.test_case "generated roundtrip" `Quick test_generated_roundtrip;
+          Alcotest.test_case "parallel loads" `Quick test_parallel_loads;
+          QCheck_alcotest.to_alcotest prop_fuzz_loader;
         ] );
       ( "data model",
         [

@@ -24,9 +24,16 @@ let test_literals () =
   (match parse {|"a""b"|} with
   | Ast.Literal (Atomic.String {|a"b|}) -> ()
   | _ -> Alcotest.fail "doubled quote escape");
-  match parse "'x'" with
+  (match parse "'x'" with
   | Ast.Literal (Atomic.String "x") -> ()
-  | _ -> Alcotest.fail "single quoted"
+  | _ -> Alcotest.fail "single quoted");
+  (match parse {|"&#65;&#x1F600;&amp;"|} with
+  | Ast.Literal (Atomic.String "A\xF0\x9F\x98\x80&") -> ()
+  | _ -> Alcotest.fail "character references in a string literal");
+  (* malformed references are syntax errors, not stray exceptions *)
+  List.iter
+    (fun r -> check_bool r true (fails (Printf.sprintf {|"%s"|} r)))
+    [ "&#-5;"; "&#x110000;"; "&#99999999999;"; "&#+65;"; "&#0x41;"; "&#1_0_0;"; "&#0;" ]
 
 let test_precedence () =
   (match parse "1 + 2 * 3" with
