@@ -570,12 +570,12 @@ let table : (string * (Dynamic_ctx.t -> xvalue list -> xvalue)) list =
                   | Node.Kattribute ->
                       err "fs:document: attribute node in document content"
                   | Node.Kdocument -> err "fs:document: nested document node"
-                  | _ -> Node.copy n)
-              | Item.Atom a -> Node.text (Atomic.to_string a))
+                  | _ -> Node.copy_fresh n)
+              | Item.Atom a -> Node.fresh (Node.Text (Atomic.to_string a)))
             items
         in
-        let d = Node.document children in
-        Node.renumber d;
+        let d = Node.fresh (Node.Document { dchildren = children; duri = None }) in
+        ignore (Node.number_fresh d);
         [ Item.Node d ] );
     (* --- additional F&O functions --- *)
     ( "fn:deep-equal",

@@ -214,16 +214,44 @@ let step_join schema (s : P.pstep) (input : Item.sequence) : Item.sequence =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Every output node of a constructor is built once and numbered once.
+   A constructor builds its element from fresh (unnumbered) nodes: fresh
+   content nodes — the results of constructors compiled in adopt
+   position, see [cenv] — are adopted by setting their parent, every
+   other content node is copied once into fresh nodes.  Only a
+   constructor outside adopt position numbers its finished tree, with
+   one id reservation and one walk; the nested constructors below it
+   never number or copy what they build.  The No-algebra interpreter
+   calls [construct_element], which always numbers: its content is
+   always numbered, so it always copies. *)
+
+let c_numbered = Obs.global_counter "construct_nodes_numbered"
+let c_copied = Obs.global_counter "construct_nodes_copied"
+
+(* Number a finished constructor result: two counter adds per tree,
+   never one per node. *)
+let number_constructed (n : Node.t) : Node.t =
+  let copies = Node.number_fresh n in
+  Obs.add_counter c_numbered n.Node.extent;
+  if copies > 0 then Obs.add_counter c_copied copies;
+  n
+
+(* A fresh content node is the result of a constructor in adopt
+   position, which reaches exactly one enclosing constructor: adopt it.
+   Anything numbered may be reachable elsewhere: copy it. *)
+let adopt_or_copy (n : Node.t) : Node.t = if Node.is_fresh n then n else Node.copy_fresh n
+
 (* Element content assembly: attribute nodes become attributes, atomic
-   values merge into space-separated text, nodes are deep-copied (XQuery
-   constructor copy semantics), document nodes contribute their children. *)
+   values merge into space-separated text, nodes are adopted or copied
+   (XQuery constructor copy semantics), document nodes contribute their
+   children. *)
 let assemble_content (items : Item.sequence) : Node.t list * Node.t list =
   let attrs = ref [] and content = ref [] and atom_buf = ref [] in
   let flush () =
     if !atom_buf <> [] then (
       let s = String.concat " " (List.rev_map Atomic.to_string !atom_buf) in
       atom_buf := [];
-      content := Node.text s :: !content)
+      content := Node.fresh (Node.Text s) :: !content)
   in
   List.iter
     (fun it ->
@@ -232,24 +260,29 @@ let assemble_content (items : Item.sequence) : Node.t list * Node.t list =
       | Item.Node n -> (
           flush ();
           match Node.kind n with
-          | Node.Kattribute -> attrs := Node.copy n :: !attrs
+          | Node.Kattribute -> attrs := adopt_or_copy n :: !attrs
           | Node.Kdocument ->
-              List.iter (fun c -> content := Node.copy c :: !content) (Node.children n)
+              List.iter (fun c -> content := adopt_or_copy c :: !content) (Node.children n)
           | Node.Kelement | Node.Ktext | Node.Kcomment | Node.Kpi ->
-              content := Node.copy n :: !content))
+              content := adopt_or_copy n :: !content))
     items;
   flush ();
   (List.rev !attrs, List.rev !content)
 
-let construct_element name (items : Item.sequence) : Item.t =
+(* The unnumbered element, as a constructor in adopt position returns it. *)
+let build_element name (items : Item.sequence) : Node.t =
   let attrs, children = assemble_content items in
-  let e = Node.element name ~attrs ~children in
-  Node.renumber e;
-  Item.Node e
+  Node.fresh (Node.Element { ename = name; attrs; children; eannot = None })
+
+let construct_element name (items : Item.sequence) : Item.t =
+  Item.Node (number_constructed (build_element name items))
+
+let build_attribute name (items : Item.sequence) : Node.t =
+  let s = String.concat " " (List.map Item.string_value items) in
+  Node.fresh (Node.Attribute { aname = name; avalue = s; aannot = None })
 
 let construct_attribute name (items : Item.sequence) : Item.t =
-  let s = String.concat " " (List.map Item.string_value items) in
-  Item.Node (Node.attribute name s)
+  Item.Node (number_constructed (build_attribute name items))
 
 (* ------------------------------------------------------------------ *)
 (* Plan compilation                                                    *)
@@ -259,8 +292,66 @@ let construct_attribute name (items : Item.sequence) : Item.t =
    tabular result — the fused tier may then replace a lazy Select/
    MapFromItem cursor with an eager tuple batch.  Cleared below
    early-terminating consumers (StreamSelect, MapSome/MapEvery) so
-   their O(answer) pull bounds survive. *)
-type cenv = { layout : layout; drain : bool }
+   their O(answer) pull bounds survive.
+
+   [adopt]: every node this subplan constructs flows, unobserved and
+   exactly once, into the content of an enclosing element constructor,
+   which will adopt it — so its constructors may return their nodes
+   fresh (unnumbered).  Set on an element constructor's content; it
+   passes only through PSeq, both PCond branches, PMapToItem's
+   dependent, and into a GroupBy's pre plan when the GroupBy's
+   aggregate is read in adopt position (see [adopted_group]).  Every
+   other operator clears it.
+
+   [uses]: how often each tuple field is read anywhere in the plan
+   being compiled. *)
+type cenv = { layout : layout; drain : bool; adopt : bool; uses : string -> int }
+
+(* One linear pass per plan: reads of each field, by PFieldAccess or as a
+   GroupBy index or null field. *)
+let field_uses (p : P.t) : string -> int =
+  let counts = Hashtbl.create 16 in
+  let bump q = Hashtbl.replace counts q (1 + Option.value ~default:0 (Hashtbl.find_opt counts q)) in
+  P.fold
+    (fun () n ->
+      match n.P.pop with
+      | P.PFieldAccess q -> bump q
+      | P.PGroupBy (g, _) ->
+          List.iter bump g.P.pg_indices;
+          List.iter bump g.P.pg_nulls
+      | _ -> ())
+    () p;
+  fun q -> Option.value ~default:0 (Hashtbl.find_opt counts q)
+
+let top_env (p : P.t) : cenv = { layout = []; drain = true; adopt = false; uses = field_uses p }
+
+(* Does [p], compiled with adopt flag [adopt], read field [q] in adopt
+   position?  Follows exactly the propagation of [compile_node]; a
+   nested tuple operator evaluates its reads against its own input, so
+   the walk stops there. *)
+let rec reads_adopted (q : string) (adopt : bool) (p : P.t) : bool =
+  match p.P.pop with
+  | P.PFieldAccess f -> adopt && String.equal f q
+  | P.PSeq (a, b) -> reads_adopted q adopt a || reads_adopted q adopt b
+  | P.PCond (_, t, e) -> reads_adopted q adopt t || reads_adopted q adopt e
+  | P.PElement (_, content) -> reads_adopted q true content
+  | _ -> false
+
+(* [input] is the input of an operator that evaluates [dep] exactly
+   once per input tuple: a MapToItem (with [dep] its dependent) or an
+   enclosing GroupBy (with [dep] its pre plan).  When [input] is a
+   GroupBy, its aggregate may be built fresh if the aggregate reaches
+   the tuple unchanged (identity post plan) and its only read in the
+   whole plan is in [dep], in adopt position.  The read must be unique
+   plan-wide because GroupBy copies the first tuple's fields, an inner
+   aggregate included, into its output. *)
+let adopted_group (env : cenv) ~(adopt : bool) (dep : P.t) (input : P.t) : bool =
+  match input.P.pop with
+  | P.PGroupBy (g, _) -> (
+      match g.P.pg_post.P.pop with
+      | P.PInput -> env.uses g.P.pg_agg = 1 && reads_adopted g.P.pg_agg adopt dep
+      | _ -> false)
+  | _ -> false
 
 (* Debug knob: when set, every compiled operator drains its cursor eagerly
    at call time and the cursor-based early-termination special cases are
@@ -635,6 +726,10 @@ and compile_interp (env : cenv) (p : P.t) : comp * layout =
   if !force_materialize then (materialize_comp c, layout) else (c, layout)
 
 and compile_node (env : cenv) (p : P.t) : comp * layout =
+  let adopt = env.adopt in
+  let env = { env with adopt = false } in
+  (* a constructor outside adopt position numbers its finished tree *)
+  let finish = if adopt then Fun.id else number_constructed in
   match p.P.pop with
   | P.PInput ->
       ( (fun _ctx inp ->
@@ -648,31 +743,34 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       let v = Xml [ Item.Atom a ] in
       ((fun _ _ -> v), [])
   | P.PSeq (a, b) ->
-      let ca, _ = compile env a and cb, _ = compile env b in
+      let ca, _ = compile { env with adopt } a and cb, _ = compile { env with adopt } b in
       ((fun ctx inp -> Xml (as_items (ca ctx inp) @ as_items (cb ctx inp))), [])
   | P.PElement (name, content) ->
-      let cc, _ = compile env content in
-      ((fun ctx inp -> Xml [ construct_element name (as_items (cc ctx inp)) ]), [])
+      let cc, _ = compile { env with adopt = true } content in
+      ((fun ctx inp -> Xml [ Item.Node (finish (build_element name (as_items (cc ctx inp)))) ]), [])
   | P.PAttribute (name, content) ->
       let cc, _ = compile env content in
-      ((fun ctx inp -> Xml [ construct_attribute name (as_items (cc ctx inp)) ]), [])
+      ((fun ctx inp -> Xml [ Item.Node (finish (build_attribute name (as_items (cc ctx inp)))) ]), [])
   | P.PText content ->
       let cc, _ = compile env content in
       ( (fun ctx inp ->
           match as_items (cc ctx inp) with
           | [] -> Xml []
           | items ->
-              Xml [ Item.Node (Node.text (String.concat " " (List.map Item.string_value items))) ]),
+              let s = String.concat " " (List.map Item.string_value items) in
+              Xml [ Item.Node (finish (Node.fresh (Node.Text s))) ]),
         [] )
   | P.PComment content ->
       let cc, _ = compile env content in
       ( (fun ctx inp ->
-          Xml [ Item.Node (Node.comment (String.concat " " (List.map Item.string_value (as_items (cc ctx inp))))) ]),
+          let s = String.concat " " (List.map Item.string_value (as_items (cc ctx inp))) in
+          Xml [ Item.Node (finish (Node.fresh (Node.Comment s))) ]),
         [] )
   | P.PPi (target, content) ->
       let cc, _ = compile env content in
       ( (fun ctx inp ->
-          Xml [ Item.Node (Node.pi target (String.concat " " (List.map Item.string_value (as_items (cc ctx inp))))) ]),
+          let pdata = String.concat " " (List.map Item.string_value (as_items (cc ctx inp))) in
+          Xml [ Item.Node (finish (Node.fresh (Node.Pi { target; pdata }))) ]),
         [] )
   | P.PSteps { steps; input; par; _ } ->
       (* strict step chain: each planned step runs in turn over the
@@ -805,8 +903,8 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       else (compile_stream_call env kind name args, [])
   | P.PCond (c, t, e) ->
       let cc, _ = compile env c in
-      let ct, lt = compile env t in
-      let ce, _ = compile env e in
+      let ct, lt = compile { env with adopt } t in
+      let ce, _ = compile { env with adopt } e in
       ((fun ctx inp -> if ebv (cc ctx inp) then ct ctx inp else ce ctx inp), lt)
   | P.PQuantified (q, v, source, body) -> (
       (* existence doesn't care about order or duplicates, so a step-chain
@@ -885,7 +983,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       | None -> compile_error "unknown tuple field #%s (layout: %s)" q (String.concat "," env.layout))
   | P.PSelect (pred, input) ->
       let ci, li = compile env input in
-      let cp, _ = compile { layout = li; drain = env.drain } pred in
+      let cp, _ = compile { env with layout = li } pred in
       ( (fun ctx inp ->
           Tab (Seq.filter (fun t -> ebv (cp ctx (ITuple t))) (as_table (ci ctx inp)))),
         li )
@@ -896,7 +994,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
          The cut is sound in both streamed and materialized execution:
          the predicate implies the bound. *)
       let ci, li = compile { env with drain = false } input in
-      let cp, _ = compile { layout = li; drain = env.drain } pred in
+      let cp, _ = compile { env with layout = li } pred in
       let below (t : tuple) =
         match t.(0) with
         | [ Item.Atom (Atomic.Integer i) ] -> i <= bound
@@ -937,7 +1035,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         li )
   | P.PMap (dep, input) ->
       let ci, li = compile env input in
-      let cd, ld = compile { layout = li; drain = env.drain } dep in
+      let cd, ld = compile { env with layout = li } dep in
       ( (fun ctx inp ->
           Tab
             (Seq.concat_map
@@ -968,7 +1066,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         q :: li )
   | P.PMapConcat (dep, input) ->
       let ci, li = compile env input in
-      let cd, ld = compile { layout = li; drain = env.drain } dep in
+      let cd, ld = compile { env with layout = li } dep in
       let out, width, moves = concat_spec li ld in
       let n1 = List.length li in
       ( (fun ctx inp ->
@@ -982,7 +1080,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         out )
   | P.POMapConcat (q, dep, input) ->
       let ci, li = compile env input in
-      let cd, ld = compile { layout = li; drain = env.drain } dep in
+      let cd, ld = compile { env with layout = li } dep in
       let merged, mwidth, moves = concat_spec li ld in
       let out = q :: merged in
       let width = 1 + mwidth in
@@ -1026,14 +1124,14 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       let cspecs =
         List.map
           (fun (s : P.psort_spec) ->
-            (fst (compile { layout = li; drain = env.drain } s.P.pskey), s.P.psdir, s.P.psempty))
+            (fst (compile { env with layout = li } s.P.pskey), s.P.psdir, s.P.psempty))
           specs
       in
       ( (fun ctx inp ->
           let tuples = table_list (ci ctx inp) in
           tab_list (order_by ctx cspecs tuples)),
         li )
-  | P.PGroupBy (g, input) -> compile_groupby env g input
+  | P.PGroupBy (g, input) -> compile_groupby env ~adopt g input
   | P.PMapFromItem (dep, input) -> (
       (* when the input is an order-preserving step chain, feed the tuple
          pipeline from the lazy item cursor so the path pulls node by
@@ -1055,7 +1153,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       in
       match cursor with
       | Some cur ->
-          let cd, ld = compile { layout = []; drain = env.drain } dep in
+          let cd, ld = compile { env with layout = [] } dep in
           let strict = lazy (fst (compile env input)) in
           ( (fun ctx inp ->
               let items =
@@ -1070,7 +1168,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
             ld )
       | None ->
           let ci, _ = compile env input in
-          let cd, ld = compile { layout = []; drain = env.drain } dep in
+          let cd, ld = compile { env with layout = [] } dep in
           ( (fun ctx inp ->
               let items = as_items (ci ctx inp) in
               Tab
@@ -1079,8 +1177,10 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
                    (List.to_seq items))),
             ld ))
   | P.PMapToItem (dep, input) ->
-      let ci, li = compile { env with drain = true } input in
-      let cd, _ = compile { layout = li; drain = env.drain } dep in
+      let ci, li =
+        compile { env with drain = true; adopt = adopted_group env ~adopt dep input } input
+      in
+      let cd, _ = compile { env with layout = li; adopt } dep in
       ( (fun ctx inp ->
           let s = as_table (ci ctx inp) in
           Xml
@@ -1090,7 +1190,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         [] )
   | P.PMapSome (dep, input) ->
       let ci, li = compile { env with drain = false } input in
-      let cd, _ = compile { layout = li; drain = env.drain } dep in
+      let cd, _ = compile { env with layout = li } dep in
       ( (fun ctx inp ->
           Xml
             [
@@ -1101,7 +1201,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         [] )
   | P.PMapEvery (dep, input) ->
       let ci, li = compile { env with drain = false } input in
-      let cd, _ = compile { layout = li; drain = env.drain } dep in
+      let cd, _ = compile { env with layout = li } dep in
       ( (fun ctx inp ->
           Xml
             [
@@ -1276,10 +1376,14 @@ and order_by ctx cspecs tuples =
   in
   List.map snd (List.stable_sort (fun (k1, _) (k2, _) -> compare_keys k1 k2) keyed)
 
-and compile_groupby env (g : P.pgroup_spec) input =
-  let ci, li = compile { env with drain = true } input in
-  let cpre, _ = compile { layout = li; drain = env.drain } g.P.pg_pre in
-  let cpost, _ = compile { layout = []; drain = env.drain } g.P.pg_post in
+(* [adopt]: this GroupBy's aggregate is adopted by its reader (see
+   [adopted_group]), so the pre plan builds it fresh. *)
+and compile_groupby env ~adopt (g : P.pgroup_spec) input =
+  let ci, li =
+    compile { env with drain = true; adopt = adopted_group env ~adopt g.P.pg_pre input } input
+  in
+  let cpre, _ = compile { env with layout = li; adopt } g.P.pg_pre in
+  let cpost, _ = compile { env with layout = [] } g.P.pg_post in
   let index_slots =
     List.map
       (fun q ->
@@ -1409,7 +1513,7 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
   match pred with
   | P.PWholePred p ->
       (* arbitrary predicates always run as an order-preserving NL join *)
-      let cp, _ = compile { layout = jp.jp_merged; drain = env.drain } p in
+      let cp, _ = compile { env with layout = jp.jp_merged } p in
       ( (fun ctx inp ->
           let left = as_table (jp.jp_left ctx inp) in
           let right = table_list (jp.jp_right ctx inp) in
@@ -1422,8 +1526,8 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
                    right))),
         jp.jp_out )
   | P.PSplitPred { op; left_key; right_key } ->
-      let cl, _ = compile { layout = jp.jp_llayout; drain = env.drain } left_key in
-      let cr, _ = compile { layout = jp.jp_rlayout; drain = env.drain } right_key in
+      let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
+      let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
       ( (fun ctx inp ->
           let left = as_table (jp.jp_left ctx inp) in
           let right = table_list (jp.jp_right ctx inp) in
@@ -1438,8 +1542,8 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
 and compile_hash_join env outer (build : P.build_side) par left_key right_key a
     b : comp * layout =
   let jp = join_scaffold env outer a b in
-  let cl, _ = compile { layout = jp.jp_llayout; drain = env.drain } left_key in
-  let cr, _ = compile { layout = jp.jp_rlayout; drain = env.drain } right_key in
+  let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
+  let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   (* Per-partition op_nodes for the parallel probe phase (EXPLAIN
      ANALYZE); created at compile time while this join is the builder
      top, all-[None] otherwise. *)
@@ -1589,8 +1693,8 @@ and compile_sort_join env outer (op : Promotion.cmp_op) left_key right_key a b :
   | Promotion.Eq | Promotion.Ne ->
       compile_error "sort join planned for a non-inequality operator");
   let jp = join_scaffold env outer a b in
-  let cl, _ = compile { layout = jp.jp_llayout; drain = env.drain } left_key in
-  let cr, _ = compile { layout = jp.jp_rlayout; drain = env.drain } right_key in
+  let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
+  let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   ( (fun ctx inp ->
       let left = as_table (jp.jp_left ctx inp) in
       let right = table_list (jp.jp_right ctx inp) in
@@ -1644,7 +1748,7 @@ let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
   List.iter
     (fun (f : P.pfunction) ->
       let body, _ =
-        compile_plan stats ("function " ^ f.P.pf_name) { layout = []; drain = true } f.P.pf_body
+        compile_plan stats ("function " ^ f.P.pf_name) (top_env f.P.pf_body) f.P.pf_body
       in
       let impl ctx args =
         let frame = List.combine f.P.pf_params args in
@@ -1654,10 +1758,10 @@ let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
     q.P.pfunctions;
   let globals =
     List.map
-      (fun (v, p) -> (v, fst (compile_plan stats ("global $" ^ v) { layout = []; drain = true } p)))
+      (fun (v, p) -> (v, fst (compile_plan stats ("global $" ^ v) (top_env p) p)))
       q.P.pglobals
   in
-  let main, _ = compile_plan stats "main" { layout = []; drain = true } q.P.pmain in
+  let main, _ = compile_plan stats "main" (top_env q.P.pmain) q.P.pmain in
   fun ctx ->
     List.iter (fun (v, c) -> bind_global ctx v (as_items (c ctx INone))) globals;
     as_items (main ctx INone)

@@ -80,22 +80,24 @@ let keep_attributes schema (specs : spec list) (n : Node.t) : bool =
       | _ -> false)
     specs
 
+(* The projected tree is built from fresh nodes and numbered once by
+   [project_specs]. *)
 let rec project_node schema (specs : spec list) (n : Node.t) : Node.t option =
   let keep_all = List.exists (fun sp -> sp.steps = [] && sp.subtree) specs in
-  if keep_all then Some (Node.copy n)
+  if keep_all then Some (Node.copy_fresh n)
   else
     match n.Node.desc with
     | Node.Document d ->
         let children = List.filter_map (project_child schema specs) d.dchildren in
-        Some (Node.document ?uri:d.duri children)
+        Some (Node.fresh (Node.Document { dchildren = children; duri = d.duri }))
     | Node.Element e ->
         let attrs =
-          if keep_attributes schema specs n then List.map Node.copy e.attrs else []
+          if keep_attributes schema specs n then List.map Node.copy_fresh e.attrs else []
         in
         let children = List.filter_map (project_child schema specs) e.children in
-        Some (Node.element ?annot:e.eannot e.ename ~attrs ~children)
+        Some (Node.fresh (Node.Element { ename = e.ename; attrs; children; eannot = e.eannot }))
     | Node.Attribute _ | Node.Text _ | Node.Comment _ | Node.Pi _ ->
-        Some (Node.copy n)
+        Some (Node.copy_fresh n)
 
 and project_child schema specs c =
   match specs_for_child schema specs c with
@@ -125,7 +127,7 @@ let project_specs schema (specs : spec list) (items : Item.sequence) : Item.sequ
       | Item.Node n ->
           Option.map
             (fun m ->
-              Node.renumber m;
+              ignore (Node.number_fresh m);
               Item.Node m)
             (project_node schema specs n)
       | Item.Atom _ -> Some it)

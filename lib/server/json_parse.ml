@@ -6,7 +6,9 @@
    parser over the same [Obs.json] type rather than a dependency.
    Numbers without a fraction or exponent that fit in an OCaml [int]
    parse as [Int]; everything else numeric becomes [Float].  Input must
-   be a single JSON value — trailing non-whitespace is an error. *)
+   be a single JSON value — trailing non-whitespace is an error.
+   Arrays and objects may nest at most [max_depth] deep: deeper input is
+   a [Parse_error], never a stack overflow. *)
 
 module Obs = Xqc_obs.Obs
 
@@ -15,6 +17,10 @@ exception Parse_error of string
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
 type state = { src : string; mutable pos : int }
+
+(* Far beyond any request the protocol defines (two levels), and far
+   below what the recursion can take on a worker domain's stack. *)
+let max_depth = 512
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
 
@@ -157,12 +163,17 @@ let parse_number st =
     | Some i -> Obs.Int i
     | None -> Obs.Float (float_of_string text)
 
-let rec parse_value st =
+(* Called on entering an array or object at nesting level [depth]. *)
+let check_depth st depth =
+  if depth >= max_depth then fail "nesting deeper than %d at offset %d" max_depth st.pos
+
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
   | None -> fail "unexpected end of input"
   | Some '"' -> Obs.Str (parse_string st)
   | Some '{' ->
+      check_depth st depth;
       expect st '{';
       skip_ws st;
       if peek st = Some '}' then begin
@@ -175,7 +186,7 @@ let rec parse_value st =
           let key = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -189,6 +200,7 @@ let rec parse_value st =
         Obs.Obj (members [])
       end
   | Some '[' ->
+      check_depth st depth;
       expect st '[';
       skip_ws st;
       if peek st = Some ']' then begin
@@ -197,7 +209,7 @@ let rec parse_value st =
       end
       else begin
         let rec elems acc =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -218,7 +230,7 @@ let rec parse_value st =
 
 let parse (s : string) : Obs.json =
   let st = { src = s; pos = 0 } in
-  let v = parse_value st in
+  let v = parse_value st 0 in
   skip_ws st;
   if st.pos <> String.length s then
     fail "trailing garbage at offset %d" st.pos;

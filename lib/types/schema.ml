@@ -141,6 +141,5 @@ let annotate schema (root : Node.t) : unit =
 
 let validate schema (node : Node.t) : Node.t =
   let copy = Node.copy node in
-  Node.renumber copy;
   annotate schema copy;
   copy

@@ -55,8 +55,8 @@ val annotate : t -> Node.t -> unit
 (** Assign type annotations in place across the subtree. *)
 
 val validate : t -> Node.t -> Node.t
-(** The Validate operator: deep-copy, renumber, and annotate — input
-    nodes are never mutated. *)
+(** The Validate operator: a numbered deep copy, annotated — input nodes
+    are never mutated. *)
 
 val matching_element_decl : t -> Node.t -> element_decl option
 val matching_attribute_decl : t -> string option -> string -> attribute_decl option

@@ -151,7 +151,7 @@ let with_write (uri : string) (f : Node.t -> in_place:bool -> 'a) : 'a =
                 release false;
                 raise ex)
           else
-            let root' = Node.copy hd.v_root in
+            let root' = Node.copy_fresh hd.v_root in
             Node.renumber_gapped root';
             let r = f root' ~in_place:false in
             let v' = { v_root = root'; v_id = fresh_vid (); v_readers = 0; v_retired = false } in

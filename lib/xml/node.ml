@@ -1,9 +1,16 @@
 (* XML node trees with global document order.
 
    Node identity is physical; each node carries a globally unique [nid]
-   assigned in construction (pre-)order, so document order between any two
+   assigned in document (pre-)order, so document order between any two
    nodes — including nodes of different documents — is a comparison of ids,
    and sorting-by-document-order after a TreeJoin is a sort on ints.
+
+   The parser builds a document top-down and numbers it as it goes.  The
+   engine's bottom-up builders — element constructors, copies,
+   projections — assemble unnumbered ("fresh") nodes whose extents are
+   exact from the start, and number the finished tree once with
+   [number_fresh].  A tree assembled from the numbered constructors (the
+   workload generators do this) is numbered as a whole by [renumber].
 
    Element and attribute nodes carry an optional type annotation, the name
    of the schema type assigned by validation.  Unvalidated elements have no
@@ -39,10 +46,10 @@ and desc =
 
 (* Ids are drawn from a process-global atomic counter: node construction
    happens concurrently on server worker domains (element constructors
-   copy and renumber trees mid-query), and torn or duplicated ids would
-   silently break document-order comparison.  [renumber] reserves its
-   whole block in one fetch-and-add so a subtree's ids stay consecutive
-   even while other domains allocate. *)
+   build and number trees mid-query), and torn or duplicated ids would
+   silently break document-order comparison.  A numbering pass reserves
+   its whole block in one fetch-and-add so a subtree's ids stay
+   consecutive even while other domains allocate. *)
 let counter = Stdlib.Atomic.make 0
 
 let fresh_id () = Stdlib.Atomic.fetch_and_add counter 1 + 1
@@ -56,6 +63,9 @@ let release_ids ~from ~until =
 
 let mk desc = { nid = fresh_id (); parent = None; extent = 0; desc }
 
+(* A leaf is its own whole subtree, so its extent is known at once. *)
+let mk_leaf desc = { nid = fresh_id (); parent = None; extent = 1; desc }
+
 let document ?uri children =
   let d = mk (Document { dchildren = children; duri = uri }) in
   List.iter (fun c -> c.parent <- Some d) children;
@@ -68,11 +78,11 @@ let element ?annot name ~attrs ~children =
   e
 
 let attribute ?annot name value =
-  mk (Attribute { aname = name; avalue = value; aannot = annot })
+  mk_leaf (Attribute { aname = name; avalue = value; aannot = annot })
 
-let text s = mk (Text s)
-let comment s = mk (Comment s)
-let pi target pdata = mk (Pi { target; pdata })
+let text s = mk_leaf (Text s)
+let comment s = mk_leaf (Comment s)
+let pi target pdata = mk_leaf (Pi { target; pdata })
 
 type kind = Kdocument | Kelement | Kattribute | Ktext | Kcomment | Kpi
 
@@ -159,36 +169,83 @@ let typed_value n : Atomic.t =
       | Some tn -> ( try Atomic.cast tn (Atomic.Untyped sv) with Atomic.Cast_error _ -> Atomic.Untyped sv)
       | None -> Atomic.Untyped sv)
 
-(* Deep copy with fresh node ids: XQuery element constructors copy their
-   content, which is why construction shows up in the paper's profiles. *)
-let rec copy n =
-  match n.desc with
-  | Document d -> document ?uri:d.duri (List.map copy d.dchildren)
+(* Unnumbered ("fresh") nodes.  A bottom-up builder assembles its tree
+   from fresh nodes — [nid <= 0], [extent] already the exact subtree count
+   — and numbers the finished tree once with [number_fresh]: one
+   fetch-and-add for the whole block and one preorder walk.  New fresh
+   nodes carry nid 0; fresh copies carry [copied_nid], so
+   the numbering walk can report how many of the nodes it numbered were
+   copies without a counter per node. *)
+let copied_nid = -1
+
+let is_fresh n = n.nid <= 0
+
+let fresh desc =
+  let n = { nid = 0; parent = None; extent = 1; desc } in
+  let own c =
+    c.parent <- Some n;
+    n.extent <- n.extent + c.extent
+  in
+  (match desc with
+  | Document d -> List.iter own d.dchildren
   | Element e ->
-      element ?annot:e.eannot e.ename ~attrs:(List.map copy e.attrs)
-        ~children:(List.map copy e.children)
-  | Attribute a -> attribute ?annot:a.aannot a.aname a.avalue
-  | Text s -> text s
-  | Comment s -> comment s
-  | Pi p -> pi p.target p.pdata
+      List.iter own e.attrs;
+      List.iter own e.children
+  | Attribute _ | Text _ | Comment _ | Pi _ -> ());
+  n
 
-(* Re-assign node ids in document order (preorder; attributes between the
-   element and its children).  Trees are built bottom-up by the
-   constructors and the generators, so each construction boundary
-   renumbers the finished subtree to restore the preorder invariant (the
-   parser builds top-down and assigns final ids as it goes).
+(* Deep copy into fresh nodes: XQuery element constructors copy their
+   content, which is why construction shows up in the paper's profiles.
+   Immutable payloads (text, comment, PI) are shared with the source. *)
+let rec copy_fresh n =
+  let c =
+    fresh
+      (match n.desc with
+      | Document d -> Document { dchildren = List.map copy_fresh d.dchildren; duri = d.duri }
+      | Element e ->
+          Element
+            {
+              ename = e.ename;
+              attrs = List.map copy_fresh e.attrs;
+              children = List.map copy_fresh e.children;
+              eannot = e.eannot;
+            }
+      | Attribute a -> Attribute { aname = a.aname; avalue = a.avalue; aannot = a.aannot }
+      | (Text _ | Comment _ | Pi _) as d -> d)
+  in
+  c.nid <- copied_nid;
+  c
 
-   The same pass caches each node's subtree extent: ids are drawn
-   consecutively from the global counter, so after renumbering the
-   subtree of [n] occupies exactly the id interval
+(* Assign consecutive preorder ids (node, then its attributes, then its
+   children) from one reserved block of [root.extent] ids.  Every extent
+   in the subtree must already be exact, as it is on a fresh tree; after
+   the walk the subtree of each [n] occupies exactly the id interval
    [n.nid, n.nid + n.extent) — the pre/size encoding the indexed store
-   answers axis steps against, and an O(1) [size]. *)
+   answers axis steps against.  Returns how many copied nodes it
+   numbered. *)
+let number_fresh (root : t) : int =
+  let next = ref (Stdlib.Atomic.fetch_and_add counter root.extent) in
+  let copies = ref 0 in
+  let rec assign n =
+    if n.nid = copied_nid then incr copies;
+    incr next;
+    n.nid <- !next;
+    List.iter assign (attributes n);
+    List.iter assign (children n)
+  in
+  assign root;
+  !copies
+
+(* A numbered deep copy: one copy walk, one numbering walk. *)
+let copy n =
+  let c = copy_fresh n in
+  ignore (number_fresh c);
+  c
+
+(* Re-number any tree — e.g. one assembled with the numbered
+   constructors above, whose extents are not yet known: cache every
+   extent, then number as a fresh tree. *)
 let renumber (root : t) : unit =
-  (* Two passes so the whole id block can be reserved atomically: the
-     first caches extents (also giving the block size), the second
-     assigns consecutive ids from the reserved range.  Per-node
-     fetch-and-add would interleave with other domains and break the
-     consecutive-interval invariant. *)
   let rec measure n =
     let sub = ref 1 in
     List.iter (fun a -> sub := !sub + measure a) (attributes n);
@@ -196,15 +253,8 @@ let renumber (root : t) : unit =
     n.extent <- !sub;
     !sub
   in
-  let total = measure root in
-  let next = ref (Stdlib.Atomic.fetch_and_add counter total) in
-  let rec assign n =
-    incr next;
-    n.nid <- !next;
-    List.iter assign (attributes n);
-    List.iter assign (children n)
-  in
-  assign root
+  ignore (measure root);
+  ignore (number_fresh root)
 
 (* Gap-reserving renumber for updatable documents (the update subsystem's
    nid allocator).  Same preorder discipline as [renumber], but every
@@ -326,14 +376,38 @@ let preceding_siblings n =
       in
       before [] (children p)
 
-(* Count of nodes in the subtree (attributes included).  O(1) once
-   [renumber] has cached the extent; the walk remains for trees (or
-   freshly copied subtrees) that have not been numbered yet, and does
-   not write the cache — only [renumber], which controls the ids the
-   extent is an interval over, is allowed to. *)
+(* Count of nodes in the subtree (attributes included).  O(1) once the
+   extent is cached (by the parser, a numbering pass or a fresh
+   builder); the walk remains for trees assembled with the numbered
+   constructors and not yet renumbered, and does not write the cache. *)
 let rec size n =
   if n.extent > 0 then n.extent
   else 1 + List.length (attributes n) + List.fold_left (fun acc c -> acc + size c) 0 (children n)
 
-(* The pre/size interval of the subtree, when cached by [renumber]. *)
+(* The pre/size interval of the subtree, once the extent is cached. *)
 let subtree_interval n = if n.extent > 0 then Some (n.nid, n.nid + n.extent) else None
+
+(* The invariant every finished tree must satisfy: parent links agree
+   with the attribute and children lists, ids are consecutive in
+   preorder, every extent is the exact subtree count, and no node is
+   left unnumbered. *)
+let check_tree (root : t) : (unit, string) result =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+  let next = ref root.nid in
+  let rec go n =
+    if n.nid <= 0 then bad "unnumbered node (nid %d)" n.nid;
+    if n.nid <> !next then bad "id %d where preorder expects %d" n.nid !next;
+    incr next;
+    let own c =
+      (match c.parent with
+      | Some p when p == n -> ()
+      | _ -> bad "node %d is listed under %d but has another parent" c.nid n.nid);
+      go c
+    in
+    List.iter own (attributes n);
+    List.iter own (children n);
+    if n.extent <> !next - n.nid then
+      bad "extent %d of node %d, subtree has %d nodes" n.extent n.nid (!next - n.nid)
+  in
+  match go root with () -> Ok () | exception Bad m -> Error m

@@ -4,10 +4,11 @@
     integer id [nid] maintained in document (pre-)order, so document-order
     comparison — including between different documents — is an integer
     comparison.  The parser builds a document top-down and gives every
-    node its final preorder id and extent as it goes.  Constructors and
-    generators build bottom-up, so each such construction boundary calls
-    {!renumber} on the finished subtree to restore the preorder
-    invariant. *)
+    node its final preorder id and extent as it goes.  Bottom-up builders
+    (element constructors, copies, projections) assemble unnumbered
+    {e fresh} nodes, whose extents are exact from the start, and number
+    the finished tree once with {!number_fresh}.  A tree assembled from
+    the numbered constructors is numbered as a whole by {!renumber}. *)
 
 type qname = string
 
@@ -15,9 +16,9 @@ type t = {
   mutable nid : int;
   mutable parent : t option;
   mutable extent : int;
-      (** subtree node count (self + attributes + descendants) cached by
-          {!renumber} or set by the parser; 0 until computed.  After a
-          parse or a renumber of the containing root, the subtree of [n]
+      (** subtree node count (self + attributes + descendants), set by
+          the parser, a fresh builder or {!renumber}; 0 until computed.
+          Once the containing root is numbered, the subtree of [n]
           occupies exactly the id interval [n.nid, n.nid + n.extent) —
           the pre/size encoding. *)
   mutable desc : desc;
@@ -37,6 +38,9 @@ and desc =
   | Pi of { target : string; pdata : string }
 
 (** {1 Construction} *)
+
+(** Numbered constructors: each node draws its own id.  A tree assembled
+    from them needs {!renumber} before it is in document order. *)
 
 val document : ?uri:string -> t list -> t
 (** A document node owning the given children (parent pointers are set). *)
@@ -58,17 +62,36 @@ val release_ids : from:int -> until:int -> unit
     compare-and-set: nothing is returned if another domain drew ids
     since. *)
 
+(** {2 Fresh (unnumbered) trees} *)
+
+val fresh : desc -> t
+(** An unnumbered node ([nid = 0]) owning the attributes and children of
+    [desc]: their parent pointers are set, and [extent] is one plus their
+    extents, so they must be fresh themselves. *)
+
+val copy_fresh : t -> t
+(** Deep copy into fresh nodes — the copy performed by XQuery element
+    constructors.  Copied nodes are marked so {!number_fresh} can count
+    them. *)
+
+val is_fresh : t -> bool
+(** Not yet numbered: built by {!fresh} or {!copy_fresh} and not yet
+    passed to {!number_fresh}. *)
+
+val number_fresh : t -> int
+(** Give a fresh tree its ids: one fetch-and-add reserves [root.extent]
+    consecutive ids, one walk assigns them in document order (node, then
+    its attributes, then its children).  Returns how many of the
+    numbered nodes were copies made by {!copy_fresh}. *)
+
 val copy : t -> t
-(** Deep copy with fresh node ids — the copy performed by XQuery element
-    constructors.  Call {!renumber} on the surrounding tree afterwards if
-    preorder ids are required. *)
+(** Numbered deep copy: {!copy_fresh}, then {!number_fresh}. *)
 
 val renumber : t -> unit
-(** Re-assign ids across the subtree in document order (node, then its
-    attributes, then its children).  Ids are drawn consecutively, and the
-    same pass caches every node's subtree [extent], making {!size} O(1)
-    and enabling the interval descendant test
-    [anc.nid < n.nid && n.nid < anc.nid + anc.extent]. *)
+(** Re-assign ids across any subtree in document order.  Ids are drawn
+    consecutively, and the same pass caches every node's subtree
+    [extent], making {!size} O(1) and enabling the interval descendant
+    test [anc.nid < n.nid && n.nid < anc.nid + anc.extent]. *)
 
 val renumber_gapped : ?gap:int -> t -> unit
 (** Gap-reserving renumber for updatable documents: every insertion
@@ -138,10 +161,17 @@ val following_siblings : t -> t list
 val preceding_siblings : t -> t list
 
 val size : t -> int
-(** Number of nodes in the subtree (attributes included).  O(1) after
-    {!renumber} has cached the extent; otherwise a full walk. *)
+(** Number of nodes in the subtree (attributes included).  O(1) once the
+    extent is cached; otherwise a full walk. *)
 
 val subtree_interval : t -> (int * int) option
 (** [Some (lo, hi)] when the extent is cached: the subtree occupies
     exactly the ids [lo <= nid < hi] (valid as long as the containing
     root has not been renumbered since). *)
+
+val check_tree : t -> (unit, string) result
+(** The finished-tree invariant over the subtree of a node: parent links
+    agree with the attribute and children lists, ids are consecutive in
+    preorder starting at the node's own, every extent is the exact
+    subtree count, and no node is unnumbered.  [Error] names the first
+    violation. *)

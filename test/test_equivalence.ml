@@ -279,6 +279,41 @@ let test_pull_counts_match_materialized_cardinality () =
     (Xqc.serialize streamed_result);
   Alcotest.(check int) "same pull totals when fully consumed" materialized streamed
 
+(* Every node a workload query returns — constructed or selected from
+   the source document — must be a finished tree: parent links match the
+   child lists, ids are consecutive in preorder, extents are exact and
+   nothing is left unnumbered.  Checked for every strategy, streamed and
+   materialized. *)
+let check_result_trees ~var doc queries =
+  List.iter
+    (fun (name, q) ->
+      List.iter
+        (fun s ->
+          List.iter
+            (fun materialize ->
+              let items =
+                with_materialize materialize (fun () ->
+                    match
+                      Xqc.eval_string ~strategy:s ~variables:[ (var, [ Xqc.Item.Node doc ]) ] q
+                    with
+                    | items -> items
+                    | exception Xqc.Error _ -> [])
+              in
+              List.iter
+                (function
+                  | Xqc.Item.Node n -> (
+                      match Xqc.Node.check_tree n with
+                      | Ok () -> ()
+                      | Error m ->
+                          Alcotest.failf "%s / %s%s: %s" name (Xqc.strategy_name s)
+                            (if materialize then " materialized" else "")
+                            m)
+                  | Xqc.Item.Atom _ -> ())
+                items)
+            [ false; true ])
+        strategies)
+    queries
+
 let () =
   let xmark_doc () = Xqc_workload.Xmark.generate ~target_bytes:40_000 () in
   let clio_doc () = Xqc_workload.Clio.generate ~target_bytes:15_000 () in
@@ -413,5 +448,8 @@ let () =
                   if not (List.for_all (String.equal (List.hd results)) results)
                   then Alcotest.failf "Clio %s: strategies disagree" name)
                 Xqc_workload.Clio.all);
+          Alcotest.test_case "result trees are well formed" `Slow (fun () ->
+              check_result_trees ~var:"auction" (xmark_doc ()) xmark_queries;
+              check_result_trees ~var:"doc" (clio_doc ()) Xqc_workload.Clio.all);
         ] );
     ]

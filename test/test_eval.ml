@@ -272,6 +272,174 @@ let error_tests =
           | r -> Alcotest.failf "expected an error, got %S" r))
     errors
 
+(* ------------------------------------------------------------------ *)
+(* Identity of constructed nodes                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Serialized output cannot show a node shared by two parents, so these
+   cases assert identity and parent links directly, and every result
+   tree must pass [Node.check_tree].  Each runs under every strategy,
+   streamed and materialized. *)
+
+module N = Xqc.Node
+
+let modes =
+  List.concat_map (fun s -> [ (s, false); (s, true) ]) Xqc.all_strategies
+
+let mode_name (s, m) =
+  Printf.sprintf "%s, %s" (Xqc.strategy_name s) (if m then "materialized" else "streamed")
+
+let run_in (s, materialize) q =
+  let saved = !Xqc.Eval.force_materialize in
+  Xqc.Eval.force_materialize := materialize;
+  Fun.protect
+    ~finally:(fun () -> Xqc.Eval.force_materialize := saved)
+    (fun () -> Xqc.eval_string ~strategy:s ~variables:[ ("d", [ Xqc.Item.Node doc ]) ] q)
+
+let check_trees what items =
+  List.iter
+    (function
+      | Xqc.Item.Node n -> (
+          match N.check_tree n with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "%s: %s" what m)
+      | Xqc.Item.Atom _ -> ())
+    items
+
+let single_node what = function
+  | [ Xqc.Item.Node n ] -> n
+  | items -> Alcotest.failf "%s: expected one node, got %d items" what (List.length items)
+
+let child_elements n = List.filter (fun c -> N.kind c = N.Kelement) (N.children n)
+
+(* [check] gets the result items of [q] in every mode. *)
+let identity_case name q check =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%s (%s)" name (mode_name mode) in
+          let items = run_in mode q in
+          check_trees what items;
+          check what items)
+        modes)
+
+let expect_serialized expected what items =
+  Alcotest.(check string) what expected (Xqc.serialize items)
+
+(* Unnested FLWORs whose GroupBy aggregate must not be adopted: read
+   twice, carried through a product, or duplicated by a dependent join. *)
+let grouped_pets = {|(for $q in $d//pet where $q/.. is $p return <x>{$q/text()}</x>)|}
+
+let identity_queries =
+  [
+    identity_case "variable is copied, not moved"
+      "let $x := <a/> return (empty($x/..), <b>{$x}</b>/a is $x)"
+      (expect_serialized "true false");
+    identity_case "one node twice in content is copied twice"
+      "let $c := <c/> return <r>{$c}{$c}</r>" (fun what items ->
+        let r = single_node what items in
+        match child_elements r with
+        | [ c1; c2 ] ->
+            Alcotest.(check bool) (what ^ ": distinct children") false (c1 == c2);
+            List.iter
+              (fun c ->
+                Alcotest.(check bool) (what ^ ": parent is r") true
+                  (match N.parent c with Some p -> p == r | None -> false))
+              [ c1; c2 ]
+        | l -> Alcotest.failf "%s: expected two c children, got %d" what (List.length l));
+    identity_case "parent links of nested constructors" "(<a><b><c/></b></a>//c/../..)"
+      (fun what items ->
+        let a = single_node what items in
+        Alcotest.(check (option string)) (what ^ ": name") (Some "a") (N.name a);
+        Alcotest.(check bool) (what ^ ": a is the root") true (N.parent a = None);
+        match child_elements a with
+        | [ b ] -> (
+            Alcotest.(check bool) (what ^ ": b under a") true
+              (match N.parent b with Some p -> p == a | None -> false);
+            match child_elements b with
+            | [ c ] ->
+                Alcotest.(check bool) (what ^ ": c under b") true
+                  (match N.parent c with Some p -> p == b | None -> false)
+            | _ -> Alcotest.failf "%s: b should have one child" what)
+        | _ -> Alcotest.failf "%s: a should have one child" what);
+    identity_case "nested constructor result is its own root"
+      "let $a := <a><b><c/></b></a> return ($a//c/../.. is $a, <w>{$a}</w>/a is $a)"
+      (expect_serialized "true false");
+    identity_case "grouped aggregate read twice"
+      ("for $p in $d//person let $ps := " ^ grouped_pets ^ " return <r>{$ps}{$ps}</r>")
+      (expect_serialized
+         "<r><x>cat</x><x>dog</x><x>cat</x><x>dog</x></r><r/>");
+    identity_case "grouped aggregate through a product"
+      ("for $p in $d//person let $ps := " ^ grouped_pets
+     ^ " for $n in $d//n return <r>{$ps}</r>")
+      (expect_serialized
+         "<r><x>cat</x><x>dog</x></r><r><x>cat</x><x>dog</x></r><r><x>cat</x><x>dog</x></r><r/><r/><r/>");
+    identity_case "grouped constructor through a dependent join"
+      ("for $r in (for $p in $d//person let $ps := " ^ grouped_pets
+     ^ " return <r>{$ps}</r>), $m in $d//n return <s>{$r}</s>")
+      (expect_serialized
+         "<s><r><x>cat</x><x>dog</x></r></s><s><r><x>cat</x><x>dog</x></r></s><s><r><x>cat</x><x>dog</x></r></s><s><r/></s><s><r/></s><s><r/></s>");
+    identity_case "document constructor" "document { <r><a/>{1}</r>, <s/> }"
+      (fun what items ->
+        expect_serialized "<r><a/>1</r><s/>" what items;
+        let d = single_node what items in
+        Alcotest.(check bool) (what ^ ": document node") true (N.kind d = N.Kdocument));
+    identity_case "computed attribute and text content"
+      {|<e>{attribute k { <v>4</v>, 2 }}{text { <t>x</t>, "y" }}</e>|}
+      (expect_serialized {|<e k="4 2">x y</e>|});
+  ]
+
+(* At the plan level: a GroupBy read once by the MapToItem it feeds
+   builds its aggregate fresh, so the enclosing constructor adopts it and
+   copies nothing; a Materialize between the two forces the copy. *)
+let test_materialize_forces_copy () =
+  let open Xqc.Algebra in
+  let rows =
+    Xqc.parse_document {|<t><row k="1" v="a"/><row k="1" v="b"/><row k="2" v="c"/></t>|}
+  in
+  let attr name = Call ("fn:data", [ TreeJoin (Xqc.Ast.Attribute_axis, Xqc.Ast.Name_test name, Input) ]) in
+  let g =
+    {
+      g_agg = "agg";
+      g_indices = [ "k" ];
+      g_nulls = [];
+      g_post = Input;
+      g_pre = Element ("x", FieldAccess "v");
+    }
+  in
+  let logical =
+    Element
+      ( "w",
+        MapToItem
+          ( Element ("r", FieldAccess "agg"),
+            GroupBy
+              ( g,
+                MapFromItem
+                  ( TupleConstruct [ ("k", attr "k"); ("v", attr "v") ],
+                    TreeJoin (Xqc.Ast.Child, Xqc.Ast.Name_test "row", Var "t") ) ) ) )
+  in
+  let planned = Xqc.Planner.plan logical in
+  let rec cut (p : Xqc.Physical.t) : Xqc.Physical.t =
+    match p.Xqc.Physical.pop with
+    | Xqc.Physical.PElement (n, c) -> { p with pop = PElement (n, cut c) }
+    | Xqc.Physical.PMapToItem (dep, input) ->
+        { p with pop = PMapToItem (dep, { input with pop = PMaterialize input }) }
+    | _ -> Alcotest.fail "unexpected plan shape"
+  in
+  let copies p =
+    let ctx = Xqc.Dynamic_ctx.create () in
+    Xqc.Dynamic_ctx.bind_global ctx "t" [ Xqc.Item.Node (List.hd (N.children rows)) ];
+    let before = Xqc.Obs.counter_value (Xqc.Obs.global_counter "construct_nodes_copied") in
+    let comp, _ = Xqc.Eval.compile (Xqc.Eval.top_env p) p in
+    let items = Xqc.Eval.as_items (comp ctx Xqc.Eval.INone) in
+    check_trees "plan result" items;
+    Alcotest.(check string) "result" "<w><r><x>a</x><x>b</x></r><r><x>c</x></r></w>"
+      (Xqc.serialize items);
+    Xqc.Obs.counter_value (Xqc.Obs.global_counter "construct_nodes_copied") - before
+  in
+  Alcotest.(check int) "direct GroupBy: adopted, nothing copied" 0 (copies planned);
+  Alcotest.(check int) "behind Materialize: each x copied with its text" 6 (copies (cut planned))
+
 let () =
   Alcotest.run "eval"
     [
@@ -288,4 +456,7 @@ let () =
       ("user functions", List.map expect user_functions);
       ("predicate edge cases", List.map expect predicate_edge_cases);
       ("errors", error_tests);
+      ( "constructed node identity",
+        identity_queries
+        @ [ Alcotest.test_case "materialize forces a copy" `Quick test_materialize_forces_copy ] );
     ]

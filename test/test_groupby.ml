@@ -35,7 +35,8 @@ let ctx =
   c
 
 let run_table (p : plan) : Eval.tuple list =
-  let comp, _ = Eval.compile { Eval.layout = []; drain = true } (Planner.plan p) in
+  let pp = Planner.plan p in
+  let comp, _ = Eval.compile (Eval.top_env pp) pp in
   match comp ctx Eval.INone with
   | Eval.Tab t -> List.of_seq t
   | Eval.Xml _ -> Alcotest.fail "expected a table"

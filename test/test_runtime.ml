@@ -9,7 +9,8 @@ let ctx = Dynamic_ctx.create ()
 (* logical plans built by hand go through the (statistics-free) default
    planner before compilation, like the real pipeline *)
 let run (p : plan) : Eval.dval =
-  let comp, _ = Eval.compile { Eval.layout = []; drain = true } (Planner.plan p) in
+  let pp = Planner.plan p in
+  let comp, _ = Eval.compile (Eval.top_env pp) pp in
   comp ctx Eval.INone
 
 let run_items p = match run p with Eval.Xml s -> s | Eval.Tab _ -> Alcotest.fail "expected items"
@@ -37,7 +38,8 @@ let test_concat_spec () =
   Alcotest.(check (list (pair int int))) "merge moves" [ (0, 1); (1, 2) ] (Array.to_list moves2)
 
 let test_slot_resolution_error () =
-  match Eval.compile { Eval.layout = [ "a" ]; drain = true } (Planner.plan (FieldAccess "nosuch")) with
+  let pp = Planner.plan (FieldAccess "nosuch") in
+  match Eval.compile { (Eval.top_env pp) with Eval.layout = [ "a" ] } pp with
   | exception Eval.Compile_error _ -> ()
   | _ -> Alcotest.fail "expected a compile error for an unknown field"
 

@@ -160,6 +160,28 @@ let test_json_roundtrip () =
       | _ -> Alcotest.failf "accepted malformed input %S" bad)
     [ "{"; "[1,]"; "{\"a\":1"; "tru"; "1 2"; "\"unterminated" ]
 
+(* Nesting is capped: a deeply nested request is refused as a bad
+   request instead of overflowing the stack, and the connection and the
+   server keep serving.  The nested array is well-formed, so without the
+   cap the request would parse and run. *)
+let test_deep_nesting_refused () =
+  let depth = 200_000 in
+  (match Json_parse.parse (String.make depth '[') with
+  | exception Json_parse.Parse_error _ -> ()
+  | _ -> Alcotest.fail "accepted unterminated nested arrays");
+  with_server ~workers:1 ~preload:[] @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let nested = String.make depth '[' ^ String.make depth ']' in
+  output_string c.Client.oc
+    (Printf.sprintf {|{"op":"query","q":"1+1","id":1,"pad":%s}|} nested);
+  output_char c.Client.oc '\n';
+  flush c.Client.oc;
+  let reply = Json_parse.parse (input_line c.Client.ic) in
+  Alcotest.(check string) "status" "error" (jstr "reply" "status" reply);
+  Alcotest.(check string) "code" "bad_request" (jstr "reply" "code" reply);
+  Alcotest.(check string) "next query" "2" (check_ok "1+1" (Client.query c "1+1"))
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent correctness                                              *)
 (* ------------------------------------------------------------------ *)
@@ -669,7 +691,11 @@ let test_parallel_prepare_deterministic () =
 let () =
   Alcotest.run "server"
     [
-      ("wire", [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip ]);
+      ( "wire",
+        [
+          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "deep nesting refused" `Quick test_deep_nesting_refused;
+        ] );
       ( "service",
         [
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;

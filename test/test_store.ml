@@ -178,7 +178,7 @@ let test_copy_is_independent () =
 let test_constructed_trees () =
   with_index_mode Store.Force (fun () ->
       let d = doc () in
-      (* constructors copy + renumber their content: the fresh tree must
+      (* constructors copy their content into a newly numbered tree: it must
          be indexed on its own, not through the source document's index.
          $d//b selects 4 nodes of which one pair nests, so the copies in
          <r> contain the inner b twice: 5 *)
