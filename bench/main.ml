@@ -25,10 +25,6 @@
      main.exe fused     — fused-tier microbenchmark: scan/filter/
                           aggregate queries with the bytecode tier
                           forced on vs off; --json=FILE
-     main.exe scale     — intra-query parallelism: scan/join/aggregate
-                          queries at domain budgets 1/2/4, speedups and
-                          partition-task counts; writes
-                          bench/BENCH_scale.json (or --json=FILE)
      main.exe update    — update microbenchmark: small XQUF updates on a
                           1MB XMark document, incremental index
                           maintenance vs reparse-on-write; writes
@@ -301,25 +297,7 @@ let ablation () =
   in
   row "XMark Q8 (equi-join + group-by), 1MB" xctx (Xqc_workload.Xmark_queries.q8);
   row "XMark Q12 (inequality join -> sort join), 1MB" xctx (Xqc_workload.Xmark_queries.q12);
-  row "Clio N3 (3-way join, triple nesting), 250KB" dctx Xqc_workload.Clio.n3;
-  (* document projection (Marian-Simeon), measured on parse + narrow query *)
-  Printf.printf "Document projection: XMark Q6 (count of items), 2MB
-";
-  let xdoc2 = Xqc_workload.Xmark.generate ~target_bytes:2_000_000 () in
-  let ctx2 = make_xmark_ctx xdoc2 in
-  Printf.printf "  %-26s %s
-" "without projection"
-    (cell (fun () ->
-         for _ = 1 to 50 do
-           ignore (Xqc.run (Xqc.prepare (Xqc_workload.Xmark_queries.find "Q6")) ctx2)
-         done));
-  Printf.printf "  %-26s %s
-" "with projection (amortized)"
-    (cell (fun () ->
-         let p = Xqc.prepare ~project:true (Xqc_workload.Xmark_queries.find "Q6") in
-         for _ = 1 to 50 do
-           ignore (Xqc.run p ctx2)
-         done))
+  row "Clio N3 (3-way join, triple nesting), 250KB" dctx Xqc_workload.Clio.n3
 
 (* ------------------------------------------------------------------ *)
 (* Per-query metric records (observability)                            *)
@@ -892,141 +870,6 @@ let micro () =
     (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
-(* Intra-query parallelism scaling                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Scan-, join- and aggregate-shaped queries on a ~1MB XMark document at
-   domain budgets 1, 2 and 4.  Per (query, degree): best warm time, the
-   speedup against degree 1, and the par_tasks counter delta (how many
-   partition tasks actually ran — 0 means the planner or the width gate
-   kept the query sequential).  Every degree's serialized result is
-   asserted byte-equal to the sequential reference before the record is
-   written, so the snapshot doubles as a correctness check.
-
-   Note: speedups are hardware-dependent — on a single-core container
-   (Domain.recommended_domain_count () = 1) the partitioned runs still
-   execute (the budget is forced), but all partitions share one core, so
-   expect ~1.0x and read the par_tasks column instead. *)
-let scale_bench () =
-  let module Obs = Xqc_obs.Obs in
-  (* 2MB, not 1MB: with the structural index built, the planner's
-     par_threshold (1000 estimated rows) honestly keeps the 1MB join
-     inputs (~600 persons + ~230 closed auctions) sequential; at 2MB
-     the scan, join and aggregate inputs all clear the gate. *)
-  let size = 2_000_000 in
-  let warm_runs = 5 in
-  let degrees = [ 1; 2; 4 ] in
-  let doc = Xqc_workload.Xmark.generate ~seed:42 ~target_bytes:size () in
-  let ctx = make_xmark_ctx doc in
-  let queries =
-    [
-      ("scan-names", "$auction/site/regions//item/name");
-      ("scan-count", "count($auction/site/regions//item/name)");
-      ( "filter-scan",
-        {|for $i in $auction/site/regions//item
-          where $i/location = "United States" return $i/name|} );
-      ( "agg-sum",
-        {|sum(for $c in $auction/site/closed_auctions/closed_auction
-             return $c/price)|} );
-      ("join-Q8", Xqc_workload.Xmark_queries.q8);
-      ("join-Q9", Xqc_workload.Xmark_queries.q9);
-    ]
-  in
-  let out, close_out_fn =
-    match !metrics_json_file with
-    | None -> (stdout, fun () -> ())
-    | Some path ->
-        let oc = open_out_bin path in
-        (oc, fun () -> close_out oc)
-  in
-  Printf.eprintf
-    "=== Parallel scaling: %dKB XMark document, domain budget 1/2/4 ===\n"
-    (size / 1000);
-  Printf.eprintf "(host reports %d core(s))\n"
-    (Domain.recommended_domain_count ());
-  Printf.eprintf "%-12s %6s %10s %10s %9s %8s\n" "query" "degree" "cold_ms"
-    "warm_ms" "speedup" "tasks";
-  let counter name = List.assoc name (Obs.global_counters ()) in
-  let records =
-    List.concat_map
-      (fun (qname, q) ->
-        let reference = ref "" in
-        let base_warm = ref 0.0 in
-        List.map
-          (fun degree ->
-            (* budget before prepare: the planner reads the query degree
-               when it annotates the plan *)
-            Xqc.Domain_pool.set_budget (Some degree);
-            let prepared = Xqc.prepare q in
-            let tasks0 = counter "par_tasks" in
-            let t0 = Unix.gettimeofday () in
-            let result = Xqc.run prepared ctx in
-            let cold = (Unix.gettimeofday () -. t0) *. 1000.0 in
-            let warm = ref infinity in
-            for _ = 1 to warm_runs do
-              let t0 = Unix.gettimeofday () in
-              ignore (Xqc.run prepared ctx);
-              warm := Float.min !warm ((Unix.gettimeofday () -. t0) *. 1000.0)
-            done;
-            let tasks = counter "par_tasks" - tasks0 in
-            let rendered = Xqc.serialize result in
-            if degree = 1 then (
-              reference := rendered;
-              base_warm := !warm)
-            else if rendered <> !reference then (
-              Printf.eprintf
-                "FAIL: %s at degree %d disagrees with the sequential result\n"
-                qname degree;
-              Stdlib.exit 1);
-            let speedup = !base_warm /. Float.max !warm 0.0001 in
-            Printf.eprintf "%-12s %6d %10.3f %10.4f %8.2fx %8d\n" qname degree
-              cold !warm speedup tasks;
-            Obs.Obj
-              [
-                ("bench", Obs.Str "scale");
-                ("query", Obs.Str qname);
-                ("degree", Obs.Int degree);
-                ("cold_ms", Obs.Float cold);
-                ("warm_ms", Obs.Float !warm);
-                ("speedup", Obs.Float speedup);
-                ("par_tasks", Obs.Int tasks);
-                ("result_items", Obs.Int (List.length result));
-              ])
-          degrees)
-      queries
-  in
-  Xqc.Domain_pool.set_budget None;
-  let record =
-    Obs.Obj
-      [
-        ("bench", Obs.Str "scale");
-        ("doc_bytes", Obs.Int size);
-        ("degrees", Obs.Arr (List.map (fun d -> Obs.Int d) degrees));
-        ("recommended_domains", Obs.Int (Domain.recommended_domain_count ()));
-        ("runs", Obs.Arr records);
-      ]
-  in
-  let path =
-    match !metrics_json_file with
-    | Some _ -> None (* per-run records already streamed to --json=FILE *)
-    | None -> Some "bench/BENCH_scale.json"
-  in
-  (match path with
-  | Some p -> (
-      try
-        let oc = open_out_bin p in
-        output_string oc (Obs.json_to_string record);
-        output_char oc '\n';
-        close_out oc;
-        Printf.eprintf "wrote %s\n%!" p
-      with Sys_error m -> Printf.eprintf "could not write %s: %s\n%!" p m)
-  | None ->
-      output_string out (Obs.json_to_string record);
-      output_char out '\n');
-  flush out;
-  close_out_fn ()
-
-(* ------------------------------------------------------------------ *)
 (* Query-service throughput and latency                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1424,7 +1267,6 @@ let () =
     | "fused" -> fused_bench ()
     | "planner" -> planner_bench ()
     | "micro" -> micro ()
-    | "scale" -> scale_bench ()
     | "update" -> update_bench ()
     | "serve" -> serve_bench ()
     | "all" ->
@@ -1436,7 +1278,7 @@ let () =
         ablation ()
     | other ->
         Printf.eprintf
-          "unknown benchmark %S (expected table3|table4|table5|figure4|saxon|ablation|metrics|early-exit|axis-index|fused|planner|micro|scale|update|serve|all)\n"
+          "unknown benchmark %S (expected table3|table4|table5|figure4|saxon|ablation|metrics|early-exit|axis-index|fused|planner|micro|update|serve|all)\n"
           other;
         Stdlib.exit 1
   in

@@ -31,12 +31,6 @@ let strategy_arg =
           "Engine configuration: no-algebra, saxon-like, no-optim, nl, or \
            optim (default).")
 
-let project_arg =
-  Arg.(
-    value & flag
-    & info [ "project" ]
-        ~doc:"Prune document variables to statically inferred projection paths before evaluation.")
-
 let no_fuse_arg =
   Arg.(
     value & flag
@@ -44,18 +38,6 @@ let no_fuse_arg =
         ~doc:
           "Disable the fused execution tier: run every pipeline through the \
            closure interpreter (equivalent to XQC_FUSE=off).")
-
-let par_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "par" ] ~docv:"N"
-        ~doc:
-          "Intra-query parallelism: total domain budget for partitioned \
-           scans, joins and aggregates (overrides XQC_PAR; 1 disables; \
-           default: XQC_PAR, else the hardware core count).")
-
-let apply_par par = Option.iter (fun n -> Xqc.Domain_pool.set_budget (Some n)) par
 
 let collections_arg =
   Arg.(
@@ -168,7 +150,7 @@ let write_stats_json prepared path =
   | None, _ -> ()
 
 let run_cmd =
-  let action strategy project no_fuse par indent stats stats_json query
+  let action strategy no_fuse indent stats stats_json query
       query_file docs vars collections =
     match load_query query query_file with
     | Error m ->
@@ -177,10 +159,9 @@ let run_cmd =
     | Ok q -> (
         try
           if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
-          apply_par par;
           let ctx = make_context ~collections docs vars in
           let stats = stats || stats_json <> None in
-          let prepared = Xqc.prepare ~strategy ~project ~stats q in
+          let prepared = Xqc.prepare ~strategy ~stats q in
           let result = Xqc.run prepared ctx in
           print_endline
             (if indent then Xqc.Serializer.sequence_to_string_indented result
@@ -199,8 +180,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Evaluate a query and print the serialized result.")
     Term.(
-      const action $ strategy_arg $ project_arg $ no_fuse_arg $ par_arg
-      $ indent_arg $ stats_arg $ stats_json_arg $ query_arg
+      const action $ strategy_arg $ no_fuse_arg $ indent_arg $ stats_arg $ stats_json_arg $ query_arg
       $ query_file_arg $ docs_arg $ vars_arg $ collections_arg)
 
 let explain_cmd =
@@ -213,7 +193,7 @@ let explain_cmd =
              and print phase timings, per-operator runtime statistics, and \
              the rewrite-rule trace instead of the static report.")
   in
-  let action strategy project no_fuse analyze stats_json query
+  let action strategy no_fuse analyze stats_json query
       query_file docs vars collections =
     match load_query query query_file with
     | Error m ->
@@ -224,7 +204,7 @@ let explain_cmd =
           if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
           if analyze then begin
             let ctx = make_context ~collections docs vars in
-            let prepared = Xqc.prepare ~strategy ~project ~stats:true q in
+            let prepared = Xqc.prepare ~strategy ~stats:true q in
             ignore (Xqc.run prepared ctx);
             print_string (Xqc.explain_analyze prepared);
             Option.iter (write_stats_json prepared) stats_json
@@ -247,7 +227,7 @@ let explain_cmd =
           the query and print the EXPLAIN ANALYZE report (annotated plan \
           with per-operator calls, time and cardinality).")
     Term.(
-      const action $ strategy_arg $ project_arg $ no_fuse_arg $ analyze_arg
+      const action $ strategy_arg $ no_fuse_arg $ analyze_arg
       $ stats_json_arg $ query_arg $ query_file_arg $ docs_arg $ vars_arg
       $ collections_arg)
 
@@ -405,11 +385,10 @@ let serve_cmd =
           ~doc:"Queue-depth/inflight gauge sampling period.")
   in
   let action unix_socket host port workers queue_depth timeout_ms preload
-      strategy no_fuse par verbose trace_sample slow_ms slow_log
+      strategy no_fuse verbose trace_sample slow_ms slow_log
       no_slow_analyze gauge_interval_ms =
     try
       if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
-      apply_par par;
       let preload =
         List.map
           (fun spec ->
@@ -458,7 +437,7 @@ let serve_cmd =
     Term.(
       const action $ unix_socket_arg $ host_arg $ port_arg $ workers_arg
       $ queue_arg $ timeout_arg $ preload_arg $ strategy_arg $ no_fuse_arg
-      $ par_arg $ verbose_arg $ trace_sample_arg $ slow_ms_arg
+      $ verbose_arg $ trace_sample_arg $ slow_ms_arg
       $ slow_log_arg $ no_slow_analyze_arg
       $ gauge_interval_arg)
 

@@ -46,9 +46,8 @@ and plan =
   | Text of plan
   | Comment of plan
   | Pi of string * plan
-  (* --- navigation, projection --- *)
+  (* --- navigation --- *)
   | TreeJoin of Ast.axis * Ast.node_test * plan
-  | TreeProject of (Ast.axis * Ast.node_test) list list * plan
   (* --- type operators --- *)
   | Castable of Atomic.type_name * bool * plan
   | Cast of Atomic.type_name * bool * plan
@@ -102,7 +101,7 @@ let children_of (p : plan) : plan list =
   | Input | Empty | Scalar _ | Var _ | FieldAccess _ -> []
   | Seq (a, b) -> [ a; b ]
   | Element (_, a) | Attribute (_, a) | Text a | Comment a | Pi (_, a) -> [ a ]
-  | TreeJoin (_, _, a) | TreeProject (_, a) -> [ a ]
+  | TreeJoin (_, _, a) -> [ a ]
   | Castable (_, _, a) | Cast (_, _, a) | Validate a | TypeMatches (_, a)
   | TypeAssert (_, a) ->
       [ a ]
@@ -138,7 +137,6 @@ let rec map_children (f : plan -> plan) (p : plan) : plan =
   | Comment a -> Comment (f a)
   | Pi (n, a) -> Pi (n, f a)
   | TreeJoin (ax, t, a) -> TreeJoin (ax, t, f a)
-  | TreeProject (paths, a) -> TreeProject (paths, f a)
   | Castable (tn, o, a) -> Castable (tn, o, f a)
   | Cast (tn, o, a) -> Cast (tn, o, f a)
   | Validate a -> Validate (f a)

@@ -59,10 +59,9 @@ and plan =
   | Text of plan
   | Comment of plan
   | Pi of string * plan
-  (* navigation and projection *)
+  (* navigation *)
   | TreeJoin of Ast.axis * Ast.node_test * plan
       (** set-at-a-time navigation: document-ordered, duplicate-free *)
-  | TreeProject of (Ast.axis * Ast.node_test) list list * plan
   (* type operators *)
   | Castable of Atomic.type_name * bool * plan  (** bool: "?" allowed *)
   | Cast of Atomic.type_name * bool * plan

@@ -88,16 +88,8 @@ and pop =
   (* navigation: a maximal TreeJoin chain, fused, each step carrying its
      index-vs-walk decision.  [ordered] states the chain preserves
      document order when streamed item by item (the static condition the
-     cursor pipeline needs).  [par > 1] marks the chain eligible for
-     partitioned execution: the strict evaluator may split the context
-     node set (or the head step's nid range) into up to [par] contiguous
-     pre-order partitions evaluated in parallel — contiguity preserves
-     per-partition document order by construction, and a closing
-     sorted-merge restores the global order on the rare nesting cases.
-     The runtime still gates on the actual input width, so [par] is a
-     budget, not a command. *)
-  | PSteps of { steps : pstep list; ordered : bool; par : int; input : t }
-  | PTreeProject of (Ast.axis * Ast.node_test) list list * t
+     cursor pipeline needs). *)
+  | PSteps of { steps : pstep list; ordered : bool; input : t }
   (* type operators *)
   | PCastable of Atomic.type_name * bool * t
   | PCast of Atomic.type_name * bool * t
@@ -131,10 +123,6 @@ and pop =
   | PHashJoin of {
       outer : field option;
       build : build_side;
-      par : int;
-          (** partition budget: [> 1] lets the evaluator hash-partition
-              the build side and split the probe side into contiguous
-              chunks probed in parallel, merged back in probe order *)
       left_key : t;
       right_key : t;
       left : t;
@@ -192,7 +180,6 @@ let children (p : t) : t list =
   | PElement (_, a) | PAttribute (_, a) | PText a | PComment a | PPi (_, a) ->
       [ a ]
   | PSteps { input; _ } -> [ input ]
-  | PTreeProject (_, a) -> [ a ]
   | PCastable (_, _, a) | PCast (_, _, a) | PValidate a | PTypeMatches (_, a)
   | PTypeAssert (_, a) ->
       [ a ]
@@ -227,15 +214,3 @@ let rec size (p : t) : int = 1 + List.fold_left (fun n c -> n + size c) 0 (child
 
 let rec fold (f : 'a -> t -> 'a) (acc : 'a) (p : t) : 'a =
   List.fold_left (fold f) (f acc p) (children p)
-
-(* Largest partition budget annotated anywhere in the plan — what the
-   fused execution tier consults before splitting a lowered program
-   (the lowering erases operator boundaries, so the annotation is
-   recovered from the source subplan). *)
-let max_par (p : t) : int =
-  fold
-    (fun acc n ->
-      match n.pop with
-      | PSteps { par; _ } | PHashJoin { par; _ } -> max acc par
-      | _ -> acc)
-    1 p

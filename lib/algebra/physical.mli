@@ -74,13 +74,9 @@ and pop =
   | PText of t
   | PComment of t
   | PPi of string * t
-  | PSteps of { steps : pstep list; ordered : bool; par : int; input : t }
+  | PSteps of { steps : pstep list; ordered : bool; input : t }
       (** a maximal fused TreeJoin chain; [ordered] = streaming the chain
-          item by item preserves document order; [par > 1] = the strict
-          evaluator may split the context set into up to [par] contiguous
-          pre-order partitions evaluated in parallel (runtime-gated on
-          actual width) *)
-  | PTreeProject of (Ast.axis * Ast.node_test) list list * t
+          item by item preserves document order *)
   | PCastable of Atomic.type_name * bool * t
   | PCast of Atomic.type_name * bool * t
   | PValidate of t
@@ -107,10 +103,6 @@ and pop =
   | PHashJoin of {
       outer : field option;
       build : build_side;
-      par : int;
-          (** [> 1]: hash-partition the build side and probe contiguous
-              chunks of the probe side in parallel, merging in probe
-              order *)
       left_key : t;
       right_key : t;
       left : t;
@@ -155,8 +147,3 @@ val step_impl_name : step_impl -> string
 val children : t -> t list
 val size : t -> int
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
-
-val max_par : t -> int
-(** Largest partition budget annotated anywhere in the plan (1 = fully
-    sequential) — consulted by the fused execution tier, whose lowering
-    erases the operator boundaries the annotation sits on. *)

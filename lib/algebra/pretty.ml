@@ -47,7 +47,6 @@ let rec pp ?(indent = 0) ppf (p : plan) =
       op "TreeJoin"
         (Printf.sprintf "%s::%s" (Ast.axis_to_string axis) (Ast.node_test_to_string test))
         [] [ i ]
-  | TreeProject (_, i) -> op "TreeProject" "paths" [] [ i ]
   | Castable (tn, _, i) -> op "Castable" (Atomic.type_name_to_string tn) [] [ i ]
   | Cast (tn, _, i) -> op "Cast" (Atomic.type_name_to_string tn) [] [ i ]
   | Validate i -> op "Validate" "" [] [ i ]
@@ -124,7 +123,6 @@ let node_label (p : plan) : string =
   | TreeJoin (axis, test, _) ->
       Printf.sprintf "TreeJoin[%s::%s]" (Ast.axis_to_string axis)
         (Ast.node_test_to_string test)
-  | TreeProject _ -> "TreeProject[paths]"
   | Castable (tn, _, _) -> Printf.sprintf "Castable[%s]" (Atomic.type_name_to_string tn)
   | Cast (tn, _, _) -> Printf.sprintf "Cast[%s]" (Atomic.type_name_to_string tn)
   | Validate _ -> "Validate"
@@ -229,7 +227,6 @@ let rec operator_names (p : plan) : string list =
     | Comment _ -> "Comment"
     | Pi _ -> "PI"
     | TreeJoin _ -> "TreeJoin"
-    | TreeProject _ -> "TreeProject"
     | Castable _ -> "Castable"
     | Cast _ -> "Cast"
     | Validate _ -> "Validate"
@@ -302,11 +299,9 @@ let physical_label (p : Physical.t) : string =
   | PText _ -> "Text"
   | PComment _ -> "Comment"
   | PPi (n, _) -> Printf.sprintf "PI[%s]" n
-  | PSteps { steps; ordered; par; _ } ->
-      Printf.sprintf "Steps[%d%s%s]" (List.length steps)
+  | PSteps { steps; ordered; _ } ->
+      Printf.sprintf "Steps[%d%s]" (List.length steps)
         (if ordered then ",ordered" else "")
-        (if par > 1 then Printf.sprintf ",par=%d" par else "")
-  | PTreeProject _ -> "TreeProject[paths]"
   | PCastable (tn, _, _) ->
       Printf.sprintf "Castable[%s]" (Atomic.type_name_to_string tn)
   | PCast (tn, _, _) -> Printf.sprintf "Cast[%s]" (Atomic.type_name_to_string tn)
@@ -336,9 +331,8 @@ let physical_label (p : Physical.t) : string =
       Printf.sprintf "PNestedLoop%s%s"
         (match pred with PWholePred _ -> "" | PSplitPred { op; _ } -> cmp_tag op)
         (outer_tag outer)
-  | PHashJoin { outer; build; par; _ } ->
-      Printf.sprintf "PHashJoin<eq>[build=%s%s]%s" (build_side_name build)
-        (if par > 1 then Printf.sprintf ",par=%d" par else "")
+  | PHashJoin { outer; build; _ } ->
+      Printf.sprintf "PHashJoin<eq>[build=%s]%s" (build_side_name build)
         (outer_tag outer)
   | PSortJoin { outer; op; _ } ->
       Printf.sprintf "PSortJoin%s%s" (cmp_tag op) (outer_tag outer)

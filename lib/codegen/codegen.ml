@@ -700,12 +700,11 @@ let pred_holds env sx sy (pr : pred) (n : Node.t) : bool =
       in
       Promotion.general_compare op (items va) (items vb)
 
-(* Run instructions [lo, hi) of [body] over the register pair, leaving
-   the result in [!src].  Factored out of [run_body] so the partitioned
-   executor can replay an instruction sub-range per chunk. *)
-let exec_instrs env (body : instr array) (lo : int) (hi : int) (src : buf ref)
-    (dst : buf ref) (px : buf) (py : buf) : unit =
-  for idx = lo to hi - 1 do
+(* Run the instructions of [body] over the register pair, leaving the
+   result in [!src]. *)
+let exec_instrs env (body : instr array) (src : buf ref) (dst : buf ref)
+    (px : buf) (py : buf) : unit =
+  for idx = 0 to Array.length body - 1 do
     env.e_check ();
     (match body.(idx) with
     | IStep s ->
@@ -785,127 +784,10 @@ let run_body env (p : prog) : buf =
   let w0 = Gc.minor_words () in
   let src = ref a and dst = ref (buf_make ()) in
   let px = buf_make () and py = buf_make () in
-  exec_instrs env p.fp_body 0 (Array.length p.fp_body) src dst px py;
+  exec_instrs env p.fp_body src dst px py;
   let final = !src in
   Obs.add_counter c_rows final.blen;
   Obs.add_counter c_alloc_words (int_of_float (Gc.minor_words () -. w0));
-  final
-
-(* ------------------------------------------------------------------ *)
-(* Partitioned execution                                               *)
-(* ------------------------------------------------------------------ *)
-
-let c_par_execs = Obs.global_counter "fused_par_execs"
-
-(* Partitioned run of a fused body.  Two opportunities to split:
-
-   1. A probe reached while the batch is still a single context node —
-      the common [$doc/a/b//last] shape, where all the work is the
-      per-candidate reverse-path checks over the store's descendant
-      range.  The candidate range itself splits into contiguous slices,
-      one per chunk; each slice filters into its own register and the
-      slices concatenate in range (= document) order, exactly the
-      sequential probe output.
-
-   2. Once the batch is wide (>= [min_width]), the remaining elementwise
-      instructions up to the first [ISort] replay per contiguous chunk.
-      Every elementwise instruction processes source nodes left to right
-      and only appends, so chunk outputs concatenated in chunk order are
-      byte-identical to the sequential batch.
-
-   Everything else — the narrow warm-up prefix, [ISort], anything after
-   it — runs sequentially in place, so the function always completes
-   the execution and simply degrades to [run_body] when no split ever
-   applies.  [run] executes chunk thunks (the domain pool's batch
-   runner, injected to keep this library below the runtime). *)
-let exec_body_partitioned env (p : prog) ~(parts : int) ~(min_width : int)
-    ~(run : (unit -> unit) list -> unit) : buf =
-  let nbody = Array.length p.fp_body in
-  let a = load_source env p in
-  Obs.incr_counter c_execs;
-  let src = ref a and dst = ref (buf_make ()) in
-  let px = buf_make () and py = buf_make () in
-  let did_par = ref false in
-  let merge_results (results : buf option array) : buf =
-    let merged = buf_make () in
-    Array.iter
-      (function
-        | Some cb -> buf_append_slice merged cb.bn 0 cb.blen
-        | None -> raise Fallback)
-      results;
-    merged
-  in
-  (* opportunity 1: split a range-served probe's candidate slice *)
-  let try_par_probe (pb : probe) (n : Node.t) : buf option =
-    match Store.descendant_range n pb.pb_last with
-    | Some (arr, i, j) when parts > 1 && j - i >= min_width ->
-        let width = j - i in
-        let nparts = min parts width in
-        let results = Array.make nparts None in
-        run
-          (List.init nparts (fun t ->
-               let lo = i + (t * width / nparts)
-               and hi = i + ((t + 1) * width / nparts) in
-               fun () ->
-                 let out = buf_make () in
-                 for k = lo to hi - 1 do
-                   let c = arr.(k) in
-                   if probe_matches env pb n c then buf_push out c
-                 done;
-                 results.(t) <- Some out));
-        Some (merge_results results)
-    | _ -> None
-  in
-  (* sequential warm-up: run instructions until the batch is wide enough
-     to split.  The floor of 2 matters when [min_width] is lowered to 1:
-     a single-node batch must keep warming up (so a probe can split its
-     candidate range) rather than "partition" into one inline chunk. *)
-  let wide = max min_width 2 in
-  let k = ref 0 in
-  while !k < nbody && !src.blen < wide do
-    (match p.fp_body.(!k) with
-    | IProbe pb when !src.blen = 1 -> (
-        match try_par_probe pb !src.bn.(0) with
-        | Some merged ->
-            did_par := true;
-            src := merged
-        | None -> exec_instrs env p.fp_body !k (!k + 1) src dst px py)
-    | _ -> exec_instrs env p.fp_body !k (!k + 1) src dst px py);
-    incr k
-  done;
-  (* opportunity 2: partition the remaining elementwise instructions *)
-  let sort_idx =
-    let rec go i =
-      if i >= nbody then nbody
-      else match p.fp_body.(i) with ISort -> i | _ -> go (i + 1)
-    in
-    go !k
-  in
-  if parts > 1 && sort_idx > !k && !src.blen >= wide then begin
-    let batch = !src in
-    let lo_k = !k in
-    let nparts = min parts batch.blen in
-    let results = Array.make nparts None in
-    run
-      (List.init nparts (fun t ->
-           let lo = t * batch.blen / nparts
-           and hi = (t + 1) * batch.blen / nparts in
-           fun () ->
-             let ca = buf_make () in
-             buf_append_slice ca batch.bn lo hi;
-             let csrc = ref ca and cdst = ref (buf_make ()) in
-             let cpx = buf_make () and cpy = buf_make () in
-             exec_instrs env p.fp_body lo_k sort_idx csrc cdst cpx cpy;
-             results.(t) <- Some !csrc));
-    did_par := true;
-    src := merge_results results;
-    k := sort_idx
-  end;
-  (* sequential tail: the sort and anything after it *)
-  exec_instrs env p.fp_body !k nbody src dst px py;
-  if !did_par then Obs.incr_counter c_par_execs;
-  let final = !src in
-  Obs.add_counter c_rows final.blen;
   final
 
 let finish_agg env (p : prog) (final : buf) : Item.sequence =
@@ -916,16 +798,6 @@ let finish_agg env (p : prog) (final : buf) : Item.sequence =
       [ Item.Atom (Atomic.Boolean (if neg then not ne else ne)) ]
   | ASum -> env.e_sum (buf_items final)
   | ACollect -> buf_items final
-
-let exec_partitioned (env : env) (p : prog) ~(parts : int) ~(min_width : int)
-    ~(run : (unit -> unit) list -> unit) : Item.sequence =
-  finish_agg env p (exec_body_partitioned env p ~parts ~min_width ~run)
-
-let exec_nodes_partitioned (env : env) (p : prog) ~(parts : int)
-    ~(min_width : int) ~(run : (unit -> unit) list -> unit) :
-    Node.t array * int =
-  let final = exec_body_partitioned env p ~parts ~min_width ~run in
-  (final.bn, final.blen)
 
 let exec (env : env) (p : prog) : Item.sequence =
   finish_agg env p (run_body env p)

@@ -66,34 +66,6 @@ val exec_nodes : env -> prog -> Node.t array * int
 (** Run a tuple-batch segment; returns the final register and its
     length (the array may be over-allocated past it). *)
 
-val exec_partitioned :
-  env ->
-  prog ->
-  parts:int ->
-  min_width:int ->
-  run:((unit -> unit) list -> unit) ->
-  Item.sequence
-
-val exec_nodes_partitioned :
-  env ->
-  prog ->
-  parts:int ->
-  min_width:int ->
-  run:((unit -> unit) list -> unit) ->
-  Node.t array * int
-(** Partitioned variants of {!exec}/{!exec_nodes}.  Instructions run
-    sequentially until the batch is at least [min_width] wide; a probe
-    reached on a single context node splits its store candidate range
-    into contiguous slices instead; once wide, the remaining elementwise
-    instructions (up to the first sort) replay per contiguous chunk via
-    [run] (the domain pool's batch runner, injected to keep this library
-    below the runtime).  Chunk outputs concatenate in chunk order —
-    byte-identical to the sequential batch because every elementwise
-    instruction is a left-to-right append.  Degrades to the sequential
-    execution when no split applies, so the result always equals
-    {!exec}/{!exec_nodes}.
-    @raise Fallback as {!exec}. *)
-
 val fallback_counter_incr : unit -> unit
 (** Record a runtime fallback in the [fused_fallbacks] counter. *)
 

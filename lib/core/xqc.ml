@@ -35,9 +35,7 @@ module Pretty = Xqc_algebra.Pretty
 module Compile = Xqc_compiler.Compile
 module Rewrite = Xqc_optimizer.Rewrite
 module Planner = Xqc_optimizer.Planner
-module Doc_paths = Xqc_optimizer.Doc_paths
 module Eval = Xqc_runtime.Eval
-module Projection = Xqc_runtime.Projection
 module Regex = Xqc_runtime.Regex
 module Joins = Xqc_runtime.Joins
 module Dynamic_ctx = Xqc_runtime.Dynamic_ctx
@@ -45,8 +43,6 @@ module Builtins = Xqc_runtime.Builtins
 module Interp = Xqc_interp.Interp
 module Indexed = Xqc_interp.Indexed
 module Store = Xqc_store.Store
-module Domain_pool = Xqc_runtime.Domain_pool
-module Par_exec = Xqc_runtime.Par_exec
 module Codegen = Xqc_codegen.Codegen
 module Obs = Xqc_obs.Obs
 module Trace = Xqc_obs.Trace
@@ -79,8 +75,6 @@ type prepared = {
   plan : Algebra.plan option;  (** logical main plan, after this strategy's rewriting *)
   pplan : Physical.query option;
       (** the cost-based planner's physical plans (algebraic strategies) *)
-  projection : (string * Doc_paths.spec list option) list;
-      (** per-free-variable projection paths (empty unless ~project) *)
   runner : Dynamic_ctx.t -> Item.sequence;
   stats : Obs.collector option;
       (** statistics collector (present iff prepared with [~stats:true]);
@@ -99,22 +93,14 @@ let optimizer_options = function
 (* The physical planner's configuration per strategy: the nested-loop
    strategies pin the join algorithm (their predicates are unsplit
    anyway, so this is belt and braces); [~force_join] overrides for the
-   planner-agreement tests and benchmarks.  [par] overrides the
-   intra-query parallelism degree; by default the planner is granted the
-   domain pool's per-query share of the machine ([query_degree]), which
-   is 1 — annotation-free plans — when the pool budget is 1. *)
-let planner_config ?par strategy force_join : Planner.config =
+   planner-agreement tests and benchmarks. *)
+let planner_config strategy force_join : Planner.config =
   let default =
     match strategy with
     | Optimized_nl | Algebra_unoptimized -> Some Physical.Nested_loop
     | No_algebra | Saxon_like | Optimized -> None
   in
-  {
-    Planner.force_join = (match force_join with Some _ as f -> f | None -> default);
-    par_degree =
-      (match par with Some n -> max 1 n | None -> Domain_pool.query_degree ());
-    par_threshold = !Planner.default_par_threshold;
-  }
+  { Planner.force_join = (match force_join with Some _ as f -> f | None -> default) }
 
 let plan_query config (q : Compile.compiled_query) : Physical.query =
   {
@@ -149,10 +135,9 @@ let optimize_query ?trace strategy (q : Compile.compiled_query) : Compile.compil
 
 (* Compile one core query into a bare runner under [strategy] — the same
    per-strategy execution paths [prepare] wires up, without the
-   projection/statistics/knob plumbing.  The update driver evaluates
-   every statement's source and target queries through this, so updates
-   exercise whichever engine configuration the session runs queries
-   under. *)
+   statistics plumbing.  [Update] evaluates every statement's source
+   and target queries through this, so updates exercise whichever
+   engine configuration the caller runs queries under. *)
 let runner_of_core ?(strategy = Optimized) (core : Core_ast.cquery) :
     Dynamic_ctx.t -> Item.sequence =
   match strategy with
@@ -163,49 +148,10 @@ let runner_of_core ?(strategy = Optimized) (core : Core_ast.cquery) :
       let planned = plan_query (planner_config strategy None) compiled in
       fun ctx -> Eval.run ctx planned
 
-(* Project the bindings of analyzable free variables before running,
-   restoring the original bindings afterwards.  [ph] times the pruning
-   under a named phase when statistics are being collected. *)
-let with_projection ?(ph = fun _name f -> f ())
-    (projection : (string * Doc_paths.spec list option) list)
-    (runner : Dynamic_ctx.t -> Item.sequence) (ctx : Dynamic_ctx.t) :
-    Item.sequence =
-  let saved = ref [] in
-  ph "projection apply" (fun () ->
-      List.iter
-        (fun (var, specs) ->
-          match (specs, Hashtbl.find_opt ctx.Dynamic_ctx.globals var) with
-          | Some specs, Some value when List.exists Item.is_node value ->
-              let projected =
-                Projection.project_specs ctx.Dynamic_ctx.schema
-                  (List.map
-                     (fun (sp : Doc_paths.spec) ->
-                       { Projection.steps = sp.Doc_paths.steps; subtree = sp.Doc_paths.subtree })
-                     specs)
-                  value
-              in
-              saved := (var, value) :: !saved;
-              Hashtbl.replace ctx.Dynamic_ctx.globals var projected
-          | _ -> ())
-        projection);
-  let restore () =
-    List.iter (fun (var, value) -> Hashtbl.replace ctx.Dynamic_ctx.globals var value) !saved
-  in
-  match runner ctx with
-  | r ->
-      restore ();
-      r
-  | exception e ->
-      restore ();
-      raise e
-
 (* Parse, normalize, compile and (per strategy) optimize a query once; the
-   result can be run against many dynamic contexts.  With [~project:true]
-   the bindings of free document variables are pruned to the statically
-   inferred projection paths before evaluation (Marian-Siméon document
-   projection). *)
-let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
-    ?force_join ?par (source : string) : prepared =
+   result can be run against many dynamic contexts. *)
+let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
+    (source : string) : prepared =
   let collector = if stats then Some (Obs.collector ()) else None in
   (* time a prepare-side phase *)
   let ph name f = match collector with Some c -> Obs.phase c name f | None -> f () in
@@ -225,16 +171,8 @@ let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
   wrap (fun () ->
       let ast = ph "parse" (fun () -> Xq_parser.parse_query source) in
       let core = ph "normalize" (fun () -> Normalize.normalize_query ast) in
-      let projection =
-        if project then ph "projection analysis" (fun () -> Doc_paths.analyze core)
-        else []
-      in
       let finish runner plan pplan =
-        let runner =
-          if project then with_projection ~ph:(fun n f -> ph n f) projection runner
-          else runner
-        in
-        { source; strategy; core; plan; pplan; projection; runner; stats = collector }
+        { source; strategy; core; plan; pplan; runner; stats = collector }
       in
       match strategy with
       | No_algebra ->
@@ -255,7 +193,7 @@ let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
              fed by the store's index statistics *)
           let planned =
             ph "plan" (fun () ->
-                plan_query (planner_config ?par strategy force_join) compiled)
+                plan_query (planner_config strategy force_join) compiled)
           in
           finish
             (fun ctx -> Eval.run ?stats:collector ctx planned)
@@ -266,8 +204,8 @@ let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
 (* ------------------------------------------------------------------ *)
 
 (* LRU cache over [prepare], keyed by everything that shapes the
-   compiled plan: query text, strategy, the projection knob, the store's
-   index mode and the codegen mode — physical planning is
+   compiled plan: query text, strategy, the store's index mode, the
+   codegen mode and the document generation — physical planning is
    statistics-sensitive, so a plan prepared with indexing off must not
    be reused once indexes are available (and vice versa), and a codegen
    mode change must replan for the same reason.
@@ -279,14 +217,9 @@ let prepare ?(strategy = Optimized) ?(project = false) ?(stats = false)
 (* Every execution-mode knob that shapes a compiled plan, gathered in
    one record so the cache key cannot silently drift from the set of
    modes: adding a knob here forces the compiler to visit every place a
-   key is built.  [m_par] is the parallelism degree the plan was
-   annotated with: a plan annotated under [--par 4] must not be reused
-   after the budget drops to 1 (and vice versa) — the annotation changes
-   the compiled execution strategy, not just a runtime gate. *)
+   key is built. *)
 type exec_modes = {
   m_strategy : strategy;
-  m_project : bool;
-  m_par : int;  (** domain-pool per-query degree at planning time *)
   m_index : Store.mode;
   m_codegen : Codegen.mode;
   m_docs_gen : int;
@@ -299,11 +232,9 @@ type exec_modes = {
 
 (* The ambient execution modes: everything not passed explicitly is read
    from the process-wide knobs, exactly as [prepare] will read them. *)
-let current_exec_modes ~strategy ~project () : exec_modes =
+let current_exec_modes ~strategy () : exec_modes =
   {
     m_strategy = strategy;
-    m_project = project;
-    m_par = Domain_pool.query_degree ();
     m_index = !Store.mode;
     m_codegen = !Codegen.mode;
     m_docs_gen = Version.generation ();
@@ -345,10 +276,9 @@ let evict_lru () =
   in
   match victim with Some (key, _) -> Hashtbl.remove plan_cache key | None -> ()
 
-let prepare_cached ?(strategy = Optimized) ?(project = false) (source : string) :
-    prepared =
+let prepare_cached ?(strategy = Optimized) (source : string) : prepared =
   Trace.in_span "plan-cache" @@ fun () ->
-  let key = (source, current_exec_modes ~strategy ~project ()) in
+  let key = (source, current_exec_modes ~strategy ()) in
   let hit =
     Obs.with_lock plan_lock (fun () ->
         incr plan_tick;
@@ -368,7 +298,7 @@ let prepare_cached ?(strategy = Optimized) ?(project = false) (source : string) 
   | None ->
       Trace.annotate_current [ ("hit", "false") ];
       let p =
-        Trace.in_span "compile" (fun () -> prepare ~strategy ~project source)
+        Trace.in_span "compile" (fun () -> prepare ~strategy source)
       in
       Obs.with_lock plan_lock (fun () ->
           if !plan_cache_capacity > 0 then begin
@@ -399,42 +329,19 @@ let parse_document ?uri (xml : string) : Node.t = Xml_parser.parse_string ?uri x
 let serialize (s : Item.sequence) : string = Serializer.sequence_to_string s
 
 (* One-shot evaluation with optional bindings. *)
-let eval_string ?strategy ?project ?force_join ?schema ?(variables = [])
+let eval_string ?strategy ?force_join ?schema ?(variables = [])
     ?(documents = []) (source : string) : Item.sequence =
   let ctx = context ?schema () in
   List.iter (fun (name, value) -> bind_variable ctx name value) variables;
   List.iter (fun (uri, doc) -> bind_document ctx uri doc) documents;
-  run (prepare ?strategy ?project ?force_join source) ctx
+  run (prepare ?strategy ?force_join source) ctx
 
 (* A multi-section compilation report: the Core form and the logical plan
    before and after optimization, in the paper's notation, plus the
-   inferred document-projection paths and the rewrite-rule firing trace. *)
+   physical plan, the fused segments and the rewrite-rule firing trace. *)
 let explain ?(strategy = Optimized) (source : string) : string =
   let core = Normalize.normalize_string source in
   let buf = Buffer.create 1024 in
-  (match Doc_paths.analyze core with
-  | [] -> ()
-  | projection ->
-      Buffer.add_string buf "=== Document projection paths ===\n";
-      List.iter
-        (fun (v, specs) ->
-          match specs with
-          | None -> Buffer.add_string buf (Printf.sprintf "$%s: not projectable\n" v)
-          | Some specs ->
-              List.iter
-                (fun (sp : Doc_paths.spec) ->
-                  Buffer.add_string buf
-                    (Printf.sprintf "$%s/%s%s\n" v
-                       (String.concat "/"
-                          (List.map
-                             (fun (ax, t) ->
-                               Printf.sprintf "%s::%s" (Ast.axis_to_string ax)
-                                 (Ast.node_test_to_string t))
-                             sp.Doc_paths.steps))
-                       (if sp.Doc_paths.subtree then "  (subtree)" else "  (node)")))
-                specs)
-        projection;
-      Buffer.add_string buf "\n");
   Buffer.add_string buf "=== XQuery Core ===\n";
   Buffer.add_string buf (Core_ast.to_string core.Core_ast.cq_main);
   Buffer.add_string buf "\n\n=== Logical plan (naive compilation) ===\n";

@@ -41,22 +41,9 @@ type config = {
       (** override the cost-based algorithm choice for split predicates;
           an incompatible force (e.g. [Sort] on an equality) falls back
           to the always-sound nested loop *)
-  par_degree : int;
-      (** per-query partition budget from the shared domain pool (wired
-          in by the driver — this library cannot see the runtime); 1
-          disables partitioned annotations entirely *)
-  par_threshold : float;
-      (** estimated rows below which partitioning is not worth the task
-          dispatch, when statistics exist to estimate with *)
 }
 
-(* The ambient threshold [default_config] (and the driver's
-   [planner_config]) picks up: a ref so tests and benchmarks can force
-   partitioned plans onto small documents without threading a config. *)
-let default_par_threshold = ref 1000.
-
-let default_config =
-  { force_join = None; par_degree = 1; par_threshold = !default_par_threshold }
+let default_config = { force_join = None }
 
 (* ------------------------------------------------------------------ *)
 (* Cost-model constants                                                *)
@@ -258,31 +245,6 @@ let call_rows (name : string) (pargs : P.t list) : float =
       rows a
   | _ -> 1.
 
-(* Cost gate for a partitioned annotation.  With index statistics the
-   estimate is trustworthy: partition only above the row threshold.
-   Without any statistics (nothing indexed yet — the common first-query
-   state on the server, where the document index builds on first touch)
-   the estimate is a fan-out guess that systematically lowballs scans,
-   so the annotation is granted optimistically: the evaluator re-gates
-   on the *actual* partition width at run time, which makes an
-   optimistic annotation cost one integer comparison, not a bad plan. *)
-let par_gate (config : config) (est_rows : float) : int =
-  if config.par_degree <= 1 then 1
-  else if est_rows >= config.par_threshold then config.par_degree
-  else
-    match Store.total_elements () with
-    | None -> config.par_degree
-    | Some _ -> 1
-
-(* Joins skip the static estimate: both join inputs are materialized
-   before the partition decision, so the runtime re-gate sees the exact
-   probe width, and the static estimate systematically lowballs join
-   inputs reached by root child-chains (the fan-out cap estimates
-   site/people/person at 3 rows where the store holds a thousand).
-   The annotation is a budget, not a command — granting it costs one
-   list-length comparison when the probe side turns out narrow. *)
-let par_gate_join (config : config) : int = max 1 config.par_degree
-
 let plan ?(config = default_config) (p : plan) : P.t =
   let rec go (p : plan) : P.t =
     match p with
@@ -324,14 +286,10 @@ let plan ?(config = default_config) (p : plan) : P.t =
              {
                steps = List.rev rsteps;
                ordered = ordered_chain steps;
-               par = par_gate config out_rows;
                input = psrc;
              })
           ~rows:out_rows
           ~cost:(cost psrc +. steps_cost)
-    | TreeProject (paths, input) ->
-        let pi = go input in
-        mk (P.PTreeProject (paths, pi)) ~rows:(rows pi) ~cost:(cost pi +. rows pi)
     | Castable (tn, opt, input) -> scalar_of (fun x -> P.PCastable (tn, opt, x)) input
     | Cast (tn, opt, input) -> scalar_of (fun x -> P.PCast (tn, opt, x)) input
     | Validate input -> scalar_of (fun x -> P.PValidate x) input
@@ -529,15 +487,7 @@ let plan ?(config = default_config) (p : plan) : P.t =
             in
             mk
               (P.PHashJoin
-                 {
-                   outer;
-                   build;
-                   par = par_gate_join config;
-                   left_key = lk;
-                   right_key = rk;
-                   left;
-                   right;
-                 })
+                 { outer; build; left_key = lk; right_key = rk; left; right })
               ~rows:out ~cost:hash_cost
         | P.Sort ->
             mk

@@ -25,22 +25,9 @@ type config = {
           the planner-agreement property tests); an incompatible force —
           e.g. [Sort] on an equality predicate — falls back to the
           always-sound nested loop *)
-  par_degree : int;
-      (** per-query partition budget (from the shared domain pool, wired
-          in by the driver); 1 disables partitioned annotations *)
-  par_threshold : float;
-      (** estimated rows below which a partitioned annotation is not
-          granted, when index statistics exist; without statistics the
-          annotation is optimistic and the evaluator gates on actual
-          width at run time *)
 }
 
 val default_config : config
-
-val default_par_threshold : float ref
-(** The ambient [par_threshold] drivers start from (default 1000.);
-    tests and benchmarks lower it to force partitioned plans onto small
-    documents. *)
 
 val plan : ?config:config -> Algebra.plan -> Physical.t
 

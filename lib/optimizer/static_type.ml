@@ -156,7 +156,6 @@ let rec infer (env : env) (p : plan) : t =
         | Ast.Name_test _ -> AK_node (* element or attribute, depending on axis *)
       in
       { kind; occ = zero_or_more }
-  | TreeProject (_, _) -> { kind = AK_node; occ = zero_or_more }
   | Castable _ | TypeMatches _ | MapSome _ | MapEvery _ ->
       { kind = AK_boolean; occ = exactly_one }
   | Cast (tn, optional, _) ->

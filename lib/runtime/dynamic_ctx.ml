@@ -121,31 +121,6 @@ let resolve_document ctx uri : Node.t =
    once nothing else reaches them. *)
 let clear_doc_cache ctx = Hashtbl.reset ctx.documents
 
-(* Context for one intra-query partition task, running on another
-   domain while the owner keeps evaluating.  Shared read-only during
-   the task's lifetime: schema, globals (fully bound before the main
-   plan runs), compiled functions, and the current [params] frame (an
-   immutable list — the clone sees the frame at spawn and its own
-   [with_params] pushes never touch the owner's).  Copied: the document
-   cache, because [resolve_document] mutates it on miss (a racing task
-   may re-parse a document the owner is also parsing; both store
-   identical trees into disjoint tables).  Dropped: the trace — traces
-   are single-owner ring writers, so partition tasks go untraced rather
-   than corrupt the owner's spans.  The deadline is carried over so
-   partition work respects the request budget. *)
-let clone_for_task (ctx : t) : t =
-  {
-    schema = ctx.schema;
-    globals = ctx.globals;
-    functions = ctx.functions;
-    documents = Hashtbl.copy ctx.documents;
-    collections = ctx.collections;
-    resolver = ctx.resolver;
-    params = ctx.params;
-    deadline = ctx.deadline;
-    trace = None;
-  }
-
 (* Run [f] with a fresh parameter frame, restoring the caller's frame —
    needed for recursive user-defined functions. *)
 let with_params ctx frame f =

@@ -87,12 +87,3 @@ val clear_doc_cache : t -> unit
 val with_params : t -> (string * xvalue) list -> (unit -> 'a) -> 'a
 (** Run with a parameter frame, restoring the caller's frame on exit
     (including on exceptions). *)
-
-val clone_for_task : t -> t
-(** Context for one intra-query partition task running on another
-    domain.  Schema, globals, functions and the current parameter frame
-    are shared (read-only for the task's lifetime — the frame is an
-    immutable list, so the clone's own [with_params] never touches the
-    owner's); the document cache is copied because [resolve_document]
-    mutates it; the deadline is carried over; the trace is dropped
-    (traces are single-owner). *)

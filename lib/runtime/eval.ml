@@ -412,38 +412,6 @@ let instrument (st : Obs.op_stats) (c : comp) : comp =
       v
   | Tab t -> Tab (Obs.tuple_counted_seq st t)
 
-(* Per-partition instrumentation for the parallel operators: [par]
-   op_nodes registered as children of the current builder top (the
-   operator being compiled), one per partition slot.  At run time
-   partition task i records its row count and inclusive time into slot
-   i only — each op_stats record has exactly one writing domain, so the
-   parallel run needs no synchronization to keep EXPLAIN ANALYZE
-   exact.  All-[None] when uninstrumented. *)
-let partition_stats (par : int) (est : float) : Obs.op_stats option array =
-  match current_builder () with
-  | None -> Array.make par None
-  | Some b ->
-      Array.init par (fun i ->
-          let n =
-            Obs.push_node b ~stream:Obs.Streamed
-              ~est:(est /. float_of_int par)
-              (Printf.sprintf "Partition[%d/%d]" (i + 1) par)
-          in
-          Obs.pop_node b;
-          Some n.Obs.on_stats)
-
-let record_partition (st : Obs.op_stats option) (f : unit -> 'a list) : 'a list
-    =
-  match st with
-  | None -> f ()
-  | Some st ->
-      let t0 = Obs.now () in
-      let out = f () in
-      st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
-      st.Obs.op_calls <- st.Obs.op_calls + 1;
-      st.Obs.op_items <- st.Obs.op_items + List.length out;
-      out
-
 (* ------------------------------------------------------------------ *)
 (* Item-level cursors                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -639,34 +607,11 @@ and compile_fused (env : cenv) (p : P.t) : (comp * layout) option =
                   | None -> dynamic_error "unknown function fn:sum");
             }
           in
-          (* The fused path honours the plan's parallelism budget too:
-             when any operator under this segment was annotated, split
-             the batch's elementwise prefix across the domain pool.  The
-             partitioned entry re-gates on actual batch width and
-             returns [None] for programs with no parallel prefix. *)
-          let par =
-            let d = P.max_par p in
-            if d > 1 && Domain_pool.budget () > 1 then d else 1
-          in
           try
             match Codegen.tuple_field prog with
-            | None ->
-                let items =
-                  if par > 1 then
-                    Codegen.exec_partitioned cg prog ~parts:par
-                      ~min_width:!Par_exec.par_min_items
-                      ~run:Domain_pool.run_thunks
-                  else Codegen.exec cg prog
-                in
-                Xml items
+            | None -> Xml (Codegen.exec cg prog)
             | Some _ ->
-                let arr, len =
-                  if par > 1 then
-                    Codegen.exec_nodes_partitioned cg prog ~parts:par
-                      ~min_width:!Par_exec.par_min_items
-                      ~run:Domain_pool.run_thunks
-                  else Codegen.exec_nodes cg prog
-                in
+                let arr, len = Codegen.exec_nodes cg prog in
                 let rec pull i () =
                   if i >= len then Seq.Nil
                   else Seq.Cons ([| [ Item.Node arr.(i) ] |], pull (i + 1))
@@ -772,7 +717,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
           let pdata = String.concat " " (List.map Item.string_value (as_items (cc ctx inp))) in
           Xml [ Item.Node (finish (Node.fresh (Node.Pi { target; pdata }))) ]),
         [] )
-  | P.PSteps { steps; input; par; _ } ->
+  | P.PSteps { steps; input; _ } ->
       (* strict step chain: each planned step runs in turn over the
          accumulated node set, honouring its index-vs-walk choice; the
          per-step op_nodes surface per-step output counts in EXPLAIN
@@ -792,17 +737,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
             (s, stats))
           steps
       in
-      (* When the planner granted a parallelism budget, also pre-register
-         the per-partition op_nodes; the runtime still gates on the
-         actual context width, so these stay at 0 calls when the input
-         turns out narrow. *)
-      let pstats =
-        if par > 1 then
-          partition_stats par
-            (List.fold_left (fun e (s : P.pstep) -> max e s.P.ps_est) 0. steps)
-        else [||]
-      in
-      let run_seq ctx items =
+      let run_steps ctx items =
         List.fold_left
           (fun items (s, stats) ->
             match stats with
@@ -816,48 +751,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
                 out)
           items comps
       in
-      ( (fun ctx inp ->
-          let items = as_items (ci ctx inp) in
-          (* Partitioned run: chunks of the context sequence each
-             evaluate the whole step chain on their own domain (per-step
-             stats are skipped — partition slots report instead), then
-             merge.  See par_exec.ml for the order argument. *)
-          let run_chunked chunks =
-            Xml
-              (Par_exec.merge_node_items
-                 (Par_exec.run_chunks ~ctx
-                    ~task:(fun i tctx chunk ->
-                      let record =
-                        if Array.length pstats = 0 then fun f -> f ()
-                        else
-                          record_partition pstats.(i mod Array.length pstats)
-                      in
-                      record (fun () ->
-                          List.fold_left
-                            (fun items (s, _) -> step_join tctx.schema s items)
-                            chunk comps))
-                    chunks))
-          in
-          (* A multi-document context (fn:collection) fans out one chunk
-             per document regardless of width — whole documents are the
-             unit of work, and chunk-order concatenation preserves the
-             collection's binding order.  Single-document contexts keep
-             the width-gated contiguous chunking. *)
-          let doc_chunks =
-            if par > 1 && Domain_pool.budget () > 1 then
-              Par_exec.chunk_by_root items
-            else None
-          in
-          match doc_chunks with
-          | Some chunks -> run_chunked chunks
-          | None ->
-              if not (Par_exec.eligible ~par (List.length items)) then
-                Xml (run_seq ctx items)
-              else run_chunked (Par_exec.chunk par items)),
-        [] )
-  | P.PTreeProject (paths, input) ->
-      let ci, _ = compile env input in
-      ((fun ctx inp -> Xml (Projection.project ctx.schema paths (as_items (ci ctx inp)))), [])
+      ((fun ctx inp -> Xml (run_steps ctx (as_items (ci ctx inp)))), [])
   | P.PCastable (tn, optional, input) ->
       let ci, _ = compile env input in
       ( (fun ctx inp ->
@@ -1022,8 +916,8 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         out )
   | P.PNestedLoop { outer; pred; left; right } ->
       compile_nested_loop env outer pred left right
-  | P.PHashJoin { outer; build; par; left_key; right_key; left; right } ->
-      compile_hash_join env outer build par left_key right_key left right
+  | P.PHashJoin { outer; build; left_key; right_key; left; right } ->
+      compile_hash_join env outer build left_key right_key left right
   | P.PSortJoin { outer; op; left_key; right_key; left; right } ->
       compile_sort_join env outer op left_key right_key left right
   | P.PMaterialize inner ->
@@ -1539,86 +1433,12 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
                    right))),
         jp.jp_out )
 
-and compile_hash_join env outer (build : P.build_side) par left_key right_key a
+and compile_hash_join env outer (build : P.build_side) left_key right_key a
     b : comp * layout =
   let jp = join_scaffold env outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
-  (* Per-partition op_nodes for the parallel probe phase (EXPLAIN
-     ANALYZE); created at compile time while this join is the builder
-     top, all-[None] otherwise. *)
-  let pstats = if par > 1 then partition_stats par 0. else [||] in
-  (* Build-side key extraction, partitioned when the side is wide
-     enough.  [build_hash_index] calls its key function exactly once per
-     tuple, in list order, so precomputed keys can be replayed
-     positionally — the index (insertion orders included) is then
-     byte-identical to the sequential build.  Key-evaluation races are
-     avoided by giving each chunk its own cloned context; the join
-     counters in [jp_stats] are skipped on this path (they would need
-     synchronization) and instead absorbed by the sequential insertion
-     pass below. *)
-  let build_keys ctx comp tuples =
-    if not (Par_exec.eligible ~par (List.length tuples)) then None
-    else
-      Some
-        (Array.of_list
-           (List.concat
-              (Par_exec.run_partitions ~par ~ctx
-                 ~task:(fun _ tctx chunk ->
-                   List.map (fun t -> as_items (comp tctx (ITuple t))) chunk)
-                 tuples)))
-  in
-  let build_index ctx comp tuples =
-    match build_keys ctx comp tuples with
-    | None ->
-        Joins.build_hash_index ?stats:jp.jp_stats tuples
-          (fun t -> as_items (comp ctx (ITuple t)))
-    | Some keys ->
-        let pos = ref (-1) in
-        Joins.build_hash_index ?stats:jp.jp_stats tuples
-          (fun _ ->
-            incr pos;
-            keys.(!pos))
-  in
   match build with
-  | P.Build_right when par > 1 ->
-      (* Partitioned probe: materialize both sides, build the index
-         once (parallel key extraction when profitable), then probe
-         contiguous chunks of the outer side concurrently.  Each chunk
-         produces its (probe tuple, matches) pairs in probe order, so
-         chunk concatenation replayed through [jp_run] emits exactly
-         the sequential left-major output.  Falls back to the plain
-         streamed form when the outer side is narrow. *)
-      ( (fun ctx inp ->
-          let left = table_list (jp.jp_left ctx inp) in
-          let right = table_list (jp.jp_right ctx inp) in
-          if not (Par_exec.eligible ~par (List.length left)) then
-            let index = build_index ctx cr right in
-            jp.jp_run (List.to_seq left) (fun l ->
-                Joins.probe_hash_index ?stats:jp.jp_stats index
-                  (Item.atomize (as_items (cl ctx (ITuple l)))))
-          else begin
-            let index = build_index ctx cr right in
-            let matches =
-              Array.of_list
-                (List.concat
-                   (Par_exec.run_partitions ~par ~ctx
-                      ~task:(fun i tctx chunk ->
-                        record_partition pstats.(i) (fun () ->
-                            List.map
-                              (fun l ->
-                                Joins.probe_hash_index index
-                                  (Item.atomize
-                                     (as_items (cl tctx (ITuple l)))))
-                              chunk))
-                      left))
-            in
-            let pos = ref (-1) in
-            jp.jp_run (List.to_seq left) (fun _l ->
-                incr pos;
-                matches.(!pos))
-          end),
-        jp.jp_out )
   | P.Build_right ->
       ( (fun ctx inp ->
           let left = as_table (jp.jp_left ctx inp) in
@@ -1637,48 +1457,22 @@ and compile_hash_join env outer (build : P.build_side) par left_key right_key a
          tuples under their left position.  The output is then emitted
          left-major with matches in right order — exactly the pairs and
          order of the build-right form (the Table 2 acceptance check is
-         symmetric), at the memory cost of the smaller side.
-
-         Under a [par] budget the probe phase partitions the right side:
-         each chunk computes its (right tuple, matching left orders)
-         pairs concurrently — [probe_hash_index_orders] returns global
-         build positions, so chunk results bucket directly — and the
-         cheap bucketing pass replays them sequentially in right order,
-         preserving the exact sequential output. *)
+         symmetric), at the memory cost of the smaller side. *)
       ( (fun ctx inp ->
           let left = table_list (jp.jp_left ctx inp) in
           let right = table_list (jp.jp_right ctx inp) in
-          let index = build_index ctx cl left in
+          let index =
+            Joins.build_hash_index ?stats:jp.jp_stats left
+              (fun l -> as_items (cl ctx (ITuple l)))
+          in
           let buckets = Array.make (max 1 (List.length left)) [] in
-          (if Par_exec.eligible ~par (List.length right) then
-             let pairs =
-               List.concat
-                 (Par_exec.run_partitions ~par ~ctx
-                    ~task:(fun i tctx chunk ->
-                      record_partition pstats.(i) (fun () ->
-                          List.map
-                            (fun r ->
-                              ( r,
-                                Joins.probe_hash_index_orders index
-                                  (Item.atomize
-                                     (as_items (cr tctx (ITuple r)))) ))
-                            chunk))
-                    right)
-             in
-             List.iter
-               (fun (r, orders) ->
-                 List.iter
-                   (fun o -> buckets.(o - 1) <- r :: buckets.(o - 1))
-                   orders)
-               pairs
-           else
-             List.iter
-               (fun r ->
-                 List.iter
-                   (fun o -> buckets.(o - 1) <- r :: buckets.(o - 1))
-                   (Joins.probe_hash_index_orders ?stats:jp.jp_stats index
-                      (Item.atomize (as_items (cr ctx (ITuple r))))))
-               right);
+          List.iter
+            (fun r ->
+              List.iter
+                (fun o -> buckets.(o - 1) <- r :: buckets.(o - 1))
+                (Joins.probe_hash_index_orders ?stats:jp.jp_stats index
+                   (Item.atomize (as_items (cr ctx (ITuple r))))))
+            right;
           let pos = ref 0 in
           jp.jp_run (List.to_seq left) (fun _l ->
               let i = !pos in

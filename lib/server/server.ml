@@ -936,10 +936,6 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
     invalid_arg "Server.serve: no listener (need a unix socket path or a TCP address)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let nworkers = max 1 cfg.workers in
-  (* the worker domains draw from the same machine budget as intra-query
-     partition tasks: declare them so each query's partition degree is
-     the per-worker share (budget/workers), not an oversubscription *)
-  Xqc.Domain_pool.set_reserved_workers nworkers;
   let t =
     {
       cfg;
@@ -1007,7 +1003,6 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
      guarantees every worker observed that before we return. *)
   List.iter Domain.join workers;
   Thread.join sampler;
-  Xqc.Domain_pool.set_reserved_workers 1;
   (match cfg.unix_socket with
   | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
   | None -> ());

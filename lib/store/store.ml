@@ -101,15 +101,13 @@ type slot = {
   s_counts : counts option;  (* [None]: unindexable *)
 }
 
-(* The cache is shared across the query server's worker domains — and,
-   since the partitioned execution tier, across the helper domains of a
-   single query.  It is an immutable map published through one [Atomic]:
-   readers do a plain [Atomic.get] + functional lookup and acquire NO
-   lock at all.  PR 6's contention telemetry showed why this matters:
-   the previous mutex-guarded hash table was acquired 450–630k times
-   per bench run (once per axis step) — zero-contention overhead at one
-   worker, 132 ms of lock wait at four, and a guaranteed serialization
-   point for intra-query partitions all hammering the index at once.
+(* The cache is shared across the query server's worker domains.  It
+   is an immutable map published through one [Atomic]: readers do a
+   plain [Atomic.get] + functional lookup and acquire NO lock at all.
+   Contention telemetry showed why this matters: the previous
+   mutex-guarded hash table was acquired 450–630k times per bench run
+   (once per axis step) — zero-contention overhead at one worker and
+   132 ms of lock wait at four.
 
    The tmutex now guards only the rebuild/publish path ([entry_for]'s
    miss branch, [clear]), never a read.  Publishing copies the map

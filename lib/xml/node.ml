@@ -6,10 +6,9 @@
    and sorting-by-document-order after a TreeJoin is a sort on ints.
 
    The parser builds a document top-down and numbers it as it goes.  The
-   engine's bottom-up builders — element constructors, copies,
-   projections — assemble unnumbered ("fresh") nodes whose extents are
-   exact from the start, and number the finished tree once with
-   [number_fresh].  A tree assembled from the numbered constructors (the
+   engine's bottom-up builders — element constructors and copies —
+   assemble unnumbered ("fresh") nodes whose extents are exact from the
+   start, and number the finished tree once with [number_fresh].  A tree assembled from the numbered constructors (the
    workload generators do this) is numbered as a whole by [renumber].
 
    Element and attribute nodes carry an optional type annotation, the name

@@ -5,7 +5,7 @@
     comparison — including between different documents — is an integer
     comparison.  The parser builds a document top-down and gives every
     node its final preorder id and extent as it goes.  Bottom-up builders
-    (element constructors, copies, projections) assemble unnumbered
+    (element constructors, copies) assemble unnumbered
     {e fresh} nodes, whose extents are exact from the start, and number
     the finished tree once with {!number_fresh}.  A tree assembled from
     the numbered constructors is numbered as a whole by {!renumber}. *)

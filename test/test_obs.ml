@@ -157,6 +157,40 @@ let test_sort_join_statistics () =
   check_bool "numeric sort keys materialized" true (totals.Obs.js_sort_numeric > 0);
   check_int "6 matches" 6 totals.Obs.js_matches
 
+(* Every hash join of Clio N4 on a 50 KB document reports its probe
+   side: a join that emits tuples has probed, and its matches are
+   non-zero and bounded by its output rows (an outer join may emit
+   unmatched rows too). *)
+let test_hash_join_counters_n4 () =
+  let doc = Xqc_workload.Clio.generate ~target_bytes:50_000 () in
+  let ctx = context () in
+  bind_variable ctx "doc" [ Item.Node doc ];
+  let p = prepare ~stats:true Xqc_workload.Clio.n4 in
+  ignore (run p ctx);
+  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
+  let joins =
+    List.concat_map
+      (fun (_, root) ->
+        find_nodes
+          (fun n ->
+            String.starts_with ~prefix:"PHashJoin" n.Obs.on_label
+            && n.Obs.on_stats.Obs.op_tuples > 0)
+          root)
+      c.Obs.co_plans
+  in
+  check_bool "N4 has hash joins that output tuples" true (joins <> []);
+  List.iter
+    (fun (n : Obs.op_node) ->
+      let rows = n.Obs.on_stats.Obs.op_tuples in
+      match n.Obs.on_join with
+      | None -> Alcotest.failf "%s has no join counters" n.Obs.on_label
+      | Some js ->
+          let what = Printf.sprintf "%s (%d rows)" n.Obs.on_label rows in
+          check_bool (what ^ ": probes > 0") true (js.Obs.js_probes > 0);
+          check_bool (what ^ ": matches > 0") true (js.Obs.js_matches > 0);
+          check_bool (what ^ ": matches <= rows") true (js.Obs.js_matches <= rows))
+    joins
+
 (* ------------------------------------------------------------------ *)
 (* Rewrite-rule trace                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -302,6 +336,7 @@ let () =
           Alcotest.test_case "cardinalities" `Quick test_operator_cardinalities;
           Alcotest.test_case "hash join stats" `Quick test_join_statistics;
           Alcotest.test_case "sort join stats" `Quick test_sort_join_statistics;
+          Alcotest.test_case "hash join counters (N4)" `Quick test_hash_join_counters_n4;
         ] );
       ( "rewrite-trace",
         [

@@ -182,6 +182,125 @@ let test_serialize_operator () =
   Sys.remove path;
   check "file contents" "<out>5</out>" line
 
+(* ------------------------------------------------------------------ *)
+(* Plan-cache keying                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let counter name =
+  match List.assoc_opt name (Obs.global_counters ()) with
+  | Some v -> v
+  | None -> 0
+
+let with_fuse mode f =
+  let saved = !Codegen.mode in
+  Codegen.mode := mode;
+  Fun.protect ~finally:(fun () -> Codegen.mode := saved) f
+
+let mk_db i =
+  parse_document
+    (Printf.sprintf "<db><people>%s</people></db>"
+       (String.concat ""
+          (List.init (i + 2) (fun p ->
+               Printf.sprintf {|<person id="d%dp%d"><name>n%d</name></person>|}
+                 i p p))))
+
+(* Flipping any plan-shaping execution mode replans. *)
+let test_plan_cache_modes () =
+  let q = "for $x in (1,2,3) return $x + 1" in
+  let misses () = counter "plan_cache_misses" in
+  let base () = ignore (prepare_cached q) in
+  let check_flip name flip restore =
+    clear_plan_cache ();
+    base ();
+    let warm = misses () in
+    base ();
+    check_int (name ^ ": warm hit") warm (misses ());
+    flip ();
+    Fun.protect ~finally:restore (fun () ->
+        base ();
+        check_int (name ^ ": flip replans") (warm + 1) (misses ()))
+  in
+  check_flip "strategy"
+    (fun () -> ignore (prepare_cached ~strategy:Optimized_nl q))
+    (fun () -> ());
+  let saved_store = !Store.mode in
+  check_flip "index mode"
+    (fun () -> Store.mode := Store.Off)
+    (fun () -> Store.mode := saved_store);
+  let saved_cg = !Codegen.mode in
+  check_flip "codegen mode"
+    (fun () -> Codegen.mode := Codegen.Off)
+    (fun () -> Codegen.mode := saved_cg)
+
+(* An applied update publishes a new document generation: a plan costed
+   against the old statistics must not be served for the new state. *)
+let test_plan_cache_docs_gen () =
+  let q = "for $x in (1,2,3) return $x + 1" in
+  let misses () = counter "plan_cache_misses" in
+  Version.clear ();
+  Fun.protect ~finally:Version.clear @@ fun () ->
+  Version.register "g" (parse_document ~uri:"g" "<r/>");
+  clear_plan_cache ();
+  ignore (prepare_cached q);
+  let warm = misses () in
+  ignore (prepare_cached q);
+  check_int "same generation: hit" warm (misses ());
+  ignore (Update.execute ~uri:"g" "insert node <a/> into doc(\"g\")/r");
+  ignore (prepare_cached q);
+  check_int "new generation: replan" (warm + 1) (misses ())
+
+(* [Eval.force_materialize] is read when a prepared plan runs, not when
+   it is compiled, so it is not part of the cache key: flipping it must
+   hit the cached plan, and that plan must give the streamed answer. *)
+let test_plan_cache_materialize () =
+  let q = {|for $p in $d//person where $p/name != "n0" return $p/@id|} in
+  let ctx = context () in
+  bind_variable ctx "d" [ Item.Node (mk_db 3) ];
+  let run () = serialize (Xqc.run (prepare_cached q) ctx) in
+  clear_plan_cache ();
+  let streamed = run () in
+  let warm = counter "plan_cache_misses" in
+  let saved = !Eval.force_materialize in
+  Eval.force_materialize := true;
+  let materialized =
+    Fun.protect ~finally:(fun () -> Eval.force_materialize := saved) run
+  in
+  check_int "flip hits the cache" warm (counter "plan_cache_misses");
+  check "materialized = streamed" streamed materialized
+
+(* [Codegen.mode] is a cache-key field: each mode gets its own cached
+   plan, and the fused and interpreted plans agree. *)
+let test_plan_cache_codegen_agree () =
+  let q = {|count(for $p in $d//person where $p/name = "n1" return $p)|} in
+  let ctx = context () in
+  bind_variable ctx "d" [ Item.Node (mk_db 4) ];
+  let run mode =
+    with_fuse mode (fun () -> serialize (Xqc.run (prepare_cached q) ctx))
+  in
+  clear_plan_cache ();
+  let fused = run Codegen.Force in
+  let interp = run Codegen.Off in
+  check_int "one plan per mode" 2 (plan_cache_size ());
+  check "fused = interpreted" interp fused;
+  check "the count itself" "1" fused
+
+(* ------------------------------------------------------------------ *)
+(* fn:collection                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_collection_builtin () =
+  let docs = [ mk_db 0; mk_db 1; mk_db 2 ] in
+  let ctx = context () in
+  Dynamic_ctx.bind_collection ctx "c" docs;
+  let run q = serialize (Xqc.run (prepare q) ctx) in
+  check "count across documents" "9" (run {|count(collection("c")//person)|});
+  (* the sequence fn:collection returns is in binding order *)
+  check "first member is first bound doc" "d0p0"
+    (run {|string((collection("c"))[1]//person[1]/@id)|});
+  match Xqc.run (prepare {|collection("missing")|}) ctx with
+  | _ -> Alcotest.fail "unbound collection must raise"
+  | exception Error _ -> ()
+
 let () =
   Alcotest.run "runtime"
     [
@@ -207,4 +326,14 @@ let () =
           Alcotest.test_case "input errors" `Quick test_input_outside_context;
           Alcotest.test_case "serialize" `Quick test_serialize_operator;
         ] );
+      ( "plan-cache",
+        [
+          Alcotest.test_case "mode knobs replan" `Quick test_plan_cache_modes;
+          Alcotest.test_case "update replans" `Quick test_plan_cache_docs_gen;
+          Alcotest.test_case "materialize is run-time" `Quick
+            test_plan_cache_materialize;
+          Alcotest.test_case "codegen modes agree" `Quick
+            test_plan_cache_codegen_agree;
+        ] );
+      ("collection", [ Alcotest.test_case "builtin" `Quick test_collection_builtin ]);
     ]
