@@ -1,0 +1,487 @@
+(* The sequential executor end to end: both hash-join build sides and
+   their EXPLAIN ANALYZE counters, strict step chains, fn:collection over
+   several documents, the planner's join override, the EXPLAIN report,
+   and reuse of one prepared plan across runs, contexts and domains.
+   Every answer is checked against the Core interpreter or a literal. *)
+
+open Xqc
+
+let check = Alcotest.(check string)
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A people/orders document: person [i] has id "p<i mod ids>", so ids
+   repeat when [ids < persons]; order [j] is bought by "p<j mod buyers>". *)
+let people_orders ?(ids = max_int) ?(buyers = max_int) ~persons ~orders () =
+  let person i =
+    Printf.sprintf {|<person id="p%d"><name>n%d</name></person>|} (i mod ids) i
+  in
+  let order j =
+    Printf.sprintf {|<order buyer="p%d"><amount>%d</amount></order>|}
+      (j mod buyers) j
+  in
+  parse_document
+    (Printf.sprintf "<db><people>%s</people><orders>%s</orders></db>"
+       (String.concat "" (List.init persons person))
+       (String.concat "" (List.init orders order)))
+
+let join_q =
+  {|for $p in $d//person, $o in $d//order where $o/@buyer = $p/@id
+    return concat($p/name, ":", $o/amount)|}
+
+let outer_q =
+  {|for $p in $d//person
+    return <p n="{$p/name}">{count(for $o in $d//order where $o/@buyer = $p/@id return $o)}</p>|}
+
+let ctx_with doc =
+  let ctx = context () in
+  bind_variable ctx "d" [ Item.Node doc ];
+  ctx
+
+let run_on ?strategy ?force_join doc q =
+  serialize (run (prepare ?strategy ?force_join q) (ctx_with doc))
+
+(* Index [doc] alone, so the planner's estimates are this document's
+   exact name counts. *)
+let indexed doc =
+  Store.clear ();
+  ignore (Store.index_nodes doc);
+  doc
+
+let labels (p : prepared) =
+  match physical_plan p with
+  | None -> Alcotest.fail "no physical plan"
+  | Some q -> Physical.fold (fun acc n -> Pretty.physical_label n :: acc) [] q.Physical.pmain
+
+let hash_joins p =
+  List.filter (String.starts_with ~prefix:"PHashJoin") (labels p)
+
+(* ------------------------------------------------------------------ *)
+(* Hash joins                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The planner builds on the estimated smaller side; either way the
+   pairs and their order are those of the nested loop and of the Core
+   interpreter.  Keys repeat on both sides, so a probe matches several
+   build tuples and a build tuple is matched by several probes. *)
+let check_build_side ~side doc =
+  let doc = indexed doc in
+  let p = prepare join_q in
+  Alcotest.(check (list string))
+    "planned join" [ "PHashJoin<eq>[build=" ^ side ^ "]" ] (hash_joins p);
+  let got = serialize (run p (ctx_with doc)) in
+  check "= nested loop" (run_on ~force_join:Physical.Nested_loop doc join_q) got;
+  check "= interpreter" (run_on ~strategy:No_algebra doc join_q) got;
+  check_bool "some pairs" true (got <> "")
+
+let test_build_left () =
+  check_build_side ~side:"left"
+    (people_orders ~ids:3 ~buyers:4 ~persons:5 ~orders:40 ())
+
+let test_build_right () =
+  check_build_side ~side:"right"
+    (people_orders ~ids:4 ~buyers:3 ~persons:40 ~orders:5 ())
+
+(* The grouped (outer) form: a person nobody bought for keeps its row
+   with an empty group. *)
+let test_outer_join () =
+  let doc = indexed (people_orders ~buyers:2 ~persons:4 ~orders:5 ()) in
+  let p = prepare outer_q in
+  check_bool "outer hash join planned" true
+    (List.exists (fun l -> contains l "outer") (hash_joins p));
+  let expected = {|<p n="n0">3</p><p n="n1">2</p><p n="n2">0</p><p n="n3">0</p>|} in
+  check "unmatched persons count 0" expected (serialize (run p (ctx_with doc)));
+  check "= interpreter" expected (run_on ~strategy:No_algebra doc outer_q)
+
+(* The one hash join of [q]'s main plan after a run over [doc], with
+   its output row count and join counters. *)
+let analyzed_join q doc =
+  let doc = indexed doc in
+  let p = prepare ~stats:true q in
+  ignore (run p (ctx_with doc));
+  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
+  let joins =
+    Obs.fold_nodes
+      (fun acc n ->
+        if String.starts_with ~prefix:"PHashJoin" n.Obs.on_label then n :: acc
+        else acc)
+      [] (List.assoc "main" c.Obs.co_plans)
+  in
+  match joins with
+  | [ n ] -> (
+      match n.Obs.on_join with
+      | None -> Alcotest.fail "no join counters"
+      | Some js -> (n.Obs.on_label, n.Obs.on_stats.Obs.op_tuples, js))
+  | _ -> Alcotest.failf "expected one hash join, got %d" (List.length joins)
+
+(* EXPLAIN ANALYZE accounting of one inner hash join: one build over
+   the build side, one probe per tuple of the other side, and one match
+   per output pair. *)
+let check_counters ~side ~build_rows ~probe_rows doc =
+  let pairs = List.length (run (prepare join_q) (ctx_with doc)) in
+  let label, rows, js = analyzed_join join_q doc in
+  check "build side" ("PHashJoin<eq>[build=" ^ side ^ "]") label;
+  check_int "output rows" pairs rows;
+  check_int "one build" 1 js.Obs.js_builds;
+  check_int "build tuples" build_rows js.Obs.js_build_tuples;
+  check_int "one probe per tuple" probe_rows js.Obs.js_probes;
+  check_int "one match per pair" pairs js.Obs.js_matches
+
+let test_counters_left () =
+  check_counters ~side:"left" ~build_rows:5 ~probe_rows:40
+    (people_orders ~ids:3 ~buyers:4 ~persons:5 ~orders:40 ())
+
+let test_counters_right () =
+  check_counters ~side:"right" ~build_rows:5 ~probe_rows:40
+    (people_orders ~ids:4 ~buyers:3 ~persons:40 ~orders:5 ())
+
+(* The outer join emits one row per matched pair plus one per unmatched
+   person; only the pairs count as matches. *)
+let test_counters_outer () =
+  let label, rows, js =
+    analyzed_join outer_q (people_orders ~buyers:2 ~persons:4 ~orders:5 ())
+  in
+  check_bool "outer join" true (contains label "outer");
+  check_int "one build" 1 js.Obs.js_builds;
+  check_int "five pairs" 5 js.Obs.js_matches;
+  check_int "pairs + two unmatched persons" 7 rows;
+  check_bool "probed" true (js.Obs.js_probes > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Join override                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_default_config () =
+  check_bool "planner default is cost-based" true
+    (Planner.default_config.Planner.force_join = None);
+  check_bool "optimized strategy is cost-based" true
+    ((planner_config Optimized None).Planner.force_join = None);
+  check_bool "nested-loop strategy pins the loop" true
+    ((planner_config Optimized_nl None).Planner.force_join
+    = Some Physical.Nested_loop);
+  check_bool "an explicit force wins" true
+    ((planner_config Optimized_nl (Some Physical.Hash)).Planner.force_join
+    = Some Physical.Hash)
+
+let test_forced_nested_loop () =
+  let doc = indexed (people_orders ~buyers:3 ~persons:6 ~orders:9 ()) in
+  let p = prepare ~force_join:Physical.Nested_loop join_q in
+  check_bool "no hash join" true (hash_joins p = []);
+  check_bool "nested loop planned" true
+    (List.exists (String.starts_with ~prefix:"PNestedLoop") (labels p));
+  check "= cost-based plan" (run_on doc join_q) (serialize (run p (ctx_with doc)))
+
+(* A sort join cannot run an equality: the force falls back to the
+   always-sound nested loop. *)
+let test_incompatible_force () =
+  let doc = indexed (people_orders ~buyers:3 ~persons:6 ~orders:9 ()) in
+  let p = prepare ~force_join:Physical.Sort join_q in
+  let ls = labels p in
+  check_bool "no sort join" false
+    (List.exists (String.starts_with ~prefix:"PSortJoin") ls);
+  check_bool "nested loop planned" true
+    (List.exists (String.starts_with ~prefix:"PNestedLoop") ls);
+  check "= cost-based plan" (run_on doc join_q) (serialize (run p (ctx_with doc)))
+
+(* ------------------------------------------------------------------ *)
+(* Strict step chains                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let with_materialize f =
+  let saved = !Eval.force_materialize in
+  Eval.force_materialize := true;
+  Fun.protect ~finally:(fun () -> Eval.force_materialize := saved) f
+
+(* Materialized, a step chain runs step by step over the accumulated
+   node set and reports each step's output count. *)
+let test_strict_step_counts () =
+  let doc = indexed (people_orders ~persons:7 ~orders:3 ()) in
+  let p = prepare ~stats:true "$d/db/people/person/name" in
+  let out = with_materialize (fun () -> run p (ctx_with doc)) in
+  check_int "seven names" 7 (List.length out);
+  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
+  let root = List.assoc "main" c.Obs.co_plans in
+  let step name =
+    match
+      Obs.fold_nodes
+        (fun acc n ->
+          if contains n.Obs.on_label ("::" ^ name ^ "]") then n :: acc else acc)
+        [] root
+    with
+    | [ n ] -> n.Obs.on_stats.Obs.op_items
+    | ns -> Alcotest.failf "step %s: %d nodes" name (List.length ns)
+  in
+  check_int "db" 1 (step "db");
+  check_int "people" 1 (step "people");
+  check_int "person" 7 (step "person");
+  check_int "name" 7 (step "name")
+
+let with_index mode f =
+  let saved = !Store.mode in
+  Store.mode := mode;
+  Fun.protect ~finally:(fun () -> Store.mode := saved) f
+
+(* Index scans and tree walks give the same node sets, streamed or
+   materialized. *)
+let test_strict_steps_index_agree () =
+  let doc = people_orders ~ids:3 ~persons:12 ~orders:8 () in
+  let q = "$d//person[@id = \"p1\"]/name/text()" in
+  let run_mode mode materialize =
+    Store.clear ();
+    with_index mode (fun () ->
+        if materialize then with_materialize (fun () -> run_on doc q)
+        else run_on doc q)
+  in
+  let reference = run_on ~strategy:No_algebra doc q in
+  check "expected names" "n1n4n7n10" reference;
+  List.iter
+    (fun (mode, m, what) -> check what reference (run_mode mode m))
+    [
+      (Store.Force, true, "indexed, materialized");
+      (Store.Off, true, "walked, materialized");
+      (Store.Force, false, "indexed, streamed");
+      (Store.Off, false, "walked, streamed");
+    ]
+
+(* A path over nodes of two documents: each document's nodes come out
+   in its own document order, documents in load order. *)
+let test_steps_over_documents () =
+  let a = people_orders ~persons:2 ~orders:0 () in
+  let b = people_orders ~persons:3 ~orders:0 () in
+  let ctx = context () in
+  bind_variable ctx "d" [ Item.Node b; Item.Node a ];
+  let q = "string-join(for $n in $d//person/name return string($n), \" \")" in
+  let expected = "n0 n1 n0 n1 n2" in
+  check "document order" expected (serialize (run (prepare q) ctx));
+  check "= interpreter" expected
+    (serialize (run (prepare ~strategy:No_algebra q) ctx))
+
+(* ------------------------------------------------------------------ *)
+(* fn:collection                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let mk_db i =
+  parse_document
+    (Printf.sprintf "<db><people>%s</people></db>"
+       (String.concat ""
+          (List.init (i + 2) (fun p ->
+               Printf.sprintf {|<person id="d%dp%d"><name>n%d</name></person>|}
+                 i p p))))
+
+let ids_q =
+  {|string-join(for $c in collection("c"), $p in $c/db/people/person
+                return string($p/@id), " ")|}
+
+let path_q =
+  {|string-join(for $p in collection("c")/db/people/person
+                return string($p/@id), " ")|}
+
+let with_collection docs q =
+  let ctx = context () in
+  Dynamic_ctx.bind_collection ctx "c" docs;
+  serialize (run (prepare q) ctx)
+
+(* fn:collection returns its members in binding order; a path over them
+   sorts its result into document order, which across documents is the
+   order they were loaded in. *)
+let test_collection_order () =
+  let d2 = mk_db 2 in
+  let d0 = mk_db 0 in
+  let d1 = mk_db 1 in
+  check "binding order"
+    "d0p0 d0p1 d1p0 d1p1 d1p2 d2p0 d2p1 d2p2 d2p3"
+    (with_collection [ d0; d1; d2 ] ids_q);
+  check "reversed binding" "d2p0 d2p1 d2p2 d2p3 d0p0 d0p1"
+    (with_collection [ d2; d0 ] ids_q);
+  check "path: load order" "d2p0 d2p1 d2p2 d2p3 d0p0 d0p1 d1p0 d1p1 d1p2"
+    (with_collection [ d0; d1; d2 ] path_q);
+  let ctx = context () in
+  Dynamic_ctx.bind_collection ctx "c" [ d0; d1; d2 ];
+  check "= interpreter" "d0p0 d0p1 d1p0 d1p1 d1p2 d2p0 d2p1 d2p2 d2p3"
+    (serialize (run (prepare ~strategy:No_algebra ids_q) ctx))
+
+let test_collection_empty () =
+  check "no members" "0" (with_collection [] {|count(collection("c"))|});
+  check "no persons" "0" (with_collection [] {|count(collection("c")//person)|})
+
+let test_collection_rebind () =
+  let ctx = context () in
+  let p = prepare {|count(collection("c")//person)|} in
+  Dynamic_ctx.bind_collection ctx "c" [ mk_db 0; mk_db 1 ];
+  check "first binding" "5" (serialize (run p ctx));
+  Dynamic_ctx.bind_collection ctx "c" [ mk_db 3 ];
+  check "rebinding replaces" "5" (serialize (run p ctx));
+  Dynamic_ctx.bind_collection ctx "c" [ mk_db 4; mk_db 0 ];
+  check "second rebinding" "8" (serialize (run p ctx))
+
+(* A value join between members of one collection. *)
+let test_collection_join () =
+  let q =
+    {|for $a in collection("c")[1]//person, $b in collection("c")[2]//person
+      where $a/name = $b/name return concat($a/@id, "=", $b/@id)|}
+  in
+  let docs = [ mk_db 1; mk_db 2 ] in
+  let expected = "d1p0=d2p0 d1p1=d2p1 d1p2=d2p2" in
+  check "pairs" expected (with_collection docs q);
+  let ctx = context () in
+  Dynamic_ctx.bind_collection ctx "c" docs;
+  check "= interpreter" expected
+    (serialize (run (prepare ~strategy:No_algebra q) ctx))
+
+let with_fuse mode f =
+  let saved = !Codegen.mode in
+  Codegen.mode := mode;
+  Fun.protect ~finally:(fun () -> Codegen.mode := saved) f
+
+let test_collection_fused () =
+  let docs = List.init 4 mk_db in
+  let q = {|for $p in collection("c")//person where $p/name != "n0" return $p/@id|} in
+  let fused = with_fuse Codegen.Force (fun () -> with_collection docs q) in
+  let interp = with_fuse Codegen.Off (fun () -> with_collection docs q) in
+  check "fused = interpreted" interp fused;
+  check_bool "non-empty" true (fused <> "")
+
+(* ------------------------------------------------------------------ *)
+(* EXPLAIN                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let sections report =
+  List.filter_map
+    (fun line ->
+      if String.starts_with ~prefix:"=== " line then Some line else None)
+    (String.split_on_char '\n' report)
+
+let test_explain_sections () =
+  Store.clear ();
+  let report = explain join_q in
+  let got = sections report in
+  List.iter
+    (fun s -> check_bool s true (List.mem s got))
+    [
+      "=== XQuery Core ===";
+      "=== Logical plan (naive compilation) ===";
+      "=== Optimized plan ===";
+      "=== Physical plan ===";
+    ];
+  List.iter
+    (fun s ->
+      check_bool ("known section " ^ s) true
+        (List.mem s
+           [
+             "=== XQuery Core ===";
+             "=== Logical plan (naive compilation) ===";
+             "=== Optimized plan ===";
+             "=== Physical plan ===";
+             "=== Fused segments ===";
+             "=== Rewrite trace ===";
+           ]))
+    got
+
+(* Operator labels carry the planner's choices and nothing else. *)
+let test_explain_labels () =
+  ignore (indexed (people_orders ~ids:3 ~buyers:4 ~persons:5 ~orders:40 ()));
+  let report = explain join_q in
+  check_bool "hash join label" true (contains report "PHashJoin<eq>[build=left]");
+  check_bool "no partition annotation" false (contains report "par=");
+  check_bool "no partition operator" false (contains report "Partition[")
+
+(* ------------------------------------------------------------------ *)
+(* Plan reuse                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The same prepared plan, run repeatedly: one answer every time, equal
+   to a fresh preparation's. *)
+let test_determinism () =
+  let doc = Xqc_workload.Xmark.generate ~target_bytes:100_000 () in
+  let q =
+    "for $i in $auction/site/regions//item where $i/location = \"United \
+     States\" return $i/name/text()"
+  in
+  let ctx = context () in
+  bind_variable ctx "auction" [ Item.Node doc ];
+  let p = prepare q in
+  let reference = serialize (run (prepare q) ctx) in
+  check_bool "some items" true (reference <> "");
+  for i = 1 to 10 do
+    let got = serialize (run p ctx) in
+    if not (String.equal got reference) then
+      Alcotest.failf "run %d diverged from the first result" i
+  done
+
+(* One plan over different contexts: each run sees only its own
+   bindings, so nothing is carried over from an earlier run. *)
+let test_contexts () =
+  let a = people_orders ~buyers:2 ~persons:3 ~orders:4 () in
+  let b = people_orders ~buyers:1 ~persons:2 ~orders:3 () in
+  let p = prepare outer_q in
+  let ra = serialize (run p (ctx_with a)) in
+  let rb = serialize (run p (ctx_with b)) in
+  check "first document" (run_on ~strategy:No_algebra a outer_q) ra;
+  check "second document" (run_on ~strategy:No_algebra b outer_q) rb;
+  check "first again" ra (serialize (run p (ctx_with a)))
+
+(* Server workers share cached plans: one plan run on several domains
+   at once gives every domain the sequential answer. *)
+let test_domains () =
+  let doc = people_orders ~ids:5 ~buyers:7 ~persons:30 ~orders:60 () in
+  let p = prepare join_q in
+  let reference = serialize (run p (ctx_with doc)) in
+  let domains =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            List.init 5 (fun _ -> serialize (run p (ctx_with doc)))))
+  in
+  List.iteri
+    (fun i d ->
+      List.iter (check (Printf.sprintf "domain %d" i) reference) (Domain.join d))
+    domains
+
+let () =
+  Alcotest.run "exec"
+    [
+      ( "hash join",
+        [
+          Alcotest.test_case "build=left" `Quick test_build_left;
+          Alcotest.test_case "build=right" `Quick test_build_right;
+          Alcotest.test_case "outer" `Quick test_outer_join;
+          Alcotest.test_case "build=left counters" `Quick test_counters_left;
+          Alcotest.test_case "build=right counters" `Quick test_counters_right;
+          Alcotest.test_case "outer counters" `Quick test_counters_outer;
+        ] );
+      ( "join override",
+        [
+          Alcotest.test_case "default config" `Quick test_default_config;
+          Alcotest.test_case "forced nested loop" `Quick test_forced_nested_loop;
+          Alcotest.test_case "incompatible force" `Quick test_incompatible_force;
+        ] );
+      ( "steps",
+        [
+          Alcotest.test_case "strict per-step counts" `Quick test_strict_step_counts;
+          Alcotest.test_case "indexed = walked" `Quick test_strict_steps_index_agree;
+          Alcotest.test_case "several documents" `Quick test_steps_over_documents;
+        ] );
+      ( "collection",
+        [
+          Alcotest.test_case "binding order" `Quick test_collection_order;
+          Alcotest.test_case "empty" `Quick test_collection_empty;
+          Alcotest.test_case "rebinding" `Quick test_collection_rebind;
+          Alcotest.test_case "join between members" `Quick test_collection_join;
+          Alcotest.test_case "fused = interpreted" `Quick test_collection_fused;
+        ] );
+      ( "explain",
+        [
+          Alcotest.test_case "sections" `Quick test_explain_sections;
+          Alcotest.test_case "labels" `Quick test_explain_labels;
+        ] );
+      ( "plan reuse",
+        [
+          Alcotest.test_case "repeated runs agree" `Quick test_determinism;
+          Alcotest.test_case "many contexts" `Quick test_contexts;
+          Alcotest.test_case "many domains" `Quick test_domains;
+        ] );
+    ]
