@@ -22,9 +22,6 @@
                           child axis queries with the per-root name
                           indexes forced on vs off, plus the fn:doc
                           document-cache measurement; --json=FILE
-     main.exe fused     — fused-tier microbenchmark: scan/filter/
-                          aggregate queries with the bytecode tier
-                          forced on vs off; --json=FILE
      main.exe update    — update microbenchmark: small XQUF updates on a
                           1MB XMark document, incremental index
                           maintenance vs reparse-on-write; writes
@@ -598,132 +595,6 @@ let axis_index () =
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Fused execution tier benchmark                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Scan-, filter- and aggregate-heavy queries with the fused bytecode
-   tier forced on and off, on a 1MB XMark document.  Per query and mode:
-   the cold run and the best of the warm runs, plus the number of fused
-   segments in the plan and the rows the bytecode loop pushed.  The
-   tentpole acceptance bar is 5x on at least one scan/join-heavy query;
-   Q1/Q8 are included end-to-end (constructors stay interpreted there,
-   only their scan/probe pipelines fuse). *)
-let fused_bench () =
-  let module Obs = Xqc_obs.Obs in
-  let size = 1_000_000 in
-  let warm_runs = 5 in
-  let doc = Xqc_workload.Xmark.generate ~target_bytes:size () in
-  let ctx = make_xmark_ctx doc in
-  let queries =
-    [
-      ("scan-names", "$auction/site/regions/africa/item/name");
-      ("scan-desc", "$auction/site/regions//item/name");
-      ("deep-chain", "$auction/site/people/person/profile/interest");
-      ( "deep-count",
-        "count(for $i in $auction/site/people/person/profile/interest \
-         return $i)" );
-      ( "desc-count",
-        "count(for $i in $auction/site/regions//item/name return $i)" );
-      ( "filter-count",
-        {|count(for $i in $auction/site/regions//item
-               where $i/location = "United States" return $i)|} );
-      ( "filter-collect",
-        {|for $i in $auction/site/regions//item
-          where $i/location = "United States" return $i/name|} );
-      ( "sum-price",
-        {|sum(for $c in $auction/site/closed_auctions/closed_auction
-             return $c/price)|} );
-      ("Q1", Xqc_workload.Xmark_queries.q1);
-      ("Q8", Xqc_workload.Xmark_queries.q8);
-    ]
-  in
-  let out, close_out_fn =
-    match !metrics_json_file with
-    | None -> (stdout, fun () -> ())
-    | Some path ->
-        let oc = open_out_bin path in
-        (oc, fun () -> close_out oc)
-  in
-  let emit record =
-    output_string out (Obs.json_to_string record);
-    output_char out '\n'
-  in
-  Printf.eprintf
-    "=== Fused-tier microbenchmark: %dKB XMark document, fused vs interpreted ===\n"
-    (size / 1000);
-  Printf.eprintf "%-14s %-12s %10s %10s %9s %6s %10s\n" "query" "mode"
-    "cold_ms" "warm_ms" "segments" "rows" "result";
-  let saved_mode = !Xqc.Codegen.mode in
-  let results = Hashtbl.create 16 in
-  List.iter
-    (fun (qname, q) ->
-      let prepared = Xqc.prepare q in
-      (* annotate consults the mode: force it so the column reflects what
-         the fused runs below actually execute *)
-      let segments =
-        Xqc.Codegen.mode := Xqc.Codegen.Force;
-        match Xqc.physical_plan prepared with
-        | None -> 0
-        | Some pq -> List.length (Xqc.Codegen.annotate pq.Xqc.Physical.pmain)
-      in
-      List.iter
-        (fun (mode_name, mode) ->
-          Xqc.Codegen.mode := mode;
-          let rows0 = List.assoc "fused_rows" (Obs.global_counters ()) in
-          let t0 = Unix.gettimeofday () in
-          let result = Xqc.run prepared ctx in
-          let cold = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          let rows = List.assoc "fused_rows" (Obs.global_counters ()) - rows0 in
-          let warm = ref infinity in
-          for _ = 1 to warm_runs do
-            let t0 = Unix.gettimeofday () in
-            ignore (Xqc.run prepared ctx);
-            warm := Float.min !warm ((Unix.gettimeofday () -. t0) *. 1000.0)
-          done;
-          let rendered = Xqc.serialize result in
-          Hashtbl.replace results (qname, mode_name) !warm;
-          Printf.eprintf "%-14s %-12s %10.3f %10.4f %9d %6d %10s\n" qname
-            mode_name cold !warm
-            (if mode = Xqc.Codegen.Off then 0 else segments)
-            rows
-            (if String.length rendered > 10 then String.sub rendered 0 10
-             else rendered);
-          emit
-            (Obs.Obj
-               [
-                 ("bench", Obs.Str "fused");
-                 ("query", Obs.Str qname);
-                 ("mode", Obs.Str mode_name);
-                 ("cold_ms", Obs.Float cold);
-                 ("warm_ms", Obs.Float !warm);
-                 ("fused_segments", Obs.Int (if mode = Xqc.Codegen.Off then 0 else segments));
-                 ("fused_rows", Obs.Int rows);
-                 ("result_items", Obs.Int (List.length result));
-               ]))
-        [ ("fused", Xqc.Codegen.Force); ("interpreted", Xqc.Codegen.Off) ])
-    queries;
-  Xqc.Codegen.mode := saved_mode;
-  List.iter
-    (fun (qname, _) ->
-      let fused = Hashtbl.find results (qname, "fused") in
-      let interp = Hashtbl.find results (qname, "interpreted") in
-      let speedup = interp /. Float.max fused 0.0001 in
-      Printf.eprintf "%-14s speedup %8.1fx\n" qname speedup;
-      emit
-        (Obs.Obj
-           [
-             ("bench", Obs.Str "fused-speedup");
-             ("query", Obs.Str qname);
-             ("speedup", Obs.Float speedup);
-           ]))
-    queries;
-  flush out;
-  close_out_fn ();
-  match !metrics_json_file with
-  | Some path -> Printf.eprintf "wrote fused-tier records to %s\n" path
-  | None -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Planner benchmark                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1264,7 +1135,6 @@ let () =
     | "metrics" -> metrics ()
     | "early-exit" -> early_exit ()
     | "axis-index" -> axis_index ()
-    | "fused" -> fused_bench ()
     | "planner" -> planner_bench ()
     | "micro" -> micro ()
     | "update" -> update_bench ()
@@ -1278,7 +1148,7 @@ let () =
         ablation ()
     | other ->
         Printf.eprintf
-          "unknown benchmark %S (expected table3|table4|table5|figure4|saxon|ablation|metrics|early-exit|axis-index|fused|planner|micro|update|serve|all)\n"
+          "unknown benchmark %S (expected table3|table4|table5|figure4|saxon|ablation|metrics|early-exit|axis-index|planner|micro|update|serve|all)\n"
           other;
         Stdlib.exit 1
   in

@@ -31,14 +31,6 @@ let strategy_arg =
           "Engine configuration: no-algebra, saxon-like, no-optim, nl, or \
            optim (default).")
 
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ]
-        ~doc:
-          "Disable the fused execution tier: run every pipeline through the \
-           closure interpreter (equivalent to XQC_FUSE=off).")
-
 let collections_arg =
   Arg.(
     value & opt_all string []
@@ -150,7 +142,7 @@ let write_stats_json prepared path =
   | None, _ -> ()
 
 let run_cmd =
-  let action strategy no_fuse indent stats stats_json query
+  let action strategy indent stats stats_json query
       query_file docs vars collections =
     match load_query query query_file with
     | Error m ->
@@ -158,7 +150,6 @@ let run_cmd =
         1
     | Ok q -> (
         try
-          if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
           let ctx = make_context ~collections docs vars in
           let stats = stats || stats_json <> None in
           let prepared = Xqc.prepare ~strategy ~stats q in
@@ -180,7 +171,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Evaluate a query and print the serialized result.")
     Term.(
-      const action $ strategy_arg $ no_fuse_arg $ indent_arg $ stats_arg $ stats_json_arg $ query_arg
+      const action $ strategy_arg $ indent_arg $ stats_arg $ stats_json_arg $ query_arg
       $ query_file_arg $ docs_arg $ vars_arg $ collections_arg)
 
 let explain_cmd =
@@ -193,7 +184,7 @@ let explain_cmd =
              and print phase timings, per-operator runtime statistics, and \
              the rewrite-rule trace instead of the static report.")
   in
-  let action strategy no_fuse analyze stats_json query
+  let action strategy analyze stats_json query
       query_file docs vars collections =
     match load_query query query_file with
     | Error m ->
@@ -201,7 +192,6 @@ let explain_cmd =
         1
     | Ok q -> (
         try
-          if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
           if analyze then begin
             let ctx = make_context ~collections docs vars in
             let prepared = Xqc.prepare ~strategy ~stats:true q in
@@ -227,7 +217,7 @@ let explain_cmd =
           the query and print the EXPLAIN ANALYZE report (annotated plan \
           with per-operator calls, time and cardinality).")
     Term.(
-      const action $ strategy_arg $ no_fuse_arg $ analyze_arg
+      const action $ strategy_arg $ analyze_arg
       $ stats_json_arg $ query_arg $ query_file_arg $ docs_arg $ vars_arg
       $ collections_arg)
 
@@ -385,10 +375,9 @@ let serve_cmd =
           ~doc:"Queue-depth/inflight gauge sampling period.")
   in
   let action unix_socket host port workers queue_depth timeout_ms preload
-      strategy no_fuse verbose trace_sample slow_ms slow_log
+      strategy verbose trace_sample slow_ms slow_log
       no_slow_analyze gauge_interval_ms =
     try
-      if no_fuse then Xqc.Codegen.mode := Xqc.Codegen.Off;
       let preload =
         List.map
           (fun spec ->
@@ -436,7 +425,7 @@ let serve_cmd =
           with a pool of worker domains.")
     Term.(
       const action $ unix_socket_arg $ host_arg $ port_arg $ workers_arg
-      $ queue_arg $ timeout_arg $ preload_arg $ strategy_arg $ no_fuse_arg
+      $ queue_arg $ timeout_arg $ preload_arg $ strategy_arg
       $ verbose_arg $ trace_sample_arg $ slow_ms_arg
       $ slow_log_arg $ no_slow_analyze_arg
       $ gauge_interval_arg)

@@ -43,7 +43,11 @@ module Builtins = Xqc_runtime.Builtins
 module Interp = Xqc_interp.Interp
 module Indexed = Xqc_interp.Indexed
 module Store = Xqc_store.Store
-module Codegen = Xqc_codegen.Codegen
+(* The engine has no fused segments; [benchmark/batch.ml] still counts
+   them through this call.  Goes at the next benchmark-definition change. *)
+module Codegen = struct
+  let annotate (_ : Physical.t) = []
+end
 module Obs = Xqc_obs.Obs
 module Trace = Xqc_obs.Trace
 module Slow_log = Xqc_obs.Slow_log
@@ -204,11 +208,10 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
 (* ------------------------------------------------------------------ *)
 
 (* LRU cache over [prepare], keyed by everything that shapes the
-   compiled plan: query text, strategy, the store's index mode, the
-   codegen mode and the document generation — physical planning is
-   statistics-sensitive, so a plan prepared with indexing off must not
-   be reused once indexes are available (and vice versa), and a codegen
-   mode change must replan for the same reason.
+   compiled plan: query text, strategy, the store's index mode and the
+   document generation — physical planning is statistics-sensitive, so a
+   plan prepared with indexing off must not be reused once indexes are
+   available (and vice versa).
    Stats-collecting preparations are never cached — each caller of
    [~stats:true] expects its own collector.  Recency is a global tick;
    eviction scans for the minimum (the cache is small, capacity beats
@@ -221,7 +224,6 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
 type exec_modes = {
   m_strategy : strategy;
   m_index : Store.mode;
-  m_codegen : Codegen.mode;
   m_docs_gen : int;
       (** the MVCC document-state generation at planning time: plans are
           costed against index statistics, and an applied update changes
@@ -236,7 +238,6 @@ let current_exec_modes ~strategy () : exec_modes =
   {
     m_strategy = strategy;
     m_index = !Store.mode;
-    m_codegen = !Codegen.mode;
     m_docs_gen = Version.generation ();
   }
 
@@ -338,7 +339,7 @@ let eval_string ?strategy ?force_join ?schema ?(variables = [])
 
 (* A multi-section compilation report: the Core form and the logical plan
    before and after optimization, in the paper's notation, plus the
-   physical plan, the fused segments and the rewrite-rule firing trace. *)
+   physical plan and the rewrite-rule firing trace. *)
 let explain ?(strategy = Optimized) (source : string) : string =
   let core = Normalize.normalize_string source in
   let buf = Buffer.create 1024 in
@@ -358,16 +359,6 @@ let explain ?(strategy = Optimized) (source : string) : string =
       let config = planner_config strategy None in
       let physical = Planner.plan ~config optimized in
       Buffer.add_string buf (Pretty.physical_to_string physical);
-      (match Codegen.annotate physical with
-      | [] -> ()
-      | segments ->
-          Buffer.add_string buf "\n\n=== Fused segments ===\n";
-          List.iteri
-            (fun i (label, prog) ->
-              Buffer.add_string buf
-                (Printf.sprintf "#%d [%d instrs] at %s\n    %s\n" (i + 1)
-                   (Codegen.instr_count prog) label (Codegen.describe prog)))
-            segments);
       if Obs.total_firings trace > 0 then begin
         Buffer.add_string buf "\n\n=== Rewrite trace ===\n";
         Buffer.add_string buf (Obs.rewrite_to_string trace)

@@ -42,7 +42,6 @@ open Xqc_algebra
 open Dynamic_ctx
 module Obs = Xqc_obs.Obs
 module Store = Xqc_store.Store
-module Codegen = Xqc_codegen.Codegen
 module P = Physical
 
 exception Compile_error of string
@@ -135,14 +134,14 @@ let test_matches schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
     bool =
   match test with
   | Ast.Kind_test it -> Seqtype.item_matches schema (Item.Node n) it
-  | Ast.Name_test name ->
+  | Ast.Name_test name -> (
       (* the principal node kind of the attribute axis is attribute *)
-      let kind_ok =
-        match axis with
-        | Ast.Attribute_axis -> Node.kind n = Node.Kattribute
-        | _ -> Node.kind n = Node.Kelement
-      in
-      kind_ok && (String.equal name "*" || Node.name n = Some name)
+      match (axis, n.Node.desc) with
+      | Ast.Attribute_axis, Node.Attribute { aname; _ } ->
+          String.equal name "*" || String.equal aname name
+      | Ast.Attribute_axis, _ -> false
+      | _, Node.Element { ename; _ } -> String.equal name "*" || String.equal ename name
+      | _ -> false)
 
 (* Indexed fast path for a single axis step: name tests over the
    downward axes resolve against the document store's interval-encoded
@@ -288,13 +287,7 @@ let construct_attribute name (items : Item.sequence) : Item.t =
 (* Plan compilation                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [drain]: the consumer of the subplan being compiled fully drains a
-   tabular result — the fused tier may then replace a lazy Select/
-   MapFromItem cursor with an eager tuple batch.  Cleared below
-   early-terminating consumers (StreamSelect, MapSome/MapEvery) so
-   their O(answer) pull bounds survive.
-
-   [adopt]: every node this subplan constructs flows, unobserved and
+(* [adopt]: every node this subplan constructs flows, unobserved and
    exactly once, into the content of an enclosing element constructor,
    which will adopt it — so its constructors may return their nodes
    fresh (unnumbered).  Set on an element constructor's content; it
@@ -305,7 +298,7 @@ let construct_attribute name (items : Item.sequence) : Item.t =
 
    [uses]: how often each tuple field is read anywhere in the plan
    being compiled. *)
-type cenv = { layout : layout; drain : bool; adopt : bool; uses : string -> int }
+type cenv = { layout : layout; adopt : bool; uses : string -> int }
 
 (* One linear pass per plan: reads of each field, by PFieldAccess or as a
    GroupBy index or null field. *)
@@ -323,7 +316,7 @@ let field_uses (p : P.t) : string -> int =
     () p;
   fun q -> Option.value ~default:0 (Hashtbl.find_opt counts q)
 
-let top_env (p : P.t) : cenv = { layout = []; drain = true; adopt = false; uses = field_uses p }
+let top_env (p : P.t) : cenv = { layout = []; adopt = false; uses = field_uses p }
 
 (* Does [p], compiled with adopt flag [adopt], read field [q] in adopt
    position?  Follows exactly the propagation of [compile_node]; a
@@ -416,13 +409,17 @@ let instrument (st : Obs.op_stats) (c : comp) : comp =
 (* Item-level cursors                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Lazy axis application: descendant axes walk the subtree on demand so
-   an existential consumer visits only the prefix it needs. *)
-let axis_seq (axis : Ast.axis) (n : Node.t) : Node.t Seq.t =
+(* One walked step from [n], as a cursor: descendant axes walk the
+   subtree on demand so an existential consumer visits only the prefix
+   it needs; the other axes read a list the node already holds, so it
+   is filtered at once. *)
+let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
+    Item.t Seq.t =
+  let keep m = if test_matches schema axis test m then Some (Item.Node m) else None in
   match axis with
-  | Ast.Descendant -> Node.descendants_seq n
-  | Ast.Descendant_or_self -> Node.descendant_or_self_seq n
-  | a -> List.to_seq (apply_axis a n)
+  | Ast.Descendant -> Seq.filter_map keep (Node.descendants_seq n)
+  | Ast.Descendant_or_self -> Seq.filter_map keep (Node.descendant_or_self_seq n)
+  | a -> List.to_seq (List.filter_map keep (apply_axis a n))
 
 (* Indexed single-step cursor: the lazy counterpart of
    [indexed_axis_nodes].  A [Some] sequence already satisfies the node
@@ -494,12 +491,7 @@ let compile_cursor_steps ?(parent : P.t option) (steps : P.pstep list) :
                   in
                   match indexed with
                   | Some ms -> Seq.map (fun m -> Item.Node m) ms
-                  | None ->
-                      Seq.filter_map
-                        (fun m ->
-                          if test_matches ctx.schema axis test m then Some (Item.Node m)
-                          else None)
-                        (axis_seq axis n))
+                  | None -> walk_step_seq ctx.schema axis test n)
               | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
             s
         in
@@ -557,86 +549,6 @@ type join_parts = {
 }
 
 let rec compile (env : cenv) (p : P.t) : comp * layout =
-  match compile_fused env p with
-  | Some r -> r
-  | None -> compile_interp env p
-
-(* The fused tier.  When [Codegen.lower] can express this subplan as a
-   flat program, the closure for the whole subtree is a single call into
-   the bytecode executor; the interpreted twin of the same subtree is
-   compiled lazily (at most once, outside any instrumentation) and
-   spliced in when the program meets a runtime shape outside its static
-   proof — a multi-node or atomic source, or a user declaration
-   shadowing a builtin the program baked in.  Under the materialize
-   ablation the tier is disabled outright: the equivalence suite
-   compares it against the pure interpreter. *)
-and compile_fused (env : cenv) (p : P.t) : (comp * layout) option =
-  if !force_materialize then None
-  else
-    match Codegen.lower ~tab:env.drain p with
-    | None -> None
-    | Some prog ->
-        let layout =
-          match Codegen.tuple_field prog with Some q -> [ q ] | None -> []
-        in
-        let twin =
-          lazy
-            (let saved = current_builder () in
-             set_current_builder None;
-             Fun.protect
-               ~finally:(fun () -> set_current_builder saved)
-               (fun () -> fst (compile_interp env p)))
-        in
-        let run ctx inp =
-          check_deadline ctx;
-          let cg =
-            {
-              Codegen.e_schema = ctx.schema;
-              e_lookup = (fun v -> lookup_variable ctx v);
-              e_input =
-                (fun () ->
-                  match inp with
-                  | IItems s -> s
-                  | ITuple _ | INone -> raise Codegen.Fallback);
-              e_shadowed = (fun nm -> Hashtbl.mem ctx.functions nm);
-              e_check = (fun () -> check_deadline ctx);
-              e_sum =
-                (fun items ->
-                  match Builtins.find "fn:sum" with
-                  | Some f -> f ctx [ items ]
-                  | None -> dynamic_error "unknown function fn:sum");
-            }
-          in
-          try
-            match Codegen.tuple_field prog with
-            | None -> Xml (Codegen.exec cg prog)
-            | Some _ ->
-                let arr, len = Codegen.exec_nodes cg prog in
-                let rec pull i () =
-                  if i >= len then Seq.Nil
-                  else Seq.Cons ([| [ Item.Node arr.(i) ] |], pull (i + 1))
-                in
-                Tab (pull 0)
-          with Codegen.Fallback ->
-            Codegen.fallback_counter_incr ();
-            (Lazy.force twin) ctx inp
-        in
-        let c =
-          match current_builder () with
-          | None -> run
-          | Some b ->
-              let node =
-                Obs.push_node b ~stream:Obs.Blocking ~est:p.P.pest.P.est_rows
-                  (Printf.sprintf "Fused[%d] %s"
-                     (Codegen.instr_count prog)
-                     (Pretty.physical_label p))
-              in
-              Obs.pop_node b;
-              instrument node.Obs.on_stats run
-        in
-        Some (c, layout)
-
-and compile_interp (env : cenv) (p : P.t) : comp * layout =
   let c, layout =
     match current_builder () with
     | None -> compile_node env p
@@ -863,7 +775,9 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
       let comps = Array.of_list (List.map snd compiled) in
       ( (fun ctx inp ->
           let t = Array.make n [] in
-          Array.iteri (fun i c -> t.(i) <- as_items (c ctx inp)) comps;
+          for i = 0 to n - 1 do
+            t.(i) <- as_items (comps.(i) ctx inp)
+          done;
           Tab (Seq.return t)),
         List.map fst compiled )
   | P.PFieldAccess q -> (
@@ -887,7 +801,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
          in slot 0 of a MapIndex output), then the prefix is filtered.
          The cut is sound in both streamed and materialized execution:
          the predicate implies the bound. *)
-      let ci, li = compile { env with drain = false } input in
+      let ci, li = compile env input in
       let cp, _ = compile { env with layout = li } pred in
       let below (t : tuple) =
         match t.(0) with
@@ -902,7 +816,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         li )
   | P.PProduct (a, b) ->
       let ca, la = compile env a
-      and cb, lb = compile { env with drain = true } b in
+      and cb, lb = compile env b in
       let out, width, moves = concat_spec la lb in
       let n1 = List.length la in
       ( (fun ctx inp ->
@@ -923,7 +837,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
   | P.PMaterialize inner ->
       (* explicit pipeline cut: drain the child cursor to a list at call
          time (join/product build sides) *)
-      let ci, li = compile { env with drain = true } inner in
+      let ci, li = compile env inner in
       ( (fun ctx inp ->
           match ci ctx inp with Xml _ as v -> v | Tab s -> tab_list (List.of_seq s)),
         li )
@@ -1014,7 +928,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
                (as_table (ci ctx inp)))),
         q :: li )
   | P.POrderBy (specs, input) ->
-      let ci, li = compile { env with drain = true } input in
+      let ci, li = compile env input in
       let cspecs =
         List.map
           (fun (s : P.psort_spec) ->
@@ -1045,6 +959,18 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
                   | _ -> None)
           | _ -> None
       in
+      (* a tuple constructor yields exactly one tuple per item *)
+      let expand cd ctx items =
+        match dep.P.pop with
+        | P.PTupleConstruct _ ->
+            Seq.map
+              (fun it ->
+                match as_table (cd ctx (IItems [ it ])) () with
+                | Seq.Cons (t, _) -> t
+                | Seq.Nil -> dynamic_error "tuple constructor produced no tuple")
+              items
+        | _ -> Seq.concat_map (fun it -> as_table (cd ctx (IItems [ it ]))) items
+      in
       match cursor with
       | Some cur ->
           let cd, ld = compile { env with layout = [] } dep in
@@ -1058,32 +984,27 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
                        or duplicate, fall back to the strict evaluation *)
                     List.to_seq (as_items ((Lazy.force strict) ctx inp))
               in
-              Tab (Seq.concat_map (fun it -> as_table (cd ctx (IItems [ it ]))) items)),
+              Tab (expand cd ctx items)),
             ld )
       | None ->
           let ci, _ = compile env input in
           let cd, ld = compile { env with layout = [] } dep in
-          ( (fun ctx inp ->
-              let items = as_items (ci ctx inp) in
-              Tab
-                (Seq.concat_map
-                   (fun it -> as_table (cd ctx (IItems [ it ])))
-                   (List.to_seq items))),
-            ld ))
+          ((fun ctx inp -> Tab (expand cd ctx (List.to_seq (as_items (ci ctx inp))))), ld))
   | P.PMapToItem (dep, input) ->
       let ci, li =
-        compile { env with drain = true; adopt = adopted_group env ~adopt dep input } input
+        compile { env with adopt = adopted_group env ~adopt dep input } input
       in
       let cd, _ = compile { env with layout = li; adopt } dep in
       ( (fun ctx inp ->
           let s = as_table (ci ctx inp) in
           Xml
-            (List.concat
-               (List.rev
-                  (Seq.fold_left (fun acc t -> as_items (cd ctx (ITuple t)) :: acc) [] s)))),
+            (List.rev
+               (Seq.fold_left
+                  (fun acc t -> List.rev_append (as_items (cd ctx (ITuple t))) acc)
+                  [] s))),
         [] )
   | P.PMapSome (dep, input) ->
-      let ci, li = compile { env with drain = false } input in
+      let ci, li = compile env input in
       let cd, _ = compile { env with layout = li } dep in
       ( (fun ctx inp ->
           Xml
@@ -1094,7 +1015,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
             ]),
         [] )
   | P.PMapEvery (dep, input) ->
-      let ci, li = compile { env with drain = false } input in
+      let ci, li = compile env input in
       let cd, _ = compile { env with layout = li } dep in
       ( (fun ctx inp ->
           Xml
@@ -1274,7 +1195,7 @@ and order_by ctx cspecs tuples =
    [adopted_group]), so the pre plan builds it fresh. *)
 and compile_groupby env ~adopt (g : P.pgroup_spec) input =
   let ci, li =
-    compile { env with drain = true; adopt = adopted_group env ~adopt g.P.pg_pre input } input
+    compile { env with adopt = adopted_group env ~adopt g.P.pg_pre input } input
   in
   let cpre, _ = compile { env with layout = li; adopt } g.P.pg_pre in
   let cpost, _ = compile { env with layout = [] } g.P.pg_post in

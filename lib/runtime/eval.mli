@@ -71,18 +71,15 @@ val construct_attribute : string -> Item.sequence -> Item.t
 
 (** {1 Compilation and execution} *)
 
-type cenv = { layout : layout; drain : bool; adopt : bool; uses : string -> int }
-(** [drain]: the consumer fully drains a tabular result, so the fused
-    tier may replace a lazy Select/MapFromItem cursor with an eager
-    tuple batch.  Pass [true] at scope roots; cleared internally below
-    early-terminating consumers.  [adopt]: the nodes the plan constructs
+type cenv = { layout : layout; adopt : bool; uses : string -> int }
+(** [adopt]: the nodes the plan constructs
     flow straight into an enclosing element constructor, which adopts
     them, so they are returned unnumbered; [false] at scope roots.
     [uses]: reads of each tuple field in the whole plan. *)
 
 val top_env : Physical.t -> cenv
 (** The environment of a scope root (a query body, a global or a
-    function body): empty layout, draining, not adopting, and the
+    function body): empty layout, not adopting, and the
     plan's field use counts. *)
 
 val force_materialize : bool ref

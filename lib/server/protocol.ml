@@ -25,7 +25,9 @@
    "status":"ok" plus op-specific fields, or "status":"error" with a
    machine-readable "code" and a human "message".  Error codes:
    bad_request, unknown_statement, unknown_document, unknown_trace,
-   timeout, overloaded, query_error, shutting_down, internal.
+   timeout, overloaded, query_error, shutting_down, internal, and
+   request_too_large (a request line over the server's size cap; the
+   server then closes the connection).
 
    "op":"update" runs an XQUF script against the preloaded document
    named "doc", under its MVCC write lock; ok responses carry "applied"

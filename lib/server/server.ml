@@ -863,16 +863,45 @@ let handle_line t conn line =
                  "server is shutting down")
       end
 
+(* The longest request line accepted, in bytes.  A longer line is
+   refused and its connection closed, so a newline-free stream cannot
+   grow the heap without limit. *)
+let max_request_bytes = 8 * 1024 * 1024
+
+exception Request_too_large
+
+(* [input_line], bounded by [max_request_bytes]. *)
+let read_request_line ic =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> Buffer.contents buf
+    | c ->
+        if Buffer.length buf >= max_request_bytes then raise Request_too_large;
+        Buffer.add_char buf c;
+        go ()
+    | exception End_of_file when Buffer.length buf > 0 -> Buffer.contents buf
+  in
+  go ()
+
 let reader_thread t conn () =
   Obs.incr_counter c_connections;
   log t "%s connected" conn.peer;
   let rec loop () =
-    match input_line conn.ic with
+    match read_request_line conn.ic with
     | "" -> loop ()
     | line ->
         (try handle_line t conn line
          with Sys_error _ | Unix.Unix_error _ -> raise End_of_file);
         loop ()
+    | exception Request_too_large -> (
+        Obs.incr_counter c_errors;
+        log t "%s sent a request line over %d bytes" conn.peer max_request_bytes;
+        try
+          write_line conn
+            (Protocol.response_error ~id:Obs.Null ~code:"request_too_large"
+               (Printf.sprintf "request line longer than %d bytes" max_request_bytes))
+        with Sys_error _ | Unix.Unix_error _ -> ())
     | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
   in
   loop ();

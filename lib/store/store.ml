@@ -295,11 +295,6 @@ let slice_seq (arr : Node.t array) i j : Node.t Seq.t =
 (* Axis queries (None = caller falls back to the walking path)         *)
 (* ------------------------------------------------------------------ *)
 
-(* Raw range for the fused execution tier: the codegen executor blits
-   the slice straight into its register batch, no list in between. *)
-let descendant_range ?self n name : (Node.t array * int * int) option =
-  name_range ?self elems n name
-
 let descendants_by_name n name : Node.t list option =
   Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range elems n name)
 

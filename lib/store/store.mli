@@ -42,13 +42,6 @@ val small_subtree : int ref
 
 (** {1 Axis queries} — [None] means: walk instead. *)
 
-val descendant_range :
-  ?self:bool -> Node.t -> string -> (Node.t array * int * int) option
-(** The raw occurrence range of descendant[-or-self]::name inside [n]'s
-    subtree interval: [(arr, i, j)] with the matches at positions
-    [i, j) of the name's nid-ordered node array.  Used by the fused
-    execution tier to blit slices straight into register batches. *)
-
 val descendants_by_name : Node.t -> string -> Node.t list option
 val descendants_by_name_seq : Node.t -> string -> Node.t Seq.t option
 val descendant_or_self_by_name : Node.t -> string -> Node.t list option

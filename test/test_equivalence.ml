@@ -132,15 +132,6 @@ let with_index_mode mode f =
       Xqc.Store.small_subtree := saved_small)
     f
 
-(* Run [f] with the fused execution tier pinned to [mode], restoring the
-   ambient configuration afterwards.  [Force] fuses every lowerable
-   segment regardless of the planner's cardinality estimate, so even the
-   tiny random documents exercise the bytecode executor. *)
-let with_fuse_mode mode f =
-  let saved = !Xqc.Codegen.mode in
-  Xqc.Codegen.mode := mode;
-  Fun.protect ~finally:(fun () -> Xqc.Codegen.mode := saved) f
-
 let prop_all_strategies_agree =
   QCheck.Test.make ~name:"all strategies agree on random query/doc pairs"
     ~count:500 arb (fun (qi, doc) ->
@@ -190,35 +181,6 @@ let prop_index_is_transparent =
             (with_index_mode Xqc.Store.Off (fun () -> run_one s doc q)))
         strategies)
 
-(* The fused bytecode tier against the closure interpreter: forcing
-   fusion on and off must never change a result, under any strategy.
-   This is the fusion analogue of the index-transparency property. *)
-let prop_fusion_is_transparent =
-  QCheck.Test.make ~name:"fused and interpreted pipelines agree" ~count:250 arb
-    (fun (qi, doc) ->
-      let q = queries.(qi) in
-      List.for_all
-        (fun s ->
-          String.equal
-            (with_fuse_mode Xqc.Codegen.Force (fun () -> run_one s doc q))
-            (with_fuse_mode Xqc.Codegen.Off (fun () -> run_one s doc q)))
-        strategies)
-
-(* Fusion composed with the structural index: the fused executor blits
-   index ranges directly, so run it against the walking code too. *)
-let prop_fusion_with_index_is_transparent =
-  QCheck.Test.make ~name:"fused+indexed agrees with interpreted+walked"
-    ~count:150 arb (fun (qi, doc) ->
-      let q = queries.(qi) in
-      List.for_all
-        (fun s ->
-          String.equal
-            (with_index_mode Xqc.Store.Force (fun () ->
-                 with_fuse_mode Xqc.Codegen.Force (fun () -> run_one s doc q)))
-            (with_index_mode Xqc.Store.Off (fun () ->
-                 with_fuse_mode Xqc.Codegen.Off (fun () -> run_one s doc q))))
-        strategies)
-
 (* -------- bounded pulls: the early-termination property itself -------- *)
 
 (* Existential and positional queries over an XMark document must stop
@@ -226,10 +188,6 @@ let prop_fusion_with_index_is_transparent =
    item actually pulled through an instrumented operator, so streaming
    shows up as pull totals that do not grow with the document. *)
 let pulled ~materialize doc q =
-  (* fusion pinned off: these tests assert the interpreted tier's exact
-     per-operator pull accounting, which a fused segment (one op_node for
-     a whole pipeline) would legitimately change *)
-  with_fuse_mode Xqc.Codegen.Off @@ fun () ->
   with_materialize materialize @@ fun () ->
   let p = Xqc.prepare ~stats:true q in
   let ctx = Xqc.context () in
@@ -326,8 +284,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_streaming_is_transparent;
           QCheck_alcotest.to_alcotest prop_forced_joins_agree;
           QCheck_alcotest.to_alcotest prop_index_is_transparent;
-          QCheck_alcotest.to_alcotest prop_fusion_is_transparent;
-          QCheck_alcotest.to_alcotest prop_fusion_with_index_is_transparent;
         ] );
       ( "streaming",
         [
@@ -401,32 +357,6 @@ let () =
                       then
                         Alcotest.failf
                           "XMark %s / %s: indexed and walked results disagree"
-                          name (Xqc.strategy_name s))
-                    strategies)
-                xmark_queries);
-          Alcotest.test_case "xmark fused vs interpreted" `Slow (fun () ->
-              let doc = xmark_doc () in
-              List.iter
-                (fun (name, q) ->
-                  List.iter
-                    (fun s ->
-                      let go mode =
-                        with_fuse_mode mode (fun () ->
-                            match
-                              Xqc.eval_string ~strategy:s
-                                ~variables:[ ("auction", [ Xqc.Item.Node doc ]) ]
-                                q
-                            with
-                            | items -> "OK:" ^ Xqc.serialize items
-                            | exception Xqc.Error m -> "ERROR:" ^ m)
-                      in
-                      if
-                        not
-                          (String.equal (go Xqc.Codegen.Force)
-                             (go Xqc.Codegen.Off))
-                      then
-                        Alcotest.failf
-                          "XMark %s / %s: fused and interpreted results disagree"
                           name (Xqc.strategy_name s))
                     strategies)
                 xmark_queries);

@@ -253,6 +253,18 @@ let user_functions =
       "15" );
   ]
 
+(* A user declaration in the fn: namespace shadows the builtin of the
+   same name, under every strategy including the No-algebra interpreter. *)
+let test_shadowed_builtin () =
+  let q =
+    {|declare function fn:count($x) { 999 };
+      count(for $p in $d//pet where $p = "cat" return $p)|}
+  in
+  List.iter
+    (fun strategy ->
+      Alcotest.(check string) (Xqc.strategy_name strategy) "999" (eval ~strategy q))
+    Xqc.all_strategies
+
 let errors =
   [
     ("unknown function", "nosuchfn(1)");
@@ -453,7 +465,9 @@ let () =
       ("node set ops", List.map expect node_set_ops);
       ("computed constructors", List.map expect computed_constructors);
       ("extra functions", List.map expect extra_functions);
-      ("user functions", List.map expect user_functions);
+      ( "user functions",
+        List.map expect user_functions
+        @ [ Alcotest.test_case "shadowed builtin" `Quick test_shadowed_builtin ] );
       ("predicate edge cases", List.map expect predicate_edge_cases);
       ("errors", error_tests);
       ( "constructed node identity",

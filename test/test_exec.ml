@@ -333,19 +333,6 @@ let test_collection_join () =
   check "= interpreter" expected
     (serialize (run (prepare ~strategy:No_algebra q) ctx))
 
-let with_fuse mode f =
-  let saved = !Codegen.mode in
-  Codegen.mode := mode;
-  Fun.protect ~finally:(fun () -> Codegen.mode := saved) f
-
-let test_collection_fused () =
-  let docs = List.init 4 mk_db in
-  let q = {|for $p in collection("c")//person where $p/name != "n0" return $p/@id|} in
-  let fused = with_fuse Codegen.Force (fun () -> with_collection docs q) in
-  let interp = with_fuse Codegen.Off (fun () -> with_collection docs q) in
-  check "fused = interpreted" interp fused;
-  check_bool "non-empty" true (fused <> "")
-
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -377,10 +364,10 @@ let test_explain_sections () =
              "=== Logical plan (naive compilation) ===";
              "=== Optimized plan ===";
              "=== Physical plan ===";
-             "=== Fused segments ===";
              "=== Rewrite trace ===";
            ]))
-    got
+    got;
+  check_bool "no fused segments section" false (contains report "=== Fused segments ===")
 
 (* Operator labels carry the planner's choices and nothing else. *)
 let test_explain_labels () =
@@ -471,7 +458,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_collection_empty;
           Alcotest.test_case "rebinding" `Quick test_collection_rebind;
           Alcotest.test_case "join between members" `Quick test_collection_join;
-          Alcotest.test_case "fused = interpreted" `Quick test_collection_fused;
         ] );
       ( "explain",
         [

@@ -191,11 +191,6 @@ let counter name =
   | Some v -> v
   | None -> 0
 
-let with_fuse mode f =
-  let saved = !Codegen.mode in
-  Codegen.mode := mode;
-  Fun.protect ~finally:(fun () -> Codegen.mode := saved) f
-
 let mk_db i =
   parse_document
     (Printf.sprintf "<db><people>%s</people></db>"
@@ -226,11 +221,7 @@ let test_plan_cache_modes () =
   let saved_store = !Store.mode in
   check_flip "index mode"
     (fun () -> Store.mode := Store.Off)
-    (fun () -> Store.mode := saved_store);
-  let saved_cg = !Codegen.mode in
-  check_flip "codegen mode"
-    (fun () -> Codegen.mode := Codegen.Off)
-    (fun () -> Codegen.mode := saved_cg)
+    (fun () -> Store.mode := saved_store)
 
 (* An applied update publishes a new document generation: a plan costed
    against the old statistics must not be served for the new state. *)
@@ -267,22 +258,6 @@ let test_plan_cache_materialize () =
   in
   check_int "flip hits the cache" warm (counter "plan_cache_misses");
   check "materialized = streamed" streamed materialized
-
-(* [Codegen.mode] is a cache-key field: each mode gets its own cached
-   plan, and the fused and interpreted plans agree. *)
-let test_plan_cache_codegen_agree () =
-  let q = {|count(for $p in $d//person where $p/name = "n1" return $p)|} in
-  let ctx = context () in
-  bind_variable ctx "d" [ Item.Node (mk_db 4) ];
-  let run mode =
-    with_fuse mode (fun () -> serialize (Xqc.run (prepare_cached q) ctx))
-  in
-  clear_plan_cache ();
-  let fused = run Codegen.Force in
-  let interp = run Codegen.Off in
-  check_int "one plan per mode" 2 (plan_cache_size ());
-  check "fused = interpreted" interp fused;
-  check "the count itself" "1" fused
 
 (* ------------------------------------------------------------------ *)
 (* fn:collection                                                       *)
@@ -332,8 +307,6 @@ let () =
           Alcotest.test_case "update replans" `Quick test_plan_cache_docs_gen;
           Alcotest.test_case "materialize is run-time" `Quick
             test_plan_cache_materialize;
-          Alcotest.test_case "codegen modes agree" `Quick
-            test_plan_cache_codegen_agree;
         ] );
       ("collection", [ Alcotest.test_case "builtin" `Quick test_collection_builtin ]);
     ]

@@ -182,6 +182,25 @@ let test_deep_nesting_refused () =
   Alcotest.(check string) "code" "bad_request" (jstr "reply" "code" reply);
   Alcotest.(check string) "next query" "2" (check_ok "1+1" (Client.query c "1+1"))
 
+(* Request lines are capped: a line over [Server.max_request_bytes] is
+   refused with request_too_large and its connection closed, and the
+   server keeps serving fresh connections. *)
+let test_oversized_line_refused () =
+  with_server ~workers:1 ~preload:[] @@ fun sock ->
+  (let c = Client.connect_unix sock in
+   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+   output_string c.Client.oc (String.make (Server.max_request_bytes + 1) 'x');
+   flush c.Client.oc;
+   let reply = Json_parse.parse (input_line c.Client.ic) in
+   Alcotest.(check string) "status" "error" (jstr "reply" "status" reply);
+   Alcotest.(check string) "code" "request_too_large" (jstr "reply" "code" reply);
+   match input_line c.Client.ic with
+   | exception End_of_file -> ()
+   | line -> Alcotest.failf "connection still open, read %S" line);
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check string) "fresh connection" "2" (check_ok "1+1" (Client.query c "1+1"))
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent correctness                                              *)
 (* ------------------------------------------------------------------ *)
@@ -267,31 +286,6 @@ let test_prepared_reuse () =
   match Client.execute c1 "no-such-statement" with
   | Error ("unknown_statement", _) -> ()
   | Ok _ | Error _ -> Alcotest.fail "executing an unknown statement must fail"
-
-(* The server has no fused-tier switch of its own: `xqc serve --no-fuse`
-   and XQC_FUSE=off set [Codegen.mode] before it starts, and its workers
-   must then answer exactly as the fused local oracle does. *)
-let test_unfused_serving () =
-  let queries =
-    [
-      "count($auction//item)";
-      "for $p in $auction/site/people/person where $p/@id = \"person0\" \
-       return $p/name/text()";
-      "count(for $i in $auction//item where $i/location = \"United States\" \
-       return $i)";
-    ]
-  in
-  let expected = expected_results queries in
-  let saved = !Xqc.Codegen.mode in
-  Xqc.Codegen.mode := Xqc.Codegen.Off;
-  Fun.protect ~finally:(fun () -> Xqc.Codegen.mode := saved) @@ fun () ->
-  with_server ~workers:1 ~preload:(preload_xmark ()) @@ fun sock ->
-  let c = Client.connect_unix sock in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  List.iter
-    (fun (q, want) ->
-      Alcotest.(check string) q want (check_ok q (Client.query c q)))
-    expected
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                           *)
@@ -695,6 +689,7 @@ let () =
         [
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "deep nesting refused" `Quick test_deep_nesting_refused;
+          Alcotest.test_case "oversized line refused" `Quick test_oversized_line_refused;
         ] );
       ( "service",
         [
@@ -703,7 +698,6 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "overloaded" `Quick test_overloaded;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
-          Alcotest.test_case "unfused serving" `Quick test_unfused_serving;
         ] );
       ( "telemetry",
         [
