@@ -181,6 +181,38 @@ let prop_index_is_transparent =
             (with_index_mode Xqc.Store.Off (fun () -> run_one s doc q)))
         strategies)
 
+(* The index and materialization axes composed: indexed axes drained
+   eagerly against walked axes streamed, under every strategy. *)
+let prop_index_and_materialize_compose =
+  QCheck.Test.make ~name:"indexed+materialized agrees with walked+streamed"
+    ~count:150 arb (fun (qi, doc) ->
+      let q = queries.(qi) in
+      List.for_all
+        (fun s ->
+          String.equal
+            (with_index_mode Xqc.Store.Force (fun () ->
+                 run_one ~materialize:true s doc q))
+            (with_index_mode Xqc.Store.Off (fun () -> run_one s doc q)))
+        strategies)
+
+(* Every forced join algorithm with indexed axes and materialized
+   evaluation, against the Core interpreter walking and streaming: all
+   four axes at once on the algebraic side, none on the reference side. *)
+let prop_forced_joins_indexed_materialized =
+  QCheck.Test.make
+    ~name:"forced joins, indexed and materialized, agree with the interpreter"
+    ~count:100 arb (fun (qi, doc) ->
+      let q = queries.(qi) in
+      let reference =
+        with_index_mode Xqc.Store.Off (fun () -> run_one Xqc.No_algebra doc q)
+      in
+      List.for_all
+        (fun alg ->
+          String.equal reference
+            (with_index_mode Xqc.Store.Force (fun () ->
+                 run_one ~materialize:true ~force_join:alg Xqc.Optimized doc q)))
+        [ Xqc.Physical.Nested_loop; Xqc.Physical.Hash; Xqc.Physical.Sort ])
+
 (* -------- bounded pulls: the early-termination property itself -------- *)
 
 (* Existential and positional queries over an XMark document must stop
@@ -284,6 +316,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_streaming_is_transparent;
           QCheck_alcotest.to_alcotest prop_forced_joins_agree;
           QCheck_alcotest.to_alcotest prop_index_is_transparent;
+          QCheck_alcotest.to_alcotest prop_index_and_materialize_compose;
+          QCheck_alcotest.to_alcotest prop_forced_joins_indexed_materialized;
         ] );
       ( "streaming",
         [
@@ -359,6 +393,31 @@ let () =
                           "XMark %s / %s: indexed and walked results disagree"
                           name (Xqc.strategy_name s))
                     strategies)
+                xmark_queries);
+          Alcotest.test_case "xmark forced joins" `Slow (fun () ->
+              let doc = xmark_doc () in
+              List.iter
+                (fun (name, q) ->
+                  let go force_join =
+                    match
+                      Xqc.eval_string ~strategy:Xqc.Optimized ?force_join
+                        ~variables:[ ("auction", [ Xqc.Item.Node doc ]) ]
+                        q
+                    with
+                    | items -> "OK:" ^ Xqc.serialize items
+                    | exception Xqc.Error m -> "ERROR:" ^ m
+                  in
+                  let planned = go None in
+                  List.iter
+                    (fun alg ->
+                      if not (String.equal planned (go (Some alg))) then
+                        Alcotest.failf
+                          "XMark %s: forcing %s changes the result" name
+                          (match alg with
+                          | Xqc.Physical.Nested_loop -> "nested loop"
+                          | Xqc.Physical.Hash -> "hash"
+                          | Xqc.Physical.Sort -> "sort"))
+                    [ Xqc.Physical.Nested_loop; Xqc.Physical.Hash; Xqc.Physical.Sort ])
                 xmark_queries);
           Alcotest.test_case "clio all queries" `Slow (fun () ->
               let doc = clio_doc () in

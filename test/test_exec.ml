@@ -1,6 +1,6 @@
 (* The sequential executor end to end: both hash-join build sides and
-   their EXPLAIN ANALYZE counters, strict step chains, fn:collection over
-   several documents, the planner's join override, the EXPLAIN report,
+   their EXPLAIN ANALYZE counters, strict step chains and name tests, a
+   sort over a filtered scan, fn:collection over several documents, the planner's join override, the EXPLAIN report,
    and reuse of one prepared plan across runs, contexts and domains.
    Every answer is checked against the Core interpreter or a literal. *)
 
@@ -261,6 +261,74 @@ let test_steps_over_documents () =
   check "= interpreter" expected
     (serialize (run (prepare ~strategy:No_algebra q) ctx))
 
+(* Every combination of index mode and materialization. *)
+let exec_modes =
+  [
+    (Store.Force, true, "indexed, materialized");
+    (Store.Off, true, "walked, materialized");
+    (Store.Force, false, "indexed, streamed");
+    (Store.Off, false, "walked, streamed");
+  ]
+
+let in_mode (mode, materialize, _) f =
+  Store.clear ();
+  with_index mode (fun () -> if materialize then with_materialize f else f ())
+
+(* Name tests and wildcards on the child, descendant and attribute
+   axes: an element name never matches an attribute and the other way
+   round. *)
+let test_name_tests () =
+  let doc = people_orders ~persons:3 ~orders:2 () in
+  List.iter
+    (fun (q, expected) ->
+      check (q ^ " = interpreter") expected (run_on ~strategy:No_algebra doc q);
+      List.iter
+        (fun ((_, _, what) as m) ->
+          check (q ^ ", " ^ what) expected (in_mode m (fun () -> run_on doc q)))
+        exec_modes)
+    [
+      ("count($d//@*)", "5");
+      ("count($d//*)", "13");
+      ("count($d/db/*/person)", "3");
+      ("count($d//person/attribute::name)", "0");
+      ("count($d//person/child::id)", "0");
+      ("for $a in $d//order/@* return name($a)", "buyer buyer");
+    ]
+
+(* Child steps from a variable bound to two document roots: each root's
+   match, in document order. *)
+let test_child_steps_from_roots () =
+  let d1 = parse_document "<r><item>a</item></r>" in
+  let d2 = parse_document "<r><item>b</item></r>" in
+  let ctx = context () in
+  bind_variable ctx "docs" [ Item.Node d1; Item.Node d2 ];
+  let q = "$docs/r/item" in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun ((_, _, what) as m) ->
+          check
+            (strategy_name strategy ^ ", " ^ what)
+            "<item>a</item><item>b</item>"
+            (in_mode m (fun () -> serialize (run (prepare ~strategy q) ctx))))
+        exec_modes)
+    all_strategies
+
+(* A filtered scan feeding a blocking sort: streamed or materialized,
+   the sorted answer is the interpreter's. *)
+let test_orderby_filtered_scan () =
+  let doc = Xqc_workload.Xmark.generate ~target_bytes:100_000 () in
+  let q =
+    {|for $i in $d/site/regions//item
+      where $i/location = "United States"
+      order by $i/name
+      return $i/name|}
+  in
+  let expected = run_on ~strategy:No_algebra doc q in
+  check_bool "some items" true (expected <> "");
+  check "streamed" expected (run_on doc q);
+  check "materialized" expected (with_materialize (fun () -> run_on doc q))
+
 (* ------------------------------------------------------------------ *)
 (* fn:collection                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -332,6 +400,19 @@ let test_collection_join () =
   Dynamic_ctx.bind_collection ctx "c" docs;
   check "= interpreter" expected
     (serialize (run (prepare ~strategy:No_algebra q) ctx))
+
+(* A filtered path over every member: index scans and tree walks,
+   streamed or materialized, give the interpreter's answer. *)
+let test_collection_index_agree () =
+  let docs = List.init 4 mk_db in
+  let q = {|for $p in collection("c")//person where $p/name != "n0" return $p/@id|} in
+  let ctx = context () in
+  Dynamic_ctx.bind_collection ctx "c" docs;
+  let expected = serialize (run (prepare ~strategy:No_algebra q) ctx) in
+  check_bool "some ids" true (expected <> "");
+  List.iter
+    (fun ((_, _, what) as m) -> check what expected (in_mode m (fun () -> with_collection docs q)))
+    exec_modes
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN                                                             *)
@@ -451,6 +532,11 @@ let () =
           Alcotest.test_case "strict per-step counts" `Quick test_strict_step_counts;
           Alcotest.test_case "indexed = walked" `Quick test_strict_steps_index_agree;
           Alcotest.test_case "several documents" `Quick test_steps_over_documents;
+          Alcotest.test_case "name tests" `Quick test_name_tests;
+          Alcotest.test_case "child steps from several roots" `Quick
+            test_child_steps_from_roots;
+          Alcotest.test_case "order by over a filtered scan" `Quick
+            test_orderby_filtered_scan;
         ] );
       ( "collection",
         [
@@ -458,6 +544,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_collection_empty;
           Alcotest.test_case "rebinding" `Quick test_collection_rebind;
           Alcotest.test_case "join between members" `Quick test_collection_join;
+          Alcotest.test_case "indexed = walked" `Quick test_collection_index_agree;
         ] );
       ( "explain",
         [

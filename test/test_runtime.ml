@@ -223,6 +223,21 @@ let test_plan_cache_modes () =
     (fun () -> Store.mode := Store.Off)
     (fun () -> Store.mode := saved_store)
 
+(* The strategy is a cache-key field: each strategy gets its own cached
+   plan, a second round is served from the cache, and every cached plan
+   gives the interpreter's answer. *)
+let test_plan_cache_strategies () =
+  let q = {|count(for $p in $d//person where $p/name = "n1" return $p)|} in
+  let ctx = context () in
+  bind_variable ctx "d" [ Item.Node (mk_db 4) ];
+  let run strategy = serialize (Xqc.run (prepare_cached ~strategy q) ctx) in
+  clear_plan_cache ();
+  List.iter (fun s -> check (strategy_name s) "1" (run s)) all_strategies;
+  check_int "one plan per strategy" (List.length all_strategies) (plan_cache_size ());
+  let warm = counter "plan_cache_misses" in
+  List.iter (fun s -> check (strategy_name s ^ ", cached") "1" (run s)) all_strategies;
+  check_int "second round hits" warm (counter "plan_cache_misses")
+
 (* An applied update publishes a new document generation: a plan costed
    against the old statistics must not be served for the new state. *)
 let test_plan_cache_docs_gen () =
@@ -305,6 +320,7 @@ let () =
         [
           Alcotest.test_case "mode knobs replan" `Quick test_plan_cache_modes;
           Alcotest.test_case "update replans" `Quick test_plan_cache_docs_gen;
+          Alcotest.test_case "one plan per strategy" `Quick test_plan_cache_strategies;
           Alcotest.test_case "materialize is run-time" `Quick
             test_plan_cache_materialize;
         ] );

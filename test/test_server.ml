@@ -201,6 +201,39 @@ let test_oversized_line_refused () =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   Alcotest.(check string) "fresh connection" "2" (check_ok "1+1" (Client.query c "1+1"))
 
+(* The cap is inclusive: a request line of exactly
+   [Server.max_request_bytes] bytes is read and answered, and its
+   connection keeps serving. *)
+let test_line_at_cap_accepted () =
+  with_server ~workers:1 ~preload:[] @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let prefix = {|{"op":"query","q":"1+1","id":1,"pad":"|} and suffix = {|"}|} in
+  let pad = Server.max_request_bytes - String.length prefix - String.length suffix in
+  output_string c.Client.oc (prefix ^ String.make pad 'x' ^ suffix);
+  output_char c.Client.oc '\n';
+  flush c.Client.oc;
+  let reply = Json_parse.parse (input_line c.Client.ic) in
+  Alcotest.(check string) "status" "ok" (jstr "reply" "status" reply);
+  Alcotest.(check string) "result" "2" (jstr "reply" "result" reply);
+  Alcotest.(check string) "next query" "2" (check_ok "1+1" (Client.query c "1+1"))
+
+(* A last request cut off by the end of the stream, with no newline,
+   is still read and answered.  A ping is answered by the reader itself,
+   before it closes the connection at end of stream. *)
+let test_unterminated_line_answered () =
+  with_server ~workers:1 ~preload:[] @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  output_string c.Client.oc {|{"op":"ping","id":1}|};
+  flush c.Client.oc;
+  Unix.shutdown c.Client.fd Unix.SHUTDOWN_SEND;
+  let reply = Json_parse.parse (input_line c.Client.ic) in
+  Alcotest.(check string) "status" "ok" (jstr "reply" "status" reply);
+  match jfield "pong" reply with
+  | Some (Obs.Bool true) -> ()
+  | _ -> Alcotest.fail "no pong"
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent correctness                                              *)
 (* ------------------------------------------------------------------ *)
@@ -690,6 +723,9 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "deep nesting refused" `Quick test_deep_nesting_refused;
           Alcotest.test_case "oversized line refused" `Quick test_oversized_line_refused;
+          Alcotest.test_case "line at the cap accepted" `Quick test_line_at_cap_accepted;
+          Alcotest.test_case "unterminated last line answered" `Quick
+            test_unterminated_line_answered;
         ] );
       ( "service",
         [
