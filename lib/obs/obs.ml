@@ -1,5 +1,5 @@
-(* Observability primitives for the engine: counters, monotonic timers,
-   a lightweight span/event sink, and the structured statistics the
+(* Observability primitives for the engine: counters, instrumented
+   mutexes, latency histograms, and the structured statistics the
    pipeline records — phase timings, per-operator runtime statistics
    (EXPLAIN ANALYZE), join build/probe accounting, and rewrite-rule
    firing traces.
@@ -82,7 +82,7 @@ let json_to_string (j : json) : string =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Counters and timers                                                 *)
+(* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Counters are atomic ints: the query server increments them from
@@ -239,28 +239,6 @@ let global_counters () : (string * int) list =
         (fun name -> (name, counter_value (Hashtbl.find global_registry name)))
         !global_order)
 
-let reset_global_counters () =
-  with_lock global_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cn_cell 0) global_registry)
-
-type timer = { tm_name : string; mutable tm_secs : float; mutable tm_count : int }
-
-let timer name = { tm_name = name; tm_secs = 0.0; tm_count = 0 }
-
-let time (tm : timer) (f : unit -> 'a) : 'a =
-  let t0 = now () in
-  let finish () =
-    tm.tm_secs <- tm.tm_secs +. (now () -. t0);
-    tm.tm_count <- tm.tm_count + 1
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
-
 (* ------------------------------------------------------------------ *)
 (* Latency histograms                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -318,8 +296,6 @@ let observe (h : histogram) (v : float) : unit =
   let ticket = Atomic.fetch_and_add h.hg_pos 1 in
   h.hg_window.(ticket mod Array.length h.hg_window) <- v
 
-let histogram_count (h : histogram) : int = Atomic.get h.hg_count
-
 (* Snapshot the window for percentile computation: valid entries are
    [min ticket window] (the ring fills front to back). *)
 let window_snapshot (h : histogram) : float array =
@@ -357,69 +333,6 @@ let histogram_to_json (h : histogram) : json =
     :: List.map
          (fun (k, v) -> (k, if String.equal k "count" then Int (int_of_float v) else Float v))
          (histogram_summary h))
-
-(* ------------------------------------------------------------------ *)
-(* Span/event sink                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type event = {
-  ev_name : string;
-  ev_start : float;  (** seconds since the sink's epoch *)
-  ev_dur : float;  (** span duration in seconds *)
-  ev_attrs : (string * string) list;
-}
-
-type sink = { mutable sk_events : event list (* newest first *); sk_epoch : float }
-
-let sink () = { sk_events = []; sk_epoch = now () }
-
-let emit (sk : sink) ?(attrs = []) ?(dur = 0.0) (name : string) : unit =
-  sk.sk_events <-
-    { ev_name = name; ev_start = now () -. sk.sk_epoch; ev_dur = dur; ev_attrs = attrs }
-    :: sk.sk_events
-
-let span (sk : sink) ?(attrs = []) (name : string) (f : unit -> 'a) : 'a =
-  let t0 = now () in
-  let finish () =
-    sk.sk_events <-
-      {
-        ev_name = name;
-        ev_start = t0 -. sk.sk_epoch;
-        ev_dur = now () -. t0;
-        ev_attrs = attrs;
-      }
-      :: sk.sk_events
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
-
-let events (sk : sink) : event list = List.rev sk.sk_events
-
-let event_to_text (e : event) : string =
-  Printf.sprintf "%9.3fms +%.3fms %s%s" (e.ev_start *. 1000.0) (e.ev_dur *. 1000.0)
-    e.ev_name
-    (match e.ev_attrs with
-    | [] -> ""
-    | attrs ->
-        " " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))
-
-let event_to_json (e : event) : json =
-  Obj
-    ([
-       ("event", Str e.ev_name);
-       ("start_ms", Float (e.ev_start *. 1000.0));
-       ("dur_ms", Float (e.ev_dur *. 1000.0));
-     ]
-    @ List.map (fun (k, v) -> (k, Str v)) e.ev_attrs)
-
-let events_to_json_lines (sk : sink) : string =
-  String.concat ""
-    (List.map (fun e -> json_to_string (event_to_json e) ^ "\n") (events sk))
 
 (* ------------------------------------------------------------------ *)
 (* Per-operator runtime statistics (EXPLAIN ANALYZE)                   *)
@@ -566,11 +479,9 @@ type collector = {
   mutable co_phases : phase list;  (** first-seen order *)
   mutable co_plans : (string * op_node) list;  (** "main", "global $v", "function f" *)
   co_rewrite : rewrite_trace;
-  co_sink : sink;
 }
 
-let collector () =
-  { co_phases = []; co_plans = []; co_rewrite = rewrite_trace (); co_sink = sink () }
+let collector () = { co_phases = []; co_plans = []; co_rewrite = rewrite_trace () }
 
 let phase (c : collector) (name : string) (f : unit -> 'a) : 'a =
   let ph =
@@ -585,10 +496,7 @@ let phase (c : collector) (name : string) (f : unit -> 'a) : 'a =
   let finish () =
     let dt = now () -. t0 in
     ph.ph_secs <- ph.ph_secs +. dt;
-    ph.ph_count <- ph.ph_count + 1;
-    c.co_sink.sk_events <-
-      { ev_name = name; ev_start = t0 -. c.co_sink.sk_epoch; ev_dur = dt; ev_attrs = [] }
-      :: c.co_sink.sk_events
+    ph.ph_count <- ph.ph_count + 1
   in
   match f () with
   | v ->

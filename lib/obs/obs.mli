@@ -1,8 +1,7 @@
-(** Observability primitives: counters, monotonic timers, a lightweight
-    span/event sink (text + JSON line output), and the structured
-    statistics the pipeline records — phase timings, per-operator
-    runtime statistics (EXPLAIN ANALYZE), join build/probe accounting,
-    and rewrite-rule firing traces.
+(** Observability primitives: counters, instrumented mutexes, latency
+    histograms, and the structured statistics the pipeline records —
+    phase timings, per-operator runtime statistics (EXPLAIN ANALYZE),
+    join build/probe accounting, and rewrite-rule firing traces.
 
     The library sits below the algebra so every layer can depend on it.
     All records are plain mutable structs updated in place; with
@@ -26,7 +25,7 @@ type json =
 val json_to_string : json -> string
 (** Compact rendering; non-finite floats become [null]. *)
 
-(** {1 Counters and timers} *)
+(** {1 Counters} *)
 
 type counter = { cn_name : string; cn_cell : int Atomic.t }
 (** Counters are atomic so the server's worker domains can increment the
@@ -86,18 +85,8 @@ val global_counter : string -> counter
 val global_counters : unit -> (string * int) list
 (** Current values of all global counters, in registration order. *)
 
-val reset_global_counters : unit -> unit
-(** Zero every global counter (tests and benchmarks). *)
-
 val global_counters_to_string : unit -> string
 (** One line per non-zero global counter. *)
-
-type timer = { tm_name : string; mutable tm_secs : float; mutable tm_count : int }
-
-val timer : string -> timer
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, accumulating its duration (also on exceptions). *)
 
 (** {1 Latency histograms} *)
 
@@ -116,37 +105,11 @@ val observe : histogram -> float -> unit
     serialize.  Lifetime aggregates are exact; a percentile read racing
     an insert may count one stale window sample. *)
 
-val histogram_count : histogram -> int
-
 val histogram_summary : histogram -> (string * float) list
 (** [count]/[mean]/[max] over the lifetime, [p50]/[p95]/[p99] over the
     retained window (nearest rank). *)
 
 val histogram_to_json : histogram -> json
-
-(** {1 Span/event sink} *)
-
-type event = {
-  ev_name : string;
-  ev_start : float;  (** seconds since the sink's epoch *)
-  ev_dur : float;
-  ev_attrs : (string * string) list;
-}
-
-type sink = { mutable sk_events : event list; sk_epoch : float }
-
-val sink : unit -> sink
-val emit : sink -> ?attrs:(string * string) list -> ?dur:float -> string -> unit
-val span : sink -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-val events : sink -> event list
-(** In emission order. *)
-
-val event_to_text : event -> string
-val event_to_json : event -> json
-
-val events_to_json_lines : sink -> string
-(** One JSON object per line, in emission order. *)
 
 (** {1 Per-operator runtime statistics (EXPLAIN ANALYZE)} *)
 
@@ -248,21 +211,19 @@ type collector = {
   mutable co_plans : (string * op_node) list;
       (** annotated plans by name ("main", "global $v", "function f") *)
   co_rewrite : rewrite_trace;
-  co_sink : sink;
 }
 
 val collector : unit -> collector
 
 val phase : collector -> string -> (unit -> 'a) -> 'a
-(** Time the thunk under the named phase, accumulating across runs, and
-    record a span event in the sink. *)
+(** Time the thunk under the named phase, accumulating across runs. *)
 
 val set_plan : collector -> string -> op_node -> unit
 (** Register (or replace) an annotated plan tree. *)
 
 val pulled_totals : collector -> int * int
 (** Total (tuples, items) pulled through all operators of the registered
-    plans — what the early-exit bench/CI smoke asserts on. *)
+    plans — what the early-exit tests assert on. *)
 
 val join_totals : collector -> join_stats
 (** Sum of all join statistics across the registered plans. *)

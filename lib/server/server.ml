@@ -158,13 +158,16 @@ end
    connection's lock (one flushed line per reply keeps the NDJSON
    framing intact).  Each connection has its own mutex but they all
    share the "conn_write" stats record, so reply-write contention shows
-   up as one line in the lock table. *)
+   up as one line in the lock table.  [pending] counts the connection's
+   admitted jobs not yet answered, so the reader does not close the
+   connection under them at end of stream. *)
 type conn = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
   wlock : Obs.tmutex;
   peer : string;
+  pending : int Atomic.t;
 }
 
 let write_line conn line =
@@ -516,6 +519,7 @@ let worker_loop t (i : int) () =
                 (Protocol.response_error ~id:job.jb_id ~code:"internal"
                    (Printexc.to_string e))
             with _ -> ()));
+        Atomic.decr job.jb_conn.pending;
         ignore (Atomic.fetch_and_add ws.ws_busy_ns (ns_of (Obs.now () -. t1)));
         Atomic.incr ws.ws_jobs;
         ignore (Atomic.fetch_and_add t.inflight (-1));
@@ -846,10 +850,12 @@ let handle_line t conn line =
           }
         in
         ignore (Atomic.fetch_and_add t.inflight 1);
+        Atomic.incr conn.pending;
         match Bqueue.try_push t.queue job with
         | `Ok -> ()
         | `Full ->
             ignore (Atomic.fetch_and_add t.inflight (-1));
+            Atomic.decr conn.pending;
             Obs.incr_counter c_overloaded;
             write_line conn
               (Protocol.response_error ~id ~code:"overloaded"
@@ -857,6 +863,7 @@ let handle_line t conn line =
                     t.cfg.queue_depth))
         | `Closed ->
             ignore (Atomic.fetch_and_add t.inflight (-1));
+            Atomic.decr conn.pending;
             Obs.incr_counter c_errors;
             write_line conn
               (Protocol.response_error ~id ~code:"shutting_down"
@@ -905,10 +912,15 @@ let reader_thread t conn () =
     | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
   in
   loop ();
+  (* A client may half-close after its last request: answer every job it
+     got admitted before closing. *)
+  while Atomic.get conn.pending > 0 do
+    Thread.delay 0.001
+  done;
   log t "%s disconnected" conn.peer;
-  (* Close the descriptor exactly once, under the write lock: a worker
-     still replying on this connection then fails on the closed channel
-     instead of writing to whatever socket reuses the number next. *)
+  (* Close the descriptor exactly once, under the write lock: a late
+     write then fails on the closed channel instead of going to whatever
+     socket reuses the number next. *)
   Obs.with_lock conn.wlock (fun () -> close_out_noerr conn.oc)
 
 (* ------------------------------------------------------------------ *)
@@ -1020,6 +1032,7 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
                     oc = Unix.out_channel_of_descr fd;
                     wlock = Obs.tmutex "conn_write";
                     peer = peer_name addr;
+                    pending = Atomic.make 0;
                   }
                 in
                 ignore (Thread.create (reader_thread t conn) ())

@@ -232,8 +232,8 @@ let pulled ~materialize doc q =
   in
   (result, tuples + items)
 
-let test_bounded_pulls () =
-  let doc = Xqc_workload.Xmark.generate ~target_bytes:200_000 () in
+let check_bounded_pulls ~target_bytes queries =
+  let doc = Xqc_workload.Xmark.generate ~target_bytes () in
   List.iter
     (fun (q, bound) ->
       let streamed_result, streamed = pulled ~materialize:false doc q in
@@ -247,13 +247,26 @@ let test_bounded_pulls () =
       if materialized < 10 * streamed then
         Alcotest.failf "%s: materialized pulls %d not >= 10x streamed %d" q
           materialized streamed)
+    queries
+
+let test_bounded_pulls () =
+  check_bounded_pulls ~target_bytes:200_000
     [
       ("fn:exists($auction//item)", 50);
       ("fn:empty($auction//item)", 50);
       ("fn:exists($auction/site/people/person)", 50);
       ("($auction//item)[1]", 60);
+      ("($auction//person)[1]", 100);
       ("fn:subsequence($auction//item, 1, 3)", 60);
       ("some $i in $auction//item satisfies fn:exists($i/name)", 60);
+    ];
+  (* the same bounds at 1MB: streamed pulls must not grow with the
+     document *)
+  check_bounded_pulls ~target_bytes:1_000_000
+    [
+      ("fn:exists($auction/site/people/person)", 50);
+      ("fn:exists($auction//item)", 50);
+      ("($auction//person)[1]", 100);
     ]
 
 let test_pull_counts_match_materialized_cardinality () =

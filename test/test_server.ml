@@ -234,6 +234,30 @@ let test_unterminated_line_answered () =
   | Some (Obs.Bool true) -> ()
   | _ -> Alcotest.fail "no pong"
 
+(* A client that sends a query and then half-closes its socket still
+   gets the answer: the reader waits for the connection's queued jobs
+   before it closes the connection at end of stream. *)
+let test_half_closed_client_answered () =
+  with_server ~workers:1 ~preload:[] @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  output_string c.Client.oc
+    {|{"op":"query","q":"count(for $i in 1 to 200000 where $i mod 7 = 0 return $i)","id":1}|};
+  output_char c.Client.oc '\n';
+  flush c.Client.oc;
+  Unix.shutdown c.Client.fd Unix.SHUTDOWN_SEND;
+  let rec read_all acc =
+    match input_line c.Client.ic with
+    | line -> read_all (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  match read_all [] with
+  | [ line ] ->
+      let reply = Json_parse.parse line in
+      Alcotest.(check string) "status" "ok" (jstr "reply" "status" reply);
+      Alcotest.(check string) "result" "28571" (jstr "reply" "result" reply)
+  | lines -> Alcotest.failf "expected one reply before EOF, got %d" (List.length lines)
+
 (* ------------------------------------------------------------------ *)
 (* Concurrent correctness                                              *)
 (* ------------------------------------------------------------------ *)
@@ -726,6 +750,8 @@ let () =
           Alcotest.test_case "line at the cap accepted" `Quick test_line_at_cap_accepted;
           Alcotest.test_case "unterminated last line answered" `Quick
             test_unterminated_line_answered;
+          Alcotest.test_case "half-closed client answered" `Quick
+            test_half_closed_client_answered;
         ] );
       ( "service",
         [
