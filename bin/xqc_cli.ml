@@ -342,41 +342,14 @@ let serve_cmd =
   let verbose_arg =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Log connections and requests to stderr.")
   in
-  let trace_sample_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "trace-sample" ] ~docv:"P"
-          ~doc:
-            "Fraction of requests to trace (0.0 to 1.0; requests with \
-             \"trace\":true are always traced).")
-  in
   let slow_ms_arg =
     Arg.(
       value & opt float 100.0
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:"Requests slower than this land in the slow-query ring.")
   in
-  let slow_log_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "slow-log" ] ~docv:"N"
-          ~doc:"Slow-query ring capacity (the N worst requests are kept).")
-  in
-  let no_slow_analyze_arg =
-    Arg.(
-      value & flag
-      & info [ "no-slow-analyze" ]
-          ~doc:"Skip the EXPLAIN ANALYZE re-run for slow-ring entries.")
-  in
-  let gauge_interval_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "gauge-interval-ms" ] ~docv:"MS"
-          ~doc:"Queue-depth/inflight gauge sampling period.")
-  in
   let action unix_socket host port workers queue_depth timeout_ms preload
-      strategy verbose trace_sample slow_ms slow_log
-      no_slow_analyze gauge_interval_ms =
+      strategy verbose slow_ms =
     try
       let preload =
         List.map
@@ -399,11 +372,7 @@ let serve_cmd =
           preload;
           strategy;
           verbose;
-          trace_sample;
           slow_ms;
-          slow_capacity = slow_log;
-          slow_analyze = not no_slow_analyze;
-          gauge_interval_ms;
         }
       in
       Xqc_server.Server.serve cfg;
@@ -426,9 +395,7 @@ let serve_cmd =
     Term.(
       const action $ unix_socket_arg $ host_arg $ port_arg $ workers_arg
       $ queue_arg $ timeout_arg $ preload_arg $ strategy_arg
-      $ verbose_arg $ trace_sample_arg $ slow_ms_arg
-      $ slow_log_arg $ no_slow_analyze_arg
-      $ gauge_interval_arg)
+      $ verbose_arg $ slow_ms_arg)
 
 (* JSON accessors for rendering server responses client-side. *)
 module J = struct

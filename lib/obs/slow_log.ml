@@ -1,7 +1,8 @@
 (* Slow-query log: a bounded ring of the N worst requests whose total
-   time exceeded a threshold.  Each entry captures the query source, the
-   request's span timeline (when it was traced) and — filled in by the
-   server after admission — an EXPLAIN ANALYZE of a re-run.
+   time exceeded a threshold.  Each entry is the request's finished
+   trace — source, outcome, total time and span timeline all read from
+   it — plus, filled in by the server after admission, an EXPLAIN
+   ANALYZE of a re-run.
 
    The ring is kept sorted worst-first; once full, a new entry must beat
    the current minimum to be admitted (so the final contents are the
@@ -11,23 +12,13 @@
 
 module Obs = Obs
 
-type entry = {
-  en_op : string;
-  en_source : string;
-  en_outcome : string;
-  en_ms : float;
-  en_trace_id : int;  (* 0 = the request was not traced *)
-  en_spans : Obs.json;  (* span timeline snapshot, Arr [] if untraced *)
-  en_at : float;  (* wall clock when the request finished *)
-  mutable en_explain : string option;
-}
+type entry = { en_trace : Trace.t; mutable en_explain : string option }
 
 type t = {
   sl_lock : Obs.tmutex;
   sl_capacity : int;
   sl_threshold_ms : float;
-  mutable sl_entries : entry list;  (* sorted by en_ms, worst first *)
-  mutable sl_admitted : int;  (* entries ever admitted to the ring *)
+  mutable sl_entries : entry list;  (* sorted by total time, worst first *)
   mutable sl_seen : int;  (* requests over threshold, admitted or not *)
 }
 
@@ -37,54 +28,41 @@ let create ?(capacity = 16) ?(threshold_ms = 100.0) () : t =
     sl_capacity = max 1 capacity;
     sl_threshold_ms = threshold_ms;
     sl_entries = [];
-    sl_admitted = 0;
     sl_seen = 0;
   }
 
 let threshold_ms (t : t) : float = t.sl_threshold_ms
 
-let entry ?(outcome = "") ?(trace_id = 0) ?(spans = Obs.Arr []) ~(op : string)
-    ~(source : string) ~(ms : float) ~(at : float) () : entry =
-  {
-    en_op = op;
-    en_source = source;
-    en_outcome = outcome;
-    en_ms = ms;
-    en_trace_id = trace_id;
-    en_spans = spans;
-    en_at = at;
-    en_explain = None;
-  }
+let ms (e : entry) : float = e.en_trace.Trace.tr_total_ms
 
 (* Insert keeping worst-first order; ties keep the earlier entry first. *)
 let rec insert_sorted (e : entry) = function
   | [] -> [ e ]
-  | x :: rest when x.en_ms >= e.en_ms -> x :: insert_sorted e rest
+  | x :: rest when ms x >= ms e -> x :: insert_sorted e rest
   | rest -> e :: rest
 
-(* Offer an entry.  Returns [true] when it entered the ring (the caller
-   then spends the effort of attaching an EXPLAIN ANALYZE). *)
-let note (t : t) (e : entry) : bool =
-  if e.en_ms < t.sl_threshold_ms then false
+(* Offer a finished trace.  Returns its entry when it entered the ring
+   (the caller then spends the effort of attaching an EXPLAIN ANALYZE). *)
+let note (t : t) (tr : Trace.t) : entry option =
+  let e = { en_trace = tr; en_explain = None } in
+  if ms e < t.sl_threshold_ms then None
   else
     Obs.with_lock t.sl_lock (fun () ->
         t.sl_seen <- t.sl_seen + 1;
         let n = List.length t.sl_entries in
         if n < t.sl_capacity then begin
           t.sl_entries <- insert_sorted e t.sl_entries;
-          t.sl_admitted <- t.sl_admitted + 1;
-          true
+          Some e
         end
         else
           let worst_kept = List.nth t.sl_entries (n - 1) in
-          if e.en_ms > worst_kept.en_ms then begin
+          if ms e > ms worst_kept then begin
             (* evict the least-slow entry *)
             t.sl_entries <-
               insert_sorted e (List.filteri (fun i _ -> i < n - 1) t.sl_entries);
-            t.sl_admitted <- t.sl_admitted + 1;
-            true
+            Some e
           end
-          else false)
+          else None)
 
 let set_explain (t : t) (e : entry) (text : string) : unit =
   Obs.with_lock t.sl_lock (fun () -> e.en_explain <- Some text)
@@ -94,24 +72,18 @@ let entries (t : t) : entry list =
 
 let seen (t : t) : int = Obs.with_lock t.sl_lock (fun () -> t.sl_seen)
 
-let clear (t : t) : unit =
-  Obs.with_lock t.sl_lock (fun () ->
-      t.sl_entries <- [];
-      t.sl_admitted <- 0;
-      t.sl_seen <- 0)
-
 let entry_to_json (e : entry) : Obs.json =
+  let tr = e.en_trace in
   Obs.Obj
     ([
-       ("op", Obs.Str e.en_op);
-       ("source", Obs.Str e.en_source);
-       ("outcome", Obs.Str e.en_outcome);
-       ("ms", Obs.Float e.en_ms);
-       ("at", Obs.Float e.en_at);
+       ("op", Obs.Str tr.Trace.tr_op);
+       ("source", Obs.Str tr.Trace.tr_source);
+       ("outcome", Obs.Str tr.Trace.tr_outcome);
+       ("ms", Obs.Float (ms e));
+       ("at", Obs.Float (tr.Trace.tr_epoch +. (ms e /. 1000.)));
+       ("trace_id", Obs.Int tr.Trace.tr_id);
+       ("spans", Trace.spans_to_json tr);
      ]
-    @ (if e.en_trace_id = 0 then []
-       else [ ("trace_id", Obs.Int e.en_trace_id) ])
-    @ [ ("spans", e.en_spans) ]
     @
     match e.en_explain with
     | None -> []

@@ -5,13 +5,7 @@
     instrumented mutex ("slow_log" in the lock table). *)
 
 type entry = {
-  en_op : string;
-  en_source : string;
-  en_outcome : string;
-  en_ms : float;
-  en_trace_id : int;  (** 0 = the request was not traced *)
-  en_spans : Obs.json;  (** span timeline snapshot, [Arr []] if untraced *)
-  en_at : float;  (** wall clock when the request finished *)
+  en_trace : Trace.t;  (** the finished request; ranked by [tr_total_ms] *)
   mutable en_explain : string option;
 }
 
@@ -22,21 +16,10 @@ val create : ?capacity:int -> ?threshold_ms:float -> unit -> t
 
 val threshold_ms : t -> float
 
-val entry :
-  ?outcome:string ->
-  ?trace_id:int ->
-  ?spans:Obs.json ->
-  op:string ->
-  source:string ->
-  ms:float ->
-  at:float ->
-  unit ->
-  entry
-
-val note : t -> entry -> bool
-(** Offer an entry; [true] when it entered the ring (worth spending the
-    effort of attaching an EXPLAIN ANALYZE).  Entries under the
-    threshold are always rejected. *)
+val note : t -> Trace.t -> entry option
+(** Offer a finished trace; [Some entry] when it entered the ring
+    (worth spending the effort of attaching an EXPLAIN ANALYZE).
+    Traces under the threshold are always rejected. *)
 
 val set_explain : t -> entry -> string -> unit
 
@@ -46,6 +29,4 @@ val entries : t -> entry list
 val seen : t -> int
 (** Requests ever seen over the threshold (admitted or not). *)
 
-val clear : t -> unit
-val entry_to_json : entry -> Obs.json
 val to_json : t -> Obs.json

@@ -251,10 +251,10 @@ let current_key : t option ref Domain.DLS.key =
 
 let current () : t option = !(Domain.DLS.get current_key)
 
-let with_current (tro : t option) (f : unit -> 'a) : 'a =
+let with_current (tr : t) (f : unit -> 'a) : 'a =
   let cell = Domain.DLS.get current_key in
   let saved = !cell in
-  cell := tro;
+  cell := Some tr;
   Fun.protect ~finally:(fun () -> cell := saved) f
 
 let in_span ?attrs (name : string) (f : unit -> 'a) : 'a =
@@ -317,55 +317,6 @@ let summary_to_json (tr : t) : Obs.json =
       ("spans", Obs.Int (List.length tr.tr_spans));
       ("age_s", Obs.Float (Obs.now () -. tr.tr_epoch));
     ]
-
-let timeline_to_string (tr : t) : string =
-  let sps = spans tr in
-  let depth_of sp =
-    let rec walk pid acc =
-      if pid = 0 then acc
-      else
-        match List.find_opt (fun s -> s.sp_id = pid) sps with
-        | Some p -> walk p.sp_parent (acc + 1)
-        | None -> acc
-    in
-    walk sp.sp_parent 0
-  in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "trace %d %s %s %.3fms%s\n" tr.tr_id tr.tr_op
-       (if String.equal tr.tr_outcome "" then "(running)" else tr.tr_outcome)
-       tr.tr_total_ms
-       (if String.equal tr.tr_source "" then ""
-        else
-          let src =
-            if String.length tr.tr_source > 60 then
-              String.sub tr.tr_source 0 57 ^ "..."
-            else tr.tr_source
-          in
-          "  " ^ String.map (fun c -> if c = '\n' then ' ' else c) src));
-  let ordered =
-    List.sort
-      (fun a b ->
-        match compare a.sp_start_ms b.sp_start_ms with
-        | 0 -> compare a.sp_id b.sp_id
-        | c -> c)
-      sps
-  in
-  List.iter
-    (fun sp ->
-      Buffer.add_string buf
-        (Printf.sprintf "  [%9.3f %9.3f] %s%s%s\n" sp.sp_start_ms
-           (sp.sp_start_ms +. sp.sp_dur_ms)
-           (String.make (2 * depth_of sp) ' ')
-           sp.sp_name
-           (match sp.sp_attrs with
-           | [] -> ""
-           | attrs ->
-               " "
-               ^ String.concat " "
-                   (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))))
-    ordered;
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Well-formedness (used by tests and CI)                              *)

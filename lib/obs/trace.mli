@@ -86,7 +86,7 @@ val finish : t -> outcome:string -> float
     current trace. *)
 
 val current : unit -> t option
-val with_current : t option -> (unit -> 'a) -> 'a
+val with_current : t -> (unit -> 'a) -> 'a
 val in_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 val annotate_current : (string * string) list -> unit
 
@@ -117,9 +117,6 @@ val span_to_json : span -> Obs.json
 val spans_to_json : t -> Obs.json
 val to_json : t -> Obs.json
 val summary_to_json : t -> Obs.json
-
-val timeline_to_string : t -> string
-(** Human-readable indented timeline, one span per line. *)
 
 (** {1 Well-formedness} *)
 

@@ -13,13 +13,12 @@
      {"op":"ping",     "id":ID?}
      {"op":"shutdown", "id":ID?}
 
-   "trace":true forces the request to be traced regardless of the
-   server's sampling rate, and embeds the span tree in the response
-   (traced responses always carry "trace_id").  "op":"trace" with a
-   trace_id fetches one stored trace; without, it lists recent trace
-   summaries.  "op":"metrics" serves the full telemetry plane — JSON by
-   default, Prometheus text exposition (as the "text" field) with
-   "format":"prometheus".
+   Every query, prepare, execute and update is traced, and its response
+   carries "trace_id"; "trace":true also embeds the span tree in the
+   response.  "op":"trace" with a trace_id fetches one stored trace;
+   without, it lists recent trace summaries.  "op":"metrics" serves the
+   full telemetry plane — JSON by default, Prometheus text exposition
+   (as the "text" field) with "format":"prometheus".
 
    Responses echo the request's "id" (Null when absent) and carry
    "status":"ok" plus op-specific fields, or "status":"error" with a

@@ -21,18 +21,19 @@
 
    Observability — three layers, all served by the metrics plane:
 
-   - *traces*: every admitted request (subject to [trace_sample], or
-     forced with "trace":true) gets a span tree — admission, queue
-     wait, deadline arming, plan-cache lookup/compile, eval, serialize,
-     reply write — stored in per-domain rings and fetchable by trace id
-     through the "trace" verb;
+   - *traces*: every admitted request gets a span tree — admission,
+     queue wait, deadline arming, plan-cache lookup/compile, eval,
+     serialize, reply write — stored in per-domain rings and fetchable
+     by trace id through the "trace" verb.  The trace is the request's
+     one record: its outcome picks the outcome counter, and once it
+     finishes the latency, queue-wait, eval and serialize histograms
+     take their samples from its spans;
    - *contention*: every shared lock is a [Obs.tmutex], so the lock
-     table attributes wall time to waiting vs. holding per lock name; a
-     sampler thread records a queue-depth/inflight gauge series, and
-     each worker accounts its busy/idle split;
+     table attributes wall time to waiting vs. holding per lock name,
+     and each worker accounts its busy/idle split;
    - *slow queries*: requests over [slow_ms] land in a bounded
-     worst-N ring with their span timeline and an EXPLAIN ANALYZE from
-     a re-run (gated by [slow_analyze]).
+     worst-16 ring that keeps their finished trace and, for a query
+     that succeeded, an EXPLAIN ANALYZE from a re-run.
 
    Deadlines are armed at admission, so time spent queued counts against
    the budget; the evaluator checks the deadline at operator-invocation
@@ -56,14 +57,7 @@ type config = {
   preload : (string * string) list;  (** [name, path] document preloads *)
   strategy : Xqc.strategy;
   verbose : bool;
-  trace_sample : float;
-      (** fraction of admitted requests that get a span tree (1.0 =
-          all); "trace":true on a request forces tracing regardless *)
   slow_ms : float;  (** slow-query threshold, milliseconds *)
-  slow_capacity : int;  (** slow-query ring size (worst N kept) *)
-  slow_analyze : bool;
-      (** attach an EXPLAIN ANALYZE re-run to slow-ring entries *)
-  gauge_interval_ms : int;  (** queue-depth/inflight sampling period *)
 }
 
 let default_config =
@@ -76,11 +70,7 @@ let default_config =
     preload = [];
     strategy = Xqc.Optimized;
     verbose = false;
-    trace_sample = 1.0;
     slow_ms = 100.0;
-    slow_capacity = 16;
-    slow_analyze = true;
-    gauge_interval_ms = 100;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -183,7 +173,7 @@ type job = {
   jb_id : Obs.json;
   jb_req : Protocol.request;
   jb_deadline : float option;  (** armed at admission *)
-  jb_trace : Trace.t option;  (** span tree, when sampled or forced *)
+  jb_trace : Trace.t;  (** the request's record, opened at admission *)
   jb_want_trace : bool;  (** embed the span tree in the response *)
   jb_enqueued : float;  (** [Obs.now] at queue push *)
 }
@@ -195,8 +185,6 @@ type worker_stat = {
   ws_idle_ns : int Atomic.t;
   ws_jobs : int Atomic.t;
 }
-
-type gauge_sample = { gs_t : float; gs_queue : int; gs_inflight : int }
 
 type t = {
   cfg : config;
@@ -213,11 +201,6 @@ type t = {
   h_serialize : Obs.histogram;  (** result serialization, milliseconds *)
   slow : Slow_log.t;
   worker_stats : worker_stat array;
-  gauges : gauge_sample array;  (** ring of sampled gauge readings *)
-  mutable g_pos : int;
-  mutable g_filled : int;
-  g_lock : Obs.tmutex;
-  sample_seq : int Atomic.t;  (** trace-sampling decision counter *)
 }
 
 let c_requests = Obs.global_counter "server_requests"
@@ -226,23 +209,10 @@ let c_errors = Obs.global_counter "server_errors"
 let c_timeouts = Obs.global_counter "server_timeouts"
 let c_overloaded = Obs.global_counter "server_overloaded"
 let c_connections = Obs.global_counter "server_connections"
-let c_traced = Obs.global_counter "server_traced"
 
 let log t fmt =
   if t.cfg.verbose then Printf.eprintf (fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
-
-(* Trace-sampling decision for requests that did not force tracing:
-   deterministic every-Nth-request at rate 1/N, so a given rate yields a
-   steady stream of traces rather than bursts. *)
-let sampled t =
-  let p = t.cfg.trace_sample in
-  if p >= 1.0 then true
-  else if p <= 0.0 then false
-  else
-    let n = Atomic.fetch_and_add t.sample_seq 1 in
-    let period = max 1 (int_of_float (Float.round (1.0 /. p))) in
-    n mod period = 0
 
 (* ------------------------------------------------------------------ *)
 (* Request evaluation                                                  *)
@@ -287,58 +257,28 @@ let deadline_of t timeout_ms =
   | Some ms, _ | None, Some ms -> Some (Obs.now () +. (float_of_int ms /. 1000.))
   | None, None -> None
 
-(* Response fields tying a reply to its trace: traced responses always
-   carry the trace id; "trace":true additionally embeds the span tree
-   as recorded so far (the reply-write span only exists in the stored
-   trace, fetched with the "trace" verb). *)
-let trace_fields (tr : Trace.t option) ~(want_trace : bool) :
-    (string * Obs.json) list =
-  match tr with
-  | None -> []
-  | Some tr ->
-      ("trace_id", Obs.Int (Trace.id tr))
-      :: (if want_trace then [ ("trace", Trace.to_json tr) ] else [])
-
-(* A finished job's outcome code (recorded in its trace and the slow
-   log) and its reply line. *)
-let reply_ok ~id fields = ("ok", Protocol.response_ok ~id fields)
-
-let reply_error ?extra ~id ~code message =
-  (code, Protocol.response_error ?extra ~id ~code message)
+(* Run a request's work, mapping what evaluation can raise to an error
+   code and message. *)
+let guard f : ((string * Obs.json) list, string * string) result =
+  match f () with
+  | fields -> Ok fields
+  | exception Xqc.Dynamic_ctx.Timeout -> Error ("timeout", "deadline exceeded")
+  | exception Xqc.Error m -> Error ("query_error", m)
+  | exception (Json_parse.Parse_error m | Failure m) -> Error ("internal", m)
 
 (* Evaluate [source] under [deadline]; ok responses carry the serialized
    result and the item count. *)
-let eval_query t ~id ~tr ~want_trace ~source ~deadline : string * string =
-  let extra = trace_fields tr ~want_trace in
-  match
-    let prepared = Xqc.prepare_cached ~strategy:t.cfg.strategy source in
-    (* serialization happens under the same pins as evaluation: the
-       result sequence references snapshot nodes *)
-    with_snapshot t (fun ctx ->
-        Xqc.Dynamic_ctx.set_trace ctx tr;
-        Xqc.Dynamic_ctx.set_deadline ctx deadline;
-        let te = Obs.now () in
-        let items = Trace.in_span "eval" (fun () -> Xqc.run prepared ctx) in
-        Obs.observe t.h_eval ((Obs.now () -. te) *. 1000.);
-        let ts = Obs.now () in
-        let text = Trace.in_span "serialize" (fun () -> Xqc.serialize items) in
-        Obs.observe t.h_serialize ((Obs.now () -. ts) *. 1000.);
-        (items, text))
-  with
-  | items, text ->
-      Obs.incr_counter c_ok;
-      reply_ok ~id
-        ([ ("result", Obs.Str text); ("items", Obs.Int (List.length items)) ]
-        @ trace_fields tr ~want_trace)
-  | exception Xqc.Dynamic_ctx.Timeout ->
-      Obs.incr_counter c_timeouts;
-      reply_error ~extra ~id ~code:"timeout" "deadline exceeded"
-  | exception Xqc.Error m ->
-      Obs.incr_counter c_errors;
-      reply_error ~extra ~id ~code:"query_error" m
-  | exception Json_parse.Parse_error m | exception Failure m ->
-      Obs.incr_counter c_errors;
-      reply_error ~extra ~id ~code:"internal" m
+let eval_query t ~tr ~source ~deadline =
+  guard @@ fun () ->
+  let prepared = Xqc.prepare_cached ~strategy:t.cfg.strategy source in
+  (* serialization happens under the same pins as evaluation: the
+     result sequence references snapshot nodes *)
+  with_snapshot t (fun ctx ->
+      Xqc.Dynamic_ctx.set_trace ctx (Some tr);
+      Xqc.Dynamic_ctx.set_deadline ctx deadline;
+      let items = Trace.in_span "eval" (fun () -> Xqc.run prepared ctx) in
+      let text = Trace.in_span "serialize" (fun () -> Xqc.serialize items) in
+      [ ("result", Obs.Str text); ("items", Obs.Int (List.length items)) ])
 
 (* Run an XQUF script against the preloaded document [doc], under its
    per-document MVCC write lock.  The script's queries evaluate against
@@ -346,159 +286,118 @@ let eval_query t ~id ~tr ~want_trace ~source ~deadline : string * string =
    bound exactly as a reader would see the document; the reply reports
    how many primitives applied and whether the live head was patched in
    place (vs a new version published for the admitted readers). *)
-let exec_update t ~id ~tr ~want_trace ~doc ~source ~deadline : string * string =
-  let extra = trace_fields tr ~want_trace in
+let exec_update t ~tr ~doc ~source ~deadline =
   match List.find_opt (fun (n, _) -> String.equal n doc) t.preloaded with
-  | None ->
-      Obs.incr_counter c_errors;
-      reply_error ~extra ~id ~code:"unknown_document"
-        (Printf.sprintf "no preloaded document %S" doc)
-  | Some (name, path) -> (
+  | None -> Error ("unknown_document", Printf.sprintf "no preloaded document %S" doc)
+  | Some (name, path) ->
       let make_ctx root =
         let ctx = Xqc.context () in
         bind_preload ctx ~name ~path root;
-        Xqc.Dynamic_ctx.set_trace ctx tr;
+        Xqc.Dynamic_ctx.set_trace ctx (Some tr);
         Xqc.Dynamic_ctx.set_deadline ctx deadline;
         ctx
       in
-      match
-        let te = Obs.now () in
-        let r =
-          Trace.in_span "update" (fun () ->
-              Xqc.Update.execute ~strategy:t.cfg.strategy ~uri:name ~make_ctx
-                source)
-        in
-        Obs.observe t.h_eval ((Obs.now () -. te) *. 1000.);
-        r
-      with
-      | r ->
-          Obs.incr_counter c_ok;
-          reply_ok ~id
-            ([
-               ("applied", Obs.Int r.Xqc.Update.u_applied);
-               ("version", Obs.Int r.Xqc.Update.u_version);
-               ("in_place", Obs.Bool r.Xqc.Update.u_in_place);
-             ]
-            @ trace_fields tr ~want_trace)
-      | exception Xqc.Dynamic_ctx.Timeout ->
-          Obs.incr_counter c_timeouts;
-          reply_error ~extra ~id ~code:"timeout" "deadline exceeded"
-      | exception Xqc.Error m ->
-          Obs.incr_counter c_errors;
-          reply_error ~extra ~id ~code:"query_error" m
-      | exception Json_parse.Parse_error m | exception Failure m ->
-          Obs.incr_counter c_errors;
-          reply_error ~extra ~id ~code:"internal" m)
+      guard @@ fun () ->
+      let r =
+        Trace.in_span "update" (fun () ->
+            Xqc.Update.execute ~strategy:t.cfg.strategy ~uri:name ~make_ctx source)
+      in
+      [
+        ("applied", Obs.Int r.Xqc.Update.u_applied);
+        ("version", Obs.Int r.Xqc.Update.u_version);
+        ("in_place", Obs.Bool r.Xqc.Update.u_in_place);
+      ]
 
-(* Offer a finished request to the slow-query ring; when it is admitted
-   (and analysis is on), re-run it once with a stats collector to attach
-   EXPLAIN ANALYZE.  The re-run happens on the worker that already blew
-   the threshold — bounded by being over-threshold-only, and fenced with
-   its own deadline so a pathological query cannot wedge the worker. *)
-let note_slow t (job : job) ~op ~source ~outcome ~ms =
-  if ms >= Slow_log.threshold_ms t.slow then begin
-    let src = Option.value source ~default:"" in
-    let entry =
-      Slow_log.entry ~outcome
-        ~trace_id:(match job.jb_trace with Some tr -> Trace.id tr | None -> 0)
-        ~spans:
-          (match job.jb_trace with
-          | Some tr -> Trace.spans_to_json tr
-          | None -> Obs.Arr [])
-        ~op ~source:src ~ms ~at:(Obs.now ()) ()
-    in
-    if
-      Slow_log.note t.slow entry
-      && t.cfg.slow_analyze && source <> None
-      && (String.equal op "query" || String.equal op "execute")
-    then
+(* A finished request's histogram samples, read off its trace: each
+   histogram keeps the interval it measures — queue wait, dequeue to
+   the start of the reply write, and for an ok request the eval (or
+   update) and serialize spans. *)
+let observe_trace t (tr : Trace.t) =
+  let spans = Trace.spans tr in
+  let find name = List.find_opt (fun sp -> String.equal sp.Trace.sp_name name) spans in
+  let observe h = Option.iter (fun sp -> Obs.observe h sp.Trace.sp_dur_ms) in
+  (match (find "queue-wait", find "reply-write") with
+  | Some qw, Some rw ->
+      Obs.observe t.h_queue_wait qw.sp_dur_ms;
+      Obs.observe t.latency (rw.sp_start_ms -. (qw.sp_start_ms +. qw.sp_dur_ms))
+  | _ -> ());
+  if String.equal tr.tr_outcome "ok" then begin
+    observe t.h_eval (match find "eval" with None -> find "update" | sp -> sp);
+    observe t.h_serialize (find "serialize")
+  end
+
+(* Offer a finished request to the slow-query ring.  A query that
+   entered it and succeeded is re-run once with a stats collector to
+   attach EXPLAIN ANALYZE, on the worker that already blew the
+   threshold and fenced with its own deadline so a pathological query
+   cannot wedge the worker.  A timeout or error is kept unanalyzed:
+   re-running it would hold the worker for up to that deadline. *)
+let note_slow t (tr : Trace.t) =
+  match Slow_log.note t.slow tr with
+  | Some entry
+    when String.equal tr.tr_outcome "ok"
+         && (String.equal tr.tr_op "query" || String.equal tr.tr_op "execute") -> (
       try
-        let p = Xqc.prepare ~strategy:t.cfg.strategy ~stats:true src in
+        let p = Xqc.prepare ~strategy:t.cfg.strategy ~stats:true tr.tr_source in
         with_snapshot t (fun ctx ->
             Xqc.Dynamic_ctx.set_deadline ctx
-              (Some (Obs.now () +. Float.max (2.0 *. ms /. 1000.) 1.0));
+              (Some (Obs.now () +. Float.max (2.0 *. tr.tr_total_ms /. 1000.) 1.0));
             ignore (Xqc.run p ctx);
             ignore (Xqc.serialize (Xqc.run p ctx)));
         Slow_log.set_explain t.slow entry (Xqc.explain_analyze p)
       with e ->
-        Slow_log.set_explain t.slow entry
-          ("analyze failed: " ^ Printexc.to_string e)
-  end
+        Slow_log.set_explain t.slow entry ("analyze failed: " ^ Printexc.to_string e))
+  | _ -> ()
 
 let handle_job t (job : job) : unit =
-  let dequeued = Obs.now () in
-  Obs.observe t.h_queue_wait ((dequeued -. job.jb_enqueued) *. 1000.);
-  (match job.jb_trace with
-  | Some tr -> Trace.add_span tr ~t0:job.jb_enqueued ~t1:dequeued "queue-wait"
-  | None -> ());
-  Trace.with_current job.jb_trace @@ fun () ->
-  let tr = job.jb_trace and want_trace = job.jb_want_trace in
-  let op, source, (outcome, reply) =
+  let tr = job.jb_trace and deadline = job.jb_deadline in
+  Trace.add_span tr ~t0:job.jb_enqueued ~t1:(Obs.now ()) "queue-wait";
+  let result =
+    Trace.with_current tr @@ fun () ->
     match job.jb_req with
-    | Protocol.Query { source; _ } ->
-        ( "query",
-          Some source,
-          eval_query t ~id:job.jb_id ~tr ~want_trace ~source
-            ~deadline:job.jb_deadline )
-    | Protocol.Prepare { name; source } -> (
+    | Protocol.Query { source; _ } -> eval_query t ~tr ~source ~deadline
+    | Protocol.Prepare { name; source } ->
         (* Compile eagerly so syntax errors surface at prepare time; the
            compiled plan lands in the shared LRU plan cache and the
            name -> source binding makes execute re-resolve through it
            (each reuse is a recorded plan-cache hit). *)
-        ( "prepare",
-          Some source,
-          match Xqc.prepare_cached ~strategy:t.cfg.strategy source with
-          | (_ : Xqc.prepared) ->
-              Obs.with_lock t.st_lock (fun () ->
-                  Hashtbl.replace t.statements name source);
-              Obs.incr_counter c_ok;
-              reply_ok ~id:job.jb_id
-                (("name", Obs.Str name) :: trace_fields tr ~want_trace)
-          | exception Xqc.Error m ->
-              Obs.incr_counter c_errors;
-              reply_error
-                ~extra:(trace_fields tr ~want_trace)
-                ~id:job.jb_id ~code:"query_error" m ))
+        guard (fun () ->
+            ignore (Xqc.prepare_cached ~strategy:t.cfg.strategy source : Xqc.prepared);
+            Obs.with_lock t.st_lock (fun () -> Hashtbl.replace t.statements name source);
+            [ ("name", Obs.Str name) ])
     | Protocol.Execute { name; _ } -> (
-        match
-          Obs.with_lock t.st_lock (fun () -> Hashtbl.find_opt t.statements name)
-        with
+        match Obs.with_lock t.st_lock (fun () -> Hashtbl.find_opt t.statements name) with
         | Some source ->
-            ( "execute",
-              Some source,
-              eval_query t ~id:job.jb_id ~tr ~want_trace ~source
-                ~deadline:job.jb_deadline )
-        | None ->
-            Obs.incr_counter c_errors;
-            ( "execute",
-              None,
-              reply_error
-                ~extra:(trace_fields tr ~want_trace)
-                ~id:job.jb_id ~code:"unknown_statement"
-                (Printf.sprintf "no prepared statement %S" name) ))
-    | Protocol.Update { doc; source; _ } ->
-        ( "update",
-          Some source,
-          exec_update t ~id:job.jb_id ~tr ~want_trace ~doc ~source
-            ~deadline:job.jb_deadline )
+            Trace.set_source tr source;
+            eval_query t ~tr ~source ~deadline
+        | None -> Error ("unknown_statement", Printf.sprintf "no prepared statement %S" name))
+    | Protocol.Update { doc; source; _ } -> exec_update t ~tr ~doc ~source ~deadline
     | Protocol.Stats | Protocol.Metrics _ | Protocol.Trace_get _
     | Protocol.Ping | Protocol.Shutdown ->
         (* handled inline by the reader; never queued *)
         assert false
   in
-  let ms = (Obs.now () -. dequeued) *. 1000. in
-  Obs.observe t.latency ms;
-  (try
-     match tr with
-     | Some tr -> Trace.span tr "reply-write" (fun () -> write_line job.jb_conn reply)
-     | None -> write_line job.jb_conn reply
+  let outcome = match result with Ok _ -> "ok" | Error (code, _) -> code in
+  Obs.incr_counter
+    (match outcome with "ok" -> c_ok | "timeout" -> c_timeouts | _ -> c_errors);
+  (* "trace":true embeds the span tree as recorded so far; the
+     reply-write span exists only in the stored trace *)
+  let trace_fields =
+    ("trace_id", Obs.Int (Trace.id tr))
+    :: (if job.jb_want_trace then [ ("trace", Trace.to_json tr) ] else [])
+  in
+  let reply =
+    match result with
+    | Ok fields -> Protocol.response_ok ~id:job.jb_id (fields @ trace_fields)
+    | Error (code, m) -> Protocol.response_error ~extra:trace_fields ~id:job.jb_id ~code m
+  in
+  (try Trace.span tr "reply-write" (fun () -> write_line job.jb_conn reply)
    with Sys_error _ | Unix.Unix_error _ ->
      log t "reply to %s lost (connection closed)" job.jb_conn.peer);
-  let total_ms =
-    match tr with Some tr -> Trace.finish tr ~outcome | None -> ms
-  in
-  note_slow t job ~op ~source ~outcome ~ms:total_ms;
-  log t "%s %s %.2fms" job.jb_conn.peer op ms
+  let total_ms = Trace.finish tr ~outcome in
+  observe_trace t tr;
+  note_slow t tr;
+  log t "%s %s %.2fms" job.jb_conn.peer tr.tr_op total_ms
 
 let ns_of (secs : float) : int = int_of_float (secs *. 1e9)
 
@@ -528,64 +427,34 @@ let worker_loop t (i : int) () =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Gauge sampler                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let record_gauge t =
-  let s =
-    {
-      gs_t = Obs.now ();
-      gs_queue = Bqueue.length t.queue;
-      gs_inflight = Atomic.get t.inflight;
-    }
-  in
-  Obs.with_lock t.g_lock (fun () ->
-      t.gauges.(t.g_pos) <- s;
-      t.g_pos <- (t.g_pos + 1) mod Array.length t.gauges;
-      if t.g_filled < Array.length t.gauges then t.g_filled <- t.g_filled + 1)
-
-let sampler_loop t () =
-  let interval = float_of_int (max 10 t.cfg.gauge_interval_ms) /. 1000. in
-  while not (Atomic.get t.stopping) do
-    record_gauge t;
-    Thread.delay interval
-  done
-
-let gauge_samples t : gauge_sample list =
-  Obs.with_lock t.g_lock (fun () ->
-      let n = Array.length t.gauges in
-      let k = t.g_filled in
-      List.init k (fun i -> t.gauges.((t.g_pos - k + i + (2 * n)) mod n)))
-
-(* ------------------------------------------------------------------ *)
 (* Server statistics and the metrics plane                             *)
 (* ------------------------------------------------------------------ *)
 
-let stats_json t : Obs.json =
+(* The "stats" verb's fields; the "metrics" verb extends them. *)
+let stats_fields t : (string * Obs.json) list =
   let store = Xqc.Store.stats () in
-  Obs.Obj
-    [
-      ("uptime_s", Obs.Float (Obs.now () -. t.started));
-      ("workers", Obs.Int t.cfg.workers);
-      ("queue_depth", Obs.Int (Bqueue.length t.queue));
-      ("queue_capacity", Obs.Int t.cfg.queue_depth);
-      ("inflight", Obs.Int (Atomic.get t.inflight));
-      ("admission_rejected", Obs.Int (Obs.counter_value c_overloaded));
-      ( "prepared_statements",
-        Obs.Int (Obs.with_lock t.st_lock (fun () -> Hashtbl.length t.statements)) );
-      ("plan_cache_size", Obs.Int (Xqc.plan_cache_size ()));
-      ( "store",
-        Obs.Obj
-          [
-            ("roots", Obs.Int store.Xqc.Store.st_roots);
-            ("nodes", Obs.Int store.Xqc.Store.st_nodes);
-          ] );
-      ("latency_ms", Obs.histogram_to_json t.latency);
-      ("traces", Obs.Int (Trace.stored_count ()));
-      ("snapshot_versions_live", Obs.Int (Xqc.Version.live_versions ()));
-      ( "counters",
-        Obs.Obj (List.map (fun (n, v) -> (n, Obs.Int v)) (Obs.global_counters ())) );
-    ]
+  [
+    ("uptime_s", Obs.Float (Obs.now () -. t.started));
+    ("workers", Obs.Int t.cfg.workers);
+    ("queue_depth", Obs.Int (Bqueue.length t.queue));
+    ("queue_capacity", Obs.Int t.cfg.queue_depth);
+    ("inflight", Obs.Int (Atomic.get t.inflight));
+    ("admission_rejected", Obs.Int (Obs.counter_value c_overloaded));
+    ( "prepared_statements",
+      Obs.Int (Obs.with_lock t.st_lock (fun () -> Hashtbl.length t.statements)) );
+    ("plan_cache_size", Obs.Int (Xqc.plan_cache_size ()));
+    ( "store",
+      Obs.Obj
+        [
+          ("roots", Obs.Int store.Xqc.Store.st_roots);
+          ("nodes", Obs.Int store.Xqc.Store.st_nodes);
+        ] );
+    ("latency_ms", Obs.histogram_to_json t.latency);
+    ("traces", Obs.Int (Trace.stored_count ()));
+    ("snapshot_versions_live", Obs.Int (Xqc.Version.live_versions ()));
+    ( "counters",
+      Obs.Obj (List.map (fun (n, v) -> (n, Obs.Int v)) (Obs.global_counters ())) );
+  ]
 
 let worker_json t : Obs.json =
   Obs.Arr
@@ -606,38 +475,16 @@ let worker_json t : Obs.json =
 
 let metrics_json t : Obs.json =
   Obs.Obj
-    [
-      ("uptime_s", Obs.Float (Obs.now () -. t.started));
-      ("workers", Obs.Int t.cfg.workers);
-      ("queue_depth", Obs.Int (Bqueue.length t.queue));
-      ("queue_capacity", Obs.Int t.cfg.queue_depth);
-      ("inflight", Obs.Int (Atomic.get t.inflight));
-      ("admission_rejected", Obs.Int (Obs.counter_value c_overloaded));
-      ("trace_sample", Obs.Float t.cfg.trace_sample);
-      ("traces_stored", Obs.Int (Trace.stored_count ()));
-      ("latency_ms", Obs.histogram_to_json t.latency);
-      ("queue_wait_ms", Obs.histogram_to_json t.h_queue_wait);
-      ("eval_ms", Obs.histogram_to_json t.h_eval);
-      ("serialize_ms", Obs.histogram_to_json t.h_serialize);
-      ( "locks",
-        Obs.Arr (List.map Obs.lock_summary_to_json (Obs.lock_summaries ())) );
-      ("workers_detail", worker_json t);
-      ( "gauge_samples",
-        Obs.Arr
-          (List.map
-             (fun g ->
-               Obs.Obj
-                 [
-                   ("t_s", Obs.Float (g.gs_t -. t.started));
-                   ("queue", Obs.Int g.gs_queue);
-                   ("inflight", Obs.Int g.gs_inflight);
-                 ])
-             (gauge_samples t)) );
-      ("slow_queries", Slow_log.to_json t.slow);
-      ("snapshot_versions_live", Obs.Int (Xqc.Version.live_versions ()));
-      ( "counters",
-        Obs.Obj (List.map (fun (n, v) -> (n, Obs.Int v)) (Obs.global_counters ())) );
-    ]
+    (stats_fields t
+    @ [
+        ("queue_wait_ms", Obs.histogram_to_json t.h_queue_wait);
+        ("eval_ms", Obs.histogram_to_json t.h_eval);
+        ("serialize_ms", Obs.histogram_to_json t.h_serialize);
+        ( "locks",
+          Obs.Arr (List.map Obs.lock_summary_to_json (Obs.lock_summaries ())) );
+        ("workers_detail", worker_json t);
+        ("slow_queries", Slow_log.to_json t.slow);
+      ])
 
 let prometheus_text t : string =
   let counter_fams =
@@ -715,10 +562,6 @@ let prometheus_text t : string =
           "Worker domains.",
           [ ([], float_of_int t.cfg.workers) ] );
       Obs.Prom_gauge
-        ( "xqc_trace_sampling",
-          "Fraction of requests being traced.",
-          [ ([], t.cfg.trace_sample) ] );
-      Obs.Prom_gauge
         ( "xqc_slow_queries",
           "Entries currently in the slow-query ring.",
           [ ([], float_of_int (List.length (Slow_log.entries t.slow))) ] );
@@ -781,7 +624,7 @@ let handle_line t conn line =
   | Ok Protocol.Ping ->
       write_line conn (Protocol.response_ok ~id [ ("pong", Obs.Bool true) ])
   | Ok Protocol.Stats ->
-      write_line conn (Protocol.response_ok ~id [ ("stats", stats_json t) ])
+      write_line conn (Protocol.response_ok ~id [ ("stats", Obs.Obj (stats_fields t)) ])
   | Ok (Protocol.Metrics Protocol.Json_format) ->
       write_line conn (Protocol.response_ok ~id [ ("metrics", metrics_json t) ])
   | Ok (Protocol.Metrics Protocol.Prometheus_format) ->
@@ -816,28 +659,19 @@ let handle_line t conn line =
         let timeout_ms, want_trace, op, source =
           match req with
           | Protocol.Query { timeout_ms; trace; source } ->
-              (timeout_ms, trace, "query", Some source)
+              (timeout_ms, trace, "query", source)
           | Protocol.Execute { timeout_ms; trace; name } ->
-              (timeout_ms, trace, "execute", Some name)
+              (timeout_ms, trace, "execute", name)
           | Protocol.Update { timeout_ms; trace; source; _ } ->
-              (timeout_ms, trace, "update", Some source)
-          | Protocol.Prepare { name; _ } -> (None, false, "prepare", Some name)
-          | _ -> (None, false, "request", None)
+              (timeout_ms, trace, "update", source)
+          | Protocol.Prepare { source; _ } -> (None, false, "prepare", source)
+          | _ -> (None, false, "request", "")
         in
         (* The trace opens at [t0] so decode + admission are on it; a
            rejected request's trace is simply dropped (never stored). *)
-        let tr =
-          if want_trace || sampled t then begin
-            let tr = Trace.start ~epoch:t0 ~op () in
-            (match source with
-            | Some s -> Trace.set_source tr s
-            | None -> ());
-            Trace.add_span tr ~t0 ~t1:(Obs.now ()) "admission";
-            Obs.incr_counter c_traced;
-            Some tr
-          end
-          else None
-        in
+        let tr = Trace.start ~epoch:t0 ~op () in
+        Trace.set_source tr source;
+        Trace.add_span tr ~t0 ~t1:(Obs.now ()) "admission";
         let job =
           {
             jb_conn = conn;
@@ -991,9 +825,7 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
       h_queue_wait = Obs.histogram "server_queue_wait_ms";
       h_eval = Obs.histogram "server_eval_ms";
       h_serialize = Obs.histogram "server_serialize_ms";
-      slow =
-        Slow_log.create ~capacity:(max 1 cfg.slow_capacity)
-          ~threshold_ms:cfg.slow_ms ();
+      slow = Slow_log.create ~threshold_ms:cfg.slow_ms ();
       worker_stats =
         Array.init nworkers (fun _ ->
             {
@@ -1001,11 +833,6 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
               ws_idle_ns = Atomic.make 0;
               ws_jobs = Atomic.make 0;
             });
-      gauges = Array.make 600 { gs_t = 0.0; gs_queue = 0; gs_inflight = 0 };
-      g_pos = 0;
-      g_filled = 0;
-      g_lock = Obs.tmutex "gauge_ring";
-      sample_seq = Atomic.make 0;
     }
   in
   let listeners =
@@ -1013,7 +840,6 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
     @ match cfg.tcp with Some (h, p) -> [ make_tcp_listener h p ] | None -> []
   in
   let workers = List.init nworkers (fun i -> Domain.spawn (worker_loop t i)) in
-  let sampler = Thread.create (sampler_loop t) () in
   log t "serving with %d workers (queue depth %d)" nworkers cfg.queue_depth;
   ready ();
   (* Accept until the stopping flag is raised; the select timeout bounds
@@ -1044,7 +870,6 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
   (* The shutdown initiator closes the queue once drained; joining here
      guarantees every worker observed that before we return. *)
   List.iter Domain.join workers;
-  Thread.join sampler;
   (match cfg.unix_socket with
   | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
   | None -> ());

@@ -47,8 +47,7 @@ let expected_results queries =
 
 (* Run [f sock] against a live server; always shut it down afterwards. *)
 let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
-    ?(preload = []) ?(trace_sample = 1.0) ?(slow_ms = 100.0)
-    ?(slow_analyze = true) f =
+    ?(preload = []) ?(slow_ms = 100.0) f =
   let sock = fresh_sock () in
   let ready_lock = Mutex.create () in
   let ready_cond = Condition.create () in
@@ -61,9 +60,7 @@ let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
       queue_depth;
       default_timeout_ms;
       preload;
-      trace_sample;
       slow_ms;
-      slow_analyze;
     }
   in
   let th =
@@ -129,6 +126,41 @@ let jstr what name json =
   match jfield name json with
   | Some (Obs.Str s) -> s
   | _ -> Alcotest.failf "%s: no string field %S" what name
+
+(* A request's trace is stored, and its histogram samples taken, just
+   after its reply is written: poll briefly for either. *)
+let fetch_complete_trace c tid =
+  let rec fetch tries =
+    match Client.fetch_trace c tid with
+    | Ok tr when jfield "complete" tr = Some (Obs.Bool true) -> tr
+    | _ when tries > 0 ->
+        Thread.delay 0.05;
+        fetch (tries - 1)
+    | Ok _ -> Alcotest.fail "stored trace never marked complete"
+    | Error (code, m) -> Alcotest.failf "trace fetch failed: %s: %s" code m
+  in
+  fetch 40
+
+let settled_metrics c ready =
+  let rec poll tries =
+    let m = Client.metrics c in
+    if ready m || tries = 0 then m
+    else (
+      Thread.delay 0.02;
+      poll (tries - 1))
+  in
+  poll 100
+
+let hist_count m name = jint "metrics" "count" (Option.get (jfield name m))
+
+let check_spans what tr wanted =
+  let names = List.map (fun sp -> jstr "span" "name" sp) (jarr "trace" "spans" tr) in
+  List.iter
+    (fun want ->
+      if not (List.mem want names) then
+        Alcotest.failf "%s: span %S missing (got: %s)" what want
+          (String.concat ", " names))
+    wanted
 
 (* ------------------------------------------------------------------ *)
 (* JSON wire format                                                    *)
@@ -472,11 +504,10 @@ let test_metrics_json () =
   for _ = 1 to 5 do
     ignore (check_ok "query" (Client.query c "1+1"))
   done;
-  Thread.delay 0.3;  (* let the gauge sampler tick a few times *)
-  let m = Client.metrics c in
+  let m = settled_metrics c (fun m -> hist_count m "latency_ms" >= 5) in
   Alcotest.(check bool)
     "latency histogram saw the requests" true
-    (jint "metrics" "count" (Option.get (jfield "latency_ms" m)) >= 5);
+    (hist_count m "latency_ms" >= 5);
   List.iter
     (fun h ->
       match jfield h m with
@@ -495,9 +526,6 @@ let test_metrics_json () =
   Alcotest.(check int)
     "one detail row per worker" 2
     (List.length (jarr "metrics" "workers_detail" m));
-  Alcotest.(check bool)
-    "gauge sampler produced samples" true
-    (jarr "metrics" "gauge_samples" m <> []);
   (* nothing was slower than the 100ms default threshold *)
   Alcotest.(check (list Alcotest.reject))
     "slow ring empty under threshold" []
@@ -576,24 +604,9 @@ let test_trace_full_chain () =
   (match jfield "trace" resp with
   | Some _ -> ()
   | None -> Alcotest.fail "\"trace\":true response has no embedded trace");
-  (* the trace is stored just after the reply is written: poll briefly *)
-  let rec fetch tries =
-    match Client.fetch_trace c tid with
-    | Ok tr when jfield "complete" tr = Some (Obs.Bool true) -> tr
-    | _ when tries > 0 ->
-        Thread.delay 0.05;
-        fetch (tries - 1)
-    | Ok _ -> Alcotest.fail "stored trace never marked complete"
-    | Error (code, m) -> Alcotest.failf "trace fetch failed: %s: %s" code m
-  in
-  let tr = fetch 40 in
+  let tr = fetch_complete_trace c tid in
   let spans = jarr "trace" "spans" tr in
-  let names = List.map (fun sp -> jstr "span" "name" sp) spans in
-  List.iter
-    (fun want ->
-      if not (List.mem want names) then
-        Alcotest.failf "span %S missing from chain (got: %s)" want
-          (String.concat ", " names))
+  check_spans "full chain" tr
     [
       "request"; "admission"; "queue-wait"; "deadline-armed"; "plan-cache";
       "eval"; "serialize"; "reply-write";
@@ -675,7 +688,7 @@ let test_slow_query_ring () =
    "ok": a malformed character reference is a query error, and a query
    past its deadline a timeout. *)
 let test_slow_ring_outcomes () =
-  with_server ~workers:1 ~slow_ms:0.001 ~slow_analyze:false @@ fun sock ->
+  with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
   let c = Client.connect_unix sock in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let bad = {|"&#-5;"|} and slow = slow_query 2000 in
@@ -706,6 +719,76 @@ let test_slow_ring_outcomes () =
   let bad_outcome, slow_outcome = poll 60 in
   Alcotest.(check string) "query error recorded" "query_error" bad_outcome;
   Alcotest.(check string) "timeout recorded" "timeout" slow_outcome
+
+(* A slow request that timed out is not re-run for EXPLAIN ANALYZE: the
+   worker is free for the next request as soon as the timeout reply is
+   out (a re-run would hold it for its own deadline, at least 1 s). *)
+let test_slow_timeout_not_rerun () =
+  with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.query ~timeout_ms:100 c (slow_query 2000) with
+  | Error (code, _) -> Alcotest.(check string) "deadline" "timeout" code
+  | Ok v -> Alcotest.failf "slow query returned %S instead of timing out" v);
+  let after_timeout = Obs.now () in
+  Alcotest.(check string) "next request answered" "2" (check_ok "1+1" (Client.query c "1+1"));
+  let waited = Obs.now () -. after_timeout in
+  if waited > 0.5 then
+    Alcotest.failf "1+1 waited %.2fs behind the timed-out query" waited
+
+(* Every job reply carries its trace id, asked for or not, and the
+   stored trace is the whole request. *)
+let test_untraced_reply_has_trace () =
+  with_server ~workers:1 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let resp = check_ok "query" (Client.query_json c "1+1") in
+  Alcotest.(check bool) "no span tree embedded" true (jfield "trace" resp = None);
+  let tr = fetch_complete_trace c (jint "response" "trace_id" resp) in
+  check_spans "untraced request" tr
+    [ "admission"; "queue-wait"; "eval"; "serialize"; "reply-write" ]
+
+(* Each job outcome moves exactly one counter: ok -> server_ok, timeout
+   -> server_timeouts, any other code -> server_errors. *)
+let test_outcome_counters () =
+  with_server ~workers:1 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let counts () =
+    let s = Client.stats c in
+    let get n = Option.get (Client.stat_counter s n) in
+    (get "server_ok", get "server_errors", get "server_timeouts")
+  in
+  let ok0, err0, to0 = counts () in
+  let code = function Ok _ -> "ok" | Error (code, _) -> code in
+  Alcotest.(check (list string))
+    "outcomes"
+    [ "ok"; "query_error"; "timeout"; "unknown_statement" ]
+    [
+      code (Client.query c "1+1");
+      code (Client.query c {|"&#-5;"|});
+      code (Client.query ~timeout_ms:100 c (slow_query 2000));
+      code (Client.execute c "no-such-statement");
+    ];
+  let ok1, err1, to1 = counts () in
+  Alcotest.(check (list int)) "ok, errors, timeouts moved by" [ 1; 2; 1 ]
+    [ ok1 - ok0; err1 - err0; to1 - to0 ]
+
+(* The eval histogram's sample is the request's eval span. *)
+let test_eval_ms_from_trace () =
+  with_server ~workers:1 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let resp = check_ok "query" (Client.query_json c "sum(1 to 1000)") in
+  let tr = fetch_complete_trace c (jint "response" "trace_id" resp) in
+  let eval =
+    List.find (fun sp -> jstr "span" "name" sp = "eval") (jarr "trace" "spans" tr)
+  in
+  let m = settled_metrics c (fun m -> hist_count m "eval_ms" >= 1) in
+  Alcotest.(check int) "one eval sample" 1 (hist_count m "eval_ms");
+  Alcotest.(check (float 0.001))
+    "mean is the eval span" (jnum "span" "dur_ms" eval)
+    (jnum "eval_ms" "mean" (Option.get (jfield "eval_ms" m)))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel plan compilation is deterministic                          *)
@@ -771,6 +854,12 @@ let () =
             test_deterministic_server_ids;
           Alcotest.test_case "slow query ring" `Quick test_slow_query_ring;
           Alcotest.test_case "slow ring outcomes" `Quick test_slow_ring_outcomes;
+          Alcotest.test_case "slow timeout not re-run" `Quick
+            test_slow_timeout_not_rerun;
+          Alcotest.test_case "untraced reply has trace" `Quick
+            test_untraced_reply_has_trace;
+          Alcotest.test_case "outcome counters" `Quick test_outcome_counters;
+          Alcotest.test_case "eval_ms from trace" `Quick test_eval_ms_from_trace;
         ] );
       ( "determinism",
         [

@@ -133,7 +133,7 @@ let test_ambient_current () =
   Alcotest.(check bool) "no ambient trace by default" true (Trace.current () = None);
   Trace.in_span "ignored" ignore;
   let tr = Trace.start ~op:"query" () in
-  Trace.with_current (Some tr) (fun () ->
+  Trace.with_current tr (fun () ->
       Trace.in_span "inner" (fun () ->
           Trace.annotate_current [ ("hit", "true") ]));
   Alcotest.(check bool) "ambient restored" true (Trace.current () = None);
@@ -186,36 +186,35 @@ let test_tmutex_shared_stats_record () =
 (* Slow-query ring                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let entry ms =
-  Slow_log.entry ~op:"query" ~source:(Printf.sprintf "q%.0f" ms) ~ms
-    ~at:(Obs.now ()) ()
+(* A finished request trace whose total time is exactly [ms]. *)
+let finished ms =
+  let tr = Trace.start ~op:"query" () in
+  Trace.set_source tr (Printf.sprintf "q%.0f" ms);
+  ignore (Trace.finish tr ~outcome:"ok");
+  tr.Trace.tr_total_ms <- ms;
+  tr
+
+let admitted sl ms = Slow_log.note sl (finished ms) <> None
 
 let entry_times sl =
-  List.map (fun e -> e.Slow_log.en_ms) (Slow_log.entries sl)
+  List.map (fun e -> e.Slow_log.en_trace.Trace.tr_total_ms) (Slow_log.entries sl)
 
 let test_slow_log_threshold () =
   let sl = Slow_log.create ~capacity:4 ~threshold_ms:50.0 () in
-  Alcotest.(check bool) "under threshold rejected" false
-    (Slow_log.note sl (entry 49.9));
-  Alcotest.(check bool) "at threshold admitted" true
-    (Slow_log.note sl (entry 50.0));
-  Alcotest.(check bool) "over threshold admitted" true
-    (Slow_log.note sl (entry 51.0));
+  Alcotest.(check bool) "under threshold rejected" false (admitted sl 49.9);
+  Alcotest.(check bool) "at threshold admitted" true (admitted sl 50.0);
+  Alcotest.(check bool) "over threshold admitted" true (admitted sl 51.0);
   Alcotest.(check int) "seen counts over-threshold offers" 2 (Slow_log.seen sl);
   Alcotest.(check (list (float 0.0))) "worst first" [ 51.0; 50.0 ] (entry_times sl)
 
 let test_slow_log_eviction () =
   let sl = Slow_log.create ~capacity:3 ~threshold_ms:1.0 () in
-  List.iter
-    (fun ms -> ignore (Slow_log.note sl (entry ms)))
-    [ 10.0; 30.0; 20.0; 40.0; 5.0 ];
+  List.iter (fun ms -> ignore (admitted sl ms)) [ 10.0; 30.0; 20.0; 40.0; 5.0 ];
   (* capacity 3: 5.0 never displaces anything, 40.0 evicts 10.0 *)
   Alcotest.(check (list (float 0.0)))
     "keeps the global worst three, sorted" [ 40.0; 30.0; 20.0 ] (entry_times sl);
-  Alcotest.(check bool) "full ring rejects a non-improvement" false
-    (Slow_log.note sl (entry 15.0));
-  Alcotest.(check bool) "full ring admits an improvement" true
-    (Slow_log.note sl (entry 25.0));
+  Alcotest.(check bool) "full ring rejects a non-improvement" false (admitted sl 15.0);
+  Alcotest.(check bool) "full ring admits an improvement" true (admitted sl 25.0);
   Alcotest.(check (list (float 0.0)))
     "improvement displaces the least-slow" [ 40.0; 30.0; 25.0 ] (entry_times sl)
 
@@ -228,7 +227,7 @@ let test_slow_log_racing_domains () =
     List.init 4 (fun d ->
         Domain.spawn (fun () ->
             for i = 0 to 49 do
-              ignore (Slow_log.note sl (entry (float_of_int (2 + (i * 4) + d))))
+              ignore (admitted sl (float_of_int (2 + (i * 4) + d)))
             done))
   in
   List.iter Domain.join domains;
@@ -238,9 +237,9 @@ let test_slow_log_racing_domains () =
 
 let test_slow_log_explain_attach () =
   let sl = Slow_log.create ~capacity:2 ~threshold_ms:1.0 () in
-  let e = entry 10.0 in
-  ignore (Slow_log.note sl e);
-  Slow_log.set_explain sl e "PLAN";
+  (match Slow_log.note sl (finished 10.0) with
+  | Some e -> Slow_log.set_explain sl e "PLAN"
+  | None -> Alcotest.fail "over-threshold trace not admitted");
   match Slow_log.entries sl with
   | [ stored ] ->
       Alcotest.(check (option string)) "explain attached" (Some "PLAN")
