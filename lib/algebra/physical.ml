@@ -46,6 +46,7 @@ type est = { est_rows : float; est_cost : float }
    descendant-or-self::node()/child::t -> descendant::t fusion, so the
    steps here are what actually executes. *)
 type pstep = {
+  ps_id : int;  (** unique among all planned nodes, as [pid] *)
   ps_axis : Ast.axis;
   ps_test : Ast.node_test;
   ps_impl : step_impl;
@@ -58,7 +59,9 @@ type pstep = {
    possible, fn:subsequence pulls a bounded prefix. *)
 type stream_call = SExists of bool | SCount | SSubseq
 
-type t = { pop : pop; pest : est }
+(* [pid] is unique among all planned nodes (the planner draws it from
+   one counter); a profiled run keys its per-operator statistics on it. *)
+type t = { pid : int; pop : pop; pest : est }
 
 and ppred =
   | PWholePred of t  (** arbitrary boolean dependent plan over τ1 ++ τ2 *)
@@ -165,13 +168,7 @@ type query = {
   pmain : t;
 }
 
-let join_algorithm_name = function
-  | Nested_loop -> "nl"
-  | Hash -> "hash"
-  | Sort -> "sort"
-
 let build_side_name = function Build_left -> "left" | Build_right -> "right"
-let step_impl_name = function Index_scan -> "index" | Tree_walk -> "walk"
 
 let children (p : t) : t list =
   match p.pop with
@@ -209,8 +206,6 @@ let children (p : t) : t list =
   | PMapFromItem (d, i) | PMapToItem (d, i) | PMapSome (d, i) | PMapEvery (d, i)
     ->
       [ d; i ]
-
-let rec size (p : t) : int = 1 + List.fold_left (fun n c -> n + size c) 0 (children p)
 
 let rec fold (f : 'a -> t -> 'a) (acc : 'a) (p : t) : 'a =
   List.fold_left (fold f) (f acc p) (children p)

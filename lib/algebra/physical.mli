@@ -38,6 +38,7 @@ type est = { est_rows : float; est_cost : float }
 (** One step of a fused navigation chain (the planner performs the
     [//]-fusion, so these steps are what executes). *)
 type pstep = {
+  ps_id : int;  (** unique among all planned nodes, as [pid] *)
   ps_axis : Ast.axis;
   ps_test : Ast.node_test;
   ps_impl : step_impl;
@@ -48,7 +49,9 @@ type pstep = {
     [SExists true] is fn:empty. *)
 type stream_call = SExists of bool | SCount | SSubseq
 
-type t = { pop : pop; pest : est }
+(** [pid] is unique among all planned nodes: a profiled run keys its
+    per-operator statistics ([Obs.collector.co_plans]) on it. *)
+type t = { pid : int; pop : pop; pest : est }
 
 and ppred =
   | PWholePred of t
@@ -140,10 +143,7 @@ type query = {
   pmain : t;
 }
 
-val join_algorithm_name : join_algorithm -> string
 val build_side_name : build_side -> string
-val step_impl_name : step_impl -> string
 
 val children : t -> t list
-val size : t -> int
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a

@@ -1,14 +1,19 @@
 (* Plan printer in the paper's notation: Op[params]{dependents}(inputs),
-   indented one operator per line as in the paper's plan listings. *)
+   indented one operator per line as in the paper's plan listings; and
+   the one renderer of physical plans, which draws EXPLAIN, EXPLAIN
+   ANALYZE and the stats-JSON plan trees from the same walk. *)
 
 open Xqc_xml
 open Xqc_types
 open Xqc_frontend
 open Algebra
+module Obs = Xqc_obs.Obs
 
 let pred_params = function
   | Pred _ -> ""
   | Split_pred { op; _ } -> Printf.sprintf "<%s>" (Promotion.cmp_op_name op)
+
+let dir_name = function Ast.Ascending -> "asc" | Ast.Descending -> "desc"
 
 let rec pp ?(indent = 0) ppf (p : plan) =
   let open Format in
@@ -82,11 +87,7 @@ let rec pp ?(indent = 0) ppf (p : plan) =
   | MapIndexStep (q, i) -> op "MapIndexStep" q [] [ i ]
   | OrderBy (specs, i) ->
       op "OrderBy"
-        (String.concat ","
-           (List.map
-              (fun s ->
-                match s.sdir with Ast.Ascending -> "asc" | Ast.Descending -> "desc")
-              specs))
+        (String.concat "," (List.map (fun s -> dir_name s.sdir) specs))
         (List.map (fun s -> s.skey) specs)
         [ i ]
   | GroupBy (g, i) ->
@@ -106,106 +107,6 @@ and pred_plans = function
 
 let to_string (p : plan) : string =
   Format.asprintf "@[<v>%a@]" (pp ~indent:0) p
-
-(* One-line operator label — the first line of [pp] without children;
-   used to label the nodes of an instrumented (EXPLAIN ANALYZE) plan. *)
-let node_label (p : plan) : string =
-  match p with
-  | Input -> "IN"
-  | Empty -> "Empty"
-  | Scalar a -> Printf.sprintf "Scalar[%s]" (Atomic.to_string a)
-  | Seq _ -> "Sequence"
-  | Element (n, _) -> Printf.sprintf "Element[%s]" n
-  | Attribute (n, _) -> Printf.sprintf "Attribute[%s]" n
-  | Text _ -> "Text"
-  | Comment _ -> "Comment"
-  | Pi (n, _) -> Printf.sprintf "PI[%s]" n
-  | TreeJoin (axis, test, _) ->
-      Printf.sprintf "TreeJoin[%s::%s]" (Ast.axis_to_string axis)
-        (Ast.node_test_to_string test)
-  | Castable (tn, _, _) -> Printf.sprintf "Castable[%s]" (Atomic.type_name_to_string tn)
-  | Cast (tn, _, _) -> Printf.sprintf "Cast[%s]" (Atomic.type_name_to_string tn)
-  | Validate _ -> "Validate"
-  | TypeMatches (ty, _) -> Printf.sprintf "TypeMatches[%s]" (Seqtype.to_string ty)
-  | TypeAssert (ty, _) -> Printf.sprintf "TypeAssert[%s]" (Seqtype.to_string ty)
-  | Var q -> Printf.sprintf "Var[%s]" q
-  | Call (f, _) -> Printf.sprintf "Call[%s]" f
-  | Cond _ -> "Cond"
-  | Quantified (q, v, _, _) ->
-      Printf.sprintf "%s[%s]"
-        (match q with Ast.Some_quant -> "Some" | Ast.Every_quant -> "Every")
-        v
-  | Parse _ -> "Parse"
-  | Serialize (uri, _) -> Printf.sprintf "Serialize[%s]" uri
-  | TupleConstruct [] -> "[]"
-  | TupleConstruct fields ->
-      Printf.sprintf "[%s]" (String.concat ";" (List.map fst fields))
-  | FieldAccess q -> Printf.sprintf "IN#%s" q
-  | Select _ -> "Select"
-  | Product _ -> "Product"
-  | Join (pred, _, _) -> Printf.sprintf "Join%s" (pred_params pred)
-  | LOuterJoin (q, pred, _, _) ->
-      Printf.sprintf "LOuterJoin%s[%s]" (pred_params pred) q
-  | Map _ -> "Map"
-  | OMap (q, _) -> Printf.sprintf "OMap[%s]" q
-  | MapConcat _ -> "MapConcat"
-  | OMapConcat (q, _, _) -> Printf.sprintf "OMapConcat[%s]" q
-  | MapIndex (q, _) -> Printf.sprintf "MapIndex[%s]" q
-  | MapIndexStep (q, _) -> Printf.sprintf "MapIndexStep[%s]" q
-  | OrderBy (specs, _) ->
-      Printf.sprintf "OrderBy[%s]"
-        (String.concat ","
-           (List.map
-              (fun s ->
-                match s.sdir with Ast.Ascending -> "asc" | Ast.Descending -> "desc")
-              specs))
-  | GroupBy (g, _) ->
-      Printf.sprintf "GroupBy[%s,[%s],[%s]]" g.g_agg
-        (String.concat ";" g.g_indices)
-        (String.concat ";" g.g_nulls)
-  | MapFromItem _ -> "MapFromItem"
-  | MapToItem _ -> "MapToItem"
-  | MapSome _ -> "MapSome"
-  | MapEvery _ -> "MapEvery"
-
-(* EXPLAIN ANALYZE rendering of an instrumented plan: the indented
-   operator tree annotated with call counts, cumulative (inclusive)
-   time, output cardinality (estimated vs actual when the planner
-   annotated the operator) and, on joins, build/probe statistics. *)
-let analyze_to_string (root : Xqc_obs.Obs.op_node) : string =
-  let open Xqc_obs in
-  let buf = Buffer.create 1024 in
-  let cardinality (st : Obs.op_stats) =
-    match (st.Obs.op_tuples, st.Obs.op_items) with
-    | 0, 0 -> "out=0"
-    | t, 0 -> Printf.sprintf "tuples=%d" t
-    | 0, i -> Printf.sprintf "items=%d" i
-    | t, i -> Printf.sprintf "tuples=%d items=%d" t i
-  in
-  let estimate (n : Obs.op_node) =
-    match n.Obs.on_est with
-    | None -> ""
-    | Some e -> Printf.sprintf " est=%.0f" e
-  in
-  let mode (n : Obs.op_node) =
-    match n.Obs.on_stream with
-    | Obs.Opaque -> ""
-    | k -> " " ^ Obs.stream_kind_name k
-  in
-  let rec go indent (n : Obs.op_node) =
-    let st = n.Obs.on_stats in
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s  (calls=%d time=%.3fms %s%s%s)" (String.make indent ' ')
-         n.Obs.on_label st.Obs.op_calls (Obs.ms st.Obs.op_secs) (cardinality st)
-         (estimate n) (mode n));
-    (match n.Obs.on_join with
-    | Some js -> Buffer.add_string buf ("  [" ^ Obs.join_stats_to_string js ^ "]")
-    | None -> ());
-    Buffer.add_char buf '\n';
-    List.iter (go (indent + 2)) n.Obs.on_children
-  in
-  go 0 root;
-  Buffer.contents buf
 
 (* Count of operators in a plan, used in tests and explain output. *)
 let rec size (p : plan) : int =
@@ -345,13 +246,7 @@ let physical_label (p : Physical.t) : string =
   | PMapIndexStep (q, _) -> Printf.sprintf "MapIndexStep[%s]" q
   | POrderBy (specs, _) ->
       Printf.sprintf "OrderBy[%s]"
-        (String.concat ","
-           (List.map
-              (fun s ->
-                match s.psdir with
-                | Ast.Ascending -> "asc"
-                | Ast.Descending -> "desc")
-              specs))
+        (String.concat "," (List.map (fun s -> dir_name s.psdir) specs))
   | PGroupBy (g, _) ->
       Printf.sprintf "GroupBy[%s,[%s],[%s]]" g.pg_agg
         (String.concat ";" g.pg_indices)
@@ -366,46 +261,141 @@ let est_num (x : float) : string =
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.1f" x
 
-(* The physical plan, one operator per line with the planner's estimated
-   output cardinality and cumulative cost; fused navigation chains list
-   their steps (with per-step estimates) under the Steps node. *)
-let physical_to_string (p : Physical.t) : string =
-  let buf = Buffer.create 1024 in
-  let rec go indent (p : Physical.t) =
-    let e = p.Physical.pest in
-    Buffer.add_string buf
-      (Printf.sprintf "%s%s  (est_rows=%s cost=%s)\n" (String.make indent ' ')
-         (physical_label p) (est_num e.Physical.est_rows)
-         (est_num e.Physical.est_cost));
-    (match p.Physical.pop with
-    | Physical.PSteps { steps; _ } ->
-        List.iter
-          (fun s ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s%s  (est_rows=%s)\n"
-                 (String.make (indent + 2) ' ')
-                 (pstep_label s)
-                 (est_num s.Physical.ps_est)))
-          steps
-    | _ -> ());
-    List.iter (go (indent + 2)) (Physical.children p)
-  in
-  go 0 p;
-  Buffer.contents buf
+(* How an operator moves tuples: streamed operators are lazy cursors
+   forwarding tuples as the consumer pulls, blocking ones materialize
+   their input or build side before producing output.  Item-level XML
+   operators have no mode. *)
+let mode_of (pop : Physical.pop) : string option =
+  let open Physical in
+  match pop with
+  | PSelect _ | PStreamSelect _ | PMap _ | POMap _ | PMapConcat _
+  | POMapConcat _ | PMapIndex _ | PMapIndexStep _ | PMapFromItem _
+  | PTupleConstruct _ | PMapSome _ | PMapEvery _ ->
+      Some "streamed"
+  | POrderBy _ | PGroupBy _ | PNestedLoop _ | PHashJoin _ | PSortJoin _
+  | PProduct _ | PMapToItem _ | PMaterialize _ ->
+      Some "blocking"
+  | _ -> None
 
-let physical_query_to_string (q : Physical.query) : string =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "function %s(%s):\n%s" f.Physical.pf_name
-           (String.concat ", " f.Physical.pf_params)
-           (physical_to_string f.Physical.pf_body)))
-    q.Physical.pfunctions;
-  List.iter
-    (fun (v, p) ->
-      Buffer.add_string buf
-        (Printf.sprintf "global $%s:\n%s" v (physical_to_string p)))
-    q.Physical.pglobals;
-  Buffer.add_string buf (physical_to_string q.Physical.pmain);
-  Buffer.contents buf
+type row = {
+  label : string;
+  est_rows : float;
+  cost : float option;
+  mode : string option;
+  join : bool;
+  stats : Obs.op_stats option;
+}
+
+(* The one walk over a physical plan, bottom-up in [Physical.children]
+   order; a Steps node's steps come first among its children.  With a
+   profile every row carries its operator's statistics (a zero record
+   for one that never ran). *)
+let fold_rows ?(profile : Obs.collector option) (node : row -> 'a list -> 'a)
+    (p : Physical.t) : 'a =
+  let stats id =
+    Option.map
+      (fun c -> Option.value (Hashtbl.find_opt c.Obs.co_plans id) ~default:(Obs.op_stats ()))
+      profile
+  in
+  let step (s : Physical.pstep) =
+    node
+      {
+        label = pstep_label s;
+        est_rows = s.Physical.ps_est;
+        cost = None;
+        mode = None;
+        join = false;
+        stats = stats s.Physical.ps_id;
+      }
+      []
+  in
+  let rec go (p : Physical.t) =
+    let steps =
+      match p.Physical.pop with
+      | Physical.PSteps { steps; _ } -> List.map step steps
+      | _ -> []
+    in
+    node
+      {
+        label = physical_label p;
+        est_rows = p.Physical.pest.Physical.est_rows;
+        cost = Some p.Physical.pest.Physical.est_cost;
+        mode = mode_of p.Physical.pop;
+        join =
+          (match p.Physical.pop with
+          | Physical.PNestedLoop _ | Physical.PHashJoin _ | Physical.PSortJoin _ -> true
+          | _ -> false);
+        stats = stats p.Physical.pid;
+      }
+      (steps @ List.map go (Physical.children p))
+  in
+  go p
+
+let rows ?profile (p : Physical.t) : row list =
+  fold_rows ?profile (fun r kids -> r :: List.concat kids) p
+
+let cardinality (st : Obs.op_stats) =
+  match (st.Obs.op_tuples, st.Obs.op_items) with
+  | 0, 0 -> "out=0"
+  | t, 0 -> Printf.sprintf "tuples=%d" t
+  | 0, i -> Printf.sprintf "items=%d" i
+  | t, i -> Printf.sprintf "tuples=%d items=%d" t i
+
+(* One EXPLAIN line: the label with the planner's estimated output
+   cardinality and cumulative cost, plus — profiled — calls, inclusive
+   time, actual cardinality, the streaming mode and the join counters. *)
+let row_line (r : row) : string =
+  let est =
+    Printf.sprintf "est_rows=%s%s" (est_num r.est_rows)
+      (match r.cost with Some c -> " cost=" ^ est_num c | None -> "")
+  in
+  match r.stats with
+  | None -> Printf.sprintf "%s  (%s)" r.label est
+  | Some st ->
+      Printf.sprintf "%s  (%s calls=%d time=%.3fms %s%s)%s" r.label est
+        st.Obs.op_calls (Obs.ms st.Obs.op_secs) (cardinality st)
+        (match r.mode with Some m -> " " ^ m | None -> "")
+        (if r.join then "  [" ^ Obs.join_to_string st ^ "]" else "")
+
+let plan_to_string ?profile (p : Physical.t) : string =
+  fold_rows ?profile
+    (fun r kids -> row_line r :: List.concat_map (List.map (fun l -> "  " ^ l)) kids)
+    p
+  |> List.map (fun l -> l ^ "\n")
+  |> String.concat ""
+
+let plan_to_json (profile : Obs.collector) (p : Physical.t) : Obs.json =
+  fold_rows ~profile
+    (fun r kids ->
+      let st = Option.value r.stats ~default:(Obs.op_stats ()) in
+      Obs.Obj
+        ([
+           ("op", Obs.Str r.label);
+           ("calls", Obs.Int st.Obs.op_calls);
+           ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs));
+           ("tuples", Obs.Int st.Obs.op_tuples);
+           ("items", Obs.Int st.Obs.op_items);
+           ("estimated_rows", Obs.Float r.est_rows);
+           ("actual_rows", Obs.Int (st.Obs.op_tuples + st.Obs.op_items));
+         ]
+        @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
+        @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
+        @ match kids with [] -> [] | _ -> [ ("children", Obs.Arr kids) ]))
+    p
+
+let query_plans (q : Physical.query) : (string * Physical.t) list =
+  List.map (fun f -> ("function " ^ f.Physical.pf_name, f.Physical.pf_body)) q.Physical.pfunctions
+  @ List.map (fun (v, p) -> ("global $" ^ v, p)) q.Physical.pglobals
+  @ [ ("main", q.Physical.pmain) ]
+
+let query_to_string (q : Physical.query) : string =
+  match query_plans q with
+  | [ (_, p) ] -> plan_to_string p
+  | plans ->
+      String.concat "" (List.map (fun (name, p) -> name ^ ":\n" ^ plan_to_string p) plans)
+
+let plans_to_json (profile : Obs.collector) (q : Physical.query) : Obs.json =
+  Obs.Arr
+    (List.map
+       (fun (name, p) -> Obs.Obj [ ("name", Obs.Str name); ("plan", plan_to_json profile p) ])
+       (query_plans q))

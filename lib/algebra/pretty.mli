@@ -6,15 +6,6 @@ val pp : ?indent:int -> Format.formatter -> Algebra.plan -> unit
 
 val to_string : Algebra.plan -> string
 
-val node_label : Algebra.plan -> string
-(** One-line operator label (the first line of {!pp} without children),
-    used to label the nodes of an instrumented plan. *)
-
-val analyze_to_string : Xqc_obs.Obs.op_node -> string
-(** EXPLAIN ANALYZE rendering of an instrumented plan: the indented
-    operator tree annotated with call counts, cumulative time, output
-    cardinality and join build/probe statistics. *)
-
 val size : Algebra.plan -> int
 (** Number of operators in the plan. *)
 
@@ -32,9 +23,40 @@ val physical_label : Physical.t -> string
     logical labels; strategy-carrying operators name their choice
     ([PHashJoin<eq>\[build=left\]], [StreamSelect\[limit=1\]], ...). *)
 
-val physical_to_string : Physical.t -> string
-(** The physical plan, one operator per line with the planner's
-    estimated output cardinality and cumulative cost. *)
+(** One rendered plan node: an operator, or a step of a [Steps] chain
+    (no cost, no mode). *)
+type row = {
+  label : string;  (** {!physical_label} or {!pstep_label} *)
+  est_rows : float;  (** the planner's estimated output cardinality *)
+  cost : float option;  (** cumulative estimated cost; [None] on steps *)
+  mode : string option;  (** ["streamed"] / ["blocking"], from the operator *)
+  join : bool;  (** one of the three join operators *)
+  stats : Xqc_obs.Obs.op_stats option;
+      (** with a profile: the node's statistics, zero if it never ran *)
+}
 
-val physical_query_to_string : Physical.query -> string
-(** All planned plans of a query (functions, globals, main). *)
+val rows : ?profile:Xqc_obs.Obs.collector -> Physical.t -> row list
+(** The plan's rows in preorder, [Physical.children] order, each Steps
+    node followed by its steps — the order every rendering uses. *)
+
+val plan_to_string : ?profile:Xqc_obs.Obs.collector -> Physical.t -> string
+(** One operator per line, indented: label, [est_rows], [cost], and the
+    steps under their Steps node.  With a profile (EXPLAIN ANALYZE) each
+    line adds [calls], [time], [tuples]/[items], the streaming mode and,
+    on joins, [\[builds=… probes=… matches=…\]]. *)
+
+val plan_to_json : Xqc_obs.Obs.collector -> Physical.t -> Xqc_obs.Obs.json
+(** The same rows as a tree: [op], [calls], [time_ms], [tuples],
+    [items], [estimated_rows], [actual_rows], [mode], [join],
+    [children]. *)
+
+val query_plans : Physical.query -> (string * Physical.t) list
+(** Every plan of a query under its report name: ["function f"],
+    ["global $v"], then ["main"]. *)
+
+val query_to_string : Physical.query -> string
+(** Static EXPLAIN of all plans; each is headed by its name unless the
+    query has only a main plan. *)
+
+val plans_to_json : Xqc_obs.Obs.collector -> Physical.query -> Xqc_obs.Obs.json
+(** [\[{name, plan}, …\]] over {!query_plans}. *)

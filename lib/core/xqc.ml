@@ -339,30 +339,26 @@ let eval_string ?strategy ?force_join ?schema ?(variables = [])
 
 (* A multi-section compilation report: the Core form and the logical plan
    before and after optimization, in the paper's notation, plus the
-   physical plan and the rewrite-rule firing trace. *)
+   physical plans and the rewrite-rule firing trace — all of it what
+   [prepare] made of the query. *)
 let explain ?(strategy = Optimized) (source : string) : string =
-  let core = Normalize.normalize_string source in
+  let p = prepare ~strategy ~stats:true source in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "=== XQuery Core ===\n";
-  Buffer.add_string buf (Core_ast.to_string core.Core_ast.cq_main);
+  Buffer.add_string buf (Core_ast.to_string p.core.Core_ast.cq_main);
   Buffer.add_string buf "\n\n=== Logical plan (naive compilation) ===\n";
-  let compiled = Compile.compile_query core in
-  Buffer.add_string buf (Pretty.to_string compiled.Compile.cmain);
-  (match optimizer_options strategy with
-  | None -> ()
-  | Some options ->
-      let trace = Obs.rewrite_trace () in
-      let optimized = Rewrite.optimize ~options ~trace compiled.Compile.cmain in
+  Buffer.add_string buf (Pretty.to_string (Compile.compile_query p.core).Compile.cmain);
+  (match (p.plan, p.pplan, p.stats) with
+  | Some optimized, Some physical, Some c ->
       Buffer.add_string buf "\n\n=== Optimized plan ===\n";
       Buffer.add_string buf (Pretty.to_string optimized);
       Buffer.add_string buf "\n\n=== Physical plan ===\n";
-      let config = planner_config strategy None in
-      let physical = Planner.plan ~config optimized in
-      Buffer.add_string buf (Pretty.physical_to_string physical);
-      if Obs.total_firings trace > 0 then begin
+      Buffer.add_string buf (Pretty.query_to_string physical);
+      if Obs.total_firings c.Obs.co_rewrite > 0 then begin
         Buffer.add_string buf "\n\n=== Rewrite trace ===\n";
-        Buffer.add_string buf (Obs.rewrite_to_string trace)
-      end);
+        Buffer.add_string buf (Obs.rewrite_to_string c.Obs.co_rewrite)
+      end
+  | _ -> ());
   Buffer.add_string buf "\n";
   Buffer.contents buf
 
@@ -373,6 +369,12 @@ let explain ?(strategy = Optimized) (source : string) : string =
 let stats (p : prepared) : Obs.collector option = p.stats
 
 let physical_plan (p : prepared) : Physical.query option = p.pplan
+
+(* The physical plans collector [c] has profiled, once a run filled it. *)
+let profiled_plans (p : prepared) (c : Obs.collector) : Physical.query option =
+  match p.pplan with
+  | Some q when Hashtbl.length c.Obs.co_plans > 0 -> Some q
+  | _ -> None
 
 (* Render the statistics a [~stats:true] prepared query has collected so
    far: pipeline phase timings, the rewrite-rule trace, and (after at
@@ -390,24 +392,24 @@ let explain_analyze (p : prepared) : string =
         Buffer.add_string buf "\n=== Rewrite trace ===\n";
         Buffer.add_string buf (Obs.rewrite_to_string c.Obs.co_rewrite)
       end;
-      (match c.Obs.co_plans with
-      | [] ->
-          Buffer.add_string buf
-            "\n(no annotated plans: run the query at least once, with an \
-             algebraic strategy, to collect per-operator statistics)\n"
-      | plans ->
+      (match profiled_plans p c with
+      | Some q ->
           List.iter
-            (fun (name, root) ->
+            (fun (name, plan) ->
               Buffer.add_string buf
                 (Printf.sprintf "\n=== EXPLAIN ANALYZE (%s) ===\n" name);
-              Buffer.add_string buf (Pretty.analyze_to_string root))
-            plans;
+              Buffer.add_string buf (Pretty.plan_to_string ~profile:c plan))
+            (Pretty.query_plans q);
           let totals = Obs.join_totals c in
-          if totals.Obs.js_builds > 0 || totals.Obs.js_probes > 0 then begin
+          if totals.Obs.op_builds > 0 || totals.Obs.op_probes > 0 then begin
             Buffer.add_string buf "\n=== Join totals ===\n";
-            Buffer.add_string buf (Obs.join_stats_to_string totals);
+            Buffer.add_string buf (Obs.join_to_string totals);
             Buffer.add_char buf '\n'
-          end);
+          end
+      | None ->
+          Buffer.add_string buf
+            "\n(no annotated plans: run the query at least once, with an \
+             algebraic strategy, to collect per-operator statistics)\n");
       (* process-wide counters: index builds/hits, doc and plan caches *)
       let counters = Obs.global_counters_to_string () in
       if not (String.equal counters "") then begin
@@ -417,7 +419,15 @@ let explain_analyze (p : prepared) : string =
       Buffer.contents buf
 
 let stats_json (p : prepared) : string option =
-  Option.map Obs.collector_to_json_string p.stats
+  Option.map
+    (fun c ->
+      let plans =
+        match profiled_plans p c with
+        | Some q -> Pretty.plans_to_json c q
+        | None -> Obs.Arr []
+      in
+      Obs.collector_to_json_string ~plans c)
+    p.stats
 
 (* ------------------------------------------------------------------ *)
 (* Updates (XQuery Update Facility subset)                             *)

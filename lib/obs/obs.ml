@@ -43,6 +43,13 @@ let escape_string (s : string) : string =
     s;
   Buffer.contents buf
 
+(* The shortest of 15 and 17 significant digits that reads back as the
+   same float: 0.1 stays "0.1", and a wall-clock timestamp keeps its
+   sub-second digits. *)
+let float_repr (f : float) : string =
+  let short = Printf.sprintf "%.15g" f in
+  if Float.equal (float_of_string short) f then short else Printf.sprintf "%.17g" f
+
 let rec add_json (buf : Buffer.t) (j : json) : unit =
   match j with
   | Null -> Buffer.add_string buf "null"
@@ -50,7 +57,7 @@ let rec add_json (buf : Buffer.t) (j : json) : unit =
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       (* NaN/infinities are not JSON numbers *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      if Float.is_finite f then Buffer.add_string buf (float_repr f)
       else Buffer.add_string buf "null"
   | Str s ->
       Buffer.add_char buf '"';
@@ -338,14 +345,36 @@ let histogram_to_json (h : histogram) : json =
 (* Per-operator runtime statistics (EXPLAIN ANALYZE)                   *)
 (* ------------------------------------------------------------------ *)
 
+(* One record per physical operator (and per fused navigation step),
+   keyed by the planner's node id: the evaluator fills it while a
+   profiled run executes, and the plan renderer reads it back.  The join
+   counters stay zero on every operator but the three joins. *)
 type op_stats = {
   mutable op_calls : int;  (** closure invocations *)
   mutable op_secs : float;  (** cumulative (inclusive) time *)
   mutable op_tuples : int;  (** tuples actually pulled through the operator *)
   mutable op_items : int;  (** items produced / pulled when XML *)
+  mutable op_builds : int;  (** inner-side materializations *)
+  mutable op_build_tuples : int;  (** tuples on the build side, summed *)
+  mutable op_probes : int;  (** outer tuples probed *)
+  mutable op_matches : int;  (** inner tuples matched, summed *)
+  mutable op_sort_numeric : int;  (** sort-join numeric array length *)
+  mutable op_sort_string : int;  (** sort-join string array length *)
 }
 
-let op_stats () = { op_calls = 0; op_secs = 0.0; op_tuples = 0; op_items = 0 }
+let op_stats () =
+  {
+    op_calls = 0;
+    op_secs = 0.0;
+    op_tuples = 0;
+    op_items = 0;
+    op_builds = 0;
+    op_build_tuples = 0;
+    op_probes = 0;
+    op_matches = 0;
+    op_sort_numeric = 0;
+    op_sort_string = 0;
+  }
 
 (* Wrap a lazy cursor so every pull is timed into [op_secs] and counted
    into the given cardinality field.  Pull timing is inclusive: a parent
@@ -366,82 +395,6 @@ let counted_seq (st : op_stats) (count : op_stats -> unit) (s : 'a Seq.t) : 'a S
 
 let tuple_counted_seq st s = counted_seq st (fun st -> st.op_tuples <- st.op_tuples + 1) s
 let item_counted_seq st s = counted_seq st (fun st -> st.op_items <- st.op_items + 1) s
-
-type join_stats = {
-  mutable js_builds : int;  (** inner-side materializations *)
-  mutable js_build_tuples : int;  (** tuples on the build side, summed *)
-  mutable js_probes : int;  (** outer tuples probed *)
-  mutable js_matches : int;  (** inner tuples matched, summed *)
-  mutable js_sort_numeric : int;  (** sort-join numeric array length *)
-  mutable js_sort_string : int;  (** sort-join string array length *)
-}
-
-let join_stats () =
-  {
-    js_builds = 0;
-    js_build_tuples = 0;
-    js_probes = 0;
-    js_matches = 0;
-    js_sort_numeric = 0;
-    js_sort_string = 0;
-  }
-
-(* How the physical operator moves tuples: [Streamed] operators are lazy
-   cursors that forward tuples as the consumer pulls, [Blocking] operators
-   materialize (their input or build side) before producing output, and
-   [Opaque] operators are item-level XML operators outside the pipeline. *)
-type stream_kind = Streamed | Blocking | Opaque
-
-let stream_kind_name = function
-  | Streamed -> "streamed"
-  | Blocking -> "blocking"
-  | Opaque -> "opaque"
-
-(* The annotated plan: a mirror of the algebraic plan tree carrying one
-   [op_stats] per operator (plus [join_stats] on join operators),
-   labelled with the printer's one-line operator rendering. *)
-type op_node = {
-  on_label : string;
-  on_stats : op_stats;
-  on_join : join_stats option;
-  on_stream : stream_kind;
-  on_est : float option;  (* planner's estimated output cardinality *)
-  mutable on_children : op_node list;
-}
-
-(* Builder used by the evaluator while compiling an instrumented plan:
-   a stack mirroring the compile recursion; push on entry, pop (and
-   restore child order) on exit. *)
-type builder = { mutable bd_stack : op_node list; mutable bd_root : op_node option }
-
-let builder () = { bd_stack = []; bd_root = None }
-
-let push_node (b : builder) ?join ?(stream = Opaque) ?est (label : string) :
-    op_node =
-  let n =
-    { on_label = label; on_stats = op_stats (); on_join = join; on_stream = stream;
-      on_est = est; on_children = [] }
-  in
-  (match b.bd_stack with
-  | parent :: _ -> parent.on_children <- n :: parent.on_children
-  | [] -> if b.bd_root = None then b.bd_root <- Some n);
-  b.bd_stack <- n :: b.bd_stack;
-  n
-
-let pop_node (b : builder) : unit =
-  match b.bd_stack with
-  | n :: rest ->
-      n.on_children <- List.rev n.on_children;
-      b.bd_stack <- rest
-  | [] -> ()
-
-let top_join (b : builder) : join_stats option =
-  match b.bd_stack with n :: _ -> n.on_join | [] -> None
-
-let builder_root (b : builder) : op_node option = b.bd_root
-
-let rec fold_nodes (f : 'a -> op_node -> 'a) (acc : 'a) (n : op_node) : 'a =
-  List.fold_left (fold_nodes f) (f acc n) n.on_children
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline phase timing                                               *)
@@ -477,11 +430,13 @@ let total_firings (t : rewrite_trace) : int =
 
 type collector = {
   mutable co_phases : phase list;  (** first-seen order *)
-  mutable co_plans : (string * op_node) list;  (** "main", "global $v", "function f" *)
+  co_plans : (int, op_stats) Hashtbl.t;
+      (** the latest run's profile: one record per plan-node id *)
   co_rewrite : rewrite_trace;
 }
 
-let collector () = { co_phases = []; co_plans = []; co_rewrite = rewrite_trace () }
+let collector () =
+  { co_phases = []; co_plans = Hashtbl.create 64; co_rewrite = rewrite_trace () }
 
 let phase (c : collector) (name : string) (f : unit -> 'a) : 'a =
   let ph =
@@ -506,39 +461,30 @@ let phase (c : collector) (name : string) (f : unit -> 'a) : 'a =
       finish ();
       raise e
 
-(* Re-registering a plan (each run re-compiles the closures) replaces
-   the previous annotated tree for that name. *)
-let set_plan (c : collector) (name : string) (root : op_node) : unit =
-  c.co_plans <- List.filter (fun (n, _) -> not (String.equal n name)) c.co_plans @ [ (name, root) ]
+let op_stats_of (c : collector) (id : int) : op_stats =
+  match Hashtbl.find_opt c.co_plans id with
+  | Some st -> st
+  | None ->
+      let st = op_stats () in
+      Hashtbl.add c.co_plans id st;
+      st
 
-(* Total (tuples, items) pulled through all operators of all annotated
-   plans — the quantity the streaming evaluator's early termination
-   bounds, and what the early-exit bench/CI smoke asserts on. *)
+(* Total (tuples, items) pulled through all profiled operators — the
+   quantity the streaming evaluator's early termination bounds, and what
+   the early-exit tests assert on. *)
 let pulled_totals (c : collector) : int * int =
-  List.fold_left
-    (fun acc (_, root) ->
-      fold_nodes
-        (fun (t, i) n -> (t + n.on_stats.op_tuples, i + n.on_stats.op_items))
-        acc root)
-    (0, 0) c.co_plans
+  Hashtbl.fold (fun _ st (t, i) -> (t + st.op_tuples, i + st.op_items)) c.co_plans (0, 0)
 
-let join_totals (c : collector) : join_stats =
-  let total = join_stats () in
-  List.iter
-    (fun (_, root) ->
-      ignore
-        (fold_nodes
-           (fun () n ->
-             match n.on_join with
-             | None -> ()
-             | Some js ->
-                 total.js_builds <- total.js_builds + js.js_builds;
-                 total.js_build_tuples <- total.js_build_tuples + js.js_build_tuples;
-                 total.js_probes <- total.js_probes + js.js_probes;
-                 total.js_matches <- total.js_matches + js.js_matches;
-                 total.js_sort_numeric <- total.js_sort_numeric + js.js_sort_numeric;
-                 total.js_sort_string <- total.js_sort_string + js.js_sort_string)
-           () root))
+let join_totals (c : collector) : op_stats =
+  let total = op_stats () in
+  Hashtbl.iter
+    (fun _ st ->
+      total.op_builds <- total.op_builds + st.op_builds;
+      total.op_build_tuples <- total.op_build_tuples + st.op_build_tuples;
+      total.op_probes <- total.op_probes + st.op_probes;
+      total.op_matches <- total.op_matches + st.op_matches;
+      total.op_sort_numeric <- total.op_sort_numeric + st.op_sort_numeric;
+      total.op_sort_string <- total.op_sort_string + st.op_sort_string)
     c.co_plans;
   total
 
@@ -577,52 +523,28 @@ let global_counters_to_string () : string =
     (global_counters ());
   Buffer.contents buf
 
-let join_stats_to_string (js : join_stats) : string =
+let join_to_string (st : op_stats) : string =
   let sort =
-    if js.js_sort_numeric = 0 && js.js_sort_string = 0 then ""
-    else Printf.sprintf ", sorted=%d num/%d str" js.js_sort_numeric js.js_sort_string
+    if st.op_sort_numeric = 0 && st.op_sort_string = 0 then ""
+    else Printf.sprintf ", sorted=%d num/%d str" st.op_sort_numeric st.op_sort_string
   in
-  Printf.sprintf "builds=%d (%d tuples), probes=%d, matches=%d%s" js.js_builds
-    js.js_build_tuples js.js_probes js.js_matches sort
+  Printf.sprintf "builds=%d (%d tuples), probes=%d, matches=%d%s" st.op_builds
+    st.op_build_tuples st.op_probes st.op_matches sort
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let join_stats_to_json (js : join_stats) : json =
+let join_to_json (st : op_stats) : json =
   Obj
     [
-      ("builds", Int js.js_builds);
-      ("build_tuples", Int js.js_build_tuples);
-      ("probes", Int js.js_probes);
-      ("matches", Int js.js_matches);
-      ("sort_numeric", Int js.js_sort_numeric);
-      ("sort_string", Int js.js_sort_string);
+      ("builds", Int st.op_builds);
+      ("build_tuples", Int st.op_build_tuples);
+      ("probes", Int st.op_probes);
+      ("matches", Int st.op_matches);
+      ("sort_numeric", Int st.op_sort_numeric);
+      ("sort_string", Int st.op_sort_string);
     ]
-
-let rec op_node_to_json (n : op_node) : json =
-  let st = n.on_stats in
-  Obj
-    ([
-       ("op", Str n.on_label);
-       ("calls", Int st.op_calls);
-       ("time_ms", Float (ms st.op_secs));
-       ("tuples", Int st.op_tuples);
-       ("items", Int st.op_items);
-       ( "estimated_rows",
-         match n.on_est with Some e -> Float e | None -> Null );
-       ("actual_rows", Int (st.op_tuples + st.op_items));
-     ]
-    @ (match n.on_stream with
-      | Opaque -> []
-      | k -> [ ("mode", Str (stream_kind_name k)) ])
-    @ (match n.on_join with
-      | None -> []
-      | Some js -> [ ("join", join_stats_to_json js) ])
-    @
-    match n.on_children with
-    | [] -> []
-    | cs -> [ ("children", Arr (List.map op_node_to_json cs)) ])
 
 let rewrite_to_json (t : rewrite_trace) : json =
   Obj
@@ -644,29 +566,19 @@ let phases_to_json (c : collector) : json =
            ])
        c.co_phases)
 
-let collector_to_json ?(plans = true) (c : collector) : json =
+let collector_to_json ?plans (c : collector) : json =
   let pulled_tuples, pulled_items = pulled_totals c in
   Obj
     ([
        ("phases", phases_to_json c);
        ("rewrite", rewrite_to_json c.co_rewrite);
-       ("joins", join_stats_to_json (join_totals c));
+       ("joins", join_to_json (join_totals c));
        ( "pulled",
          Obj [ ("tuples", Int pulled_tuples); ("items", Int pulled_items) ] );
        ( "counters",
          Obj (List.map (fun (name, v) -> (name, Int v)) (global_counters ())) );
      ]
-    @
-    if plans then
-      [
-        ( "plans",
-          Arr
-            (List.map
-               (fun (name, root) ->
-                 Obj [ ("name", Str name); ("plan", op_node_to_json root) ])
-               c.co_plans) );
-      ]
-    else [])
+    @ match plans with Some p -> [ ("plans", p) ] | None -> [])
 
 let collector_to_json_string ?plans (c : collector) : string =
   json_to_string (collector_to_json ?plans c)

@@ -23,7 +23,8 @@ type json =
   | Obj of (string * json) list
 
 val json_to_string : json -> string
-(** Compact rendering; non-finite floats become [null]. *)
+(** Compact rendering; non-finite floats become [null], finite ones the
+    shorter of 15 and 17 significant digits that reads back exactly. *)
 
 (** {1 Counters} *)
 
@@ -118,75 +119,25 @@ type op_stats = {
   mutable op_secs : float;  (** cumulative (inclusive) time *)
   mutable op_tuples : int;  (** tuples actually pulled through the operator *)
   mutable op_items : int;  (** items produced / pulled when XML *)
+  mutable op_builds : int;  (** join: inner-side materializations *)
+  mutable op_build_tuples : int;  (** join: build-side tuples, summed *)
+  mutable op_probes : int;  (** join: outer tuples probed *)
+  mutable op_matches : int;  (** join: inner tuples matched, summed *)
+  mutable op_sort_numeric : int;  (** sort join: numeric key array length *)
+  mutable op_sort_string : int;  (** sort join: string key array length *)
 }
+(** One physical operator's (or navigation step's) profile.  The join
+    counters stay zero except on the three join operators. *)
 
 val op_stats : unit -> op_stats
 
-val counted_seq : op_stats -> (op_stats -> unit) -> 'a Seq.t -> 'a Seq.t
+val tuple_counted_seq : op_stats -> 'a Seq.t -> 'a Seq.t
 (** Wrap a lazy cursor so every pull is timed into [op_secs] (inclusive:
     child pulls nest inside the parent's timed window) and counted into
-    the given cardinality field. *)
-
-val tuple_counted_seq : op_stats -> 'a Seq.t -> 'a Seq.t
-(** [counted_seq] counting into [op_tuples]. *)
+    [op_tuples]. *)
 
 val item_counted_seq : op_stats -> 'a Seq.t -> 'a Seq.t
-(** [counted_seq] counting into [op_items]. *)
-
-type join_stats = {
-  mutable js_builds : int;
-  mutable js_build_tuples : int;
-  mutable js_probes : int;
-  mutable js_matches : int;
-  mutable js_sort_numeric : int;
-  mutable js_sort_string : int;
-}
-
-val join_stats : unit -> join_stats
-
-(** How the physical operator moves tuples: [Streamed] operators are lazy
-    cursors forwarding tuples as the consumer pulls, [Blocking] operators
-    materialize before producing output, [Opaque] operators are item-level
-    XML operators outside the tuple pipeline. *)
-type stream_kind = Streamed | Blocking | Opaque
-
-val stream_kind_name : stream_kind -> string
-
-(** The annotated plan: a mirror of the algebraic plan tree carrying one
-    [op_stats] per operator (plus [join_stats] on join operators). *)
-type op_node = {
-  on_label : string;
-  on_stats : op_stats;
-  on_join : join_stats option;
-  on_stream : stream_kind;
-  on_est : float option;
-      (** the physical planner's estimated output cardinality, rendered
-          as estimated-vs-actual in EXPLAIN ANALYZE and the stats JSON *)
-  mutable on_children : op_node list;
-}
-
-(** Builder used by the evaluator while compiling an instrumented plan:
-    a stack mirroring the compile recursion. *)
-type builder
-
-val builder : unit -> builder
-
-val push_node :
-  builder -> ?join:join_stats -> ?stream:stream_kind -> ?est:float -> string -> op_node
-(** Create a node, attach it under the current parent (or as root), and
-    make it the current parent.  [stream] defaults to [Opaque]; [est] is
-    the planner's cardinality estimate, if the operator has one. *)
-
-val pop_node : builder -> unit
-(** Close the current node, restoring its children to source order. *)
-
-val top_join : builder -> join_stats option
-(** The join statistics of the node currently being compiled, if any. *)
-
-val builder_root : builder -> op_node option
-
-val fold_nodes : ('a -> op_node -> 'a) -> 'a -> op_node -> 'a
-(** Preorder fold over the annotated tree. *)
+(** The same, counting into [op_items]. *)
 
 (** {1 Pipeline phase timing} *)
 
@@ -208,8 +159,9 @@ val total_firings : rewrite_trace -> int
 
 type collector = {
   mutable co_phases : phase list;  (** first-seen order *)
-  mutable co_plans : (string * op_node) list;
-      (** annotated plans by name ("main", "global $v", "function f") *)
+  co_plans : (int, op_stats) Hashtbl.t;
+      (** the latest run's per-operator profile, keyed by the planner's
+          node ids ([Physical.t.pid], [pstep.ps_id]) *)
   co_rewrite : rewrite_trace;
 }
 
@@ -218,15 +170,15 @@ val collector : unit -> collector
 val phase : collector -> string -> (unit -> 'a) -> 'a
 (** Time the thunk under the named phase, accumulating across runs. *)
 
-val set_plan : collector -> string -> op_node -> unit
-(** Register (or replace) an annotated plan tree. *)
+val op_stats_of : collector -> int -> op_stats
+(** The record of plan node [id], added on first use. *)
 
 val pulled_totals : collector -> int * int
-(** Total (tuples, items) pulled through all operators of the registered
-    plans — what the early-exit tests assert on. *)
+(** Total (tuples, items) pulled through all profiled operators — what
+    the early-exit tests assert on. *)
 
-val join_totals : collector -> join_stats
-(** Sum of all join statistics across the registered plans. *)
+val join_totals : collector -> op_stats
+(** The six join counters summed over all profiled operators. *)
 
 (** {1 Reports} *)
 
@@ -234,18 +186,18 @@ val ms : float -> float
 
 val phases_to_string : collector -> string
 val rewrite_to_string : rewrite_trace -> string
-val join_stats_to_string : join_stats -> string
+val join_to_string : op_stats -> string
+(** [builds=… (… tuples), probes=…, matches=…] of one join or a total. *)
 
-val op_node_to_json : op_node -> json
-val join_stats_to_json : join_stats -> json
+val join_to_json : op_stats -> json
 val rewrite_to_json : rewrite_trace -> json
 val phases_to_json : collector -> json
 
-val collector_to_json : ?plans:bool -> collector -> json
-(** Full machine-readable statistics; [~plans:false] omits the
-    per-operator trees (used for compact bench records). *)
+val collector_to_json : ?plans:json -> collector -> json
+(** Full machine-readable statistics; [plans], the annotated plan trees
+    the plan renderer draws from this collector, goes under ["plans"]. *)
 
-val collector_to_json_string : ?plans:bool -> collector -> string
+val collector_to_json_string : ?plans:json -> collector -> string
 
 (** {1 Prometheus text exposition} *)
 

@@ -201,8 +201,18 @@ let positional_bound (pred : plan) (input : plan) : int option =
 let rows (p : P.t) = p.P.pest.P.est_rows
 let cost (p : P.t) = p.P.pest.P.est_cost
 
+(* Node ids, unique across every plan of the process (plans are made on
+   several server domains at once); [mk] and the step record below are
+   the only places planned nodes are made. *)
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
 let mk pop ~rows:r ~cost:c : P.t =
-  { P.pop; pest = { P.est_rows = Float.max 0. r; est_cost = Float.max 0. c } }
+  {
+    P.pid = fresh_id ();
+    pop;
+    pest = { P.est_rows = Float.max 0. r; est_cost = Float.max 0. c };
+  }
 
 (* Explicit materialization marker for a join/product build side. *)
 let materialized (p : P.t) : P.t =
@@ -275,7 +285,13 @@ let plan ?(config = default_config) (p : plan) : P.t =
                 | P.Index_scan -> out +. Float.log2 (out +. 2.)
                 | P.Tree_walk -> (r *. walk_factor axis) +. out
               in
-              ( { P.ps_axis = axis; ps_test = test; ps_impl = impl; ps_est = out }
+              ( {
+                  P.ps_id = fresh_id ();
+                  ps_axis = axis;
+                  ps_test = test;
+                  ps_impl = impl;
+                  ps_est = out;
+                }
                 :: acc,
                 out,
                 c +. work ))

@@ -167,14 +167,15 @@ let indexed_axis_nodes (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
    output over already-sorted input is itself in document order, so the
    closing [sort_doc_order] hits its O(n) already-sorted fast path on the
    common case and only pays for a sort when an axis actually disturbs
-   the order (parent, ancestor, multiple nested sources). *)
-let tree_join schema axis test (input : Item.sequence) : Item.sequence =
+   the order (parent, ancestor, multiple nested sources).  [index]: try
+   the structural index first, walking each node it cannot serve. *)
+let axis_join ~index schema axis test (input : Item.sequence) : Item.sequence =
   let out = ref [] in
   List.iter
     (fun it ->
       match it with
       | Item.Node n -> (
-          match indexed_axis_nodes axis test n with
+          match if index then indexed_axis_nodes axis test n else None with
           | Some ms -> List.iter (fun m -> out := m :: !out) ms
           | None ->
               List.iter
@@ -184,30 +185,13 @@ let tree_join schema axis test (input : Item.sequence) : Item.sequence =
     input;
   List.map (fun n -> Item.Node n) (Node.sort_doc_order (List.rev !out))
 
+let tree_join schema axis test input = axis_join ~index:true schema axis test input
+
 (* One planned step: honours the planner's [ps_impl] — an [Index_scan]
    still degrades to a walk per node when the store cannot serve that
    tree, a [Tree_walk] never consults the index. *)
 let step_join schema (s : P.pstep) (input : Item.sequence) : Item.sequence =
-  let axis = s.P.ps_axis and test = s.P.ps_test in
-  let out = ref [] in
-  List.iter
-    (fun it ->
-      match it with
-      | Item.Node n -> (
-          let indexed =
-            match s.P.ps_impl with
-            | P.Index_scan -> indexed_axis_nodes axis test n
-            | P.Tree_walk -> None
-          in
-          match indexed with
-          | Some ms -> List.iter (fun m -> out := m :: !out) ms
-          | None ->
-              List.iter
-                (fun m -> if test_matches schema axis test m then out := m :: !out)
-                (apply_axis axis n))
-      | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
-    input;
-  List.map (fun n -> Item.Node n) (Node.sort_doc_order (List.rev !out))
+  axis_join ~index:(s.P.ps_impl = P.Index_scan) schema s.P.ps_axis s.P.ps_test input
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -297,8 +281,19 @@ let construct_attribute name (items : Item.sequence) : Item.t =
    other operator clears it.
 
    [uses]: how often each tuple field is read anywhere in the plan
-   being compiled. *)
-type cenv = { layout : layout; adopt : bool; uses : string -> int }
+   being compiled.
+
+   [stats]: the collector of a profiled run (EXPLAIN ANALYZE).  With it,
+   [compile] wraps every operator's closure to count into the
+   collector's record for that plan node, and the step chains, joins
+   and cursors count into theirs; without it — the default — the
+   closures are the uninstrumented ones. *)
+type cenv = {
+  layout : layout;
+  adopt : bool;
+  uses : string -> int;
+  stats : Obs.collector option;
+}
 
 (* One linear pass per plan: reads of each field, by PFieldAccess or as a
    GroupBy index or null field. *)
@@ -316,7 +311,12 @@ let field_uses (p : P.t) : string -> int =
     () p;
   fun q -> Option.value ~default:0 (Hashtbl.find_opt counts q)
 
-let top_env (p : P.t) : cenv = { layout = []; adopt = false; uses = field_uses p }
+let top_env ?stats (p : P.t) : cenv =
+  { layout = []; adopt = false; uses = field_uses p; stats }
+
+(* The profile record of plan node [id], when compiling a profiled run. *)
+let node_stats (env : cenv) (id : int) : Obs.op_stats option =
+  Option.map (fun c -> Obs.op_stats_of c id) env.stats
 
 (* Does [p], compiled with adopt flag [adopt], read field [q] in adopt
    position?  Follows exactly the propagation of [compile_node]; a
@@ -350,7 +350,8 @@ let adopted_group (env : cenv) ~(adopt : bool) (dep : P.t) (input : P.t) : bool 
    at call time and the cursor-based early-termination special cases are
    disabled, restoring the fully materialized evaluation the streaming
    pipeline replaced.  Used by the equivalence tests (streamed and
-   materialized runs must agree) and by the bench early-exit baseline.
+   materialized runs must agree; [test_equivalence]'s bounded-pull cases
+   use it as the early-exit baseline).
    Affects plans compiled while the flag is set; the physical plan itself
    is unchanged, only its execution is strict. *)
 let force_materialize = ref false
@@ -361,38 +362,11 @@ let materialize_comp (c : comp) : comp =
   | Xml _ as v -> v
   | Tab s -> tab_list (List.of_seq s)
 
-(* How each operator moves tuples, for the EXPLAIN ANALYZE annotation. *)
-let stream_kind_of (pop : P.pop) : Obs.stream_kind =
-  match pop with
-  | P.PSelect _ | P.PStreamSelect _ | P.PMap _ | P.POMap _ | P.PMapConcat _
-  | P.POMapConcat _ | P.PMapIndex _ | P.PMapIndexStep _ | P.PMapFromItem _
-  | P.PTupleConstruct _ | P.PMapSome _ | P.PMapEvery _ ->
-      Obs.Streamed
-  | P.POrderBy _ | P.PGroupBy _ | P.PNestedLoop _ | P.PHashJoin _
-  | P.PSortJoin _ | P.PProduct _ | P.PMapToItem _ | P.PMaterialize _ ->
-      Obs.Blocking
-  | _ -> Obs.Opaque
-
-(* Instrumentation (EXPLAIN ANALYZE).  While [current_builder] is set,
-   every [compile] call mirrors the plan node into an [Obs.op_node] —
-   carrying the planner's cardinality estimate — and wraps the compiled
-   closure to record invocation count, cumulative (inclusive) time and
-   output cardinality.  Tabular results are lazy, so their cardinality is
-   counted per pull (a never-pulled tuple is never counted — this is
-   exactly the quantity early termination bounds), with each pull timed
-   into the operator's inclusive time.  With the builder unset — the
-   default — [compile] returns the raw closure: the uninstrumented hot
-   path is byte-for-byte the same code as before.
-
-   The builder is domain-local: instrumented runs on one server worker
-   domain must not leak op_nodes into plans being compiled concurrently
-   on another (the CLI single-domain behaviour is unchanged). *)
-let current_builder_key : Obs.builder option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let current_builder () = Domain.DLS.get current_builder_key
-let set_current_builder b = Domain.DLS.set current_builder_key b
-
+(* A profiled operator's closure records its invocation count,
+   cumulative (inclusive) time and output cardinality.  Tabular results
+   are lazy, so their cardinality is counted per pull (a never-pulled
+   tuple is never counted — exactly the quantity early termination
+   bounds), with each pull timed into the operator's inclusive time. *)
 let instrument (st : Obs.op_stats) (c : comp) : comp =
  fun ctx inp ->
   let t0 = Obs.now () in
@@ -436,46 +410,17 @@ let indexed_axis_seq (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
       | _ -> None)
   | Ast.Kind_test _ -> None
 
-(* Compile the step chain of an item cursor.  Each step registers its own
-   op_node (streamed, with the planner's per-step estimate) so pull counts
-   surface in EXPLAIN ANALYZE and in the collector's pulled totals.  The
-   consuming operator passes the absorbed [PSteps] node as [~parent]: it
-   is registered too (counting the chain's final output, exactly as the
-   strict arm does), so a fully consumed cursor reports the same pull
-   totals as the materialized execution of the same plan. *)
-let compile_cursor_steps ?(parent : P.t option) (steps : P.pstep list) :
+(* Compile the step chain of an item cursor.  Profiled, each step counts
+   its pulls into its own record, and the absorbed [PSteps] node
+   [parent] counts the chain's final output (exactly as the strict arm
+   does), so a fully consumed cursor reports the same pull totals as the
+   materialized execution of the same plan; each invocation of the
+   chain counts one call on the node and on every step. *)
+let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
     Dynamic_ctx.t -> Item.t Seq.t -> Item.t Seq.t =
-  let parent_stats =
-    match (current_builder (), parent) with
-    | Some b, Some p ->
-        let n =
-          Obs.push_node b ~stream:Obs.Streamed ~est:p.P.pest.P.est_rows
-            (Pretty.physical_label p)
-        in
-        Some n.Obs.on_stats
-    | _ -> None
-  in
-  let comps =
-    List.map
-      (fun (s : P.pstep) ->
-        let stats =
-          match current_builder () with
-          | Some b ->
-              let n =
-                Obs.push_node b ~stream:Obs.Streamed ~est:s.P.ps_est
-                  (Pretty.pstep_label s)
-              in
-              Obs.pop_node b;
-              Some n.Obs.on_stats
-          | None -> None
-        in
-        (s, stats))
-      steps
-  in
-  (match (current_builder (), parent_stats) with
-  | Some b, Some _ -> Obs.pop_node b
-  | _ -> ());
-  fun ctx s0 ->
+  let parent_stats = node_stats env parent.P.pid in
+  let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
+  let run ctx s0 =
     List.fold_left
       (fun s ((ps : P.pstep), stats) ->
         let axis = ps.P.ps_axis and test = ps.P.ps_test in
@@ -499,6 +444,13 @@ let compile_cursor_steps ?(parent : P.t option) (steps : P.pstep list) :
       s0 comps
     |> fun out ->
     match parent_stats with Some st -> Obs.item_counted_seq st out | None -> out
+  in
+  match Option.to_list parent_stats @ List.filter_map snd comps with
+  | [] -> run
+  | counted ->
+      fun ctx s0 ->
+        List.iter (fun (st : Obs.op_stats) -> st.Obs.op_calls <- st.Obs.op_calls + 1) counted;
+        run ctx s0
 
 (* Store probes for a one-step name chain: existence and cardinality of
    descendant[-or-self]::t / child::t answered from the index's range
@@ -535,7 +487,7 @@ let index_count_probe (steps : P.pstep list) : (Node.t -> int option) option =
    consumer pulls.  The build side arrives wrapped in [PMaterialize] by
    the planner and is drained eagerly at operator call, before any pull. *)
 type join_parts = {
-  jp_stats : Obs.join_stats option;
+  jp_stats : Obs.op_stats option;
   jp_left : comp;
   jp_llayout : layout;
   jp_right : comp;
@@ -549,31 +501,9 @@ type join_parts = {
 }
 
 let rec compile (env : cenv) (p : P.t) : comp * layout =
-  let c, layout =
-    match current_builder () with
-    | None -> compile_node env p
-    | Some b ->
-        let join =
-          match p.P.pop with
-          | P.PNestedLoop _ | P.PHashJoin _ | P.PSortJoin _ ->
-              Some (Obs.join_stats ())
-          | _ -> None
-        in
-        let node =
-          Obs.push_node b ?join ~stream:(stream_kind_of p.P.pop)
-            ~est:p.P.pest.P.est_rows (Pretty.physical_label p)
-        in
-        let c, layout =
-          match compile_node env p with
-          | r ->
-              Obs.pop_node b;
-              r
-          | exception e ->
-              Obs.pop_node b;
-              raise e
-        in
-        (instrument node.Obs.on_stats c, layout)
-  in
+  let st = node_stats env p.P.pid in
+  let c, layout = compile_node env st p in
+  let c = match st with None -> c | Some st -> instrument st c in
   (* Cooperative cancellation point: dependent sub-plans (per-tuple
      predicates, map bodies, join predicate legs) are invoked once per
      tuple, so a deadline-armed context unwinds within one operator's
@@ -582,7 +512,8 @@ let rec compile (env : cenv) (p : P.t) : comp * layout =
   let c = (fun ctx inp -> check_deadline ctx; c ctx inp) in
   if !force_materialize then (materialize_comp c, layout) else (c, layout)
 
-and compile_node (env : cenv) (p : P.t) : comp * layout =
+(* [st]: the profile record of [p] itself, in a profiled run *)
+and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layout =
   let adopt = env.adopt in
   let env = { env with adopt = false } in
   (* a constructor outside adopt position numbers its finished tree *)
@@ -631,24 +562,10 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         [] )
   | P.PSteps { steps; input; _ } ->
       (* strict step chain: each planned step runs in turn over the
-         accumulated node set, honouring its index-vs-walk choice; the
-         per-step op_nodes surface per-step output counts in EXPLAIN
-         ANALYZE even in strict mode *)
+         accumulated node set, honouring its index-vs-walk choice; a
+         profiled run records each step's output count *)
       let ci, _ = compile env input in
-      let comps =
-        List.map
-          (fun (s : P.pstep) ->
-            let stats =
-              match current_builder () with
-              | Some b ->
-                  let n = Obs.push_node b ~est:s.P.ps_est (Pretty.pstep_label s) in
-                  Obs.pop_node b;
-                  Some n.Obs.on_stats
-              | None -> None
-            in
-            (s, stats))
-          steps
-      in
+      let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
       let run_steps ctx items =
         List.fold_left
           (fun items (s, stats) ->
@@ -721,7 +638,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
         else
           match source.P.pop with
           | P.PSteps { steps; input = src; _ } when steps <> [] ->
-              let pipe = compile_cursor_steps ~parent:source steps in
+              let pipe = compile_cursor_steps env ~parent:source steps in
               let csrc, _ = compile env src in
               Some (fun ctx inp -> pipe ctx (List.to_seq (as_items (csrc ctx inp))))
           | _ -> None
@@ -829,11 +746,11 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
                left)),
         out )
   | P.PNestedLoop { outer; pred; left; right } ->
-      compile_nested_loop env outer pred left right
+      compile_nested_loop env st outer pred left right
   | P.PHashJoin { outer; build; left_key; right_key; left; right } ->
-      compile_hash_join env outer build left_key right_key left right
+      compile_hash_join env st outer build left_key right_key left right
   | P.PSortJoin { outer; op; left_key; right_key; left; right } ->
-      compile_sort_join env outer op left_key right_key left right
+      compile_sort_join env st outer op left_key right_key left right
   | P.PMaterialize inner ->
       (* explicit pipeline cut: drain the child cursor to a list at call
          time (join/product build sides) *)
@@ -950,7 +867,7 @@ and compile_node (env : cenv) (p : P.t) : comp * layout =
           match input.P.pop with
           | P.PSteps { steps; ordered = true; input = src; _ } when steps <> [] ->
               let csrc, _ = compile env src in
-              let pipe = compile_cursor_steps ~parent:input steps in
+              let pipe = compile_cursor_steps env ~parent:input steps in
               Some
                 (fun ctx inp ->
                   match as_items (csrc ctx inp) with
@@ -1046,7 +963,7 @@ and generic_call env name (args : P.t list) : comp =
    is a [PSteps] chain.  User declarations shadow builtins at run time,
    so the closures re-check the function table on every call and defer to
    a lazily compiled generic path when shadowed (compiled at most once,
-   outside any instrumentation). *)
+   on first use). *)
 and compile_stream_call env (kind : P.stream_call) name (args : P.t list) : comp =
   let chain =
     match args with
@@ -1065,7 +982,7 @@ and compile_stream_call env (kind : P.stream_call) name (args : P.t list) : comp
              a one-step name chain over indexed trees needs no pull at
              all, just the index's range bounds *)
           let csrc, _ = compile env src in
-          let pipe = compile_cursor_steps ~parent:snode steps in
+          let pipe = compile_cursor_steps env ~parent:snode steps in
           let probe = index_exists_probe steps in
           fun ctx inp ->
             if Hashtbl.mem ctx.functions name then (Lazy.force fallback) ctx inp
@@ -1115,7 +1032,7 @@ and compile_stream_call env (kind : P.stream_call) name (args : P.t list) : comp
                   | _ -> (Lazy.force fallback) ctx inp)
       | P.SSubseq, [ start; len ] ->
           let csrc, _ = compile env src in
-          let pipe = compile_cursor_steps ~parent:snode steps in
+          let pipe = compile_cursor_steps env ~parent:snode steps in
           let cstart, _ = compile env start in
           let clen, _ = compile env len in
           let to_int c ctx inp =
@@ -1265,13 +1182,9 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
                !order)),
     out_layout )
 
-(* The builder's top node is a join's mirror; its join_stats record is
-   shared with the Joins kernels (hash/sort) or updated inline for the
-   nested-loop paths. *)
-and join_scaffold env (outer : P.field option) a b : join_parts =
-  let jstats =
-    match current_builder () with Some b -> Obs.top_join b | None -> None
-  in
+(* [stats] is the join's profile record: the Joins kernels (hash/sort)
+   count into it, the nested-loop paths update it inline. *)
+and join_scaffold env stats (outer : P.field option) a b : join_parts =
   let ca, la = compile env a and cb, lb = compile env b in
   let merged, mwidth, moves = concat_spec la lb in
   let n1 = List.length la in
@@ -1302,7 +1215,7 @@ and join_scaffold env (outer : P.field option) a b : join_parts =
          left)
   in
   {
-    jp_stats = jstats;
+    jp_stats = stats;
     jp_left = ca;
     jp_llayout = la;
     jp_right = cb;
@@ -1315,13 +1228,22 @@ and join_scaffold env (outer : P.field option) a b : join_parts =
     jp_run = run;
   }
 
-and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
-  let jp = join_scaffold env outer a b in
+and compile_nested_loop env stats outer (pred : P.ppred) a b : comp * layout =
+  let jp = join_scaffold env stats outer a b in
+  (* each call materializes the inner side once: one build *)
+  let note_build right =
+    (match jp.jp_stats with
+    | Some st ->
+        st.Obs.op_builds <- st.Obs.op_builds + 1;
+        st.Obs.op_build_tuples <- st.Obs.op_build_tuples + List.length right
+    | None -> ());
+    right
+  in
   let note_probe ms =
     (match jp.jp_stats with
-    | Some js ->
-        js.Obs.js_probes <- js.Obs.js_probes + 1;
-        js.Obs.js_matches <- js.Obs.js_matches + List.length ms
+    | Some st ->
+        st.Obs.op_probes <- st.Obs.op_probes + 1;
+        st.Obs.op_matches <- st.Obs.op_matches + List.length ms
     | None -> ());
     ms
   in
@@ -1331,7 +1253,7 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
       let cp, _ = compile { env with layout = jp.jp_merged } p in
       ( (fun ctx inp ->
           let left = as_table (jp.jp_left ctx inp) in
-          let right = table_list (jp.jp_right ctx inp) in
+          let right = note_build (table_list (jp.jp_right ctx inp)) in
           jp.jp_run left (fun l ->
               note_probe
                 (List.filter_map
@@ -1345,7 +1267,7 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
       let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
       ( (fun ctx inp ->
           let left = as_table (jp.jp_left ctx inp) in
-          let right = table_list (jp.jp_right ctx inp) in
+          let right = note_build (table_list (jp.jp_right ctx inp)) in
           jp.jp_run left (fun l ->
               let lk = as_items (cl ctx (ITuple l)) in
               note_probe
@@ -1354,9 +1276,9 @@ and compile_nested_loop env outer (pred : P.ppred) a b : comp * layout =
                    right))),
         jp.jp_out )
 
-and compile_hash_join env outer (build : P.build_side) left_key right_key a
+and compile_hash_join env stats outer (build : P.build_side) left_key right_key a
     b : comp * layout =
-  let jp = join_scaffold env outer a b in
+  let jp = join_scaffold env stats outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   match build with
@@ -1401,13 +1323,13 @@ and compile_hash_join env outer (build : P.build_side) left_key right_key a
               List.rev buckets.(i))),
         jp.jp_out )
 
-and compile_sort_join env outer (op : Promotion.cmp_op) left_key right_key a b :
+and compile_sort_join env stats outer (op : Promotion.cmp_op) left_key right_key a b :
     comp * layout =
   (match op with
   | Promotion.Lt | Promotion.Le | Promotion.Gt | Promotion.Ge -> ()
   | Promotion.Eq | Promotion.Ne ->
       compile_error "sort join planned for a non-inequality operator");
-  let jp = join_scaffold env outer a b in
+  let jp = join_scaffold env stats outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   ( (fun ctx inp ->
@@ -1426,31 +1348,6 @@ and compile_sort_join env outer (op : Promotion.cmp_op) left_key right_key a b :
 (* Whole-query evaluation                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Compile one plan with instrumentation when a collector is given: the
-   annotated op_node tree is registered under [name] (replacing the tree
-   from any previous run). *)
-let compile_plan (stats : Obs.collector option) (name : string) (env : cenv)
-    (p : P.t) : comp * layout =
-  match stats with
-  | None -> compile env p
-  | Some c ->
-      let b = Obs.builder () in
-      let saved = current_builder () in
-      set_current_builder (Some b);
-      let finish () =
-        set_current_builder saved;
-        match Obs.builder_root b with
-        | Some root -> Obs.set_plan c name root
-        | None -> ()
-      in
-      (match compile env p with
-      | r ->
-          finish ();
-          r
-      | exception e ->
-          finish ();
-          raise e)
-
 (* Install compiled user functions into the context, then evaluate the
    globals in declaration order, then run the main plan. *)
 let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
@@ -1462,9 +1359,7 @@ let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
     q.P.pfunctions;
   List.iter
     (fun (f : P.pfunction) ->
-      let body, _ =
-        compile_plan stats ("function " ^ f.P.pf_name) (top_env f.P.pf_body) f.P.pf_body
-      in
+      let body, _ = compile (top_env ?stats f.P.pf_body) f.P.pf_body in
       let impl ctx args =
         let frame = List.combine f.P.pf_params args in
         with_params ctx frame (fun () -> as_items (body ctx INone))
@@ -1473,10 +1368,10 @@ let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
     q.P.pfunctions;
   let globals =
     List.map
-      (fun (v, p) -> (v, fst (compile_plan stats ("global $" ^ v) (top_env p) p)))
+      (fun (v, p) -> (v, fst (compile (top_env ?stats p) p)))
       q.P.pglobals
   in
-  let main, _ = compile_plan stats "main" (top_env q.P.pmain) q.P.pmain in
+  let main, _ = compile (top_env ?stats q.P.pmain) q.P.pmain in
   fun ctx ->
     List.iter (fun (v, c) -> bind_global ctx v (as_items (c ctx INone))) globals;
     as_items (main ctx INone)
@@ -1485,6 +1380,8 @@ let run ?stats ctx (q : P.query) : Item.sequence =
   match stats with
   | None -> (install_query ctx q) ctx
   | Some c ->
+      (* the profile reflects this run only *)
+      Hashtbl.reset c.Obs.co_plans;
       let runner =
         Obs.phase c "compile closures" (fun () -> install_query ~stats:c ctx q)
       in

@@ -71,23 +71,32 @@ val construct_attribute : string -> Item.sequence -> Item.t
 
 (** {1 Compilation and execution} *)
 
-type cenv = { layout : layout; adopt : bool; uses : string -> int }
+type cenv = {
+  layout : layout;
+  adopt : bool;
+  uses : string -> int;
+  stats : Xqc_obs.Obs.collector option;
+}
 (** [adopt]: the nodes the plan constructs
     flow straight into an enclosing element constructor, which adopts
     them, so they are returned unnumbered; [false] at scope roots.
-    [uses]: reads of each tuple field in the whole plan. *)
+    [uses]: reads of each tuple field in the whole plan.
+    [stats]: profile the compiled closures — each operator and step
+    counts its calls, inclusive time, output cardinality and join
+    counters into the collector's record for its node id. *)
 
-val top_env : Physical.t -> cenv
+val top_env : ?stats:Xqc_obs.Obs.collector -> Physical.t -> cenv
 (** The environment of a scope root (a query body, a global or a
-    function body): empty layout, not adopting, and the
-    plan's field use counts. *)
+    function body): empty layout, not adopting, the plan's field use
+    counts, and the given collector (default: none). *)
 
 val force_materialize : bool ref
 (** Debug knob: when set during compilation, every operator drains its
     cursor eagerly at call time and the cursor-based early-termination
     paths are disabled — restoring fully materialized evaluation of the
     {e same} physical plan.  Used to cross-check streamed against
-    materialized results and as the bench early-exit baseline. *)
+    materialized results, and as the early-exit baseline of
+    [test_equivalence]'s bounded-pull cases. *)
 
 val compile : cenv -> Physical.t -> comp * layout
 (** Compile a physical plan under the layout IN will have when it is a
@@ -95,23 +104,16 @@ val compile : cenv -> Physical.t -> comp * layout
     table-producing plans).
     @raise Compile_error on unknown tuple fields or malformed plans. *)
 
-val compile_plan :
-  Xqc_obs.Obs.collector option -> string -> cenv -> Physical.t -> comp * layout
-(** Compile one plan; with a collector, every operator closure is
-    wrapped to record invocation count, cumulative (inclusive) time and
-    output cardinality — alongside the planner's estimate — and the
-    annotated tree is registered under the given name (replacing any
-    previous tree of that name). *)
-
 val install_query :
   ?stats:Xqc_obs.Obs.collector ->
   Dynamic_ctx.t -> Physical.query -> Dynamic_ctx.t -> Item.sequence
 (** Register the query's functions (recursion-safe two-phase patching)
     and return a runner evaluating globals then the main plan.  With
-    [~stats], compiled closures are instrumented per operator. *)
+    [~stats], compiled closures are profiled per operator. *)
 
 val run :
   ?stats:Xqc_obs.Obs.collector ->
   Dynamic_ctx.t -> Physical.query -> Item.sequence
 (** With [~stats], times the "compile closures" and "eval" phases and
-    records per-operator and join statistics into the collector. *)
+    records per-operator and join statistics into the collector, after
+    clearing the previous run's. *)

@@ -69,9 +69,9 @@ let build_hash_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequ
         key_vals)
     inner;
   (match stats with
-  | Some js ->
-      js.Obs.js_builds <- js.Obs.js_builds + 1;
-      js.Obs.js_build_tuples <- js.Obs.js_build_tuples + !order
+  | Some st ->
+      st.Obs.op_builds <- st.Obs.op_builds + 1;
+      st.Obs.op_build_tuples <- st.Obs.op_build_tuples + !order
   | None -> ());
   { hi_buckets = buckets; hi_size = !order }
 
@@ -101,9 +101,9 @@ let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tu
   let orders = Hashtbl.fold (fun o _ acc -> o :: acc) acc [] in
   let matches = List.map (fun o -> Hashtbl.find acc o) (List.sort compare orders) in
   (match stats with
-  | Some js ->
-      js.Obs.js_probes <- js.Obs.js_probes + 1;
-      js.Obs.js_matches <- js.Obs.js_matches + List.length matches
+  | Some st ->
+      st.Obs.op_probes <- st.Obs.op_probes + 1;
+      st.Obs.op_matches <- st.Obs.op_matches + List.length matches
   | None -> ());
   matches
 
@@ -136,9 +136,9 @@ let probe_hash_index_orders ?stats (index : hash_index) (key_vals : Atomic.t lis
     key_vals;
   let orders = List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) acc []) in
   (match stats with
-  | Some js ->
-      js.Obs.js_probes <- js.Obs.js_probes + 1;
-      js.Obs.js_matches <- js.Obs.js_matches + List.length orders
+  | Some st ->
+      st.Obs.op_probes <- st.Obs.op_probes + 1;
+      st.Obs.op_matches <- st.Obs.op_matches + List.length orders
   | None -> ());
   orders
 
@@ -201,11 +201,11 @@ let build_sort_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequ
     }
   in
   (match stats with
-  | Some js ->
-      js.Obs.js_builds <- js.Obs.js_builds + 1;
-      js.Obs.js_build_tuples <- js.Obs.js_build_tuples + !order;
-      js.Obs.js_sort_numeric <- js.Obs.js_sort_numeric + Array.length index.si_numeric;
-      js.Obs.js_sort_string <- js.Obs.js_sort_string + Array.length index.si_string
+  | Some st ->
+      st.Obs.op_builds <- st.Obs.op_builds + 1;
+      st.Obs.op_build_tuples <- st.Obs.op_build_tuples + !order;
+      st.Obs.op_sort_numeric <- st.Obs.op_sort_numeric + Array.length index.si_numeric;
+      st.Obs.op_sort_string <- st.Obs.op_sort_string + Array.length index.si_string
   | None -> ());
   index
 
@@ -288,8 +288,8 @@ let probe_sort_index ?stats (op : Promotion.cmp_op) (index : sort_index)
   let orders = Hashtbl.fold (fun o _ acc -> o :: acc) acc [] in
   let matches = List.map (fun o -> Hashtbl.find acc o) (List.sort compare orders) in
   (match stats with
-  | Some js ->
-      js.Obs.js_probes <- js.Obs.js_probes + 1;
-      js.Obs.js_matches <- js.Obs.js_matches + List.length matches
+  | Some st ->
+      st.Obs.op_probes <- st.Obs.op_probes + 1;
+      st.Obs.op_matches <- st.Obs.op_matches + List.length matches
   | None -> ());
   matches

@@ -39,19 +39,19 @@ type hash_index = {
 val is_nan_atom : Atomic.t -> bool
 
 val build_hash_index :
-  ?stats:Xqc_obs.Obs.join_stats -> tuple list -> (tuple -> Item.sequence) -> hash_index
+  ?stats:Xqc_obs.Obs.op_stats -> tuple list -> (tuple -> Item.sequence) -> hash_index
 (** [materialize] of Figure 6: index the inner input on the atomized key
     expression, one bucket entry per promotion target.  With [~stats],
     records one build and the build-side tuple count. *)
 
 val probe_hash_index :
-  ?stats:Xqc_obs.Obs.join_stats -> hash_index -> Atomic.t list -> tuple list
+  ?stats:Xqc_obs.Obs.op_stats -> hash_index -> Atomic.t list -> tuple list
 (** [allMatches] of Figure 6: every inner tuple equal to any probe key,
     in inner input order, without duplicates.  With [~stats], records one
     probe and the number of matches. *)
 
 val probe_hash_index_orders :
-  ?stats:Xqc_obs.Obs.join_stats -> hash_index -> Atomic.t list -> int list
+  ?stats:Xqc_obs.Obs.op_stats -> hash_index -> Atomic.t list -> int list
 (** The sorted distinct build positions ([e_order], 1-based) whose
     entries match any probe key — the build-side-flipped probe used when
     the planner builds the hash join on its left input.  The Table 2
@@ -70,12 +70,12 @@ val numeric_key : Atomic.t -> float option
 val string_key : Atomic.t -> string option
 
 val build_sort_index :
-  ?stats:Xqc_obs.Obs.join_stats -> tuple list -> (tuple -> Item.sequence) -> sort_index
+  ?stats:Xqc_obs.Obs.op_stats -> tuple list -> (tuple -> Item.sequence) -> sort_index
 (** With [~stats], records one build, the build-side tuple count and the
     lengths of the two sorted key arrays. *)
 
 val probe_sort_index :
-  ?stats:Xqc_obs.Obs.join_stats ->
+  ?stats:Xqc_obs.Obs.op_stats ->
   Promotion.cmp_op -> sort_index -> Atomic.t list -> tuple list
 (** All inner tuples with [probe_key op inner_key] for some pair of keys,
     in inner input order, without duplicates.  Only Lt/Le/Gt/Ge are

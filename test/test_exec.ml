@@ -98,25 +98,28 @@ let test_outer_join () =
   check "unmatched persons count 0" expected (serialize (run p (ctx_with doc)));
   check "= interpreter" expected (run_on ~strategy:No_algebra doc outer_q)
 
+(* The profiled rows of [p]'s main plan. *)
+let main_rows p =
+  match (stats p, physical_plan p) with
+  | Some c, Some q -> Pretty.rows ~profile:c q.Physical.pmain
+  | _ -> Alcotest.fail "no collector or no physical plan"
+
 (* The one hash join of [q]'s main plan after a run over [doc], with
    its output row count and join counters. *)
 let analyzed_join q doc =
   let doc = indexed doc in
   let p = prepare ~stats:true q in
   ignore (run p (ctx_with doc));
-  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
   let joins =
-    Obs.fold_nodes
-      (fun acc n ->
-        if String.starts_with ~prefix:"PHashJoin" n.Obs.on_label then n :: acc
-        else acc)
-      [] (List.assoc "main" c.Obs.co_plans)
+    List.filter
+      (fun r -> String.starts_with ~prefix:"PHashJoin" r.Pretty.label)
+      (main_rows p)
   in
   match joins with
-  | [ n ] -> (
-      match n.Obs.on_join with
-      | None -> Alcotest.fail "no join counters"
-      | Some js -> (n.Obs.on_label, n.Obs.on_stats.Obs.op_tuples, js))
+  | [ r ] -> (
+      match r.Pretty.stats with
+      | Some st when r.Pretty.join -> (r.Pretty.label, st.Obs.op_tuples, st)
+      | _ -> Alcotest.fail "no join counters")
   | _ -> Alcotest.failf "expected one hash join, got %d" (List.length joins)
 
 (* EXPLAIN ANALYZE accounting of one inner hash join: one build over
@@ -127,10 +130,10 @@ let check_counters ~side ~build_rows ~probe_rows doc =
   let label, rows, js = analyzed_join join_q doc in
   check "build side" ("PHashJoin<eq>[build=" ^ side ^ "]") label;
   check_int "output rows" pairs rows;
-  check_int "one build" 1 js.Obs.js_builds;
-  check_int "build tuples" build_rows js.Obs.js_build_tuples;
-  check_int "one probe per tuple" probe_rows js.Obs.js_probes;
-  check_int "one match per pair" pairs js.Obs.js_matches
+  check_int "one build" 1 js.Obs.op_builds;
+  check_int "build tuples" build_rows js.Obs.op_build_tuples;
+  check_int "one probe per tuple" probe_rows js.Obs.op_probes;
+  check_int "one match per pair" pairs js.Obs.op_matches
 
 let test_counters_left () =
   check_counters ~side:"left" ~build_rows:5 ~probe_rows:40
@@ -147,10 +150,10 @@ let test_counters_outer () =
     analyzed_join outer_q (people_orders ~buyers:2 ~persons:4 ~orders:5 ())
   in
   check_bool "outer join" true (contains label "outer");
-  check_int "one build" 1 js.Obs.js_builds;
-  check_int "five pairs" 5 js.Obs.js_matches;
+  check_int "one build" 1 js.Obs.op_builds;
+  check_int "five pairs" 5 js.Obs.op_matches;
   check_int "pairs + two unmatched persons" 7 rows;
-  check_bool "probed" true (js.Obs.js_probes > 0)
+  check_bool "probed" true (js.Obs.op_probes > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Join override                                                       *)
@@ -204,16 +207,10 @@ let test_strict_step_counts () =
   let p = prepare ~stats:true "$d/db/people/person/name" in
   let out = with_materialize (fun () -> run p (ctx_with doc)) in
   check_int "seven names" 7 (List.length out);
-  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
-  let root = List.assoc "main" c.Obs.co_plans in
+  let rows = main_rows p in
   let step name =
-    match
-      Obs.fold_nodes
-        (fun acc n ->
-          if contains n.Obs.on_label ("::" ^ name ^ "]") then n :: acc else acc)
-        [] root
-    with
-    | [ n ] -> n.Obs.on_stats.Obs.op_items
+    match List.filter (fun r -> contains r.Pretty.label ("::" ^ name ^ "]")) rows with
+    | [ { Pretty.stats = Some st; _ } ] -> st.Obs.op_items
     | ns -> Alcotest.failf "step %s: %d nodes" name (List.length ns)
   in
   check_int "db" 1 (step "db");
@@ -458,6 +455,64 @@ let test_explain_labels () =
   check_bool "no partition annotation" false (contains report "par=");
   check_bool "no partition operator" false (contains report "Partition[")
 
+(* The operator labels of a report's sections whose heading starts with
+   [prefix], in order: every line carrying a planner estimate. *)
+let section_labels ~prefix report =
+  let _, labels =
+    List.fold_left
+      (fun (inside, acc) line ->
+        if String.starts_with ~prefix:"=== " line then
+          (String.starts_with ~prefix line, acc)
+        else
+          match String.index_from_opt line 0 '(' with
+          | Some i when inside && contains line "  (est_rows=" ->
+              (inside, String.trim (String.sub line 0 i) :: acc)
+          | _ -> (inside, acc))
+      (false, []) (String.split_on_char '\n' report)
+  in
+  List.rev labels
+
+(* EXPLAIN and EXPLAIN ANALYZE draw the same plans: for every XMark and
+   Clio query, the profiled sections list the static physical section's
+   operators and steps, in the same order. *)
+let test_explain_analyze_lockstep () =
+  let check_lockstep var doc queries =
+    Store.clear ();
+    ignore (Store.index_nodes doc);
+    List.iter
+      (fun (name, q) ->
+        let static = section_labels ~prefix:"=== Physical plan" (explain q) in
+        let p = prepare ~stats:true q in
+        let ctx = context () in
+        bind_variable ctx var [ Item.Node doc ];
+        ignore (run p ctx);
+        let analyzed =
+          section_labels ~prefix:"=== EXPLAIN ANALYZE" (explain_analyze p)
+        in
+        check_bool (name ^ ": some operators") true (static <> []);
+        Alcotest.(check (list string)) name static analyzed)
+      queries
+  in
+  check_lockstep "auction"
+    (Xqc_workload.Xmark.generate ~target_bytes:20_000 ())
+    Xqc_workload.Xmark_queries.all;
+  check_lockstep "doc"
+    (Xqc_workload.Clio.generate ~target_bytes:20_000 ())
+    (List.filter (fun (n, _) -> List.mem n [ "N2"; "N3"; "N4" ]) Xqc_workload.Clio.all)
+
+(* Static EXPLAIN lists every plan [prepare] makes: functions, globals
+   and the main plan, each under its name. *)
+let test_explain_all_plans () =
+  let report =
+    explain
+      "declare variable $g := 10; declare function local:f($x) { $x + $g }; local:f(5)"
+  in
+  let lines = String.split_on_char '\n' report in
+  List.iter
+    (fun heading -> check_bool heading true (List.mem heading lines))
+    [ "function local:f:"; "global $g:"; "main:" ];
+  check_bool "the function body's addition" true (contains report "Call[op:add]")
+
 (* ------------------------------------------------------------------ *)
 (* Plan reuse                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -550,6 +605,9 @@ let () =
         [
           Alcotest.test_case "sections" `Quick test_explain_sections;
           Alcotest.test_case "labels" `Quick test_explain_labels;
+          Alcotest.test_case "EXPLAIN = EXPLAIN ANALYZE" `Quick
+            test_explain_analyze_lockstep;
+          Alcotest.test_case "functions and globals" `Quick test_explain_all_plans;
         ] );
       ( "plan reuse",
         [

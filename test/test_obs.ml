@@ -28,7 +28,12 @@ let test_json () =
     (Obs.json_to_string
        (Obs.Arr [ Obs.Float Float.nan; Obs.Float Float.infinity; Obs.Float Float.neg_infinity ]));
   check_string "control chars escape" "\"\\u0001\""
-    (Obs.json_to_string (Obs.Str "\001"))
+    (Obs.json_to_string (Obs.Str "\001"));
+  check_string "1.5" "1.5" (Obs.json_to_string (Obs.Float 1.5));
+  check_string "0.1" "0.1" (Obs.json_to_string (Obs.Float 0.1));
+  let at = 1792253456.125 in
+  check_bool "a timestamp round-trips exactly" true
+    (Float.equal at (float_of_string (Obs.json_to_string (Obs.Float at))))
 
 let test_counter () =
   let c = Obs.counter "c" in
@@ -81,44 +86,74 @@ let run_with_stats ?(strategy = Optimized) q =
   let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
   (result, c)
 
-let find_nodes pred root =
-  Obs.fold_nodes (fun acc n -> if pred n then n :: acc else acc) [] root
+(* The profiled rows of every plan of [p] (functions, globals, main). *)
+let plan_rows ?(only_main = false) p =
+  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
+  match physical_plan p with
+  | None -> Alcotest.fail "no physical plan"
+  | Some q ->
+      List.concat_map
+        (fun (name, plan) ->
+          if only_main && name <> "main" then [] else Pretty.rows ~profile:c plan)
+        (Pretty.query_plans q)
+
+let st (r : Pretty.row) =
+  match r.Pretty.stats with Some st -> st | None -> Alcotest.fail "unprofiled row"
+
+let find_rows pred rows = List.filter pred rows
 
 let test_operator_cardinalities () =
-  let _, c = run_with_stats "for $x in (1,2,3) return $x + 1" in
-  let root = List.assoc "main" c.Obs.co_plans in
-  check_string "root operator" "MapToItem" root.Obs.on_label;
-  check_int "root called once" 1 root.Obs.on_stats.Obs.op_calls;
-  check_int "root emits 3 items" 3 root.Obs.on_stats.Obs.op_items;
+  let p = prepare ~stats:true "for $x in (1,2,3) return $x + 1" in
+  ignore (run p (context ()));
+  let rows = plan_rows ~only_main:true p in
+  let root = List.hd rows in
+  check_string "root operator" "MapToItem" root.Pretty.label;
+  check_int "root called once" 1 (st root).Obs.op_calls;
+  check_int "root emits 3 items" 3 (st root).Obs.op_items;
   (* the MapFromItem under the map-to-item produces the 3-tuple table *)
-  (match find_nodes (fun n -> n.Obs.on_label = "MapFromItem") root with
-  | [ mfi ] -> check_int "table has 3 tuples" 3 mfi.Obs.on_stats.Obs.op_tuples
+  (match find_rows (fun r -> r.Pretty.label = "MapFromItem") rows with
+  | [ mfi ] -> check_int "table has 3 tuples" 3 (st mfi).Obs.op_tuples
   | l -> Alcotest.failf "expected 1 MapFromItem, got %d" (List.length l));
   (* the body runs once per tuple *)
-  match find_nodes (fun n -> n.Obs.on_label = "Call[op:add]") root with
+  match find_rows (fun r -> r.Pretty.label = "Call[op:add]") rows with
   | [ add ] ->
-      check_int "body called per tuple" 3 add.Obs.on_stats.Obs.op_calls;
-      check_int "body emits one item per call" 3 add.Obs.on_stats.Obs.op_items
+      check_int "body called per tuple" 3 (st add).Obs.op_calls;
+      check_int "body emits one item per call" 3 (st add).Obs.op_items
   | l -> Alcotest.failf "expected 1 op:add, got %d" (List.length l)
 
 let hash_join_query = "for $x in (1,2,3), $y in (2,3,4) where $x = $y return $x"
 
 let test_join_statistics () =
-  let result, c = run_with_stats hash_join_query in
+  let p = prepare ~stats:true hash_join_query in
+  let result = run p (context ()) in
   check_string "result" "2 3" (serialize result);
-  let root = List.assoc "main" c.Obs.co_plans in
-  (match
-     find_nodes (fun n -> n.Obs.on_join <> None) root
-     |> List.concat_map (fun n -> Option.to_list n.Obs.on_join)
-   with
-  | [ js ] ->
-      check_int "one build" 1 js.Obs.js_builds;
-      check_int "inner side has 3 tuples" 3 js.Obs.js_build_tuples;
-      check_int "3 probes" 3 js.Obs.js_probes;
-      check_int "2 matches" 2 js.Obs.js_matches
+  (match find_rows (fun r -> r.Pretty.join) (plan_rows ~only_main:true p) with
+  | [ j ] ->
+      check_int "one build" 1 (st j).Obs.op_builds;
+      check_int "inner side has 3 tuples" 3 (st j).Obs.op_build_tuples;
+      check_int "3 probes" 3 (st j).Obs.op_probes;
+      check_int "2 matches" 2 (st j).Obs.op_matches
   | l -> Alcotest.failf "expected 1 join node, got %d" (List.length l));
-  let totals = Obs.join_totals c in
-  check_int "totals aggregate probes" 3 totals.Obs.js_probes
+  let totals = Obs.join_totals (Option.get (stats p)) in
+  check_int "totals aggregate probes" 3 totals.Obs.op_probes
+
+(* The nested loop materializes its inner side once per call, as the
+   hash join builds its table once: the same four counters for both. *)
+let test_join_counters_per_algorithm () =
+  List.iter
+    (fun (alg, prefix) ->
+      let p = prepare ~stats:true ~force_join:alg hash_join_query in
+      check_string "result" "2 3" (serialize (run p (context ())));
+      match find_rows (fun r -> r.Pretty.join) (plan_rows p) with
+      | [ j ] ->
+          check_bool ("planned " ^ prefix) true
+            (String.starts_with ~prefix j.Pretty.label);
+          check_int (prefix ^ ": one build") 1 (st j).Obs.op_builds;
+          check_int (prefix ^ ": 3 build tuples") 3 (st j).Obs.op_build_tuples;
+          check_int (prefix ^ ": 3 probes") 3 (st j).Obs.op_probes;
+          check_int (prefix ^ ": 2 matches") 2 (st j).Obs.op_matches
+      | l -> Alcotest.failf "expected 1 join node, got %d" (List.length l))
+    [ (Physical.Nested_loop, "PNestedLoop"); (Physical.Hash, "PHashJoin") ]
 
 let test_sort_join_statistics () =
   let result, c =
@@ -126,9 +161,9 @@ let test_sort_join_statistics () =
   in
   check_string "result" "3 4 5 5 6 7" (serialize result);
   let totals = Obs.join_totals c in
-  check_int "one sorted build" 1 totals.Obs.js_builds;
-  check_bool "numeric sort keys materialized" true (totals.Obs.js_sort_numeric > 0);
-  check_int "6 matches" 6 totals.Obs.js_matches
+  check_int "one sorted build" 1 totals.Obs.op_builds;
+  check_bool "numeric sort keys materialized" true (totals.Obs.op_sort_numeric > 0);
+  check_int "6 matches" 6 totals.Obs.op_matches
 
 (* Every hash join of Clio N4 on a 50 KB document reports its probe
    side: a join that emits tuples has probed, and its matches are
@@ -140,29 +175,42 @@ let test_hash_join_counters_n4 () =
   bind_variable ctx "doc" [ Item.Node doc ];
   let p = prepare ~stats:true Xqc_workload.Clio.n4 in
   ignore (run p ctx);
-  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
   let joins =
-    List.concat_map
-      (fun (_, root) ->
-        find_nodes
-          (fun n ->
-            String.starts_with ~prefix:"PHashJoin" n.Obs.on_label
-            && n.Obs.on_stats.Obs.op_tuples > 0)
-          root)
-      c.Obs.co_plans
+    find_rows
+      (fun r ->
+        String.starts_with ~prefix:"PHashJoin" r.Pretty.label && (st r).Obs.op_tuples > 0)
+      (plan_rows p)
   in
   check_bool "N4 has hash joins that output tuples" true (joins <> []);
   List.iter
-    (fun (n : Obs.op_node) ->
-      let rows = n.Obs.on_stats.Obs.op_tuples in
-      match n.Obs.on_join with
-      | None -> Alcotest.failf "%s has no join counters" n.Obs.on_label
-      | Some js ->
-          let what = Printf.sprintf "%s (%d rows)" n.Obs.on_label rows in
-          check_bool (what ^ ": probes > 0") true (js.Obs.js_probes > 0);
-          check_bool (what ^ ": matches > 0") true (js.Obs.js_matches > 0);
-          check_bool (what ^ ": matches <= rows") true (js.Obs.js_matches <= rows))
+    (fun (r : Pretty.row) ->
+      let rows = (st r).Obs.op_tuples in
+      if not r.Pretty.join then Alcotest.failf "%s has no join counters" r.Pretty.label;
+      let what = Printf.sprintf "%s (%d rows)" r.Pretty.label rows in
+      check_bool (what ^ ": probes > 0") true ((st r).Obs.op_probes > 0);
+      check_bool (what ^ ": matches > 0") true ((st r).Obs.op_matches > 0);
+      check_bool (what ^ ": matches <= rows") true ((st r).Obs.op_matches <= rows))
     joins
+
+(* Item cursors over step chains (Q8's [$t/buyer/@person] and the like)
+   count one call per chain invocation on the Steps node and each of its
+   steps: no row reports output without having been called. *)
+let test_cursor_calls_q8 () =
+  let doc = Xqc_workload.Xmark.generate ~target_bytes:50_000 () in
+  let ctx = context () in
+  bind_variable ctx "auction" [ Item.Node doc ];
+  let p = prepare ~stats:true Xqc_workload.Xmark_queries.q8 in
+  ignore (run p ctx);
+  let rows = plan_rows p in
+  check_bool "some steps ran" true
+    (List.exists
+       (fun r -> String.starts_with ~prefix:"Steps" r.Pretty.label && (st r).Obs.op_items > 0)
+       rows);
+  List.iter
+    (fun r ->
+      if (st r).Obs.op_items > 0 || (st r).Obs.op_tuples > 0 then
+        check_bool (r.Pretty.label ^ ": calls > 0") true ((st r).Obs.op_calls > 0))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Rewrite-rule trace                                                  *)
@@ -259,7 +307,7 @@ let test_explain_analyze_report () =
       "insert join";
       "=== EXPLAIN ANALYZE (main) ===";
       "PHashJoin<eq>";
-      "est=";
+      "est_rows=";
       "builds=1";
       "calls=";
       "=== Join totals ===";
@@ -309,6 +357,9 @@ let () =
           Alcotest.test_case "hash join stats" `Quick test_join_statistics;
           Alcotest.test_case "sort join stats" `Quick test_sort_join_statistics;
           Alcotest.test_case "hash join counters (N4)" `Quick test_hash_join_counters_n4;
+          Alcotest.test_case "nested loop = hash counters" `Quick
+            test_join_counters_per_algorithm;
+          Alcotest.test_case "cursor calls (Q8)" `Quick test_cursor_calls_q8;
         ] );
       ( "rewrite-trace",
         [

@@ -682,7 +682,11 @@ let test_slow_query_ring () =
       Alcotest.(check bool) "explain analyze non-empty" true
         (String.length text > 0)
   | _ -> Alcotest.fail "no EXPLAIN ANALYZE attached to the slow entry");
-  Alcotest.(check bool) "trace id linked" true (jint "entry" "trace_id" e > 0)
+  Alcotest.(check bool) "trace id linked" true (jint "entry" "trace_id" e > 0);
+  (* the wall-clock timestamp survives the wire to the second *)
+  let at = jnum "entry" "at" e in
+  Alcotest.(check bool) (Printf.sprintf "at %.3f within 5 s of now" at) true
+    (Float.abs (Unix.gettimeofday () -. at) < 5.0)
 
 (* The slow ring records each request's real outcome code, not just
    "ok": a malformed character reference is a query error, and a query
