@@ -12,6 +12,10 @@
      order -> OrderBy{keys}(Op0)
      return -> MapToItem{body}(Op0)
 
+   The one exception is a literal positional predicate E[k], which
+   normalizes to [for $d at $p in E where op:eq($p, k) return $d] and
+   compiles to fn:subsequence(E, k, 1).
+
    A FLWOR in a tuple context starts from IN (the singleton table of the
    current input tuple), which is what later lets the unnesting rewritings
    see through nested blocks; at query top level it starts from the unit
@@ -41,6 +45,21 @@ let rec compile (env : env) (e : Core_ast.cexpr) : plan =
   | Core_ast.C_comment c -> Comment (compile env c)
   | Core_ast.C_pi (n, c) -> Pi (n, compile env c)
   | Core_ast.C_if (c, t, e) -> Cond (compile env c, compile env t, compile env e)
+  | Core_ast.C_flwor
+      ( [
+          Core_ast.CC_for { var = dot; at_var = Some pos; astype = None; source };
+          Core_ast.CC_where
+            (Core_ast.C_call
+              ("op:eq", [ Core_ast.C_var pos'; Core_ast.C_scalar (Xqc_xml.Atomic.Integer k) ]));
+        ],
+        [],
+        Core_ast.C_var dot' )
+    when String.equal dot dot' && String.equal pos pos' ->
+      (* E[k] for an integer literal k, as normalization spells it: the
+         k-th item of E, which the planner streams over an ordered path *)
+      Call
+        ( "fn:subsequence",
+          [ compile env source; Scalar (Xqc_xml.Atomic.Integer k); Scalar (Xqc_xml.Atomic.Integer 1) ] )
   | Core_ast.C_flwor (clauses, orders, ret) -> compile_flwor env clauses orders ret
   | Core_ast.C_quant (q, v, source, body) -> compile_quant env q v source body
   | Core_ast.C_typeswitch (x, scrut, cases, default) ->

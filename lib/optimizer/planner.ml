@@ -173,11 +173,13 @@ let ordered_chain (steps : (Ast.axis * Ast.node_test) list) : bool =
 
 (* Positional early termination: a Select over a MapIndex whose predicate
    compares the freshly minted index field against an integer literal can
-   stop pulling once the position exceeds the bound — [1]-style
-   predicates and normalized fn:subsequence windows. *)
-let positional_bound (pred : plan) (input : plan) : int option =
-  match input with
-  | MapIndex (q, _) | MapIndexStep (q, _) -> (
+   stop pulling once the position exceeds the bound — a where clause on
+   an at variable, such as [for $x at $i in E where $i le 3].  (A literal
+   predicate E[k] never gets here: Compile makes it fn:subsequence.) *)
+let rec positional_bound (pred : plan) (input : plan) : int option =
+  match (pred, input) with
+  | Call ("fn:boolean", [ p ]), _ -> positional_bound p input
+  | _, (MapIndex (q, _) | MapIndexStep (q, _)) -> (
       match pred with
       | Call (op, [ FieldAccess q'; Scalar (Xqc_xml.Atomic.Integer k) ])
         when String.equal q q' -> (

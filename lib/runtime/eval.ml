@@ -224,6 +224,34 @@ let number_constructed (n : Node.t) : Node.t =
    Anything numbered may be reachable elsewhere: copy it. *)
 let adopt_or_copy (n : Node.t) : Node.t = if Node.is_fresh n then n else Node.copy_fresh n
 
+(* GroupBy keys.  When every index cell of every tuple is one xs:integer
+   — always so for MapIndex / MapIndexStep fields — and the keys never
+   decrease, GroupBy groups adjacent runs; otherwise it hash-partitions,
+   and counts that here. *)
+let c_hash_partitions = Obs.global_counter "groupby_hash_partitions"
+
+let compare_int_keys = List.compare Int.compare
+
+(* Each tuple paired with its integer key, if every key is one and they
+   never decrease. *)
+let ascending_int_keys (slots : int list) (tuples : tuple list) : (int list * tuple) list option =
+  let int_key t =
+    List.fold_right
+      (fun i key ->
+        match (key, t.(i)) with
+        | Some ks, [ Item.Atom (Atomic.Integer n) ] -> Some (n :: ks)
+        | _ -> None)
+      slots (Some [])
+  in
+  let rec go prev acc = function
+    | [] -> Some (List.rev acc)
+    | t :: rest -> (
+        match int_key t with
+        | Some k when compare_int_keys prev k <= 0 -> go k ((k, t) :: acc) rest
+        | Some _ | None -> None)
+  in
+  go [] [] tuples
+
 (* Element content assembly: attribute nodes become attributes, atomic
    values merge into space-separated text, nodes are adopted or copied
    (XQuery constructor copy semantics), document nodes contribute their
@@ -1154,32 +1182,54 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
           | [] -> Tab Seq.empty
           | first :: _ ->
               Tab (Seq.return (emit first (List.concat_map pre_of tuples))))
-      | slots ->
-          let key_of t =
-            String.concat "\x00"
-              (List.map
-                 (fun i -> String.concat "," (List.map Item.string_value t.(i)))
-                 slots)
-          in
-          let partitions : (string, tuple * Item.sequence list ref) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let order = ref [] in
-          List.iter
-            (fun t ->
-              let k = key_of t in
-              match Hashtbl.find_opt partitions k with
-              | Some (_, items) -> items := pre_of t :: !items
-              | None ->
-                  Hashtbl.add partitions k (t, ref [ pre_of t ]);
-                  order := k :: !order)
-            tuples;
-          tab_list
-            (List.rev_map
-               (fun k ->
-                 let first, items = Hashtbl.find partitions k in
-                 emit first (List.concat (List.rev !items)))
-               !order)),
+      | slots -> (
+          let emit_group (first, items) = emit first (List.concat (List.rev items)) in
+          match ascending_int_keys slots tuples with
+          | Some [] -> Tab Seq.empty
+          | Some ((key, first) :: rest) ->
+              (* keys arrive ascending, as MapIndex / MapIndexStep hand
+                 them over: equal keys are adjacent, so a group closes
+                 whenever the key changes.  [runs] returns the groups last
+                 first, and both paths emit them in that order. *)
+              let rec runs key first items acc = function
+                | [] -> (first, items) :: acc
+                | (k, t) :: rest ->
+                    let pre = pre_of t in
+                    if compare_int_keys k key = 0 then runs key first (pre :: items) acc rest
+                    else runs k t [ pre ] ((first, items) :: acc) rest
+              in
+              let pre = pre_of first in
+              tab_list (List.rev_map emit_group (runs key first [ pre ] [] rest))
+          | None ->
+              (* the general partitioning of Section 5: groups in the
+                 order of their first tuple, keyed on the index values'
+                 string forms *)
+              Obs.incr_counter c_hash_partitions;
+              let key_of t =
+                String.concat "\x00"
+                  (List.map
+                     (fun i -> String.concat "," (List.map Item.string_value t.(i)))
+                     slots)
+              in
+              let partitions : (string, tuple * Item.sequence list ref) Hashtbl.t =
+                Hashtbl.create 64
+              in
+              let order = ref [] in
+              List.iter
+                (fun t ->
+                  let k = key_of t in
+                  match Hashtbl.find_opt partitions k with
+                  | Some (_, items) -> items := pre_of t :: !items
+                  | None ->
+                      Hashtbl.add partitions k (t, ref [ pre_of t ]);
+                      order := k :: !order)
+                tuples;
+              tab_list
+                (List.rev_map
+                   (fun k ->
+                     let first, items = Hashtbl.find partitions k in
+                     emit_group (first, !items))
+                   !order))),
     out_layout )
 
 (* [stats] is the join's profile record: the Joins kernels (hash/sort)

@@ -75,10 +75,18 @@ let build_hash_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequ
   | None -> ());
   { hi_buckets = buckets; hi_size = !order }
 
-(* allMatches() of Figure 6: all inner tuples matching one outer tuple,
-   in the inner input's original sequence order, without duplicates. *)
-let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tuple list =
-  let acc : (int, tuple) Hashtbl.t = Hashtbl.create 8 in
+(* sortedMatches + removeDuplicates of Figure 6: the collected matches
+   by build position, each position once.  A probe that matched at most
+   once has nothing to sort. *)
+let sorted_distinct cmp = function
+  | ([] | [ _ ]) as matches -> matches
+  | matches -> List.sort_uniq cmp matches
+
+let by_order (o1, _) (o2, _) = Int.compare o1 o2
+
+(* The entries of [index] that one probe key matches, each passed to [f]
+   as (build position, tuple). *)
+let iter_hash_matches (index : hash_index) (key_vals : Atomic.t list) f =
   List.iter
     (fun key ->
       let key_type = Atomic.type_of key in
@@ -91,20 +99,26 @@ let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tu
                 (fun e ->
                   (* the Table 2 check of Figure 6, line 25 *)
                   match Promotion.comparison_type e.e_orig_type key_type with
-                  | Some prescribed when prescribed = target_type ->
-                      Hashtbl.replace acc e.e_order e.e_tuple
+                  | Some prescribed when prescribed = target_type -> f e.e_order e.e_tuple
                   | Some _ | None -> ())
                 !cell)
         (Promotion.promote_to_simple_types key))
-    key_vals;
-  (* sortedMatches + removeDuplicates: Hashtbl keys are already unique *)
-  let orders = Hashtbl.fold (fun o _ acc -> o :: acc) acc [] in
-  let matches = List.map (fun o -> Hashtbl.find acc o) (List.sort compare orders) in
-  (match stats with
+    key_vals
+
+let count_probe stats n =
+  match stats with
   | Some st ->
       st.Obs.op_probes <- st.Obs.op_probes + 1;
-      st.Obs.op_matches <- st.Obs.op_matches + List.length matches
-  | None -> ());
+      st.Obs.op_matches <- st.Obs.op_matches + n
+  | None -> ()
+
+(* allMatches() of Figure 6: all inner tuples matching one outer tuple,
+   in the inner input's original sequence order, without duplicates. *)
+let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tuple list =
+  let acc = ref [] in
+  iter_hash_matches index key_vals (fun o t -> acc := (o, t) :: !acc);
+  let matches = List.map snd (sorted_distinct by_order !acc) in
+  count_probe stats (List.length matches);
   matches
 
 (* Build-side-flipped probe: the sorted distinct build positions whose
@@ -116,30 +130,10 @@ let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tu
    from either side accepts exactly the same pairs. *)
 let probe_hash_index_orders ?stats (index : hash_index) (key_vals : Atomic.t list) :
     int list =
-  let acc : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun key ->
-      let key_type = Atomic.type_of key in
-      List.iter
-        (fun (v, target_type) ->
-          match (if is_nan_atom v then None else Hashtbl.find_opt index.hi_buckets v) with
-          | None -> ()
-          | Some cell ->
-              List.iter
-                (fun e ->
-                  match Promotion.comparison_type e.e_orig_type key_type with
-                  | Some prescribed when prescribed = target_type ->
-                      Hashtbl.replace acc e.e_order ()
-                  | Some _ | None -> ())
-                !cell)
-        (Promotion.promote_to_simple_types key))
-    key_vals;
-  let orders = List.sort compare (Hashtbl.fold (fun o () acc -> o :: acc) acc []) in
-  (match stats with
-  | Some st ->
-      st.Obs.op_probes <- st.Obs.op_probes + 1;
-      st.Obs.op_matches <- st.Obs.op_matches + List.length orders
-  | None -> ());
+  let acc = ref [] in
+  iter_hash_matches index key_vals (fun o _ -> acc := o :: !acc);
+  let orders = sorted_distinct Int.compare !acc in
+  count_probe stats (List.length orders);
   orders
 
 (* ------------------------------------------------------------------ *)
@@ -239,8 +233,8 @@ let is_numeric_tn = Atomic.is_numeric_type
    original type. *)
 let probe_sort_index ?stats (op : Promotion.cmp_op) (index : sort_index)
     (key_vals : Atomic.t list) : tuple list =
-  let acc : (int, tuple) Hashtbl.t = Hashtbl.create 8 in
-  let add e = Hashtbl.replace acc e.e_order e.e_tuple in
+  let acc = ref [] in
+  let add e = acc := (e.e_order, e.e_tuple) :: !acc in
   let scan_numeric x accept =
     let lo, hi = range_for op Float.compare x index.si_numeric in
     for i = lo to hi - 1 do
@@ -285,11 +279,6 @@ let probe_sort_index ?stats (op : Promotion.cmp_op) (index : sort_index)
             | Some s -> scan_string s (fun t -> t = other || t = Atomic.T_untyped)
             | None -> ()))
     key_vals;
-  let orders = Hashtbl.fold (fun o _ acc -> o :: acc) acc [] in
-  let matches = List.map (fun o -> Hashtbl.find acc o) (List.sort compare orders) in
-  (match stats with
-  | Some st ->
-      st.Obs.op_probes <- st.Obs.op_probes + 1;
-      st.Obs.op_matches <- st.Obs.op_matches + List.length matches
-  | None -> ());
+  let matches = List.map snd (sorted_distinct by_order !acc) in
+  count_probe stats (List.length matches);
   matches

@@ -47,14 +47,23 @@ let promotion_targets (tn : Atomic.type_name) : Atomic.type_name list =
 
 (* The (value, type) pairs under which a join key is materialized —
    [promoteToSimpleTypes] in Figure 6 of the paper.  An untyped value that
-   does not parse as a number simply has no double entry. *)
+   does not parse as a number simply has no double entry; it is read
+   directly, as that is the common case of a join on text nodes, and
+   raises nothing. *)
 let promote_to_simple_types (a : Atomic.t) : (Atomic.t * Atomic.type_name) list =
-  List.filter_map
-    (fun target ->
-      match Atomic.cast target a with
-      | v -> Some (v, target)
-      | exception Atomic.Cast_error _ -> None)
-    (promotion_targets (Atomic.type_of a))
+  match a with
+  | Atomic.Untyped s -> (
+      let str = (Atomic.String s, Atomic.T_string) in
+      match Atomic.double_of_lexical s with
+      | Some f -> [ str; (Atomic.Double f, Atomic.T_double) ]
+      | None -> [ str ])
+  | _ ->
+      List.filter_map
+        (fun target ->
+          match Atomic.cast target a with
+          | v -> Some (v, target)
+          | exception Atomic.Cast_error _ -> None)
+        (promotion_targets (Atomic.type_of a))
 
 (* The comparison type prescribed by Table 2 for two *original* operand
    types, or None when the operands are incomparable (err:XPTY0004). *)

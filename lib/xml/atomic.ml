@@ -130,11 +130,58 @@ let to_string = function
   | Integer i -> string_of_int i
   | Decimal f | Float f | Double f -> float_to_lexical f
 
+(* The XML Schema lexical spaces of the numeric types, read after the
+   surrounding whitespace is trimmed (d is a decimal digit):
+
+     integer        [+-]? d+
+     decimal        [+-]? (d+ ('.' d* )? | '.' d+)
+     float, double  decimal ([eE] [+-]? d+)?  |  INF | -INF | NaN
+
+   OCaml's own conversions also read "0x1A", "1_000", "0b1" and "inf";
+   a string reaches them only once it has matched here. *)
+type numeric_lexical = Lex_integer | Lex_decimal | Lex_double
+
+let lexical_matches kind s =
+  let n = String.length s in
+  let rec digits i = if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i in
+  let sign i = if i < n && (s.[i] = '+' || s.[i] = '-') then i + 1 else i in
+  let start = sign 0 in
+  let int_end = digits start in
+  match kind with
+  | Lex_integer -> int_end > start && int_end = n
+  | Lex_decimal | Lex_double ->
+      let point = int_end < n && s.[int_end] = '.' in
+      let frac_end = if point then digits (int_end + 1) else int_end in
+      let mantissa_digits = frac_end - start - if point then 1 else 0 in
+      mantissa_digits > 0
+      && (frac_end = n
+         || kind = Lex_double
+            && (s.[frac_end] = 'e' || s.[frac_end] = 'E')
+            &&
+            let exp_start = sign (frac_end + 1) in
+            let exp_end = digits exp_start in
+            exp_end > exp_start && exp_end = n)
+
+let integer_of_lexical s =
+  let s = String.trim s in
+  if lexical_matches Lex_integer s then int_of_string_opt s else None
+
+let decimal_of_lexical s =
+  let s = String.trim s in
+  if lexical_matches Lex_decimal s then float_of_string_opt s else None
+
+let double_of_lexical s =
+  match String.trim s with
+  | "INF" -> Some Float.infinity
+  | "-INF" -> Some Float.neg_infinity
+  | "NaN" -> Some Float.nan
+  | s -> if lexical_matches Lex_double s then float_of_string_opt s else None
+
 (* Numeric view used by arithmetic and by the sort join. *)
 let to_float = function
   | Integer i -> Some (float_of_int i)
   | Decimal f | Float f | Double f -> Some f
-  | Untyped s | String s -> float_of_string_opt (String.trim s)
+  | Untyped s | String s -> double_of_lexical s
   | Boolean _ | Any_uri _ | Qname _ | Other _ -> None
 
 exception Cast_error of string
@@ -146,10 +193,20 @@ let cast_error fmt = Printf.ksprintf (fun s -> raise (Cast_error s)) fmt
    the runtime maps to an XQuery dynamic error. *)
 let cast (target : type_name) (a : t) : t =
   let lexical = to_string a in
-  let num_of s =
-    match float_of_string_opt (String.trim s) with
-    | Some f -> f
-    | None -> cast_error "cannot cast %S to a numeric type" s
+  (* numeric sources keep their round trip through the canonical lexical
+     form; every other source must be in the target's lexical space *)
+  let num_of target =
+    let parsed =
+      match a with
+      | Integer i -> Some (float_of_int i)
+      | Decimal _ | Float _ | Double _ -> double_of_lexical lexical
+      | _ when target = T_decimal -> decimal_of_lexical lexical
+      | _ -> double_of_lexical lexical
+    in
+    match parsed with
+    | Some f when target <> T_decimal || Float.is_finite f -> f
+    | Some _ | None ->
+        cast_error "cannot cast %S to %s" lexical (type_name_to_string target)
   in
   match target with
   | T_untyped -> Untyped lexical
@@ -175,12 +232,11 @@ let cast (target : type_name) (a : t) : t =
       | Decimal f | Float f | Double f -> Integer (int_of_float f)
       | Boolean b -> Integer (if b then 1 else 0)
       | Untyped s | String s -> (
-          let s = String.trim s in
-          match int_of_string_opt s with
+          match integer_of_lexical s with
           | Some i -> Integer i
           | None -> (
-              (* "42.0" casts to integer via decimal in XQuery *)
-              match float_of_string_opt s with
+              (* "42.0" casts to integer via decimal *)
+              match decimal_of_lexical s with
               | Some f when Float.is_integer f -> Integer (int_of_float f)
               | Some _ | None -> cast_error "cannot cast %S to xs:integer" s))
       | Any_uri _ | Qname _ | Other _ ->
@@ -189,15 +245,15 @@ let cast (target : type_name) (a : t) : t =
   | T_decimal -> (
       match a with
       | Boolean b -> Decimal (if b then 1.0 else 0.0)
-      | _ -> Decimal (num_of lexical))
+      | _ -> Decimal (num_of T_decimal))
   | T_float -> (
       match a with
       | Boolean b -> Float (if b then 1.0 else 0.0)
-      | _ -> Float (num_of lexical))
+      | _ -> Float (num_of T_float))
   | T_double -> (
       match a with
       | Boolean b -> Double (if b then 1.0 else 0.0)
-      | _ -> Double (num_of lexical))
+      | _ -> Double (num_of T_double))
   | T_date | T_time | T_date_time | T_duration | T_g_year | T_g_month | T_g_day
   | T_g_year_month | T_g_month_day | T_hex_binary | T_base64_binary
   | T_notation ->

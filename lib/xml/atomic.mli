@@ -67,9 +67,17 @@ val to_string : t -> string
 
 val float_to_lexical : float -> string
 
+val double_of_lexical : string -> float option
+(** The reading of a string in the XML Schema lexical space of xs:double
+    (also xs:float's), after surrounding whitespace is trimmed: decimal
+    digits with an optional point and exponent, or [INF], [-INF], [NaN].
+    OCaml-only forms such as ["0x1A"], ["1_000"] or ["inf"] read as
+    [None].  {!cast} reads xs:integer and xs:decimal the same way; there
+    the special values are invalid, and xs:decimal takes no exponent. *)
+
 val to_float : t -> float option
 (** Numeric view: numeric values directly, strings and untyped values by
-    parsing; [None] when no numeric reading exists. *)
+    {!double_of_lexical}; [None] when no numeric reading exists. *)
 
 exception Cast_error of string
 (** Raised by {!cast} and the comparison functions on dynamic type

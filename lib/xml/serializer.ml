@@ -2,25 +2,35 @@
    serialization per the XQuery serialization rules: adjacent atomic values
    are separated by a single space; nodes serialize as markup. *)
 
-let escape_text buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | other -> Buffer.add_char buf other)
-    s
+(* Runs of ordinary bytes are blitted with one [add_substring]; only the
+   special bytes are added one by one, as their entity references. *)
+let escape_with entity buf s =
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match entity s.[i] with
+      | None -> go start (i + 1)
+      | Some ent ->
+          Buffer.add_substring buf s start (i - start);
+          Buffer.add_string buf ent;
+          go (i + 1) (i + 1)
+  in
+  go 0 0
 
-let escape_attr buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | other -> Buffer.add_char buf other)
-    s
+let escape_text =
+  escape_with (function
+    | '<' -> Some "&lt;"
+    | '>' -> Some "&gt;"
+    | '&' -> Some "&amp;"
+    | _ -> None)
+
+let escape_attr =
+  escape_with (function
+    | '<' -> Some "&lt;"
+    | '&' -> Some "&amp;"
+    | '"' -> Some "&quot;"
+    | _ -> None)
 
 let rec add_node buf (n : Node.t) =
   match n.Node.desc with

@@ -35,6 +35,39 @@ let test_cast_errors () =
   check_bool "1 to boolean ok" true (A.castable A.T_boolean (A.Untyped "1"));
   check_bool "date accepts lexical" true (A.castable A.T_date (A.String "2006-04-01"))
 
+(* Only the XML Schema lexical forms cast to numbers: OCaml's own
+   readings of "1_000", "0x1A", "inf" or "0b1" raise Cast_error. *)
+let test_cast_numeric_lexical () =
+  let raises target s =
+    match A.cast target (A.String s) with
+    | v -> Alcotest.failf "%S cast to %s gave %s" s (A.type_name_to_string target) (A.to_string v)
+    | exception A.Cast_error _ -> ()
+  in
+  List.iter (raises A.T_double) [ "1_000"; "0x1A"; "inf"; "infinity"; "nan"; "0b1"; "1e"; "."; "+"; "1 0"; "" ];
+  List.iter (raises A.T_float) [ "0x1A"; "inf" ];
+  List.iter (raises A.T_integer) [ "1_0"; "0x10"; "0o7"; "+"; "1e3"; "INF" ];
+  List.iter (raises A.T_decimal) [ "1e3"; "INF"; "-INF"; "NaN"; "0x1A" ];
+  let casts target s want =
+    check (Printf.sprintf "%S as %s" s (A.type_name_to_string target)) want
+      (A.to_string (A.cast target (A.Untyped s)))
+  in
+  casts A.T_double "INF" "INF";
+  casts A.T_double "-INF" "-INF";
+  casts A.T_double "NaN" "NaN";
+  casts A.T_float "INF" "INF";
+  casts A.T_integer " 12 " "12";
+  casts A.T_integer "+12" "12";
+  casts A.T_double "1e3" "1000";
+  casts A.T_double "-1.5E-1" "-0.15";
+  casts A.T_decimal ".5" "0.5";
+  casts A.T_decimal "5." "5";
+  casts A.T_double " .5 " "0.5";
+  casts A.T_double "5." "5";
+  Alcotest.(check (option (float 0.))) "to_float reads 1e3" (Some 1000.)
+    (A.to_float (A.Untyped "1e3"));
+  Alcotest.(check (option (float 0.))) "to_float rejects 0x10" None
+    (A.to_float (A.Untyped "0x10"))
+
 let test_cast_boolean () =
   check_bool "string true" true
     (match A.cast A.T_boolean (A.String "true") with A.Boolean b -> b | _ -> false);
@@ -108,6 +141,7 @@ let () =
           Alcotest.test_case "cast to integer" `Quick test_cast_to_integer;
           Alcotest.test_case "cast errors" `Quick test_cast_errors;
           Alcotest.test_case "cast to boolean" `Quick test_cast_boolean;
+          Alcotest.test_case "numeric lexical forms" `Quick test_cast_numeric_lexical;
           Alcotest.test_case "equal same type" `Quick test_equal_same_type;
           Alcotest.test_case "compare same type" `Quick test_compare_same_type;
           Alcotest.test_case "type name roundtrip" `Quick test_type_names;

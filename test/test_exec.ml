@@ -1,6 +1,7 @@
 (* The sequential executor end to end: both hash-join build sides and
    their EXPLAIN ANALYZE counters, strict step chains and name tests, a
    sort over a filtered scan, fn:collection over several documents, the planner's join override, the EXPLAIN report,
+   GroupBy's run grouping over the workloads,
    and reuse of one prepared plan across runs, contexts and domains.
    Every answer is checked against the Core interpreter or a literal. *)
 
@@ -514,6 +515,32 @@ let test_explain_all_plans () =
   check_bool "the function body's addition" true (contains report "Call[op:add]")
 
 (* ------------------------------------------------------------------ *)
+(* GroupBy                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The unnesting rewrites key every GroupBy on MapIndex / MapIndexStep
+   fields, which arrive ascending: over the paper's workloads GroupBy
+   always groups runs and never hash-partitions. *)
+let test_workload_groupbys_group_runs () =
+  let hash_partitions () = List.assoc "groupby_hash_partitions" (Obs.global_counters ()) in
+  let check_queries var doc queries =
+    let ctx = context () in
+    bind_variable ctx var [ Item.Node doc ];
+    List.iter
+      (fun (name, q) ->
+        let before = hash_partitions () in
+        ignore (serialize (run (prepare ~strategy:Optimized q) ctx));
+        check_int (name ^ " hash partitions") before (hash_partitions ()))
+      queries
+  in
+  check_queries "auction"
+    (Xqc_workload.Xmark.generate ~target_bytes:100_000 ())
+    Xqc_workload.Xmark_queries.all;
+  check_queries "doc"
+    (Xqc_workload.Clio.generate ~target_bytes:20_000 ())
+    (List.filter (fun (n, _) -> List.mem n [ "N2"; "N3"; "N4" ]) Xqc_workload.Clio.all)
+
+(* ------------------------------------------------------------------ *)
 (* Plan reuse                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -608,6 +635,11 @@ let () =
           Alcotest.test_case "EXPLAIN = EXPLAIN ANALYZE" `Quick
             test_explain_analyze_lockstep;
           Alcotest.test_case "functions and globals" `Quick test_explain_all_plans;
+        ] );
+      ( "groupby",
+        [
+          Alcotest.test_case "workload GroupBys group runs" `Quick
+            test_workload_groupbys_group_runs;
         ] );
       ( "plan reuse",
         [

@@ -1,6 +1,7 @@
 (* The XQuery GroupBy operator (Section 5): the Figure 4 example, the
    single-partition convention for empty grouping criteria, null-flag
-   handling, and partition ordering. *)
+   handling, partition ordering, and grouping by runs of ascending
+   integer keys. *)
 
 open Xqc
 open Algebra
@@ -165,6 +166,111 @@ let test_multiple_null_flags () =
   let out = run_table (GroupBy (g, table)) in
   Alcotest.(check string) "only non-null rows contribute" "4" (cell_str (List.hd out).(4))
 
+(* qcheck: over random tables with 1-3 xs:integer index fields,
+   duplicate keys and null flags, GroupBy equals a first-occurrence
+   reference partitioning, whether its input arrives sorted on the keys
+   (grouped as runs) or in random order (hash-partitioned unless it
+   happens to be ascending).  Only an input whose keys decrease somewhere
+   counts a hash partitioning. *)
+let hash_partitions () = List.assoc "groupby_hash_partitions" (Obs.global_counters ())
+
+type row = { keys : int list; null : bool; id : int }
+
+let rows_gen =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun nkeys ->
+    list_size (int_range 0 12)
+      (pair (list_repeat nkeys (int_range 0 2)) bool)
+    >>= fun rows ->
+    return (nkeys, List.mapi (fun id (keys, null) -> { keys; null; id }) rows))
+
+let key_fields nkeys = List.init nkeys (fun i -> Printf.sprintf "k%d" i)
+
+let group_rows nkeys (rows : row list) : string list =
+  let doc =
+    Xqc.parse_document
+      (Printf.sprintf "<t>%s</t>"
+         (String.concat ""
+            (List.map
+               (fun r ->
+                 Printf.sprintf {|<r %s null="%b" id="%d"/>|}
+                   (String.concat " " (List.mapi (Printf.sprintf {|k%d="%d"|}) r.keys))
+                   r.null r.id)
+               rows)))
+  in
+  Dynamic_ctx.bind_global ctx "qrows"
+    (List.filter_map
+       (fun n -> if Node.name n = Some "r" then Some (Item.Node n) else None)
+       (Node.descendants doc));
+  let table =
+    MapFromItem
+      ( TupleConstruct
+          (("id", attr "id")
+           :: ("null", Cast (Atomic.T_boolean, true, attr "null"))
+           :: List.map (fun k -> (k, Cast (Atomic.T_integer, true, attr k))) (key_fields nkeys)),
+        Var "qrows" )
+  in
+  let g =
+    {
+      g_agg = "a";
+      g_indices = key_fields nkeys;
+      g_nulls = [ "null" ];
+      g_post = Call ("fn:string-join", [ Input; Scalar (Atomic.String "+") ]);
+      g_pre = FieldAccess "id";
+    }
+  in
+  (* output: the first tuple's id and the joined ids of the non-null members *)
+  List.map
+    (fun t -> cell_str t.(0) ^ ":" ^ cell_str t.(Array.length t - 1))
+    (run_table (GroupBy (g, table)))
+
+let reference_groups (rows : row list) : string list =
+  let keys = List.sort_uniq compare (List.map (fun r -> r.keys) rows) in
+  let first_pos k =
+    let rec go i = function
+      | r :: rest -> if r.keys = k then i else go (i + 1) rest
+      | [] -> max_int
+    in
+    go 0 rows
+  in
+  List.map
+    (fun k ->
+      let members = List.filter (fun r -> r.keys = k) rows in
+      Printf.sprintf "%d:%s" (List.hd members).id
+        (String.concat "+"
+           (List.filter_map (fun r -> if r.null then None else Some (string_of_int r.id)) members)))
+    (List.sort (fun a b -> compare (first_pos a) (first_pos b)) keys)
+
+let ascending rows =
+  let rec go = function
+    | a :: (b :: _ as rest) -> compare a.keys b.keys <= 0 && go rest
+    | [ _ ] | [] -> true
+  in
+  go rows
+
+let prop_runs_equal_partitions =
+  QCheck.Test.make ~name:"sorted and shuffled inputs group like the reference" ~count:200
+    (QCheck.make
+       ~print:(fun (n, rows) ->
+         Printf.sprintf "%d keys: %s" n
+           (String.concat "; "
+              (List.map
+                 (fun r ->
+                   Printf.sprintf "%d[%s]%s" r.id
+                     (String.concat "," (List.map string_of_int r.keys))
+                     (if r.null then "null" else ""))
+                 rows)))
+       rows_gen)
+    (fun (nkeys, shuffled) ->
+      let sorted = List.stable_sort (fun a b -> compare a.keys b.keys) shuffled in
+      let before = hash_partitions () in
+      let sorted_ok = group_rows nkeys sorted = reference_groups sorted in
+      let after_sorted = hash_partitions () in
+      let shuffled_ok = group_rows nkeys shuffled = reference_groups shuffled in
+      let after_shuffled = hash_partitions () in
+      sorted_ok && shuffled_ok && after_sorted = before
+      && after_shuffled - after_sorted = if ascending shuffled then 0 else 1)
+
 let () =
   Alcotest.run "groupby"
     [
@@ -177,4 +283,5 @@ let () =
           Alcotest.test_case "empty input" `Quick test_empty_input;
           Alcotest.test_case "multiple null flags" `Quick test_multiple_null_flags;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_runs_equal_partitions ]);
     ]

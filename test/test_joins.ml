@@ -62,6 +62,41 @@ let test_order_restored () =
   Alcotest.(check (list int)) "even payloads ascending" [ 0; 2; 4; 6; 8 ]
     (probe ix [ A.Integer 0 ])
 
+let test_promoted_entries_match_once () =
+  (* untyped "1" meets integer 1 as double and untyped "1" as string:
+     two accepted entries of one build tuple, reported once *)
+  let inner = [ tup [ A.Untyped "1" ] 5 ] in
+  let ix = J.build_hash_index inner key_of in
+  Alcotest.(check (list int)) "one tuple, two promoted matches" [ 5 ]
+    (probe ix [ A.Integer 1; A.Untyped "1" ]);
+  Alcotest.(check (list int)) "one position"
+    [ 1 ]
+    (J.probe_hash_index_orders ix [ A.Integer 1; A.Untyped "1" ])
+
+let test_three_matches_in_build_order () =
+  let inner =
+    [ tup [ A.Untyped "7" ] 1; tup [ A.Integer 3 ] 2; tup [ A.Double 7.0 ] 3;
+      tup [ A.Integer 7 ] 4 ]
+  in
+  let ix = J.build_hash_index inner key_of in
+  Alcotest.(check (list int)) "build order" [ 1; 3; 4 ] (probe ix [ A.Integer 7 ]);
+  Alcotest.(check (list int)) "build positions" [ 1; 3; 4 ]
+    (J.probe_hash_index_orders ix [ A.Integer 7 ])
+
+let test_untyped_promotions () =
+  let targets a = List.map snd (Promotion.promote_to_simple_types a) in
+  Alcotest.(check (list string)) "\"abc\": a string entry only" [ "xs:string" ]
+    (List.map A.type_name_to_string (targets (A.Untyped "abc")));
+  Alcotest.(check (list string)) "\" 2.5 \": string and double entries"
+    [ "xs:string"; "xs:double" ]
+    (List.map A.type_name_to_string (targets (A.Untyped " 2.5 ")));
+  Alcotest.(check (list string)) "entry values" [ "xs:string( 2.5 )"; "xs:double(2.5)" ]
+    (List.map
+       (fun (v, _) -> Format.asprintf "%a" A.pp v)
+       (Promotion.promote_to_simple_types (A.Untyped " 2.5 ")));
+  Alcotest.(check (list string)) "\"0x10\" is not a number" [ "xs:string" ]
+    (List.map A.type_name_to_string (targets (A.Untyped "0x10")))
+
 let test_numeric_promotion_equality () =
   let inner = [ tup [ A.Decimal 1.5 ] 1; tup [ A.Double 1.5 ] 2; tup [ A.Float 1.5 ] 3 ] in
   let ix = J.build_hash_index inner key_of in
@@ -209,6 +244,9 @@ let () =
           Alcotest.test_case "Table 2 filter" `Quick test_table2_filter;
           Alcotest.test_case "existential dedup" `Quick test_existential_dedup;
           Alcotest.test_case "order restored" `Quick test_order_restored;
+          Alcotest.test_case "promoted entries match once" `Quick test_promoted_entries_match_once;
+          Alcotest.test_case "three matches in build order" `Quick test_three_matches_in_build_order;
+          Alcotest.test_case "untyped promotions" `Quick test_untyped_promotions;
           Alcotest.test_case "numeric promotion" `Quick test_numeric_promotion_equality;
           Alcotest.test_case "anyURI/string" `Quick test_anyuri_string;
           Alcotest.test_case "boolean and dates" `Quick test_boolean_and_dates;

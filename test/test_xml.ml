@@ -320,6 +320,29 @@ let test_sequence_serialization () =
   in
   check "atoms space separated, nodes adjacent" "1 2xy" s
 
+(* Escaping blits the runs between special bytes: specials at the start,
+   in the middle and at the end, adjacent ones, and none at all. *)
+let test_escaping () =
+  let escaped f s =
+    let b = Buffer.create 16 in
+    f b s;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (s, text, attr) ->
+      check ("text " ^ s) text (escaped S.escape_text s);
+      check ("attr " ^ s) attr (escaped S.escape_attr s))
+    [
+      ("", "", "");
+      ("plain run", "plain run", "plain run");
+      ("<a", "&lt;a", "&lt;a");
+      ("a&b", "a&amp;b", "a&amp;b");
+      ("a>", "a&gt;", "a>");
+      ("\"q\"", "\"q\"", "&quot;q&quot;");
+      ("&<>\"", "&amp;&lt;&gt;\"", "&amp;&lt;>&quot;");
+      ("x<y>z&w", "x&lt;y&gt;z&amp;w", "x&lt;y>z&amp;w");
+    ]
+
 (* qcheck: random generated trees survive a serialize/parse roundtrip. *)
 let gen_tree : N.t QCheck.arbitrary =
   let open QCheck.Gen in
@@ -392,6 +415,7 @@ let () =
           Alcotest.test_case "lazy descendants" `Quick test_descendants_seq;
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "sequence serialization" `Quick test_sequence_serialization;
+          Alcotest.test_case "escaping" `Quick test_escaping;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
