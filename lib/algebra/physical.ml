@@ -5,9 +5,8 @@
    says *how*: which join algorithm runs a Join (PNestedLoop /
    PHashJoin / PSortJoin) and which side it builds on, whether an axis
    step is answered by the structural name index or by walking
-   (Index_scan / Tree_walk inside PSteps), where positional selections
-   become streamed take-while prefixes (PStreamSelect), where
-   aggregate/existential calls stream or probe the index instead of
+   (Index_scan / Tree_walk inside PSteps), where aggregate, existential
+   and fn:subsequence calls stream or probe the index instead of
    materializing their argument (PCallStream), and where pipelines are
    cut by explicit materialization (PMaterialize).  Every node carries
    the planner's cardinality and cost estimate, so EXPLAIN can render
@@ -116,10 +115,6 @@ and pop =
   | PFieldAccess of field
   (* selection, product, joins *)
   | PSelect of t * t
-  | PStreamSelect of { pred : t; bound : int; input : t }
-      (** positional selection over a MapIndex input: the input cursor is
-          cut after [bound] tuples (take-while on the position field),
-          then the predicate filters the prefix *)
   | PProduct of t * t
   | PNestedLoop of { outer : field option; pred : ppred; left : t; right : t }
       (** [outer = Some q] is the left outer join with null-flag q *)
@@ -187,7 +182,6 @@ let children (p : t) : t list =
   | PSerialize (_, a) -> [ a ]
   | PTupleConstruct fields -> List.map snd fields
   | PSelect (d, i) -> [ d; i ]
-  | PStreamSelect { pred; input; _ } -> [ pred; input ]
   | PProduct (a, b) -> [ a; b ]
   | PNestedLoop { pred = PWholePred d; left; right; _ } -> [ d; left; right ]
   | PNestedLoop { pred = PSplitPred { left_key; right_key; _ }; left; right; _ }

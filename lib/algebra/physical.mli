@@ -4,8 +4,7 @@
     A logical plan says {e what} to compute; a physical plan additionally
     says {e how}: which join algorithm runs a Join and on which side it
     builds, whether an axis step is answered by the structural name index
-    or by walking, where positional selections become streamed take-while
-    prefixes, where builtin calls stream or probe the index instead of
+    or by walking, where builtin calls stream or probe the index instead of
     materializing their argument, and where pipelines are cut by explicit
     materialization.  Every node carries the planner's cardinality and
     cost estimate so EXPLAIN can render estimated-vs-actual.
@@ -97,9 +96,6 @@ and pop =
   | PTupleConstruct of (field * t) list
   | PFieldAccess of field
   | PSelect of t * t
-  | PStreamSelect of { pred : t; bound : int; input : t }
-      (** positional selection: cut the input cursor after [bound]
-          tuples, then filter the prefix with [pred] *)
   | PProduct of t * t
   | PNestedLoop of { outer : field option; pred : ppred; left : t; right : t }
       (** [outer = Some q]: left outer join with null-flag field [q] *)

@@ -187,7 +187,7 @@ let outer_tag = function
 (* One-line label of a physical operator.  Mirror operators reuse the
    logical labels (so instrumented cardinality reports stay comparable
    across the two algebras); the strategy-carrying operators name their
-   choice: PHashJoin<eq>[build=left], StreamSelect[limit=1], ... *)
+   choice: PHashJoin<eq>[build=left], ... *)
 let physical_label (p : Physical.t) : string =
   let open Physical in
   match p.pop with
@@ -226,7 +226,6 @@ let physical_label (p : Physical.t) : string =
       Printf.sprintf "[%s]" (String.concat ";" (List.map fst fields))
   | PFieldAccess q -> Printf.sprintf "IN#%s" q
   | PSelect _ -> "Select"
-  | PStreamSelect { bound; _ } -> Printf.sprintf "StreamSelect[limit=%d]" bound
   | PProduct _ -> "Product"
   | PNestedLoop { outer; pred; _ } ->
       Printf.sprintf "PNestedLoop%s%s"
@@ -268,7 +267,7 @@ let est_num (x : float) : string =
 let mode_of (pop : Physical.pop) : string option =
   let open Physical in
   match pop with
-  | PSelect _ | PStreamSelect _ | PMap _ | POMap _ | PMapConcat _
+  | PSelect _ | PMap _ | POMap _ | PMapConcat _
   | POMapConcat _ | PMapIndex _ | PMapIndexStep _ | PMapFromItem _
   | PTupleConstruct _ | PMapSome _ | PMapEvery _ ->
       Some "streamed"

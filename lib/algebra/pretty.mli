@@ -21,7 +21,7 @@ val pstep_label : Physical.pstep -> string
 val physical_label : Physical.t -> string
 (** One-line label of a physical operator.  Mirror operators reuse the
     logical labels; strategy-carrying operators name their choice
-    ([PHashJoin<eq>\[build=left\]], [StreamSelect\[limit=1\]], ...). *)
+    ([PHashJoin<eq>\[build=left\]], ...). *)
 
 (** One rendered plan node: an operator, or a step of a [Steps] chain
     (no cost, no mode). *)

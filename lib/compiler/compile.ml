@@ -55,8 +55,9 @@ let rec compile (env : env) (e : Core_ast.cexpr) : plan =
         [],
         Core_ast.C_var dot' )
     when String.equal dot dot' && String.equal pos pos' ->
-      (* E[k] for an integer literal k, as normalization spells it: the
-         k-th item of E, which the planner streams over an ordered path *)
+      (* E[k] for an integer literal k, in exactly the shape
+         Normalize.normalize_predicate_positional emits for it: the k-th
+         item of E, which the planner streams over an ordered path *)
       Call
         ( "fn:subsequence",
           [ compile env source; Scalar (Xqc_xml.Atomic.Integer k); Scalar (Xqc_xml.Atomic.Integer 1) ] )

@@ -303,8 +303,12 @@ and normalize_predicate_positional env input (pred : Ast.expr) =
   in
   let p' = normalize penv pred in
   let where =
-    (* a literal integer predicate is directly a position test, which keeps
-       plans in the shape shown in the paper's Section 4 example *)
+    (* a literal integer predicate is directly a position test: the Core
+       interpreters run this FLWOR as it stands, and Compile.compile
+       recognizes exactly this shape (for $d at $p in E where op:eq($p, k)
+       return $d) to lower E[k] to fn:subsequence(E, k, 1) — change the
+       two together; test_planner's "[k] -> streamed subsequence" case
+       fails if they drift apart *)
     match p' with
     | C_scalar (Atomic.Integer _) -> C_call ("op:eq", [ C_var pos; p' ])
     | _ -> C_call ("fs:predicate-truth", [ p'; C_var pos ])

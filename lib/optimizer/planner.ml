@@ -15,11 +15,12 @@
    - step fusion: descendant-or-self::node()/child::t chains fuse to
      descendant::t, and a maximal TreeJoin chain becomes one [PSteps]
      whose [ordered] flag records the static streaming-order condition;
-   - streaming boundaries: positional selections become bounded
-     take-while prefixes ([PStreamSelect]), fn:exists / fn:empty /
-     fn:count / fn:subsequence over suitable chains become streaming /
-     index-probing calls ([PCallStream]), and join and product build
-     sides are cut with explicit [PMaterialize] markers.
+   - streaming boundaries: fn:exists / fn:empty / fn:count /
+     fn:subsequence over suitable chains become streaming /
+     index-probing calls ([PCallStream]) — a literal positional
+     predicate E[k] arrives here as fn:subsequence(E, k, 1) — and join
+     and product build sides are cut with explicit [PMaterialize]
+     markers.
 
    Cardinalities come from the Xqc_store statistics API — exact
    per-qname element/attribute counts from the interval indexes, spread
@@ -170,31 +171,6 @@ let ordered_chain (steps : (Ast.axis * Ast.node_test) list) : bool =
         | _ -> false)
   in
   go steps
-
-(* Positional early termination: a Select over a MapIndex whose predicate
-   compares the freshly minted index field against an integer literal can
-   stop pulling once the position exceeds the bound — a where clause on
-   an at variable, such as [for $x at $i in E where $i le 3].  (A literal
-   predicate E[k] never gets here: Compile makes it fn:subsequence.) *)
-let rec positional_bound (pred : plan) (input : plan) : int option =
-  match (pred, input) with
-  | Call ("fn:boolean", [ p ]), _ -> positional_bound p input
-  | _, (MapIndex (q, _) | MapIndexStep (q, _)) -> (
-      match pred with
-      | Call (op, [ FieldAccess q'; Scalar (Xqc_xml.Atomic.Integer k) ])
-        when String.equal q q' -> (
-          match op with
-          | "op:eq" | "op:le" -> Some k
-          | "op:lt" -> Some (k - 1)
-          | _ -> None)
-      | Call (op, [ Scalar (Xqc_xml.Atomic.Integer k); FieldAccess q' ])
-        when String.equal q q' -> (
-          match op with
-          | "op:eq" | "op:ge" -> Some k
-          | "op:gt" -> Some (k - 1)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Planning                                                            *)
@@ -361,20 +337,11 @@ let plan ?(config = default_config) (p : plan) : P.t =
         mk (P.PTupleConstruct pfields) ~rows:1.
           ~cost:(List.fold_left (fun c (_, fp) -> c +. cost fp) 1. pfields)
     | FieldAccess q -> mk (P.PFieldAccess q) ~rows:1. ~cost:0.
-    | Select (pred, input) -> (
-        match positional_bound pred input with
-        | Some bound ->
-            let pi = go input and pp = go pred in
-            let out = Float.min (float_of_int bound) (rows pi) in
-            mk
-              (P.PStreamSelect { pred = pp; bound; input = pi })
-              ~rows:out
-              ~cost:((cost pi *. 0.5) +. out)
-        | None ->
-            let pi = go input and pp = go pred in
-            mk (P.PSelect (pp, pi))
-              ~rows:(Float.max 1. (rows pi *. sel_select))
-              ~cost:(cost pi +. (rows pi *. Float.max 1. (cost pp))))
+    | Select (pred, input) ->
+        let pi = go input and pp = go pred in
+        mk (P.PSelect (pp, pi))
+          ~rows:(Float.max 1. (rows pi *. sel_select))
+          ~cost:(cost pi +. (rows pi *. Float.max 1. (cost pp)))
     | Product (a, b) ->
         let pa = go a and pb = go b in
         let out = rows pa *. rows pb in

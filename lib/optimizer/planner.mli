@@ -4,7 +4,7 @@
     The planner makes every physical decision the evaluator dispatches
     on — join algorithm (hash / sort / nested loop) and hash build side,
     index-vs-walk per axis step, step fusion and streaming-order
-    analysis, positional take-while bounds, streaming builtin calls, and
+    analysis, streaming builtin calls, and
     the explicit materialization of join/product build sides — and
     annotates every operator with an estimated output cardinality and
     cumulative cost.
@@ -40,11 +40,6 @@ val step_rows : Xqc_frontend.Ast.axis -> Xqc_frontend.Ast.node_test -> float -> 
 val index_available : Xqc_frontend.Ast.axis -> Xqc_frontend.Ast.node_test -> bool
 (** Whether the store's indexed paths can serve this step at all (store
     enabled and axis/test covered). *)
-
-val positional_bound : Algebra.plan -> Algebra.plan -> int option
-(** [positional_bound pred input]: the position cutoff when [pred] is a
-    positional comparison against the index field minted by [input]
-    (a MapIndex/MapIndexStep). *)
 
 val ordered_chain : (Xqc_frontend.Ast.axis * Xqc_frontend.Ast.node_test) list -> bool
 (** The static condition under which a step chain preserves document

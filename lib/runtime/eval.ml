@@ -8,9 +8,9 @@
 
    The evaluator dispatches on the physical algebra produced by the
    cost-based planner and re-makes no strategy decision: the join
-   algorithm and its build side, index-vs-walk per axis step, positional
-   take-while bounds, streaming builtin calls and explicit
-   materialization points all arrive encoded in the plan.
+   algorithm and its build side, index-vs-walk per axis step, streaming
+   builtin calls and explicit materialization points all arrive encoded
+   in the plan.
 
    The tabular arm of [dval] is a pull-based cursor ([tuple Seq.t]):
    Select/Map/MapConcat/OMapConcat/MapIndex chains fuse into lazy stream
@@ -19,9 +19,9 @@
    planner's explicit [PMaterialize] cuts (join and product build sides)
    and at the genuinely blocking operators — OrderBy, GroupBy, and the
    item-producing sinks (MapToItem, serialization).  Existential
-   consumers (MapSome/MapEvery, streamed fn:exists/fn:empty, bounded
-   positional selections, streamed fn:subsequence) stop pulling after
-   the prefix they need, turning O(document) scans into O(answer).
+   consumers (MapSome/MapEvery, streamed fn:exists/fn:empty, streamed
+   fn:subsequence) stop pulling after the prefix they need, turning
+   O(document) scans into O(answer).
 
    Laziness is confined to within one strict consumer call: every scope
    boundary (function bodies, quantifier tests, globals, all Xml-producing
@@ -739,25 +739,6 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
       let cp, _ = compile { env with layout = li } pred in
       ( (fun ctx inp ->
           Tab (Seq.filter (fun t -> ebv (cp ctx (ITuple t))) (as_table (ci ctx inp)))),
-        li )
-  | P.PStreamSelect { pred; bound; input } ->
-      (* positional early termination, decided by the planner: the input
-         cursor is cut after [bound] tuples (the index field always sits
-         in slot 0 of a MapIndex output), then the prefix is filtered.
-         The cut is sound in both streamed and materialized execution:
-         the predicate implies the bound. *)
-      let ci, li = compile env input in
-      let cp, _ = compile { env with layout = li } pred in
-      let below (t : tuple) =
-        match t.(0) with
-        | [ Item.Atom (Atomic.Integer i) ] -> i <= bound
-        | _ -> true
-      in
-      ( (fun ctx inp ->
-          Tab
-            (Seq.filter
-               (fun t -> ebv (cp ctx (ITuple t)))
-               (Seq.take_while below (as_table (ci ctx inp))))),
         li )
   | P.PProduct (a, b) ->
       let ca, la = compile env a

@@ -45,25 +45,26 @@ let promotion_targets (tn : Atomic.type_name) : Atomic.type_name list =
           [ Atomic.T_string; Atomic.T_double ]
       | other -> [ other ])
 
+(* [a] promoted to [target], or None when it has no value there.  An
+   untyped key — the common case of a join on text nodes — is read as a
+   double without raising and catching a cast error when it is not a
+   number. *)
+let promote (target : Atomic.type_name) (a : Atomic.t) : Atomic.t option =
+  match (a, target) with
+  | Atomic.Untyped s, Atomic.T_double ->
+      Option.map (fun f -> Atomic.Double f) (Atomic.double_of_lexical s)
+  | _ -> (
+      match Atomic.cast target a with
+      | v -> Some v
+      | exception Atomic.Cast_error _ -> None)
+
 (* The (value, type) pairs under which a join key is materialized —
    [promoteToSimpleTypes] in Figure 6 of the paper.  An untyped value that
-   does not parse as a number simply has no double entry; it is read
-   directly, as that is the common case of a join on text nodes, and
-   raises nothing. *)
+   does not parse as a number simply has no double entry. *)
 let promote_to_simple_types (a : Atomic.t) : (Atomic.t * Atomic.type_name) list =
-  match a with
-  | Atomic.Untyped s -> (
-      let str = (Atomic.String s, Atomic.T_string) in
-      match Atomic.double_of_lexical s with
-      | Some f -> [ str; (Atomic.Double f, Atomic.T_double) ]
-      | None -> [ str ])
-  | _ ->
-      List.filter_map
-        (fun target ->
-          match Atomic.cast target a with
-          | v -> Some (v, target)
-          | exception Atomic.Cast_error _ -> None)
-        (promotion_targets (Atomic.type_of a))
+  List.filter_map
+    (fun target -> Option.map (fun v -> (v, target)) (promote target a))
+    (promotion_targets (Atomic.type_of a))
 
 (* The comparison type prescribed by Table 2 for two *original* operand
    types, or None when the operands are incomparable (err:XPTY0004). *)

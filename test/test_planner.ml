@@ -67,32 +67,18 @@ let test_forced_algorithm_overrides_cost () =
 
 (* -------- streaming choices -------- *)
 
-let stream_selects =
-  count_ops (function Physical.PStreamSelect _ -> true | _ -> false)
-
 let streamed_subsequences =
   count_ops (function
     | Physical.PCallStream (Physical.SSubseq, "fn:subsequence", _) -> true
     | _ -> false)
 
-let test_positional_becomes_stream_select () =
-  let p = physical_main "for $x at $i in $auction//item where $i le 1 return $x" in
-  check_bool "where $i le 1 plans a streamed prefix" true
-    (count_ops
-       (function
-         | Physical.PStreamSelect { bound = 1; _ } -> true | _ -> false)
-       p
-    >= 1)
-
 (* A literal positional predicate compiles to fn:subsequence(E, k, 1),
    streamed over an ordered path; no nested FLWOR is left for the
-   rewriter to unnest, so Clio N4's $j/author[1] plans no StreamSelect. *)
+   rewriter to unnest, so Clio N4's $j/author[1] streams too. *)
 let test_positional_literal_streams_subsequence () =
   let p = physical_main "($auction//item)[1]" in
   check_int "[1] plans a streamed fn:subsequence" 1 (streamed_subsequences p);
-  check_int "[1] plans no StreamSelect" 0 (stream_selects p);
   let n4 = physical_main (Xqc_workload.Clio.n4) in
-  check_int "N4 plans no StreamSelect" 0 (stream_selects n4);
   check_bool "N4 streams $j/author[1]" true (streamed_subsequences n4 >= 1)
 
 let test_count_becomes_index_probe () =
@@ -238,8 +224,6 @@ let () =
         ] );
       ( "streaming choice",
         [
-          Alcotest.test_case "positional prefix" `Quick
-            test_positional_becomes_stream_select;
           Alcotest.test_case "[k] -> streamed subsequence" `Quick
             test_positional_literal_streams_subsequence;
           Alcotest.test_case "count -> index probe" `Quick
