@@ -12,24 +12,23 @@
 open Cmdliner
 
 let strategy_conv =
-  let parse = function
-    | "no-algebra" -> Ok Xqc.No_algebra
-    | "saxon-like" | "indexed" -> Ok Xqc.Saxon_like
-    | "no-optim" -> Ok Xqc.Algebra_unoptimized
-    | "nl" | "optim-nl" -> Ok Xqc.Optimized_nl
-    | "optim" | "full" -> Ok Xqc.Optimized
-    | other -> Error (`Msg (Printf.sprintf "unknown strategy %S" other))
+  let parse name =
+    match Xqc.strategy_of_name name with
+    | Some s -> Ok s
+    | None -> Error (`Msg (Printf.sprintf "unknown strategy %S" name))
   in
   Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Xqc.strategy_name s))
 
 let strategy_arg =
+  let names =
+    String.concat "; "
+      (List.map (fun (_, names) -> String.concat " or " names) Xqc.strategy_names)
+  in
   Arg.(
     value
     & opt strategy_conv Xqc.Optimized
     & info [ "s"; "strategy" ] ~docv:"STRATEGY"
-        ~doc:
-          "Engine configuration: no-algebra, saxon-like, no-optim, nl, or \
-           optim (default).")
+        ~doc:("Engine configuration, one of: " ^ names ^ "."))
 
 let collections_arg =
   Arg.(

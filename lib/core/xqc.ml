@@ -62,15 +62,23 @@ type strategy =
   | Optimized_nl  (** unnesting rewritings, nested-loop joins *)
   | Optimized  (** unnesting + XQuery hash/sort joins (the full compiler) *)
 
-let strategy_name = function
-  | No_algebra -> "no-algebra"
-  | Saxon_like -> "saxon-like"
-  | Algebra_unoptimized -> "algebra-no-optim"
-  | Optimized_nl -> "optim-nl-join"
-  | Optimized -> "optim-xquery-join"
+(* The one name table: each strategy's printed name first, then the
+   short aliases the command line also accepts. *)
+let strategy_names =
+  [
+    (No_algebra, [ "no-algebra" ]);
+    (Saxon_like, [ "saxon-like"; "indexed" ]);
+    (Algebra_unoptimized, [ "algebra-no-optim"; "no-optim" ]);
+    (Optimized_nl, [ "optim-nl-join"; "nl"; "optim-nl" ]);
+    (Optimized, [ "optim-xquery-join"; "optim"; "full" ]);
+  ]
 
-let all_strategies =
-  [ No_algebra; Saxon_like; Algebra_unoptimized; Optimized_nl; Optimized ]
+let strategy_name s = List.hd (List.assoc s strategy_names)
+
+let strategy_of_name name =
+  List.find_map (fun (s, names) -> if List.mem name names then Some s else None) strategy_names
+
+let all_strategies = List.map fst strategy_names
 
 type prepared = {
   source : string;
@@ -325,7 +333,13 @@ let context ?schema ?resolver () : Dynamic_ctx.t = Dynamic_ctx.create ?schema ?r
 let bind_variable = Dynamic_ctx.bind_global
 let bind_document = Dynamic_ctx.bind_document
 
-let parse_document ?uri (xml : string) : Node.t = Xml_parser.parse_string ?uri xml
+(* The loader builds the document's structural index in its one pass;
+   the store publishes it (or, under [Off] or below [Auto]'s threshold,
+   drops it), so no query walks the tree to index it. *)
+let parse_document ?uri (xml : string) : Node.t =
+  let root, names = Xml_parser.parse_with_names ?uri xml in
+  Store.adopt root names;
+  root
 
 let serialize (s : Item.sequence) : string = Serializer.sequence_to_string s
 

@@ -146,22 +146,28 @@ let test_matches schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
 (* Indexed fast path for a single axis step: name tests over the
    downward axes resolve against the document store's interval-encoded
    name indexes (a binary-searched nid range instead of a subtree walk).
-   [None] sends the caller to the walking path — non-name tests, axes
-   the store does not cover, unindexed trees, or cases where the store
-   itself judges the walk cheaper. *)
-let indexed_axis_nodes (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
+   [index_resolver] makes the store resolver of one step invocation,
+   [None] when the store cannot serve the step at all (non-name tests,
+   axes it does not cover).  [indexed_axis_nodes] then returns [None]
+   per node to send that node to the walking path (unindexed trees, or
+   cases where the store judges the walk cheaper). *)
+let index_resolver (axis : Ast.axis) (test : Ast.node_test) : Store.resolver option =
+  match (axis, test) with
+  | (Ast.Descendant | Ast.Descendant_or_self | Ast.Child), Ast.Name_test name ->
+      Some (Store.resolver name)
+  | Ast.Attribute_axis, Ast.Name_test name when not (String.equal name "*") ->
+      (* the store has no "*" entry for attributes; @* walks *)
+      Some (Store.resolver name)
+  | _ -> None
+
+let indexed_axis_nodes (axis : Ast.axis) (r : Store.resolver) (n : Node.t) :
     Node.t list option =
-  match test with
-  | Ast.Name_test name -> (
-      match axis with
-      | Ast.Descendant -> Store.descendants_by_name n name
-      | Ast.Descendant_or_self -> Store.descendant_or_self_by_name n name
-      | Ast.Child -> Store.children_by_name n name
-      | Ast.Attribute_axis ->
-          (* the store has no "*" entry for attributes; @* walks *)
-          if String.equal name "*" then None else Store.attributes_by_name n name
-      | _ -> None)
-  | Ast.Kind_test _ -> None
+  match axis with
+  | Ast.Descendant -> Store.descendants r n
+  | Ast.Descendant_or_self -> Store.descendant_or_self r n
+  | Ast.Child -> Store.children r n
+  | Ast.Attribute_axis -> Store.attributes r n
+  | _ -> None
 
 (* Matches are accumulated in traversal order: child/descendant axis
    output over already-sorted input is itself in document order, so the
@@ -170,12 +176,15 @@ let indexed_axis_nodes (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
    the order (parent, ancestor, multiple nested sources).  [index]: try
    the structural index first, walking each node it cannot serve. *)
 let axis_join ~index schema axis test (input : Item.sequence) : Item.sequence =
+  if input = [] then []
+  else
   let out = ref [] in
+  let resolver = if index then index_resolver axis test else None in
   List.iter
     (fun it ->
       match it with
       | Item.Node n -> (
-          match if index then indexed_axis_nodes axis test n else None with
+          match match resolver with Some r -> indexed_axis_nodes axis r n | None -> None with
           | Some ms -> List.iter (fun m -> out := m :: !out) ms
           | None ->
               List.iter
@@ -427,16 +436,14 @@ let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
    [indexed_axis_nodes].  A [Some] sequence already satisfies the node
    test, so no further filtering is needed; [None] falls back to the
    lazy walk. *)
-let indexed_axis_seq (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
+let indexed_axis_seq (axis : Ast.axis) (r : Store.resolver) (n : Node.t) :
     Node.t Seq.t option =
-  match test with
-  | Ast.Name_test name -> (
-      match axis with
-      | Ast.Descendant -> Store.descendants_by_name_seq n name
-      | Ast.Descendant_or_self -> Store.descendant_or_self_by_name_seq n name
-      | Ast.Child -> Option.map List.to_seq (Store.children_by_name n name)
-      | _ -> None)
-  | Ast.Kind_test _ -> None
+  match axis with
+  | Ast.Descendant -> Store.descendants_seq r n
+  | Ast.Descendant_or_self -> Store.descendant_or_self_seq r n
+  | Ast.Child -> Option.map List.to_seq (Store.children r n)
+  | Ast.Attribute_axis -> Option.map List.to_seq (Store.attributes r n)
+  | _ -> None
 
 (* Compile the step chain of an item cursor.  Profiled, each step counts
    its pulls into its own record, and the absorbed [PSteps] node
@@ -452,17 +459,17 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
     List.fold_left
       (fun s ((ps : P.pstep), stats) ->
         let axis = ps.P.ps_axis and test = ps.P.ps_test in
+        let resolver =
+          match ps.P.ps_impl with
+          | P.Index_scan -> index_resolver axis test
+          | P.Tree_walk -> None
+        in
         let s' =
           Seq.concat_map
             (fun it ->
               match it with
               | Item.Node n -> (
-                  let indexed =
-                    match ps.P.ps_impl with
-                    | P.Index_scan -> indexed_axis_seq axis test n
-                    | P.Tree_walk -> None
-                  in
-                  match indexed with
+                  match match resolver with Some r -> indexed_axis_seq axis r n | None -> None with
                   | Some ms -> Seq.map (fun m -> Item.Node m) ms
                   | None -> walk_step_seq ctx.schema axis test n)
               | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
@@ -488,24 +495,29 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
 let step_shapes (steps : P.pstep list) : (Ast.axis * Ast.node_test) list =
   List.map (fun (s : P.pstep) -> (s.P.ps_axis, s.P.ps_test)) steps
 
-let index_exists_probe (steps : P.pstep list) : (Node.t -> bool option) option =
+let index_exists_probe (steps : P.pstep list) : (unit -> Node.t -> bool option) option =
   match step_shapes steps with
   | [ (Ast.Descendant, Ast.Name_test nm) ] ->
-      Some (fun n -> Store.exists_descendant_by_name n nm)
+      Some (fun () -> Store.exists_descendant (Store.resolver nm))
   | [ (Ast.Descendant_or_self, Ast.Name_test nm) ] ->
-      Some (fun n -> Store.exists_descendant_by_name ~self:true n nm)
+      Some (fun () -> Store.exists_descendant ~self:true (Store.resolver nm))
   | [ (Ast.Child, Ast.Name_test nm) ] ->
-      Some (fun n -> Option.map (fun l -> l <> []) (Store.children_by_name n nm))
+      Some
+        (fun () ->
+          let r = Store.resolver nm in
+          fun n -> Option.map (fun l -> l <> []) (Store.children r n))
   | _ -> None
 
+(* A count probe serves one source node per invocation, so each call
+   resolves afresh. *)
 let index_count_probe (steps : P.pstep list) : (Node.t -> int option) option =
   match step_shapes steps with
   | [ (Ast.Descendant, Ast.Name_test nm) ] ->
-      Some (fun n -> Store.count_descendants_by_name n nm)
+      Some (fun n -> Store.count_descendants (Store.resolver nm) n)
   | [ (Ast.Descendant_or_self, Ast.Name_test nm) ] ->
-      Some (fun n -> Store.count_descendants_by_name ~self:true n nm)
+      Some (fun n -> Store.count_descendants ~self:true (Store.resolver nm) n)
   | [ (Ast.Child, Ast.Name_test nm) ] ->
-      Some (fun n -> Option.map List.length (Store.children_by_name n nm))
+      Some (fun n -> Option.map List.length (Store.children (Store.resolver nm) n))
   | _ -> None
 
 (* Shared scaffolding of the three physical join operators: compiled
@@ -1000,10 +1012,11 @@ and compile_stream_call env (kind : P.stream_call) name (args : P.t list) : comp
               let indexed =
                 match probe with
                 | None -> None
-                | Some p ->
+                | Some make ->
                     (* existence over many source nodes is a disjunction,
                        so nesting/duplicates are harmless; any
                        unanswerable node means stream *)
+                    let p = make () in
                     let rec go = function
                       | [] -> Some false
                       | Item.Node n :: rest -> (

@@ -788,10 +788,11 @@ let read_file path =
   s
 
 (* Parse, register and interval-index every preload once, before
-   accepting.  Registration makes each document updatable through the
-   MVCC layer (and gap-renumbers it — which is why it must precede the
-   index build: the structural indexes key on node ids); readers then
-   pin per-request snapshots instead of sharing a mutable tree. *)
+   accepting.  The loader builds each document's structural index while
+   parsing.  Registration makes the document updatable through the MVCC
+   layer and gap-renumbers it, moving that index to the root's new id;
+   [index_nodes] then finds it without a rebuild.  Readers pin
+   per-request snapshots instead of sharing a mutable tree. *)
 let load_preloads cfg =
   List.map
     (fun (name, path) ->

@@ -1,23 +1,36 @@
 (* Indexed document store: interval-encoded structural name indexes.
 
-   Every renumbered tree already carries a pre/size interval encoding —
+   Every numbered tree already carries a pre/size interval encoding —
    preorder ids ([Node.nid]) plus cached subtree extents — so "m is a
    descendant of n" is the integer test
 
      n.nid < m.nid && m.nid < n.nid + n.extent
 
-   On top of that, this module maintains one lazily built index per
-   document root: for each element and attribute qname, the array of
-   nodes with that name in document (= nid) order, plus a "*" entry
-   holding every element.  An axis step against an indexed root then
-   becomes two binary searches delimiting the qname's nid range inside
-   the context node's interval:
+   On top of that, this module keeps one index per document root: for
+   each element and attribute qname, the array of nodes with that name
+   in document (= nid) order, plus an array holding every element.  An
+   axis step against an indexed root then becomes two binary searches
+   delimiting the qname's nid range inside the context node's interval:
 
      descendant::t          the sub-array  (n.nid, n.nid + n.extent)
      descendant-or-self::t  the same with the lower bound closed
      child::t               the range, filtered by parent identity
      fn:count(//t)          hi - lo, no node is touched at all
      fn:exists(//t)         hi > lo
+
+   Where indexes come from: a parsed document brings its own.  The XML
+   loader appends every element and attribute to its name's array as it
+   creates the node ([Xml_parser.parse_with_names]), and [adopt]
+   publishes those arrays when the parse ends, so loading a document
+   costs no second walk.  A tree built at run time (constructors, the
+   workload generators) is indexed lazily on its first query by
+   [build]: one preorder walk that fills the same arrays through the
+   same appender ([Xml_parser.index_node]).
+
+   An axis step resolves the index once per invocation, not once per
+   context node: a [resolver] remembers the last root it saw, that
+   root's entry and the name's arrays, and is reused while the context
+   nodes share the root.
 
    Lifetime protocol: an index lives exactly as long as its root is
    reachable.  Each cache slot holds its entry in an [Ephemeron.K1]
@@ -37,23 +50,26 @@
    the lookup path queries the ephemeron, and there the caller already
    holds the root.
 
-   Slots are keyed by the root's nid at build time.  [Node.renumber]
-   gives a root a fresh nid, so a renumbered root misses the cache and
-   rebuilds; its old slot is dropped once the root dies, or eagerly via
-   [purge_nid] where a live indexed root is renumbered (the update
-   subsystem's full renumber).  Nodes copied out of an indexed tree
-   ([Node.copy]) are fresh nodes in a fresh tree and never alias old
-   intervals.
+   Slots are keyed by the root's nid.  [Node.renumber] and
+   [Node.renumber_gapped] report the nid they moved a root from, and the
+   slot under it is dropped ([purge_nid]), so a renumbered root rebuilds
+   on its next query and never leaves a second slot behind.  Where the
+   renumber keeps the preorder and the caller knows it
+   ([Version.register]'s gap numbering of a freshly parsed document),
+   [renumber_keeping] moves the slot to the new nid instead.  Nodes
+   copied out of an indexed tree ([Node.copy]) are fresh nodes in a
+   fresh tree and never alias old intervals.
 
-   The build is a single preorder walk that also verifies the preorder
-   invariant (strictly ascending nids); an assembled tree that was never
-   renumbered as a whole is recorded as unindexable and served by the
-   walking fallback.  All decisions are counted in the obs global
-   counters (index_builds / index_hits / index_fallbacks) so EXPLAIN
-   ANALYZE and --stats-json show which path ran. *)
+   The lazy build also verifies the preorder invariant (strictly
+   ascending nids); an assembled tree that was never renumbered as a
+   whole is recorded as unindexable and served by the walking fallback.
+   All decisions are counted in the obs global counters (index_builds /
+   index_hits / index_fallbacks) so EXPLAIN ANALYZE and --stats-json
+   show which path ran. *)
 
 open Xqc_xml
 module Obs = Xqc_obs.Obs
+module P = Xml_parser
 
 (* [Auto] indexes roots of at least [!min_index_size] nodes, [Force]
    indexes everything (tests), [Off] disables lookups entirely.  The
@@ -80,13 +96,13 @@ let c_fallbacks = Obs.global_counter "index_fallbacks"
 type counts = {
   k_elems : (string, int) Hashtbl.t;  (* element qname -> count; "*" -> every element *)
   k_attrs : (string, int) Hashtbl.t;
-  mutable k_nodes : int;  (* total nodes walked at build (patched on update) *)
+  mutable k_nodes : int;  (* nodes in the tree when indexed (patched on update) *)
 }
 
 type index = {
-  ix_elems : (string, Node.t array) Hashtbl.t;
-      (* element qname -> nodes in nid order; "*" -> every element *)
-  ix_attrs : (string, Node.t array) Hashtbl.t;
+  ix_names : P.names;
+      (* qname -> its elements and attributes in nid order; [all]: every
+         element (the "*" entry) *)
   ix_counts : counts;  (* kept equal to the array lengths *)
 }
 
@@ -109,8 +125,8 @@ type slot = {
    (once per axis step) — zero-contention overhead at one worker and
    132 ms of lock wait at four.
 
-   The tmutex now guards only the rebuild/publish path ([entry_for]'s
-   miss branch, [clear]), never a read.  Publishing copies the map
+   The tmutex guards only the publish path ([publish], [purge_nid],
+   [clear]), never a read.  Publishing copies the map
    (persistent [Map], so "copy" is O(log n) path copying), drops slots
    whose root has died, and [Atomic.set]s the new version; concurrent
    readers keep the old snapshot until their next lookup.
@@ -123,9 +139,9 @@ type slot = {
    sees either the old value or the new one; the only observable
    transition is 0 -> k on trees numbered before extent caching existed,
    and a reader seeing 0 takes the walking fallback ([name_range]
-   refuses extent <= 0).  The per-name node arrays inside an [index] are
-   immutable after [build], so they are read lock-free once handed
-   out. *)
+   refuses extent <= 0).  The per-name node arrays inside an [index] do
+   not change once published, except through the update patches below,
+   which run with no readers; so they are read lock-free. *)
 let lock = Obs.tmutex "store_publish"
 
 module IntMap = Map.Make (Int)
@@ -139,9 +155,9 @@ let root_alive s = Weak.check s.s_root 0
 (* Lookup path only: the caller holds [root], so querying the ephemeron
    cannot revive anything. *)
 let find_entry (m : slot IntMap.t) (root : Node.t) : entry option =
-  match IntMap.find_opt root.Node.nid m with
-  | Some s -> Ephemeron.K1.query s.s_entry root
-  | None -> None
+  match IntMap.find root.Node.nid m with
+  | s -> Ephemeron.K1.query s.s_entry root
+  | exception Not_found -> None
 
 let make_slot (root : Node.t) (e : entry) : slot =
   let w = Weak.create 1 in
@@ -149,34 +165,41 @@ let make_slot (root : Node.t) (e : entry) : slot =
   let counts = match e with Indexed ix -> Some ix.ix_counts | Unindexable -> None in
   { s_entry = Ephemeron.K1.make root e; s_root = w; s_counts = counts }
 
-let empty_array : Node.t array = [||]
+(* Shared by every name an index does not hold; never appended to. *)
+let no_nodes : P.nodes = { P.items = [||]; len = 0 }
 
+(* The planner's summary of [names]: one count per name, no nodes. *)
+let counts_of (names : P.names) (nodes : int) : counts =
+  let k_elems = Hashtbl.create (Hashtbl.length names.P.by_name + 1) in
+  let k_attrs = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun q (nm : P.name) ->
+      if nm.P.elems.P.len > 0 then Hashtbl.replace k_elems q nm.P.elems.P.len;
+      if nm.P.attrs.P.len > 0 then Hashtbl.replace k_attrs q nm.P.attrs.P.len)
+    names.P.by_name;
+  Hashtbl.replace k_elems "*" names.P.all.P.len;
+  { k_elems; k_attrs; k_nodes = nodes }
+
+let index_of (names : P.names) (nodes : int) : entry =
+  Obs.incr_counter c_builds;
+  Obs.add_counter c_build_nodes nodes;
+  Indexed { ix_names = names; ix_counts = counts_of names nodes }
+
+(* The lazy index of a tree built at run time: one preorder walk that
+   appends each node to its name's arrays (the loader's appender),
+   re-derives subtree extents (covering trees numbered before extent
+   caching existed), and verifies that nids are strictly ascending. *)
 let build (root : Node.t) : entry =
-  let elems : (string, Node.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let attrs : (string, Node.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  let all_elems = ref [] in
-  let push tbl name n =
-    match Hashtbl.find_opt tbl name with
-    | Some l -> l := n :: !l
-    | None -> Hashtbl.add tbl name (ref [ n ])
-  in
+  let names = P.create_names () in
   let last = ref (root.Node.nid - 1) in
   let preorder = ref true in
   let count = ref 0 in
-  (* one preorder walk: collect per-name node lists, re-derive subtree
-     extents (covering trees numbered before extent caching existed),
-     and verify that nids are strictly ascending *)
   let rec go n =
     if n.Node.nid <= !last then preorder := false;
     last := n.Node.nid;
     let start = !count in
     incr count;
-    (match n.Node.desc with
-    | Node.Element e ->
-        push elems e.ename n;
-        all_elems := n :: !all_elems
-    | Node.Attribute a -> push attrs a.aname n
-    | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> ());
+    P.index_node names n;
     List.iter go (Node.attributes n);
     List.iter go (Node.children n);
     (* re-derive the extent only when it was never cached: on
@@ -185,100 +208,144 @@ let build (root : Node.t) : entry =
     if n.Node.extent = 0 then n.Node.extent <- !count - start
   in
   go root;
-  if not !preorder then Unindexable
-  else begin
-    let finalize tbl =
-      let out = Hashtbl.create (Hashtbl.length tbl) in
-      Hashtbl.iter (fun name l -> Hashtbl.add out name (Array.of_list (List.rev !l))) tbl;
-      out
-    in
-    let ix_elems = finalize elems in
-    Hashtbl.replace ix_elems "*" (Array.of_list (List.rev !all_elems));
-    let ix_attrs = finalize attrs in
-    let lengths tbl =
-      Hashtbl.of_seq (Seq.map (fun (name, arr) -> (name, Array.length arr)) (Hashtbl.to_seq tbl))
-    in
-    Obs.incr_counter c_builds;
-    Obs.add_counter c_build_nodes !count;
-    let ix_counts = { k_elems = lengths ix_elems; k_attrs = lengths ix_attrs; k_nodes = !count } in
-    Indexed { ix_elems; ix_attrs; ix_counts }
-  end
+  if !preorder then index_of names !count else Unindexable
+
+(* Publish [e] as [root]'s entry under the lock.  The loser of a racing
+   publish discards its entry and gets the winner's.  Slots of dead
+   roots are dropped as part of assembling the new version. *)
+let publish (root : Node.t) (e : entry) : entry =
+  Obs.with_lock lock (fun () ->
+      let m = Stdlib.Atomic.get snapshot in
+      match find_entry m root with
+      | Some e' -> e'
+      | None ->
+          let live = IntMap.filter (fun _ s -> root_alive s) m in
+          Stdlib.Atomic.set snapshot (IntMap.add root.Node.nid (make_slot root e) live);
+          e)
 
 (* Resolve: lock-free snapshot lookup (the hot path — no mutex, no
    write, just an [Atomic.get] and a functional [Map] descent), unlocked
-   build on miss, then a locked re-check-and-publish where the loser of
-   a racing build discards its entry and adopts the winner's.  Slots of
-   dead roots are dropped as part of assembling the new version. *)
+   build on miss, then a locked re-check-and-publish. *)
 let entry_for (root : Node.t) : entry =
   match find_entry (Stdlib.Atomic.get snapshot) root with
   | Some e -> e
   | None ->
-      let e =
-        if !mode = Auto && root.Node.extent > 0 && root.Node.extent < !min_index_size
-        then Unindexable
-        else build root
-      in
-      Obs.with_lock lock (fun () ->
-          let m = Stdlib.Atomic.get snapshot in
-          match find_entry m root with
-          | Some e' ->
-              (* lost a racing build: adopt the winner's entry *)
-              e'
-          | None ->
-              let live = IntMap.filter (fun _ s -> root_alive s) m in
-              Stdlib.Atomic.set snapshot (IntMap.add root.Node.nid (make_slot root e) live);
-              e)
+      publish root
+        (if !mode = Auto && root.Node.extent > 0 && root.Node.extent < !min_index_size
+         then Unindexable
+         else build root)
 
-(* Resolve the index serving [n]'s tree, building it on first use.
-   [None] means the caller must walk (mode off, tree unindexable, or
-   below the Auto threshold). *)
-let index_for (n : Node.t) : index option =
+(* A parsed document's index, handed over by the loader: published as
+   is, with no walk.  Under [Off], or below [Auto]'s threshold, nothing
+   is published and the first query decides as for any other tree. *)
+let adopt (root : Node.t) (names : P.names) : unit =
   match !mode with
-  | Off -> None
-  | Auto | Force -> (
-      match entry_for (Node.root n) with
-      | Indexed ix ->
-          Obs.incr_counter c_hits;
-          Some ix
-      | Unindexable ->
-          Obs.incr_counter c_fallbacks;
-          None)
+  | Off -> ()
+  | Auto when root.Node.extent < !min_index_size -> ()
+  | Auto | Force -> ignore (publish root (index_of names root.Node.extent))
 
-(* Smallest i with arr.(i).nid >= lo. *)
-let lower_bound (arr : Node.t array) (lo : int) : int =
-  let a = ref 0 and b = ref (Array.length arr) in
+(* Drop the slot keyed [nid]: the root it was built for has moved to
+   another nid.  Both [Node] renumbers call this, so a renumbered root
+   leaves no stale slot counting in the statistics. *)
+let purge_nid (nid : int) : unit =
+  if IntMap.mem nid (Stdlib.Atomic.get snapshot) then
+    Obs.with_lock lock (fun () ->
+        let m = Stdlib.Atomic.get snapshot in
+        if IntMap.mem nid m then Stdlib.Atomic.set snapshot (IntMap.remove nid m))
+
+let () = Node.renumbered := purge_nid
+
+(* [renumber root], keeping its index: valid only when [renumber]
+   leaves the preorder as it was, so every per-name array stays
+   sorted. *)
+let renumber_keeping (renumber : Node.t -> unit) (root : Node.t) : unit =
+  let kept = find_entry (Stdlib.Atomic.get snapshot) root in
+  renumber root;
+  Option.iter (fun e -> ignore (publish root e)) kept
+
+(* ------------------------------------------------------------------ *)
+(* Per-step resolution                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One step invocation's view of the store for one name.  Resolving a
+   context node's index walks up to its root, looks the root up in the
+   snapshot, queries the slot's ephemeron and hashes the name; a
+   resolver does that once per root and reuses the name's arrays while
+   the context nodes share it.  It lives for one invocation only: a
+   compiled plan runs on several server domains at once, and the tree
+   it was resolved against may be gone by the next run. *)
+type resolver = {
+  rv_name : string;
+  mutable rv_root : Node.t;  (* the tree the fields below describe *)
+  mutable rv_indexed : bool;  (* false: that tree is walked *)
+  mutable rv_elems : P.nodes;
+  mutable rv_attrs : P.nodes;
+}
+
+(* Stands for "no tree yet": it is nobody's root.  The resolver path
+   allocates nothing per context node, and the resolver itself is the
+   only allocation per invocation, which matters on the query server:
+   a minor collection stops every worker domain. *)
+let no_root = Node.text ""
+
+let resolver (name : string) : resolver =
+  { rv_name = name; rv_root = no_root; rv_indexed = false; rv_elems = no_nodes; rv_attrs = no_nodes }
+
+(* Point [r] at [n]'s tree; counts one hit or one fallback per context
+   node.  [false]: walk. *)
+let resolve (r : resolver) (n : Node.t) : bool =
+  let root = Node.root n in
+  if root != r.rv_root then begin
+    r.rv_root <- root;
+    match entry_for root with
+    | Unindexable -> r.rv_indexed <- false
+    | Indexed ix -> (
+        r.rv_indexed <- true;
+        if String.equal r.rv_name "*" then begin
+          r.rv_elems <- ix.ix_names.P.all;
+          r.rv_attrs <- no_nodes
+        end
+        else
+          match Hashtbl.find ix.ix_names.P.by_name r.rv_name with
+          | nm ->
+              r.rv_elems <- nm.P.elems;
+              r.rv_attrs <- nm.P.attrs
+          | exception Not_found ->
+              r.rv_elems <- no_nodes;
+              r.rv_attrs <- no_nodes)
+  end;
+  Obs.incr_counter (if r.rv_indexed then c_hits else c_fallbacks);
+  r.rv_indexed
+
+(* Smallest i < v.len with v.items.(i).nid >= lo, or v.len. *)
+let lower_bound (v : P.nodes) (lo : int) : int =
+  let a = ref 0 and b = ref v.P.len in
   while !a < !b do
     let m = (!a + !b) / 2 in
-    if arr.(m).Node.nid < lo then a := m + 1 else b := m
+    if v.P.items.(m).Node.nid < lo then a := m + 1 else b := m
   done;
   !a
 
-(* The qname's occurrence range inside [n]'s subtree interval:
+(* The name's occurrence range inside [n]'s subtree interval:
    [(arr, i, j)] with the matches at positions [i, j).  [self] closes
-   the lower bound (descendant-or-self).  [None] only when no index
-   serves the tree or [n]'s extent is unknown. *)
-let name_range ?(self = false) (tbl : index -> (string, Node.t array) Hashtbl.t)
-    (n : Node.t) (name : string) : (Node.t array * int * int) option =
-  match index_for n with
-  | None -> None
-  | Some ix ->
-      if n.Node.extent <= 0 then begin
+   the lower bound (descendant-or-self).  [None] when no index serves
+   the tree or [n]'s extent is unknown. *)
+let name_range ?(self = false) ~attr (r : resolver) (n : Node.t) :
+    (Node.t array * int * int) option =
+  match !mode with
+  | Off -> None
+  | Auto | Force ->
+      if not (resolve r n) then None
+      else if n.Node.extent <= 0 then begin
         (* not part of the indexed interval numbering: fall back *)
         Obs.incr_counter c_fallbacks;
         None
       end
       else
-        let arr =
-          match Hashtbl.find_opt (tbl ix) name with Some a -> a | None -> empty_array
-        in
+        let v = if attr then r.rv_attrs else r.rv_elems in
         let lo = if self then n.Node.nid else n.Node.nid + 1 in
         let hi = n.Node.nid + n.Node.extent in
-        let i = lower_bound arr lo in
-        let j = lower_bound arr hi in
-        Some (arr, i, j)
-
-let elems ix = ix.ix_elems
-let attrs ix = ix.ix_attrs
+        Some (v.P.items, lower_bound v lo, lower_bound v hi)
 
 let slice_list arr i j =
   let out = ref [] in
@@ -295,23 +362,23 @@ let slice_seq (arr : Node.t array) i j : Node.t Seq.t =
 (* Axis queries (None = caller falls back to the walking path)         *)
 (* ------------------------------------------------------------------ *)
 
-let descendants_by_name n name : Node.t list option =
-  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range elems n name)
+let descendants r n : Node.t list option =
+  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range ~attr:false r n)
 
-let descendants_by_name_seq n name : Node.t Seq.t option =
-  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range elems n name)
+let descendants_seq r n : Node.t Seq.t option =
+  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range ~attr:false r n)
 
-let descendant_or_self_by_name n name : Node.t list option =
-  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range ~self:true elems n name)
+let descendant_or_self r n : Node.t list option =
+  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range ~self:true ~attr:false r n)
 
-let descendant_or_self_by_name_seq n name : Node.t Seq.t option =
-  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range ~self:true elems n name)
+let descendant_or_self_seq r n : Node.t Seq.t option =
+  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range ~self:true ~attr:false r n)
 
-let count_descendants_by_name ?self n name : int option =
-  Option.map (fun (_, i, j) -> j - i) (name_range ?self elems n name)
+let count_descendants ?self r n : int option =
+  Option.map (fun (_, i, j) -> j - i) (name_range ?self ~attr:false r n)
 
-let exists_descendant_by_name ?self n name : bool option =
-  Option.map (fun (_, i, j) -> j > i) (name_range ?self elems n name)
+let exists_descendant ?self r n : bool option =
+  Option.map (fun (_, i, j) -> j > i) (name_range ?self ~attr:false r n)
 
 let is_child_of ~parent m =
   match Node.parent m with Some p -> p == parent | None -> false
@@ -325,10 +392,10 @@ let small_subtree = ref 32
    the range is larger than the child list — or the whole subtree is
    small enough to scan outright — the plain walk is cheaper, so the
    caller is sent back to it. *)
-let children_by_name n name : Node.t list option =
+let children r n : Node.t list option =
   if n.Node.extent > 0 && n.Node.extent <= !small_subtree then None
   else
-  match name_range elems n name with
+  match name_range ~attr:false r n with
   | None -> None
   | Some (arr, i, j) ->
       let r = j - i in
@@ -342,10 +409,10 @@ let children_by_name n name : Node.t list option =
       end
       else Some (List.filter (is_child_of ~parent:n) (slice_list arr i j))
 
-let attributes_by_name n name : Node.t list option =
+let attributes r n : Node.t list option =
   if n.Node.extent > 0 && n.Node.extent <= !small_subtree then None
   else
-  match name_range attrs n name with
+  match name_range ~attr:true r n with
   | None -> None
   | Some (arr, i, j) ->
       let r = j - i in
@@ -355,7 +422,53 @@ let attributes_by_name n name : Node.t list option =
       end
       else Some (List.filter (is_child_of ~parent:n) (slice_list arr i j))
 
+(* The index serving [n]'s tree, building it on first use.  [None]
+   means the caller must walk (mode off, tree unindexable, or below the
+   Auto threshold). *)
+let index_for (n : Node.t) : index option =
+  match !mode with
+  | Off -> None
+  | Auto | Force -> (
+      match entry_for (Node.root n) with
+      | Indexed ix ->
+          Obs.incr_counter c_hits;
+          Some ix
+      | Unindexable ->
+          Obs.incr_counter c_fallbacks;
+          None)
+
 let index_nodes n : int option = Option.map (fun ix -> ix.ix_counts.k_nodes) (index_for n)
+
+type contents = {
+  c_elements : (string * Node.t array) list;
+  c_attributes : (string * Node.t array) list;
+  c_element_counts : (string * int) list;
+  c_attribute_counts : (string * int) list;
+  c_nodes : int;
+}
+
+let contents n : contents option =
+  let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
+  let filled (v : P.nodes) = Array.sub v.P.items 0 v.P.len in
+  let arrays (names : P.names) (pick : P.name -> P.nodes) =
+    Hashtbl.fold
+      (fun q nm acc ->
+        let v = pick nm in
+        if v.P.len > 0 then (q, filled v) :: acc else acc)
+      names.P.by_name []
+  in
+  let counts t = sorted (List.of_seq (Hashtbl.to_seq t)) in
+  Option.map
+    (fun ix ->
+      let names = ix.ix_names in
+      {
+        c_elements = sorted (("*", filled names.P.all) :: arrays names (fun nm -> nm.P.elems));
+        c_attributes = sorted (arrays names (fun nm -> nm.P.attrs));
+        c_element_counts = counts ix.ix_counts.k_elems;
+        c_attribute_counts = counts ix.ix_counts.k_attrs;
+        c_nodes = ix.ix_counts.k_nodes;
+      })
+    (index_for n)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental maintenance (the update subsystem)                      *)
@@ -369,14 +482,6 @@ let live_index (root : Node.t) : index option =
   | Some (Indexed ix) -> Some ix
   | Some Unindexable | None -> None
 
-(* Drop the slot keyed [nid].  Needed only where a live indexed root is
-   renumbered: its old slot can no longer be looked up, but the root is
-   still alive, so the statistics would keep counting it. *)
-let purge_nid (nid : int) : unit =
-  Obs.with_lock lock (fun () ->
-      let m = Stdlib.Atomic.get snapshot in
-      if IntMap.mem nid m then Stdlib.Atomic.set snapshot (IntMap.remove nid m))
-
 (* In-place patching of the per-name arrays.  Only the update subsystem
    calls these, and only on a document version with no admitted readers
    (the MVCC writer builds a fresh copy otherwise), so mutating the
@@ -389,64 +494,63 @@ let purge_nid (nid : int) : unit =
 (* Splice a contiguous ascending run (one inserted subtree's nodes of a
    given name; their nid interval is disjoint from every existing entry)
    into a sorted array. *)
-let splice_run (arr : Node.t array) (add : Node.t array) : Node.t array =
-  let n = Array.length arr and k = Array.length add in
-  if k = 0 then arr
-  else begin
-    let p = lower_bound arr add.(0).Node.nid in
-    let out = Array.make (n + k) add.(0) in
-    Array.blit arr 0 out 0 p;
-    Array.blit add 0 out p k;
-    Array.blit arr p out (p + k) (n - p);
-    out
+let splice_run (v : P.nodes) (add : P.nodes) : unit =
+  let n = v.P.len and k = add.P.len in
+  if k > 0 then begin
+    let first = add.P.items.(0) in
+    let p = lower_bound v first.Node.nid in
+    let out = Array.make (n + k) first in
+    Array.blit v.P.items 0 out 0 p;
+    Array.blit add.P.items 0 out p k;
+    Array.blit v.P.items p out (p + k) (n - p);
+    v.P.items <- out;
+    v.P.len <- n + k
   end
 
 (* Drop every entry with nid in [lo, hi). *)
-let remove_range (arr : Node.t array) (lo : int) (hi : int) : Node.t array =
-  let i = lower_bound arr lo and j = lower_bound arr hi in
-  if j <= i then arr
-  else begin
-    let n = Array.length arr in
-    let out = Array.make (n - (j - i)) arr.(0) in
-    Array.blit arr 0 out 0 i;
-    Array.blit arr j out i (n - j);
-    out
+let remove_range (v : P.nodes) (lo : int) (hi : int) : unit =
+  let i = lower_bound v lo and j = lower_bound v hi in
+  if j > i then begin
+    let n = v.P.len in
+    let out = Array.make (n - (j - i)) v.P.items.(0) in
+    Array.blit v.P.items 0 out 0 i;
+    Array.blit v.P.items j out i (n - j);
+    v.P.items <- out;
+    v.P.len <- n - (j - i)
   end
 
-(* Per-name node lists (document order) plus the node count of one
-   subtree — the unit of insertion and deletion. *)
-let collect_names (sub : Node.t) =
-  let elems : (string, Node.t list ref) Hashtbl.t = Hashtbl.create 8 in
-  let attrs : (string, Node.t list ref) Hashtbl.t = Hashtbl.create 4 in
-  let all = ref [] in
+(* The per-name node arrays plus the node count of one subtree — the
+   unit of insertion and deletion — gathered by the same appender. *)
+let collect_names (sub : Node.t) : P.names * int =
+  let names = P.create_names () in
   let count = ref 0 in
-  let push tbl name n =
-    match Hashtbl.find_opt tbl name with
-    | Some l -> l := n :: !l
-    | None -> Hashtbl.add tbl name (ref [ n ])
-  in
   let rec go n =
     incr count;
-    (match n.Node.desc with
-    | Node.Element e ->
-        push elems e.ename n;
-        all := n :: !all
-    | Node.Attribute a -> push attrs a.aname n
-    | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> ());
+    P.index_node names n;
     List.iter go (Node.attributes n);
     List.iter go (Node.children n)
   in
   go sub;
-  (elems, attrs, List.rev !all, !count)
+  (names, !count)
 
-(* Replace one name's node array and its count together, so the
-   planner's summary stays equal to the array lengths under patching. *)
-let set_names (arrays, counts) name arr =
-  Hashtbl.replace arrays name arr;
-  Hashtbl.replace counts name (Array.length arr)
-
-let elem_tables ix = (ix.ix_elems, ix.ix_counts.k_elems)
-let attr_tables ix = (ix.ix_attrs, ix.ix_counts.k_attrs)
+(* Apply [f] to the index's array of every name [sub] holds, next to
+   [sub]'s own array, then set the name's count to the new length, so
+   the planner's summary stays equal to the array lengths. *)
+let patch_names (ix : index) (sub : P.names) (f : P.nodes -> P.nodes -> unit) : unit =
+  let patch counts q (v : P.nodes) (add : P.nodes) =
+    if add.P.len > 0 then begin
+      f v add;
+      Hashtbl.replace counts q v.P.len
+    end
+  in
+  let k = ix.ix_counts in
+  Hashtbl.iter
+    (fun q (nm : P.name) ->
+      let target = P.intern ix.ix_names q in
+      patch k.k_elems q target.P.elems nm.P.elems;
+      patch k.k_attrs q target.P.attrs nm.P.attrs)
+    sub.P.by_name;
+  patch k.k_elems "*" ix.ix_names.P.all sub.P.all
 
 (* [sub] was just placed (ids assigned) under [root]: merge its nodes
    into the live per-name arrays.  [false] = no live index to patch. *)
@@ -454,17 +558,9 @@ let patch_insert (root : Node.t) (sub : Node.t) : bool =
   match live_index root with
   | None -> false
   | Some ix ->
-      let elems, attrs, all, count = collect_names sub in
+      let names, count = collect_names sub in
       Obs.with_lock lock (fun () ->
-          let add tbls name ns =
-            let cur =
-              Option.value (Hashtbl.find_opt (fst tbls) name) ~default:empty_array
-            in
-            set_names tbls name (splice_run cur (Array.of_list ns))
-          in
-          Hashtbl.iter (fun name l -> add (elem_tables ix) name !l) elems;
-          Hashtbl.iter (fun name l -> add (attr_tables ix) name !l) attrs;
-          if all <> [] then add (elem_tables ix) "*" all;
+          patch_names ix names splice_run;
           ix.ix_counts.k_nodes <- ix.ix_counts.k_nodes + count);
       true
 
@@ -474,17 +570,10 @@ let patch_delete (root : Node.t) (sub : Node.t) : bool =
   match live_index root with
   | None -> false
   | Some ix ->
-      let elems, attrs, all, count = collect_names sub in
+      let names, count = collect_names sub in
       let lo = sub.Node.nid and hi = Node.interval_end sub in
       Obs.with_lock lock (fun () ->
-          let rm tbls name =
-            match Hashtbl.find_opt (fst tbls) name with
-            | Some arr -> set_names tbls name (remove_range arr lo hi)
-            | None -> ()
-          in
-          Hashtbl.iter (fun name _ -> rm (elem_tables ix) name) elems;
-          Hashtbl.iter (fun name _ -> rm (attr_tables ix) name) attrs;
-          if all <> [] then rm (elem_tables ix) "*";
+          patch_names ix names (fun v _ -> remove_range v lo hi);
           ix.ix_counts.k_nodes <- ix.ix_counts.k_nodes - count);
       true
 
@@ -494,24 +583,21 @@ let patch_rename (root : Node.t) (n : Node.t) ~(old_name : string) : bool =
   match live_index root with
   | None -> false
   | Some ix -> (
-      let tbls =
+      let pick, counts =
         match n.Node.desc with
-        | Node.Element _ -> Some (elem_tables ix)
-        | Node.Attribute _ -> Some (attr_tables ix)
-        | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> None
+        | Node.Element _ -> ((fun (nm : P.name) -> nm.P.elems), Some ix.ix_counts.k_elems)
+        | Node.Attribute _ -> ((fun (nm : P.name) -> nm.P.attrs), Some ix.ix_counts.k_attrs)
+        | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> ((fun nm -> nm.P.elems), None)
       in
-      match (tbls, Node.name n) with
-      | Some tbls, Some new_name when not (String.equal old_name new_name) ->
+      match (counts, Node.name n) with
+      | Some counts, Some new_name when not (String.equal old_name new_name) ->
           Obs.with_lock lock (fun () ->
-              (match Hashtbl.find_opt (fst tbls) old_name with
-              | Some arr ->
-                  set_names tbls old_name
-                    (remove_range arr n.Node.nid (n.Node.nid + 1))
-              | None -> ());
-              let cur =
-                Option.value (Hashtbl.find_opt (fst tbls) new_name) ~default:empty_array
-              in
-              set_names tbls new_name (splice_run cur [| n |]));
+              let from = pick (P.intern ix.ix_names old_name) in
+              remove_range from n.Node.nid (n.Node.nid + 1);
+              Hashtbl.replace counts old_name from.P.len;
+              let into = pick (P.intern ix.ix_names new_name) in
+              splice_run into { P.items = [| n |]; len = 1 };
+              Hashtbl.replace counts new_name into.P.len);
           true
       | _ -> false)
 

@@ -1,30 +1,36 @@
 (** Indexed document store: per-root structural name indexes over the
     pre/size interval encoding.
 
-    Every renumbered tree carries preorder ids plus cached subtree
+    Every numbered tree carries preorder ids plus cached subtree
     extents, so the subtree of [n] is exactly the id interval
-    [n.nid, n.nid + n.extent).  This module lazily builds, per document
-    root, arrays of same-named element/attribute nodes in id order
-    (plus a ["*"] entry holding every element); an axis step then
-    resolves to two binary searches delimiting the name's range inside
-    the context node's interval, and [fn:count]/[fn:exists] over a
-    descendant step are answered from the range bounds without touching
-    a node.
+    [n.nid, n.nid + n.extent).  This module keeps, per document root,
+    arrays of same-named element/attribute nodes in id order (plus a
+    ["*"] entry holding every element); an axis step then resolves to
+    two binary searches delimiting the name's range inside the context
+    node's interval, and [fn:count]/[fn:exists] over a descendant step
+    are answered from the range bounds without touching a node.
+
+    A parsed document brings its index with it: the XML loader fills
+    the arrays as it creates the nodes, and {!adopt} publishes them when
+    the parse ends.  A tree built at run time is indexed by one walk on
+    its first query, through the same appender.
 
     An index lives exactly as long as its root is reachable: the cache
     holds each entry in an ephemeron keyed on the root, so dropping the
     last reference to a document frees its index too, with no explicit
     purge.  Statistics come from a per-root count summary and never
-    revive a dead root.  Indexes are keyed by the root's nid at build
-    time; [Node.renumber] gives the root a fresh nid, so a renumbered
-    root rebuilds on its next query.  Trees violating the preorder
-    invariant are recorded as unindexable and served by the walking
-    fallback.  All query functions return [None] when the caller should
-    walk instead (mode off, unindexable tree, below the Auto threshold,
-    or the index would be slower — e.g. [child::t] with more same-named
-    descendants than children).  Builds, hits and fallbacks are recorded
-    in the obs global counters (index_builds / index_build_nodes /
-    index_hits / index_fallbacks). *)
+    revive a dead root.  Indexes are keyed by the root's nid;
+    [Node.renumber] and [Node.renumber_gapped] drop the index of the
+    root they move, so a renumbered root rebuilds on its next query,
+    unless it was renumbered through {!renumber_keeping}.  Trees
+    violating the preorder invariant are recorded as unindexable and
+    served by the walking fallback.  All query functions return [None]
+    when the caller should walk instead (mode off, unindexable tree,
+    below the Auto threshold, or the index would be slower — e.g.
+    [child::t] with more same-named descendants than children).  Builds,
+    hits and fallbacks are recorded in the obs global counters
+    (index_builds / index_build_nodes / index_hits / index_fallbacks);
+    a loader index counts as a build. *)
 
 open Xqc_xml
 
@@ -40,24 +46,35 @@ val small_subtree : int ref
 (** Context nodes whose subtree is at most this many nodes answer
     [child::]/attribute queries by scanning, not through the index. *)
 
-(** {1 Axis queries} — [None] means: walk instead. *)
+(** {1 Axis queries} — [None] means: walk instead.
 
-val descendants_by_name : Node.t -> string -> Node.t list option
-val descendants_by_name_seq : Node.t -> string -> Node.t Seq.t option
-val descendant_or_self_by_name : Node.t -> string -> Node.t list option
-val descendant_or_self_by_name_seq : Node.t -> string -> Node.t Seq.t option
+    Each query takes a {!resolver} for the step's name.  Make one per
+    step invocation and pass it every context node of that invocation:
+    it resolves each tree's index once, not once per node.  Do not keep
+    one across invocations. *)
 
-val count_descendants_by_name : ?self:bool -> Node.t -> string -> int option
+type resolver
+
+val resolver : string -> resolver
+(** For the elements or attributes called this; ["*"] stands for every
+    element. *)
+
+val descendants : resolver -> Node.t -> Node.t list option
+val descendants_seq : resolver -> Node.t -> Node.t Seq.t option
+val descendant_or_self : resolver -> Node.t -> Node.t list option
+val descendant_or_self_seq : resolver -> Node.t -> Node.t Seq.t option
+
+val count_descendants : ?self:bool -> resolver -> Node.t -> int option
 (** Cardinality of descendant[-or-self]::name, from the range bounds
     alone. *)
 
-val exists_descendant_by_name : ?self:bool -> Node.t -> string -> bool option
+val exists_descendant : ?self:bool -> resolver -> Node.t -> bool option
 
-val children_by_name : Node.t -> string -> Node.t list option
+val children : resolver -> Node.t -> Node.t list option
 (** The descendant range filtered by parent identity; falls back
     ([None]) when the range is larger than the child list. *)
 
-val attributes_by_name : Node.t -> string -> Node.t list option
+val attributes : resolver -> Node.t -> Node.t list option
 
 (** {1 Statistics} — the physical planner's cost-model inputs. *)
 
@@ -79,17 +96,36 @@ val total_elements : unit -> int option
 
 (** {1 Cache management} *)
 
+val adopt : Node.t -> Xml_parser.names -> unit
+(** [adopt root names]: publish the index the loader built while
+    parsing [root] ({!Xml_parser.parse_with_names}), with no walk.
+    Nothing is published under [Off], or below [Auto]'s
+    [min_index_size]: the first query then decides as for any tree. *)
+
 val index_nodes : Node.t -> int option
 (** Size (in nodes) of the index serving this node's tree, building it
     if needed; [None] when unindexed. *)
 
+val renumber_keeping : (Node.t -> unit) -> Node.t -> unit
+(** [renumber_keeping renumber root] runs [renumber root] and moves the
+    root's index to its new id instead of dropping it.  Only for a
+    renumber that keeps the preorder, such as [Node.renumber_gapped] on
+    an unchanged tree. *)
+
 val clear : unit -> unit
 
-val purge_nid : int -> unit
-(** Drop the entry keyed by this (old) root nid.  Only needed when a
-    live indexed root is renumbered: the root stays reachable, so its
-    old entry would otherwise keep counting in {!stats}.  Missing
-    entries are a no-op. *)
+(** The index serving a node's tree, as sorted lists (arrays trimmed to
+    their length; ["*"] among the elements) — for tests.  Builds it if
+    needed; [None] when unindexed. *)
+type contents = {
+  c_elements : (string * Node.t array) list;
+  c_attributes : (string * Node.t array) list;
+  c_element_counts : (string * int) list;
+  c_attribute_counts : (string * int) list;
+  c_nodes : int;
+}
+
+val contents : Node.t -> contents option
 
 (** {1 Incremental maintenance} — the update subsystem's in-place index
     patching.  Callers guarantee exclusivity: patches run only on a

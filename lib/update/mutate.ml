@@ -205,12 +205,11 @@ let patched b = if b then Obs.incr_counter c_patches
 
 (* Gap exhausted (or the tree was never gap-numbered): renumber the
    whole document.  The root's nid moves, so every cache keyed on it —
-   structural indexes, cached plans — is dead.  The root itself stays
-   alive under its new nid, so the store cannot drop the old index on
-   its own: purge the old key here. *)
+   structural indexes, cached plans — is dead.  The tree has changed
+   shape since its index was built, so the index must not follow the
+   root: the renumber itself drops it from the store
+   ([Node.renumbered]), and the next query rebuilds. *)
 let full_renumber (root : Node.t) : unit =
-  let old = root.Node.nid in
-  Store.purge_nid old;
   Node.renumber_gapped root;
   Obs.incr_counter c_renumbers
 

@@ -24,6 +24,7 @@
 
 open Xqc_xml
 module Obs = Xqc_obs.Obs
+module Store = Xqc_store.Store
 
 exception Unknown_document of string
 
@@ -66,9 +67,10 @@ let registered () : string list =
       List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) registry []))
 
 let register (uri : string) (root : Node.t) : unit =
-  (* the initial gap numbering — before any index is built over the
-     tree, and not counted as a full-renumber fallback *)
-  Node.renumber_gapped root;
+  (* the initial gap numbering, not counted as a full-renumber
+     fallback; it keeps the preorder, so the index the loader built
+     moves to the new root id instead of being rebuilt *)
+  Store.renumber_keeping Node.renumber_gapped root;
   let v = { v_root = root; v_id = fresh_vid (); v_readers = 0; v_retired = false } in
   ignore (Stdlib.Atomic.fetch_and_add live 1);
   Obs.with_lock reg_lock (fun () ->

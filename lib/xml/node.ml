@@ -241,10 +241,18 @@ let copy n =
   ignore (number_fresh c);
   c
 
+(* The structural store keys each document's index on its root's id,
+   and sits above this library.  Both renumbers report the id they moved
+   a root from, so the store drops the index it kept under that id: a
+   renumbered root never leaves a stale index counting in the store's
+   statistics.  No-op until the store installs itself. *)
+let renumbered : (int -> unit) ref = ref ignore
+
 (* Re-number any tree — e.g. one assembled with the numbered
    constructors above, whose extents are not yet known: cache every
    extent, then number as a fresh tree. *)
 let renumber (root : t) : unit =
+  let old = root.nid in
   let rec measure n =
     let sub = ref 1 in
     List.iter (fun a -> sub := !sub + measure a) (attributes n);
@@ -253,7 +261,8 @@ let renumber (root : t) : unit =
     !sub
   in
   ignore (measure root);
-  ignore (number_fresh root)
+  ignore (number_fresh root);
+  !renumbered old
 
 (* Gap-reserving renumber for updatable documents (the update subsystem's
    nid allocator).  Same preorder discipline as [renumber], but every
@@ -265,6 +274,7 @@ let renumber (root : t) : unit =
    the local slack touches no ancestor extent at all.  Use [count_nodes]
    where the exact node count is needed on a gap-numbered tree. *)
 let renumber_gapped ?(gap = 8) (root : t) : unit =
+  let old = root.nid in
   let gap = max 0 gap in
   let rec measure n =
     let w = ref 1 in
@@ -287,7 +297,8 @@ let renumber_gapped ?(gap = 8) (root : t) : unit =
         next := !next + gap)
       (children n)
   in
-  assign root
+  assign root;
+  !renumbered old
 
 (* Exact node count by walking — [size]/[extent] over-report on
    gap-numbered trees (they measure the reserved interval). *)

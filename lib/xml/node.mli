@@ -93,6 +93,11 @@ val renumber : t -> unit
     [extent], making {!size} O(1) and enabling the interval descendant
     test [anc.nid < n.nid && n.nid < anc.nid + anc.extent]. *)
 
+val renumbered : (int -> unit) ref
+(** Called by {!renumber} and {!renumber_gapped} with the id the
+    renumbered root had before.  The structural store installs a
+    handler that drops the index it kept under that id. *)
+
 val renumber_gapped : ?gap:int -> t -> unit
 (** Gap-reserving renumber for updatable documents: every insertion
     position (after the attributes, after each child) reserves [gap]

@@ -22,7 +22,11 @@
    - Lookahead compares characters in place; text and attribute values
      are one [String.sub] unless they contain a reference; element and
      attribute names are interned per document, and an end tag is
-     checked against its start tag's name in place. *)
+     checked against its start tag's name in place.
+   - Each interned name also collects its elements and attributes, and
+     one more array collects every element, as the nodes are created.
+     That is the structural store's name index ([parse_with_names]),
+     built in the same pass. *)
 
 exception Parse_error of { position : int; message : string }
 
@@ -114,23 +118,58 @@ let decode_entity st =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Per-document name table                                             *)
+(* Per-document name table and name index                              *)
 (* ------------------------------------------------------------------ *)
 
 (* One string per distinct qname per document, so the tree holds one
    copy of each name instead of one per tag.  [last_owner] is the id of
    the last element that carried the name as an attribute, which makes
-   the duplicate-attribute check O(1) per attribute. *)
-type name = { qname : string; mutable last_owner : int }
+   the duplicate-attribute check O(1) per attribute.
 
-let intern names src i j =
-  let s = String.sub src i (j - i) in
-  match Hashtbl.find names s with
+   The same record carries the name's index: its elements and its
+   attributes in id order, appended as the nodes are created.  Ids are
+   preorder, so every array comes out sorted with no sort, and the
+   store adopts the table when the parse ends instead of walking the
+   tree again.  The store fills the same arrays through [index_node]
+   when it indexes a tree built at run time. *)
+type nodes = { mutable items : Node.t array; mutable len : int }
+
+type name = { qname : string; mutable last_owner : int; elems : nodes; attrs : nodes }
+type names = { by_name : (string, name) Hashtbl.t; all : nodes }
+
+let no_nodes () = { items = [||]; len = 0 }
+
+(* Doubling, never trimmed: readers bound every search by [len], so the
+   parse ends with no trimming copy, whose discarded originals would be
+   major-heap garbage for every sizeable name. *)
+let append v n =
+  if v.len = Array.length v.items then begin
+    let grown = Array.make (max 8 (2 * v.len)) n in
+    Array.blit v.items 0 grown 0 v.len;
+    v.items <- grown
+  end;
+  Array.unsafe_set v.items v.len n;
+  v.len <- v.len + 1
+
+let create_names () = { by_name = Hashtbl.create 64; all = no_nodes () }
+
+let intern names s =
+  match Hashtbl.find names.by_name s with
   | n -> n
   | exception Not_found ->
-      let n = { qname = s; last_owner = 0 } in
-      Hashtbl.add names s n;
+      let n = { qname = s; last_owner = 0; elems = no_nodes (); attrs = no_nodes () } in
+      Hashtbl.add names.by_name s n;
       n
+
+let add_element names (nm : name) e =
+  append nm.elems e;
+  append names.all e
+
+let index_node names (n : Node.t) =
+  match n.desc with
+  | Node.Element e -> add_element names (intern names e.ename) n
+  | Node.Attribute a -> append (intern names a.aname).attrs n
+  | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The scan                                                            *)
@@ -138,7 +177,7 @@ let intern names src i j =
 
 type parser = {
   st : state;
-  names : (string, name) Hashtbl.t;
+  names : names;
   buf : Buffer.t;  (* values holding a reference *)
   mutable next_id : int;
   (* The open elements, document node at the bottom.  Each entry is the
@@ -248,7 +287,7 @@ let rec attributes p e self ename acc =
   | c when is_name_start c && st.pos > before ->
       let a0 = st.pos in
       let a1 = name_end src len a0 in
-      let n = intern p.names src a0 a1 in
+      let n = intern p.names (String.sub src a0 (a1 - a0)) in
       let aname = n.qname in
       if n.last_owner = e.Node.nid then error a0 "duplicate attribute %s in <%s>" aname ename;
       n.last_owner <- e.Node.nid;
@@ -259,7 +298,9 @@ let rec attributes p e self ename acc =
       st.pos <- st.pos + 1;
       skip_ws p;
       let avalue = attribute_value p in
-      attributes p e self ename (leaf p self (Node.Attribute { aname; avalue; aannot = None }) :: acc)
+      let a = leaf p self (Node.Attribute { aname; avalue; aannot = None }) in
+      append n.attrs a;
+      attributes p e self ename (a :: acc)
   | _ -> error st.pos "malformed start tag for <%s>" ename
 
 (* At '<' + name: create the element, its attributes, and either close
@@ -268,13 +309,15 @@ let start_tag p =
   let st = p.st in
   let i = st.pos + 1 in
   let j = name_end st.src st.len i in
-  let ename = (intern p.names st.src i j).qname in
+  let nm = intern p.names (String.sub st.src i (j - i)) in
+  let ename = nm.qname in
   st.pos <- j;
   let e =
     { Node.nid = fresh_id p; parent = parent_of p; extent = 0;
       desc = Node.Element { ename; attrs = []; children = []; eannot = None } }
   in
   add_child p e;
+  add_element p.names nm e;
   let self = Some e in
   if attributes p e self ename [] then e.extent <- p.next_id - e.nid
   else begin
@@ -391,7 +434,7 @@ let scan p =
   end;
   if not !seen_root then error 0 "document has no root element"
 
-let parse_string ?uri (src : string) : Node.t =
+let parse_with_names ?uri (src : string) : Node.t * names =
   let len = String.length src in
   let reserved = len + 1 in
   let first = Node.reserve_ids reserved in
@@ -402,7 +445,7 @@ let parse_string ?uri (src : string) : Node.t =
   let p =
     {
       st = { src; pos = 0; len };
-      names = Hashtbl.create 64;
+      names = create_names ();
       buf = Buffer.create 64;
       next_id = first + 1;
       open_ = Array.make 16 None;
@@ -417,7 +460,9 @@ let parse_string ?uri (src : string) : Node.t =
   | Node.Document d -> d.dchildren <- List.rev d.dchildren
   | _ -> assert false);
   doc.extent <- p.next_id - first;
-  doc
+  (doc, p.names)
+
+let parse_string ?uri src = fst (parse_with_names ?uri src)
 
 let parse_file path =
   let ic = open_in_bin path in

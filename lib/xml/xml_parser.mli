@@ -9,7 +9,9 @@
     One left-to-right scan, O(n), that builds the tree top-down with an
     explicit element stack: every node gets its final preorder id and
     subtree extent as it is scanned, from one block of ids reserved for
-    the document, so no renumbering pass follows. *)
+    the document, so no renumbering pass follows.  The same scan fills
+    the structural store's per-name node arrays ({!parse_with_names}),
+    so no indexing pass follows either. *)
 
 exception Parse_error of { position : int; message : string }
 
@@ -25,6 +27,41 @@ val parse_string : ?uri:string -> string -> Node.t
     and the usual tag, entity and nesting errors. *)
 
 val parse_file : string -> Node.t
+
+(** {1 Name index}
+
+    Per-qname node arrays in id order: what the structural store
+    ([Xqc_store.Store]) answers axis steps from.  The parser appends
+    every element and attribute to its name's arrays as it creates the
+    node, and every element to [all]; ids are preorder, so each array
+    comes out sorted.  The store fills the same arrays with
+    {!index_node} when it indexes a tree built at run time. *)
+
+type nodes = { mutable items : Node.t array; mutable len : int }
+(** A growable array: the nodes are [items.(0) .. items.(len - 1)];
+    slots past [len] are spare capacity. *)
+
+type name = {
+  qname : string;
+  mutable last_owner : int;  (** parser-internal: duplicate-attribute check *)
+  elems : nodes;  (** the elements with this name *)
+  attrs : nodes;  (** the attributes with this name *)
+}
+
+type names = { by_name : (string, name) Hashtbl.t; all : nodes  (** every element *) }
+
+val create_names : unit -> names
+
+val intern : names -> string -> name
+(** The name's record, added with empty arrays if new. *)
+
+val index_node : names -> Node.t -> unit
+(** Append an element or attribute to its name's arrays (elements to
+    [all] too); other kinds are ignored.  Callers visit nodes in id
+    order. *)
+
+val parse_with_names : ?uri:string -> string -> Node.t * names
+(** {!parse_string}, also returning the document's name index. *)
 
 (** {1 Internals used by the XQuery lexer}
 

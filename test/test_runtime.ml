@@ -238,6 +238,19 @@ let test_plan_cache_strategies () =
   List.iter (fun s -> check (strategy_name s ^ ", cached") "1" (run s)) all_strategies;
   check_int "second round hits" warm (counter "plan_cache_misses")
 
+(* Every name a strategy prints parses back to that strategy, and so
+   does every alias the command line accepts. *)
+let test_strategy_names_round_trip () =
+  List.iter
+    (fun s ->
+      if strategy_of_name (strategy_name s) <> Some s then
+        Alcotest.failf "%s does not parse back" (strategy_name s);
+      List.iter
+        (fun name -> if strategy_of_name name <> Some s then Alcotest.failf "alias %s" name)
+        (List.assoc s strategy_names))
+    all_strategies;
+  if strategy_of_name "bogus" <> None then Alcotest.fail "an unknown name parsed"
+
 (* An applied update publishes a new document generation: a plan costed
    against the old statistics must not be served for the new state. *)
 let test_plan_cache_docs_gen () =
@@ -321,6 +334,7 @@ let () =
           Alcotest.test_case "mode knobs replan" `Quick test_plan_cache_modes;
           Alcotest.test_case "update replans" `Quick test_plan_cache_docs_gen;
           Alcotest.test_case "one plan per strategy" `Quick test_plan_cache_strategies;
+          Alcotest.test_case "strategy names round-trip" `Quick test_strategy_names_round_trip;
           Alcotest.test_case "materialize is run-time" `Quick
             test_plan_cache_materialize;
         ] );

@@ -99,7 +99,7 @@ let test_index_matches_walk () =
           List.iter
             (fun name ->
               let indexed =
-                match Store.descendants_by_name n name with
+                match Store.descendants (Store.resolver name) n with
                 | Some l -> l
                 | None -> Alcotest.fail "Force mode returned None"
               in
@@ -112,11 +112,11 @@ let test_index_matches_walk () =
               Alcotest.(check int)
                 ("count " ^ name)
                 (List.length walked)
-                (Option.get (Store.count_descendants_by_name n name));
+                (Option.get (Store.count_descendants (Store.resolver name) n));
               Alcotest.(check bool)
                 ("exists " ^ name) (walked <> [])
-                (Option.get (Store.exists_descendant_by_name n name));
-              match Store.children_by_name n name with
+                (Option.get (Store.exists_descendant (Store.resolver name) n));
+              match Store.children (Store.resolver name) n with
               | None -> ()  (* cost guard sent the caller to the walk *)
               | Some kids ->
                   let walked_kids =
@@ -139,10 +139,10 @@ let test_attributes_by_name () =
           (fun n -> Node.attributes n <> [])
           (Node.descendants d)
       in
-      (match Store.attributes_by_name b "x" with
+      (match Store.attributes (Store.resolver "x") b with
       | Some [ a ] -> Alcotest.(check string) "@x" "1" (Node.string_value a)
       | _ -> Alcotest.fail "attribute index miss");
-      match Store.attributes_by_name (doc ()) "x" with
+      match Store.attributes (Store.resolver "x") (doc ()) with
       | Some [] | None -> ()
       | Some _ -> Alcotest.fail "@x found outside its tree")
 
@@ -200,7 +200,7 @@ let test_unindexable_tree () =
         Node.element "r" ~attrs:[]
           ~children:[ List.hd (Node.children kid) ]
       in
-      match Store.descendants_by_name glued "b" with
+      match Store.descendants (Store.resolver "b") glued with
       | None -> ()  (* refused: correct *)
       | Some l ->
           (* accepted is fine only if the answer is right *)
@@ -258,6 +258,138 @@ let test_live_root_keeps_index () =
       Alcotest.(check int) "index not rebuilt" builds0 (counter "index_builds");
       Alcotest.(check (option int)) "still counted" (Some 40) (Store.element_count "item"))
 
+(* -------- the loader's index = the lazy build -------- *)
+
+(* What an index holds, with each node as its offset from the root's
+   nid: the parser and [Node.renumber] both number consecutively in
+   preorder, so the two sides agree offset for offset. *)
+let offsets root (c : Store.contents) =
+  let arrays l =
+    List.map (fun (q, a) -> (q, Array.to_list (Array.map (fun m -> m.Node.nid - root.Node.nid) a))) l
+  in
+  (arrays c.Store.c_elements, arrays c.Store.c_attributes, c.Store.c_element_counts,
+   c.Store.c_attribute_counts, c.Store.c_nodes)
+
+(* Parse [xml] (the loader publishes its index), then index a renumbered
+   copy of the same tree by the lazy walk; [Some msg] on a mismatch. *)
+let loader_vs_build xml =
+  with_index_mode Store.Force (fun () ->
+      let d = Xqc.parse_document xml in
+      let builds = counter "index_builds" in
+      let loaded = Option.get (Store.contents d) in
+      if counter "index_builds" <> builds then Some "the parsed document was indexed again"
+      else
+        let c = Node.copy d in
+        Node.renumber c;
+        let built = Option.get (Store.contents c) in
+        if counter "index_builds" <> builds + 1 then Some "the copy was not built lazily"
+        else if offsets d loaded <> offsets c built then Some "loader and build disagree"
+        else None)
+
+let test_loader_matches_build () =
+  List.iter
+    (fun (what, gen) ->
+      List.iter
+        (fun bytes ->
+          List.iter
+            (fun seed ->
+              match loader_vs_build (gen seed bytes) with
+              | None -> ()
+              | Some msg -> Alcotest.failf "%s, %d bytes, seed %d: %s" what bytes seed msg)
+            [ 1; 2; 3 ])
+        [ 5_000; 60_000 ])
+    [
+      ("xmark", fun seed bytes -> Xqc_workload.Xmark.generate_string ~seed ~target_bytes:bytes ());
+      ("clio", fun seed bytes -> Xqc_workload.Clio.generate_string ~seed ~target_bytes:bytes ());
+    ]
+
+(* Random trees with text, comments and distinct attribute names, so
+   that they serialize to well-formed XML. *)
+let xml_tree_gen : Node.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d" ] in
+  let rec node depth =
+    frequency
+      [
+        (1, map Node.text (oneofl [ "t"; "u v" ]));
+        (1, return (Node.comment "c"));
+        (4, elem depth);
+      ]
+  and elem depth =
+    name >>= fun nm ->
+    (if depth = 0 then return [] else list_size (int_bound 3) (node (depth - 1)))
+    >>= fun children ->
+    list_size (int_bound 3) name >>= fun anames ->
+    let attrs = List.map (fun an -> Node.attribute an "v") (List.sort_uniq compare anames) in
+    return (Node.element nm ~attrs ~children)
+  in
+  elem 4 >>= fun root ->
+  let d = Node.document [ root ] in
+  Node.renumber d;
+  return d
+
+let prop_loader_matches_build =
+  QCheck.Test.make ~name:"the loader's index equals the lazy build on random trees" ~count:200
+    (QCheck.make ~print:(fun d -> Xqc.Serializer.node_to_string d) xml_tree_gen)
+    (fun d ->
+      match loader_vs_build (Xqc.Serializer.node_to_string d) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* One resolver serving context nodes of two trees in turn re-resolves
+   on every switch and answers each from its own tree. *)
+let test_resolver_switches_roots () =
+  with_index_mode Store.Force (fun () ->
+      let d1 = doc () and d2 = big_doc 7 in
+      let r = Store.resolver "b" and items = Store.resolver "item" in
+      let nodes = Node.descendant_or_self d1 @ Node.descendant_or_self d2 in
+      let mixed = List.concat_map (fun n -> [ n; d2; n; d1 ]) nodes in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun (r, name) ->
+              let walked = walk_descendants n name in
+              match Store.descendants r n with
+              | Some l when List.length l = List.length walked && List.for_all2 ( == ) walked l -> ()
+              | _ -> Alcotest.failf "descendant::%s under nid %d" name n.Node.nid)
+            [ (r, "b"); (items, "item") ])
+        mixed)
+
+(* -------- renumbering an indexed root -------- *)
+
+(* Server preload: parse, register (a gap renumber), index.  The
+   loader's index follows the root to its new nid: nothing is rebuilt
+   and the store holds one root. *)
+let test_register_keeps_loader_index () =
+  with_index_mode Store.Auto (fun () ->
+      Store.clear ();
+      Xqc.Version.clear ();
+      let d = big_doc 3 in
+      let builds = counter "index_builds" in
+      let nid = d.Node.nid in
+      Xqc.Version.register "d" d;
+      if d.Node.nid = nid then Alcotest.fail "register did not renumber";
+      Alcotest.(check (option int)) "index size" (Some (Node.count_nodes d)) (Store.index_nodes d);
+      Alcotest.(check int) "no rebuild" builds (counter "index_builds");
+      Alcotest.(check int) "one root" 1 (Store.stats ()).Store.st_roots;
+      Alcotest.(check string) "answer" "40" (count_items d "count($d//item)");
+      Alcotest.(check int) "still no rebuild" builds (counter "index_builds");
+      Xqc.Version.clear ())
+
+(* A plain renumber drops the loader's index: the next query rebuilds,
+   answers right, and the store holds one root, not the stale one too. *)
+let test_renumber_leaves_one_root () =
+  with_index_mode Store.Auto (fun () ->
+      Store.clear ();
+      let d = big_doc 4 in
+      Alcotest.(check int) "loader index" 1 (Store.stats ()).Store.st_roots;
+      Node.renumber d;
+      Alcotest.(check string) "answer" "40" (count_items d "count($d//item)");
+      Alcotest.(check string) "names" "i4 i43"
+        (count_items d "string-join(($d//item/name)[position() = (1, last())], ' ')");
+      Alcotest.(check int) "one root" 1 (Store.stats ()).Store.st_roots;
+      Alcotest.(check (option int)) "counted once" (Some 40) (Store.element_count "item"))
+
 (* -------- QCheck: random trees, indexed = walked -------- *)
 
 let tree_gen : Node.t QCheck.Gen.t =
@@ -289,8 +421,8 @@ let prop_random_trees =
                 (fun name ->
                   let walked = walk_descendants n name in
                   match
-                    ( Store.descendants_by_name n name,
-                      Store.count_descendants_by_name n name )
+                    ( Store.descendants (Store.resolver name) n,
+                      Store.count_descendants (Store.resolver name) n )
                   with
                   | Some l, Some k ->
                       k = List.length walked && List.for_all2 ( == ) walked l
@@ -361,6 +493,12 @@ let () =
           Alcotest.test_case "index matches walk" `Quick test_index_matches_walk;
           Alcotest.test_case "attributes by name" `Quick test_attributes_by_name;
           QCheck_alcotest.to_alcotest prop_random_trees;
+          Alcotest.test_case "resolver switches roots" `Quick test_resolver_switches_roots;
+        ] );
+      ( "loader",
+        [
+          Alcotest.test_case "loader index = lazy build" `Quick test_loader_matches_build;
+          QCheck_alcotest.to_alcotest prop_loader_matches_build;
         ] );
       ( "invalidation",
         [
@@ -370,6 +508,10 @@ let () =
           Alcotest.test_case "constructed trees" `Quick test_constructed_trees;
           Alcotest.test_case "unindexable tree refused" `Quick
             test_unindexable_tree;
+          Alcotest.test_case "register keeps the loader index" `Quick
+            test_register_keeps_loader_index;
+          Alcotest.test_case "renumber leaves one root" `Quick
+            test_renumber_leaves_one_root;
         ] );
       ( "lifetime",
         [
