@@ -139,18 +139,12 @@ type names = { by_name : (string, name) Hashtbl.t; all : nodes }
 
 let no_nodes () = { items = [||]; len = 0 }
 
-(* Fills the spare slots.  [Array.make] of a major-heap-sized array with
-   a young initial value runs a minor collection first, so filling with
-   the node just created cost one minor collection per growth of every
-   large array; this filler is old after the first collection. *)
-let spare = { Node.nid = 0; parent = None; extent = 0; desc = Node.Text "" }
-
 (* Doubling, never trimmed: readers bound every search by [len], so the
    parse ends with no trimming copy, whose discarded originals would be
    major-heap garbage for every sizeable name. *)
 let append v n =
   if v.len = Array.length v.items then begin
-    let grown = Array.make (max 8 (2 * v.len)) spare in
+    let grown = Array.make (max 8 (2 * v.len)) n in
     Array.blit v.items 0 grown 0 v.len;
     v.items <- grown
   end;
