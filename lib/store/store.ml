@@ -282,10 +282,9 @@ type resolver = {
   mutable rv_attrs : P.nodes;
 }
 
-(* Stands for "no tree yet": it is nobody's root.  The resolver path
-   allocates nothing per context node, and the resolver itself is the
-   only allocation per invocation, which matters on the query server:
-   a minor collection stops every worker domain. *)
+(* Stands for "no tree yet": it is nobody's root.  Past the first
+   context node of a tree, resolving allocates nothing; the resolver
+   itself is the only allocation an invocation adds. *)
 let no_root = Node.text ""
 
 let resolver (name : string) : resolver =

@@ -141,7 +141,12 @@ let no_nodes () = { items = [||]; len = 0 }
 
 (* Doubling, never trimmed: readers bound every search by [len], so the
    parse ends with no trimming copy, whose discarded originals would be
-   major-heap garbage for every sizeable name. *)
+   major-heap garbage for every sizeable name.  New capacity is filled
+   with [n]: [Array.make] runs a minor collection first when a
+   major-heap-sized array gets a young initial value.  Filling with an
+   old node instead avoided those collections but measured higher peak
+   RSS and slower XMark rounds (EXPERIMENTS.md, "The loader builds the
+   structural index"). *)
 let append v n =
   if v.len = Array.length v.items then begin
     let grown = Array.make (max 8 (2 * v.len)) n in
