@@ -3,14 +3,12 @@
 
    A logical plan says *what* to compute; a physical plan additionally
    says *how*: which join algorithm runs a Join (PNestedLoop /
-   PHashJoin / PSortJoin) and which side it builds on, whether an axis
-   step is answered by the structural name index or by walking
-   (Index_scan / Tree_walk inside PSteps), where aggregate, existential
-   and fn:subsequence calls stream or probe the index instead of
-   materializing their argument (PCallStream), and where pipelines are
-   cut by explicit materialization (PMaterialize).  Every node carries
-   the planner's cardinality and cost estimate, so EXPLAIN can render
-   estimated-vs-actual.
+   PHashJoin / PSortJoin) and which side it builds on, where aggregate,
+   existential and fn:subsequence calls stream or probe the index
+   instead of materializing their argument (PCallStream), and where
+   pipelines are cut by explicit materialization (PMaterialize).  Every
+   node carries the planner's cardinality and cost estimate, so EXPLAIN
+   can render estimated-vs-actual.
 
    The tree is produced from the logical plan by Planner.plan (a
    cost-based translation fed by the Xqc_store statistics API) and is
@@ -30,12 +28,17 @@ type join_algorithm = Nested_loop | Hash | Sort
 
 type build_side = Build_left | Build_right
 
-(* How one axis step resolves its matches: through the per-root
-   structural name index of Xqc_store, or by walking the tree.  The
-   index path still degrades to a walk at run time when no index serves
-   the tree (store mode off, unindexable root); Index_scan records that
-   the planner expects — and costed — the index. *)
-type step_impl = Index_scan | Tree_walk
+(* The one step shape the per-root structural name index of Xqc_store
+   answers: a name test on the descendant or descendant-or-self axis.
+   [Some (name, self)], [self] for descendant-or-self.  The planner's
+   step cost, EXPLAIN's IndexScan/TreeWalk label and the evaluator's
+   index lookups all read this; at run time the lookup still walks a
+   tree the store does not index. *)
+let index_step (axis : Ast.axis) (test : Ast.node_test) : (string * bool) option =
+  match (axis, test) with
+  | Ast.Descendant, Ast.Name_test name -> Some (name, false)
+  | Ast.Descendant_or_self, Ast.Name_test name -> Some (name, true)
+  | _ -> None
 
 (* Planner estimates: output cardinality (rows for tuple operators,
    items for XML operators) and cumulative cost in abstract work units. *)
@@ -48,7 +51,6 @@ type pstep = {
   ps_id : int;  (** unique among all planned nodes, as [pid] *)
   ps_axis : Ast.axis;
   ps_test : Ast.node_test;
-  ps_impl : step_impl;
   ps_est : float;  (** estimated items out of this step *)
 }
 
@@ -87,10 +89,10 @@ and pop =
   | PText of t
   | PComment of t
   | PPi of string * t
-  (* navigation: a maximal TreeJoin chain, fused, each step carrying its
-     index-vs-walk decision.  [ordered] states the chain preserves
-     document order when streamed item by item (the static condition the
-     cursor pipeline needs). *)
+  (* navigation: a maximal TreeJoin chain, fused; a step reads the
+     index when [index_step] says so.  [ordered] states the chain
+     preserves document order when streamed item by item (the static
+     condition the cursor pipeline needs). *)
   | PSteps of { steps : pstep list; ordered : bool; input : t }
   (* type operators *)
   | PCastable of Atomic.type_name * bool * t

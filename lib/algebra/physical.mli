@@ -3,8 +3,7 @@
 
     A logical plan says {e what} to compute; a physical plan additionally
     says {e how}: which join algorithm runs a Join and on which side it
-    builds, whether an axis step is answered by the structural name index
-    or by walking, where builtin calls stream or probe the index instead of
+    builds, where builtin calls stream or probe the index instead of
     materializing their argument, and where pipelines are cut by explicit
     materialization.  Every node carries the planner's cardinality and
     cost estimate so EXPLAIN can render estimated-vs-actual.
@@ -25,10 +24,12 @@ type join_algorithm = Nested_loop | Hash | Sort
 
 type build_side = Build_left | Build_right
 
-(** How an axis step resolves: through the per-root structural name
-    index, or by walking.  [Index_scan] still degrades to a walk at run
-    time when no index serves the tree. *)
-type step_impl = Index_scan | Tree_walk
+(** The one step shape the structural name index answers: a name test
+    on the descendant ([Some (name, false)]) or descendant-or-self
+    ([Some (name, true)]) axis.  Every other step walks.  The planner's
+    step cost, EXPLAIN's label and the evaluator all read this; at run
+    time the lookup still walks a tree the store does not index. *)
+val index_step : Ast.axis -> Ast.node_test -> (string * bool) option
 
 (** Planner estimates: output cardinality (tuples or items) and
     cumulative cost in abstract work units. *)
@@ -40,7 +41,6 @@ type pstep = {
   ps_id : int;  (** unique among all planned nodes, as [pid] *)
   ps_axis : Ast.axis;
   ps_test : Ast.node_test;
-  ps_impl : step_impl;
   ps_est : float;
 }
 

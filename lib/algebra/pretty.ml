@@ -168,9 +168,9 @@ let cmp_tag op = Printf.sprintf "<%s>" (Promotion.cmp_op_name op)
 
 let pstep_label (s : Physical.pstep) : string =
   Printf.sprintf "%s[%s::%s]"
-    (match s.Physical.ps_impl with
-    | Physical.Index_scan -> "IndexScan"
-    | Physical.Tree_walk -> "TreeWalk")
+    (match Physical.index_step s.Physical.ps_axis s.Physical.ps_test with
+    | Some _ -> "IndexScan"
+    | None -> "TreeWalk")
     (Ast.axis_to_string s.Physical.ps_axis)
     (Ast.node_test_to_string s.Physical.ps_test)
 

@@ -200,8 +200,8 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
                   strategy compiled)
           in
           (* cost-based physical planning: every execution-strategy
-             decision (join algorithm, build side, index-vs-walk,
-             streaming bounds, materialization points) is made here,
+             decision (join algorithm, build side, streaming bounds,
+             materialization points) is made here,
              fed by the store's index statistics *)
           let planned =
             ph "plan" (fun () ->
@@ -216,10 +216,9 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
 (* ------------------------------------------------------------------ *)
 
 (* LRU cache over [prepare], keyed by everything that shapes the
-   compiled plan: query text, strategy, the store's index mode and the
-   document generation — physical planning is statistics-sensitive, so a
-   plan prepared with indexing off must not be reused once indexes are
-   available (and vice versa).
+   compiled plan: query text, strategy and the document generation —
+   physical planning is statistics-sensitive, so a plan must not
+   outlive the document state it was costed against.
    Stats-collecting preparations are never cached — each caller of
    [~stats:true] expects its own collector.  Recency is a global tick;
    eviction scans for the minimum (the cache is small, capacity beats
@@ -231,7 +230,6 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
    key is built. *)
 type exec_modes = {
   m_strategy : strategy;
-  m_index : Store.mode;
   m_docs_gen : int;
       (** the MVCC document-state generation at planning time: plans are
           costed against index statistics, and an applied update changes
@@ -245,7 +243,6 @@ type exec_modes = {
 let current_exec_modes ~strategy () : exec_modes =
   {
     m_strategy = strategy;
-    m_index = !Store.mode;
     m_docs_gen = Version.generation ();
   }
 
@@ -333,9 +330,9 @@ let context ?schema ?resolver () : Dynamic_ctx.t = Dynamic_ctx.create ?schema ?r
 let bind_variable = Dynamic_ctx.bind_global
 let bind_document = Dynamic_ctx.bind_document
 
-(* The loader builds the document's structural index in its one pass;
-   the store publishes it (or, under [Off] or below [Auto]'s threshold,
-   drops it), so no query walks the tree to index it. *)
+(* The loader builds the document's structural index in its one pass
+   and the store publishes it, so no query walks the tree to index
+   it. *)
 let parse_document ?uri (xml : string) : Node.t =
   let root, names = Xml_parser.parse_with_names ?uri xml in
   Store.adopt root names;

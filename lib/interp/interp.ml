@@ -31,8 +31,12 @@ let naive_hooks = { try_for_where = None }
 
 let ebv = Item.effective_boolean_value
 
+(* Every expression checks the deadline, so a runaway query unwinds
+   within one expression's worth of work past it (the indexed variant
+   too: its hooks evaluate through here). *)
 let rec eval (h : hooks) (ctx : Dynamic_ctx.t) (env : env) (e : cexpr) :
     Item.sequence =
+  Dynamic_ctx.check_deadline ctx;
   match e with
   | C_empty -> []
   | C_scalar a -> [ Item.Atom a ]

@@ -8,10 +8,6 @@
      inequality as a sort join, anything else as a nested loop; the
      choice minimizes the cost model below, so tiny inputs may still run
      a nested loop even when a split exists;
-   - index vs walk per axis step: name tests over the store-covered
-     axes are marked [Index_scan] when the store is enabled (the store
-     can still decline a particular tree at run time, degrading that
-     node to a walk);
    - step fusion: descendant-or-self::node()/child::t chains fuse to
      descendant::t, and a maximal TreeJoin chain becomes one [PSteps]
      whose [ordered] flag records the static streaming-order condition;
@@ -21,6 +17,11 @@
      predicate E[k] arrives here as fn:subsequence(E, k, 1) — and join
      and product build sides are cut with explicit [PMaterialize]
      markers.
+
+   Whether a step reads the structural index is no decision of the
+   planner's but the step's shape ([Physical.index_step]: a
+   descendant[-or-self] name test); such a step is costed as a range
+   lookup, every other step as a walk.
 
    Cardinalities come from the Xqc_store statistics API — exact
    per-qname element/attribute counts from the interval indexes, spread
@@ -108,17 +109,6 @@ let step_rows (axis : Ast.axis) (test : Ast.node_test) (input_rows : float) :
       | None -> input_rows)
   | _ -> input_rows *. walk_factor axis
 
-(* Store coverage of one step: which steps [Eval]'s indexed paths can
-   serve at all.  Mirrors the axes of [Eval.indexed_axis_nodes]. *)
-let index_available (axis : Ast.axis) (test : Ast.node_test) : bool =
-  !Store.mode <> Store.Off
-  &&
-  match (test, axis) with
-  | Ast.Name_test _, (Ast.Descendant | Ast.Descendant_or_self | Ast.Child) ->
-      true
-  | Ast.Name_test name, Ast.Attribute_axis -> not (String.equal name "*")
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Chain analysis (moved here from the evaluator)                      *)
 (* ------------------------------------------------------------------ *)
@@ -204,23 +194,12 @@ let is_steps (a : P.t) =
 let is_ordered_steps (a : P.t) =
   match a.P.pop with P.PSteps { ordered; _ } -> ordered | _ -> false
 
-(* fn:count is answered from index range bounds only for a one-step name
-   chain, where the step output is duplicate-free by construction. *)
+(* fn:count is answered from index range bounds only for a one-step
+   chain of the indexed shape, where the step output is duplicate-free
+   by construction. *)
 let countable_steps (a : P.t) =
   match a.P.pop with
-  | P.PSteps
-      {
-        steps =
-          [
-            {
-              P.ps_axis = Ast.Descendant | Ast.Descendant_or_self | Ast.Child;
-              ps_test = Ast.Name_test _;
-              _;
-            };
-          ];
-        _;
-      } ->
-      true
+  | P.PSteps { steps = [ s ]; _ } -> Option.is_some (P.index_step s.P.ps_axis s.P.ps_test)
   | _ -> false
 
 let steps_input_cost (a : P.t) =
@@ -255,19 +234,15 @@ let plan ?(config = default_config) (p : plan) : P.t =
           List.fold_left
             (fun (acc, r, c) (axis, test) ->
               let out = step_rows axis test r in
-              let impl =
-                if index_available axis test then P.Index_scan else P.Tree_walk
-              in
               let work =
-                match impl with
-                | P.Index_scan -> out +. Float.log2 (out +. 2.)
-                | P.Tree_walk -> (r *. walk_factor axis) +. out
+                match P.index_step axis test with
+                | Some _ -> out +. Float.log2 (out +. 2.)
+                | None -> (r *. walk_factor axis) +. out
               in
               ( {
                   P.ps_id = fresh_id ();
                   ps_axis = axis;
                   ps_test = test;
-                  ps_impl = impl;
                   ps_est = out;
                 }
                 :: acc,

@@ -3,9 +3,8 @@
 
     The planner makes every physical decision the evaluator dispatches
     on — join algorithm (hash / sort / nested loop) and hash build side,
-    index-vs-walk per axis step, step fusion and streaming-order
-    analysis, streaming builtin calls, and
-    the explicit materialization of join/product build sides — and
+    step fusion and streaming-order analysis, streaming builtin calls,
+    and the explicit materialization of join/product build sides — and
     annotates every operator with an estimated output cardinality and
     cumulative cost.
 
@@ -36,10 +35,6 @@ val plan : ?config:config -> Algebra.plan -> Physical.t
 val step_rows : Xqc_frontend.Ast.axis -> Xqc_frontend.Ast.node_test -> float -> float
 (** Estimated output cardinality of one axis step over the given number
     of context nodes. *)
-
-val index_available : Xqc_frontend.Ast.axis -> Xqc_frontend.Ast.node_test -> bool
-(** Whether the store's indexed paths can serve this step at all (store
-    enabled and axis/test covered). *)
 
 val ordered_chain : (Xqc_frontend.Ast.axis * Xqc_frontend.Ast.node_test) list -> bool
 (** The static condition under which a step chain preserves document

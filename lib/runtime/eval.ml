@@ -8,9 +8,10 @@
 
    The evaluator dispatches on the physical algebra produced by the
    cost-based planner and re-makes no strategy decision: the join
-   algorithm and its build side, index-vs-walk per axis step, streaming
-   builtin calls and explicit materialization points all arrive encoded
-   in the plan.
+   algorithm and its build side, streaming builtin calls and explicit
+   materialization points all arrive encoded in the plan.  Whether a
+   step reads the structural index is fixed by its shape
+   ([Physical.index_step]), the same predicate the planner costs by.
 
    The tabular arm of [dval] is a pull-based cursor ([tuple Seq.t]):
    Select/Map/MapConcat/OMapConcat/MapIndex chains fuse into lazy stream
@@ -143,48 +144,32 @@ let test_matches schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
       | _, Node.Element { ename; _ } -> String.equal name "*" || String.equal ename name
       | _ -> false)
 
-(* Indexed fast path for a single axis step: name tests over the
-   downward axes resolve against the document store's interval-encoded
-   name indexes (a binary-searched nid range instead of a subtree walk).
+(* Indexed fast path for a single axis step: a step of the indexed
+   shape ([P.index_step]: a descendant[-or-self] name test) resolves
+   against the document store's interval-encoded name indexes (a
+   binary-searched nid range instead of a subtree walk).
    [index_resolver] makes the store resolver of one step invocation,
-   [None] when the store cannot serve the step at all (non-name tests,
-   axes it does not cover).  [indexed_axis_nodes] then returns [None]
-   per node to send that node to the walking path (unindexed trees, or
-   cases where the store judges the walk cheaper). *)
-let index_resolver (axis : Ast.axis) (test : Ast.node_test) : Store.resolver option =
-  match (axis, test) with
-  | (Ast.Descendant | Ast.Descendant_or_self | Ast.Child), Ast.Name_test name ->
-      Some (Store.resolver name)
-  | Ast.Attribute_axis, Ast.Name_test name when not (String.equal name "*") ->
-      (* the store has no "*" entry for attributes; @* walks *)
-      Some (Store.resolver name)
-  | _ -> None
-
-let indexed_axis_nodes (axis : Ast.axis) (r : Store.resolver) (n : Node.t) :
-    Node.t list option =
-  match axis with
-  | Ast.Descendant -> Store.descendants r n
-  | Ast.Descendant_or_self -> Store.descendant_or_self r n
-  | Ast.Child -> Store.children r n
-  | Ast.Attribute_axis -> Store.attributes r n
-  | _ -> None
+   [None] for every other step.  The store then answers [None] per node
+   to send that node to the walking path (unindexed trees). *)
+let index_resolver (axis : Ast.axis) (test : Ast.node_test) : (Store.resolver * bool) option =
+  Option.map (fun (name, self) -> (Store.resolver name, self)) (P.index_step axis test)
 
 (* Matches are accumulated in traversal order: child/descendant axis
    output over already-sorted input is itself in document order, so the
    closing [sort_doc_order] hits its O(n) already-sorted fast path on the
    common case and only pays for a sort when an axis actually disturbs
-   the order (parent, ancestor, multiple nested sources).  [index]: try
-   the structural index first, walking each node it cannot serve. *)
-let axis_join ~index schema axis test (input : Item.sequence) : Item.sequence =
+   the order (parent, ancestor, multiple nested sources).  The
+   structural index is tried first, each node it cannot serve walked. *)
+let tree_join schema axis test (input : Item.sequence) : Item.sequence =
   if input = [] then []
   else
   let out = ref [] in
-  let resolver = if index then index_resolver axis test else None in
+  let resolver = index_resolver axis test in
   List.iter
     (fun it ->
       match it with
       | Item.Node n -> (
-          match match resolver with Some r -> indexed_axis_nodes axis r n | None -> None with
+          match match resolver with Some (r, self) -> Store.descendants ~self r n | None -> None with
           | Some ms -> List.iter (fun m -> out := m :: !out) ms
           | None ->
               List.iter
@@ -193,14 +178,6 @@ let axis_join ~index schema axis test (input : Item.sequence) : Item.sequence =
       | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
     input;
   List.map (fun n -> Item.Node n) (Node.sort_doc_order (List.rev !out))
-
-let tree_join schema axis test input = axis_join ~index:true schema axis test input
-
-(* One planned step: honours the planner's [ps_impl] — an [Index_scan]
-   still degrades to a walk per node when the store cannot serve that
-   tree, a [Tree_walk] never consults the index. *)
-let step_join schema (s : P.pstep) (input : Item.sequence) : Item.sequence =
-  axis_join ~index:(s.P.ps_impl = P.Index_scan) schema s.P.ps_axis s.P.ps_test input
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -432,19 +409,6 @@ let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
   | Ast.Descendant_or_self -> Seq.filter_map keep (Node.descendant_or_self_seq n)
   | a -> List.to_seq (List.filter_map keep (apply_axis a n))
 
-(* Indexed single-step cursor: the lazy counterpart of
-   [indexed_axis_nodes].  A [Some] sequence already satisfies the node
-   test, so no further filtering is needed; [None] falls back to the
-   lazy walk. *)
-let indexed_axis_seq (axis : Ast.axis) (r : Store.resolver) (n : Node.t) :
-    Node.t Seq.t option =
-  match axis with
-  | Ast.Descendant -> Store.descendants_seq r n
-  | Ast.Descendant_or_self -> Store.descendant_or_self_seq r n
-  | Ast.Child -> Option.map List.to_seq (Store.children r n)
-  | Ast.Attribute_axis -> Option.map List.to_seq (Store.attributes r n)
-  | _ -> None
-
 (* Compile the step chain of an item cursor.  Profiled, each step counts
    its pulls into its own record, and the absorbed [PSteps] node
    [parent] counts the chain's final output (exactly as the strict arm
@@ -459,17 +423,14 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
     List.fold_left
       (fun s ((ps : P.pstep), stats) ->
         let axis = ps.P.ps_axis and test = ps.P.ps_test in
-        let resolver =
-          match ps.P.ps_impl with
-          | P.Index_scan -> index_resolver axis test
-          | P.Tree_walk -> None
-        in
+        let resolver = index_resolver axis test in
         let s' =
           Seq.concat_map
             (fun it ->
               match it with
               | Item.Node n -> (
-                  match match resolver with Some r -> indexed_axis_seq axis r n | None -> None with
+                  (* a [Some] sequence already satisfies the node test *)
+                  match match resolver with Some (r, self) -> Store.descendants_seq ~self r n | None -> None with
                   | Some ms -> Seq.map (fun m -> Item.Node m) ms
                   | None -> walk_step_seq ctx.schema axis test n)
               | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
@@ -487,38 +448,21 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
         List.iter (fun (st : Obs.op_stats) -> st.Obs.op_calls <- st.Obs.op_calls + 1) counted;
         run ctx s0
 
-(* Store probes for a one-step name chain: existence and cardinality of
-   descendant[-or-self]::t / child::t answered from the index's range
-   bounds without touching nodes.  [None] when the chain shape is not
-   probe-able; the probe itself returns [None] per node when the store
-   cannot serve that tree (caller streams instead). *)
-let step_shapes (steps : P.pstep list) : (Ast.axis * Ast.node_test) list =
-  List.map (fun (s : P.pstep) -> (s.P.ps_axis, s.P.ps_test)) steps
+(* Store probes for a one-step chain of the indexed shape: existence
+   and cardinality of descendant[-or-self]::t answered from the index's
+   range bounds without touching nodes.  [None] when the chain has
+   another shape; the probe itself returns [None] per node when the
+   store cannot serve that tree (caller streams instead). *)
+let index_probe (steps : P.pstep list) : (string * bool) option =
+  match steps with [ s ] -> P.index_step s.P.ps_axis s.P.ps_test | _ -> None
 
 let index_exists_probe (steps : P.pstep list) : (unit -> Node.t -> bool option) option =
-  match step_shapes steps with
-  | [ (Ast.Descendant, Ast.Name_test nm) ] ->
-      Some (fun () -> Store.exists_descendant (Store.resolver nm))
-  | [ (Ast.Descendant_or_self, Ast.Name_test nm) ] ->
-      Some (fun () -> Store.exists_descendant ~self:true (Store.resolver nm))
-  | [ (Ast.Child, Ast.Name_test nm) ] ->
-      Some
-        (fun () ->
-          let r = Store.resolver nm in
-          fun n -> Option.map (fun l -> l <> []) (Store.children r n))
-  | _ -> None
+  Option.map (fun (nm, self) () -> Store.exists_descendant ~self (Store.resolver nm)) (index_probe steps)
 
 (* A count probe serves one source node per invocation, so each call
    resolves afresh. *)
 let index_count_probe (steps : P.pstep list) : (Node.t -> int option) option =
-  match step_shapes steps with
-  | [ (Ast.Descendant, Ast.Name_test nm) ] ->
-      Some (fun n -> Store.count_descendants (Store.resolver nm) n)
-  | [ (Ast.Descendant_or_self, Ast.Name_test nm) ] ->
-      Some (fun n -> Store.count_descendants ~self:true (Store.resolver nm) n)
-  | [ (Ast.Child, Ast.Name_test nm) ] ->
-      Some (fun n -> Option.map List.length (Store.children (Store.resolver nm) n))
-  | _ -> None
+  Option.map (fun (nm, self) n -> Store.count_descendants ~self (Store.resolver nm) n) (index_probe steps)
 
 (* Shared scaffolding of the three physical join operators: compiled
    inputs, merged output layout, match/unmatched emitters (outer joins
@@ -602,18 +546,18 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
         [] )
   | P.PSteps { steps; input; _ } ->
       (* strict step chain: each planned step runs in turn over the
-         accumulated node set, honouring its index-vs-walk choice; a
-         profiled run records each step's output count *)
+         accumulated node set; a profiled run records each step's
+         output count *)
       let ci, _ = compile env input in
       let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
       let run_steps ctx items =
         List.fold_left
           (fun items (s, stats) ->
             match stats with
-            | None -> step_join ctx.schema s items
+            | None -> tree_join ctx.schema s.P.ps_axis s.P.ps_test items
             | Some st ->
                 let t0 = Obs.now () in
-                let out = step_join ctx.schema s items in
+                let out = tree_join ctx.schema s.P.ps_axis s.P.ps_test items in
                 st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
                 st.Obs.op_calls <- st.Obs.op_calls + 1;
                 st.Obs.op_items <- st.Obs.op_items + List.length out;

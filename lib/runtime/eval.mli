@@ -8,9 +8,10 @@
 
     The evaluator consumes the {e physical} algebra produced by the
     cost-based planner ([Xqc_optimizer.Planner]) and re-makes no strategy
-    decision: join algorithm and build side, index-vs-walk per step,
-    positional bounds, streaming calls and materialization points all
-    arrive encoded in the plan.
+    decision: join algorithm and build side, positional bounds,
+    streaming calls and materialization points all arrive encoded in
+    the plan, and a step reads the structural index exactly when its
+    shape is {!Xqc_algebra.Physical.index_step}.
 
     Dependent-input plumbing: every compiled plan receives the current
     dependent input [inp]; operators pass it through to their independent

@@ -7,25 +7,32 @@
      n.nid < m.nid && m.nid < n.nid + n.extent
 
    On top of that, this module keeps one index per document root: for
-   each element and attribute qname, the array of nodes with that name
-   in document (= nid) order, plus an array holding every element.  An
-   axis step against an indexed root then becomes two binary searches
-   delimiting the qname's nid range inside the context node's interval:
+   each element qname, the array of elements with that name in document
+   (= nid) order, plus an array holding every element, and a count per
+   attribute qname for the planner.  The index answers exactly one kind
+   of step, a name test on the descendant or descendant-or-self axis:
+   two binary searches delimit the qname's nid range inside the context
+   node's interval.
 
      descendant::t          the sub-array  (n.nid, n.nid + n.extent)
      descendant-or-self::t  the same with the lower bound closed
-     child::t               the range, filtered by parent identity
      fn:count(//t)          hi - lo, no node is touched at all
      fn:exists(//t)         hi > lo
 
+   Child and attribute steps scan the node's own lists: those are
+   short, and a name range filtered by parent identity was never
+   measurably faster than that scan.
+
    Where indexes come from: a parsed document brings its own.  The XML
-   loader appends every element and attribute to its name's array as it
-   creates the node ([Xml_parser.parse_with_names]), and [adopt]
-   publishes those arrays when the parse ends, so loading a document
-   costs no second walk.  A tree built at run time (constructors, the
-   workload generators) is indexed lazily on its first query by
+   loader appends every element to its name's array as it creates the
+   node ([Xml_parser.parse_with_names]), and [adopt] publishes the
+   arrays when the parse ends, so loading a document costs no second
+   walk.  A tree built at run time (constructors, the workload
+   generators) is indexed lazily on its first descendant step by
    [build]: one preorder walk that fills the same arrays through the
-   same appender ([Xml_parser.index_node]).
+   same appender ([Xml_parser.index_node]).  A run-time tree of fewer
+   than [lazy_min_extent] nodes is walked instead: scanning it costs
+   less than indexing it; [index_nodes] indexes a tree of any size.
 
    An axis step resolves the index once per invocation, not once per
    context node: a [resolver] remembers the last root it saw, that
@@ -53,7 +60,7 @@
    Slots are keyed by the root's nid.  [Node.renumber] and
    [Node.renumber_gapped] report the nid they moved a root from, and the
    slot under it is dropped ([purge_nid]), so a renumbered root rebuilds
-   on its next query and never leaves a second slot behind.  Where the
+   on its next descendant step and never leaves a second slot behind.  Where the
    renumber keeps the preorder and the caller knows it
    ([Version.register]'s gap numbering of a freshly parsed document),
    [renumber_keeping] moves the slot to the new nid instead.  Nodes
@@ -71,19 +78,12 @@ open Xqc_xml
 module Obs = Xqc_obs.Obs
 module P = Xml_parser
 
-(* [Auto] indexes roots of at least [!min_index_size] nodes, [Force]
-   indexes everything (tests), [Off] disables lookups entirely.  The
-   XQC_INDEX environment variable seeds the initial mode. *)
-type mode = Auto | Off | Force
+(* Below this many nodes a run-time tree is walked, not lazily indexed. *)
+let lazy_min_extent = 64
 
-let mode =
-  ref
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "XQC_INDEX") with
-    | Some ("off" | "0" | "no" | "walk") -> Off
-    | Some ("force" | "always") -> Force
-    | _ -> Auto)
-
-let min_index_size = ref 64
+(* The walking reference the tests hold the index to: while set, every
+   step walks as if no tree were indexed.  Only [resolve] reads it. *)
+let walk_only = ref false
 
 let c_builds = Obs.global_counter "index_builds"
 let c_build_nodes = Obs.global_counter "index_build_nodes"
@@ -95,20 +95,19 @@ let c_fallbacks = Obs.global_counter "index_fallbacks"
    alive. *)
 type counts = {
   k_elems : (string, int) Hashtbl.t;  (* element qname -> count; "*" -> every element *)
-  k_attrs : (string, int) Hashtbl.t;
+  k_attrs : (string, int) Hashtbl.t;  (* attribute qname -> count *)
   mutable k_nodes : int;  (* nodes in the tree when indexed (patched on update) *)
 }
 
 type index = {
   ix_names : P.names;
-      (* qname -> its elements and attributes in nid order; [all]: every
-         element (the "*" entry) *)
-  ix_counts : counts;  (* kept equal to the array lengths *)
+      (* qname -> its elements in nid order and its attribute count;
+         [all]: every element (the "*" entry) *)
+  ix_counts : counts;  (* kept equal to the array lengths and counts *)
 }
 
 (* An entry remembers unindexable roots too, so a tree that violates the
-   preorder invariant (or is below the Auto threshold) is not re-walked
-   on every query. *)
+   preorder invariant is not re-walked on every query. *)
 type entry = Indexed of index | Unindexable
 
 type slot = {
@@ -175,7 +174,7 @@ let counts_of (names : P.names) (nodes : int) : counts =
   Hashtbl.iter
     (fun q (nm : P.name) ->
       if nm.P.elems.P.len > 0 then Hashtbl.replace k_elems q nm.P.elems.P.len;
-      if nm.P.attrs.P.len > 0 then Hashtbl.replace k_attrs q nm.P.attrs.P.len)
+      if nm.P.attr_count > 0 then Hashtbl.replace k_attrs q nm.P.attr_count)
     names.P.by_name;
   Hashtbl.replace k_elems "*" names.P.all.P.len;
   { k_elems; k_attrs; k_nodes = nodes }
@@ -225,24 +224,20 @@ let publish (root : Node.t) (e : entry) : entry =
 
 (* Resolve: lock-free snapshot lookup (the hot path — no mutex, no
    write, just an [Atomic.get] and a functional [Map] descent), unlocked
-   build on miss, then a locked re-check-and-publish. *)
-let entry_for (root : Node.t) : entry =
+   build on miss, then a locked re-check-and-publish.  [lazily]: a miss
+   on a tree of fewer than [lazy_min_extent] nodes is walked, with
+   nothing built or published (the next miss judges it again by one
+   comparison). *)
+let entry_for ~lazily (root : Node.t) : entry =
   match find_entry (Stdlib.Atomic.get snapshot) root with
   | Some e -> e
-  | None ->
-      publish root
-        (if !mode = Auto && root.Node.extent > 0 && root.Node.extent < !min_index_size
-         then Unindexable
-         else build root)
+  | None when lazily && root.Node.extent > 0 && root.Node.extent < lazy_min_extent -> Unindexable
+  | None -> publish root (build root)
 
 (* A parsed document's index, handed over by the loader: published as
-   is, with no walk.  Under [Off], or below [Auto]'s threshold, nothing
-   is published and the first query decides as for any other tree. *)
+   is, with no walk. *)
 let adopt (root : Node.t) (names : P.names) : unit =
-  match !mode with
-  | Off -> ()
-  | Auto when root.Node.extent < !min_index_size -> ()
-  | Auto | Force -> ignore (publish root (index_of names root.Node.extent))
+  ignore (publish root (index_of names root.Node.extent))
 
 (* Drop the slot keyed [nid]: the root it was built for has moved to
    another nid.  Both [Node] renumbers call this, so a renumbered root
@@ -279,7 +274,6 @@ type resolver = {
   mutable rv_root : Node.t;  (* the tree the fields below describe *)
   mutable rv_indexed : bool;  (* false: that tree is walked *)
   mutable rv_elems : P.nodes;
-  mutable rv_attrs : P.nodes;
 }
 
 (* Stands for "no tree yet": it is nobody's root.  Past the first
@@ -288,33 +282,30 @@ type resolver = {
 let no_root = Node.text ""
 
 let resolver (name : string) : resolver =
-  { rv_name = name; rv_root = no_root; rv_indexed = false; rv_elems = no_nodes; rv_attrs = no_nodes }
+  { rv_name = name; rv_root = no_root; rv_indexed = false; rv_elems = no_nodes }
 
 (* Point [r] at [n]'s tree; counts one hit or one fallback per context
    node.  [false]: walk. *)
 let resolve (r : resolver) (n : Node.t) : bool =
-  let root = Node.root n in
-  if root != r.rv_root then begin
-    r.rv_root <- root;
-    match entry_for root with
-    | Unindexable -> r.rv_indexed <- false
-    | Indexed ix -> (
-        r.rv_indexed <- true;
-        if String.equal r.rv_name "*" then begin
-          r.rv_elems <- ix.ix_names.P.all;
-          r.rv_attrs <- no_nodes
-        end
-        else
-          match Hashtbl.find ix.ix_names.P.by_name r.rv_name with
-          | nm ->
-              r.rv_elems <- nm.P.elems;
-              r.rv_attrs <- nm.P.attrs
-          | exception Not_found ->
-              r.rv_elems <- no_nodes;
-              r.rv_attrs <- no_nodes)
-  end;
-  Obs.incr_counter (if r.rv_indexed then c_hits else c_fallbacks);
-  r.rv_indexed
+  if !walk_only then false
+  else begin
+    let root = Node.root n in
+    if root != r.rv_root then begin
+      r.rv_root <- root;
+      match entry_for ~lazily:true root with
+      | Unindexable -> r.rv_indexed <- false
+      | Indexed ix ->
+          r.rv_indexed <- true;
+          r.rv_elems <-
+            (if String.equal r.rv_name "*" then ix.ix_names.P.all
+             else
+               match Hashtbl.find ix.ix_names.P.by_name r.rv_name with
+               | nm -> nm.P.elems
+               | exception Not_found -> no_nodes)
+    end;
+    Obs.incr_counter (if r.rv_indexed then c_hits else c_fallbacks);
+    r.rv_indexed
+  end
 
 (* Smallest i < v.len with v.items.(i).nid >= lo, or v.len. *)
 let lower_bound (v : P.nodes) (lo : int) : int =
@@ -329,22 +320,18 @@ let lower_bound (v : P.nodes) (lo : int) : int =
    [(arr, i, j)] with the matches at positions [i, j).  [self] closes
    the lower bound (descendant-or-self).  [None] when no index serves
    the tree or [n]'s extent is unknown. *)
-let name_range ?(self = false) ~attr (r : resolver) (n : Node.t) :
-    (Node.t array * int * int) option =
-  match !mode with
-  | Off -> None
-  | Auto | Force ->
-      if not (resolve r n) then None
-      else if n.Node.extent <= 0 then begin
-        (* not part of the indexed interval numbering: fall back *)
-        Obs.incr_counter c_fallbacks;
-        None
-      end
-      else
-        let v = if attr then r.rv_attrs else r.rv_elems in
-        let lo = if self then n.Node.nid else n.Node.nid + 1 in
-        let hi = n.Node.nid + n.Node.extent in
-        Some (v.P.items, lower_bound v lo, lower_bound v hi)
+let name_range ?(self = false) (r : resolver) (n : Node.t) : (Node.t array * int * int) option =
+  if not (resolve r n) then None
+  else if n.Node.extent <= 0 then begin
+    (* not part of the indexed interval numbering: fall back *)
+    Obs.incr_counter c_fallbacks;
+    None
+  end
+  else
+    let v = r.rv_elems in
+    let lo = if self then n.Node.nid else n.Node.nid + 1 in
+    let hi = n.Node.nid + n.Node.extent in
+    Some (v.P.items, lower_bound v lo, lower_bound v hi)
 
 let slice_list arr i j =
   let out = ref [] in
@@ -361,86 +348,33 @@ let slice_seq (arr : Node.t array) i j : Node.t Seq.t =
 (* Axis queries (None = caller falls back to the walking path)         *)
 (* ------------------------------------------------------------------ *)
 
-let descendants r n : Node.t list option =
-  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range ~attr:false r n)
+let descendants ?self r n : Node.t list option =
+  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range ?self r n)
 
-let descendants_seq r n : Node.t Seq.t option =
-  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range ~attr:false r n)
-
-let descendant_or_self r n : Node.t list option =
-  Option.map (fun (arr, i, j) -> slice_list arr i j) (name_range ~self:true ~attr:false r n)
-
-let descendant_or_self_seq r n : Node.t Seq.t option =
-  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range ~self:true ~attr:false r n)
+let descendants_seq ?self r n : Node.t Seq.t option =
+  Option.map (fun (arr, i, j) -> slice_seq arr i j) (name_range ?self r n)
 
 let count_descendants ?self r n : int option =
-  Option.map (fun (_, i, j) -> j - i) (name_range ?self ~attr:false r n)
+  Option.map (fun (_, i, j) -> j - i) (name_range ?self r n)
 
 let exists_descendant ?self r n : bool option =
-  Option.map (fun (_, i, j) -> j > i) (name_range ?self ~attr:false r n)
+  Option.map (fun (_, i, j) -> j > i) (name_range ?self r n)
 
-let is_child_of ~parent m =
-  match Node.parent m with Some p -> p == parent | None -> false
-
-(* Below this subtree size a direct scan of the child/attribute list
-   beats two binary searches over document-sized arrays. *)
-let small_subtree = ref 32
-
-(* child::t through the descendant range, filtered by parent identity.
-   Only worthwhile when the subtree holds few nodes of that name; when
-   the range is larger than the child list — or the whole subtree is
-   small enough to scan outright — the plain walk is cheaper, so the
-   caller is sent back to it. *)
-let children r n : Node.t list option =
-  if n.Node.extent > 0 && n.Node.extent <= !small_subtree then None
-  else
-  match name_range ~attr:false r n with
-  | None -> None
-  | Some (arr, i, j) ->
-      let r = j - i in
-      (* r <= |children n| without computing the full length *)
-      let rec at_least k l =
-        k <= 0 || match l with [] -> false | _ :: rest -> at_least (k - 1) rest
-      in
-      if not (at_least r (Node.children n)) then begin
-        Obs.incr_counter c_fallbacks;
-        None
-      end
-      else Some (List.filter (is_child_of ~parent:n) (slice_list arr i j))
-
-let attributes r n : Node.t list option =
-  if n.Node.extent > 0 && n.Node.extent <= !small_subtree then None
-  else
-  match name_range ~attr:true r n with
-  | None -> None
-  | Some (arr, i, j) ->
-      let r = j - i in
-      if r > List.length (Node.attributes n) then begin
-        Obs.incr_counter c_fallbacks;
-        None
-      end
-      else Some (List.filter (is_child_of ~parent:n) (slice_list arr i j))
-
-(* The index serving [n]'s tree, building it on first use.  [None]
-   means the caller must walk (mode off, tree unindexable, or below the
-   Auto threshold). *)
+(* The index serving [n]'s tree, building it on first use whatever its
+   size.  [None]: the tree is unindexable. *)
 let index_for (n : Node.t) : index option =
-  match !mode with
-  | Off -> None
-  | Auto | Force -> (
-      match entry_for (Node.root n) with
-      | Indexed ix ->
-          Obs.incr_counter c_hits;
-          Some ix
-      | Unindexable ->
-          Obs.incr_counter c_fallbacks;
-          None)
+  match entry_for ~lazily:false (Node.root n) with
+  | Indexed ix ->
+      Obs.incr_counter c_hits;
+      Some ix
+  | Unindexable ->
+      Obs.incr_counter c_fallbacks;
+      None
 
 let index_nodes n : int option = Option.map (fun ix -> ix.ix_counts.k_nodes) (index_for n)
 
 type contents = {
   c_elements : (string * Node.t array) list;
-  c_attributes : (string * Node.t array) list;
   c_element_counts : (string * int) list;
   c_attribute_counts : (string * int) list;
   c_nodes : int;
@@ -449,11 +383,9 @@ type contents = {
 let contents n : contents option =
   let sorted l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
   let filled (v : P.nodes) = Array.sub v.P.items 0 v.P.len in
-  let arrays (names : P.names) (pick : P.name -> P.nodes) =
+  let arrays (names : P.names) =
     Hashtbl.fold
-      (fun q nm acc ->
-        let v = pick nm in
-        if v.P.len > 0 then (q, filled v) :: acc else acc)
+      (fun q (nm : P.name) acc -> if nm.P.elems.P.len > 0 then (q, filled nm.P.elems) :: acc else acc)
       names.P.by_name []
   in
   let counts t = sorted (List.of_seq (Hashtbl.to_seq t)) in
@@ -461,8 +393,7 @@ let contents n : contents option =
     (fun ix ->
       let names = ix.ix_names in
       {
-        c_elements = sorted (("*", filled names.P.all) :: arrays names (fun nm -> nm.P.elems));
-        c_attributes = sorted (arrays names (fun nm -> nm.P.attrs));
+        c_elements = sorted (("*", filled names.P.all) :: arrays names);
         c_element_counts = counts ix.ix_counts.k_elems;
         c_attribute_counts = counts ix.ix_counts.k_attrs;
         c_nodes = ix.ix_counts.k_nodes;
@@ -481,7 +412,7 @@ let live_index (root : Node.t) : index option =
   | Some (Indexed ix) -> Some ix
   | Some Unindexable | None -> None
 
-(* In-place patching of the per-name arrays.  Only the update subsystem
+(* In-place patching of the per-name arrays and counts.  Only the update subsystem
    calls these, and only on a document version with no admitted readers
    (the MVCC writer builds a fresh copy otherwise), so mutating the
    arrays inside the published entry races with nobody; the publish lock
@@ -518,8 +449,9 @@ let remove_range (v : P.nodes) (lo : int) (hi : int) : unit =
     v.P.len <- n - (j - i)
   end
 
-(* The per-name node arrays plus the node count of one subtree — the
-   unit of insertion and deletion — gathered by the same appender. *)
+(* The per-name element arrays and attribute counts plus the node count
+   of one subtree — the unit of insertion and deletion — gathered by
+   the same appender. *)
 let collect_names (sub : Node.t) : P.names * int =
   let names = P.create_names () in
   let count = ref 0 in
@@ -532,24 +464,30 @@ let collect_names (sub : Node.t) : P.names * int =
   go sub;
   (names, !count)
 
-(* Apply [f] to the index's array of every name [sub] holds, next to
-   [sub]'s own array, then set the name's count to the new length, so
-   the planner's summary stays equal to the array lengths. *)
-let patch_names (ix : index) (sub : P.names) (f : P.nodes -> P.nodes -> unit) : unit =
-  let patch counts q (v : P.nodes) (add : P.nodes) =
+(* Add [d] to the attribute count of [q], in the index and in the
+   planner's summary. *)
+let add_attrs (ix : index) (q : string) (d : int) : unit =
+  let nm = P.intern ix.ix_names q in
+  nm.P.attr_count <- nm.P.attr_count + d;
+  Hashtbl.replace ix.ix_counts.k_attrs q nm.P.attr_count
+
+(* Apply [f] to the index's element array of every name [sub] holds,
+   next to [sub]'s own array, then set the name's count to the new
+   length, so the planner's summary stays equal to the array lengths;
+   add [sign] times [sub]'s attribute counts. *)
+let patch_names (ix : index) (sub : P.names) ~(sign : int) (f : P.nodes -> P.nodes -> unit) : unit =
+  let patch q (v : P.nodes) (add : P.nodes) =
     if add.P.len > 0 then begin
       f v add;
-      Hashtbl.replace counts q v.P.len
+      Hashtbl.replace ix.ix_counts.k_elems q v.P.len
     end
   in
-  let k = ix.ix_counts in
   Hashtbl.iter
     (fun q (nm : P.name) ->
-      let target = P.intern ix.ix_names q in
-      patch k.k_elems q target.P.elems nm.P.elems;
-      patch k.k_attrs q target.P.attrs nm.P.attrs)
+      patch q (P.intern ix.ix_names q).P.elems nm.P.elems;
+      if nm.P.attr_count > 0 then add_attrs ix q (sign * nm.P.attr_count))
     sub.P.by_name;
-  patch k.k_elems "*" ix.ix_names.P.all sub.P.all
+  patch "*" ix.ix_names.P.all sub.P.all
 
 (* [sub] was just placed (ids assigned) under [root]: merge its nodes
    into the live per-name arrays.  [false] = no live index to patch. *)
@@ -559,7 +497,7 @@ let patch_insert (root : Node.t) (sub : Node.t) : bool =
   | Some ix ->
       let names, count = collect_names sub in
       Obs.with_lock lock (fun () ->
-          patch_names ix names splice_run;
+          patch_names ix names ~sign:1 splice_run;
           ix.ix_counts.k_nodes <- ix.ix_counts.k_nodes + count);
       true
 
@@ -572,33 +510,34 @@ let patch_delete (root : Node.t) (sub : Node.t) : bool =
       let names, count = collect_names sub in
       let lo = sub.Node.nid and hi = Node.interval_end sub in
       Obs.with_lock lock (fun () ->
-          patch_names ix names (fun v _ -> remove_range v lo hi);
+          patch_names ix names ~sign:(-1) (fun v _ -> remove_range v lo hi);
           ix.ix_counts.k_nodes <- ix.ix_counts.k_nodes - count);
       true
 
-(* [n] was renamed in place (same nid): move it between name buckets.
-   The "*" array is name-independent and needs no change. *)
+(* [n] was renamed in place (same nid): move it between name buckets
+   (an attribute, between name counts).  The "*" array is
+   name-independent and needs no change. *)
 let patch_rename (root : Node.t) (n : Node.t) ~(old_name : string) : bool =
-  match live_index root with
-  | None -> false
-  | Some ix -> (
-      let pick, counts =
-        match n.Node.desc with
-        | Node.Element _ -> ((fun (nm : P.name) -> nm.P.elems), Some ix.ix_counts.k_elems)
-        | Node.Attribute _ -> ((fun (nm : P.name) -> nm.P.attrs), Some ix.ix_counts.k_attrs)
-        | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> ((fun nm -> nm.P.elems), None)
-      in
-      match (counts, Node.name n) with
-      | Some counts, Some new_name when not (String.equal old_name new_name) ->
+  match (live_index root, Node.name n) with
+  | Some ix, Some new_name when not (String.equal old_name new_name) -> (
+      match n.Node.desc with
+      | Node.Element _ ->
+          let k = ix.ix_counts.k_elems in
           Obs.with_lock lock (fun () ->
-              let from = pick (P.intern ix.ix_names old_name) in
+              let from = (P.intern ix.ix_names old_name).P.elems in
               remove_range from n.Node.nid (n.Node.nid + 1);
-              Hashtbl.replace counts old_name from.P.len;
-              let into = pick (P.intern ix.ix_names new_name) in
+              Hashtbl.replace k old_name from.P.len;
+              let into = (P.intern ix.ix_names new_name).P.elems in
               splice_run into { P.items = [| n |]; len = 1 };
-              Hashtbl.replace counts new_name into.P.len);
+              Hashtbl.replace k new_name into.P.len);
           true
-      | _ -> false)
+      | Node.Attribute _ ->
+          Obs.with_lock lock (fun () ->
+              add_attrs ix old_name (-1);
+              add_attrs ix new_name 1);
+          true
+      | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> false)
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Statistics API (physical planner)                                   *)
@@ -622,16 +561,14 @@ let stats () : stats =
     { st_roots = 0; st_nodes = 0 }
 
 (* Exact per-qname cardinality summed over every live index.  [None]
-   when no index is live (or lookups are off), in which case the planner
-   falls back to its selectivity defaults. *)
+   when no index is live, in which case the planner falls back to its
+   selectivity defaults. *)
 let name_count (tbl : counts -> (string, int) Hashtbl.t) (name : string) : int option =
-  if !mode = Off then None
-  else
-    fold_live
-      (fun k acc ->
-        let c = Option.value (Hashtbl.find_opt (tbl k) name) ~default:0 in
-        Some (c + Option.value acc ~default:0))
-      None
+  fold_live
+    (fun k acc ->
+      let c = Option.value (Hashtbl.find_opt (tbl k) name) ~default:0 in
+      Some (c + Option.value acc ~default:0))
+    None
 
 let element_count (name : string) : int option = name_count (fun k -> k.k_elems) name
 let attribute_count (name : string) : int option = name_count (fun k -> k.k_attrs) name

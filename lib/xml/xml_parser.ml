@@ -126,15 +126,15 @@ let decode_entity st =
    the last element that carried the name as an attribute, which makes
    the duplicate-attribute check O(1) per attribute.
 
-   The same record carries the name's index: its elements and its
-   attributes in id order, appended as the nodes are created.  Ids are
-   preorder, so every array comes out sorted with no sort, and the
-   store adopts the table when the parse ends instead of walking the
-   tree again.  The store fills the same arrays through [index_node]
+   The same record carries the name's index: its elements in id order,
+   appended as the nodes are created, and the number of its attributes.
+   Ids are preorder, so every array comes out sorted with no sort, and
+   the store adopts the table when the parse ends instead of walking
+   the tree again.  The store fills the same table through [index_node]
    when it indexes a tree built at run time. *)
 type nodes = { mutable items : Node.t array; mutable len : int }
 
-type name = { qname : string; mutable last_owner : int; elems : nodes; attrs : nodes }
+type name = { qname : string; mutable last_owner : int; elems : nodes; mutable attr_count : int }
 type names = { by_name : (string, name) Hashtbl.t; all : nodes }
 
 let no_nodes () = { items = [||]; len = 0 }
@@ -162,7 +162,7 @@ let intern names s =
   match Hashtbl.find names.by_name s with
   | n -> n
   | exception Not_found ->
-      let n = { qname = s; last_owner = 0; elems = no_nodes (); attrs = no_nodes () } in
+      let n = { qname = s; last_owner = 0; elems = no_nodes (); attr_count = 0 } in
       Hashtbl.add names.by_name s n;
       n
 
@@ -173,7 +173,9 @@ let add_element names (nm : name) e =
 let index_node names (n : Node.t) =
   match n.desc with
   | Node.Element e -> add_element names (intern names e.ename) n
-  | Node.Attribute a -> append (intern names a.aname).attrs n
+  | Node.Attribute a ->
+      let nm = intern names a.aname in
+      nm.attr_count <- nm.attr_count + 1
   | Node.Document _ | Node.Text _ | Node.Comment _ | Node.Pi _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -304,7 +306,7 @@ let rec attributes p e self ename acc =
       skip_ws p;
       let avalue = attribute_value p in
       let a = leaf p self (Node.Attribute { aname; avalue; aannot = None }) in
-      append n.attrs a;
+      n.attr_count <- n.attr_count + 1;
       attributes p e self ename (a :: acc)
   | _ -> error st.pos "malformed start tag for <%s>" ename
 

@@ -30,12 +30,13 @@ val parse_file : string -> Node.t
 
 (** {1 Name index}
 
-    Per-qname node arrays in id order: what the structural store
-    ([Xqc_store.Store]) answers axis steps from.  The parser appends
-    every element and attribute to its name's arrays as it creates the
-    node, and every element to [all]; ids are preorder, so each array
-    comes out sorted.  The store fills the same arrays with
-    {!index_node} when it indexes a tree built at run time. *)
+    Per-qname element arrays in id order: what the structural store
+    ([Xqc_store.Store]) answers descendant steps from.  The parser
+    appends every element to its name's array and to [all] as it
+    creates the node, and counts every attribute under its name; ids
+    are preorder, so each array comes out sorted.  The store fills the
+    same table with {!index_node} when it indexes a tree built at run
+    time. *)
 
 type nodes = { mutable items : Node.t array; mutable len : int }
 (** A growable array: the nodes are [items.(0) .. items.(len - 1)];
@@ -45,7 +46,7 @@ type name = {
   qname : string;
   mutable last_owner : int;  (** parser-internal: duplicate-attribute check *)
   elems : nodes;  (** the elements with this name *)
-  attrs : nodes;  (** the attributes with this name *)
+  mutable attr_count : int;  (** the number of attributes with this name *)
 }
 
 type names = { by_name : (string, name) Hashtbl.t; all : nodes  (** every element *) }
@@ -53,12 +54,12 @@ type names = { by_name : (string, name) Hashtbl.t; all : nodes  (** every elemen
 val create_names : unit -> names
 
 val intern : names -> string -> name
-(** The name's record, added with empty arrays if new. *)
+(** The name's record, added empty if new. *)
 
 val index_node : names -> Node.t -> unit
-(** Append an element or attribute to its name's arrays (elements to
-    [all] too); other kinds are ignored.  Callers visit nodes in id
-    order. *)
+(** Append an element to its name's array and to [all], or count an
+    attribute under its name; other kinds are ignored.  Callers visit
+    nodes in id order. *)
 
 val parse_with_names : ?uri:string -> string -> Node.t * names
 (** {!parse_string}, also returning the document's name index. *)

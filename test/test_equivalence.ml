@@ -115,22 +115,13 @@ let run_one ?(materialize = false) ?force_join strategy doc q =
   | items -> "OK:" ^ Xqc.serialize items
   | exception Xqc.Error _ -> "ERROR"
 
-(* Run [f] with the structural-index store pinned to [mode] (threshold
-   dropped so Force really indexes the tiny random documents), restoring
-   the ambient configuration afterwards. *)
-let with_index_mode mode f =
-  let saved_mode = !Xqc.Store.mode
-  and saved_min = !Xqc.Store.min_index_size
-  and saved_small = !Xqc.Store.small_subtree in
-  Xqc.Store.mode := mode;
-  Xqc.Store.min_index_size := 0;
-  Xqc.Store.small_subtree := 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Xqc.Store.mode := saved_mode;
-      Xqc.Store.min_index_size := saved_min;
-      Xqc.Store.small_subtree := saved_small)
-    f
+(* Run [f] with the structural index on ([true]) or with every step
+   walked, restoring the ambient setting afterwards.  Every random
+   document is parsed, so the loader has indexed it. *)
+let with_index on f =
+  let saved = !Xqc.Store.walk_only in
+  Xqc.Store.walk_only := not on;
+  Fun.protect ~finally:(fun () -> Xqc.Store.walk_only := saved) f
 
 let prop_all_strategies_agree =
   QCheck.Test.make ~name:"all strategies agree on random query/doc pairs"
@@ -177,8 +168,8 @@ let prop_index_is_transparent =
       List.for_all
         (fun s ->
           String.equal
-            (with_index_mode Xqc.Store.Force (fun () -> run_one s doc q))
-            (with_index_mode Xqc.Store.Off (fun () -> run_one s doc q)))
+            (with_index true (fun () -> run_one s doc q))
+            (with_index false (fun () -> run_one s doc q)))
         strategies)
 
 (* The index and materialization axes composed: indexed axes drained
@@ -190,9 +181,9 @@ let prop_index_and_materialize_compose =
       List.for_all
         (fun s ->
           String.equal
-            (with_index_mode Xqc.Store.Force (fun () ->
+            (with_index true (fun () ->
                  run_one ~materialize:true s doc q))
-            (with_index_mode Xqc.Store.Off (fun () -> run_one s doc q)))
+            (with_index false (fun () -> run_one s doc q)))
         strategies)
 
 (* Every forced join algorithm with indexed axes and materialized
@@ -204,12 +195,12 @@ let prop_forced_joins_indexed_materialized =
     ~count:100 arb (fun (qi, doc) ->
       let q = queries.(qi) in
       let reference =
-        with_index_mode Xqc.Store.Off (fun () -> run_one Xqc.No_algebra doc q)
+        with_index false (fun () -> run_one Xqc.No_algebra doc q)
       in
       List.for_all
         (fun alg ->
           String.equal reference
-            (with_index_mode Xqc.Store.Force (fun () ->
+            (with_index true (fun () ->
                  run_one ~materialize:true ~force_join:alg Xqc.Optimized doc q)))
         [ Xqc.Physical.Nested_loop; Xqc.Physical.Hash; Xqc.Physical.Sort ])
 
@@ -457,7 +448,7 @@ let () =
                   List.iter
                     (fun s ->
                       let go mode =
-                        with_index_mode mode (fun () ->
+                        with_index mode (fun () ->
                             match
                               Xqc.eval_string ~strategy:s
                                 ~variables:[ ("auction", [ Xqc.Item.Node doc ]) ]
@@ -468,7 +459,7 @@ let () =
                       in
                       if
                         not
-                          (String.equal (go Xqc.Store.Force) (go Xqc.Store.Off))
+                          (String.equal (go true) (go false))
                       then
                         Alcotest.failf
                           "XMark %s / %s: indexed and walked results disagree"

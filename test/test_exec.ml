@@ -219,31 +219,32 @@ let test_strict_step_counts () =
   check_int "person" 7 (step "person");
   check_int "name" 7 (step "name")
 
-let with_index mode f =
-  let saved = !Store.mode in
-  Store.mode := mode;
-  Fun.protect ~finally:(fun () -> Store.mode := saved) f
+(* The structural index on ([true]) or every step walked.  The test
+   documents are parsed, so the loader has indexed them. *)
+let with_index on f =
+  let saved = !Store.walk_only in
+  Store.walk_only := not on;
+  Fun.protect ~finally:(fun () -> Store.walk_only := saved) f
 
 (* Index scans and tree walks give the same node sets, streamed or
    materialized. *)
 let test_strict_steps_index_agree () =
   let doc = people_orders ~ids:3 ~persons:12 ~orders:8 () in
   let q = "$d//person[@id = \"p1\"]/name/text()" in
-  let run_mode mode materialize =
-    Store.clear ();
-    with_index mode (fun () ->
+  let run_mode on materialize =
+    with_index on (fun () ->
         if materialize then with_materialize (fun () -> run_on doc q)
         else run_on doc q)
   in
   let reference = run_on ~strategy:No_algebra doc q in
   check "expected names" "n1n4n7n10" reference;
   List.iter
-    (fun (mode, m, what) -> check what reference (run_mode mode m))
+    (fun (on, m, what) -> check what reference (run_mode on m))
     [
-      (Store.Force, true, "indexed, materialized");
-      (Store.Off, true, "walked, materialized");
-      (Store.Force, false, "indexed, streamed");
-      (Store.Off, false, "walked, streamed");
+      (true, true, "indexed, materialized");
+      (false, true, "walked, materialized");
+      (true, false, "indexed, streamed");
+      (false, false, "walked, streamed");
     ]
 
 (* A path over nodes of two documents: each document's nodes come out
@@ -259,18 +260,17 @@ let test_steps_over_documents () =
   check "= interpreter" expected
     (serialize (run (prepare ~strategy:No_algebra q) ctx))
 
-(* Every combination of index mode and materialization. *)
+(* Every combination of index use and materialization. *)
 let exec_modes =
   [
-    (Store.Force, true, "indexed, materialized");
-    (Store.Off, true, "walked, materialized");
-    (Store.Force, false, "indexed, streamed");
-    (Store.Off, false, "walked, streamed");
+    (true, true, "indexed, materialized");
+    (false, true, "walked, materialized");
+    (true, false, "indexed, streamed");
+    (false, false, "walked, streamed");
   ]
 
-let in_mode (mode, materialize, _) f =
-  Store.clear ();
-  with_index mode (fun () -> if materialize then with_materialize f else f ())
+let in_mode (on, materialize, _) f =
+  with_index on (fun () -> if materialize then with_materialize f else f ())
 
 (* Name tests and wildcards on the child, descendant and attribute
    axes: an element name never matches an attribute and the other way

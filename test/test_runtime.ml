@@ -217,11 +217,7 @@ let test_plan_cache_modes () =
   in
   check_flip "strategy"
     (fun () -> ignore (prepare_cached ~strategy:Optimized_nl q))
-    (fun () -> ());
-  let saved_store = !Store.mode in
-  check_flip "index mode"
-    (fun () -> Store.mode := Store.Off)
-    (fun () -> Store.mode := saved_store)
+    (fun () -> ())
 
 (* The strategy is a cache-key field: each strategy gets its own cached
    plan, a second round is served from the cache, and every cached plan

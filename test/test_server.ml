@@ -47,7 +47,7 @@ let expected_results queries =
 
 (* Run [f sock] against a live server; always shut it down afterwards. *)
 let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
-    ?(preload = []) ?(slow_ms = 100.0) f =
+    ?(preload = []) ?(slow_ms = 100.0) ?(strategy = Server.default_config.strategy) f =
   let sock = fresh_sock () in
   let ready_lock = Mutex.create () in
   let ready_cond = Condition.create () in
@@ -61,6 +61,7 @@ let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
       default_timeout_ms;
       preload;
       slow_ms;
+      strategy;
     }
   in
   let th =
@@ -394,6 +395,23 @@ let test_timeout () =
     Alcotest.failf "timeout took %.2fs — deadline not enforced cooperatively" elapsed;
   (* the worker that aborted the query must still be serving *)
   Alcotest.(check string) "worker survives" "2" (check_ok "1+1" (Client.query c "1+1"))
+
+(* Every strategy honours the deadline, the interpreters included: a
+   query that runs about 4 s unbounded times out well before that. *)
+let test_timeout_strategy strategy () =
+  with_server ~workers:1 ~strategy @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let q =
+    "count(for $i in 1 to 2000 for $j in 1 to 2000 where ($i * $j) mod 7 = 3 return $i)"
+  in
+  let started = Obs.now () in
+  (match Client.query ~timeout_ms:200 c q with
+  | Error ("timeout", _) -> ()
+  | Ok v -> Alcotest.failf "returned %S instead of timing out" v
+  | Error (code, m) -> Alcotest.failf "expected timeout, got %s: %s" code m);
+  let elapsed = Obs.now () -. started in
+  if elapsed > 1.5 then Alcotest.failf "timeout took %.2fs" elapsed
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -845,6 +863,13 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
           Alcotest.test_case "prepared reuse" `Quick test_prepared_reuse;
           Alcotest.test_case "timeout" `Quick test_timeout;
+        ]
+        @ List.map
+            (fun s ->
+              Alcotest.test_case ("timeout, " ^ Xqc.strategy_name s) `Quick
+                (test_timeout_strategy s))
+            Xqc.all_strategies
+        @ [
           Alcotest.test_case "overloaded" `Quick test_overloaded;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
         ] );

@@ -1,35 +1,36 @@
 (* The indexed document store: interval encoding, per-name indexes,
    the invalidation protocol, and the document/plan caches.
 
-   The contract under test: with indexes forced on, every store answer
-   equals the walking answer; renumbering or copying a tree never serves
-   a stale nid range; an index lives exactly as long as its root;
-   fn:doc parses once per URI per context; prepare is memoized by
-   (source, strategy, knobs). *)
+   The contract under test: every store answer equals the walking
+   answer, and only descendant name steps read the index; renumbering
+   or copying a tree never serves a stale nid range; an index lives
+   exactly as long as its root; fn:doc parses once per URI per context;
+   prepare is memoized by (source, strategy, knobs). *)
 
 module Node = Xqc.Node
 module Store = Xqc.Store
 module Obs = Xqc.Obs
 
-let with_index_mode mode f =
-  let saved_mode = !Store.mode
-  and saved_min = !Store.min_index_size
-  and saved_small = !Store.small_subtree in
-  Store.mode := mode;
-  Store.min_index_size := 0;
-  Store.small_subtree := 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Store.mode := saved_mode;
-      Store.min_index_size := saved_min;
-      Store.small_subtree := saved_small)
-    f
+(* Run [f] with the index on ([true]) or every step walked. *)
+let with_index ?(on = true) f =
+  let saved = !Store.walk_only in
+  Store.walk_only := not on;
+  Fun.protect ~finally:(fun () -> Store.walk_only := saved) f
 
 let counter name = List.assoc name (Obs.global_counters ())
 
 let doc () =
   Xqc.parse_document ~uri:"t.xml"
     {|<site><a><b/><b><c/></b></a><a/><b x="1" y="2"><a><b/></a></b></site>|}
+
+(* Distinct per [i], and above the size below which a run-time tree is
+   walked rather than indexed. *)
+let big_doc i =
+  let items =
+    List.init 40 (fun k -> Printf.sprintf {|<item n="%d"><name>i%d</name></item>|} k (i + k))
+  in
+  Xqc.parse_document ~uri:(Printf.sprintf "d%d.xml" i)
+    ("<site>" ^ String.concat "" items ^ "</site>")
 
 (* -------- interval encoding -------- *)
 
@@ -91,7 +92,7 @@ let walk_descendants ?(self = false) n name =
     (if self then Node.descendant_or_self n else Node.descendants n)
 
 let test_index_matches_walk () =
-  with_index_mode Store.Force (fun () ->
+  with_index (fun () ->
       let d = doc () in
       let all = Node.descendant_or_self d in
       List.iter
@@ -101,7 +102,7 @@ let test_index_matches_walk () =
               let indexed =
                 match Store.descendants (Store.resolver name) n with
                 | Some l -> l
-                | None -> Alcotest.fail "Force mode returned None"
+                | None -> Alcotest.fail "a parsed document's index returned None"
               in
               let walked = walk_descendants n name in
               Alcotest.(check (list string))
@@ -116,35 +117,12 @@ let test_index_matches_walk () =
               Alcotest.(check bool)
                 ("exists " ^ name) (walked <> [])
                 (Option.get (Store.exists_descendant (Store.resolver name) n));
-              match Store.children (Store.resolver name) n with
-              | None -> ()  (* cost guard sent the caller to the walk *)
-              | Some kids ->
-                  let walked_kids =
-                    List.filter
-                      (fun m ->
-                        Node.kind m = Node.Kelement
-                        && (String.equal name "*" || Node.name m = Some name))
-                      (Node.children n)
-                  in
-                  if not (List.for_all2 ( == ) walked_kids kids) then
-                    Alcotest.failf "child::%s mismatch" name)
+              let walked_self = walk_descendants ~self:true n name in
+              match Store.descendants ~self:true (Store.resolver name) n with
+              | Some l when List.length l = List.length walked_self && List.for_all2 ( == ) walked_self l -> ()
+              | _ -> Alcotest.failf "descendant-or-self::%s under nid %d" name n.Node.nid)
             [ "a"; "b"; "c"; "nosuch"; "*" ])
         all)
-
-let test_attributes_by_name () =
-  with_index_mode Store.Force (fun () ->
-      let d = doc () in
-      let b =
-        List.find
-          (fun n -> Node.attributes n <> [])
-          (Node.descendants d)
-      in
-      (match Store.attributes (Store.resolver "x") b with
-      | Some [ a ] -> Alcotest.(check string) "@x" "1" (Node.string_value a)
-      | _ -> Alcotest.fail "attribute index miss");
-      match Store.attributes (Store.resolver "x") (doc ()) with
-      | Some [] | None -> ()
-      | Some _ -> Alcotest.fail "@x found outside its tree")
 
 (* -------- invalidation -------- *)
 
@@ -153,20 +131,22 @@ let count_items d q =
   Xqc.bind_variable ctx "d" [ Xqc.Item.Node d ];
   Xqc.serialize (Xqc.run (Xqc.prepare q) ctx)
 
+(* A document big enough to be indexed again lazily once renumbering
+   has dropped its index. *)
 let test_renumber_invalidates () =
-  with_index_mode Store.Force (fun () ->
-      let d = doc () in
-      Alcotest.(check string) "initial count" "4" (count_items d "count($d//b)");
+  with_index (fun () ->
+      let d = big_doc 5 in
+      Alcotest.(check string) "initial count" "40" (count_items d "count($d//item)");
       let builds0 = counter "index_builds" in
       (* renumbering moves every nid: a stale range would now select
          arbitrary nodes, so the count only survives via a rebuild *)
       Node.renumber d;
-      Alcotest.(check string) "after renumber" "4" (count_items d "count($d//b)");
+      Alcotest.(check string) "after renumber" "40" (count_items d "count($d//item)");
       if counter "index_builds" <= builds0 then
         Alcotest.fail "renumber did not trigger a rebuild")
 
 let test_copy_is_independent () =
-  with_index_mode Store.Force (fun () ->
+  with_index (fun () ->
       let d = doc () in
       Alcotest.(check string) "original" "4" (count_items d "count($d//b)");
       let c = Node.copy d in
@@ -176,10 +156,10 @@ let test_copy_is_independent () =
       Alcotest.(check string) "original again" "4" (count_items d "count($d//b)"))
 
 let test_constructed_trees () =
-  with_index_mode Store.Force (fun () ->
+  with_index (fun () ->
       let d = doc () in
       (* constructors copy their content into a newly numbered tree: it must
-         be indexed on its own, not through the source document's index.
+         be served on its own, not through the source document's index.
          $d//b selects 4 nodes of which one pair nests, so the copies in
          <r> contain the inner b twice: 5 *)
       Alcotest.(check string) "count inside constructor" "5"
@@ -190,7 +170,7 @@ let test_constructed_trees () =
 (* an assembled tree that was never renumbered as a whole violates the
    preorder invariant and must be refused, not mis-indexed *)
 let test_unindexable_tree () =
-  with_index_mode Store.Force (fun () ->
+  with_index (fun () ->
       let kid = Xqc.parse_document "<a><b/></a>" in
       let d2 = Xqc.parse_document "<x/>" in
       ignore d2;
@@ -207,14 +187,6 @@ let test_unindexable_tree () =
           Alcotest.(check int) "glued count" 1 (List.length l))
 
 (* -------- lifetime: an index lives as long as its root -------- *)
-
-(* Distinct per [i], and above the Auto indexing threshold. *)
-let big_doc i =
-  let items =
-    List.init 40 (fun k -> Printf.sprintf {|<item n="%d"><name>i%d</name></item>|} k (i + k))
-  in
-  Xqc.parse_document ~uri:(Printf.sprintf "d%d.xml" i)
-    ("<site>" ^ String.concat "" items ^ "</site>")
 
 (* The paper's unit of work: load, index, plan and run one document,
    then drop it. *)
@@ -233,7 +205,7 @@ let stats_mid_marking () =
   Gc.major ()
 
 let test_dropped_roots_free_indexes () =
-  with_index_mode Store.Auto (fun () ->
+  with_index (fun () ->
       Store.clear ();
       let check_roots what =
         let roots = (Store.stats ()).Store.st_roots in
@@ -249,7 +221,7 @@ let test_dropped_roots_free_indexes () =
       check_roots "after a full major GC")
 
 let test_live_root_keeps_index () =
-  with_index_mode Store.Auto (fun () ->
+  with_index (fun () ->
       let d = big_doc 0 in
       Alcotest.(check string) "first run" "40" (count_items d "count($d//item)");
       Gc.full_major ();
@@ -267,13 +239,12 @@ let offsets root (c : Store.contents) =
   let arrays l =
     List.map (fun (q, a) -> (q, Array.to_list (Array.map (fun m -> m.Node.nid - root.Node.nid) a))) l
   in
-  (arrays c.Store.c_elements, arrays c.Store.c_attributes, c.Store.c_element_counts,
-   c.Store.c_attribute_counts, c.Store.c_nodes)
+  (arrays c.Store.c_elements, c.Store.c_element_counts, c.Store.c_attribute_counts, c.Store.c_nodes)
 
 (* Parse [xml] (the loader publishes its index), then index a renumbered
    copy of the same tree by the lazy walk; [Some msg] on a mismatch. *)
 let loader_vs_build xml =
-  with_index_mode Store.Force (fun () ->
+  with_index (fun () ->
       let d = Xqc.parse_document xml in
       let builds = counter "index_builds" in
       let loaded = Option.get (Store.contents d) in
@@ -339,7 +310,7 @@ let prop_loader_matches_build =
 (* One resolver serving context nodes of two trees in turn re-resolves
    on every switch and answers each from its own tree. *)
 let test_resolver_switches_roots () =
-  with_index_mode Store.Force (fun () ->
+  with_index (fun () ->
       let d1 = doc () and d2 = big_doc 7 in
       let r = Store.resolver "b" and items = Store.resolver "item" in
       let nodes = Node.descendant_or_self d1 @ Node.descendant_or_self d2 in
@@ -361,7 +332,7 @@ let test_resolver_switches_roots () =
    loader's index follows the root to its new nid: nothing is rebuilt
    and the store holds one root. *)
 let test_register_keeps_loader_index () =
-  with_index_mode Store.Auto (fun () ->
+  with_index (fun () ->
       Store.clear ();
       Xqc.Version.clear ();
       let d = big_doc 3 in
@@ -379,7 +350,7 @@ let test_register_keeps_loader_index () =
 (* A plain renumber drops the loader's index: the next query rebuilds,
    answers right, and the store holds one root, not the stale one too. *)
 let test_renumber_leaves_one_root () =
-  with_index_mode Store.Auto (fun () ->
+  with_index (fun () ->
       Store.clear ();
       let d = big_doc 4 in
       Alcotest.(check int) "loader index" 1 (Store.stats ()).Store.st_roots;
@@ -389,6 +360,46 @@ let test_renumber_leaves_one_root () =
         (count_items d "string-join(($d//item/name)[position() = (1, last())], ' ')");
       Alcotest.(check int) "one root" 1 (Store.stats ()).Store.st_roots;
       Alcotest.(check (option int)) "counted once" (Some 40) (Store.element_count "item"))
+
+(* -------- which steps read the index -------- *)
+
+(* On a registered (gap-numbered) document a 27-node person spans an
+   interval hundreds of ids wide.  Its child and attribute steps scan
+   the node's own lists however wide the interval; only the descendant
+   step reads the index, once for its one context node. *)
+let test_child_and_attribute_steps_scan () =
+  with_index (fun () ->
+      Xqc.Version.clear ();
+      let d =
+        Xqc.parse_document ~uri:"auction.xml"
+          (Xqc_workload.Xmark.generate_string ~seed:1 ~target_bytes:20_000 ())
+      in
+      Xqc.Version.register "d" d;
+      let check_query q ~hits:expected =
+        let walked = with_index ~on:false (fun () -> count_items d q) in
+        let h0 = counter "index_hits" in
+        let indexed = count_items d q in
+        Alcotest.(check int) (q ^ ": index hits") expected (counter "index_hits" - h0);
+        Alcotest.(check string) (q ^ ": walked answer") walked indexed;
+        if indexed = "" then Alcotest.failf "%s: empty answer" q
+      in
+      check_query {|$d/site/people/person[@id = "person0"]/name|} ~hits:0;
+      check_query "$d//person/@id" ~hits:1;
+      Xqc.Version.clear ())
+
+(* A small tree built at run time is walked, with nothing published;
+   [index_nodes] indexes it all the same. *)
+let test_small_runtime_tree_walks () =
+  with_index (fun () ->
+      let d = Node.document [ Node.element "r" ~attrs:[] ~children:[ Node.element "b" ~attrs:[] ~children:[] ] ] in
+      Node.renumber d;
+      let roots = (Store.stats ()).Store.st_roots in
+      if Store.descendants (Store.resolver "b") d <> None then Alcotest.fail "small tree indexed lazily";
+      if (Store.stats ()).Store.st_roots > roots then Alcotest.fail "small tree published";
+      Alcotest.(check (option int)) "explicit index" (Some 3) (Store.index_nodes d);
+      match Store.descendants (Store.resolver "b") d with
+      | Some [ b ] when Node.name b = Some "b" -> ()
+      | _ -> Alcotest.fail "explicitly indexed tree not served")
 
 (* -------- QCheck: random trees, indexed = walked -------- *)
 
@@ -414,7 +425,9 @@ let prop_random_trees =
     ~count:200
     (QCheck.make tree_gen)
     (fun d ->
-      with_index_mode Store.Force (fun () ->
+      with_index (fun () ->
+          (* a tree this small is walked unless indexed explicitly *)
+          ignore (Store.index_nodes d);
           List.for_all
             (fun n ->
               List.for_all
@@ -491,9 +504,11 @@ let () =
       ( "index",
         [
           Alcotest.test_case "index matches walk" `Quick test_index_matches_walk;
-          Alcotest.test_case "attributes by name" `Quick test_attributes_by_name;
           QCheck_alcotest.to_alcotest prop_random_trees;
           Alcotest.test_case "resolver switches roots" `Quick test_resolver_switches_roots;
+          Alcotest.test_case "child and attribute steps scan" `Quick
+            test_child_and_attribute_steps_scan;
+          Alcotest.test_case "small run-time tree walks" `Quick test_small_runtime_tree_walks;
         ] );
       ( "loader",
         [

@@ -162,41 +162,32 @@ let cases =
 
 let strategies = Xqc.all_strategies
 
-(* Run [f] with the structural-index store pinned to [mode] (threshold
-   dropped so Force indexes the small sample documents), restoring the
-   ambient configuration afterwards. *)
-let with_index_mode mode f =
-  let saved_mode = !Xqc.Store.mode
-  and saved_min = !Xqc.Store.min_index_size
-  and saved_small = !Xqc.Store.small_subtree in
-  Xqc.Store.mode := mode;
-  Xqc.Store.min_index_size := 0;
-  Xqc.Store.small_subtree := 0;
-  Fun.protect
-    ~finally:(fun () ->
-      Xqc.Store.mode := saved_mode;
-      Xqc.Store.min_index_size := saved_min;
-      Xqc.Store.small_subtree := saved_small)
-    f
+(* Run [f] with the structural index on ([true]) or with every step
+   walked, restoring the ambient setting afterwards.  The sample
+   documents are parsed, so the loader has indexed them. *)
+let with_index on f =
+  let saved = !Xqc.Store.walk_only in
+  Xqc.Store.walk_only := not on;
+  Fun.protect ~finally:(fun () -> Xqc.Store.walk_only := saved) f
 
 let make_case (name, query, expected) =
   Alcotest.test_case name `Quick (fun () ->
       (* every strategy, streamed and fully materialized, with the
-         structural indexes forced on and off: all twenty runs agree *)
+         structural index on and off: all twenty runs agree *)
       let results =
         List.concat_map
           (fun s ->
             List.concat_map
               (fun materialize ->
                 List.map
-                  (fun mode ->
-                    with_index_mode mode (fun () ->
+                  (fun on ->
+                    with_index on (fun () ->
                         match eval ~strategy:s ~materialize query with
                         | r -> r
                         | exception Xqc.Error m ->
                             Alcotest.failf "%s [%s]: %s" name
                               (Xqc.strategy_name s) m))
-                  [ Xqc.Store.Force; Xqc.Store.Off ])
+                  [ true; false ])
               [ false; true ])
           strategies
       in
