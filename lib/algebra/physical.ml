@@ -54,6 +54,12 @@ type pstep = {
   ps_est : float;  (** estimated items out of this step *)
 }
 
+(* The chains fn:count/fn:exists are answered for from the index's
+   range bounds: one step of the [index_step] shape, whose output is
+   duplicate-free by construction. *)
+let index_probe (steps : pstep list) : (string * bool) option =
+  match steps with [ s ] -> index_step s.ps_axis s.ps_test | _ -> None
+
 (* Streaming execution of a builtin over a navigation chain:
    fn:exists / fn:empty stop at the first item (SExists negate=true is
    fn:empty), fn:count is answered from index range bounds where

@@ -44,6 +44,10 @@ type pstep = {
   ps_est : float;
 }
 
+(** A chain [fn:count]/[fn:exists] can answer from the index's range
+    bounds: exactly one step, of the {!index_step} shape. *)
+val index_probe : pstep list -> (string * bool) option
+
 (** Streaming execution of a builtin over a navigation chain:
     [SExists true] is fn:empty. *)
 type stream_call = SExists of bool | SCount | SSubseq

@@ -194,12 +194,11 @@ let is_steps (a : P.t) =
 let is_ordered_steps (a : P.t) =
   match a.P.pop with P.PSteps { ordered; _ } -> ordered | _ -> false
 
-(* fn:count is answered from index range bounds only for a one-step
-   chain of the indexed shape, where the step output is duplicate-free
-   by construction. *)
+(* fn:count is answered from index range bounds only for a chain
+   [P.index_probe] accepts. *)
 let countable_steps (a : P.t) =
   match a.P.pop with
-  | P.PSteps { steps = [ s ]; _ } -> Option.is_some (P.index_step s.P.ps_axis s.P.ps_test)
+  | P.PSteps { steps; _ } -> Option.is_some (P.index_probe steps)
   | _ -> false
 
 let steps_input_cost (a : P.t) =

@@ -448,21 +448,18 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
         List.iter (fun (st : Obs.op_stats) -> st.Obs.op_calls <- st.Obs.op_calls + 1) counted;
         run ctx s0
 
-(* Store probes for a one-step chain of the indexed shape: existence
-   and cardinality of descendant[-or-self]::t answered from the index's
+(* Store probes for a chain [P.index_probe] accepts: existence and
+   cardinality of descendant[-or-self]::t answered from the index's
    range bounds without touching nodes.  [None] when the chain has
    another shape; the probe itself returns [None] per node when the
    store cannot serve that tree (caller streams instead). *)
-let index_probe (steps : P.pstep list) : (string * bool) option =
-  match steps with [ s ] -> P.index_step s.P.ps_axis s.P.ps_test | _ -> None
-
 let index_exists_probe (steps : P.pstep list) : (unit -> Node.t -> bool option) option =
-  Option.map (fun (nm, self) () -> Store.exists_descendant ~self (Store.resolver nm)) (index_probe steps)
+  Option.map (fun (nm, self) () -> Store.exists_descendant ~self (Store.resolver nm)) (P.index_probe steps)
 
 (* A count probe serves one source node per invocation, so each call
    resolves afresh. *)
 let index_count_probe (steps : P.pstep list) : (Node.t -> int option) option =
-  Option.map (fun (nm, self) n -> Store.count_descendants ~self (Store.resolver nm) n) (index_probe steps)
+  Option.map (fun (nm, self) n -> Store.count_descendants ~self (Store.resolver nm) n) (P.index_probe steps)
 
 (* Shared scaffolding of the three physical join operators: compiled
    inputs, merged output layout, match/unmatched emitters (outer joins

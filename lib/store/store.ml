@@ -405,8 +405,7 @@ let contents n : contents option =
 (* ------------------------------------------------------------------ *)
 
 (* Look up the live index of [root] without building on miss: update
-   patching must only touch indexes that already exist — a missing one
-   is rebuilt lazily by the next query anyway. *)
+   patching must only touch indexes that already exist. *)
 let live_index (root : Node.t) : index option =
   match find_entry (Stdlib.Atomic.get snapshot) root with
   | Some (Indexed ix) -> Some ix

@@ -115,7 +115,8 @@ val contents : Node.t -> contents option
     patching.  Callers guarantee exclusivity: patches run only on a
     document version with no admitted readers (the MVCC writer copies
     otherwise).  Each returns [false] when the root has no live index to
-    patch (the next query rebuilds lazily). *)
+    patch: the update subsystem indexes every tree it renumbers or
+    copies, so that is a tree the store never indexed. *)
 
 val patch_insert : Node.t -> Node.t -> bool
 (** [patch_insert root sub]: [sub] was just placed (ids assigned) under

@@ -208,9 +208,13 @@ let patched b = if b then Obs.incr_counter c_patches
    structural indexes, cached plans — is dead.  The tree has changed
    shape since its index was built, so the index must not follow the
    root: the renumber itself drops it from the store
-   ([Node.renumbered]), and the next query rebuilds. *)
+   ([Node.renumbered]), and it is rebuilt here.  Only descendant steps
+   would rebuild it otherwise, and until one did, later writes would
+   find nothing to patch and the planner's statistics would not count
+   the document. *)
 let full_renumber (root : Node.t) : unit =
   Node.renumber_gapped root;
+  ignore (Store.index_nodes root);
   Obs.incr_counter c_renumbers
 
 (* ------------------------------------------------------------------ *)

@@ -56,5 +56,5 @@ val rename : Node.t -> Node.t -> string -> unit
 
 val full_renumber : Node.t -> unit
 (** Renumber the whole document with fresh gaps, purging the caches
-    keyed on the old root id.  Exposed for the update driver's
-    recovery path; counted in [full_renumbers]. *)
+    keyed on the old root id, and index it again.  Exposed for the
+    update driver's recovery path; counted in [full_renumbers]. *)

@@ -155,6 +155,10 @@ let with_write (uri : string) (f : Node.t -> in_place:bool -> 'a) : 'a =
           else
             let root' = Node.copy_fresh hd.v_root in
             Node.renumber_gapped root';
+            (* index the copy before the script runs: its changes then
+               patch the index, and plans costed on the new head count
+               it *)
+            ignore (Store.index_nodes root');
             let r = f root' ~in_place:false in
             let v' = { v_root = root'; v_id = fresh_vid (); v_readers = 0; v_retired = false } in
             ignore (Stdlib.Atomic.fetch_and_add live 1);

@@ -89,6 +89,12 @@ let queries =
     "for $p in $d//person return <w>{$p/pet[1]}{$p/pet[2]}</w>";
     "(for $p in $d//person return $p/@age) = (for $o in $d//order return $o/amount)";
     {|for $p in $d//person let $c := count(for $o in $d//order where $o/@buyer = $p/@id return $o) order by $c descending, $p/@id return <r id="{$p/@id}">{$c}</r>|};
+    (* descendant steps over a constructed tree of 64 nodes or more
+       whenever the document has a person (an order): the store indexes
+       it lazily, a smaller one is walked *)
+    "count(<r>{for $i in 1 to 16 return $d//person}</r>//pet)";
+    "for $a in <r>{for $i in 1 to 16 return $d//order}</r>//amount return $a/text()";
+    "let $r := <r>{for $i in 1 to 16 return $d//person}</r> return (exists($r//pet), $r/descendant-or-self::name[2])";
   |]
 
 let arb =

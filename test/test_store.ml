@@ -165,7 +165,21 @@ let test_constructed_trees () =
       Alcotest.(check string) "count inside constructor" "5"
         (count_items d "count(<r>{$d//b}</r>//b)");
       Alcotest.(check string) "nested constructors" "2"
-        (count_items d "count(<r><s><t/></s><t/></r>//t)"))
+        (count_items d "count(<r><s><t/></s><t/></r>//t)");
+      (* a constructed tree of 161 nodes is indexed lazily on its own:
+         one build, and the answers of its own index *)
+      let d = big_doc 9 in
+      let builds0 = counter "index_builds" in
+      Alcotest.(check string) "count inside a large constructor" "40"
+        (count_items d "count(<r>{$d//item}</r>//item)");
+      if counter "index_builds" <= builds0 then
+        Alcotest.fail "the constructed tree was not indexed";
+      let builds1 = counter "index_builds" in
+      Alcotest.(check string) "names inside a large constructor" "i9 i10 i48"
+        (count_items d
+           {|let $r := <r>{$d//item}</r> for $n in ($r//name)[position() = (1, 2, last())] return string($n)|});
+      if counter "index_builds" <= builds1 then
+        Alcotest.fail "the second constructed tree was not indexed")
 
 (* an assembled tree that was never renumbered as a whole violates the
    preorder invariant and must be refused, not mis-indexed *)

@@ -341,9 +341,10 @@ let test_gap_exhaustion_renumbers () =
   ignore (Xqc.Store.index_nodes root);
   let renumbers = counter "full_renumbers" in
   let patches = counter "incremental_index_patches" in
-  (* a descendant target: its step is what indexes the tree again after
-     each full renumber, so later inserts patch rather than skip *)
-  let c = Xqc.Update.compile "insert node <x/> as first into $d//r" in
+  (* a child target, which never reads the index: each full renumber
+     indexes the tree again itself, so later inserts patch rather than
+     skip *)
+  let c = Xqc.Update.compile "insert node <x/> as first into $d/r" in
   for _ = 1 to 60 do
     ignore (Xqc.Update.apply_to_root c ~make_ctx:(make_ctx ~var:"d") root)
   done;
@@ -436,6 +437,26 @@ let test_mvcc_snapshot () =
   Alcotest.(check int)
     "retired snapshot purged at last unpin" 1
     (Xqc.Version.live_versions ());
+  Xqc.Version.clear ()
+
+(* A write on the copy path indexes the copy before applying the
+   script: the insert is patched into that index, and the planner's
+   statistics count the new head at once. *)
+let test_copy_path_indexes_head () =
+  Xqc.Version.clear ();
+  let root = Xqc.parse_document ~uri:"cp" "<cp-root><cp-a/></cp-root>" in
+  Xqc.Version.register "cp" root;
+  let v1 = Option.get (Xqc.Version.pin "cp") in
+  let patches = counter "incremental_index_patches" in
+  let r = Xqc.Update.execute ~uri:"cp" "insert node <cp-new/> into doc(\"cp\")/cp-root" in
+  Alcotest.(check bool) "copy path under a reader" false r.Xqc.Update.u_in_place;
+  Alcotest.(check bool) "the insert patched the copy's index" true
+    (counter "incremental_index_patches" > patches);
+  Alcotest.(check (option int)) "the new head is counted" (Some 1)
+    (Xqc.Store.element_count "cp-new");
+  Alcotest.(check (option int)) "both versions are counted" (Some 2)
+    (Xqc.Store.element_count "cp-a");
+  Xqc.Version.unpin "cp" v1;
   Xqc.Version.clear ()
 
 let test_generation_bumps () =
@@ -537,6 +558,8 @@ let () =
       ( "mvcc",
         [
           Alcotest.test_case "snapshot isolation" `Quick test_mvcc_snapshot;
+          Alcotest.test_case "copy path indexes the new head" `Quick
+            test_copy_path_indexes_head;
           Alcotest.test_case "generation bumps" `Quick test_generation_bumps;
           Alcotest.test_case "racing readers" `Quick test_racing_readers;
           Alcotest.test_case "unknown document" `Quick test_unknown_document;
