@@ -145,20 +145,34 @@ let optimize_query ?trace strategy (q : Compile.compiled_query) : Compile.compil
             q.Compile.cfunctions;
       }
 
-(* Compile one core query into a bare runner under [strategy] — the same
-   per-strategy execution paths [prepare] wires up, without the
-   statistics plumbing.  [Update] evaluates every statement's source
-   and target queries through this, so updates exercise whichever
-   engine configuration the caller runs queries under. *)
-let runner_of_core ?(strategy = Optimized) (core : Core_ast.cquery) :
-    Dynamic_ctx.t -> Item.sequence =
+(* The one per-strategy dispatch, for queries and for the source and
+   target queries of update statements: the runner of a normalized
+   query, with its logical main plan and its physical plans under the
+   algebraic strategies.  With [collector], the compile, rewrite and
+   plan phases are timed into it as they run, and each run times its
+   eval into it (the algebraic runner also profiles its operators). *)
+let build_runner ?collector ?force_join strategy (core : Core_ast.cquery) :
+    (Dynamic_ctx.t -> Item.sequence) * Algebra.plan option * Physical.query option =
+  let ph name f = match collector with Some c -> Obs.phase c name f | None -> f () in
+  let timed_eval runner =
+    match collector with
+    | None -> runner
+    | Some c -> fun ctx -> Obs.phase c "eval" (fun () -> runner ctx)
+  in
   match strategy with
-  | No_algebra -> fun ctx -> Interp.run ctx core
-  | Saxon_like -> fun ctx -> Indexed.run ctx core
+  | No_algebra -> (timed_eval (fun ctx -> Interp.run ctx core), None, None)
+  | Saxon_like -> (timed_eval (fun ctx -> Indexed.run ctx core), None, None)
   | Algebra_unoptimized | Optimized_nl | Optimized ->
-      let compiled = optimize_query strategy (Compile.compile_query core) in
-      let planned = plan_query (planner_config strategy None) compiled in
-      fun ctx -> Eval.run ctx planned
+      let compiled = ph "compile" (fun () -> Compile.compile_query core) in
+      let compiled =
+        ph "rewrite" (fun () ->
+            optimize_query ?trace:(Option.map (fun c -> c.Obs.co_rewrite) collector) strategy compiled)
+      in
+      (* cost-based physical planning: every execution-strategy decision
+         (join algorithm, build side, streaming bounds, materialization
+         points) is made here, fed by the store's index statistics *)
+      let planned = ph "plan" (fun () -> plan_query (planner_config strategy force_join) compiled) in
+      ((fun ctx -> Eval.run ?stats:collector ctx planned), Some compiled.Compile.cmain, Some planned)
 
 (* Parse, normalize, compile and (per strategy) optimize a query once; the
    result can be run against many dynamic contexts. *)
@@ -167,12 +181,6 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
   let collector = if stats then Some (Obs.collector ()) else None in
   (* time a prepare-side phase *)
   let ph name f = match collector with Some c -> Obs.phase c name f | None -> f () in
-  (* time every invocation of a runner under a named phase *)
-  let timed_runner name runner =
-    match collector with
-    | None -> runner
-    | Some c -> fun ctx -> Obs.phase c name (fun () -> runner ctx)
-  in
   let wrap f =
     try f () with
     | Xq_parser.Syntax_error { position; message } ->
@@ -183,33 +191,8 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
   wrap (fun () ->
       let ast = ph "parse" (fun () -> Xq_parser.parse_query source) in
       let core = ph "normalize" (fun () -> Normalize.normalize_query ast) in
-      let finish runner plan pplan =
-        { source; strategy; core; plan; pplan; runner; stats = collector }
-      in
-      match strategy with
-      | No_algebra ->
-          finish (timed_runner "eval" (fun ctx -> Interp.run ctx core)) None None
-      | Saxon_like ->
-          finish (timed_runner "eval" (fun ctx -> Indexed.run ctx core)) None None
-      | Algebra_unoptimized | Optimized_nl | Optimized ->
-          let compiled = ph "compile" (fun () -> Compile.compile_query core) in
-          let compiled =
-            ph "rewrite" (fun () ->
-                optimize_query
-                  ?trace:(Option.map (fun c -> c.Obs.co_rewrite) collector)
-                  strategy compiled)
-          in
-          (* cost-based physical planning: every execution-strategy
-             decision (join algorithm, build side, streaming bounds,
-             materialization points) is made here,
-             fed by the store's index statistics *)
-          let planned =
-            ph "plan" (fun () ->
-                plan_query (planner_config strategy force_join) compiled)
-          in
-          finish
-            (fun ctx -> Eval.run ?stats:collector ctx planned)
-            (Some compiled.Compile.cmain) (Some planned))
+      let runner, plan, pplan = build_runner ?collector ?force_join strategy core in
+      { source; strategy; core; plan; pplan; runner; stats = collector })
 
 (* ------------------------------------------------------------------ *)
 (* Prepared-plan cache                                                 *)
@@ -481,7 +464,12 @@ module Update = struct
       | Normalize.Norm_error m -> raise (Error ("normalization error: " ^ m))
       | Eval.Compile_error m -> raise (Error ("plan compilation error: " ^ m))
     in
-    let r core = runner_of_core ~strategy core in
+    (* every statement's source and target query runs through the
+       strategy the caller runs queries under *)
+    let r core =
+      let runner, _, _ = build_runner strategy core in
+      runner
+    in
     let stmts =
       List.map
         (function
@@ -530,7 +518,10 @@ module Update = struct
   let split_attrs ns = List.partition is_attr ns
 
   (* Evaluate one statement against the snapshot context and produce its
-     pending primitives. *)
+     pending primitives.  Every target-kind check [Mutate] would make
+     while applying is made here, before the first mutation, so
+     [Pul.apply] cannot fail halfway through a list built here and leave
+     a live head half-applied. *)
   let prims_of_stmt (ctx : Dynamic_ctx.t) (stmt : cstmt) : Pul.primitive list =
     match stmt with
     | C_insert (srcr, pos, tgtr) -> (
@@ -557,11 +548,14 @@ module Update = struct
               ]
         | Ast.Before | Ast.After ->
             let t = single_node "insert target" tgt in
+            if is_attr t then update_error "insert before/after target cannot be an attribute";
             let p =
               match Node.parent t with
               | Some p -> p
               | None -> update_error "insert before/after target has no parent"
             in
+            if attrs <> [] && Node.kind p <> Node.Kelement then
+              update_error "cannot insert attributes into a document node";
             (* attribute content attaches to the target's parent, per XQUF *)
             (if attrs = [] then [] else [ Pul.Insert_attributes (p, attrs) ])
             @
@@ -584,9 +578,13 @@ module Update = struct
         [ Pul.Replace_node (t, src) ]
     | C_replace_value (tgtr, srcr) ->
         let t = single_node "replace target" (tgtr ctx) in
+        if Node.kind t = Node.Kdocument then update_error "cannot replace the value of a document node";
         [ Pul.Replace_value (t, string_of_seq (srcr ctx)) ]
     | C_rename (tgtr, namer) ->
         let t = single_node "rename target" (tgtr ctx) in
+        (match Node.kind t with
+        | Node.Kelement | Node.Kattribute | Node.Kpi -> ()
+        | _ -> update_error "rename target must be an element, attribute or processing-instruction");
         let name = String.trim (string_of_seq (namer ctx)) in
         if name = "" then update_error "rename requires a non-empty name";
         [ Pul.Rename (t, name) ]

@@ -361,13 +361,15 @@ let adopted_group (env : cenv) ~(adopt : bool) (dep : P.t) (input : P.t) : bool 
   | _ -> false
 
 (* Debug knob: when set, every compiled operator drains its cursor eagerly
-   at call time and the cursor-based early-termination special cases are
-   disabled, restoring the fully materialized evaluation the streaming
-   pipeline replaced.  Used by the equivalence tests (streamed and
-   materialized runs must agree; [test_equivalence]'s bounded-pull cases
-   use it as the early-exit baseline).
+   at call time and every step chain a pulling consumer reads runs the
+   strict fold, with no cursor and no index probe ([compile_pulled]),
+   restoring the fully materialized evaluation the streaming pipeline
+   replaced.  Used by the equivalence tests (streamed and materialized
+   runs must agree; [test_equivalence]'s bounded-pull cases use it as the
+   early-exit baseline).
    Affects plans compiled while the flag is set; the physical plan itself
-   is unchanged, only its execution is strict. *)
+   is unchanged, only its execution is strict.  Read only by [compile]
+   and [compile_pulled]. *)
 let force_materialize = ref false
 
 let materialize_comp (c : comp) : comp =
@@ -409,12 +411,13 @@ let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
   | Ast.Descendant_or_self -> Seq.filter_map keep (Node.descendant_or_self_seq n)
   | a -> List.to_seq (List.filter_map keep (apply_axis a n))
 
-(* Compile the step chain of an item cursor.  Profiled, each step counts
-   its pulls into its own record, and the absorbed [PSteps] node
-   [parent] counts the chain's final output (exactly as the strict arm
-   does), so a fully consumed cursor reports the same pull totals as the
-   materialized execution of the same plan; each invocation of the
-   chain counts one call on the node and on every step. *)
+(* The streaming form of a step chain, used by [compile_pulled] only.
+   Profiled, each step counts its pulls into its own record, and the
+   absorbed [PSteps] node [parent] counts the chain's final output
+   (exactly as the strict fold does), so a fully consumed cursor reports
+   the same pull totals as the materialized execution of the same plan;
+   each invocation of the chain counts one call on the node and on every
+   step. *)
 let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
     Dynamic_ctx.t -> Item.t Seq.t -> Item.t Seq.t =
   let parent_stats = node_stats env parent.P.pid in
@@ -448,18 +451,39 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
         List.iter (fun (st : Obs.op_stats) -> st.Obs.op_calls <- st.Obs.op_calls + 1) counted;
         run ctx s0
 
-(* Store probes for a chain [P.index_probe] accepts: existence and
-   cardinality of descendant[-or-self]::t answered from the index's
-   range bounds without touching nodes.  [None] when the chain has
-   another shape; the probe itself returns [None] per node when the
-   store cannot serve that tree (caller streams instead). *)
-let index_exists_probe (steps : P.pstep list) : (unit -> Node.t -> bool option) option =
-  Option.map (fun (nm, self) () -> Store.exists_descendant ~self (Store.resolver nm)) (P.index_probe steps)
+(* A strict call of [f], profiled into [st]: one call, its time and its
+   output count. *)
+let counted_call (st : Obs.op_stats option) (f : 'a -> Item.sequence) (x : 'a) : Item.sequence =
+  match st with
+  | None -> f x
+  | Some st ->
+      let t0 = Obs.now () in
+      let out = f x in
+      st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
+      st.Obs.op_calls <- st.Obs.op_calls + 1;
+      st.Obs.op_items <- st.Obs.op_items + List.length out;
+      out
 
-(* A count probe serves one source node per invocation, so each call
-   resolves afresh. *)
-let index_count_probe (steps : P.pstep list) : (Node.t -> int option) option =
-  Option.map (fun (nm, self) n -> Store.count_descendants ~self (Store.resolver nm) n) (P.index_probe steps)
+(* The strict form of a step chain: each planned step runs in turn over
+   the accumulated node set; profiled, each step records its output
+   count. *)
+let strict_steps (env : cenv) (steps : P.pstep list) : Dynamic_ctx.t -> Item.sequence -> Item.sequence =
+  let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
+  fun ctx items ->
+    List.fold_left
+      (fun items ((s : P.pstep), st) -> counted_call st (tree_join ctx.schema s.P.ps_axis s.P.ps_test) items)
+      items comps
+
+(* A plan as a pulling consumer reads it (see [compile_pulled]):
+   [source] evaluates a step chain's source, or any other plan whole;
+   [read] turns those items into the plan's output.  [index] is the
+   chain's one indexed step, by [P.index_probe], when store probes may
+   answer for the chain instead of [read]. *)
+type pulled = {
+  source : Dynamic_ctx.t -> inp -> Item.sequence;
+  read : Dynamic_ctx.t -> Item.sequence -> Item.t Seq.t;
+  index : (string * bool) option;
+}
 
 (* Shared scaffolding of the three physical join operators: compiled
    inputs, merged output layout, match/unmatched emitters (outer joins
@@ -542,26 +566,9 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
           Xml [ Item.Node (finish (Node.fresh (Node.Pi { target; pdata }))) ]),
         [] )
   | P.PSteps { steps; input; _ } ->
-      (* strict step chain: each planned step runs in turn over the
-         accumulated node set; a profiled run records each step's
-         output count *)
       let ci, _ = compile env input in
-      let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
-      let run_steps ctx items =
-        List.fold_left
-          (fun items (s, stats) ->
-            match stats with
-            | None -> tree_join ctx.schema s.P.ps_axis s.P.ps_test items
-            | Some st ->
-                let t0 = Obs.now () in
-                let out = tree_join ctx.schema s.P.ps_axis s.P.ps_test items in
-                st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
-                st.Obs.op_calls <- st.Obs.op_calls + 1;
-                st.Obs.op_items <- st.Obs.op_items + List.length out;
-                out)
-          items comps
-      in
-      ((fun ctx inp -> Xml (run_steps ctx (as_items (ci ctx inp)))), [])
+      let run = strict_steps env steps in
+      ((fun ctx inp -> Xml (run ctx (as_items (ci ctx inp)))), [])
   | P.PCastable (tn, optional, input) ->
       let ci, _ = compile env input in
       ( (fun ctx inp ->
@@ -600,60 +607,23 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
       ((fun ctx inp -> Xml (Seqtype.assert_matches ctx.schema (as_items (ci ctx inp)) ty)), [])
   | P.PVar q -> ((fun ctx _ -> Xml (lookup_variable ctx q)), [])
   | P.PCall (name, args) -> (generic_call env name args, [])
-  | P.PCallStream (kind, name, args) ->
-      (* the planner marked this call streamable; under the materialize
-         ablation it still runs, but as the plain generic call *)
-      if !force_materialize then (generic_call env name args, [])
-      else (compile_stream_call env kind name args, [])
+  | P.PCallStream (kind, name, args) -> (compile_stream_call env kind name args, [])
   | P.PCond (c, t, e) ->
       let cc, _ = compile env c in
       let ct, lt = compile { env with adopt } t in
       let ce, _ = compile { env with adopt } e in
       ((fun ctx inp -> if ebv (cc ctx inp) then ct ctx inp else ce ctx inp), lt)
-  | P.PQuantified (q, v, source, body) -> (
+  | P.PQuantified (q, v, source, body) ->
       (* existence doesn't care about order or duplicates, so a step-chain
-         source streams lazily and the quantifier stops at the first
-         witness / counterexample *)
-      let cursor =
-        if !force_materialize then None
-        else
-          match source.P.pop with
-          | P.PSteps { steps; input = src; _ } when steps <> [] ->
-              let pipe = compile_cursor_steps env ~parent:source steps in
-              let csrc, _ = compile env src in
-              Some (fun ctx inp -> pipe ctx (List.to_seq (as_items (csrc ctx inp))))
-          | _ -> None
-      in
-      match cursor with
-      | Some cur ->
-          let cb, _ = compile env body in
-          ( (fun ctx inp ->
-              let test it =
-                with_params ctx ((v, [ it ]) :: ctx.params) (fun () -> ebv (cb ctx inp))
-              in
-              let items = cur ctx inp in
-              let result =
-                match q with
-                | Ast.Some_quant -> Seq.exists test items
-                | Ast.Every_quant -> Seq.for_all test items
-              in
-              Xml [ Item.Atom (Atomic.Boolean result) ]),
-            [] )
-      | None ->
-          let cs, _ = compile env source in
-          let cb, _ = compile env body in
-          ( (fun ctx inp ->
-              let test it =
-                with_params ctx ((v, [ it ]) :: ctx.params) (fun () -> ebv (cb ctx inp))
-              in
-              let items = as_items (cs ctx inp) in
-              let result =
-                match q with
-                | Ast.Some_quant -> List.exists test items
-                | Ast.Every_quant -> List.for_all test items
-              in
-              Xml [ Item.Atom (Atomic.Boolean result) ]),
-            [] ))
+         source streams and the quantifier stops at the first witness /
+         counterexample *)
+      let src = compile_pulled env ~any_order:true source in
+      let cb, _ = compile env body in
+      let quantify = match q with Ast.Some_quant -> Seq.exists | Ast.Every_quant -> Seq.for_all in
+      ( (fun ctx inp ->
+          let test it = with_params ctx ((v, [ it ]) :: ctx.params) (fun () -> ebv (cb ctx inp)) in
+          Xml [ Item.Atom (Atomic.Boolean (quantify test (src.read ctx (src.source ctx inp)))) ]),
+        [] )
   | P.PParse uri_plan ->
       let cu, _ = compile env uri_plan in
       ( (fun ctx inp ->
@@ -819,27 +789,13 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
           tab_list (order_by ctx cspecs tuples)),
         li )
   | P.PGroupBy (g, input) -> compile_groupby env ~adopt g input
-  | P.PMapFromItem (dep, input) -> (
-      (* when the input is an order-preserving step chain, feed the tuple
-         pipeline from the lazy item cursor so the path pulls node by
+  | P.PMapFromItem (dep, input) ->
+      (* an order-preserving step chain feeds the tuple pipeline node by
          node instead of materializing the whole step output first *)
-      let cursor =
-        if !force_materialize then None
-        else
-          match input.P.pop with
-          | P.PSteps { steps; ordered = true; input = src; _ } when steps <> [] ->
-              let csrc, _ = compile env src in
-              let pipe = compile_cursor_steps env ~parent:input steps in
-              Some
-                (fun ctx inp ->
-                  match as_items (csrc ctx inp) with
-                  | ([] | [ Item.Node _ ]) as items ->
-                      Some (pipe ctx (List.to_seq items))
-                  | _ -> None)
-          | _ -> None
-      in
+      let src = compile_pulled env ~any_order:false input in
+      let cd, ld = compile { env with layout = [] } dep in
       (* a tuple constructor yields exactly one tuple per item *)
-      let expand cd ctx items =
+      let expand ctx items =
         match dep.P.pop with
         | P.PTupleConstruct _ ->
             Seq.map
@@ -850,25 +806,7 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
               items
         | _ -> Seq.concat_map (fun it -> as_table (cd ctx (IItems [ it ]))) items
       in
-      match cursor with
-      | Some cur ->
-          let cd, ld = compile { env with layout = [] } dep in
-          let strict = lazy (fst (compile env input)) in
-          ( (fun ctx inp ->
-              let items =
-                match cur ctx inp with
-                | Some s -> s
-                | None ->
-                    (* source wasn't a single node: the chain may reorder
-                       or duplicate, fall back to the strict evaluation *)
-                    List.to_seq (as_items ((Lazy.force strict) ctx inp))
-              in
-              Tab (expand cd ctx items)),
-            ld )
-      | None ->
-          let ci, _ = compile env input in
-          let cd, ld = compile { env with layout = [] } dep in
-          ((fun ctx inp -> Tab (expand cd ctx (List.to_seq (as_items (ci ctx inp))))), ld))
+      ((fun ctx inp -> Tab (expand ctx (src.read ctx (src.source ctx inp)))), ld)
   | P.PMapToItem (dep, input) ->
       let ci, li =
         compile { env with adopt = adopted_group env ~adopt dep input } input
@@ -921,105 +859,110 @@ and generic_call env name (args : P.t list) : comp =
         | Some f -> Xml (f ctx vals)
         | None -> dynamic_error "unknown function %s" name)
 
-(* Streaming builtin calls, planned as [PCallStream]: the first argument
-   is a [PSteps] chain.  User declarations shadow builtins at run time,
-   so the closures re-check the function table on every call and defer to
-   a lazily compiled generic path when shadowed (compiled at most once,
-   on first use). *)
+(* A plan read by a pulling consumer — a quantifier, MapFromItem or a
+   streamed builtin call.  Each invocation evaluates a step chain's
+   source once; the chain then streams those items through
+   [compile_cursor_steps] when its output order and duplicates cannot
+   show: for an [~any_order] consumer (existence), or for an ordered
+   chain over at most one source node, whose cursor yields exactly the
+   strict output.  Otherwise, and always under the materialize ablation,
+   the same items run the strict fold, counted as the chain node itself
+   (it is not compiled by [compile]; as with the cursor, its time leaves
+   out the source's).  Any other plan is evaluated whole. *)
+and compile_pulled env ~any_order (p : P.t) : pulled =
+  match p.P.pop with
+  | P.PSteps { steps; ordered; input } ->
+      let csrc, _ = compile env input in
+      let source ctx inp = as_items (csrc ctx inp) in
+      let run = strict_steps env steps and st = node_stats env p.P.pid in
+      let strict ctx items = List.to_seq (counted_call st (run ctx) items) in
+      if !force_materialize then { source; read = strict; index = None }
+      else
+        let pipe = compile_cursor_steps env ~parent:p steps in
+        let streams = function
+          | [] | [ Item.Node _ ] -> any_order || ordered
+          | _ -> any_order
+        in
+        {
+          source;
+          read = (fun ctx items -> if streams items then pipe ctx (List.to_seq items) else strict ctx items);
+          index = P.index_probe steps;
+        }
+  | _ ->
+      let c, _ = compile env p in
+      { source = (fun ctx inp -> as_items (c ctx inp)); read = (fun _ items -> List.to_seq items); index = None }
+
+(* Streaming builtin calls, planned as [PCallStream].  User declarations
+   shadow builtins at run time, so the closures re-check the function
+   table on every call and defer to a lazily compiled generic call when
+   shadowed (compiled at most once, on first use). *)
 and compile_stream_call env (kind : P.stream_call) name (args : P.t list) : comp =
-  let chain =
-    match args with
-    | ({ P.pop = P.PSteps { steps; input; _ }; _ } as snode) :: rest when steps <> [] ->
-        Some (snode, steps, input, rest)
-    | _ -> None
+  let shadowed = lazy (generic_call env name args) in
+  let unless_shadowed (body : Dynamic_ctx.t -> inp -> Item.sequence) : comp =
+   fun ctx inp ->
+    if Hashtbl.mem ctx.functions name then (Lazy.force shadowed) ctx inp else Xml (body ctx inp)
   in
-  match chain with
-  | None -> generic_call env name args
-  | Some (snode, steps, src, rest) -> (
-      let fallback = lazy (generic_call env name args) in
-      match (kind, rest) with
-      | P.SExists negate, [] ->
-          (* emptiness is insensitive to order and duplicates, so any
-             axis chain streams; the first pull decides the answer — and
-             a one-step name chain over indexed trees needs no pull at
-             all, just the index's range bounds *)
-          let csrc, _ = compile env src in
-          let pipe = compile_cursor_steps env ~parent:snode steps in
-          let probe = index_exists_probe steps in
-          fun ctx inp ->
-            if Hashtbl.mem ctx.functions name then (Lazy.force fallback) ctx inp
-            else
-              let items = as_items (csrc ctx inp) in
-              let indexed =
-                match probe with
-                | None -> None
-                | Some make ->
-                    (* existence over many source nodes is a disjunction,
-                       so nesting/duplicates are harmless; any
-                       unanswerable node means stream *)
-                    let p = make () in
-                    let rec go = function
-                      | [] -> Some false
-                      | Item.Node n :: rest -> (
-                          match p n with
-                          | Some true -> Some true
-                          | Some false -> go rest
-                          | None -> None)
-                      | Item.Atom _ :: _ -> None
-                    in
-                    go items
-              in
-              let nonempty =
-                match indexed with
-                | Some b -> b
-                | None -> not (Seq.is_empty (pipe ctx (List.to_seq items)))
-              in
-              Xml [ Item.Atom (Atomic.Boolean (if negate then not nonempty else nonempty)) ]
-      | P.SCount, [] -> (
-          (* exact cardinality from the index range: only for a one-step
-             name chain over a single source node, where the step output
-             is duplicate-free by construction *)
-          match index_count_probe steps with
-          | None -> generic_call env name args
-          | Some probe ->
-              let csrc, _ = compile env src in
-              fun ctx inp ->
-                if Hashtbl.mem ctx.functions name then (Lazy.force fallback) ctx inp
-                else
-                  match as_items (csrc ctx inp) with
-                  | [] -> Xml [ Item.Atom (Atomic.Integer 0) ]
-                  | [ Item.Node n ] -> (
-                      match probe n with
-                      | Some k -> Xml [ Item.Atom (Atomic.Integer k) ]
-                      | None -> (Lazy.force fallback) ctx inp)
-                  | _ -> (Lazy.force fallback) ctx inp)
-      | P.SSubseq, [ start; len ] ->
-          let csrc, _ = compile env src in
-          let pipe = compile_cursor_steps env ~parent:snode steps in
-          let cstart, _ = compile env start in
-          let clen, _ = compile env len in
-          let to_int c ctx inp =
-            match Item.atomize (as_items (c ctx inp)) with
-            | [ a ] -> int_of_float (Option.value ~default:0.0 (Atomic.to_float a))
-            | _ -> dynamic_error "fn:subsequence: argument is not a single atomic value"
+  match (kind, args) with
+  | P.SExists negate, [ a ] ->
+      (* emptiness is insensitive to order and duplicates, so any chain
+         streams and the first pull decides — and a one-step name chain
+         over indexed trees needs no pull at all, just the index's range
+         bounds.  Over several source nodes existence is a disjunction,
+         so nesting and duplicates are harmless; a node the store cannot
+         answer for means stream. *)
+      let src = compile_pulled env ~any_order:true a in
+      unless_shadowed (fun ctx inp ->
+          let items = src.source ctx inp in
+          let indexed =
+            match src.index with
+            | None -> None
+            | Some (nm, self) ->
+                let probe = Store.exists_descendant ~self (Store.resolver nm) in
+                let rec go = function
+                  | [] -> Some false
+                  | Item.Node n :: rest -> (
+                      match probe n with Some true -> Some true | Some false -> go rest | None -> None)
+                  | Item.Atom _ :: _ -> None
+                in
+                go items
           in
-          fun ctx inp ->
-            if Hashtbl.mem ctx.functions name then (Lazy.force fallback) ctx inp
-            else begin
-              let st = to_int cstart ctx inp and n = to_int clen ctx inp in
-              match as_items (csrc ctx inp) with
-              | ([] | [ Item.Node _ ]) as items ->
-                  (* pull only the first st+n-1 items of the path *)
-                  let s = pipe ctx (List.to_seq items) in
-                  let keep =
-                    Seq.filter_map
-                      (fun (i, it) -> if i + 1 >= st then Some it else None)
-                      (Seq.mapi (fun i it -> (i, it)) (Seq.take (max 0 (st + n - 1)) s))
-                  in
-                  Xml (List.of_seq keep)
-              | _ -> (Lazy.force fallback) ctx inp
-            end
-      | _ -> generic_call env name args)
+          let nonempty =
+            match indexed with Some b -> b | None -> not (Seq.is_empty (src.read ctx items))
+          in
+          [ Item.Atom (Atomic.Boolean (nonempty <> negate)) ])
+  | P.SCount, [ a ] ->
+      (* the exact cardinality of a one-step name chain over one indexed
+         source node is the index range's width (the step output is
+         duplicate-free by construction); any other source is counted
+         as the chain reads it *)
+      let src = compile_pulled env ~any_order:false a in
+      unless_shadowed (fun ctx inp ->
+          let items = src.source ctx inp in
+          let indexed =
+            match (src.index, items) with
+            | Some (nm, self), [ Item.Node n ] -> Store.count_descendants ~self (Store.resolver nm) n
+            | _ -> None
+          in
+          let k = match indexed with Some k -> k | None -> Seq.length (src.read ctx items) in
+          [ Item.Atom (Atomic.Integer k) ])
+  | P.SSubseq, [ a; start; len ] ->
+      (* pull only the first st+n-1 items of the path *)
+      let src = compile_pulled env ~any_order:false a in
+      let cstart, _ = compile env start in
+      let clen, _ = compile env len in
+      let to_int c ctx inp =
+        match Item.atomize (as_items (c ctx inp)) with
+        | [ a ] -> int_of_float (Option.value ~default:0.0 (Atomic.to_float a))
+        | _ -> dynamic_error "fn:subsequence: argument is not a single atomic value"
+      in
+      unless_shadowed (fun ctx inp ->
+          let st = to_int cstart ctx inp and n = to_int clen ctx inp in
+          let s = src.read ctx (src.source ctx inp) in
+          List.of_seq
+            (Seq.filter_map
+               (fun (i, it) -> if i + 1 >= st then Some it else None)
+               (Seq.mapi (fun i it -> (i, it)) (Seq.take (max 0 (st + n - 1)) s))))
+  | _ -> generic_call env name args
 
 and order_by ctx cspecs tuples =
   (* evaluate all keys once, classifying each into its typed comparison

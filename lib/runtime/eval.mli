@@ -93,9 +93,10 @@ val top_env : ?stats:Xqc_obs.Obs.collector -> Physical.t -> cenv
 
 val force_materialize : bool ref
 (** Debug knob: when set during compilation, every operator drains its
-    cursor eagerly at call time and the cursor-based early-termination
-    paths are disabled — restoring fully materialized evaluation of the
-    {e same} physical plan.  Used to cross-check streamed against
+    cursor eagerly at call time and every step chain read by a pulling
+    consumer runs the strict per-step fold, with no cursor and no index
+    probe — restoring fully materialized evaluation of the {e same}
+    physical plan.  Used to cross-check streamed against
     materialized results, and as the early-exit baseline of
     [test_equivalence]'s bounded-pull cases. *)
 

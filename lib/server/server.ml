@@ -796,12 +796,12 @@ let read_file path =
 let load_preloads cfg =
   List.map
     (fun (name, path) ->
-      let doc = Xqc.parse_document ~uri:path (read_file path) in
+      let text = read_file path in
+      let doc = Xqc.parse_document ~uri:path text in
       Xqc.Version.register name doc;
       ignore (Xqc.Store.index_nodes doc);
       if cfg.verbose then
-        Printf.eprintf "preloaded %s from %s (%d bytes)\n%!" name path
-          (in_channel_length (open_in_bin path));
+        Printf.eprintf "preloaded %s from %s (%d bytes)\n%!" name path (String.length text);
       (name, path))
     cfg.preload
 

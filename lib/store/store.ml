@@ -420,18 +420,22 @@ let live_index (root : Node.t) : index option =
    O(per-name array) array splicing — no tree walk beyond the changed
    subtree, no reparse. *)
 
+(* Both patches build their new array from the existing ones, never with
+   [Array.make]: a major-heap-sized [Array.make] whose initial value is
+   young (the node just inserted, or one inserted a moment ago) runs a
+   minor collection first, and that stops every server worker domain. *)
+
 (* Splice a contiguous ascending run (one inserted subtree's nodes of a
    given name; their nid interval is disjoint from every existing entry)
-   into a sorted array. *)
+   into a sorted array.  The new array is [add]'s run followed by [v]'s
+   array, capacity and all; the run then moves to its place. *)
 let splice_run (v : P.nodes) (add : P.nodes) : unit =
   let n = v.P.len and k = add.P.len in
   if k > 0 then begin
-    let first = add.P.items.(0) in
-    let p = lower_bound v first.Node.nid in
-    let out = Array.make (n + k) first in
-    Array.blit v.P.items 0 out 0 p;
+    let p = lower_bound v add.P.items.(0).Node.nid in
+    let out = Array.append (Array.sub add.P.items 0 k) v.P.items in
+    Array.blit out k out 0 p;
     Array.blit add.P.items 0 out p k;
-    Array.blit v.P.items p out (p + k) (n - p);
     v.P.items <- out;
     v.P.len <- n + k
   end
@@ -441,8 +445,7 @@ let remove_range (v : P.nodes) (lo : int) (hi : int) : unit =
   let i = lower_bound v lo and j = lower_bound v hi in
   if j > i then begin
     let n = v.P.len in
-    let out = Array.make (n - (j - i)) v.P.items.(0) in
-    Array.blit v.P.items 0 out 0 i;
+    let out = Array.sub v.P.items 0 (n - (j - i)) in
     Array.blit v.P.items j out i (n - j);
     v.P.items <- out;
     v.P.len <- n - (j - i)

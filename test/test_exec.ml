@@ -312,6 +312,44 @@ let test_child_steps_from_roots () =
         exec_modes)
     all_strategies
 
+(* A step chain read by a pulling consumer evaluates its source once,
+   whether it streams or falls back to the strict fold: over two
+   constructed source nodes the source's Sequence runs once and its 5
+   nodes are numbered once.  The answers are the interpreter's under
+   every strategy, streamed and materialized. *)
+let test_chain_source_once () =
+  let numbered () = Obs.counter_value (Obs.global_counter "construct_nodes_numbered") in
+  let src = "(<a><b/></a>, <a><b/><b/></a>)" in
+  List.iter
+    (fun (q, expected) ->
+      let reference = serialize (eval_string ~strategy:No_algebra q) in
+      check (q ^ " = interpreter") expected reference;
+      List.iter
+        (fun materialize ->
+          let mode = if materialize then "materialized" else "streamed" in
+          let with_mode f = if materialize then with_materialize f else f () in
+          let p = prepare ~stats:true q in
+          let before = numbered () in
+          check (q ^ ", " ^ mode) reference (with_mode (fun () -> serialize (run p (context ()))));
+          check_int (q ^ ", " ^ mode ^ ": nodes numbered") 5 (numbered () - before);
+          (match List.find_opt (fun r -> r.Pretty.label = "Sequence") (main_rows p) with
+          | Some { Pretty.stats = Some st; _ } ->
+              check_int (q ^ ", " ^ mode ^ ": source calls") 1 st.Obs.op_calls
+          | _ -> Alcotest.failf "%s: no profiled Sequence row" q);
+          List.iter
+            (fun strategy ->
+              check
+                (q ^ ", " ^ mode ^ ", " ^ strategy_name strategy)
+                reference
+                (with_mode (fun () -> serialize (eval_string ~strategy q))))
+            all_strategies)
+        [ false; true ])
+    [
+      ("for $x in " ^ src ^ "/b return $x", "<b/><b/><b/>");
+      ("fn:subsequence(" ^ src ^ "/b, 1, 2)", "<b/><b/>");
+      ("fn:count(" ^ src ^ "//b)", "3");
+    ]
+
 (* A filtered scan feeding a blocking sort: streamed or materialized,
    the sorted answer is the interpreter's. *)
 let test_orderby_filtered_scan () =
@@ -619,6 +657,7 @@ let () =
             test_child_steps_from_roots;
           Alcotest.test_case "order by over a filtered scan" `Quick
             test_orderby_filtered_scan;
+          Alcotest.test_case "chain source evaluated once" `Quick test_chain_source_once;
         ] );
       ( "collection",
         [

@@ -47,7 +47,8 @@ let expected_results queries =
 
 (* Run [f sock] against a live server; always shut it down afterwards. *)
 let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
-    ?(preload = []) ?(slow_ms = 100.0) ?(strategy = Server.default_config.strategy) f =
+    ?(preload = []) ?(slow_ms = 100.0) ?(strategy = Server.default_config.strategy)
+    ?(verbose = false) f =
   let sock = fresh_sock () in
   let ready_lock = Mutex.create () in
   let ready_cond = Condition.create () in
@@ -62,6 +63,7 @@ let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
       preload;
       slow_ms;
       strategy;
+      verbose;
     }
   in
   let th =
@@ -465,6 +467,28 @@ let test_overloaded () =
 (* ------------------------------------------------------------------ *)
 (* Graceful shutdown                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* A verbose server reports each preload's size without opening the
+   file again: once it has shut down, the process holds as many
+   descriptors as before it started. *)
+let test_verbose_preloads_close_files () =
+  let paths =
+    List.init 3 (fun i ->
+        let path =
+          Filename.concat tmp (Printf.sprintf "xqc-test-%d-pre%d.xml" (Unix.getpid ()) i)
+        in
+        let oc = open_out_bin path in
+        output_string oc (Printf.sprintf "<r><i>%d</i></r>" i);
+        close_out oc;
+        path)
+  in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove paths) @@ fun () ->
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = open_fds () in
+  with_server ~workers:1 ~verbose:true
+    ~preload:(List.mapi (fun i p -> (Printf.sprintf "p%d" i, p)) paths)
+    (fun _ -> ());
+  Alcotest.(check int) "descriptors after shutdown" before (open_fds ())
 
 let test_shutdown_drains () =
   with_server ~workers:1 ~preload:[] @@ fun sock ->
@@ -872,6 +896,8 @@ let () =
         @ [
           Alcotest.test_case "overloaded" `Quick test_overloaded;
           Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains;
+          Alcotest.test_case "verbose preloads close their files" `Quick
+            test_verbose_preloads_close_files;
         ] );
       ( "telemetry",
         [

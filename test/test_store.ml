@@ -145,6 +145,24 @@ let test_renumber_invalidates () =
       if counter "index_builds" <= builds0 then
         Alcotest.fail "renumber did not trigger a rebuild")
 
+(* Patching a fresh subtree into an index whose "*" array is
+   major-heap-sized runs no minor collection: the new arrays are built
+   from the existing ones, not filled with the young inserted node. *)
+let test_patch_insert_no_minor_gc () =
+  let root =
+    Xqc.parse_document ~uri:"patch.xml"
+      ("<site>" ^ String.concat "" (List.init 300 (fun _ -> "<e/>")) ^ "</site>")
+  in
+  let count = Store.element_count "e" in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let sub = Node.fresh (Node.Element { ename = "e"; attrs = []; children = []; eannot = None }) in
+  sub.Node.nid <- Node.interval_end root;
+  Alcotest.(check bool) "patched" true (Store.patch_insert root sub);
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "no minor collection" before after;
+  Alcotest.(check (option int)) "counted" (Option.map succ count) (Store.element_count "e")
+
 let test_copy_is_independent () =
   with_index (fun () ->
       let d = doc () in
@@ -534,6 +552,8 @@ let () =
           Alcotest.test_case "renumber invalidates" `Quick
             test_renumber_invalidates;
           Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
+          Alcotest.test_case "patch insert runs no minor GC" `Quick
+            test_patch_insert_no_minor_gc;
           Alcotest.test_case "constructed trees" `Quick test_constructed_trees;
           Alcotest.test_case "unindexable tree refused" `Quick
             test_unindexable_tree;

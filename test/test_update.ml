@@ -470,6 +470,35 @@ let test_generation_bumps () =
     (Xqc.Version.generation () > g0);
   Xqc.Version.clear ()
 
+(* A script whose second statement fails its target check is refused
+   before anything mutates: written in place (no reader pinned), the
+   head, its version id and the generation stay as they were. *)
+let test_failed_update_leaves_head () =
+  Xqc.Version.clear ();
+  let root = Xqc.parse_document ~uri:"h" {|<r a="1"><a>t</a></r>|} in
+  Xqc.Version.register "h" root;
+  let head () = Option.get (Xqc.Version.head "h") in
+  List.iter
+    (fun second ->
+      let script = {|insert node <x/> into doc("h")/r, |} ^ second in
+      let before = serialize_tree (head ()).Xqc.Version.v_root in
+      let v_id = (head ()).Xqc.Version.v_id and gen = Xqc.Version.generation () in
+      (match Xqc.Update.execute ~uri:"h" script with
+      | exception Xqc.Error m ->
+          Alcotest.(check bool) (second ^ ": an update error") true (contains ~sub:"update error" m)
+      | _ -> Alcotest.failf "%s: the script must fail" second);
+      Alcotest.(check string) (second ^ ": head unchanged") before
+        (serialize_tree (head ()).Xqc.Version.v_root);
+      Alcotest.(check int) (second ^ ": version unchanged") v_id (head ()).Xqc.Version.v_id;
+      Alcotest.(check int) (second ^ ": generation unchanged") gen (Xqc.Version.generation ()))
+    [
+      {|replace value of node doc("h") with "v"|};
+      {|insert node attribute z {"1"} before doc("h")/r|};
+      {|rename node (doc("h")/r/a/text())[1] as "q"|};
+      {|insert node <u/> before doc("h")/r/@a|};
+    ];
+  Xqc.Version.clear ()
+
 (* Three readers race a writer: within one pin, the tree's bytes must
    never change, and every observed state must be one the writer
    actually published (a prefix of the insert sequence). *)
@@ -561,6 +590,8 @@ let () =
           Alcotest.test_case "copy path indexes the new head" `Quick
             test_copy_path_indexes_head;
           Alcotest.test_case "generation bumps" `Quick test_generation_bumps;
+          Alcotest.test_case "failed update leaves the head" `Quick
+            test_failed_update_leaves_head;
           Alcotest.test_case "racing readers" `Quick test_racing_readers;
           Alcotest.test_case "unknown document" `Quick test_unknown_document;
         ] );
