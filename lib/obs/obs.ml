@@ -27,21 +27,29 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-let escape_string (s : string) : string =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
+(* The JSON string body of [s] into [buf]: runs of bytes that need no
+   escaping are blitted whole; '"', '\\' and the control bytes are
+   escaped one by one. *)
+let add_escaped (buf : Buffer.t) (s : string) : unit =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c ->
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+          Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
 
 (* The shortest of 15 and 17 significant digits that reads back as the
    same float: 0.1 stays "0.1", and a wall-clock timestamp keeps its
@@ -61,7 +69,7 @@ let rec add_json (buf : Buffer.t) (j : json) : unit =
       else Buffer.add_string buf "null"
   | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape_string s);
+      add_escaped buf s;
       Buffer.add_char buf '"'
   | Arr xs ->
       Buffer.add_char buf '[';
@@ -77,7 +85,7 @@ let rec add_json (buf : Buffer.t) (j : json) : unit =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape_string k);
+          add_escaped buf k;
           Buffer.add_string buf "\":";
           add_json buf v)
         kvs;

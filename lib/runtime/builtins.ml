@@ -183,6 +183,23 @@ let node_pair name args =
   | [ Item.Node a ], [ Item.Node b ] -> Some (a, b)
   | _ -> err "%s: operands must be single nodes" name
 
+(* fn:subsequence over 1-based positions: the items at positions p with
+   round(start) <= p < round(start) + round(len) (no upper bound without
+   [len]), [round] as fn:round, compared as floats, so a NaN bound
+   selects nothing and an infinite length runs to the end.  Both bounds
+   are whole after rounding, so the selection is a drop and a take, and
+   [s] is pulled no further than the last selected position. *)
+let subsequence (start : float) (len : float option) (s : 'a Seq.t) : 'a Seq.t =
+  let round x = Float.floor (x +. 0.5) in
+  let lo = round start in
+  let hi = match len with Some l -> lo +. round l | None -> Float.infinity in
+  let first = Float.max 1. lo in
+  if Float.is_nan lo || Float.is_nan hi || hi <= first then Seq.empty
+  else
+    let count x = if x >= Float.of_int max_int then max_int else int_of_float x in
+    let s = Seq.drop (count first - 1) s in
+    if hi = Float.infinity then s else Seq.take (count (hi -. first)) s
+
 let table : (string * (Dynamic_ctx.t -> xvalue list -> xvalue)) list =
   [
     (* --- boolean --- *)
@@ -198,14 +215,14 @@ let table : (string * (Dynamic_ctx.t -> xvalue list -> xvalue)) list =
     ("fn:reverse", fun _ args -> List.rev (one_arg "fn:reverse" args));
     ( "fn:subsequence",
       fun _ args ->
+        let f v =
+          match Atomic.to_float (singleton_atom "fn:subsequence" v) with
+          | Some x -> x
+          | None -> err "fn:subsequence: position or length is not a number"
+        in
         match args with
-        | [ s; start ] ->
-            let st = int_of_float (Option.value ~default:1.0 (Atomic.to_float (singleton_atom "fn:subsequence" start))) in
-            List.filteri (fun i _ -> i + 1 >= st) s
-        | [ s; start; len ] ->
-            let f v = Option.value ~default:0.0 (Atomic.to_float (singleton_atom "fn:subsequence" v)) in
-            let st = int_of_float (f start) and n = int_of_float (f len) in
-            List.filteri (fun i _ -> i + 1 >= st && i + 1 < st + n) s
+        | [ s; start ] -> List.of_seq (subsequence (f start) None (List.to_seq s))
+        | [ s; start; len ] -> List.of_seq (subsequence (f start) (Some (f len)) (List.to_seq s))
         | _ -> err "fn:subsequence expects 2 or 3 arguments" );
     ( "fn:insert-before",
       fun _ args ->

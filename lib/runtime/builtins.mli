@@ -10,6 +10,12 @@ val table : (string * (Dynamic_ctx.t -> Dynamic_ctx.xvalue list -> Dynamic_ctx.x
 
 val find : string -> (Dynamic_ctx.t -> Dynamic_ctx.xvalue list -> Dynamic_ctx.xvalue) option
 
+val subsequence : float -> float option -> 'a Seq.t -> 'a Seq.t
+(** [subsequence start len s]: fn:subsequence's selection, shared by the
+    builtin and the streamed call.  Positions are compared as floats
+    after rounding [start] and [len] as fn:round does; only the prefix
+    of [s] up to the last selected position is pulled. *)
+
 val names : string list
 (** All registered function names (used by the coverage meta-test). *)
 

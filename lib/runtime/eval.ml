@@ -867,14 +867,25 @@ and generic_call env name (args : P.t list) : comp =
    chain over at most one source node, whose cursor yields exactly the
    strict output.  Otherwise, and always under the materialize ablation,
    the same items run the strict fold, counted as the chain node itself
-   (it is not compiled by [compile]; as with the cursor, its time leaves
-   out the source's).  Any other plan is evaluated whole. *)
+   (it is not compiled by [compile]).  Profiled, the source's evaluation
+   time is added to the chain node's time, with no call or row, so the
+   node's time is inclusive as the strict [PSteps] arm's is.  Any other
+   plan is evaluated whole. *)
 and compile_pulled env ~any_order (p : P.t) : pulled =
   match p.P.pop with
   | P.PSteps { steps; ordered; input } ->
       let csrc, _ = compile env input in
-      let source ctx inp = as_items (csrc ctx inp) in
       let run = strict_steps env steps and st = node_stats env p.P.pid in
+      let source =
+        match st with
+        | None -> fun ctx inp -> as_items (csrc ctx inp)
+        | Some st ->
+            fun ctx inp ->
+              let t0 = Obs.now () in
+              let items = as_items (csrc ctx inp) in
+              st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
+              items
+      in
       let strict ctx items = List.to_seq (counted_call st (run ctx) items) in
       if !force_materialize then { source; read = strict; index = None }
       else
@@ -946,22 +957,21 @@ and compile_stream_call env (kind : P.stream_call) name (args : P.t list) : comp
           let k = match indexed with Some k -> k | None -> Seq.length (src.read ctx items) in
           [ Item.Atom (Atomic.Integer k) ])
   | P.SSubseq, [ a; start; len ] ->
-      (* pull only the first st+n-1 items of the path *)
+      (* pull only the path's prefix up to the last selected position *)
       let src = compile_pulled env ~any_order:false a in
       let cstart, _ = compile env start in
       let clen, _ = compile env len in
-      let to_int c ctx inp =
+      let to_float c ctx inp =
         match Item.atomize (as_items (c ctx inp)) with
-        | [ a ] -> int_of_float (Option.value ~default:0.0 (Atomic.to_float a))
+        | [ a ] -> (
+            match Atomic.to_float a with
+            | Some x -> x
+            | None -> dynamic_error "fn:subsequence: position or length is not a number")
         | _ -> dynamic_error "fn:subsequence: argument is not a single atomic value"
       in
       unless_shadowed (fun ctx inp ->
-          let st = to_int cstart ctx inp and n = to_int clen ctx inp in
-          let s = src.read ctx (src.source ctx inp) in
-          List.of_seq
-            (Seq.filter_map
-               (fun (i, it) -> if i + 1 >= st then Some it else None)
-               (Seq.mapi (fun i it -> (i, it)) (Seq.take (max 0 (st + n - 1)) s))))
+          let st = to_float cstart ctx inp and n = to_float clen ctx inp in
+          List.of_seq (Builtins.subsequence st (Some n) (src.read ctx (src.source ctx inp))))
   | _ -> generic_call env name args
 
 and order_by ctx cspecs tuples =

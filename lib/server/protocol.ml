@@ -24,9 +24,11 @@
    "status":"ok" plus op-specific fields, or "status":"error" with a
    machine-readable "code" and a human "message".  Error codes:
    bad_request, unknown_statement, unknown_document, unknown_trace,
-   timeout, overloaded, query_error, shutting_down, internal, and
-   request_too_large (a request line over the server's size cap; the
-   server then closes the connection).
+   timeout, overloaded, query_error, shutting_down, internal,
+   result_too_large (a query result that would serialize to more than
+   the server's size cap; nothing of it is built or sent), and
+   request_too_large (a request line over that cap; the server then
+   closes the connection).
 
    "op":"update" runs an XQUF script against the preloaded document
    named "doc", under its MVCC write lock; ok responses carry "applied"

@@ -257,17 +257,30 @@ let deadline_of t timeout_ms =
   | Some ms, _ | None, Some ms -> Some (Obs.now () +. (float_of_int ms /. 1000.))
   | None, None -> None
 
+(* The longest request line accepted, and the longest serialized
+   result sent, in bytes.  A longer request line is refused and its
+   connection closed, so a newline-free stream cannot grow the heap
+   without limit; a longer result is refused before any of it is
+   allocated. *)
+let max_request_bytes = 8 * 1024 * 1024
+
 (* Run a request's work, mapping what evaluation can raise to an error
    code and message. *)
 let guard f : ((string * Obs.json) list, string * string) result =
   match f () with
   | fields -> Ok fields
   | exception Xqc.Dynamic_ctx.Timeout -> Error ("timeout", "deadline exceeded")
+  | exception Xqc.Serializer.Too_large n ->
+      Error
+        ( "result_too_large",
+          Printf.sprintf "result larger than %d bytes (at least %d) was not sent"
+            max_request_bytes n )
   | exception Xqc.Error m -> Error ("query_error", m)
   | exception (Json_parse.Parse_error m | Failure m) -> Error ("internal", m)
 
 (* Evaluate [source] under [deadline]; ok responses carry the serialized
-   result and the item count. *)
+   result and the item count.  A result over [max_request_bytes] is
+   measured, not written, and refused with [result_too_large]. *)
 let eval_query t ~tr ~source ~deadline =
   guard @@ fun () ->
   let prepared = Xqc.prepare_cached ~strategy:t.cfg.strategy source in
@@ -277,7 +290,10 @@ let eval_query t ~tr ~source ~deadline =
       Xqc.Dynamic_ctx.set_trace ctx (Some tr);
       Xqc.Dynamic_ctx.set_deadline ctx deadline;
       let items = Trace.in_span "eval" (fun () -> Xqc.run prepared ctx) in
-      let text = Trace.in_span "serialize" (fun () -> Xqc.serialize items) in
+      let text =
+        Trace.in_span "serialize" (fun () ->
+            Xqc.Serializer.sequence_to_string ~limit:max_request_bytes items)
+      in
       [ ("result", Obs.Str text); ("items", Obs.Int (List.length items)) ])
 
 (* Run an XQUF script against the preloaded document [doc], under its
@@ -703,11 +719,6 @@ let handle_line t conn line =
               (Protocol.response_error ~id ~code:"shutting_down"
                  "server is shutting down")
       end
-
-(* The longest request line accepted, in bytes.  A longer line is
-   refused and its connection closed, so a newline-free stream cannot
-   grow the heap without limit. *)
-let max_request_bytes = 8 * 1024 * 1024
 
 exception Request_too_large
 

@@ -2,11 +2,21 @@
 
     Sequences serialize per the XQuery serialization rules: adjacent
     atomic values are separated by a single space, nodes become markup,
-    text and attribute content is escaped. *)
+    text and attribute content is escaped.  A result is measured first
+    and then written once into a string of exactly its size. *)
+
+exception Too_large of int
+(** Raised by [sequence_to_string ~limit] (and [sequence_size ~limit])
+    when the output would pass [limit] bytes; carries the byte count the
+    size walk had reached when it stopped, which is above [limit].
+    Nothing of the output has been allocated by then. *)
 
 val node_to_string : Node.t -> string
 
-val sequence_to_string : Item.sequence -> string
+val sequence_to_string : ?limit:int -> Item.sequence -> string
+
+val sequence_size : ?limit:int -> Item.sequence -> int
+(** The exact length in bytes of [sequence_to_string s]. *)
 
 val sequence_to_file : string -> Item.sequence -> unit
 
@@ -15,7 +25,3 @@ val node_to_string_indented : Node.t -> string
     line so the value is unchanged modulo ignorable whitespace. *)
 
 val sequence_to_string_indented : Item.sequence -> string
-
-val escape_text : Buffer.t -> string -> unit
-val escape_attr : Buffer.t -> string -> unit
-val add_node : Buffer.t -> Node.t -> unit

@@ -251,6 +251,43 @@ let test_positional_predicates () =
       ("(for $a in $d//a return $a/b)[4]", Some "<b>4</b>");
     ]
 
+(* fn:subsequence rounds its start and length as fn:round does and
+   compares positions as floats.  The builtin (literal sequences) and
+   the streamed call over an ordered path share one helper, and the
+   interpreters call the same builtin, so the expectations are literal:
+   agreement between strategies alone would not catch a shared fault.
+   A position that is not a number is an error on both paths. *)
+let test_subsequence_rounding () =
+  let doc = Xqc.parse_document "<db><a><b>1</b><b>2</b><b>3</b><b>4</b></a></db>" in
+  List.iter
+    (fun (q, want) ->
+      List.iter
+        (fun s ->
+          List.iter
+            (fun materialize ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s (%s%s)" q (Xqc.strategy_name s)
+                   (if materialize then ", materialized" else ""))
+                want (run_one ~materialize s doc q))
+            [ false; true ])
+        strategies)
+    [
+      ("subsequence((1,2,3,4), 1.5, 2)", "OK:2 3");
+      ("subsequence((1,2,3,4), 1.5)", "OK:2 3 4");
+      ("subsequence((1,2,3,4), -2.5, 5)", "OK:1 2");
+      ({|subsequence((1,2,3,4), "NaN" cast as xs:double)|}, "OK:");
+      ({|subsequence((1,2,3,4), 2, "INF" cast as xs:double)|}, "OK:2 3 4");
+      ("subsequence($d/db/a/b, 1.5, 2)", "OK:<b>2</b><b>3</b>");
+      ("subsequence($d/db/a/b, 2.5, 1.5)", "OK:<b>3</b><b>4</b>");
+      ("subsequence($d/db/a/b, -0.5, 3)", "OK:<b>1</b><b>2</b>");
+      ({|subsequence($d/db/a/b, "NaN" cast as xs:double, 2)|}, "OK:");
+      ({|subsequence($d/db/a/b, 3, "INF" cast as xs:double)|}, "OK:<b>3</b><b>4</b>");
+      ("(1,2,3)[1.5]", "OK:");
+      ("$d/db/a/b[1.5]", "OK:");
+      ({|subsequence((1,2,3,4), "a")|}, "ERROR");
+      ("subsequence($d/db/a/b, true(), 2)", "ERROR");
+    ]
+
 (* Casts read the XML Schema lexical forms only: OCaml's own numeric
    syntaxes are errors under every strategy, also when an untyped value
    meets a number in a comparison. *)
@@ -396,6 +433,7 @@ let () =
           Alcotest.test_case "literal positional predicates" `Quick
             test_positional_predicates;
           Alcotest.test_case "numeric lexical forms" `Quick test_numeric_lexical_forms;
+          Alcotest.test_case "subsequence rounding" `Quick test_subsequence_rounding;
         ] );
       ( "streaming",
         [

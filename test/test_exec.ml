@@ -350,6 +350,39 @@ let test_chain_source_once () =
       ("fn:count(" ^ src ^ "//b)", "3");
     ]
 
+(* EXPLAIN ANALYZE times are inclusive for a chain a pulling consumer
+   reads, as for the strict [PSteps] arm: the Steps row's time covers
+   its source row's, streamed and materialized, and neither row counts
+   an extra call. *)
+let test_pulled_chain_time_inclusive () =
+  let q = "for $x in (<a><b/></a>, <a><b/><b/></a>)/b return $x" in
+  List.iter
+    (fun materialize ->
+      let mode = if materialize then "materialized" else "streamed" in
+      let p = prepare ~stats:true q in
+      let out = serialize ((if materialize then with_materialize else fun f -> f ()) (fun () -> run p (context ()))) in
+      check (mode ^ ": answer") "<b/><b/><b/>" out;
+      let row prefix =
+        match
+          List.find_opt
+            (fun r -> String.length r.Pretty.label >= String.length prefix
+                      && String.sub r.Pretty.label 0 (String.length prefix) = prefix)
+            (main_rows p)
+        with
+        | Some { Pretty.stats = Some st; _ } -> st
+        | _ -> Alcotest.failf "%s: no profiled %s row" mode prefix
+      in
+      let steps = row "Steps" and source = row "Sequence" in
+      check_bool
+        (Printf.sprintf "%s: Steps time %.6f >= source time %.6f" mode steps.Obs.op_secs
+           source.Obs.op_secs)
+        true
+        (steps.Obs.op_secs >= source.Obs.op_secs);
+      check_int (mode ^ ": Steps calls") 1 steps.Obs.op_calls;
+      check_int (mode ^ ": source calls") 1 source.Obs.op_calls;
+      check_int (mode ^ ": Steps items") 3 steps.Obs.op_items)
+    [ false; true ]
+
 (* A filtered scan feeding a blocking sort: streamed or materialized,
    the sorted answer is the interpreter's. *)
 let test_orderby_filtered_scan () =
@@ -658,6 +691,8 @@ let () =
           Alcotest.test_case "order by over a filtered scan" `Quick
             test_orderby_filtered_scan;
           Alcotest.test_case "chain source evaluated once" `Quick test_chain_source_once;
+          Alcotest.test_case "pulled chain time is inclusive" `Quick
+            test_pulled_chain_time_inclusive;
         ] );
       ( "collection",
         [

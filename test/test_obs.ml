@@ -35,6 +35,45 @@ let test_json () =
   check_bool "a timestamp round-trips exactly" true
     (Float.equal at (float_of_string (Obs.json_to_string (Obs.Float at))))
 
+(* String encoding, literally: the escaped bytes at the start, middle
+   and end of a run, every control byte's form, and multi-byte UTF-8
+   passed through; each encoding reads back through the wire parser. *)
+let test_json_strings () =
+  let control =
+    List.init 0x20 (fun i ->
+        let c = Char.chr i in
+        let want =
+          match c with
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | '\t' -> "\\t"
+          | _ -> Printf.sprintf "\\u%04x" i
+        in
+        (String.make 1 c, "\"" ^ want ^ "\""))
+  in
+  List.iter
+    (fun (s, want) ->
+      let got = Obs.json_to_string (Obs.Str s) in
+      check_string (Printf.sprintf "encode %S" s) want got;
+      match Xqc_server.Json_parse.parse got with
+      | Obs.Str back -> check_string (Printf.sprintf "round trip %S" s) s back
+      | _ -> Alcotest.failf "%S did not parse back as a string" got)
+    ([
+       ("", {|""|});
+       ("plain run", {|"plain run"|});
+       ("\"", {|"\""|});
+       ("\\", {|"\\"|});
+       ("a\"b\\c", {|"a\"b\\c"|});
+       ("\"\"\\\\", {|"\"\"\\\\"|});
+       ("end\n", {|"end\n"|});
+       ("\x00mid\x1fdle\x7f", "\"\\u0000mid\\u001fdle\x7f\"");
+       ("caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80", "\"caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80\"");
+       ("/<>&'", {|"/<>&'"|});
+     ]
+    @ control);
+  check_string "object keys escape too" {|{"k\"1":0}|}
+    (Obs.json_to_string (Obs.Obj [ ("k\"1", Obs.Int 0) ]))
+
 let test_counter () =
   let c = Obs.counter "c" in
   Obs.incr_counter c;
@@ -343,6 +382,7 @@ let () =
       ( "primitives",
         [
           Alcotest.test_case "json" `Quick test_json;
+          Alcotest.test_case "json strings" `Quick test_json_strings;
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "rewrite trace" `Quick test_rewrite_trace_primitives;
         ] );

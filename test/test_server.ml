@@ -253,6 +253,24 @@ let test_line_at_cap_accepted () =
   Alcotest.(check string) "result" "2" (jstr "reply" "result" reply);
   Alcotest.(check string) "next query" "2" (check_ok "1+1" (Client.query c "1+1"))
 
+(* Results are capped at the same size as request lines: a query whose
+   result would serialize to about 10 MB is refused with
+   result_too_large, and the worker then answers the next query on the
+   same connection. *)
+let test_oversized_result_refused () =
+  with_server ~workers:1 ~preload:[] @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let q =
+    Printf.sprintf {|string-join(for $i in 1 to 100000 return "%s", "")|} (String.make 100 'x')
+  in
+  (match Client.query c q with
+  | Error ("result_too_large", m) ->
+      if not (String.length m > 0) then Alcotest.fail "empty result_too_large message"
+  | Ok v -> Alcotest.failf "a %d-byte result was sent" (String.length v)
+  | Error (code, m) -> Alcotest.failf "expected result_too_large, got %s: %s" code m);
+  Alcotest.(check string) "next query" "2" (check_ok "1+1" (Client.query c "1+1"))
+
 (* A last request cut off by the end of the stream, with no newline,
    is still read and answered.  A ping is answered by the reader itself,
    before it closes the connection at end of stream. *)
@@ -877,6 +895,7 @@ let () =
           Alcotest.test_case "deep nesting refused" `Quick test_deep_nesting_refused;
           Alcotest.test_case "oversized line refused" `Quick test_oversized_line_refused;
           Alcotest.test_case "line at the cap accepted" `Quick test_line_at_cap_accepted;
+          Alcotest.test_case "oversized result refused" `Quick test_oversized_result_refused;
           Alcotest.test_case "unterminated last line answered" `Quick
             test_unterminated_line_answered;
           Alcotest.test_case "half-closed client answered" `Quick

@@ -323,15 +323,10 @@ let test_sequence_serialization () =
 (* Escaping blits the runs between special bytes: specials at the start,
    in the middle and at the end, adjacent ones, and none at all. *)
 let test_escaping () =
-  let escaped f s =
-    let b = Buffer.create 16 in
-    f b s;
-    Buffer.contents b
-  in
   List.iter
     (fun (s, text, attr) ->
-      check ("text " ^ s) text (escaped S.escape_text s);
-      check ("attr " ^ s) attr (escaped S.escape_attr s))
+      check ("text " ^ s) text (S.node_to_string (N.text s));
+      check ("attr " ^ s) ("a=\"" ^ attr ^ "\"") (S.node_to_string (N.attribute "a" s)))
     [
       ("", "", "");
       ("plain run", "plain run", "plain run");
@@ -342,6 +337,131 @@ let test_escaping () =
       ("&<>\"", "&amp;&lt;&gt;\"", "&amp;&lt;>&quot;");
       ("x<y>z&w", "x&lt;y&gt;z&amp;w", "x&lt;y>z&amp;w");
     ]
+
+(* The generators' documents are serialized by [node_to_string]; their
+   digests pin the serializer's bytes on whole generated documents. *)
+let test_generated_digests () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  check "xmark seed 1, 20 KB" "5df82f04d3480f4d69a8d6d2cbcf62cc"
+    (md5 (Xqc_workload.Xmark.generate_string ~seed:1 ~target_bytes:20_000 ()));
+  check "clio seed 1, 8 KB" "d7791647d61a92d683c3636b5e5ca518"
+    (md5 (Xqc_workload.Clio.generate_string ~seed:1 ~target_bytes:8_000 ()))
+
+(* A reference writer, byte by byte into a growing buffer, that the
+   exact-size serializer must match on every sequence. *)
+let reference_serialize (s : I.sequence) =
+  let buf = Buffer.create 16 in
+  let escape ~attr v =
+    String.iter
+      (function
+        | '<' -> Buffer.add_string buf "&lt;"
+        | '&' -> Buffer.add_string buf "&amp;"
+        | '>' when not attr -> Buffer.add_string buf "&gt;"
+        | '"' when attr -> Buffer.add_string buf "&quot;"
+        | c -> Buffer.add_char buf c)
+      v
+  in
+  let attribute name v =
+    Buffer.add_string buf name;
+    Buffer.add_string buf "=\"";
+    escape ~attr:true v;
+    Buffer.add_char buf '"'
+  in
+  let rec node (n : N.t) =
+    match n.N.desc with
+    | N.Document d -> List.iter node d.dchildren
+    | N.Element e ->
+        Buffer.add_string buf ("<" ^ e.ename);
+        List.iter
+          (fun (a : N.t) ->
+            match a.N.desc with
+            | N.Attribute at ->
+                Buffer.add_char buf ' ';
+                attribute at.aname at.avalue
+            | _ -> ())
+          e.attrs;
+        if e.children = [] then Buffer.add_string buf "/>"
+        else (
+          Buffer.add_char buf '>';
+          List.iter node e.children;
+          Buffer.add_string buf ("</" ^ e.ename ^ ">"))
+    | N.Attribute a -> attribute a.aname a.avalue
+    | N.Text t -> escape ~attr:false t
+    | N.Comment c -> Buffer.add_string buf ("<!--" ^ c ^ "-->")
+    | N.Pi p -> Buffer.add_string buf ("<?" ^ p.target ^ " " ^ p.pdata ^ "?>")
+  in
+  ignore
+    (List.fold_left
+       (fun prev_atom it ->
+         match it with
+         | I.Atom a ->
+             if prev_atom then Buffer.add_char buf ' ';
+             escape ~attr:false (Xqc.Atomic.to_string a);
+             true
+         | I.Node n ->
+             node n;
+             false)
+       false s);
+  Buffer.contents buf
+
+(* Random sequences of atoms and trees, with every node kind; the text
+   pool has every special byte, multi-byte UTF-8 and the empty string. *)
+let gen_items : I.sequence QCheck.arbitrary =
+  let open QCheck.Gen in
+  let value =
+    oneofl
+      [ ""; "plain"; "1 < 2 & 3 > 0"; "quote\"s"; "it's"; "\xc3\xa9t\xc3\xa9 \xe2\x82\xac"; "<&>\"'"; "&amp;" ]
+  in
+  let name = oneofl [ "a"; "b"; "item"; "x1" ] in
+  let rec tree depth =
+    let leaf =
+      [
+        (3, map N.text value);
+        (1, map N.comment value);
+        (1, map2 N.pi name value);
+        (1, name >>= fun nm -> return (N.element nm ~attrs:[] ~children:[]));
+      ]
+    in
+    if depth = 0 then frequency leaf
+    else
+      frequency
+        (( 3,
+           name >>= fun nm ->
+           list_size (int_bound 3) (tree (depth - 1)) >>= fun children ->
+           list_size (int_bound 2) (pair (oneofl [ "p"; "q" ]) value) >>= fun attrs ->
+           let attrs =
+             List.sort_uniq (fun (a, _) (b, _) -> compare a b) attrs
+             |> List.map (fun (n, v) -> N.attribute n v)
+           in
+           return (N.element nm ~attrs ~children) )
+        :: leaf)
+  in
+  let item =
+    frequency
+      [
+        (2, map (fun v -> I.of_string v) value);
+        (1, map I.of_int small_signed_int);
+        (2, map (fun t -> I.Node t) (tree 2));
+        (1, map (fun t -> I.Node (N.document [ t ])) (tree 2));
+        (1, map2 (fun n v -> I.Node (N.attribute n v)) name value);
+      ]
+  in
+  QCheck.make ~print:reference_serialize (list_size (int_bound 6) item)
+
+let prop_serializer_matches_reference =
+  QCheck.Test.make ~name:"exact-size serializer matches the reference writer" ~count:300
+    gen_items (fun s ->
+      let out = S.sequence_to_string s in
+      String.equal out (reference_serialize s) && S.sequence_size s = String.length out)
+
+(* A size walk given a limit refuses exactly the outputs longer than it. *)
+let test_size_limit () =
+  let s = [ I.Node (N.element "a" ~attrs:[] ~children:[ N.text "x<y" ]); I.of_int 1; I.of_int 2 ] in
+  let n = String.length (S.sequence_to_string s) in
+  check "exact limit" (S.sequence_to_string s) (S.sequence_to_string ~limit:n s);
+  match S.sequence_to_string ~limit:(n - 1) s with
+  | _ -> Alcotest.fail "one byte under the size must be refused"
+  | exception S.Too_large k -> check_bool "count passed the limit" true (k > n - 1 && k <= n)
 
 (* qcheck: random generated trees survive a serialize/parse roundtrip. *)
 let gen_tree : N.t QCheck.arbitrary =
@@ -416,8 +536,10 @@ let () =
           Alcotest.test_case "size" `Quick test_size;
           Alcotest.test_case "sequence serialization" `Quick test_sequence_serialization;
           Alcotest.test_case "escaping" `Quick test_escaping;
+          Alcotest.test_case "generated digests" `Quick test_generated_digests;
+          Alcotest.test_case "size limit" `Quick test_size_limit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_copy_preserves_string_value ] );
+          [ prop_roundtrip; prop_copy_preserves_string_value; prop_serializer_matches_reference ] );
     ]
