@@ -38,7 +38,7 @@ and join_pred =
 and plan =
   | Input  (** IN *)
   (* --- XML operators: constructors --- *)
-  | Seq of plan * plan
+  | Seq of plan list
   | Empty
   | Scalar of Atomic.t
   | Element of string * plan
@@ -99,7 +99,7 @@ and plan =
 let children_of (p : plan) : plan list =
   match p with
   | Input | Empty | Scalar _ | Var _ | FieldAccess _ -> []
-  | Seq (a, b) -> [ a; b ]
+  | Seq ps -> ps
   | Element (_, a) | Attribute (_, a) | Text a | Comment a | Pi (_, a) -> [ a ]
   | TreeJoin (_, _, a) -> [ a ]
   | Castable (_, _, a) | Cast (_, _, a) | Validate a | TypeMatches (_, a)
@@ -130,7 +130,7 @@ let children_of (p : plan) : plan list =
 let rec map_children (f : plan -> plan) (p : plan) : plan =
   match p with
   | Input | Empty | Scalar _ | Var _ | FieldAccess _ -> p
-  | Seq (a, b) -> Seq (f a, f b)
+  | Seq ps -> Seq (List.map f ps)
   | Element (n, a) -> Element (n, f a)
   | Attribute (n, a) -> Attribute (n, f a)
   | Text a -> Text (f a)

@@ -51,7 +51,7 @@ and plan =
   | Input  (** IN — the current dependent input *)
   (* XML operators: constructors (compositional, unlike the serialized
      Xi operator the paper contrasts with) *)
-  | Seq of plan * plan  (** Sequence(s1, s2) *)
+  | Seq of plan list  (** Sequence(s1, ..., sn), n >= 2 *)
   | Empty
   | Scalar of Atomic.t
   | Element of string * plan  (** content sequence -> new element node *)

@@ -5,9 +5,8 @@
    says *how*: which join algorithm runs a Join (PNestedLoop /
    PHashJoin / PSortJoin) and which side it builds on, where aggregate,
    existential and fn:subsequence calls stream or probe the index
-   instead of materializing their argument (PCallStream), and where
-   pipelines are cut by explicit materialization (PMaterialize).  Every
-   node carries the planner's cardinality and cost estimate, so EXPLAIN
+   instead of materializing their argument (PCallStream).  Every node
+   carries the planner's cardinality and cost estimate, so EXPLAIN
    can render estimated-vs-actual.
 
    The tree is produced from the logical plan by Planner.plan (a
@@ -87,7 +86,7 @@ and pgroup_spec = {
 and pop =
   | PInput
   (* XML constructors *)
-  | PSeq of t * t
+  | PSeq of t list
   | PEmpty
   | PScalar of Atomic.t
   | PElement of string * t
@@ -142,9 +141,6 @@ and pop =
       left : t;
       right : t;
     }  (** inequality split predicate; always builds right *)
-  | PMaterialize of t
-      (** pipeline breaker: the planner marks the build sides of joins
-          and products so blocking boundaries are visible in the plan *)
   (* maps *)
   | PMap of t * t
   | POMap of field * t
@@ -176,7 +172,7 @@ let build_side_name = function Build_left -> "left" | Build_right -> "right"
 let children (p : t) : t list =
   match p.pop with
   | PInput | PEmpty | PScalar _ | PVar _ | PFieldAccess _ -> []
-  | PSeq (a, b) -> [ a; b ]
+  | PSeq ps -> ps
   | PElement (_, a) | PAttribute (_, a) | PText a | PComment a | PPi (_, a) ->
       [ a ]
   | PSteps { input; _ } -> [ input ]
@@ -198,7 +194,6 @@ let children (p : t) : t list =
   | PHashJoin { left_key; right_key; left; right; _ }
   | PSortJoin { left_key; right_key; left; right; _ } ->
       [ left_key; right_key; left; right ]
-  | PMaterialize a -> [ a ]
   | PMap (d, i) | PMapConcat (d, i) -> [ d; i ]
   | POMap (_, i) -> [ i ]
   | POMapConcat (_, d, i) -> [ d; i ]

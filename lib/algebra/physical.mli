@@ -4,8 +4,7 @@
     A logical plan says {e what} to compute; a physical plan additionally
     says {e how}: which join algorithm runs a Join and on which side it
     builds, where builtin calls stream or probe the index instead of
-    materializing their argument, and where pipelines are cut by explicit
-    materialization.  Every node carries the planner's cardinality and
+    materializing their argument.  Every node carries the planner's cardinality and
     cost estimate so EXPLAIN can render estimated-vs-actual.
 
     Produced from the logical plan by [Planner.plan]; the evaluator
@@ -72,7 +71,7 @@ and pgroup_spec = {
 
 and pop =
   | PInput
-  | PSeq of t * t
+  | PSeq of t list
   | PEmpty
   | PScalar of Atomic.t
   | PElement of string * t
@@ -119,7 +118,6 @@ and pop =
       left : t;
       right : t;
     }
-  | PMaterialize of t  (** explicit pipeline breaker (join build sides) *)
   | PMap of t * t
   | POMap of field * t
   | PMapConcat of t * t

@@ -1,7 +1,10 @@
 (* Plan printer in the paper's notation: Op[params]{dependents}(inputs),
    indented one operator per line as in the paper's plan listings; and
    the one renderer of physical plans, which draws EXPLAIN, EXPLAIN
-   ANALYZE and the stats-JSON plan trees from the same walk. *)
+   ANALYZE and the stats-JSON plan trees from the same nodes.  Every text
+   rendering goes through [write]: one walk into one Buffer, each line
+   written once with its indentation, and no more than [max_depth]
+   levels drawn. *)
 
 open Xqc_xml
 open Xqc_types
@@ -9,156 +12,165 @@ open Xqc_frontend
 open Algebra
 module Obs = Xqc_obs.Obs
 
+(* ------------------------------------------------------------------ *)
+(* The plan writer                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Deeper subtrees print as one line: indentation alone would make a
+   plan n levels deep O(n^2) bytes. *)
+let max_depth = 64
+
+(* Write the tree under [root] into [buf], with no final newline.
+   [shape n] is [n]'s first line and its groups of children.  A group
+   [(Some (o, c), kids)] writes [o] and [c] on lines of their own at
+   [n]'s indentation, around its kids separated by commas (the paper's
+   {deps} and (inputs)); a group [(None, kids)] writes its kids one
+   level deeper.  A node [max_depth] levels down is written as one
+   "… N more operators" line, [N = size n]. *)
+let write buf ~shape ~size root =
+  let newline depth =
+    Buffer.add_char buf '\n';
+    for _ = 1 to depth do Buffer.add_string buf "  " done
+  in
+  let rec go depth n =
+    if depth >= max_depth then Printf.bprintf buf "… %d more operators" (size n)
+    else
+      let text, groups = shape n in
+      Buffer.add_string buf text;
+      List.iter
+        (function
+          | None, kids -> List.iter (fun k -> newline (depth + 1); go (depth + 1) k) kids
+          | Some (o, c), kids ->
+              newline depth;
+              Buffer.add_string buf o;
+              List.iteri
+                (fun i k ->
+                  if i > 0 then Buffer.add_char buf ',';
+                  newline (depth + 1);
+                  go (depth + 1) k)
+                kids;
+              newline depth;
+              Buffer.add_string buf c)
+        groups
+  in
+  go 0 root
+
+(* ------------------------------------------------------------------ *)
+(* Logical plans                                                       *)
+(* ------------------------------------------------------------------ *)
+
 let pred_params = function
   | Pred _ -> ""
   | Split_pred { op; _ } -> Printf.sprintf "<%s>" (Promotion.cmp_op_name op)
 
-let dir_name = function Ast.Ascending -> "asc" | Ast.Descending -> "desc"
-
-let rec pp ?(indent = 0) ppf (p : plan) =
-  let open Format in
-  let pad = String.make indent ' ' in
-  let line fmt = fprintf ppf ("%s" ^^ fmt) pad in
-  let sub ppf p = pp ~indent:(indent + 2) ppf p in
-  let subs ppf ps =
-    List.iteri
-      (fun i p ->
-        if i > 0 then fprintf ppf ",@,";
-        sub ppf p)
-      ps
-  in
-  let op name params deps inputs =
-    line "%s" name;
-    if params <> "" then fprintf ppf "[%s]" params;
-    (match deps with
-    | [] -> ()
-    | _ ->
-        fprintf ppf "@,%s{@,%a@,%s}" pad subs deps pad);
-    match inputs with
-    | [] -> if deps = [] then fprintf ppf "()"
-    | _ -> fprintf ppf "@,%s(@,%a@,%s)" pad subs inputs pad
-  in
-  match p with
-  | Input -> line "IN"
-  | Empty -> line "Empty()"
-  | Scalar a -> line "Scalar[%s]()" (Atomic.to_string a)
-  | Seq (a, b) -> op "Sequence" "" [] [ a; b ]
-  | Element (n, c) -> op "Element" n [] [ c ]
-  | Attribute (n, c) -> op "Attribute" n [] [ c ]
-  | Text c -> op "Text" "" [] [ c ]
-  | Comment c -> op "Comment" "" [] [ c ]
-  | Pi (n, c) -> op "PI" n [] [ c ]
-  | TreeJoin (axis, test, i) ->
-      op "TreeJoin"
-        (Printf.sprintf "%s::%s" (Ast.axis_to_string axis) (Ast.node_test_to_string test))
-        [] [ i ]
-  | Castable (tn, _, i) -> op "Castable" (Atomic.type_name_to_string tn) [] [ i ]
-  | Cast (tn, _, i) -> op "Cast" (Atomic.type_name_to_string tn) [] [ i ]
-  | Validate i -> op "Validate" "" [] [ i ]
-  | TypeMatches (ty, i) -> op "TypeMatches" (Seqtype.to_string ty) [] [ i ]
-  | TypeAssert (ty, i) -> op "TypeAssert" (Seqtype.to_string ty) [] [ i ]
-  | Var q -> line "Var[%s]()" q
-  | Call (f, args) -> op "Call" f [] args
-  | Cond (c, t, e) -> op "Cond" "" [ t; e ] [ c ]
-  | Quantified (q, v, s, b) ->
-      op
-        (match q with Ast.Some_quant -> "Some" | Ast.Every_quant -> "Every")
-        v [ b ] [ s ]
-  | Parse i -> op "Parse" "" [] [ i ]
-  | Serialize (uri, i) -> op "Serialize" uri [] [ i ]
-  | TupleConstruct [] -> line "[]"
-  | TupleConstruct fields ->
-      line "[%s]" (String.concat ";" (List.map fst fields));
-      fprintf ppf "@,%s(@,%a@,%s)" pad subs (List.map snd fields) pad
-  | FieldAccess q -> line "IN#%s" q
-  | Select (d, i) -> op "Select" "" [ d ] [ i ]
-  | Product (a, b) -> op "Product" "" [] [ a; b ]
-  | Join (pred, a, b) ->
-      op (Printf.sprintf "Join%s" (pred_params pred)) "" (pred_plans pred) [ a; b ]
-  | LOuterJoin (q, pred, a, b) ->
-      op
-        (Printf.sprintf "LOuterJoin%s" (pred_params pred))
-        q (pred_plans pred) [ a; b ]
-  | Map (d, i) -> op "Map" "" [ d ] [ i ]
-  | OMap (q, i) -> op "OMap" q [] [ i ]
-  | MapConcat (d, i) -> op "MapConcat" "" [ d ] [ i ]
-  | OMapConcat (q, d, i) -> op "OMapConcat" q [ d ] [ i ]
-  | MapIndex (q, i) -> op "MapIndex" q [] [ i ]
-  | MapIndexStep (q, i) -> op "MapIndexStep" q [] [ i ]
-  | OrderBy (specs, i) ->
-      op "OrderBy"
-        (String.concat "," (List.map (fun s -> dir_name s.sdir) specs))
-        (List.map (fun s -> s.skey) specs)
-        [ i ]
-  | GroupBy (g, i) ->
-      op "GroupBy"
-        (Printf.sprintf "%s,[%s],[%s]" g.g_agg
-           (String.concat ";" g.g_indices)
-           (String.concat ";" g.g_nulls))
-        [ g.g_post; g.g_pre ] [ i ]
-  | MapFromItem (d, i) -> op "MapFromItem" "" [ d ] [ i ]
-  | MapToItem (d, i) -> op "MapToItem" "" [ d ] [ i ]
-  | MapSome (d, i) -> op "MapSome" "" [ d ] [ i ]
-  | MapEvery (d, i) -> op "MapEvery" "" [ d ] [ i ]
-
-and pred_plans = function
+let pred_plans = function
   | Pred p -> [ p ]
   | Split_pred { left_key; right_key; _ } -> [ left_key; right_key ]
 
-let to_string (p : plan) : string =
-  Format.asprintf "@[<v>%a@]" (pp ~indent:0) p
+let dir_name = function Ast.Ascending -> "asc" | Ast.Descending -> "desc"
+
+(* One logical operator as the printer draws it: Head[params]{deps}(inputs).
+   [inputs = None] is a bare leaf (IN, IN#q, the unit table []), which
+   prints no "()". *)
+type desc = {
+  name : string;  (** as [operator_names] lists it *)
+  head : string;
+  params : string option;
+  deps : plan list;
+  inputs : plan list option;
+}
+
+let describe (p : plan) : desc =
+  let op ?head ?params ?(deps = []) name inputs =
+    { name; head = Option.value head ~default:name; params; deps; inputs = Some inputs }
+  in
+  let leaf name head params = { name; head; params; deps = []; inputs = None } in
+  match p with
+  | Input -> leaf "IN" "IN" None
+  | Empty -> op "Empty" []
+  | Scalar a -> op "Scalar" ~params:(Atomic.to_string a) []
+  | Seq ps -> op "Sequence" ps
+  | Element (n, c) -> op "Element" ~params:n [ c ]
+  | Attribute (n, c) -> op "Attribute" ~params:n [ c ]
+  | Text c -> op "Text" [ c ]
+  | Comment c -> op "Comment" [ c ]
+  | Pi (n, c) -> op "PI" ~params:n [ c ]
+  | TreeJoin (axis, test, i) ->
+      op "TreeJoin"
+        ~params:(Ast.axis_to_string axis ^ "::" ^ Ast.node_test_to_string test)
+        [ i ]
+  | Castable (tn, _, i) -> op "Castable" ~params:(Atomic.type_name_to_string tn) [ i ]
+  | Cast (tn, _, i) -> op "Cast" ~params:(Atomic.type_name_to_string tn) [ i ]
+  | Validate i -> op "Validate" [ i ]
+  | TypeMatches (ty, i) -> op "TypeMatches" ~params:(Seqtype.to_string ty) [ i ]
+  | TypeAssert (ty, i) -> op "TypeAssert" ~params:(Seqtype.to_string ty) [ i ]
+  | Var q -> op "Var" ~params:q []
+  | Call (f, args) -> op "Call" ~params:f args
+  | Cond (c, t, e) -> op "Cond" ~deps:[ t; e ] [ c ]
+  | Quantified (q, v, s, b) ->
+      op "Quantified"
+        ~head:(match q with Ast.Some_quant -> "Some" | Ast.Every_quant -> "Every")
+        ~params:v ~deps:[ b ] [ s ]
+  | Parse i -> op "Parse" [ i ]
+  | Serialize (uri, i) -> op "Serialize" ~params:uri [ i ]
+  | TupleConstruct [] -> leaf "TupleConstruct" "[]" None
+  | TupleConstruct fields ->
+      op "TupleConstruct" ~head:"" ~params:(String.concat ";" (List.map fst fields))
+        (List.map snd fields)
+  | FieldAccess q -> leaf "FieldAccess" ("IN#" ^ q) None
+  | Select (d, i) -> op "Select" ~deps:[ d ] [ i ]
+  | Product (a, b) -> op "Product" [ a; b ]
+  | Join (pred, a, b) ->
+      op "Join" ~head:("Join" ^ pred_params pred) ~deps:(pred_plans pred) [ a; b ]
+  | LOuterJoin (q, pred, a, b) ->
+      op "LOuterJoin" ~head:("LOuterJoin" ^ pred_params pred) ~params:q
+        ~deps:(pred_plans pred) [ a; b ]
+  | Map (d, i) -> op "Map" ~deps:[ d ] [ i ]
+  | OMap (q, i) -> op "OMap" ~params:q [ i ]
+  | MapConcat (d, i) -> op "MapConcat" ~deps:[ d ] [ i ]
+  | OMapConcat (q, d, i) -> op "OMapConcat" ~params:q ~deps:[ d ] [ i ]
+  | MapIndex (q, i) -> op "MapIndex" ~params:q [ i ]
+  | MapIndexStep (q, i) -> op "MapIndexStep" ~params:q [ i ]
+  | OrderBy (specs, i) ->
+      op "OrderBy"
+        ~params:(String.concat "," (List.map (fun s -> dir_name s.sdir) specs))
+        ~deps:(List.map (fun s -> s.skey) specs)
+        [ i ]
+  | GroupBy (g, i) ->
+      op "GroupBy"
+        ~params:
+          (Printf.sprintf "%s,[%s],[%s]" g.g_agg
+             (String.concat ";" g.g_indices)
+             (String.concat ";" g.g_nulls))
+        ~deps:[ g.g_post; g.g_pre ] [ i ]
+  | MapFromItem (d, i) -> op "MapFromItem" ~deps:[ d ] [ i ]
+  | MapToItem (d, i) -> op "MapToItem" ~deps:[ d ] [ i ]
+  | MapSome (d, i) -> op "MapSome" ~deps:[ d ] [ i ]
+  | MapEvery (d, i) -> op "MapEvery" ~deps:[ d ] [ i ]
 
 (* Count of operators in a plan, used in tests and explain output. *)
 let rec size (p : plan) : int =
   1 + List.fold_left (fun acc c -> acc + size c) 0 (children_of p)
 
+let logical_shape (p : plan) =
+  let d = describe p in
+  let params = match d.params with Some ps -> "[" ^ ps ^ "]" | None -> "" in
+  let block o c = function [] -> [] | kids -> [ (Some (o, c), kids) ] in
+  match d.inputs with
+  | None -> (d.head ^ params, [])
+  | Some [] when d.deps = [] -> (d.head ^ params ^ "()", [])
+  | Some inputs -> (d.head ^ params, block "{" "}" d.deps @ block "(" ")" inputs)
+
+let to_string (p : plan) : string =
+  let buf = Buffer.create 1024 in
+  write buf ~shape:logical_shape ~size p;
+  Buffer.contents buf
+
 (* Collect the multiset of operator names, used by rewriting tests to
    assert e.g. that the optimized plan contains a GroupBy and an
    LOuterJoin and no MapConcat. *)
 let rec operator_names (p : plan) : string list =
-  let name =
-    match p with
-    | Input -> "IN"
-    | Empty -> "Empty"
-    | Scalar _ -> "Scalar"
-    | Seq _ -> "Sequence"
-    | Element _ -> "Element"
-    | Attribute _ -> "Attribute"
-    | Text _ -> "Text"
-    | Comment _ -> "Comment"
-    | Pi _ -> "PI"
-    | TreeJoin _ -> "TreeJoin"
-    | Castable _ -> "Castable"
-    | Cast _ -> "Cast"
-    | Validate _ -> "Validate"
-    | TypeMatches _ -> "TypeMatches"
-    | TypeAssert _ -> "TypeAssert"
-    | Var _ -> "Var"
-    | Call _ -> "Call"
-    | Cond _ -> "Cond"
-    | Quantified _ -> "Quantified"
-    | Parse _ -> "Parse"
-    | Serialize _ -> "Serialize"
-    | TupleConstruct _ -> "TupleConstruct"
-    | FieldAccess _ -> "FieldAccess"
-    | Select _ -> "Select"
-    | Product _ -> "Product"
-    | Join _ -> "Join"
-    | LOuterJoin _ -> "LOuterJoin"
-    | Map _ -> "Map"
-    | OMap _ -> "OMap"
-    | MapConcat _ -> "MapConcat"
-    | OMapConcat _ -> "OMapConcat"
-    | MapIndex _ -> "MapIndex"
-    | MapIndexStep _ -> "MapIndexStep"
-    | OrderBy _ -> "OrderBy"
-    | GroupBy _ -> "GroupBy"
-    | MapFromItem _ -> "MapFromItem"
-    | MapToItem _ -> "MapToItem"
-    | MapSome _ -> "MapSome"
-    | MapEvery _ -> "MapEvery"
-  in
-  name :: List.concat_map operator_names (children_of p)
+  (describe p).name :: List.concat_map operator_names (children_of p)
 
 (* ------------------------------------------------------------------ *)
 (* Physical plans                                                      *)
@@ -236,7 +248,6 @@ let physical_label (p : Physical.t) : string =
         (outer_tag outer)
   | PSortJoin { outer; op; _ } ->
       Printf.sprintf "PSortJoin%s%s" (cmp_tag op) (outer_tag outer)
-  | PMaterialize _ -> "Materialize"
   | PMap _ -> "Map"
   | POMap (q, _) -> Printf.sprintf "OMap[%s]" q
   | PMapConcat _ -> "MapConcat"
@@ -272,7 +283,7 @@ let mode_of (pop : Physical.pop) : string option =
   | PTupleConstruct _ | PMapSome _ | PMapEvery _ ->
       Some "streamed"
   | POrderBy _ | PGroupBy _ | PNestedLoop _ | PHashJoin _ | PSortJoin _
-  | PProduct _ | PMapToItem _ | PMaterialize _ ->
+  | PProduct _ | PMapToItem _ ->
       Some "blocking"
   | _ -> None
 
@@ -285,53 +296,40 @@ type row = {
   stats : Obs.op_stats option;
 }
 
-(* The one walk over a physical plan, bottom-up in [Physical.children]
-   order; a Steps node's steps come first among its children.  With a
-   profile every row carries its operator's statistics (a zero record
+(* A node of the rendered tree: an operator, or one step of a Steps
+   chain, drawn as the first children of its Steps node. *)
+type node = Op of Physical.t | Step of Physical.pstep
+
+let kids = function
+  | Op p ->
+      (match p.Physical.pop with
+      | Physical.PSteps { steps; _ } -> List.map (fun s -> Step s) steps
+      | _ -> [])
+      @ List.map (fun c -> Op c) (Physical.children p)
+  | Step _ -> []
+
+let rec node_count n = List.fold_left (fun acc k -> acc + node_count k) 1 (kids n)
+
+(* With a profile every row carries its node's statistics (a zero record
    for one that never ran). *)
-let fold_rows ?(profile : Obs.collector option) (node : row -> 'a list -> 'a)
-    (p : Physical.t) : 'a =
+let row ?(profile : Obs.collector option) (n : node) : row =
   let stats id =
     Option.map
       (fun c -> Option.value (Hashtbl.find_opt c.Obs.co_plans id) ~default:(Obs.op_stats ()))
       profile
   in
-  let step (s : Physical.pstep) =
-    node
-      {
-        label = pstep_label s;
-        est_rows = s.Physical.ps_est;
-        cost = None;
-        mode = None;
-        join = false;
-        stats = stats s.Physical.ps_id;
-      }
-      []
-  in
-  let rec go (p : Physical.t) =
-    let steps =
-      match p.Physical.pop with
-      | Physical.PSteps { steps; _ } -> List.map step steps
-      | _ -> []
-    in
-    node
-      {
-        label = physical_label p;
-        est_rows = p.Physical.pest.Physical.est_rows;
-        cost = Some p.Physical.pest.Physical.est_cost;
-        mode = mode_of p.Physical.pop;
-        join =
-          (match p.Physical.pop with
-          | Physical.PNestedLoop _ | Physical.PHashJoin _ | Physical.PSortJoin _ -> true
-          | _ -> false);
-        stats = stats p.Physical.pid;
-      }
-      (steps @ List.map go (Physical.children p))
-  in
-  go p
+  match n with
+  | Step s ->
+      let stats = stats s.Physical.ps_id in
+      { label = pstep_label s; est_rows = s.Physical.ps_est; cost = None; mode = None; join = false; stats }
+  | Op ({ Physical.pid; pop; pest } as p) ->
+      let join = match pop with Physical.PNestedLoop _ | PHashJoin _ | PSortJoin _ -> true | _ -> false in
+      { label = physical_label p; est_rows = pest.Physical.est_rows; cost = Some pest.Physical.est_cost;
+        mode = mode_of pop; join; stats = stats pid }
 
 let rows ?profile (p : Physical.t) : row list =
-  fold_rows ?profile (fun r kids -> r :: List.concat kids) p
+  let rec go acc n = List.fold_left go (row ?profile n :: acc) (kids n) in
+  List.rev (go [] (Op p))
 
 let cardinality (st : Obs.op_stats) =
   match (st.Obs.op_tuples, st.Obs.op_items) with
@@ -356,31 +354,34 @@ let row_line (r : row) : string =
         (match r.mode with Some m -> " " ^ m | None -> "")
         (if r.join then "  [" ^ Obs.join_to_string st ^ "]" else "")
 
+let add_plan ?profile buf (p : Physical.t) =
+  write buf ~shape:(fun n -> (row_line (row ?profile n), [ (None, kids n) ])) ~size:node_count (Op p);
+  Buffer.add_char buf '\n'
+
 let plan_to_string ?profile (p : Physical.t) : string =
-  fold_rows ?profile
-    (fun r kids -> row_line r :: List.concat_map (List.map (fun l -> "  " ^ l)) kids)
-    p
-  |> List.map (fun l -> l ^ "\n")
-  |> String.concat ""
+  let buf = Buffer.create 1024 in
+  add_plan ?profile buf p;
+  Buffer.contents buf
 
 let plan_to_json (profile : Obs.collector) (p : Physical.t) : Obs.json =
-  fold_rows ~profile
-    (fun r kids ->
-      let st = Option.value r.stats ~default:(Obs.op_stats ()) in
-      Obs.Obj
-        ([
-           ("op", Obs.Str r.label);
-           ("calls", Obs.Int st.Obs.op_calls);
-           ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs));
-           ("tuples", Obs.Int st.Obs.op_tuples);
-           ("items", Obs.Int st.Obs.op_items);
-           ("estimated_rows", Obs.Float r.est_rows);
-           ("actual_rows", Obs.Int (st.Obs.op_tuples + st.Obs.op_items));
-         ]
-        @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
-        @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
-        @ match kids with [] -> [] | _ -> [ ("children", Obs.Arr kids) ]))
-    p
+  let rec go n =
+    let r = row ~profile n in
+    let st = Option.value r.stats ~default:(Obs.op_stats ()) in
+    Obs.Obj
+      ([
+         ("op", Obs.Str r.label);
+         ("calls", Obs.Int st.Obs.op_calls);
+         ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs));
+         ("tuples", Obs.Int st.Obs.op_tuples);
+         ("items", Obs.Int st.Obs.op_items);
+         ("estimated_rows", Obs.Float r.est_rows);
+         ("actual_rows", Obs.Int (st.Obs.op_tuples + st.Obs.op_items));
+       ]
+      @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
+      @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
+      @ match kids n with [] -> [] | ks -> [ ("children", Obs.Arr (List.map go ks)) ])
+  in
+  go (Op p)
 
 let query_plans (q : Physical.query) : (string * Physical.t) list =
   List.map (fun f -> ("function " ^ f.Physical.pf_name, f.Physical.pf_body)) q.Physical.pfunctions
@@ -388,10 +389,14 @@ let query_plans (q : Physical.query) : (string * Physical.t) list =
   @ [ ("main", q.Physical.pmain) ]
 
 let query_to_string (q : Physical.query) : string =
-  match query_plans q with
-  | [ (_, p) ] -> plan_to_string p
-  | plans ->
-      String.concat "" (List.map (fun (name, p) -> name ^ ":\n" ^ plan_to_string p) plans)
+  let buf = Buffer.create 1024 in
+  let plans = query_plans q in
+  List.iter
+    (fun (name, p) ->
+      if List.compare_length_with plans 1 > 0 then Buffer.add_string buf (name ^ ":\n");
+      add_plan buf p)
+    plans;
+  Buffer.contents buf
 
 let plans_to_json (profile : Obs.collector) (q : Physical.query) : Obs.json =
   Obs.Arr

@@ -1,8 +1,13 @@
 (** Plan printer in the paper's notation —
     [Op\[params\]{dependents}(inputs)] — indented one operator per line as
-    in the paper's plan listings (P1, P1', P2, ...). *)
+    in the paper's plan listings (P1, P1', P2, ...).
 
-val pp : ?indent:int -> Format.formatter -> Algebra.plan -> unit
+    Every text rendering here, logical or physical, is one walk into one
+    buffer that writes each line once.  A subtree more than
+    {!max_depth} levels down prints as one [… N more operators] line. *)
+
+val max_depth : int
+(** 64: a node this many levels below the root prints as that line. *)
 
 val to_string : Algebra.plan -> string
 
@@ -37,7 +42,8 @@ type row = {
 
 val rows : ?profile:Xqc_obs.Obs.collector -> Physical.t -> row list
 (** The plan's rows in preorder, [Physical.children] order, each Steps
-    node followed by its steps — the order every rendering uses. *)
+    node followed by its steps — the order every rendering uses.  Not
+    cut at {!max_depth}. *)
 
 val plan_to_string : ?profile:Xqc_obs.Obs.collector -> Physical.t -> string
 (** One operator per line, indented: label, [est_rows], [cost], and the
@@ -48,7 +54,7 @@ val plan_to_string : ?profile:Xqc_obs.Obs.collector -> Physical.t -> string
 val plan_to_json : Xqc_obs.Obs.collector -> Physical.t -> Xqc_obs.Obs.json
 (** The same rows as a tree: [op], [calls], [time_ms], [tuples],
     [items], [estimated_rows], [actual_rows], [mode], [join],
-    [children]. *)
+    [children].  Not cut at {!max_depth}. *)
 
 val query_plans : Physical.query -> (string * Physical.t) list
 (** Every plan of a query under its report name: ["function f"],

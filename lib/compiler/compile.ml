@@ -36,7 +36,7 @@ let rec compile (env : env) (e : Core_ast.cexpr) : plan =
   match e with
   | Core_ast.C_empty -> Empty
   | Core_ast.C_scalar a -> Scalar a
-  | Core_ast.C_seq (a, b) -> Seq (compile env a, compile env b)
+  | Core_ast.C_seq es -> Seq (List.map (compile env) es)
   | Core_ast.C_var v ->
       if List.mem v env.fields then FieldAccess v else Var v
   | Core_ast.C_elem (n, c) -> Element (n, compile env c)

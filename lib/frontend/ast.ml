@@ -131,13 +131,6 @@ type insert_pos =
   | Before
   | After
 
-let insert_pos_to_string = function
-  | Into -> "into"
-  | As_first_into -> "as first into"
-  | As_last_into -> "as last into"
-  | Before -> "before"
-  | After -> "after"
-
 (* One updating statement.  Source/target positions hold ordinary
    (evaluating) expressions; the W3C "updating expression" stratification
    reduces in this subset to: updates appear only at statement level. *)

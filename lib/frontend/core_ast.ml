@@ -16,7 +16,7 @@ open Xqc_types
 type cexpr =
   | C_empty
   | C_scalar of Atomic.t
-  | C_seq of cexpr * cexpr
+  | C_seq of cexpr list  (** (e1, ..., en), n >= 2 *)
   | C_var of string
   | C_elem of string * cexpr
   | C_attr of string * cexpr
@@ -64,7 +64,7 @@ let rec free_vars (e : cexpr) : string list =
   match e with
   | C_empty | C_scalar _ -> []
   | C_var v -> [ v ]
-  | C_seq (a, b) -> free_vars a @. free_vars b
+  | C_seq es -> List.concat_map free_vars es
   | C_elem (_, c) | C_attr (_, c) | C_text c | C_comment c | C_pi (_, c) -> free_vars c
   | C_if (a, b, c) -> free_vars a @. free_vars b @. free_vars c
   | C_flwor (clauses, orders, ret) ->
@@ -104,11 +104,12 @@ let rec free_vars (e : cexpr) : string list =
 (* A compact printer for Core expressions, used in tests and --explain. *)
 let rec pp ppf (e : cexpr) =
   let open Format in
+  let list = pp_print_list ~pp_sep:(fun ppf () -> fprintf ppf ", ") pp in
   match e with
   | C_empty -> fprintf ppf "()"
   | C_scalar a -> Atomic.pp ppf a
   | C_var v -> fprintf ppf "$%s" v
-  | C_seq (a, b) -> fprintf ppf "(%a, %a)" pp a pp b
+  | C_seq es -> fprintf ppf "(%a)" list es
   | C_elem (n, c) -> fprintf ppf "element %s {%a}" n pp c
   | C_attr (n, c) -> fprintf ppf "attribute %s {%a}" n pp c
   | C_text c -> fprintf ppf "text {%a}" pp c
@@ -145,10 +146,7 @@ let rec pp ppf (e : cexpr) =
         (fun (ty, b) -> fprintf ppf " case %s return %a" (Seqtype.to_string ty) pp b)
         cases;
       fprintf ppf " default return %a" pp default
-  | C_call (f, args) ->
-      fprintf ppf "%s(%a)" f
-        (pp_print_list ~pp_sep:(fun ppf () -> fprintf ppf ", ") pp)
-        args
+  | C_call (f, args) -> fprintf ppf "%s(%a)" f list args
   | C_treejoin (axis, test, input) ->
       fprintf ppf "%a/%s::%s" pp input (Ast.axis_to_string axis)
         (Ast.node_test_to_string test)

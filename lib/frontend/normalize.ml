@@ -24,27 +24,26 @@ type env = {
   position : string option;  (** core name of $fs:position *)
   last : string option;  (** core name of $fs:last *)
   functions : (string * int) list;  (** declared (name, arity) *)
+  items : string list;  (** core names bound to exactly one item: for and quantifier variables *)
   counter : int ref;
 }
 
 let initial_env functions =
-  { bindings = []; context = None; position = None; last = None; functions; counter = ref 0 }
+  { bindings = []; context = None; position = None; last = None; functions; items = []; counter = ref 0 }
 
 let fresh env base =
   incr env.counter;
   Printf.sprintf "%s~%d" base !(env.counter)
 
 let bind env surface core = { env with bindings = (surface, core) :: env.bindings }
+let bind_item env surface core = { (bind env surface core) with items = core :: env.items }
 
 let lookup env v =
   match List.assoc_opt v env.bindings with
   | Some core -> core
   | None -> v (* free variable: global or external binding, kept by name *)
 
-let seq_of_list = function
-  | [] -> C_empty
-  | [ e ] -> e
-  | e :: rest -> List.fold_left (fun acc x -> C_seq (acc, x)) e rest
+let seq_of_list = function [] -> C_empty | [ e ] -> e | es -> C_seq es
 
 let ebv e = C_call ("fn:boolean", [ e ])
 
@@ -124,7 +123,7 @@ let rec normalize env (e : Ast.expr) : cexpr =
         | (v, source) :: rest ->
             let source = normalize env source in
             let v' = fresh env v in
-            C_quant (q, v', source, build (bind env v v') rest)
+            C_quant (q, v', source, build (bind_item env v v') rest)
       in
       build env binds
   | Typeswitch (scrut, cases, (dvar, dbody)) ->
@@ -248,10 +247,27 @@ and normalize_call env name args =
       in
       C_call (resolved, List.map (normalize env) args)
 
-(* E1/step — one complete FLWOR block per step, per the paper. *)
+(* E1/step — one complete FLWOR block per step, per the paper.  A
+   predicate that reads the context position counts within the step's
+   output from each context node, so over a sequence E1 the step runs
+   per node and the results are unioned back into document order:
+   op:union(for $c in E1 return $c/step[p], ()).  A for-bound variable
+   or the context item is one node, and needs no wrapping. *)
 and normalize_step env input (step : Ast.step) =
-  let base = C_treejoin (step.Ast.axis, step.Ast.test, input) in
-  List.fold_left (fun acc p -> normalize_predicate env acc p) base step.Ast.predicates
+  let apply input =
+    List.fold_left (normalize_predicate env)
+      (C_treejoin (step.Ast.axis, step.Ast.test, input))
+      step.Ast.predicates
+  in
+  match input with
+  | C_var v when List.mem v env.items || env.context = Some v -> apply input
+  | _ when List.for_all position_free step.Ast.predicates -> apply input
+  | _ ->
+      let c = fresh env "fs_ctx" in
+      C_call
+        ( "op:union",
+          [ C_flwor ([ CC_for { var = c; at_var = None; astype = None; source = input } ], [], apply (C_var c));
+            C_empty ] )
 
 (* Is a predicate expression statically known to be boolean-valued (so its
    truth is its effective boolean value, independent of the context
@@ -271,14 +287,17 @@ and statically_boolean (pred : Ast.expr) : bool =
           "false"; "fn:false" ]
   | _ -> false
 
+(* A predicate whose truth is its effective boolean value alone. *)
+and position_free (pred : Ast.expr) : bool =
+  statically_boolean pred && not (mentions_last pred) && not (mentions_position pred)
+
 (* E[p]  ~~>  for $fs:dot at $fs:position in E
               where fs:predicate-truth(p', $fs:position)
               return $fs:dot
    with a let-bound fn:count when p uses last(), and without the
    positional machinery when p is statically boolean. *)
 and normalize_predicate env input (pred : Ast.expr) =
-  if statically_boolean pred && not (mentions_last pred) && not (mentions_position pred)
-  then
+  if position_free pred then
     let dot = fresh env "fs_dot" in
     let penv = { env with context = Some dot; position = None; last = None } in
     let p' = normalize penv pred in
@@ -360,7 +379,7 @@ and normalize_flwor env clauses orders ret =
     | Ast.For_clause { var; at_var; astype; source } :: rest ->
         let source = normalize env source in
         let var' = fresh env var in
-        let env = bind env var var' in
+        let env = bind_item env var var' in
         let at_var', env =
           match at_var with
           | None -> (None, env)

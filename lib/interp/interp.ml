@@ -40,7 +40,7 @@ let rec eval (h : hooks) (ctx : Dynamic_ctx.t) (env : env) (e : cexpr) :
   match e with
   | C_empty -> []
   | C_scalar a -> [ Item.Atom a ]
-  | C_seq (a, b) -> eval h ctx env a @ eval h ctx env b
+  | C_seq es -> List.concat_map (eval h ctx env) es
   | C_var v -> (
       match List.assoc_opt v env with
       | Some s -> s

@@ -26,6 +26,9 @@ val json_to_string : json -> string
 (** Compact rendering; non-finite floats become [null], finite ones the
     shorter of 15 and 17 significant digits that reads back exactly. *)
 
+val add_json : Buffer.t -> json -> unit
+(** {!json_to_string} into a caller's buffer. *)
+
 (** {1 Counters} *)
 
 type counter = { cn_name : string; cn_cell : int Atomic.t }

@@ -14,9 +14,9 @@
    - streaming boundaries: fn:exists / fn:empty / fn:count /
      fn:subsequence over suitable chains become streaming /
      index-probing calls ([PCallStream]) — a literal positional
-     predicate E[k] arrives here as fn:subsequence(E, k, 1) — and join
-     and product build sides are cut with explicit [PMaterialize]
-     markers.
+     predicate E[k] arrives here as fn:subsequence(E, k, 1).  A join or
+     product drains its build side itself, and its cost counts that
+     side's rows once more for it.
 
    Whether a step reads the structural index is no decision of the
    planner's but the step's shape ([Physical.index_step]: a
@@ -182,10 +182,6 @@ let mk pop ~rows:r ~cost:c : P.t =
     pest = { P.est_rows = Float.max 0. r; est_cost = Float.max 0. c };
   }
 
-(* Explicit materialization marker for a join/product build side. *)
-let materialized (p : P.t) : P.t =
-  mk (P.PMaterialize p) ~rows:(rows p) ~cost:(cost p +. rows p)
-
 (* [PCallStream] shapes: the argument chain the streaming implementations
    of Eval accept. *)
 let is_steps (a : P.t) =
@@ -217,10 +213,11 @@ let plan ?(config = default_config) (p : plan) : P.t =
     | Input -> mk P.PInput ~rows:1. ~cost:0.
     | Empty -> mk P.PEmpty ~rows:0. ~cost:0.
     | Scalar a -> mk (P.PScalar a) ~rows:1. ~cost:0.
-    | Seq (a, b) ->
-        let pa = go a and pb = go b in
-        mk (P.PSeq (pa, pb)) ~rows:(rows pa +. rows pb)
-          ~cost:(cost pa +. cost pb +. 1.)
+    | Seq ps ->
+        (* k items cost their sum plus k - 1, one unit per pairwise join *)
+        let pps = List.map go ps in
+        let sum f = List.fold_left (fun acc p -> acc +. f p) 0. pps in
+        mk (P.PSeq pps) ~rows:(sum rows) ~cost:(sum cost +. float_of_int (List.length pps - 1))
     | Element (name, c) -> construct (fun x -> P.PElement (name, x)) c
     | Attribute (name, c) -> construct (fun x -> P.PAttribute (name, x)) c
     | Text c -> construct (fun x -> P.PText x) c
@@ -320,7 +317,7 @@ let plan ?(config = default_config) (p : plan) : P.t =
         let pa = go a and pb = go b in
         let out = rows pa *. rows pb in
         mk
-          (P.PProduct (pa, materialized pb))
+          (P.PProduct (pa, pb))
           ~rows:out
           ~cost:(cost pa +. cost pb +. rows pb +. out)
     | Join (pred, a, b) -> plan_join None pred a b
@@ -396,7 +393,7 @@ let plan ?(config = default_config) (p : plan) : P.t =
   and scalar_of wrap input =
     let pi = go input in
     mk (wrap pi) ~rows:1. ~cost:(cost pi +. 1.)
-  (* Join planning: algorithm, build side and materialization points. *)
+  (* Join planning: algorithm and build side. *)
   and plan_join (outer : field option) (pred : join_pred) (a : plan) (b : plan)
       : P.t =
     let pa = go a and pb = go b in
@@ -412,7 +409,7 @@ let plan ?(config = default_config) (p : plan) : P.t =
         let out = out_of 0.5 in
         mk
           (P.PNestedLoop
-             { outer; pred = P.PWholePred pd; left = pa; right = materialized pb })
+             { outer; pred = P.PWholePred pd; left = pa; right = pb })
           ~rows:out
           ~cost:(base +. r +. (l *. r *. nl_pair_cost))
     | Split_pred { op; left_key; right_key } -> (
@@ -439,14 +436,9 @@ let plan ?(config = default_config) (p : plan) : P.t =
         match algorithm with
         | P.Hash ->
             let build = if l < r then P.Build_left else P.Build_right in
-            let left, right =
-              match build with
-              | P.Build_left -> (materialized pa, pb)
-              | P.Build_right -> (pa, materialized pb)
-            in
             mk
               (P.PHashJoin
-                 { outer; build; left_key = lk; right_key = rk; left; right })
+                 { outer; build; left_key = lk; right_key = rk; left = pa; right = pb })
               ~rows:out ~cost:hash_cost
         | P.Sort ->
             mk
@@ -457,7 +449,7 @@ let plan ?(config = default_config) (p : plan) : P.t =
                    left_key = lk;
                    right_key = rk;
                    left = pa;
-                   right = materialized pb;
+                   right = pb;
                  })
               ~rows:out ~cost:sort_cost
         | P.Nested_loop ->
@@ -467,7 +459,7 @@ let plan ?(config = default_config) (p : plan) : P.t =
                    outer;
                    pred = P.PSplitPred { op; left_key = lk; right_key = rk };
                    left = pa;
-                   right = materialized pb;
+                   right = pb;
                  })
               ~rows:out ~cost:nl_cost)
   in

@@ -115,11 +115,16 @@ let rec find_maptoitem (p : plan) : ((plan -> plan) * plan * plan) option =
 let rec find_nested_flwor (p : plan) : ((plan -> plan) * plan) option =
   match p with
   | MapToItem _ -> Some ((fun h -> h), p)
-  | Seq (a, b) -> (
-      match find_nested_flwor a with
-      | Some (c, m) -> Some ((fun h -> Seq (c h, b)), m)
-      | None ->
-          Option.map (fun (c, m) -> ((fun h -> Seq (a, c h)), m)) (find_nested_flwor b))
+  | Seq ps ->
+      (* the first item, left to right, holding a nested block *)
+      let rec first before = function
+        | [] -> None
+        | p :: after -> (
+            match find_nested_flwor p with
+            | Some (c, m) -> Some ((fun h -> Seq (List.rev_append before (c h :: after))), m)
+            | None -> first (p :: before) after)
+      in
+      first [] ps
   | Element (n, a) ->
       Option.map (fun (c, m) -> ((fun h -> Element (n, c h)), m)) (find_nested_flwor a)
   | Attribute (n, a) ->

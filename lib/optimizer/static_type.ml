@@ -132,11 +132,14 @@ let top_env = { fields = []; input_item = None }
    understood infers to [unknown]. *)
 let rec infer (env : env) (p : plan) : t =
   match p with
-  | Empty -> { kind = AK_item; occ = empty_occ }
+  | Empty | Seq [] -> { kind = AK_item; occ = empty_occ }
   | Scalar a -> { kind = kind_of_atomic a; occ = exactly_one }
-  | Seq (a, b) ->
-      let ta = infer env a and tb = infer env b in
-      { kind = join_kind ta.kind tb.kind; occ = add_occ ta.occ tb.occ }
+  | Seq (p :: ps) ->
+      List.fold_left
+        (fun acc p ->
+          let t = infer env p in
+          { kind = join_kind acc.kind t.kind; occ = add_occ acc.occ t.occ })
+        (infer env p) ps
   | Element _ -> { kind = AK_element; occ = exactly_one }
   | Attribute _ -> { kind = AK_attribute; occ = exactly_one }
   | Text _ -> { kind = AK_text; occ = zero_or_one }

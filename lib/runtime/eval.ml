@@ -8,17 +8,17 @@
 
    The evaluator dispatches on the physical algebra produced by the
    cost-based planner and re-makes no strategy decision: the join
-   algorithm and its build side, streaming builtin calls and explicit
-   materialization points all arrive encoded in the plan.  Whether a
-   step reads the structural index is fixed by its shape
-   ([Physical.index_step]), the same predicate the planner costs by.
+   algorithm and its build side and the streaming builtin calls all
+   arrive encoded in the plan.  Whether a step reads the structural
+   index is fixed by its shape ([Physical.index_step]), the same
+   predicate the planner costs by.
 
    The tabular arm of [dval] is a pull-based cursor ([tuple Seq.t]):
    Select/Map/MapConcat/OMapConcat/MapIndex chains fuse into lazy stream
    transformers that never materialize intermediate tables, and tuples
-   flow only as the consumer pulls.  Materialization happens at the
-   planner's explicit [PMaterialize] cuts (join and product build sides)
-   and at the genuinely blocking operators — OrderBy, GroupBy, and the
+   flow only as the consumer pulls.  Materialization happens at join and
+   product build sides, each drained to a list at operator call, and at
+   the genuinely blocking operators — OrderBy, GroupBy, and the
    item-producing sinks (MapToItem, serialization).  Existential
    consumers (MapSome/MapEvery, streamed fn:exists/fn:empty, streamed
    fn:subsequence) stop pulling after the prefix they need, turning
@@ -339,7 +339,7 @@ let node_stats (env : cenv) (id : int) : Obs.op_stats option =
 let rec reads_adopted (q : string) (adopt : bool) (p : P.t) : bool =
   match p.P.pop with
   | P.PFieldAccess f -> adopt && String.equal f q
-  | P.PSeq (a, b) -> reads_adopted q adopt a || reads_adopted q adopt b
+  | P.PSeq ps -> List.exists (reads_adopted q adopt) ps
   | P.PCond (_, t, e) -> reads_adopted q adopt t || reads_adopted q adopt e
   | P.PElement (_, content) -> reads_adopted q true content
   | _ -> false
@@ -489,8 +489,8 @@ type pulled = {
    inputs, merged output layout, match/unmatched emitters (outer joins
    prepend the null-flag field) and the left-major streaming driver.
    The probe (left) side streams: each outer tuple is matched as the
-   consumer pulls.  The build side arrives wrapped in [PMaterialize] by
-   the planner and is drained eagerly at operator call, before any pull. *)
+   consumer pulls.  The build side is drained to a list eagerly at
+   operator call, before any pull. *)
 type join_parts = {
   jp_stats : Obs.op_stats option;
   jp_left : comp;
@@ -535,9 +535,9 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
   | P.PScalar a ->
       let v = Xml [ Item.Atom a ] in
       ((fun _ _ -> v), [])
-  | P.PSeq (a, b) ->
-      let ca, _ = compile { env with adopt } a and cb, _ = compile { env with adopt } b in
-      ((fun ctx inp -> Xml (as_items (ca ctx inp) @ as_items (cb ctx inp))), [])
+  | P.PSeq ps ->
+      let cs = List.map (fun p -> fst (compile { env with adopt } p)) ps in
+      ((fun ctx inp -> Xml (List.concat_map (fun c -> as_items (c ctx inp)) cs)), [])
   | P.PElement (name, content) ->
       let cc, _ = compile { env with adopt = true } content in
       ((fun ctx inp -> Xml [ Item.Node (finish (build_element name (as_items (cc ctx inp)))) ]), [])
@@ -683,13 +683,6 @@ and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layo
       compile_hash_join env st outer build left_key right_key left right
   | P.PSortJoin { outer; op; left_key; right_key; left; right } ->
       compile_sort_join env st outer op left_key right_key left right
-  | P.PMaterialize inner ->
-      (* explicit pipeline cut: drain the child cursor to a list at call
-         time (join/product build sides) *)
-      let ci, li = compile env inner in
-      ( (fun ctx inp ->
-          match ci ctx inp with Xml _ as v -> v | Tab s -> tab_list (List.of_seq s)),
-        li )
   | P.PMap (dep, input) ->
       let ci, li = compile env input in
       let cd, ld = compile { env with layout = li } dep in

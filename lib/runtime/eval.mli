@@ -8,9 +8,8 @@
 
     The evaluator consumes the {e physical} algebra produced by the
     cost-based planner ([Xqc_optimizer.Planner]) and re-makes no strategy
-    decision: join algorithm and build side, positional bounds,
-    streaming calls and materialization points all arrive encoded in
-    the plan, and a step reads the structural index exactly when its
+    decision: join algorithm and build side, positional bounds and
+    streaming calls all arrive encoded in the plan, and a step reads the structural index exactly when its
     shape is {!Xqc_algebra.Physical.index_step}.
 
     Dependent-input plumbing: every compiled plan receives the current

@@ -169,20 +169,24 @@ let encode_request ?(id = Obs.Null) (req : request) : string =
   let fields = if id = Obs.Null then fields else fields @ [ ("id", id) ] in
   Obs.json_to_string (Obs.Obj (("op", Obs.Str op) :: fields))
 
+(* A response is one NDJSON line, newline included, encoded into one
+   buffer sized up front from its top-level strings (a query's result
+   is nearly all of a large reply), so the reply is built with no growth
+   chain and written as is, with no second copy for the framing. *)
+let reply_line (fields : (string * Obs.json) list) : string =
+  let size n (_, v) = match v with Obs.Str s -> n + String.length s | _ -> n in
+  let buf = Buffer.create (List.fold_left size 256 fields) in
+  Obs.add_json buf (Obs.Obj fields);
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 let response_ok ~(id : Obs.json) (fields : (string * Obs.json) list) : string =
-  Obs.json_to_string
-    (Obs.Obj (("id", id) :: ("status", Obs.Str "ok") :: fields))
+  reply_line (("id", id) :: ("status", Obs.Str "ok") :: fields)
 
 (* [extra] lets a response carry op-specific fields alongside the error
    (e.g. the trace_id of a timed-out traced request). *)
 let response_error ?(extra = []) ~(id : Obs.json) ~(code : string)
     (message : string) : string =
-  Obs.json_to_string
-    (Obs.Obj
-       ([
-          ("id", id);
-          ("status", Obs.Str "error");
-          ("code", Obs.Str code);
-          ("message", Obs.Str message);
-        ]
-       @ extra))
+  reply_line
+    ([ ("id", id); ("status", Obs.Str "error"); ("code", Obs.Str code); ("message", Obs.Str message) ]
+    @ extra)

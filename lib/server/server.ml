@@ -146,9 +146,10 @@ end
 (* The reader thread and any worker domain may reply on the same
    connection concurrently, so writes go through [write_line] under the
    connection's lock (one flushed line per reply keeps the NDJSON
-   framing intact).  Each connection has its own mutex but they all
-   share the "conn_write" stats record, so reply-write contention shows
-   up as one line in the lock table.  [pending] counts the connection's
+   framing intact; [Protocol.response_*] return the line with its
+   newline, written as is).  Each connection has its own mutex but they
+   all share the "conn_write" stats record, so reply-write contention
+   shows up as one line in the lock table.  [pending] counts the connection's
    admitted jobs not yet answered, so the reader does not close the
    connection under them at end of stream. *)
 type conn = {
@@ -161,11 +162,8 @@ type conn = {
 }
 
 let write_line conn line =
-  (* frame the reply outside the lock so the critical section is one
-     buffered write + flush, not string assembly *)
-  let framed = line ^ "\n" in
   Obs.with_lock conn.wlock (fun () ->
-      output_string conn.oc framed;
+      output_string conn.oc line;
       flush conn.oc)
 
 type job = {
@@ -343,10 +341,10 @@ let observe_trace t (tr : Trace.t) =
   end
 
 (* Offer a finished request to the slow-query ring.  A query that
-   entered it and succeeded is re-run once with a stats collector to
-   attach EXPLAIN ANALYZE, on the worker that already blew the
-   threshold and fenced with its own deadline so a pathological query
-   cannot wedge the worker.  A timeout or error is kept unanalyzed:
+   entered it and succeeded is re-run and serialized once with a stats
+   collector to attach EXPLAIN ANALYZE of that run, on the worker that
+   already blew the threshold and fenced with its own deadline so a
+   pathological query cannot wedge the worker.  A timeout or error is kept unanalyzed:
    re-running it would hold the worker for up to that deadline. *)
 let note_slow t (tr : Trace.t) =
   match Slow_log.note t.slow tr with
@@ -358,7 +356,6 @@ let note_slow t (tr : Trace.t) =
         with_snapshot t (fun ctx ->
             Xqc.Dynamic_ctx.set_deadline ctx
               (Some (Obs.now () +. Float.max (2.0 *. tr.tr_total_ms /. 1000.) 1.0));
-            ignore (Xqc.run p ctx);
             ignore (Xqc.serialize (Xqc.run p ctx)));
         Slow_log.set_explain t.slow entry (Xqc.explain_analyze p)
       with e ->

@@ -230,11 +230,6 @@ let rec add_node_indented buf depth (n : Node.t) =
       pad ();
       Buffer.add_string buf (node_to_string n)
 
-let node_to_string_indented n =
-  let buf = Buffer.create 256 in
-  add_node_indented buf 0 n;
-  Buffer.contents buf
-
 let sequence_to_string_indented (s : Item.sequence) =
   let buf = Buffer.create 256 in
   List.iteri

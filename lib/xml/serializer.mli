@@ -20,8 +20,6 @@ val sequence_size : ?limit:int -> Item.sequence -> int
 
 val sequence_to_file : string -> Item.sequence -> unit
 
-val node_to_string_indented : Node.t -> string
+val sequence_to_string_indented : Item.sequence -> string
 (** Two-space indented rendering; elements with text children stay on one
     line so the value is unchanged modulo ignorable whitespace. *)
-
-val sequence_to_string_indented : Item.sequence -> string

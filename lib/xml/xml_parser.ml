@@ -470,10 +470,3 @@ let parse_with_names ?uri (src : string) : Node.t * names =
   (doc, p.names)
 
 let parse_string ?uri src = fst (parse_with_names ?uri src)
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse_string ~uri:path s

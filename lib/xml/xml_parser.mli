@@ -26,8 +26,6 @@ val parse_string : ?uri:string -> string -> Node.t
     attributes, character references that do not denote an XML [Char],
     and the usual tag, entity and nesting errors. *)
 
-val parse_file : string -> Node.t
-
 (** {1 Name index}
 
     Per-qname element arrays in id order: what the structural store

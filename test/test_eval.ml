@@ -52,8 +52,10 @@ let paths =
     ("attribute", "$d//person[1]/@id", "id=\"p1\"");
     ("attribute string", "string($d//person[1]/@id)", "p1");
     ("wildcard", "count($d/root/*)", "2");
-    ("parent", "name($d//name[1]/..)", "person");
-    ("ancestor", "count($d//name[1]/ancestor::*)", "3");
+    ("parent", "name(($d//name)[1]/..)", "person");
+    ("ancestor", "count(($d//name)[1]/ancestor::*)", "3");
+    ("positional predicate per context node", "count($d//name[1])", "2");
+    ("per-node ancestors unioned", "count($d//name[1]/ancestor::*)", "4");
     ("self", "count($d//person/self::person)", "2");
     ("following-sibling", "name($d//people/following-sibling::*)", "nums");
     ("preceding-sibling", "name($d//nums/preceding-sibling::*)", "people");
@@ -120,7 +122,7 @@ let functions =
     ("min max", "(min((3,1,2)), max((3,1,2)))", "1 3");
     ("min promotes", "min((2, 1.5))", "1.5");
     ("empty exists", "(empty(()), exists(()))", "true false");
-    ("string of node", "string($d//name[1])", "Alice");
+    ("string of node", "string(($d//name)[1])", "Alice");
     ("string-length", "string-length(\"abcd\")", "4");
     ("concat", "concat(\"a\", \"b\", \"c\")", "abc");
     ("string-join", "string-join((\"a\",\"b\"), \"-\")", "a-b");
@@ -143,7 +145,7 @@ let functions =
     ("zero-or-one empty", "zero-or-one(())", "");
     ("one-or-more", "one-or-more((1,2))", "1 2");
     ("name local-name", "(name($d//person[1]), local-name($d//person[1]))", "person person");
-    ("root", "count(root($d//name[1])//person)", "2");
+    ("root", "count(root(($d//name)[1])//person)", "2");
     ("boolean of nodes", "boolean($d//person)", "true");
     ("data", "data($d//n)", "1 2 3");
     ("string-join over path", "string-join($d//pet/text(), \",\")", "cat,dog");
@@ -202,7 +204,7 @@ let control =
       "typeswitch (42) case $i as xs:integer return \"int\" case $s as xs:string return \"str\" default return \"other\"",
       "int" );
     ( "typeswitch node",
-      "typeswitch ($d//name[1]) case element(name) return \"name elem\" default return \"other\"",
+      "typeswitch (($d//name)[1]) case element(name) return \"name elem\" default return \"other\"",
       "name elem" );
     ( "typeswitch default",
       "typeswitch (3.14) case $i as xs:integer return \"int\" default $o return string($o)",
@@ -403,8 +405,9 @@ let identity_queries =
 
 (* At the plan level: a GroupBy read once by the MapToItem it feeds
    builds its aggregate fresh, so the enclosing constructor adopts it and
-   copies nothing; a Materialize between the two forces the copy. *)
-let test_materialize_forces_copy () =
+   copies nothing; any operator between the two — here a Select whose
+   predicate is always true — forces the copy. *)
+let test_operator_between_forces_copy () =
   let open Xqc.Algebra in
   let rows =
     Xqc.parse_document {|<t><row k="1" v="a"/><row k="1" v="b"/><row k="2" v="c"/></t>|}
@@ -435,7 +438,8 @@ let test_materialize_forces_copy () =
     match p.Xqc.Physical.pop with
     | Xqc.Physical.PElement (n, c) -> { p with pop = PElement (n, cut c) }
     | Xqc.Physical.PMapToItem (dep, input) ->
-        { p with pop = PMapToItem (dep, { input with pop = PMaterialize input }) }
+        let always = { input with pop = PScalar (Xqc.Atomic.Boolean true) } in
+        { p with pop = PMapToItem (dep, { input with pop = PSelect (always, input) }) }
     | _ -> Alcotest.fail "unexpected plan shape"
   in
   let copies p =
@@ -450,7 +454,7 @@ let test_materialize_forces_copy () =
     Xqc.Obs.counter_value (Xqc.Obs.global_counter "construct_nodes_copied") - before
   in
   Alcotest.(check int) "direct GroupBy: adopted, nothing copied" 0 (copies planned);
-  Alcotest.(check int) "behind Materialize: each x copied with its text" 6 (copies (cut planned))
+  Alcotest.(check int) "behind a Select: each x copied with its text" 6 (copies (cut planned))
 
 let () =
   Alcotest.run "eval"
@@ -472,5 +476,5 @@ let () =
       ("errors", error_tests);
       ( "constructed node identity",
         identity_queries
-        @ [ Alcotest.test_case "materialize forces a copy" `Quick test_materialize_forces_copy ] );
+        @ [ Alcotest.test_case "an operator between forces a copy" `Quick test_operator_between_forces_copy ] );
     ]

@@ -585,6 +585,56 @@ let test_explain_all_plans () =
     [ "function local:f:"; "global $g:"; "main:" ];
   check_bool "the function body's addition" true (contains report "Call[op:add]")
 
+(* A flat sequence is one Sequence node over its items, evaluated in
+   one pass: a profiled run of count((1, ..., 1)) pulls each item once
+   out of its Scalar and once through the Sequence, plus the count
+   itself, and its whole EXPLAIN report stays linear in the query. *)
+let test_flat_sequence_linear () =
+  let n = 5_000 in
+  let q = "count((" ^ String.concat "," (List.init n (fun _ -> "1")) ^ "))" in
+  let p = prepare ~stats:true q in
+  check "count" (string_of_int n) (serialize (run p (context ())));
+  let tuples, items = Obs.pulled_totals (Option.get (stats p)) in
+  check_int "2n + 1 items pulled" ((2 * n) + 1) (tuples + items);
+  (match physical_plan p with
+  | Some q ->
+      let seqs =
+        Physical.fold
+          (fun acc t -> match t.Physical.pop with Physical.PSeq ps -> List.length ps :: acc | _ -> acc)
+          [] q.Physical.pmain
+      in
+      Alcotest.(check (list int)) "one Sequence over every item" [ n ] seqs
+  | None -> Alcotest.fail "no physical plan");
+  let report = explain q in
+  check_bool
+    (Printf.sprintf "EXPLAIN is %d bytes, under 1 MB" (String.length report))
+    true
+    (String.length report < 1_000_000)
+
+(* A plan deeper than [Pretty.max_depth] prints its first levels and one
+   line for the rest, so EXPLAIN of 200 nested constructors stays small:
+   the physical plan is 64 Element lines and one for the remaining 136
+   Elements and the Empty content. *)
+let test_deep_plan_elided () =
+  let depth = 200 in
+  let q = String.concat "" (List.init depth (fun _ -> "<a>")) ^ String.concat "" (List.init depth (fun _ -> "</a>")) in
+  let p = prepare q in
+  let plan =
+    match physical_plan p with Some q -> q.Physical.pmain | None -> Alcotest.fail "no physical plan"
+  in
+  let lines = String.split_on_char '\n' (String.trim (Pretty.plan_to_string plan)) in
+  check_int "lines" (Pretty.max_depth + 1) (List.length lines);
+  check "elided line"
+    (String.make (2 * Pretty.max_depth) ' ' ^ Printf.sprintf "… %d more operators" (depth + 1 - Pretty.max_depth))
+    (List.nth lines Pretty.max_depth);
+  let report = explain q in
+  check_bool "every plan section elided" true
+    (List.length (List.filter (fun l -> contains l "more operators") (String.split_on_char '\n' report)) = 3);
+  check_bool
+    (Printf.sprintf "EXPLAIN is %d bytes, under 64 KB" (String.length report))
+    true
+    (String.length report < 65_536)
+
 (* ------------------------------------------------------------------ *)
 (* GroupBy                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -709,6 +759,8 @@ let () =
           Alcotest.test_case "EXPLAIN = EXPLAIN ANALYZE" `Quick
             test_explain_analyze_lockstep;
           Alcotest.test_case "functions and globals" `Quick test_explain_all_plans;
+          Alcotest.test_case "flat sequence is linear" `Quick test_flat_sequence_linear;
+          Alcotest.test_case "deep plan elided" `Quick test_deep_plan_elided;
         ] );
       ( "groupby",
         [

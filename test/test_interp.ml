@@ -34,7 +34,7 @@ let test_join_detection () =
     | Core_ast.C_flwor (_ :: rest, orders, ret) ->
         find_pair (Core_ast.C_flwor (rest, orders, ret))
     | Core_ast.C_elem (_, c) -> find_pair c
-    | Core_ast.C_seq (a, b) -> find_pair a || find_pair b
+    | Core_ast.C_seq es -> List.exists find_pair es
     | Core_ast.C_call (_, args) -> List.exists find_pair args
     | _ -> false
   in
@@ -45,7 +45,7 @@ let test_join_detection () =
     match e with
     | Core_ast.C_flwor (_, _, ret) -> find_anywhere ret
     | Core_ast.C_elem (_, c) | Core_ast.C_attr (_, c) -> find_anywhere c
-    | Core_ast.C_seq (a, b) -> find_anywhere a || find_anywhere b
+    | Core_ast.C_seq es -> List.exists find_anywhere es
     | Core_ast.C_call (_, args) -> List.exists find_anywhere args
     | _ -> false
   in

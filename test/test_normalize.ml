@@ -10,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 let rec collect_calls (e : cexpr) : string list =
   match e with
   | C_call (f, args) -> f :: List.concat_map collect_calls args
-  | C_seq (a, b) -> collect_calls a @ collect_calls b
+  | C_seq es -> List.concat_map collect_calls es
   | C_elem (_, c) | C_attr (_, c) | C_text c | C_comment c | C_pi (_, c) ->
       collect_calls c
   | C_if (a, b, c) -> collect_calls a @ collect_calls b @ collect_calls c
@@ -50,7 +50,7 @@ let rec bound_vars (e : cexpr) : string list =
       (v :: bound_vars s)
       @ List.concat_map (fun (_, b) -> bound_vars b) cases
       @ bound_vars d
-  | C_seq (a, b) -> bound_vars a @ bound_vars b
+  | C_seq es -> List.concat_map bound_vars es
   | C_elem (_, c) | C_attr (_, c) | C_text c | C_comment c | C_pi (_, c) ->
       bound_vars c
   | C_if (a, b, c) -> bound_vars a @ bound_vars b @ bound_vars c
@@ -68,12 +68,24 @@ let test_simple_path () =
   | other -> Alcotest.failf "unexpected core: %s" (to_string other)
 
 let test_positional_predicate () =
-  (* $d/a[2] -> a FLWOR with an at-variable and a position test *)
-  match norm "$d/a[2]" with
+  (* $x/a[2] -> a FLWOR with an at-variable and a position test *)
+  (match norm "for $x in $d return $x/a[2]" with
   | C_flwor
-      ( [ CC_for { at_var = Some _; source = C_treejoin _; _ }; CC_where (C_call ("op:eq", _)) ],
+      ( [ CC_for _ ],
         [],
-        C_var _ ) ->
+        C_flwor
+          ( [ CC_for { at_var = Some _; source = C_treejoin _; _ }; CC_where (C_call ("op:eq", _)) ],
+            [],
+            C_var _ ) ) ->
+      ()
+  | other -> Alcotest.failf "unexpected core: %s" (to_string other));
+  (* over a sequence the position counts per context node:
+     op:union(for $c in $d return $c/a[2], ()) *)
+  match norm "$d/a[2]" with
+  | C_call
+      ( "op:union",
+        [ C_flwor ([ CC_for { source = C_var "d"; _ } ], [], C_flwor ([ CC_for { at_var = Some _; _ }; _ ], [], _));
+          C_empty ] ) ->
       ()
   | other -> Alcotest.failf "unexpected core: %s" (to_string other)
 
@@ -86,8 +98,11 @@ let test_boolean_predicate_has_no_position () =
 
 let test_last_predicate () =
   (* a last() predicate let-binds the sequence and its count *)
-  match norm "$d/a[last()]" with
-  | C_flwor (CC_let _ :: CC_let { value = C_call ("fn:count", _); _ } :: CC_for _ :: CC_where _ :: [], [], _)
+  match norm "for $x in $d return $x/a[last()]" with
+  | C_flwor
+      ( [ CC_for _ ],
+        [],
+        C_flwor (CC_let _ :: CC_let { value = C_call ("fn:count", _); _ } :: CC_for _ :: CC_where _ :: [], [], _) )
     -> ()
   | other -> Alcotest.failf "unexpected core: %s" (to_string other)
 

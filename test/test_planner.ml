@@ -105,11 +105,12 @@ let test_exists_streams () =
 
 (* a literal table of [n] rows with a single field [f] *)
 let tbl f n =
-  let rec scalars k =
-    if k = 1 then Scalar (Atomic.Integer 1)
-    else Seq (scalars (k - 1), Scalar (Atomic.Integer k))
+  let scalars =
+    match List.init n (fun k -> Scalar (Atomic.Integer (k + 1))) with
+    | [ s ] -> s
+    | ss -> Seq ss
   in
-  MapFromItem (TupleConstruct [ (f, Input) ], scalars n)
+  MapFromItem (TupleConstruct [ (f, Input) ], scalars)
 
 let eq_join left right =
   Join

@@ -63,7 +63,7 @@ let test_map_concat () =
   check "dependent sees input fields" "12" (ser p)
 
 let test_map_from_item_and_index () =
-  let src = Seq (int_scalar 10, Seq (int_scalar 20, int_scalar 30)) in
+  let src = Seq [ int_scalar 10; int_scalar 20; int_scalar 30 ] in
   let p = MapIndex ("i", MapFromItem (TupleConstruct [ ("v", Input) ], src)) in
   let table = run_table p in
   check_int "three tuples" 3 (List.length table);
@@ -101,11 +101,11 @@ let test_product_order () =
   let tbl name vals =
     MapFromItem
       (TupleConstruct [ (name, Input) ],
-       List.fold_left (fun acc v -> Seq (acc, int_scalar v)) (int_scalar (List.hd vals)) (List.tl vals))
+       Seq (List.map int_scalar vals))
   in
   let p =
     MapToItem
-      ( Seq (FieldAccess "a", FieldAccess "b"),
+      ( Seq [ FieldAccess "a"; FieldAccess "b" ],
         Product (tbl "a" [ 1; 2 ], tbl "b" [ 10; 20 ]) )
   in
   check "left-major order" "1 10 1 20 2 10 2 20" (ser p)
@@ -113,7 +113,7 @@ let test_product_order () =
 let test_element_construction () =
   (* attributes collected, atoms space-joined into text, nodes copied *)
   let attr = Attribute ("k", Scalar (Atomic.String "v")) in
-  let p = Element ("e", Seq (attr, Seq (int_scalar 1, int_scalar 2))) in
+  let p = Element ("e", Seq [ attr; int_scalar 1; int_scalar 2 ]) in
   check "element" {|<e k="v">1 2</e>|} (ser p);
   (* constructed content gets fresh node ids in document order *)
   match run_items p with
@@ -124,7 +124,7 @@ let test_element_construction () =
   | _ -> Alcotest.fail "one element"
 
 let test_text_and_comment () =
-  check "text joins atoms" "a b" (ser (Text (Seq (Scalar (Atomic.String "a"), Scalar (Atomic.String "b")))));
+  check "text joins atoms" "a b" (ser (Text (Seq [ Scalar (Atomic.String "a"); Scalar (Atomic.String "b") ])));
   check "empty text vanishes" "" (ser (Text Empty));
   check "comment" "<!--c-->" (ser (Comment (Scalar (Atomic.String "c"))));
   check "pi" "<?t d?>" (ser (Pi ("t", Scalar (Atomic.String "d"))))
@@ -133,7 +133,7 @@ let test_cond_and_typeassert () =
   check "cond true" "1"
     (ser (Cond (Scalar (Atomic.Boolean true), int_scalar 1, int_scalar 2)));
   check "cond on empty is false" "2" (ser (Cond (Empty, int_scalar 1, int_scalar 2)));
-  (match run_items (TypeAssert (Seqtype.star (Seqtype.It_atomic Atomic.T_integer), Seq (int_scalar 1, int_scalar 2))) with
+  (match run_items (TypeAssert (Seqtype.star (Seqtype.It_atomic Atomic.T_integer), Seq [ int_scalar 1; int_scalar 2 ])) with
   | [ _; _ ] -> ()
   | _ -> Alcotest.fail "assert passes through");
   match
@@ -145,7 +145,7 @@ let test_cond_and_typeassert () =
 let test_item_quantifier () =
   (* the retained item-level Quantified operator binds its variable in
      the parameter frame *)
-  let src = Seq (int_scalar 1, Seq (int_scalar 5, int_scalar 9)) in
+  let src = Seq [ int_scalar 1; int_scalar 5; int_scalar 9 ] in
   let body = Call ("op:general-gt", [ Var "v"; int_scalar 4 ]) in
   check "some item > 4" "true"
     (ser (Quantified (Ast.Some_quant, "v", src, body)));
@@ -154,7 +154,7 @@ let test_item_quantifier () =
 
 let test_map_some_every () =
   let table =
-    MapFromItem (TupleConstruct [ ("v", Input) ], Seq (int_scalar 1, int_scalar 5))
+    MapFromItem (TupleConstruct [ ("v", Input) ], Seq [ int_scalar 1; int_scalar 5 ])
   in
   let gt3 = Call ("op:general-gt", [ FieldAccess "v"; int_scalar 3 ]) in
   check "some" "true" (ser (MapSome (gt3, table)));

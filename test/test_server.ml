@@ -800,6 +800,25 @@ let test_slow_timeout_not_rerun () =
   if waited > 0.5 then
     Alcotest.failf "1+1 waited %.2fs behind the timed-out query" waited
 
+(* A 10 KB flat sequence does not hold the only worker: whether it
+   stays under the default slow-query threshold or the ring re-runs it
+   for EXPLAIN ANALYZE (a near-zero threshold), the next request is
+   answered within 2 s. *)
+let test_flat_sequence_frees_worker () =
+  let q = "count((" ^ String.concat "," (List.init 5_000 (fun _ -> "1")) ^ "))" in
+  List.iter
+    (fun slow_ms ->
+      with_server ~workers:1 ~slow_ms @@ fun sock ->
+      let c = Client.connect_unix sock in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Alcotest.(check string) "count" "5000" (check_ok "flat sequence" (Client.query c q));
+      let started = Obs.now () in
+      Alcotest.(check string) "next request answered" "2" (check_ok "1+1" (Client.query c "1+1"));
+      let waited = Obs.now () -. started in
+      if waited > 2.0 then
+        Alcotest.failf "slow_ms %g: 1+1 waited %.2fs behind the flat sequence" slow_ms waited)
+    [ Server.default_config.slow_ms; 0.001 ]
+
 (* Every job reply carries its trace id, asked for or not, and the
    stored trace is the whole request. *)
 let test_untraced_reply_has_trace () =
@@ -927,6 +946,8 @@ let () =
           Alcotest.test_case "deterministic ids" `Quick
             test_deterministic_server_ids;
           Alcotest.test_case "slow query ring" `Quick test_slow_query_ring;
+          Alcotest.test_case "flat sequence frees the worker" `Quick
+            test_flat_sequence_frees_worker;
           Alcotest.test_case "slow ring outcomes" `Quick test_slow_ring_outcomes;
           Alcotest.test_case "slow timeout not re-run" `Quick
             test_slow_timeout_not_rerun;

@@ -22,7 +22,7 @@ let test_infer_basics () =
   check_bool "unknown for field access" true ((infer (FieldAccess "q")).S.kind = S.AK_item)
 
 let test_infer_occurrences () =
-  let t = infer (Seq (Scalar (Atomic.Integer 1), Scalar (Atomic.Integer 2))) in
+  let t = infer (Seq [ Scalar (Atomic.Integer 1); Scalar (Atomic.Integer 2) ]) in
   check_int "seq lo" 2 t.S.occ.S.lo;
   check_bool "seq hi" true (t.S.occ.S.hi = Some 2);
   let t = infer Empty in
