@@ -312,21 +312,26 @@ let port_arg =
     & info [ "port" ] ~docv:"PORT" ~doc:"TCP port to listen on / connect to.")
 
 let serve_cmd =
+  let defaults = Xqc_server.Server.default_config in
   let workers_arg =
     Arg.(
-      value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains evaluating queries in parallel.")
+      value
+      & opt (some int) defaults.workers
+      & info [ "workers" ] ~docv:"N"
+          ~doc:
+            "Worker domains evaluating queries in parallel.  By default one \
+             per CPU the process may run on, at most 2.")
   in
   let queue_arg =
     Arg.(
-      value & opt int 64
+      value & opt int defaults.queue_depth
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:"Admission-control bound: requests beyond this many queued get an overloaded error.")
   in
   let timeout_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some int) defaults.default_timeout_ms
       & info [ "timeout-ms" ] ~docv:"MS"
           ~doc:"Default per-request deadline (requests may set their own).")
   in
@@ -343,7 +348,7 @@ let serve_cmd =
   in
   let slow_ms_arg =
     Arg.(
-      value & opt float 100.0
+      value & opt float defaults.slow_ms
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:"Requests slower than this land in the slow-query ring.")
   in

@@ -363,25 +363,31 @@ let plan_to_string ?profile (p : Physical.t) : string =
   add_plan ?profile buf p;
   Buffer.contents buf
 
+(* Cut at [max_depth] as the text writer is: the deeper subtree is one
+   [{"op": "…", "elided_operators": N}] node, so a deep plan stays within
+   what a JSON reader's recursion allows. *)
 let plan_to_json (profile : Obs.collector) (p : Physical.t) : Obs.json =
-  let rec go n =
-    let r = row ~profile n in
-    let st = Option.value r.stats ~default:(Obs.op_stats ()) in
-    Obs.Obj
-      ([
-         ("op", Obs.Str r.label);
-         ("calls", Obs.Int st.Obs.op_calls);
-         ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs));
-         ("tuples", Obs.Int st.Obs.op_tuples);
-         ("items", Obs.Int st.Obs.op_items);
-         ("estimated_rows", Obs.Float r.est_rows);
-         ("actual_rows", Obs.Int (st.Obs.op_tuples + st.Obs.op_items));
-       ]
-      @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
-      @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
-      @ match kids n with [] -> [] | ks -> [ ("children", Obs.Arr (List.map go ks)) ])
+  let rec go depth n =
+    if depth >= max_depth then
+      Obs.Obj [ ("op", Obs.Str "…"); ("elided_operators", Obs.Int (node_count n)) ]
+    else
+      let r = row ~profile n in
+      let st = Option.value r.stats ~default:(Obs.op_stats ()) in
+      Obs.Obj
+        ([
+           ("op", Obs.Str r.label);
+           ("calls", Obs.Int st.Obs.op_calls);
+           ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs));
+           ("tuples", Obs.Int st.Obs.op_tuples);
+           ("items", Obs.Int st.Obs.op_items);
+           ("estimated_rows", Obs.Float r.est_rows);
+           ("actual_rows", Obs.Int (st.Obs.op_tuples + st.Obs.op_items));
+         ]
+        @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
+        @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
+        @ match kids n with [] -> [] | ks -> [ ("children", Obs.Arr (List.map (go (depth + 1)) ks)) ])
   in
-  go (Op p)
+  go 0 (Op p)
 
 let query_plans (q : Physical.query) : (string * Physical.t) list =
   List.map (fun f -> ("function " ^ f.Physical.pf_name, f.Physical.pf_body)) q.Physical.pfunctions

@@ -54,7 +54,8 @@ val plan_to_string : ?profile:Xqc_obs.Obs.collector -> Physical.t -> string
 val plan_to_json : Xqc_obs.Obs.collector -> Physical.t -> Xqc_obs.Obs.json
 (** The same rows as a tree: [op], [calls], [time_ms], [tuples],
     [items], [estimated_rows], [actual_rows], [mode], [join],
-    [children].  Not cut at {!max_depth}. *)
+    [children].  Cut at {!max_depth} as the text is: a deeper subtree is
+    one [{"op": "…", "elided_operators": N}] node, [N] its size. *)
 
 val query_plans : Physical.query -> (string * Physical.t) list
 (** Every plan of a query under its report name: ["function f"],

@@ -12,7 +12,9 @@
      bounded job queue.  A full queue is an immediate ["overloaded"]
      error — admission control, so latency stays bounded instead of the
      queue growing without limit;
-   - [workers] *domains* ([Domain.spawn]) drain the queue in parallel.
+   - [workers] *domains* ([Domain.spawn]) drain the queue in parallel,
+     by default one per CPU the process may run on, at most two (see
+     [pool_size]).
      Each request evaluates against a fresh [Dynamic_ctx] that shares
      the read-only preloaded documents; everything mutable that crosses
      domains (plan cache, store index tables, obs counters, node-id
@@ -51,7 +53,9 @@ module Slow_log = Xqc_obs.Slow_log
 type config = {
   unix_socket : string option;
   tcp : (string * int) option;  (** bind address and port *)
-  workers : int;
+  workers : int option;
+      (** worker domains; [None]: one per CPU the process may run on, at
+          most two, counted when {!serve} starts *)
   queue_depth : int;  (** admission-control bound on queued requests *)
   default_timeout_ms : int option;  (** per-request default deadline *)
   preload : (string * string) list;  (** [name, path] document preloads *)
@@ -64,7 +68,7 @@ let default_config =
   {
     unix_socket = None;
     tcp = None;
-    workers = 2;
+    workers = None;
     queue_depth = 64;
     default_timeout_ms = None;
     preload = [];
@@ -198,7 +202,7 @@ type t = {
   h_eval : Obs.histogram;  (** plan execution, milliseconds *)
   h_serialize : Obs.histogram;  (** result serialization, milliseconds *)
   slow : Slow_log.t;
-  worker_stats : worker_stat array;
+  worker_stats : worker_stat array;  (** one per worker domain: its length is the pool size *)
 }
 
 let c_requests = Obs.global_counter "server_requests"
@@ -207,6 +211,20 @@ let c_errors = Obs.global_counter "server_errors"
 let c_timeouts = Obs.global_counter "server_timeouts"
 let c_overloaded = Obs.global_counter "server_overloaded"
 let c_connections = Obs.global_counter "server_connections"
+
+(* The pool size [serve] runs with.  [None] counts the CPUs in the
+   process's affinity mask when [serve] starts, not when this module
+   initializes: a process may pin itself after start-up, as the
+   benchmark harness does.  In OCaml 5 every minor collection stops all
+   domains, so a busy domain with no CPU of its own stalls the others
+   at each collection; on one CPU one worker serves more requests than
+   two.  The default is capped at two, the most that has been measured;
+   the cap also keeps the workers plus the main domain well inside the
+   runtime's limit of 128 domains. *)
+let pool_size (cfg : config) : int =
+  match cfg.workers with
+  | Some n -> max 1 n
+  | None -> min 2 (Domain.recommended_domain_count ())
 
 let log t fmt =
   if t.cfg.verbose then Printf.eprintf (fmt ^^ "\n%!")
@@ -345,21 +363,27 @@ let observe_trace t (tr : Trace.t) =
    collector to attach EXPLAIN ANALYZE of that run, on the worker that
    already blew the threshold and fenced with its own deadline so a
    pathological query cannot wedge the worker.  A timeout or error is kept unanalyzed:
-   re-running it would hold the worker for up to that deadline. *)
+   re-running it would hold the worker for up to that deadline.  So is
+   a query finishing while requests wait in the queue: the re-run would
+   hold them back, for up to max(2x the slow run, 1 s) when the pool has
+   one worker. *)
 let note_slow t (tr : Trace.t) =
   match Slow_log.note t.slow tr with
   | Some entry
     when String.equal tr.tr_outcome "ok"
          && (String.equal tr.tr_op "query" || String.equal tr.tr_op "execute") -> (
-      try
-        let p = Xqc.prepare ~strategy:t.cfg.strategy ~stats:true tr.tr_source in
-        with_snapshot t (fun ctx ->
-            Xqc.Dynamic_ctx.set_deadline ctx
-              (Some (Obs.now () +. Float.max (2.0 *. tr.tr_total_ms /. 1000.) 1.0));
-            ignore (Xqc.serialize (Xqc.run p ctx)));
-        Slow_log.set_explain t.slow entry (Xqc.explain_analyze p)
-      with e ->
-        Slow_log.set_explain t.slow entry ("analyze failed: " ^ Printexc.to_string e))
+      if Bqueue.length t.queue > 0 then
+        Slow_log.set_explain t.slow entry "analyze skipped: requests were waiting"
+      else
+        try
+          let p = Xqc.prepare ~strategy:t.cfg.strategy ~stats:true tr.tr_source in
+          with_snapshot t (fun ctx ->
+              Xqc.Dynamic_ctx.set_deadline ctx
+                (Some (Obs.now () +. Float.max (2.0 *. tr.tr_total_ms /. 1000.) 1.0));
+              ignore (Xqc.serialize (Xqc.run p ctx)));
+          Slow_log.set_explain t.slow entry (Xqc.explain_analyze p)
+        with e ->
+          Slow_log.set_explain t.slow entry ("analyze failed: " ^ Printexc.to_string e))
   | _ -> ()
 
 let handle_job t (job : job) : unit =
@@ -448,7 +472,7 @@ let stats_fields t : (string * Obs.json) list =
   let store = Xqc.Store.stats () in
   [
     ("uptime_s", Obs.Float (Obs.now () -. t.started));
-    ("workers", Obs.Int t.cfg.workers);
+    ("workers", Obs.Int (Array.length t.worker_stats));
     ("queue_depth", Obs.Int (Bqueue.length t.queue));
     ("queue_capacity", Obs.Int t.cfg.queue_depth);
     ("inflight", Obs.Int (Atomic.get t.inflight));
@@ -573,7 +597,7 @@ let prometheus_text t : string =
       Obs.Prom_gauge
         ( "xqc_workers",
           "Worker domains.",
-          [ ([], float_of_int t.cfg.workers) ] );
+          [ ([], float_of_int (Array.length t.worker_stats)) ] );
       Obs.Prom_gauge
         ( "xqc_slow_queries",
           "Entries currently in the slow-query ring.",
@@ -819,7 +843,7 @@ let serve ?(ready = fun () -> ()) (cfg : config) : unit =
   if cfg.unix_socket = None && cfg.tcp = None then
     invalid_arg "Server.serve: no listener (need a unix socket path or a TCP address)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let nworkers = max 1 cfg.workers in
+  let nworkers = pool_size cfg in
   let t =
     {
       cfg;

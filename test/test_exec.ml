@@ -611,13 +611,16 @@ let test_flat_sequence_linear () =
     true
     (String.length report < 1_000_000)
 
+let nested_constructors depth =
+  String.concat "" (List.init depth (fun _ -> "<a>")) ^ String.concat "" (List.init depth (fun _ -> "</a>"))
+
 (* A plan deeper than [Pretty.max_depth] prints its first levels and one
    line for the rest, so EXPLAIN of 200 nested constructors stays small:
    the physical plan is 64 Element lines and one for the remaining 136
    Elements and the Empty content. *)
 let test_deep_plan_elided () =
   let depth = 200 in
-  let q = String.concat "" (List.init depth (fun _ -> "<a>")) ^ String.concat "" (List.init depth (fun _ -> "</a>")) in
+  let q = nested_constructors depth in
   let p = prepare q in
   let plan =
     match physical_plan p with Some q -> q.Physical.pmain | None -> Alcotest.fail "no physical plan"
@@ -634,6 +637,35 @@ let test_deep_plan_elided () =
     (Printf.sprintf "EXPLAIN is %d bytes, under 64 KB" (String.length report))
     true
     (String.length report < 65_536)
+
+(* The stats-JSON plan is cut at the same depth: the report of 2,000
+   nested constructors parses with the wire parser (512 levels at most),
+   its plan has [Pretty.max_depth] operator levels, and one
+   [elided_operators] node stands for the other 1,937 operators. *)
+let test_deep_stats_json_cut () =
+  let depth = 2_000 in
+  let q = nested_constructors depth in
+  let p = prepare ~stats:true q in
+  ignore (serialize (run p (context ())));
+  let field name = function Obs.Obj fs -> List.assoc_opt name fs | _ -> None in
+  let children n = match field "children" n with Some (Obs.Arr ks) -> ks | _ -> [] in
+  let rec levels n =
+    if field "elided_operators" n <> None then 0
+    else 1 + List.fold_left (fun m k -> max m (levels k)) 0 (children n)
+  in
+  let rec elided n =
+    match field "elided_operators" n with
+    | Some (Obs.Int k) -> [ (field "op" n, k) ]
+    | _ -> List.concat_map elided (children n)
+  in
+  let report = Xqc_server.Json_parse.parse (Option.get (stats_json p)) in
+  match field "plans" report with
+  | Some (Obs.Arr [ main ]) ->
+      let plan = Option.get (field "plan" main) in
+      check_int "operator levels" Pretty.max_depth (levels plan);
+      check_bool "one elided node for the rest" true
+        (elided plan = [ (Some (Obs.Str "…"), depth + 1 - Pretty.max_depth) ])
+  | _ -> Alcotest.fail "expected one plan in the stats JSON"
 
 (* ------------------------------------------------------------------ *)
 (* GroupBy                                                             *)
@@ -761,6 +793,7 @@ let () =
           Alcotest.test_case "functions and globals" `Quick test_explain_all_plans;
           Alcotest.test_case "flat sequence is linear" `Quick test_flat_sequence_linear;
           Alcotest.test_case "deep plan elided" `Quick test_deep_plan_elided;
+          Alcotest.test_case "deep stats JSON cut" `Quick test_deep_stats_json_cut;
         ] );
       ( "groupby",
         [

@@ -45,9 +45,11 @@ let expected_results queries =
   Xqc.bind_variable ctx "auction" [ Xqc.Item.Node doc ];
   List.map (fun q -> (q, Xqc.serialize (Xqc.run (Xqc.prepare q) ctx))) queries
 
-(* Run [f sock] against a live server; always shut it down afterwards. *)
-let with_server ?(workers = 2) ?(queue_depth = 64) ?default_timeout_ms
-    ?(preload = []) ?(slow_ms = 100.0) ?(strategy = Server.default_config.strategy)
+(* Run [f sock] against a live server; always shut it down afterwards.
+   Without [workers] the server has the default pool. *)
+let with_server ?workers ?(queue_depth = Server.default_config.queue_depth)
+    ?default_timeout_ms ?(preload = []) ?(slow_ms = Server.default_config.slow_ms)
+    ?(strategy = Server.default_config.strategy)
     ?(verbose = false) f =
   let sock = fresh_sock () in
   let ready_lock = Mutex.create () in
@@ -531,6 +533,82 @@ let test_shutdown_drains () =
       Alcotest.failf "in-flight query was not drained: %s: %s" code m
 
 (* ------------------------------------------------------------------ *)
+(* Pool size                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The pool a server reports: [workers] in stats and the number of
+   [workers_detail] rows in metrics. *)
+let reported_pool sock =
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (jint "stats" "workers" (Client.stats c), List.length (jarr "metrics" "workers_detail" (Client.metrics c)))
+
+let test_default_pool_per_cpu () =
+  let n = min 2 (Domain.recommended_domain_count ()) in
+  with_server @@ fun sock ->
+  Alcotest.(check (pair int int)) "one worker per CPU up to 2, one row each" (n, n) (reported_pool sock)
+
+let test_explicit_pool_kept () =
+  with_server ~workers:3 @@ fun sock ->
+  Alcotest.(check (pair int int)) "workers:3 honoured" (3, 3) (reported_pool sock)
+
+(* One worker runs reads and writes one at a time, so no reader holds a
+   pin when a write starts: every write patches the head in place
+   instead of copying the document.  A reader on its own connection
+   queries between the writes and sees each insert exactly once. *)
+let test_one_worker_writes_in_place () =
+  let path = Filename.concat tmp (Printf.sprintf "xqc-test-%d-inplace.xml" (Unix.getpid ())) in
+  let oc = open_out_bin path in
+  output_string oc "<r><x/></r>";
+  close_out oc;
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
+  with_server ~workers:1 ~preload:[ ("inplace", path) ] @@ fun sock ->
+  let writes = 20 in
+  let stop = Atomic.make false in
+  let answered = Atomic.make 0 in
+  let answers = ref [] and errors = ref [] in
+  let reader =
+    Thread.create
+      (fun () ->
+        let c = Client.connect_unix sock in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        let rec loop () =
+          let last = Atomic.get stop in
+          (match Client.query c "count($inplace//x)" with
+          | Ok n -> answers := int_of_string n :: !answers
+          | Error (code, m) -> errors := (code ^ ": " ^ m) :: !errors);
+          Atomic.incr answered;
+          if not last then loop ()
+        in
+        loop ())
+      ()
+  in
+  (* the reader answers at least once between two writes *)
+  let await n =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get answered < n && Unix.gettimeofday () < deadline do
+      Thread.delay 0.001
+    done
+  in
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+      for k = 1 to writes do
+        await k;
+        let r = check_ok "update" (Client.update c ~doc:"inplace" "insert node <x/> into $inplace/r") in
+        Alcotest.(check int) "applied" 1 r.Client.ur_applied;
+        Alcotest.(check bool) (Printf.sprintf "write %d in place" k) true r.Client.ur_in_place
+      done);
+  Atomic.set stop true;
+  Thread.join reader;
+  Alcotest.(check (list string)) "reader errors" [] !errors;
+  let answers = List.rev !answers in
+  Alcotest.(check bool) "reader queried between the writes" true (List.length answers > writes);
+  Alcotest.(check bool) "every answer a count the document had, never shrinking" true
+    (List.for_all (fun n -> n >= 1 && n <= writes + 1) answers
+    && List.sort compare answers = answers);
+  Alcotest.(check int) "last answer sees every insert" (writes + 1) (List.nth answers (List.length answers - 1))
+
+(* ------------------------------------------------------------------ *)
 (* Stats, metrics and the tracing plane                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -800,6 +878,57 @@ let test_slow_timeout_not_rerun () =
   if waited > 0.5 then
     Alcotest.failf "1+1 waited %.2fs behind the timed-out query" waited
 
+(* A slow query that finishes while another request waits in the
+   queue is not re-run for EXPLAIN ANALYZE, so on one worker the waiting
+   request is served next; its slow entry says why it has no analysis.
+   The waiting request finishes on an idle server and is analyzed. *)
+let test_slow_rerun_yields_to_queue () =
+  with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
+  let slow = slow_query 700 in
+  let slow_result = ref (Error ("unset", "")) in
+  let blocker =
+    Thread.create
+      (fun () ->
+        let c = Client.connect_unix sock in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        slow_result := Client.query ~timeout_ms:10_000 c slow)
+      ()
+  in
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (* once the slow query is admitted, queue 1+1 behind it *)
+  let rec await_admitted tries =
+    if jint "stats" "inflight" (Client.stats c) = 0 && tries > 0 then begin
+      Thread.delay 0.01;
+      await_admitted (tries - 1)
+    end
+  in
+  await_admitted 500;
+  Alcotest.(check string) "queued request answered" "2" (check_ok "1+1" (Client.query c "1+1"));
+  Thread.join blocker;
+  Alcotest.(check string) "slow query answered" "0" (check_ok "slow" !slow_result);
+  let explain_of source =
+    let entries = jarr "slow" "entries" (Option.get (jfield "slow_queries" (Client.metrics c))) in
+    match List.find_opt (fun e -> jstr "entry" "source" e = source) entries with
+    | Some e -> (match jfield "explain" e with Some (Obs.Str text) -> Some text | _ -> None)
+    | None -> None
+  in
+  (* note_slow runs after the reply is written: poll for the analysis *)
+  let rec poll tries =
+    match explain_of "1+1" with
+    | None when tries > 0 ->
+        Thread.delay 0.05;
+        poll (tries - 1)
+    | e -> e
+  in
+  Alcotest.(check (option string)) "slow entry not re-run"
+    (Some "analyze skipped: requests were waiting") (explain_of slow);
+  match poll 60 with
+  | Some text ->
+      Alcotest.(check bool) "idle server analyzes the last request" true
+        (String.length text > 0 && not (String.starts_with ~prefix:"analyze" text))
+  | None -> Alcotest.fail "no EXPLAIN ANALYZE attached to the request served last"
+
 (* A 10 KB flat sequence does not hold the only worker: whether it
    stays under the default slow-query threshold or the ring re-runs it
    for EXPLAIN ANALYZE (a near-zero threshold), the next request is
@@ -937,6 +1066,13 @@ let () =
           Alcotest.test_case "verbose preloads close their files" `Quick
             test_verbose_preloads_close_files;
         ] );
+      ( "pool",
+        [
+          Alcotest.test_case "default pool per CPU" `Quick test_default_pool_per_cpu;
+          Alcotest.test_case "explicit pool kept" `Quick test_explicit_pool_kept;
+          Alcotest.test_case "one worker writes in place" `Quick
+            test_one_worker_writes_in_place;
+        ] );
       ( "telemetry",
         [
           Alcotest.test_case "stats fields" `Quick test_stats_fields;
@@ -951,6 +1087,8 @@ let () =
           Alcotest.test_case "slow ring outcomes" `Quick test_slow_ring_outcomes;
           Alcotest.test_case "slow timeout not re-run" `Quick
             test_slow_timeout_not_rerun;
+          Alcotest.test_case "slow re-run yields to the queue" `Quick
+            test_slow_rerun_yields_to_queue;
           Alcotest.test_case "untraced reply has trace" `Quick
             test_untraced_reply_has_trace;
           Alcotest.test_case "outcome counters" `Quick test_outcome_counters;
