@@ -117,9 +117,9 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Collect pipeline phase timings, per-operator runtime statistics \
-           and the rewrite-rule trace, and print the report to stderr after \
-           the result.")
+          "Time the run's operators and print the pipeline phase timings, \
+           per-operator runtime statistics and the rewrite-rule trace to \
+           stderr after the result.")
 
 let stats_json_arg =
   Arg.(
@@ -127,18 +127,18 @@ let stats_json_arg =
     & opt (some string) None
     & info [ "stats-json" ] ~docv:"FILE"
         ~doc:
-          "Write the collected statistics as JSON to FILE (implies \
-           \\$(b,--stats) collection; use - for stderr).")
+          "Write the run's statistics as JSON to FILE (timed as with \
+           \\$(b,--stats); use - for stderr).")
 
-let write_stats_json prepared path =
-  match (Xqc.stats_json prepared, path) with
-  | Some json, "-" -> prerr_endline json
-  | Some json, path ->
-      let oc = open_out_bin path in
-      output_string oc json;
-      output_char oc '\n';
-      close_out oc
-  | None, _ -> ()
+let write_stats_json prepared profile path =
+  let json = Xqc.stats_json prepared profile in
+  if path = "-" then prerr_endline json
+  else begin
+    let oc = open_out_bin path in
+    output_string oc json;
+    output_char oc '\n';
+    close_out oc
+  end
 
 let run_cmd =
   let action strategy indent stats stats_json query
@@ -150,14 +150,14 @@ let run_cmd =
     | Ok q -> (
         try
           let ctx = make_context ~collections docs vars in
-          let stats = stats || stats_json <> None in
-          let prepared = Xqc.prepare ~strategy ~stats q in
-          let result = Xqc.run prepared ctx in
+          let prepared = Xqc.prepare ~strategy q in
+          let profile = Xqc.Obs.profile ~timed:(stats || stats_json <> None) in
+          let result = Xqc.run ~profile prepared ctx in
           print_endline
             (if indent then Xqc.Serializer.sequence_to_string_indented result
              else Xqc.serialize result);
-          if stats then prerr_string (Xqc.explain_analyze prepared);
-          Option.iter (write_stats_json prepared) stats_json;
+          if stats then prerr_string (Xqc.explain_analyze prepared profile);
+          Option.iter (write_stats_json prepared profile) stats_json;
           0
         with
         | Xqc.Error m ->
@@ -193,10 +193,11 @@ let explain_cmd =
         try
           if analyze then begin
             let ctx = make_context ~collections docs vars in
-            let prepared = Xqc.prepare ~strategy ~stats:true q in
-            ignore (Xqc.run prepared ctx);
-            print_string (Xqc.explain_analyze prepared);
-            Option.iter (write_stats_json prepared) stats_json
+            let prepared = Xqc.prepare ~strategy q in
+            let profile = Xqc.Obs.profile ~timed:true in
+            ignore (Xqc.run ~profile prepared ctx);
+            print_string (Xqc.explain_analyze prepared profile);
+            Option.iter (write_stats_json prepared profile) stats_json
           end
           else print_string (Xqc.explain ~strategy q);
           0

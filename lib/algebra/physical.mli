@@ -51,8 +51,8 @@ val index_probe : pstep list -> (string * bool) option
     [SExists true] is fn:empty. *)
 type stream_call = SExists of bool | SCount | SSubseq
 
-(** [pid] is unique among all planned nodes: a profiled run keys its
-    per-operator statistics ([Obs.collector.co_plans]) on it. *)
+(** [pid] is unique among all planned nodes: every run keys its
+    per-operator statistics ([Obs.profile.pf_ops]) on it. *)
 type t = { pid : int; pop : pop; pest : est }
 
 and ppred =

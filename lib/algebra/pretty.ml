@@ -4,7 +4,7 @@
    ANALYZE and the stats-JSON plan trees from the same nodes.  Every text
    rendering goes through [write]: one walk into one Buffer, each line
    written once with its indentation, and no more than [max_depth]
-   levels drawn. *)
+   levels, nor [max_depth] children of one node, drawn. *)
 
 open Xqc_xml
 open Xqc_types
@@ -17,8 +17,19 @@ module Obs = Xqc_obs.Obs
 (* ------------------------------------------------------------------ *)
 
 (* Deeper subtrees print as one line: indentation alone would make a
-   plan n levels deep O(n^2) bytes. *)
+   plan n levels deep O(n^2) bytes.  Children past the first
+   [max_depth] of one node print as one line too, so a long sequence or
+   step chain draws a bounded report. *)
 let max_depth = 64
+
+(* The first [max_depth] of [kids], and the total size of the rest. *)
+let shown_kids ~size kids =
+  let rec go i acc = function
+    | [] -> (List.rev acc, 0)
+    | rest when i = max_depth -> (List.rev acc, List.fold_left (fun n k -> n + size k) 0 rest)
+    | k :: rest -> go (i + 1) (k :: acc) rest
+  in
+  go 0 [] kids
 
 (* Write the tree under [root] into [buf], with no final newline.
    [shape n] is [n]'s first line and its groups of children.  A group
@@ -26,31 +37,35 @@ let max_depth = 64
    [n]'s indentation, around its kids separated by commas (the paper's
    {deps} and (inputs)); a group [(None, kids)] writes its kids one
    level deeper.  A node [max_depth] levels down is written as one
-   "… N more operators" line, [N = size n]. *)
+   "… N more operators" line, [N = size n], and so are the kids of a
+   group past its first [max_depth], [N] their total size. *)
 let write buf ~shape ~size root =
   let newline depth =
     Buffer.add_char buf '\n';
     for _ = 1 to depth do Buffer.add_string buf "  " done
   in
+  let more n = Printf.bprintf buf "… %d more operators" n in
   let rec go depth n =
-    if depth >= max_depth then Printf.bprintf buf "… %d more operators" (size n)
+    if depth >= max_depth then more (size n)
     else
       let text, groups = shape n in
       Buffer.add_string buf text;
       List.iter
-        (function
-          | None, kids -> List.iter (fun k -> newline (depth + 1); go (depth + 1) k) kids
-          | Some (o, c), kids ->
-              newline depth;
-              Buffer.add_string buf o;
-              List.iteri
-                (fun i k ->
-                  if i > 0 then Buffer.add_char buf ',';
-                  newline (depth + 1);
-                  go (depth + 1) k)
-                kids;
-              newline depth;
-              Buffer.add_string buf c)
+        (fun (block, kids) ->
+          let kids, rest = shown_kids ~size kids in
+          let kid i k =
+            if i > 0 && block <> None then Buffer.add_char buf ',';
+            newline (depth + 1);
+            go (depth + 1) k
+          in
+          Option.iter (fun (o, _) -> newline depth; Buffer.add_string buf o) block;
+          List.iteri kid kids;
+          if rest > 0 then begin
+            if block <> None then Buffer.add_char buf ',';
+            newline (depth + 1);
+            more rest
+          end;
+          Option.iter (fun (_, c) -> newline depth; Buffer.add_string buf c) block)
         groups
   in
   go 0 root
@@ -312,10 +327,10 @@ let rec node_count n = List.fold_left (fun acc k -> acc + node_count k) 1 (kids 
 
 (* With a profile every row carries its node's statistics (a zero record
    for one that never ran). *)
-let row ?(profile : Obs.collector option) (n : node) : row =
+let row ?(profile : Obs.profile option) (n : node) : row =
   let stats id =
     Option.map
-      (fun c -> Option.value (Hashtbl.find_opt c.Obs.co_plans id) ~default:(Obs.op_stats ()))
+      (fun p -> Option.value (Hashtbl.find_opt p.Obs.pf_ops id) ~default:(Obs.op_stats ()))
       profile
   in
   match n with
@@ -331,17 +346,14 @@ let rows ?profile (p : Physical.t) : row list =
   let rec go acc n = List.fold_left go (row ?profile n :: acc) (kids n) in
   List.rev (go [] (Op p))
 
-let cardinality (st : Obs.op_stats) =
-  match (st.Obs.op_tuples, st.Obs.op_items) with
-  | 0, 0 -> "out=0"
-  | t, 0 -> Printf.sprintf "tuples=%d" t
-  | 0, i -> Printf.sprintf "items=%d" i
-  | t, i -> Printf.sprintf "tuples=%d items=%d" t i
+(* Actual output rows: tuples pulled plus items produced. *)
+let actual_rows (st : Obs.op_stats) = st.Obs.op_tuples + st.Obs.op_items
 
 (* One EXPLAIN line: the label with the planner's estimated output
    cardinality and cumulative cost, plus — profiled — calls, inclusive
-   time, actual cardinality, the streaming mode and the join counters. *)
-let row_line (r : row) : string =
+   time (timed profiles only), actual output rows, the streaming mode
+   and the join counters. *)
+let row_line ~timed (r : row) : string =
   let est =
     Printf.sprintf "est_rows=%s%s" (est_num r.est_rows)
       (match r.cost with Some c -> " cost=" ^ est_num c | None -> "")
@@ -349,13 +361,17 @@ let row_line (r : row) : string =
   match r.stats with
   | None -> Printf.sprintf "%s  (%s)" r.label est
   | Some st ->
-      Printf.sprintf "%s  (%s calls=%d time=%.3fms %s%s)%s" r.label est
-        st.Obs.op_calls (Obs.ms st.Obs.op_secs) (cardinality st)
+      Printf.sprintf "%s  (%s calls=%d%s out=%d%s)%s" r.label est st.Obs.op_calls
+        (if timed then Printf.sprintf " time=%.3fms" (Obs.ms st.Obs.op_secs) else "")
+        (actual_rows st)
         (match r.mode with Some m -> " " ^ m | None -> "")
         (if r.join then "  [" ^ Obs.join_to_string st ^ "]" else "")
 
 let add_plan ?profile buf (p : Physical.t) =
-  write buf ~shape:(fun n -> (row_line (row ?profile n), [ (None, kids n) ])) ~size:node_count (Op p);
+  let timed = match profile with Some pr -> pr.Obs.pf_timed | None -> false in
+  write buf
+    ~shape:(fun n -> (row_line ~timed (row ?profile n), [ (None, kids n) ]))
+    ~size:node_count (Op p);
   Buffer.add_char buf '\n'
 
 let plan_to_string ?profile (p : Physical.t) : string =
@@ -363,29 +379,31 @@ let plan_to_string ?profile (p : Physical.t) : string =
   add_plan ?profile buf p;
   Buffer.contents buf
 
-(* Cut at [max_depth] as the text writer is: the deeper subtree is one
-   [{"op": "…", "elided_operators": N}] node, so a deep plan stays within
-   what a JSON reader's recursion allows. *)
-let plan_to_json (profile : Obs.collector) (p : Physical.t) : Obs.json =
+(* Cut at [max_depth] levels and children as the text writer is: the
+   cut subtrees are one [{"op": "…", "elided_operators": N}] node, so a
+   deep plan stays within what a JSON reader's recursion allows and a
+   wide one within a bounded size. *)
+let plan_to_json (profile : Obs.profile) (p : Physical.t) : Obs.json =
+  let elided n = Obs.Obj [ ("op", Obs.Str "…"); ("elided_operators", Obs.Int n) ] in
   let rec go depth n =
-    if depth >= max_depth then
-      Obs.Obj [ ("op", Obs.Str "…"); ("elided_operators", Obs.Int (node_count n)) ]
+    if depth >= max_depth then elided (node_count n)
     else
       let r = row ~profile n in
       let st = Option.value r.stats ~default:(Obs.op_stats ()) in
+      let shown, rest = shown_kids ~size:node_count (kids n) in
+      let children = List.map (go (depth + 1)) shown @ if rest > 0 then [ elided rest ] else [] in
       Obs.Obj
-        ([
-           ("op", Obs.Str r.label);
-           ("calls", Obs.Int st.Obs.op_calls);
-           ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs));
-           ("tuples", Obs.Int st.Obs.op_tuples);
-           ("items", Obs.Int st.Obs.op_items);
-           ("estimated_rows", Obs.Float r.est_rows);
-           ("actual_rows", Obs.Int (st.Obs.op_tuples + st.Obs.op_items));
-         ]
+        ([ ("op", Obs.Str r.label); ("calls", Obs.Int st.Obs.op_calls) ]
+        @ (if profile.Obs.pf_timed then [ ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs)) ] else [])
+        @ [
+            ("tuples", Obs.Int st.Obs.op_tuples);
+            ("items", Obs.Int st.Obs.op_items);
+            ("estimated_rows", Obs.Float r.est_rows);
+            ("actual_rows", Obs.Int (actual_rows st));
+          ]
         @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
         @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
-        @ match kids n with [] -> [] | ks -> [ ("children", Obs.Arr (List.map (go (depth + 1)) ks)) ])
+        @ match children with [] -> [] | cs -> [ ("children", Obs.Arr cs) ])
   in
   go 0 (Op p)
 
@@ -404,7 +422,7 @@ let query_to_string (q : Physical.query) : string =
     plans;
   Buffer.contents buf
 
-let plans_to_json (profile : Obs.collector) (q : Physical.query) : Obs.json =
+let plans_to_json (profile : Obs.profile) (q : Physical.query) : Obs.json =
   Obs.Arr
     (List.map
        (fun (name, p) -> Obs.Obj [ ("name", Obs.Str name); ("plan", plan_to_json profile p) ])

@@ -4,10 +4,12 @@
 
     Every text rendering here, logical or physical, is one walk into one
     buffer that writes each line once.  A subtree more than
-    {!max_depth} levels down prints as one [… N more operators] line. *)
+    {!max_depth} levels down prints as one [… N more operators] line,
+    and so do the children of one node past its first {!max_depth}. *)
 
 val max_depth : int
-(** 64: a node this many levels below the root prints as that line. *)
+(** 64: a node this many levels below the root prints as that line, and
+    so do a node's children after the first 64. *)
 
 val to_string : Algebra.plan -> string
 
@@ -40,22 +42,25 @@ type row = {
       (** with a profile: the node's statistics, zero if it never ran *)
 }
 
-val rows : ?profile:Xqc_obs.Obs.collector -> Physical.t -> row list
+val rows : ?profile:Xqc_obs.Obs.profile -> Physical.t -> row list
 (** The plan's rows in preorder, [Physical.children] order, each Steps
     node followed by its steps — the order every rendering uses.  Not
     cut at {!max_depth}. *)
 
-val plan_to_string : ?profile:Xqc_obs.Obs.collector -> Physical.t -> string
+val plan_to_string : ?profile:Xqc_obs.Obs.profile -> Physical.t -> string
 (** One operator per line, indented: label, [est_rows], [cost], and the
     steps under their Steps node.  With a profile (EXPLAIN ANALYZE) each
-    line adds [calls], [time], [tuples]/[items], the streaming mode and,
-    on joins, [\[builds=… probes=… matches=…\]]. *)
+    line adds [calls], [time] (timed profiles only), [out] (tuples plus
+    items), the streaming mode and, on joins,
+    [\[builds=… probes=… matches=…\]]. *)
 
-val plan_to_json : Xqc_obs.Obs.collector -> Physical.t -> Xqc_obs.Obs.json
-(** The same rows as a tree: [op], [calls], [time_ms], [tuples],
-    [items], [estimated_rows], [actual_rows], [mode], [join],
-    [children].  Cut at {!max_depth} as the text is: a deeper subtree is
-    one [{"op": "…", "elided_operators": N}] node, [N] its size. *)
+val plan_to_json : Xqc_obs.Obs.profile -> Physical.t -> Xqc_obs.Obs.json
+(** The same rows as a tree: [op], [calls], [time_ms] (timed profiles
+    only), [tuples], [items], [estimated_rows], [actual_rows], [mode],
+    [join], [children].  Cut at {!max_depth} levels and children as the
+    text is: a deeper subtree, or a node's children after its first
+    {!max_depth}, is one [{"op": "…", "elided_operators": N}] node, [N]
+    their size. *)
 
 val query_plans : Physical.query -> (string * Physical.t) list
 (** Every plan of a query under its report name: ["function f"],
@@ -65,5 +70,5 @@ val query_to_string : Physical.query -> string
 (** Static EXPLAIN of all plans; each is headed by its name unless the
     query has only a main plan. *)
 
-val plans_to_json : Xqc_obs.Obs.collector -> Physical.query -> Xqc_obs.Obs.json
+val plans_to_json : Xqc_obs.Obs.profile -> Physical.query -> Xqc_obs.Obs.json
 (** [\[{name, plan}, …\]] over {!query_plans}. *)

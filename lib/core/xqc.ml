@@ -87,11 +87,8 @@ type prepared = {
   plan : Algebra.plan option;  (** logical main plan, after this strategy's rewriting *)
   pplan : Physical.query option;
       (** the cost-based planner's physical plans (algebraic strategies) *)
-  runner : Dynamic_ctx.t -> Item.sequence;
-  stats : Obs.collector option;
-      (** statistics collector (present iff prepared with [~stats:true]);
-          phase timings accumulate across runs, the annotated plan
-          reflects the most recent run *)
+  runner : Obs.profile -> Dynamic_ctx.t -> Item.sequence;
+  pipeline : Obs.collector;  (** this preparation's phase times and rewrite trace *)
 }
 
 exception Error of string
@@ -148,39 +145,34 @@ let optimize_query ?trace strategy (q : Compile.compiled_query) : Compile.compil
 (* The one per-strategy dispatch, for queries and for the source and
    target queries of update statements: the runner of a normalized
    query, with its logical main plan and its physical plans under the
-   algebraic strategies.  With [collector], the compile, rewrite and
-   plan phases are timed into it as they run, and each run times its
-   eval into it (the algebraic runner also profiles its operators). *)
-let build_runner ?collector ?force_join strategy (core : Core_ast.cquery) :
-    (Dynamic_ctx.t -> Item.sequence) * Algebra.plan option * Physical.query option =
-  let ph name f = match collector with Some c -> Obs.phase c name f | None -> f () in
-  let timed_eval runner =
-    match collector with
-    | None -> runner
-    | Some c -> fun ctx -> Obs.phase c "eval" (fun () -> runner ctx)
-  in
+   algebraic strategies.  The compile, rewrite and plan phases are timed
+   into [collector] as they run.  The runner counts each run into the
+   profile it is given: the algebraic runner per operator, and every
+   runner its eval phase when the profile is timed. *)
+let build_runner (collector : Obs.collector) ?force_join strategy (core : Core_ast.cquery) :
+    (Obs.profile -> Dynamic_ctx.t -> Item.sequence) * Algebra.plan option * Physical.query option =
+  let ph name f = Obs.phase collector name f in
+  let interpreted run profile ctx = Obs.run_phase profile "eval" (fun () -> run ctx) in
   match strategy with
-  | No_algebra -> (timed_eval (fun ctx -> Interp.run ctx core), None, None)
-  | Saxon_like -> (timed_eval (fun ctx -> Indexed.run ctx core), None, None)
+  | No_algebra -> (interpreted (fun ctx -> Interp.run ctx core), None, None)
+  | Saxon_like -> (interpreted (fun ctx -> Indexed.run ctx core), None, None)
   | Algebra_unoptimized | Optimized_nl | Optimized ->
       let compiled = ph "compile" (fun () -> Compile.compile_query core) in
       let compiled =
-        ph "rewrite" (fun () ->
-            optimize_query ?trace:(Option.map (fun c -> c.Obs.co_rewrite) collector) strategy compiled)
+        ph "rewrite" (fun () -> optimize_query ~trace:collector.Obs.co_rewrite strategy compiled)
       in
       (* cost-based physical planning: every execution-strategy decision
          (join algorithm, build side, streaming bounds, materialization
          points) is made here, fed by the store's index statistics *)
       let planned = ph "plan" (fun () -> plan_query (planner_config strategy force_join) compiled) in
-      ((fun ctx -> Eval.run ?stats:collector ctx planned), Some compiled.Compile.cmain, Some planned)
+      ((fun profile ctx -> Eval.run ~profile ctx planned), Some compiled.Compile.cmain, Some planned)
 
 (* Parse, normalize, compile and (per strategy) optimize a query once; the
-   result can be run against many dynamic contexts. *)
-let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
-    (source : string) : prepared =
-  let collector = if stats then Some (Obs.collector ()) else None in
-  (* time a prepare-side phase *)
-  let ph name f = match collector with Some c -> Obs.phase c name f | None -> f () in
+   result can be run against many dynamic contexts.  Every phase is
+   timed into the prepared query's [pipeline], with the rewrite trace. *)
+let prepare ?(strategy = Optimized) ?force_join (source : string) : prepared =
+  let pipeline = Obs.collector () in
+  let ph name f = Obs.phase pipeline name f in
   let wrap f =
     try f () with
     | Xq_parser.Syntax_error { position; message } ->
@@ -191,8 +183,8 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
   wrap (fun () ->
       let ast = ph "parse" (fun () -> Xq_parser.parse_query source) in
       let core = ph "normalize" (fun () -> Normalize.normalize_query ast) in
-      let runner, plan, pplan = build_runner ?collector ?force_join strategy core in
-      { source; strategy; core; plan; pplan; runner; stats = collector })
+      let runner, plan, pplan = build_runner pipeline ?force_join strategy core in
+      { source; strategy; core; plan; pplan; runner; pipeline })
 
 (* ------------------------------------------------------------------ *)
 (* Prepared-plan cache                                                 *)
@@ -201,9 +193,9 @@ let prepare ?(strategy = Optimized) ?(stats = false) ?force_join
 (* LRU cache over [prepare], keyed by everything that shapes the
    compiled plan: query text, strategy and the document generation —
    physical planning is statistics-sensitive, so a plan must not
-   outlive the document state it was costed against.
-   Stats-collecting preparations are never cached — each caller of
-   [~stats:true] expects its own collector.  Recency is a global tick;
+   outlive the document state it was costed against.  A cached plan
+   holds nothing a run writes: each run counts into its own profile.
+   Recency is a global tick;
    eviction scans for the minimum (the cache is small, capacity beats
    constant factors). *)
 
@@ -298,8 +290,11 @@ let prepare_cached ?(strategy = Optimized) (source : string) : prepared =
 
 let plan_cache_size () = Obs.with_lock plan_lock (fun () -> Hashtbl.length plan_cache)
 
-let run (p : prepared) (ctx : Dynamic_ctx.t) : Item.sequence =
-  try p.runner ctx with
+(* Run [p] over [ctx], counting into [profile] (default: a fresh untimed
+   one).  A profile records one run. *)
+let run ?(profile = Obs.profile ~timed:false) (p : prepared) (ctx : Dynamic_ctx.t) :
+    Item.sequence =
+  try p.runner profile ctx with
   | Dynamic_ctx.Dynamic_error m -> raise (Error ("dynamic error: " ^ m))
   | Atomic.Cast_error m -> raise (Error ("type error: " ^ m))
   | Seqtype.Type_assertion_failure m -> raise (Error ("type assertion failure: " ^ m))
@@ -336,21 +331,22 @@ let eval_string ?strategy ?force_join ?schema ?(variables = [])
    physical plans and the rewrite-rule firing trace — all of it what
    [prepare] made of the query. *)
 let explain ?(strategy = Optimized) (source : string) : string =
-  let p = prepare ~strategy ~stats:true source in
+  let p = prepare ~strategy source in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "=== XQuery Core ===\n";
   Buffer.add_string buf (Core_ast.to_string p.core.Core_ast.cq_main);
   Buffer.add_string buf "\n\n=== Logical plan (naive compilation) ===\n";
   Buffer.add_string buf (Pretty.to_string (Compile.compile_query p.core).Compile.cmain);
-  (match (p.plan, p.pplan, p.stats) with
-  | Some optimized, Some physical, Some c ->
+  (match (p.plan, p.pplan) with
+  | Some optimized, Some physical ->
       Buffer.add_string buf "\n\n=== Optimized plan ===\n";
       Buffer.add_string buf (Pretty.to_string optimized);
       Buffer.add_string buf "\n\n=== Physical plan ===\n";
       Buffer.add_string buf (Pretty.query_to_string physical);
-      if Obs.total_firings c.Obs.co_rewrite > 0 then begin
+      let rw = p.pipeline.Obs.co_rewrite in
+      if Obs.total_firings rw > 0 then begin
         Buffer.add_string buf "\n\n=== Rewrite trace ===\n";
-        Buffer.add_string buf (Obs.rewrite_to_string c.Obs.co_rewrite)
+        Buffer.add_string buf (Obs.rewrite_to_string rw)
       end
   | _ -> ());
   Buffer.add_string buf "\n";
@@ -360,68 +356,50 @@ let explain ?(strategy = Optimized) (source : string) : string =
 (* EXPLAIN ANALYZE                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let stats (p : prepared) : Obs.collector option = p.stats
-
 let physical_plan (p : prepared) : Physical.query option = p.pplan
 
-(* The physical plans collector [c] has profiled, once a run filled it. *)
-let profiled_plans (p : prepared) (c : Obs.collector) : Physical.query option =
-  match p.pplan with
-  | Some q when Hashtbl.length c.Obs.co_plans > 0 -> Some q
-  | _ -> None
+(* Render what preparing [p] and one run of it recorded: the pipeline
+   phase timings (the run's own when its profile was timed), the
+   rewrite-rule trace, and the plans annotated with the run's
+   per-operator counts and join accounting.  A profile that has not run
+   yet annotates every operator with zeros. *)
+let explain_analyze (p : prepared) (profile : Obs.profile) : string =
+  let buf = Buffer.create 1024 in
+  let rw = p.pipeline.Obs.co_rewrite in
+  Buffer.add_string buf "=== Pipeline phases ===\n";
+  Buffer.add_string buf (Obs.phases_to_string p.pipeline profile);
+  if Obs.total_firings rw > 0 then begin
+    Buffer.add_string buf "\n=== Rewrite trace ===\n";
+    Buffer.add_string buf (Obs.rewrite_to_string rw)
+  end;
+  (match p.pplan with
+  | Some q ->
+      List.iter
+        (fun (name, plan) ->
+          Printf.bprintf buf "\n=== EXPLAIN ANALYZE (%s) ===\n" name;
+          Buffer.add_string buf (Pretty.plan_to_string ~profile plan))
+        (Pretty.query_plans q);
+      let totals = Obs.join_totals profile in
+      if totals.Obs.op_builds > 0 || totals.Obs.op_probes > 0 then begin
+        Buffer.add_string buf "\n=== Join totals ===\n";
+        Buffer.add_string buf (Obs.join_to_string totals);
+        Buffer.add_char buf '\n'
+      end
+  | None ->
+      Buffer.add_string buf
+        "\n(no annotated plans: only the algebraic strategies profile their operators)\n");
+  (* process-wide counters: index builds/hits, doc and plan caches *)
+  let counters = Obs.global_counters_to_string () in
+  if not (String.equal counters "") then begin
+    Buffer.add_string buf "\n=== Engine counters (process-wide) ===\n";
+    Buffer.add_string buf counters
+  end;
+  Buffer.contents buf
 
-(* Render the statistics a [~stats:true] prepared query has collected so
-   far: pipeline phase timings, the rewrite-rule trace, and (after at
-   least one [run]) the annotated per-operator plans with join
-   accounting.  Raises [Error] when the query was prepared without
-   [~stats:true]. *)
-let explain_analyze (p : prepared) : string =
-  match p.stats with
-  | None -> raise (Error "explain_analyze: query was not prepared with ~stats:true")
-  | Some c ->
-      let buf = Buffer.create 1024 in
-      Buffer.add_string buf "=== Pipeline phases ===\n";
-      Buffer.add_string buf (Obs.phases_to_string c);
-      if Obs.total_firings c.Obs.co_rewrite > 0 then begin
-        Buffer.add_string buf "\n=== Rewrite trace ===\n";
-        Buffer.add_string buf (Obs.rewrite_to_string c.Obs.co_rewrite)
-      end;
-      (match profiled_plans p c with
-      | Some q ->
-          List.iter
-            (fun (name, plan) ->
-              Buffer.add_string buf
-                (Printf.sprintf "\n=== EXPLAIN ANALYZE (%s) ===\n" name);
-              Buffer.add_string buf (Pretty.plan_to_string ~profile:c plan))
-            (Pretty.query_plans q);
-          let totals = Obs.join_totals c in
-          if totals.Obs.op_builds > 0 || totals.Obs.op_probes > 0 then begin
-            Buffer.add_string buf "\n=== Join totals ===\n";
-            Buffer.add_string buf (Obs.join_to_string totals);
-            Buffer.add_char buf '\n'
-          end
-      | None ->
-          Buffer.add_string buf
-            "\n(no annotated plans: run the query at least once, with an \
-             algebraic strategy, to collect per-operator statistics)\n");
-      (* process-wide counters: index builds/hits, doc and plan caches *)
-      let counters = Obs.global_counters_to_string () in
-      if not (String.equal counters "") then begin
-        Buffer.add_string buf "\n=== Engine counters (process-wide) ===\n";
-        Buffer.add_string buf counters
-      end;
-      Buffer.contents buf
-
-let stats_json (p : prepared) : string option =
-  Option.map
-    (fun c ->
-      let plans =
-        match profiled_plans p c with
-        | Some q -> Pretty.plans_to_json c q
-        | None -> Obs.Arr []
-      in
-      Obs.collector_to_json_string ~plans c)
-    p.stats
+(* The same statistics as one JSON object. *)
+let stats_json (p : prepared) (profile : Obs.profile) : string =
+  let plans = match p.pplan with Some q -> Pretty.plans_to_json profile q | None -> Obs.Arr [] in
+  Obs.json_to_string (Obs.report_to_json ~plans p.pipeline profile)
 
 (* ------------------------------------------------------------------ *)
 (* Updates (XQuery Update Facility subset)                             *)
@@ -467,8 +445,8 @@ module Update = struct
     (* every statement's source and target query runs through the
        strategy the caller runs queries under *)
     let r core =
-      let runner, _, _ = build_runner strategy core in
-      runner
+      let runner, _, _ = build_runner (Obs.collector ()) strategy core in
+      fun ctx -> runner (Obs.profile ~timed:false) ctx
     in
     let stmts =
       List.map

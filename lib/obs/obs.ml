@@ -6,8 +6,8 @@
 
    This library sits below the algebra so every layer can depend on it;
    it depends on nothing but unix (for the clock).  All records are
-   plain mutable structs updated in place: with statistics disabled none
-   of this code runs, so the uninstrumented hot path is unchanged. *)
+   plain mutable structs updated in place.  Every algebraic run counts
+   into a profile of its own; only a timed profile reads the clock. *)
 
 (* Monotonic-enough wall clock in seconds.  [Unix.gettimeofday] is what
    the benchmark harness already measures with; operator timings are
@@ -354,12 +354,12 @@ let histogram_to_json (h : histogram) : json =
 (* ------------------------------------------------------------------ *)
 
 (* One record per physical operator (and per fused navigation step),
-   keyed by the planner's node id: the evaluator fills it while a
-   profiled run executes, and the plan renderer reads it back.  The join
+   keyed by the planner's node id: the evaluator fills it while a run
+   executes, and the plan renderer reads it back.  The join
    counters stay zero on every operator but the three joins. *)
 type op_stats = {
   mutable op_calls : int;  (** closure invocations *)
-  mutable op_secs : float;  (** cumulative (inclusive) time *)
+  mutable op_secs : float;  (** cumulative (inclusive) time; timed profiles only *)
   mutable op_tuples : int;  (** tuples actually pulled through the operator *)
   mutable op_items : int;  (** items produced / pulled when XML *)
   mutable op_builds : int;  (** inner-side materializations *)
@@ -384,12 +384,19 @@ let op_stats () =
     op_sort_string = 0;
   }
 
-(* Wrap a lazy cursor so every pull is timed into [op_secs] and counted
-   into the given cardinality field.  Pull timing is inclusive: a parent
-   operator's pull forces its child's pull inside the parent's timed
-   window, matching the inclusive-time convention of the eager wrapper. *)
-let counted_seq (st : op_stats) (count : op_stats -> unit) (s : 'a Seq.t) : 'a Seq.t =
-  let rec wrap s () =
+(* Wrap a lazy cursor so every pull is counted into the given
+   cardinality field and, [timed], timed into [op_secs].  Pull timing is
+   inclusive: a parent operator's pull forces its child's pull inside
+   the parent's timed window, as the eager calls are timed. *)
+let counted_seq ~timed (st : op_stats) (count : op_stats -> unit) (s : 'a Seq.t) : 'a Seq.t =
+  let rec counted s () =
+    match s () with
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (x, rest) ->
+        count st;
+        Seq.Cons (x, counted rest)
+  in
+  let rec timed_counted s () =
     let t0 = now () in
     let node = s () in
     st.op_secs <- st.op_secs +. (now () -. t0);
@@ -397,18 +404,31 @@ let counted_seq (st : op_stats) (count : op_stats -> unit) (s : 'a Seq.t) : 'a S
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (x, rest) ->
         count st;
-        Seq.Cons (x, wrap rest)
+        Seq.Cons (x, timed_counted rest)
   in
-  wrap s
+  if timed then timed_counted s else counted s
 
-let tuple_counted_seq st s = counted_seq st (fun st -> st.op_tuples <- st.op_tuples + 1) s
-let item_counted_seq st s = counted_seq st (fun st -> st.op_items <- st.op_items + 1) s
+let tuple_counted_seq ~timed st s = counted_seq ~timed st (fun st -> st.op_tuples <- st.op_tuples + 1) s
+let item_counted_seq ~timed st s = counted_seq ~timed st (fun st -> st.op_items <- st.op_items + 1) s
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline phase timing                                               *)
 (* ------------------------------------------------------------------ *)
 
-type phase = { ph_name : string; mutable ph_secs : float; mutable ph_count : int }
+type phase = { ph_name : string; ph_secs : float }
+
+(* Time [f] as phase [name], handing the phase to [add] when [f]
+   returns or raises. *)
+let time_phase (add : phase -> unit) (name : string) (f : unit -> 'a) : 'a =
+  let t0 = now () in
+  let finish () = add { ph_name = name; ph_secs = now () -. t0 } in
+  match f () with
+  | v ->
+      finish ();
+      v
+  | exception e ->
+      finish ();
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Rewrite-rule firing trace                                           *)
@@ -433,57 +453,53 @@ let total_firings (t : rewrite_trace) : int =
   List.fold_left (fun acc (_, r) -> acc + !r) 0 t.rw_rules
 
 (* ------------------------------------------------------------------ *)
-(* Collector: one run's worth of statistics                            *)
+(* Collector: what preparing a query records                           *)
 (* ------------------------------------------------------------------ *)
 
 type collector = {
-  mutable co_phases : phase list;  (** first-seen order *)
-  co_plans : (int, op_stats) Hashtbl.t;
-      (** the latest run's profile: one record per plan-node id *)
+  mutable co_phases : phase list;  (** in the order they ran *)
   co_rewrite : rewrite_trace;
 }
 
-let collector () =
-  { co_phases = []; co_plans = Hashtbl.create 64; co_rewrite = rewrite_trace () }
+let collector () = { co_phases = []; co_rewrite = rewrite_trace () }
 
 let phase (c : collector) (name : string) (f : unit -> 'a) : 'a =
-  let ph =
-    match List.find_opt (fun p -> String.equal p.ph_name name) c.co_phases with
-    | Some p -> p
-    | None ->
-        let p = { ph_name = name; ph_secs = 0.0; ph_count = 0 } in
-        c.co_phases <- c.co_phases @ [ p ];
-        p
-  in
-  let t0 = now () in
-  let finish () =
-    let dt = now () -. t0 in
-    ph.ph_secs <- ph.ph_secs +. dt;
-    ph.ph_count <- ph.ph_count + 1
-  in
-  match f () with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
+  time_phase (fun ph -> c.co_phases <- c.co_phases @ [ ph ]) name f
 
-let op_stats_of (c : collector) (id : int) : op_stats =
-  match Hashtbl.find_opt c.co_plans id with
+(* ------------------------------------------------------------------ *)
+(* Profile: what one run records                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One run's per-operator records, keyed by plan-node id.  Cached plans
+   run on several domains at once, so every run counts into a profile
+   of its own.  Only a timed profile reads the clock. *)
+type profile = {
+  pf_timed : bool;
+  pf_ops : (int, op_stats) Hashtbl.t;
+  mutable pf_phases : phase list;  (** a timed run's own phases *)
+}
+
+let profile ~timed = { pf_timed = timed; pf_ops = Hashtbl.create 64; pf_phases = [] }
+
+let run_phase (p : profile) (name : string) (f : unit -> 'a) : 'a =
+  if p.pf_timed then time_phase (fun ph -> p.pf_phases <- p.pf_phases @ [ ph ]) name f
+  else f ()
+
+let op_stats_of (p : profile) (id : int) : op_stats =
+  match Hashtbl.find_opt p.pf_ops id with
   | Some st -> st
   | None ->
       let st = op_stats () in
-      Hashtbl.add c.co_plans id st;
+      Hashtbl.add p.pf_ops id st;
       st
 
-(* Total (tuples, items) pulled through all profiled operators — the
-   quantity the streaming evaluator's early termination bounds, and what
-   the early-exit tests assert on. *)
-let pulled_totals (c : collector) : int * int =
-  Hashtbl.fold (fun _ st (t, i) -> (t + st.op_tuples, i + st.op_items)) c.co_plans (0, 0)
+(* Total (tuples, items) pulled through all operators — the quantity
+   the streaming evaluator's early termination bounds, and what the
+   early-exit tests assert on. *)
+let pulled_totals (p : profile) : int * int =
+  Hashtbl.fold (fun _ st (t, i) -> (t + st.op_tuples, i + st.op_items)) p.pf_ops (0, 0)
 
-let join_totals (c : collector) : op_stats =
+let join_totals (p : profile) : op_stats =
   let total = op_stats () in
   Hashtbl.iter
     (fun _ st ->
@@ -493,7 +509,7 @@ let join_totals (c : collector) : op_stats =
       total.op_matches <- total.op_matches + st.op_matches;
       total.op_sort_numeric <- total.op_sort_numeric + st.op_sort_numeric;
       total.op_sort_string <- total.op_sort_string + st.op_sort_string)
-    c.co_plans;
+    p.pf_ops;
   total
 
 (* ------------------------------------------------------------------ *)
@@ -502,15 +518,14 @@ let join_totals (c : collector) : op_stats =
 
 let ms (s : float) : float = s *. 1000.0
 
-let phases_to_string (c : collector) : string =
+(* The preparation's phases, then the run's. *)
+let all_phases (c : collector) (p : profile) = c.co_phases @ p.pf_phases
+
+let phases_to_string (c : collector) (p : profile) : string =
   let buf = Buffer.create 256 in
   List.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-24s %10.3f ms  (%d run%s)\n" p.ph_name (ms p.ph_secs)
-           p.ph_count
-           (if p.ph_count = 1 then "" else "s")))
-    c.co_phases;
+    (fun ph -> Printf.bprintf buf "%-24s %10.3f ms\n" ph.ph_name (ms ph.ph_secs))
+    (all_phases c p);
   Buffer.contents buf
 
 let rewrite_to_string (t : rewrite_trace) : string =
@@ -562,34 +577,26 @@ let rewrite_to_json (t : rewrite_trace) : json =
       ("rules", Obj (List.map (fun (rule, n) -> (rule, Int !n)) t.rw_rules));
     ]
 
-let phases_to_json (c : collector) : json =
+let phases_to_json (c : collector) (p : profile) : json =
   Arr
     (List.map
-       (fun p ->
-         Obj
-           [
-             ("phase", Str p.ph_name);
-             ("time_ms", Float (ms p.ph_secs));
-             ("runs", Int p.ph_count);
-           ])
-       c.co_phases)
+       (fun ph -> Obj [ ("phase", Str ph.ph_name); ("time_ms", Float (ms ph.ph_secs)) ])
+       (all_phases c p))
 
-let collector_to_json ?plans (c : collector) : json =
-  let pulled_tuples, pulled_items = pulled_totals c in
+let report_to_json ?plans (c : collector) (p : profile) : json =
+  let pulled_tuples, pulled_items = pulled_totals p in
   Obj
     ([
-       ("phases", phases_to_json c);
+       ("phases", phases_to_json c p);
        ("rewrite", rewrite_to_json c.co_rewrite);
-       ("joins", join_to_json (join_totals c));
+       ("timed", Bool p.pf_timed);
+       ("joins", join_to_json (join_totals p));
        ( "pulled",
          Obj [ ("tuples", Int pulled_tuples); ("items", Int pulled_items) ] );
        ( "counters",
          Obj (List.map (fun (name, v) -> (name, Int v)) (global_counters ())) );
      ]
     @ match plans with Some p -> [ ("plans", p) ] | None -> [])
-
-let collector_to_json_string ?plans (c : collector) : string =
-  json_to_string (collector_to_json ?plans c)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)

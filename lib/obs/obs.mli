@@ -4,9 +4,9 @@
     join build/probe accounting, and rewrite-rule firing traces.
 
     The library sits below the algebra so every layer can depend on it.
-    All records are plain mutable structs updated in place; with
-    statistics disabled none of this code runs, leaving the
-    uninstrumented hot path unchanged. *)
+    All records are plain mutable structs updated in place.  Every
+    algebraic run counts calls, rows and join counters into a {!profile}
+    of its own; only a timed profile reads the clock. *)
 
 val now : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]). *)
@@ -84,7 +84,7 @@ val global_counter : string -> counter
 (** Interned process-wide counter: repeated calls with the same name
     return the same record.  Used by subsystems whose statistics outlive
     any one prepared query (indexed store, document and plan caches);
-    the current values are included in every collector report. *)
+    the current values are included in every statistics report. *)
 
 val global_counters : unit -> (string * int) list
 (** Current values of all global counters, in registration order. *)
@@ -119,7 +119,7 @@ val histogram_to_json : histogram -> json
 
 type op_stats = {
   mutable op_calls : int;  (** closure invocations *)
-  mutable op_secs : float;  (** cumulative (inclusive) time *)
+  mutable op_secs : float;  (** cumulative (inclusive) time; timed profiles only *)
   mutable op_tuples : int;  (** tuples actually pulled through the operator *)
   mutable op_items : int;  (** items produced / pulled when XML *)
   mutable op_builds : int;  (** join: inner-side materializations *)
@@ -134,17 +134,17 @@ type op_stats = {
 
 val op_stats : unit -> op_stats
 
-val tuple_counted_seq : op_stats -> 'a Seq.t -> 'a Seq.t
-(** Wrap a lazy cursor so every pull is timed into [op_secs] (inclusive:
-    child pulls nest inside the parent's timed window) and counted into
-    [op_tuples]. *)
+val tuple_counted_seq : timed:bool -> op_stats -> 'a Seq.t -> 'a Seq.t
+(** Wrap a lazy cursor so every pull is counted into [op_tuples] and,
+    [timed], timed into [op_secs] (inclusive: child pulls nest inside
+    the parent's timed window). *)
 
-val item_counted_seq : op_stats -> 'a Seq.t -> 'a Seq.t
+val item_counted_seq : timed:bool -> op_stats -> 'a Seq.t -> 'a Seq.t
 (** The same, counting into [op_items]. *)
 
 (** {1 Pipeline phase timing} *)
 
-type phase = { ph_name : string; mutable ph_secs : float; mutable ph_count : int }
+type phase = { ph_name : string; ph_secs : float }
 
 (** {1 Rewrite-rule firing trace} *)
 
@@ -158,49 +158,64 @@ val fire : rewrite_trace -> string -> unit
 val rule_count : rewrite_trace -> string -> int
 val total_firings : rewrite_trace -> int
 
-(** {1 Collector: one prepared query's worth of statistics} *)
+(** {1 Collector: what preparing a query records} *)
 
 type collector = {
-  mutable co_phases : phase list;  (** first-seen order *)
-  co_plans : (int, op_stats) Hashtbl.t;
-      (** the latest run's per-operator profile, keyed by the planner's
-          node ids ([Physical.t.pid], [pstep.ps_id]) *)
+  mutable co_phases : phase list;  (** in the order they ran *)
   co_rewrite : rewrite_trace;
 }
 
 val collector : unit -> collector
 
 val phase : collector -> string -> (unit -> 'a) -> 'a
-(** Time the thunk under the named phase, accumulating across runs. *)
+(** Time the thunk as the named phase of the collector. *)
 
-val op_stats_of : collector -> int -> op_stats
+(** {1 Profile: what one run records} *)
+
+type profile = {
+  pf_timed : bool;  (** read the clock: operator times and the run's phases *)
+  pf_ops : (int, op_stats) Hashtbl.t;
+      (** one record per plan-node id ([Physical.t.pid], [pstep.ps_id]) *)
+  mutable pf_phases : phase list;  (** a timed run's own phases *)
+}
+(** One run's per-operator profile.  Cached plans run on several
+    domains at once, so each run counts into a fresh profile: a profile
+    records one run. *)
+
+val profile : timed:bool -> profile
+
+val run_phase : profile -> string -> (unit -> 'a) -> 'a
+(** Time the thunk as a phase of a timed profile; an untimed profile
+    just runs it. *)
+
+val op_stats_of : profile -> int -> op_stats
 (** The record of plan node [id], added on first use. *)
 
-val pulled_totals : collector -> int * int
-(** Total (tuples, items) pulled through all profiled operators — what
-    the early-exit tests assert on. *)
+val pulled_totals : profile -> int * int
+(** Total (tuples, items) pulled through all operators — what the
+    early-exit tests assert on. *)
 
-val join_totals : collector -> op_stats
-(** The six join counters summed over all profiled operators. *)
+val join_totals : profile -> op_stats
+(** The six join counters summed over all operators. *)
 
 (** {1 Reports} *)
 
 val ms : float -> float
 
-val phases_to_string : collector -> string
+val phases_to_string : collector -> profile -> string
+(** The preparation's phases, then the run's, one line each. *)
+
 val rewrite_to_string : rewrite_trace -> string
 val join_to_string : op_stats -> string
 (** [builds=… (… tuples), probes=…, matches=…] of one join or a total. *)
 
 val join_to_json : op_stats -> json
 val rewrite_to_json : rewrite_trace -> json
-val phases_to_json : collector -> json
 
-val collector_to_json : ?plans:json -> collector -> json
-(** Full machine-readable statistics; [plans], the annotated plan trees
-    the plan renderer draws from this collector, goes under ["plans"]. *)
-
-val collector_to_json_string : ?plans:json -> collector -> string
+val report_to_json : ?plans:json -> collector -> profile -> json
+(** Full machine-readable statistics of a preparation and one run;
+    [plans], the annotated plan trees the plan renderer draws from the
+    profile, goes under ["plans"]. *)
 
 (** {1 Prometheus text exposition} *)
 

@@ -1,8 +1,8 @@
 (* Slow-query log: a bounded ring of the N worst requests whose total
    time exceeded a threshold.  Each entry is the request's finished
    trace — source, outcome, total time and span timeline all read from
-   it — plus, filled in by the server after admission, an EXPLAIN
-   ANALYZE of a re-run.
+   it — plus, for a query, the EXPLAIN ANALYZE of that very run, rows
+   counted up to where it finished, timed out or failed.
 
    The ring is kept sorted worst-first; once full, a new entry must beat
    the current minimum to be admitted (so the final contents are the
@@ -12,7 +12,7 @@
 
 module Obs = Obs
 
-type entry = { en_trace : Trace.t; mutable en_explain : string option }
+type entry = { en_trace : Trace.t; en_explain : string option }
 
 type t = {
   sl_lock : Obs.tmutex;
@@ -41,12 +41,13 @@ let rec insert_sorted (e : entry) = function
   | x :: rest when ms x >= ms e -> x :: insert_sorted e rest
   | rest -> e :: rest
 
-(* Offer a finished trace.  Returns its entry when it entered the ring
-   (the caller then spends the effort of attaching an EXPLAIN ANALYZE). *)
-let note (t : t) (tr : Trace.t) : entry option =
-  let e = { en_trace = tr; en_explain = None } in
-  if ms e < t.sl_threshold_ms then None
+(* Offer a finished trace, with the renderer of its run's EXPLAIN
+   ANALYZE, called only for a trace over the threshold.  Returns its
+   entry when it entered the ring. *)
+let note (t : t) ?(explain : (unit -> string) option) (tr : Trace.t) : entry option =
+  if tr.Trace.tr_total_ms < t.sl_threshold_ms then None
   else
+    let e = { en_trace = tr; en_explain = Option.map (fun f -> f ()) explain } in
     Obs.with_lock t.sl_lock (fun () ->
         t.sl_seen <- t.sl_seen + 1;
         let n = List.length t.sl_entries in
@@ -63,9 +64,6 @@ let note (t : t) (tr : Trace.t) : entry option =
             Some e
           end
           else None)
-
-let set_explain (t : t) (e : entry) (text : string) : unit =
-  Obs.with_lock t.sl_lock (fun () -> e.en_explain <- Some text)
 
 let entries (t : t) : entry list =
   Obs.with_lock t.sl_lock (fun () -> t.sl_entries)

@@ -6,7 +6,7 @@
 
 type entry = {
   en_trace : Trace.t;  (** the finished request; ranked by [tr_total_ms] *)
-  mutable en_explain : string option;
+  en_explain : string option;  (** the EXPLAIN ANALYZE of that run *)
 }
 
 type t
@@ -16,12 +16,11 @@ val create : ?capacity:int -> ?threshold_ms:float -> unit -> t
 
 val threshold_ms : t -> float
 
-val note : t -> Trace.t -> entry option
-(** Offer a finished trace; [Some entry] when it entered the ring
-    (worth spending the effort of attaching an EXPLAIN ANALYZE).
-    Traces under the threshold are always rejected. *)
-
-val set_explain : t -> entry -> string -> unit
+val note : t -> ?explain:(unit -> string) -> Trace.t -> entry option
+(** Offer a finished trace; [Some entry] when it entered the ring.
+    [explain] renders the EXPLAIN ANALYZE of the request's own run; it
+    is called only for a trace over the threshold.  Traces under the
+    threshold are always rejected. *)
 
 val entries : t -> entry list
 (** Worst first. *)

@@ -127,16 +127,15 @@ let rec fuse_steps (steps : (Ast.axis * Ast.node_test) list) =
   | [] -> []
 
 (* Decompose a chain of TreeJoin steps down to its source plan; steps are
-   returned in application order (innermost first). *)
+   returned in application order (innermost first).  The walk starts at
+   the outermost step, so each step goes in front of the ones already
+   found: linear in the chain's length. *)
 let chain_steps (p : plan) : (Ast.axis * Ast.node_test) list * plan =
-  let rec go p =
-    match p with
-    | TreeJoin (axis, test, input) ->
-        let steps, src = go input in
-        (steps @ [ (axis, test) ], src)
-    | _ -> ([], p)
+  let rec go acc = function
+    | TreeJoin (axis, test, input) -> go ((axis, test) :: acc) input
+    | src -> (acc, src)
   in
-  let steps, src = go p in
+  let steps, src = go [] p in
   (fuse_steps steps, src)
 
 (* A step chain is order-preserving when fed sorted, duplicate-free,

@@ -297,16 +297,15 @@ let construct_attribute name (items : Item.sequence) : Item.t =
    [uses]: how often each tuple field is read anywhere in the plan
    being compiled.
 
-   [stats]: the collector of a profiled run (EXPLAIN ANALYZE).  With it,
-   [compile] wraps every operator's closure to count into the
-   collector's record for that plan node, and the step chains, joins
-   and cursors count into theirs; without it — the default — the
-   closures are the uninstrumented ones. *)
+   [profile]: the run's profile.  [compile] wraps every operator's
+   closure to count into the profile's record for that plan node, and
+   the step chains, joins and cursors count into theirs.  Only the
+   closures of a timed profile read the clock. *)
 type cenv = {
   layout : layout;
   adopt : bool;
   uses : string -> int;
-  stats : Obs.collector option;
+  profile : Obs.profile;
 }
 
 (* One linear pass per plan: reads of each field, by PFieldAccess or as a
@@ -325,12 +324,11 @@ let field_uses (p : P.t) : string -> int =
     () p;
   fun q -> Option.value ~default:0 (Hashtbl.find_opt counts q)
 
-let top_env ?stats (p : P.t) : cenv =
-  { layout = []; adopt = false; uses = field_uses p; stats }
+let top_env (profile : Obs.profile) (p : P.t) : cenv =
+  { layout = []; adopt = false; uses = field_uses p; profile }
 
-(* The profile record of plan node [id], when compiling a profiled run. *)
-let node_stats (env : cenv) (id : int) : Obs.op_stats option =
-  Option.map (fun c -> Obs.op_stats_of c id) env.stats
+let node_stats (env : cenv) (id : int) : Obs.op_stats = Obs.op_stats_of env.profile id
+let timed (env : cenv) : bool = env.profile.Obs.pf_timed
 
 (* Does [p], compiled with adopt flag [adopt], read field [q] in adopt
    position?  Follows exactly the propagation of [compile_node]; a
@@ -378,22 +376,35 @@ let materialize_comp (c : comp) : comp =
   | Xml _ as v -> v
   | Tab s -> tab_list (List.of_seq s)
 
-(* A profiled operator's closure records its invocation count,
-   cumulative (inclusive) time and output cardinality.  Tabular results
-   are lazy, so their cardinality is counted per pull (a never-pulled
-   tuple is never counted — exactly the quantity early termination
-   bounds), with each pull timed into the operator's inclusive time. *)
-let instrument (st : Obs.op_stats) (c : comp) : comp =
- fun ctx inp ->
-  let t0 = Obs.now () in
-  let v = c ctx inp in
-  st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
+(* [f x], its time added to [st] in a timed run. *)
+let timed_call ~timed (st : Obs.op_stats) (f : 'a -> 'b) (x : 'a) : 'b =
+  if not timed then f x
+  else
+    let t0 = Obs.now () in
+    let v = f x in
+    st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
+    v
+
+(* Every operator's closure checks the deadline and counts its calls
+   and its output cardinality.  The deadline check is the cooperative
+   cancellation point: dependent sub-plans (per-tuple predicates, map
+   bodies, join predicate legs) are invoked once per tuple, so a
+   deadline-armed context unwinds within one operator's work; with no
+   deadline — every context except the query server's — it is a single
+   field load.  Tabular results are lazy, so their cardinality is
+   counted per pull (a never-pulled tuple is never counted — exactly the
+   quantity early termination bounds).  A timed run adds each call's
+   and each pull's inclusive time. *)
+let instrument ~timed (st : Obs.op_stats) (c : comp) : comp =
+  let c = if timed then fun ctx inp -> timed_call ~timed st (c ctx) inp else c in
+  fun ctx inp ->
+  check_deadline ctx;
   st.Obs.op_calls <- st.Obs.op_calls + 1;
-  match v with
-  | Xml s ->
+  match c ctx inp with
+  | Xml s as v ->
       st.Obs.op_items <- st.Obs.op_items + List.length s;
       v
-  | Tab t -> Tab (Obs.tuple_counted_seq st t)
+  | Tab t -> Tab (Obs.tuple_counted_seq ~timed st t)
 
 (* ------------------------------------------------------------------ *)
 (* Item-level cursors                                                  *)
@@ -412,19 +423,21 @@ let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
   | a -> List.to_seq (List.filter_map keep (apply_axis a n))
 
 (* The streaming form of a step chain, used by [compile_pulled] only.
-   Profiled, each step counts its pulls into its own record, and the
-   absorbed [PSteps] node [parent] counts the chain's final output
-   (exactly as the strict fold does), so a fully consumed cursor reports
-   the same pull totals as the materialized execution of the same plan;
-   each invocation of the chain counts one call on the node and on every
+   Each step counts its pulls into its own record, and the absorbed
+   [PSteps] node [parent] counts the chain's final output (exactly as
+   the strict fold does), so a fully consumed cursor reports the same
+   pull totals as the materialized execution of the same plan; each
+   invocation of the chain counts one call on the node and on every
    step. *)
 let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
     Dynamic_ctx.t -> Item.t Seq.t -> Item.t Seq.t =
-  let parent_stats = node_stats env parent.P.pid in
+  let timed = timed env and parent_stats = node_stats env parent.P.pid in
   let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
-  let run ctx s0 =
+  fun ctx s0 ->
+    parent_stats.Obs.op_calls <- parent_stats.Obs.op_calls + 1;
     List.fold_left
-      (fun s ((ps : P.pstep), stats) ->
+      (fun s ((ps : P.pstep), st) ->
+        st.Obs.op_calls <- st.Obs.op_calls + 1;
         let axis = ps.P.ps_axis and test = ps.P.ps_test in
         let resolver = index_resolver axis test in
         let s' =
@@ -439,39 +452,27 @@ let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
               | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
             s
         in
-        match stats with Some st -> Obs.item_counted_seq st s' | None -> s')
+        Obs.item_counted_seq ~timed st s')
       s0 comps
-    |> fun out ->
-    match parent_stats with Some st -> Obs.item_counted_seq st out | None -> out
-  in
-  match Option.to_list parent_stats @ List.filter_map snd comps with
-  | [] -> run
-  | counted ->
-      fun ctx s0 ->
-        List.iter (fun (st : Obs.op_stats) -> st.Obs.op_calls <- st.Obs.op_calls + 1) counted;
-        run ctx s0
+    |> Obs.item_counted_seq ~timed parent_stats
 
-(* A strict call of [f], profiled into [st]: one call, its time and its
-   output count. *)
-let counted_call (st : Obs.op_stats option) (f : 'a -> Item.sequence) (x : 'a) : Item.sequence =
-  match st with
-  | None -> f x
-  | Some st ->
-      let t0 = Obs.now () in
-      let out = f x in
-      st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
-      st.Obs.op_calls <- st.Obs.op_calls + 1;
-      st.Obs.op_items <- st.Obs.op_items + List.length out;
-      out
+(* A strict call of [f], counted into [st]: one call and its output
+   count (and, timed, its time). *)
+let counted_call ~timed (st : Obs.op_stats) (f : 'a -> Item.sequence) (x : 'a) : Item.sequence =
+  st.Obs.op_calls <- st.Obs.op_calls + 1;
+  let out = timed_call ~timed st f x in
+  st.Obs.op_items <- st.Obs.op_items + List.length out;
+  out
 
 (* The strict form of a step chain: each planned step runs in turn over
-   the accumulated node set; profiled, each step records its output
-   count. *)
+   the accumulated node set and records its output count. *)
 let strict_steps (env : cenv) (steps : P.pstep list) : Dynamic_ctx.t -> Item.sequence -> Item.sequence =
+  let timed = timed env in
   let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
   fun ctx items ->
     List.fold_left
-      (fun items ((s : P.pstep), st) -> counted_call st (tree_join ctx.schema s.P.ps_axis s.P.ps_test) items)
+      (fun items ((s : P.pstep), st) ->
+        counted_call ~timed st (tree_join ctx.schema s.P.ps_axis s.P.ps_test) items)
       items comps
 
 (* A plan as a pulling consumer reads it (see [compile_pulled]):
@@ -485,6 +486,17 @@ type pulled = {
   index : (string * bool) option;
 }
 
+(* Join counters: a build and its tuple count, and a probe and its
+   matches. *)
+let note_build (st : Obs.op_stats) (tuples : int) : unit =
+  st.Obs.op_builds <- st.Obs.op_builds + 1;
+  st.Obs.op_build_tuples <- st.Obs.op_build_tuples + tuples
+
+let note_probe (st : Obs.op_stats) (matches : 'a list) : 'a list =
+  st.Obs.op_probes <- st.Obs.op_probes + 1;
+  st.Obs.op_matches <- st.Obs.op_matches + List.length matches;
+  matches
+
 (* Shared scaffolding of the three physical join operators: compiled
    inputs, merged output layout, match/unmatched emitters (outer joins
    prepend the null-flag field) and the left-major streaming driver.
@@ -492,7 +504,6 @@ type pulled = {
    consumer pulls.  The build side is drained to a list eagerly at
    operator call, before any pull. *)
 type join_parts = {
-  jp_stats : Obs.op_stats option;
   jp_left : comp;
   jp_llayout : layout;
   jp_right : comp;
@@ -508,17 +519,11 @@ type join_parts = {
 let rec compile (env : cenv) (p : P.t) : comp * layout =
   let st = node_stats env p.P.pid in
   let c, layout = compile_node env st p in
-  let c = match st with None -> c | Some st -> instrument st c in
-  (* Cooperative cancellation point: dependent sub-plans (per-tuple
-     predicates, map bodies, join predicate legs) are invoked once per
-     tuple, so a deadline-armed context unwinds within one operator's
-     work.  With no deadline — every context except the query server's —
-     the check is a single field load. *)
-  let c = (fun ctx inp -> check_deadline ctx; c ctx inp) in
+  let c = instrument ~timed:(timed env) st c in
   if !force_materialize then (materialize_comp c, layout) else (c, layout)
 
-(* [st]: the profile record of [p] itself, in a profiled run *)
-and compile_node (env : cenv) (st : Obs.op_stats option) (p : P.t) : comp * layout =
+(* [st]: the profile record of [p] itself *)
+and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
   let adopt = env.adopt in
   let env = { env with adopt = false } in
   (* a constructor outside adopt position numbers its finished tree *)
@@ -860,26 +865,17 @@ and generic_call env name (args : P.t list) : comp =
    chain over at most one source node, whose cursor yields exactly the
    strict output.  Otherwise, and always under the materialize ablation,
    the same items run the strict fold, counted as the chain node itself
-   (it is not compiled by [compile]).  Profiled, the source's evaluation
-   time is added to the chain node's time, with no call or row, so the
-   node's time is inclusive as the strict [PSteps] arm's is.  Any other
-   plan is evaluated whole. *)
+   (it is not compiled by [compile]).  In a timed run the source's
+   evaluation time is added to the chain node's time, with no call or
+   row, so the node's time is inclusive as the strict [PSteps] arm's
+   is.  Any other plan is evaluated whole. *)
 and compile_pulled env ~any_order (p : P.t) : pulled =
   match p.P.pop with
   | P.PSteps { steps; ordered; input } ->
       let csrc, _ = compile env input in
-      let run = strict_steps env steps and st = node_stats env p.P.pid in
-      let source =
-        match st with
-        | None -> fun ctx inp -> as_items (csrc ctx inp)
-        | Some st ->
-            fun ctx inp ->
-              let t0 = Obs.now () in
-              let items = as_items (csrc ctx inp) in
-              st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
-              items
-      in
-      let strict ctx items = List.to_seq (counted_call st (run ctx) items) in
+      let run = strict_steps env steps and st = node_stats env p.P.pid and timed = timed env in
+      let source ctx inp = timed_call ~timed st (fun inp -> as_items (csrc ctx inp)) inp in
+      let strict ctx items = List.to_seq (counted_call ~timed st (run ctx) items) in
       if !force_materialize then { source; read = strict; index = None }
       else
         let pipe = compile_cursor_steps env ~parent:p steps in
@@ -1113,9 +1109,7 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
                    !order))),
     out_layout )
 
-(* [stats] is the join's profile record: the Joins kernels (hash/sort)
-   count into it, the nested-loop paths update it inline. *)
-and join_scaffold env stats (outer : P.field option) a b : join_parts =
+and join_scaffold env (outer : P.field option) a b : join_parts =
   let ca, la = compile env a and cb, lb = compile env b in
   let merged, mwidth, moves = concat_spec la lb in
   let n1 = List.length la in
@@ -1146,7 +1140,6 @@ and join_scaffold env stats (outer : P.field option) a b : join_parts =
          left)
   in
   {
-    jp_stats = stats;
     jp_left = ca;
     jp_llayout = la;
     jp_right = cb;
@@ -1160,24 +1153,10 @@ and join_scaffold env stats (outer : P.field option) a b : join_parts =
   }
 
 and compile_nested_loop env stats outer (pred : P.ppred) a b : comp * layout =
-  let jp = join_scaffold env stats outer a b in
+  let jp = join_scaffold env outer a b in
   (* each call materializes the inner side once: one build *)
-  let note_build right =
-    (match jp.jp_stats with
-    | Some st ->
-        st.Obs.op_builds <- st.Obs.op_builds + 1;
-        st.Obs.op_build_tuples <- st.Obs.op_build_tuples + List.length right
-    | None -> ());
-    right
-  in
-  let note_probe ms =
-    (match jp.jp_stats with
-    | Some st ->
-        st.Obs.op_probes <- st.Obs.op_probes + 1;
-        st.Obs.op_matches <- st.Obs.op_matches + List.length ms
-    | None -> ());
-    ms
-  in
+  let note_build right = note_build stats (List.length right); right in
+  let note_probe = note_probe stats in
   match pred with
   | P.PWholePred p ->
       (* arbitrary predicates always run as an order-preserving NL join *)
@@ -1209,7 +1188,7 @@ and compile_nested_loop env stats outer (pred : P.ppred) a b : comp * layout =
 
 and compile_hash_join env stats outer (build : P.build_side) left_key right_key a
     b : comp * layout =
-  let jp = join_scaffold env stats outer a b in
+  let jp = join_scaffold env outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   match build with
@@ -1217,13 +1196,11 @@ and compile_hash_join env stats outer (build : P.build_side) left_key right_key 
       ( (fun ctx inp ->
           let left = as_table (jp.jp_left ctx inp) in
           let right = table_list (jp.jp_right ctx inp) in
-          let index =
-            Joins.build_hash_index ?stats:jp.jp_stats right
-              (fun r -> as_items (cr ctx (ITuple r)))
-          in
+          let index = Joins.build_hash_index right (fun r -> as_items (cr ctx (ITuple r))) in
+          note_build stats index.Joins.hi_size;
           jp.jp_run left (fun l ->
-              Joins.probe_hash_index ?stats:jp.jp_stats index
-                (Item.atomize (as_items (cl ctx (ITuple l)))))),
+              note_probe stats
+                (Joins.probe_hash_index index (Item.atomize (as_items (cl ctx (ITuple l))))))),
         jp.jp_out )
   | P.Build_left ->
       (* build on the (estimated smaller) left side: index left keys,
@@ -1235,17 +1212,15 @@ and compile_hash_join env stats outer (build : P.build_side) left_key right_key 
       ( (fun ctx inp ->
           let left = table_list (jp.jp_left ctx inp) in
           let right = table_list (jp.jp_right ctx inp) in
-          let index =
-            Joins.build_hash_index ?stats:jp.jp_stats left
-              (fun l -> as_items (cl ctx (ITuple l)))
-          in
+          let index = Joins.build_hash_index left (fun l -> as_items (cl ctx (ITuple l))) in
+          note_build stats index.Joins.hi_size;
           let buckets = Array.make (max 1 (List.length left)) [] in
           List.iter
             (fun r ->
               List.iter
                 (fun o -> buckets.(o - 1) <- r :: buckets.(o - 1))
-                (Joins.probe_hash_index_orders ?stats:jp.jp_stats index
-                   (Item.atomize (as_items (cr ctx (ITuple r))))))
+                (note_probe stats
+                   (Joins.probe_hash_index_orders index (Item.atomize (as_items (cr ctx (ITuple r)))))))
             right;
           let pos = ref 0 in
           jp.jp_run (List.to_seq left) (fun _l ->
@@ -1260,19 +1235,19 @@ and compile_sort_join env stats outer (op : Promotion.cmp_op) left_key right_key
   | Promotion.Lt | Promotion.Le | Promotion.Gt | Promotion.Ge -> ()
   | Promotion.Eq | Promotion.Ne ->
       compile_error "sort join planned for a non-inequality operator");
-  let jp = join_scaffold env stats outer a b in
+  let jp = join_scaffold env outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   ( (fun ctx inp ->
       let left = as_table (jp.jp_left ctx inp) in
       let right = table_list (jp.jp_right ctx inp) in
-      let index =
-        Joins.build_sort_index ?stats:jp.jp_stats right
-          (fun r -> as_items (cr ctx (ITuple r)))
-      in
+      let index = Joins.build_sort_index right (fun r -> as_items (cr ctx (ITuple r))) in
+      note_build stats (List.length right);
+      stats.Obs.op_sort_numeric <- stats.Obs.op_sort_numeric + Array.length index.Joins.si_numeric;
+      stats.Obs.op_sort_string <- stats.Obs.op_sort_string + Array.length index.Joins.si_string;
       jp.jp_run left (fun l ->
-          Joins.probe_sort_index ?stats:jp.jp_stats op index
-            (Item.atomize (as_items (cl ctx (ITuple l)))))),
+          note_probe stats
+            (Joins.probe_sort_index op index (Item.atomize (as_items (cl ctx (ITuple l))))))),
     jp.jp_out )
 
 (* ------------------------------------------------------------------ *)
@@ -1281,7 +1256,7 @@ and compile_sort_join env stats outer (op : Promotion.cmp_op) left_key right_key
 
 (* Install compiled user functions into the context, then evaluate the
    globals in declaration order, then run the main plan. *)
-let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
+let install_query (profile : Obs.profile) (ctx : Dynamic_ctx.t) (q : P.query) :
     Dynamic_ctx.t -> Item.sequence =
   List.iter
     (fun (f : P.pfunction) ->
@@ -1290,7 +1265,7 @@ let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
     q.P.pfunctions;
   List.iter
     (fun (f : P.pfunction) ->
-      let body, _ = compile (top_env ?stats f.P.pf_body) f.P.pf_body in
+      let body, _ = compile (top_env profile f.P.pf_body) f.P.pf_body in
       let impl ctx args =
         let frame = List.combine f.P.pf_params args in
         with_params ctx frame (fun () -> as_items (body ctx INone))
@@ -1299,21 +1274,14 @@ let install_query ?stats (ctx : Dynamic_ctx.t) (q : P.query) :
     q.P.pfunctions;
   let globals =
     List.map
-      (fun (v, p) -> (v, fst (compile (top_env ?stats p) p)))
+      (fun (v, p) -> (v, fst (compile (top_env profile p) p)))
       q.P.pglobals
   in
-  let main, _ = compile (top_env ?stats q.P.pmain) q.P.pmain in
+  let main, _ = compile (top_env profile q.P.pmain) q.P.pmain in
   fun ctx ->
     List.iter (fun (v, c) -> bind_global ctx v (as_items (c ctx INone))) globals;
     as_items (main ctx INone)
 
-let run ?stats ctx (q : P.query) : Item.sequence =
-  match stats with
-  | None -> (install_query ctx q) ctx
-  | Some c ->
-      (* the profile reflects this run only *)
-      Hashtbl.reset c.Obs.co_plans;
-      let runner =
-        Obs.phase c "compile closures" (fun () -> install_query ~stats:c ctx q)
-      in
-      Obs.phase c "eval" (fun () -> runner ctx)
+let run ?(profile = Obs.profile ~timed:false) ctx (q : P.query) : Item.sequence =
+  let runner = Obs.run_phase profile "compile closures" (fun () -> install_query profile ctx q) in
+  Obs.run_phase profile "eval" (fun () -> runner ctx)

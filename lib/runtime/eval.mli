@@ -75,20 +75,21 @@ type cenv = {
   layout : layout;
   adopt : bool;
   uses : string -> int;
-  stats : Xqc_obs.Obs.collector option;
+  profile : Xqc_obs.Obs.profile;
 }
 (** [adopt]: the nodes the plan constructs
     flow straight into an enclosing element constructor, which adopts
     them, so they are returned unnumbered; [false] at scope roots.
     [uses]: reads of each tuple field in the whole plan.
-    [stats]: profile the compiled closures — each operator and step
-    counts its calls, inclusive time, output cardinality and join
-    counters into the collector's record for its node id. *)
+    [profile]: the run's profile — each operator and step counts its
+    calls, output cardinality and join counters into the profile's
+    record for its node id, and, in a timed profile only, its inclusive
+    time. *)
 
-val top_env : ?stats:Xqc_obs.Obs.collector -> Physical.t -> cenv
+val top_env : Xqc_obs.Obs.profile -> Physical.t -> cenv
 (** The environment of a scope root (a query body, a global or a
     function body): empty layout, not adopting, the plan's field use
-    counts, and the given collector (default: none). *)
+    counts, and the run's profile. *)
 
 val force_materialize : bool ref
 (** Debug knob: when set during compilation, every operator drains its
@@ -105,16 +106,9 @@ val compile : cenv -> Physical.t -> comp * layout
     table-producing plans).
     @raise Compile_error on unknown tuple fields or malformed plans. *)
 
-val install_query :
-  ?stats:Xqc_obs.Obs.collector ->
-  Dynamic_ctx.t -> Physical.query -> Dynamic_ctx.t -> Item.sequence
-(** Register the query's functions (recursion-safe two-phase patching)
-    and return a runner evaluating globals then the main plan.  With
-    [~stats], compiled closures are profiled per operator. *)
-
-val run :
-  ?stats:Xqc_obs.Obs.collector ->
-  Dynamic_ctx.t -> Physical.query -> Item.sequence
-(** With [~stats], times the "compile closures" and "eval" phases and
-    records per-operator and join statistics into the collector, after
-    clearing the previous run's. *)
+val run : ?profile:Xqc_obs.Obs.profile -> Dynamic_ctx.t -> Physical.query -> Item.sequence
+(** Register the query's functions (recursion-safe two-phase patching),
+    compile every plan to closures, then evaluate the globals and the
+    main plan.  The run counts into [profile] (default: a fresh untimed
+    one); a timed profile also gets the "compile closures" and "eval"
+    phases. *)

@@ -18,7 +18,6 @@
 
 open Xqc_xml
 open Xqc_types
-module Obs = Xqc_obs.Obs
 
 type tuple = Item.sequence array
 
@@ -47,7 +46,7 @@ let is_nan_atom (a : Atomic.t) : bool =
   | _ -> false
 
 (* materialize() of Figure 6. *)
-let build_hash_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequence) :
+let build_hash_index (inner : tuple list) (inner_key : tuple -> Item.sequence) :
     hash_index =
   let buckets = Hashtbl.create 1024 in
   let order = ref 0 in
@@ -68,11 +67,6 @@ let build_hash_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequ
             (Promotion.promote_to_simple_types key))
         key_vals)
     inner;
-  (match stats with
-  | Some st ->
-      st.Obs.op_builds <- st.Obs.op_builds + 1;
-      st.Obs.op_build_tuples <- st.Obs.op_build_tuples + !order
-  | None -> ());
   { hi_buckets = buckets; hi_size = !order }
 
 (* sortedMatches + removeDuplicates of Figure 6: the collected matches
@@ -105,21 +99,12 @@ let iter_hash_matches (index : hash_index) (key_vals : Atomic.t list) f =
         (Promotion.promote_to_simple_types key))
     key_vals
 
-let count_probe stats n =
-  match stats with
-  | Some st ->
-      st.Obs.op_probes <- st.Obs.op_probes + 1;
-      st.Obs.op_matches <- st.Obs.op_matches + n
-  | None -> ()
-
 (* allMatches() of Figure 6: all inner tuples matching one outer tuple,
    in the inner input's original sequence order, without duplicates. *)
-let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tuple list =
+let probe_hash_index (index : hash_index) (key_vals : Atomic.t list) : tuple list =
   let acc = ref [] in
   iter_hash_matches index key_vals (fun o t -> acc := (o, t) :: !acc);
-  let matches = List.map snd (sorted_distinct by_order !acc) in
-  count_probe stats (List.length matches);
-  matches
+  List.map snd (sorted_distinct by_order !acc)
 
 (* Build-side-flipped probe: the sorted distinct build positions whose
    entries match one probe key.  Used when the planner builds the hash
@@ -128,13 +113,10 @@ let probe_hash_index ?stats (index : hash_index) (key_vals : Atomic.t list) : tu
    it under every matching left position, then emits bucket by bucket.
    The Table 2 check is symmetric in the two original types, so probing
    from either side accepts exactly the same pairs. *)
-let probe_hash_index_orders ?stats (index : hash_index) (key_vals : Atomic.t list) :
-    int list =
+let probe_hash_index_orders (index : hash_index) (key_vals : Atomic.t list) : int list =
   let acc = ref [] in
   iter_hash_matches index key_vals (fun o _ -> acc := o :: !acc);
-  let orders = sorted_distinct Int.compare !acc in
-  count_probe stats (List.length orders);
-  orders
+  sorted_distinct Int.compare !acc
 
 (* ------------------------------------------------------------------ *)
 (* Sort join for inequalities                                          *)
@@ -164,7 +146,7 @@ let string_key (a : Atomic.t) : string option =
       Some (Atomic.to_string a)
   | _ -> None
 
-let build_sort_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequence) :
+let build_sort_index (inner : tuple list) (inner_key : tuple -> Item.sequence) :
     sort_index =
   let numeric = ref [] and strings = ref [] in
   let order = ref 0 in
@@ -188,20 +170,10 @@ let build_sort_index ?stats (inner : tuple list) (inner_key : tuple -> Item.sequ
     let c = cmp a.e_key b.e_key in
     if c <> 0 then c else compare a.e_order b.e_order
   in
-  let index =
-    {
-      si_numeric = Array.of_list (List.sort (by_key Float.compare) !numeric);
-      si_string = Array.of_list (List.sort (by_key String.compare) !strings);
-    }
-  in
-  (match stats with
-  | Some st ->
-      st.Obs.op_builds <- st.Obs.op_builds + 1;
-      st.Obs.op_build_tuples <- st.Obs.op_build_tuples + !order;
-      st.Obs.op_sort_numeric <- st.Obs.op_sort_numeric + Array.length index.si_numeric;
-      st.Obs.op_sort_string <- st.Obs.op_sort_string + Array.length index.si_string
-  | None -> ());
-  index
+  {
+    si_numeric = Array.of_list (List.sort (by_key Float.compare) !numeric);
+    si_string = Array.of_list (List.sort (by_key String.compare) !strings);
+  }
 
 (* First index whose key satisfies [ok] assuming keys ascend and the set
    of satisfying entries is a suffix; length if none. *)
@@ -231,7 +203,7 @@ let is_numeric_tn = Atomic.is_numeric_type
 (* Probe for all inner tuples with (probe_key op inner_key), honouring the
    Table 2 pairing rules between the probe key type and each entry's
    original type. *)
-let probe_sort_index ?stats (op : Promotion.cmp_op) (index : sort_index)
+let probe_sort_index (op : Promotion.cmp_op) (index : sort_index)
     (key_vals : Atomic.t list) : tuple list =
   let acc = ref [] in
   let add e = acc := (e.e_order, e.e_tuple) :: !acc in
@@ -279,6 +251,4 @@ let probe_sort_index ?stats (op : Promotion.cmp_op) (index : sort_index)
             | Some s -> scan_string s (fun t -> t = other || t = Atomic.T_untyped)
             | None -> ()))
     key_vals;
-  let matches = List.map snd (sorted_distinct by_order !acc) in
-  count_probe stats (List.length matches);
-  matches
+  List.map snd (sorted_distinct by_order !acc)

@@ -38,26 +38,20 @@ type hash_index = {
 
 val is_nan_atom : Atomic.t -> bool
 
-val build_hash_index :
-  ?stats:Xqc_obs.Obs.op_stats -> tuple list -> (tuple -> Item.sequence) -> hash_index
+val build_hash_index : tuple list -> (tuple -> Item.sequence) -> hash_index
 (** [materialize] of Figure 6: index the inner input on the atomized key
-    expression, one bucket entry per promotion target.  With [~stats],
-    records one build and the build-side tuple count. *)
+    expression, one bucket entry per promotion target. *)
 
-val probe_hash_index :
-  ?stats:Xqc_obs.Obs.op_stats -> hash_index -> Atomic.t list -> tuple list
+val probe_hash_index : hash_index -> Atomic.t list -> tuple list
 (** [allMatches] of Figure 6: every inner tuple equal to any probe key,
-    in inner input order, without duplicates.  With [~stats], records one
-    probe and the number of matches. *)
+    in inner input order, without duplicates. *)
 
-val probe_hash_index_orders :
-  ?stats:Xqc_obs.Obs.op_stats -> hash_index -> Atomic.t list -> int list
+val probe_hash_index_orders : hash_index -> Atomic.t list -> int list
 (** The sorted distinct build positions ([e_order], 1-based) whose
     entries match any probe key — the build-side-flipped probe used when
     the planner builds the hash join on its left input.  The Table 2
     acceptance check is symmetric, so this matches exactly the pairs
-    {!probe_hash_index} would.  With [~stats], records one probe and the
-    number of matched positions. *)
+    {!probe_hash_index} would. *)
 
 (** {1 Sort join for inequalities} *)
 
@@ -69,14 +63,9 @@ type sort_index = {
 val numeric_key : Atomic.t -> float option
 val string_key : Atomic.t -> string option
 
-val build_sort_index :
-  ?stats:Xqc_obs.Obs.op_stats -> tuple list -> (tuple -> Item.sequence) -> sort_index
-(** With [~stats], records one build, the build-side tuple count and the
-    lengths of the two sorted key arrays. *)
+val build_sort_index : tuple list -> (tuple -> Item.sequence) -> sort_index
 
-val probe_sort_index :
-  ?stats:Xqc_obs.Obs.op_stats ->
-  Promotion.cmp_op -> sort_index -> Atomic.t list -> tuple list
+val probe_sort_index : Promotion.cmp_op -> sort_index -> Atomic.t list -> tuple list
 (** All inner tuples with [probe_key op inner_key] for some pair of keys,
     in inner input order, without duplicates.  Only Lt/Le/Gt/Ge are
     meaningful; Eq/Ne raise [Invalid_argument]. *)

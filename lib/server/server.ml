@@ -34,8 +34,10 @@
      table attributes wall time to waiting vs. holding per lock name,
      and each worker accounts its busy/idle split;
    - *slow queries*: requests over [slow_ms] land in a bounded
-     worst-16 ring that keeps their finished trace and, for a query
-     that succeeded, an EXPLAIN ANALYZE from a re-run.
+     worst-16 ring that keeps their finished trace and, for a query,
+     the EXPLAIN ANALYZE of that run, drawn from the profile every run
+     counts into — so a query that timed out or failed keeps the rows
+     it counted, and nothing is run again.
 
    Deadlines are armed at admission, so time spent queued counts against
    the budget; the evaluator checks the deadline at operator-invocation
@@ -296,21 +298,30 @@ let guard f : ((string * Obs.json) list, string * string) result =
 
 (* Evaluate [source] under [deadline]; ok responses carry the serialized
    result and the item count.  A result over [max_request_bytes] is
-   measured, not written, and refused with [result_too_large]. *)
+   measured, not written, and refused with [result_too_large].  Also
+   returns, once the query is prepared, the renderer of this run's
+   EXPLAIN ANALYZE: its profile holds the rows counted up to where the
+   run finished, timed out or failed. *)
 let eval_query t ~tr ~source ~deadline =
-  guard @@ fun () ->
-  let prepared = Xqc.prepare_cached ~strategy:t.cfg.strategy source in
-  (* serialization happens under the same pins as evaluation: the
-     result sequence references snapshot nodes *)
-  with_snapshot t (fun ctx ->
-      Xqc.Dynamic_ctx.set_trace ctx (Some tr);
-      Xqc.Dynamic_ctx.set_deadline ctx deadline;
-      let items = Trace.in_span "eval" (fun () -> Xqc.run prepared ctx) in
-      let text =
-        Trace.in_span "serialize" (fun () ->
-            Xqc.Serializer.sequence_to_string ~limit:max_request_bytes items)
-      in
-      [ ("result", Obs.Str text); ("items", Obs.Int (List.length items)) ])
+  let explain = ref None in
+  let result =
+    guard @@ fun () ->
+    let prepared = Xqc.prepare_cached ~strategy:t.cfg.strategy source in
+    let profile = Obs.profile ~timed:false in
+    explain := Some (fun () -> Xqc.explain_analyze prepared profile);
+    (* serialization happens under the same pins as evaluation: the
+       result sequence references snapshot nodes *)
+    with_snapshot t (fun ctx ->
+        Xqc.Dynamic_ctx.set_trace ctx (Some tr);
+        Xqc.Dynamic_ctx.set_deadline ctx deadline;
+        let items = Trace.in_span "eval" (fun () -> Xqc.run ~profile prepared ctx) in
+        let text =
+          Trace.in_span "serialize" (fun () ->
+              Xqc.Serializer.sequence_to_string ~limit:max_request_bytes items)
+        in
+        [ ("result", Obs.Str text); ("items", Obs.Int (List.length items)) ])
+  in
+  (result, !explain)
 
 (* Run an XQUF script against the preloaded document [doc], under its
    per-document MVCC write lock.  The script's queries evaluate against
@@ -358,38 +369,10 @@ let observe_trace t (tr : Trace.t) =
     observe t.h_serialize (find "serialize")
   end
 
-(* Offer a finished request to the slow-query ring.  A query that
-   entered it and succeeded is re-run and serialized once with a stats
-   collector to attach EXPLAIN ANALYZE of that run, on the worker that
-   already blew the threshold and fenced with its own deadline so a
-   pathological query cannot wedge the worker.  A timeout or error is kept unanalyzed:
-   re-running it would hold the worker for up to that deadline.  So is
-   a query finishing while requests wait in the queue: the re-run would
-   hold them back, for up to max(2x the slow run, 1 s) when the pool has
-   one worker. *)
-let note_slow t (tr : Trace.t) =
-  match Slow_log.note t.slow tr with
-  | Some entry
-    when String.equal tr.tr_outcome "ok"
-         && (String.equal tr.tr_op "query" || String.equal tr.tr_op "execute") -> (
-      if Bqueue.length t.queue > 0 then
-        Slow_log.set_explain t.slow entry "analyze skipped: requests were waiting"
-      else
-        try
-          let p = Xqc.prepare ~strategy:t.cfg.strategy ~stats:true tr.tr_source in
-          with_snapshot t (fun ctx ->
-              Xqc.Dynamic_ctx.set_deadline ctx
-                (Some (Obs.now () +. Float.max (2.0 *. tr.tr_total_ms /. 1000.) 1.0));
-              ignore (Xqc.serialize (Xqc.run p ctx)));
-          Slow_log.set_explain t.slow entry (Xqc.explain_analyze p)
-        with e ->
-          Slow_log.set_explain t.slow entry ("analyze failed: " ^ Printexc.to_string e))
-  | _ -> ()
-
 let handle_job t (job : job) : unit =
   let tr = job.jb_trace and deadline = job.jb_deadline in
   Trace.add_span tr ~t0:job.jb_enqueued ~t1:(Obs.now ()) "queue-wait";
-  let result =
+  let result, explain =
     Trace.with_current tr @@ fun () ->
     match job.jb_req with
     | Protocol.Query { source; _ } -> eval_query t ~tr ~source ~deadline
@@ -398,17 +381,18 @@ let handle_job t (job : job) : unit =
            compiled plan lands in the shared LRU plan cache and the
            name -> source binding makes execute re-resolve through it
            (each reuse is a recorded plan-cache hit). *)
-        guard (fun () ->
-            ignore (Xqc.prepare_cached ~strategy:t.cfg.strategy source : Xqc.prepared);
-            Obs.with_lock t.st_lock (fun () -> Hashtbl.replace t.statements name source);
-            [ ("name", Obs.Str name) ])
+        ( guard (fun () ->
+              ignore (Xqc.prepare_cached ~strategy:t.cfg.strategy source : Xqc.prepared);
+              Obs.with_lock t.st_lock (fun () -> Hashtbl.replace t.statements name source);
+              [ ("name", Obs.Str name) ]),
+          None )
     | Protocol.Execute { name; _ } -> (
         match Obs.with_lock t.st_lock (fun () -> Hashtbl.find_opt t.statements name) with
         | Some source ->
             Trace.set_source tr source;
             eval_query t ~tr ~source ~deadline
-        | None -> Error ("unknown_statement", Printf.sprintf "no prepared statement %S" name))
-    | Protocol.Update { doc; source; _ } -> exec_update t ~tr ~doc ~source ~deadline
+        | None -> (Error ("unknown_statement", Printf.sprintf "no prepared statement %S" name), None))
+    | Protocol.Update { doc; source; _ } -> (exec_update t ~tr ~doc ~source ~deadline, None)
     | Protocol.Stats | Protocol.Metrics _ | Protocol.Trace_get _
     | Protocol.Ping | Protocol.Shutdown ->
         (* handled inline by the reader; never queued *)
@@ -433,7 +417,7 @@ let handle_job t (job : job) : unit =
      log t "reply to %s lost (connection closed)" job.jb_conn.peer);
   let total_ms = Trace.finish tr ~outcome in
   observe_trace t tr;
-  note_slow t tr;
+  ignore (Slow_log.note t.slow ?explain tr : Slow_log.entry option);
   log t "%s %s %.2fms" job.jb_conn.peer tr.tr_op total_ms
 
 let ns_of (secs : float) : int = int_of_float (secs *. 1e9)

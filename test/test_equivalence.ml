@@ -315,20 +315,16 @@ let test_numeric_lexical_forms () =
 (* -------- bounded pulls: the early-termination property itself -------- *)
 
 (* Existential and positional queries over an XMark document must stop
-   after a constant-size prefix: the obs collector counts every tuple and
-   item actually pulled through an instrumented operator, so streaming
-   shows up as pull totals that do not grow with the document. *)
+   after a constant-size prefix: the run's profile counts every tuple
+   and item actually pulled through an operator, so streaming shows up
+   as pull totals that do not grow with the document. *)
 let pulled ~materialize doc q =
   with_materialize materialize @@ fun () ->
-  let p = Xqc.prepare ~stats:true q in
+  let p = Xqc.prepare q and profile = Xqc.Obs.profile ~timed:false in
   let ctx = Xqc.context () in
   Xqc.bind_variable ctx "auction" [ Xqc.Item.Node doc ];
-  let result = Xqc.run p ctx in
-  let tuples, items =
-    match Xqc.stats p with
-    | Some c -> Xqc.Obs.pulled_totals c
-    | None -> Alcotest.fail "no collector"
-  in
+  let result = Xqc.run ~profile p ctx in
+  let tuples, items = Xqc.Obs.pulled_totals profile in
   (result, tuples + items)
 
 let check_bounded_pulls ~target_bytes queries =

@@ -446,7 +446,7 @@ let test_operator_between_forces_copy () =
     let ctx = Xqc.Dynamic_ctx.create () in
     Xqc.Dynamic_ctx.bind_global ctx "t" [ Xqc.Item.Node (List.hd (N.children rows)) ];
     let before = Xqc.Obs.counter_value (Xqc.Obs.global_counter "construct_nodes_copied") in
-    let comp, _ = Xqc.Eval.compile (Xqc.Eval.top_env p) p in
+    let comp, _ = Xqc.Eval.compile (Xqc.Eval.top_env (Xqc.Obs.profile ~timed:false) p) p in
     let items = Xqc.Eval.as_items (comp ctx Xqc.Eval.INone) in
     check_trees "plan result" items;
     Alcotest.(check string) "result" "<w><r><x>a</x><x>b</x></r><r><x>c</x></r></w>"

@@ -99,22 +99,23 @@ let test_outer_join () =
   check "unmatched persons count 0" expected (serialize (run p (ctx_with doc)));
   check "= interpreter" expected (run_on ~strategy:No_algebra doc outer_q)
 
-(* The profiled rows of [p]'s main plan. *)
-let main_rows p =
-  match (stats p, physical_plan p) with
-  | Some c, Some q -> Pretty.rows ~profile:c q.Physical.pmain
-  | _ -> Alcotest.fail "no collector or no physical plan"
+(* The rows of [p]'s main plan, annotated from [profile]. *)
+let main_rows p profile =
+  match physical_plan p with
+  | Some q -> Pretty.rows ~profile q.Physical.pmain
+  | None -> Alcotest.fail "no physical plan"
 
 (* The one hash join of [q]'s main plan after a run over [doc], with
    its output row count and join counters. *)
 let analyzed_join q doc =
   let doc = indexed doc in
-  let p = prepare ~stats:true q in
-  ignore (run p (ctx_with doc));
+  let p = prepare q in
+  let profile = Obs.profile ~timed:false in
+  ignore (run ~profile p (ctx_with doc));
   let joins =
     List.filter
       (fun r -> String.starts_with ~prefix:"PHashJoin" r.Pretty.label)
-      (main_rows p)
+      (main_rows p profile)
   in
   match joins with
   | [ r ] -> (
@@ -205,10 +206,11 @@ let with_materialize f =
    node set and reports each step's output count. *)
 let test_strict_step_counts () =
   let doc = indexed (people_orders ~persons:7 ~orders:3 ()) in
-  let p = prepare ~stats:true "$d/db/people/person/name" in
-  let out = with_materialize (fun () -> run p (ctx_with doc)) in
+  let p = prepare "$d/db/people/person/name" in
+  let profile = Obs.profile ~timed:false in
+  let out = with_materialize (fun () -> run ~profile p (ctx_with doc)) in
   check_int "seven names" 7 (List.length out);
-  let rows = main_rows p in
+  let rows = main_rows p profile in
   let step name =
     match List.filter (fun r -> contains r.Pretty.label ("::" ^ name ^ "]")) rows with
     | [ { Pretty.stats = Some st; _ } ] -> st.Obs.op_items
@@ -328,11 +330,12 @@ let test_chain_source_once () =
         (fun materialize ->
           let mode = if materialize then "materialized" else "streamed" in
           let with_mode f = if materialize then with_materialize f else f () in
-          let p = prepare ~stats:true q in
+          let p = prepare q and profile = Obs.profile ~timed:false in
           let before = numbered () in
-          check (q ^ ", " ^ mode) reference (with_mode (fun () -> serialize (run p (context ()))));
+          check (q ^ ", " ^ mode) reference
+            (with_mode (fun () -> serialize (run ~profile p (context ()))));
           check_int (q ^ ", " ^ mode ^ ": nodes numbered") 5 (numbered () - before);
-          (match List.find_opt (fun r -> r.Pretty.label = "Sequence") (main_rows p) with
+          (match List.find_opt (fun r -> r.Pretty.label = "Sequence") (main_rows p profile) with
           | Some { Pretty.stats = Some st; _ } ->
               check_int (q ^ ", " ^ mode ^ ": source calls") 1 st.Obs.op_calls
           | _ -> Alcotest.failf "%s: no profiled Sequence row" q);
@@ -359,15 +362,19 @@ let test_pulled_chain_time_inclusive () =
   List.iter
     (fun materialize ->
       let mode = if materialize then "materialized" else "streamed" in
-      let p = prepare ~stats:true q in
-      let out = serialize ((if materialize then with_materialize else fun f -> f ()) (fun () -> run p (context ()))) in
+      let p = prepare q and profile = Obs.profile ~timed:true in
+      let out =
+        serialize
+          ((if materialize then with_materialize else fun f -> f ())
+             (fun () -> run ~profile p (context ())))
+      in
       check (mode ^ ": answer") "<b/><b/><b/>" out;
       let row prefix =
         match
           List.find_opt
             (fun r -> String.length r.Pretty.label >= String.length prefix
                       && String.sub r.Pretty.label 0 (String.length prefix) = prefix)
-            (main_rows p)
+            (main_rows p profile)
         with
         | Some { Pretty.stats = Some st; _ } -> st
         | _ -> Alcotest.failf "%s: no profiled %s row" mode prefix
@@ -554,12 +561,12 @@ let test_explain_analyze_lockstep () =
     List.iter
       (fun (name, q) ->
         let static = section_labels ~prefix:"=== Physical plan" (explain q) in
-        let p = prepare ~stats:true q in
+        let p = prepare q and profile = Obs.profile ~timed:false in
         let ctx = context () in
         bind_variable ctx var [ Item.Node doc ];
-        ignore (run p ctx);
+        ignore (run ~profile p ctx);
         let analyzed =
-          section_labels ~prefix:"=== EXPLAIN ANALYZE" (explain_analyze p)
+          section_labels ~prefix:"=== EXPLAIN ANALYZE" (explain_analyze p profile)
         in
         check_bool (name ^ ": some operators") true (static <> []);
         Alcotest.(check (list string)) name static analyzed)
@@ -592,9 +599,9 @@ let test_explain_all_plans () =
 let test_flat_sequence_linear () =
   let n = 5_000 in
   let q = "count((" ^ String.concat "," (List.init n (fun _ -> "1")) ^ "))" in
-  let p = prepare ~stats:true q in
-  check "count" (string_of_int n) (serialize (run p (context ())));
-  let tuples, items = Obs.pulled_totals (Option.get (stats p)) in
+  let p = prepare q and profile = Obs.profile ~timed:false in
+  check "count" (string_of_int n) (serialize (run ~profile p (context ())));
+  let tuples, items = Obs.pulled_totals profile in
   check_int "2n + 1 items pulled" ((2 * n) + 1) (tuples + items);
   (match physical_plan p with
   | Some q ->
@@ -638,6 +645,47 @@ let test_deep_plan_elided () =
     true
     (String.length report < 65_536)
 
+(* A node's children are cut as its depth is: past [Pretty.max_depth]
+   of them, one line stands for the rest.  So the EXPLAIN ANALYZE of a
+   20,000-item sequence and of a 5,000-step chain each stays under
+   16 KB, the JSON plan keeps [Pretty.max_depth] children and one elided
+   node, and both runs still answer in full. *)
+let test_wide_plan_capped () =
+  let items = 20_000 and steps = 5_000 in
+  List.iter
+    (fun (name, q, answer, elided) ->
+      let p = prepare q and profile = Obs.profile ~timed:true in
+      check (name ^ ": answer") answer (serialize (run ~profile p (context ())));
+      let report = explain_analyze p profile in
+      check_bool
+        (Printf.sprintf "%s: EXPLAIN ANALYZE is %d bytes, under 16 KB" name (String.length report))
+        true
+        (String.length report < 16_384);
+      check_bool (name ^ ": one elided line") true
+        (contains report (Printf.sprintf "… %d more operators" elided));
+      let field f = function Obs.Obj fs -> List.assoc_opt f fs | _ -> None in
+      let rec widest n =
+        match field "children" n with
+        | Some (Obs.Arr ks) -> List.fold_left (fun m k -> max m (widest k)) (List.length ks) ks
+        | _ -> 0
+      in
+      match field "plans" (Xqc_server.Json_parse.parse (stats_json p profile)) with
+      | Some (Obs.Arr [ main ]) ->
+          check_int (name ^ ": widest JSON node") (Pretty.max_depth + 1)
+            (widest (Option.get (field "plan" main)))
+      | _ -> Alcotest.failf "%s: expected one plan in the stats JSON" name)
+    [
+      ( "sequence",
+        "count((" ^ String.concat "," (List.init items (fun _ -> "1")) ^ "))",
+        string_of_int items,
+        items - Pretty.max_depth );
+      (* the chain's source, an element with empty content, is drawn after its steps *)
+      ( "step chain",
+        "<a/>" ^ String.concat "" (List.init steps (fun _ -> "/a")),
+        "",
+        steps - Pretty.max_depth + 2 );
+    ]
+
 (* The stats-JSON plan is cut at the same depth: the report of 2,000
    nested constructors parses with the wire parser (512 levels at most),
    its plan has [Pretty.max_depth] operator levels, and one
@@ -645,8 +693,8 @@ let test_deep_plan_elided () =
 let test_deep_stats_json_cut () =
   let depth = 2_000 in
   let q = nested_constructors depth in
-  let p = prepare ~stats:true q in
-  ignore (serialize (run p (context ())));
+  let p = prepare q and profile = Obs.profile ~timed:true in
+  ignore (serialize (run ~profile p (context ())));
   let field name = function Obs.Obj fs -> List.assoc_opt name fs | _ -> None in
   let children n = match field "children" n with Some (Obs.Arr ks) -> ks | _ -> [] in
   let rec levels n =
@@ -658,7 +706,7 @@ let test_deep_stats_json_cut () =
     | Some (Obs.Int k) -> [ (field "op" n, k) ]
     | _ -> List.concat_map elided (children n)
   in
-  let report = Xqc_server.Json_parse.parse (Option.get (stats_json p)) in
+  let report = Xqc_server.Json_parse.parse (stats_json p profile) in
   match field "plans" report with
   | Some (Obs.Arr [ main ]) ->
       let plan = Option.get (field "plan" main) in
@@ -794,6 +842,7 @@ let () =
           Alcotest.test_case "flat sequence is linear" `Quick test_flat_sequence_linear;
           Alcotest.test_case "deep plan elided" `Quick test_deep_plan_elided;
           Alcotest.test_case "deep stats JSON cut" `Quick test_deep_stats_json_cut;
+          Alcotest.test_case "wide plan capped" `Quick test_wide_plan_capped;
         ] );
       ( "groupby",
         [

@@ -37,7 +37,7 @@ let ctx =
 
 let run_table (p : plan) : Eval.tuple list =
   let pp = Planner.plan p in
-  let comp, _ = Eval.compile (Eval.top_env pp) pp in
+  let comp, _ = Eval.compile (Eval.top_env (Obs.profile ~timed:false) pp) pp in
   match comp ctx Eval.INone with
   | Eval.Tab t -> List.of_seq t
   | Eval.Xml _ -> Alcotest.fail "expected a table"

@@ -93,47 +93,50 @@ let test_rewrite_trace_primitives () =
 (* Pipeline phases                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let phase_names c = List.map (fun p -> p.Obs.ph_name) c.Obs.co_phases
+let phase_names phases = List.map (fun p -> p.Obs.ph_name) phases
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* Preparing records each pipeline phase once; a timed run adds its own
+   two phases to its profile, an untimed run none. *)
 let test_phase_timing () =
-  let p = prepare ~stats:true "for $x in (1,2,3) return $x + 1" in
-  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
-  List.iter
-    (fun name ->
-      check_bool (name ^ " phase recorded") true (List.mem name (phase_names c)))
-    [ "parse"; "normalize"; "compile"; "rewrite" ];
-  check_bool "no eval before running" false (List.mem "eval" (phase_names c));
-  let ctx = context () in
-  ignore (run p ctx);
-  ignore (run p ctx);
-  let find name = List.find (fun ph -> ph.Obs.ph_name = name) c.Obs.co_phases in
-  check_int "eval counted per run" 2 (find "eval").Obs.ph_count;
-  check_int "parse ran once" 1 (find "parse").Obs.ph_count;
-  check_bool "eval time accumulates" true ((find "eval").Obs.ph_secs >= 0.0)
-
-let test_stats_off_by_default () =
-  let p = prepare "1 + 1" in
-  check_bool "no collector unless requested" true (stats p = None)
+  let p = prepare "for $x in (1,2,3) return $x + 1" in
+  Alcotest.(check (list string))
+    "prepare phases"
+    [ "parse"; "normalize"; "compile"; "rewrite"; "plan" ]
+    (phase_names p.pipeline.Obs.co_phases);
+  let timed = Obs.profile ~timed:true and untimed = Obs.profile ~timed:false in
+  ignore (run ~profile:timed p (context ()));
+  ignore (run ~profile:untimed p (context ()));
+  Alcotest.(check (list string))
+    "a timed run's phases" [ "compile closures"; "eval" ] (phase_names timed.Obs.pf_phases);
+  Alcotest.(check (list string)) "an untimed run's phases" [] (phase_names untimed.Obs.pf_phases);
+  check_bool "eval time recorded" true
+    (List.for_all (fun ph -> ph.Obs.ph_secs >= 0.0) timed.Obs.pf_phases);
+  let report = Obs.phases_to_string p.pipeline timed in
+  check_bool "the report lists both" true (contains report "plan" && contains report "eval")
 
 (* ------------------------------------------------------------------ *)
 (* Per-operator statistics                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_with_stats ?(strategy = Optimized) q =
-  let p = prepare ~strategy ~stats:true q in
-  let result = run p (context ()) in
-  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
-  (result, c)
+(* Prepare [q] and run it once, counting into a fresh profile. *)
+let run_profiled ?(strategy = Optimized) ?force_join ?(timed = false) ?(ctx = context ()) q =
+  let p = prepare ~strategy ?force_join q and profile = Obs.profile ~timed in
+  let result = run ~profile p ctx in
+  (result, p, profile)
 
 (* The profiled rows of every plan of [p] (functions, globals, main). *)
-let plan_rows ?(only_main = false) p =
-  let c = match stats p with Some c -> c | None -> Alcotest.fail "no collector" in
+let plan_rows ?(only_main = false) p profile =
   match physical_plan p with
   | None -> Alcotest.fail "no physical plan"
   | Some q ->
       List.concat_map
         (fun (name, plan) ->
-          if only_main && name <> "main" then [] else Pretty.rows ~profile:c plan)
+          if only_main && name <> "main" then [] else Pretty.rows ~profile plan)
         (Pretty.query_plans q)
 
 let st (r : Pretty.row) =
@@ -141,10 +144,24 @@ let st (r : Pretty.row) =
 
 let find_rows pred rows = List.filter pred rows
 
+let hash_join_query = "for $x in (1,2,3), $y in (2,3,4) where $x = $y return $x"
+
+(* A run counts without reading the clock unless its profile is timed:
+   every row has calls and output rows but no time, and the report
+   prints no [time=]. *)
+let test_untimed_by_default () =
+  let _, p, profile = run_profiled hash_join_query in
+  let rows = plan_rows p profile in
+  check_bool "rows counted" true (List.exists (fun r -> (st r).Obs.op_calls > 0) rows);
+  List.iter (fun r -> check_bool (r.Pretty.label ^ ": no time") true ((st r).Obs.op_secs = 0.0)) rows;
+  let report = explain_analyze p profile in
+  check_bool "calls printed" true (contains report "calls=");
+  check_bool "output rows printed" true (contains report "out=");
+  check_bool "no time printed" false (contains report "time=")
+
 let test_operator_cardinalities () =
-  let p = prepare ~stats:true "for $x in (1,2,3) return $x + 1" in
-  ignore (run p (context ()));
-  let rows = plan_rows ~only_main:true p in
+  let _, p, profile = run_profiled "for $x in (1,2,3) return $x + 1" in
+  let rows = plan_rows ~only_main:true p profile in
   let root = List.hd rows in
   check_string "root operator" "MapToItem" root.Pretty.label;
   check_int "root called once" 1 (st root).Obs.op_calls;
@@ -160,20 +177,17 @@ let test_operator_cardinalities () =
       check_int "body emits one item per call" 3 (st add).Obs.op_items
   | l -> Alcotest.failf "expected 1 op:add, got %d" (List.length l)
 
-let hash_join_query = "for $x in (1,2,3), $y in (2,3,4) where $x = $y return $x"
-
 let test_join_statistics () =
-  let p = prepare ~stats:true hash_join_query in
-  let result = run p (context ()) in
+  let result, p, profile = run_profiled hash_join_query in
   check_string "result" "2 3" (serialize result);
-  (match find_rows (fun r -> r.Pretty.join) (plan_rows ~only_main:true p) with
+  (match find_rows (fun r -> r.Pretty.join) (plan_rows ~only_main:true p profile) with
   | [ j ] ->
       check_int "one build" 1 (st j).Obs.op_builds;
       check_int "inner side has 3 tuples" 3 (st j).Obs.op_build_tuples;
       check_int "3 probes" 3 (st j).Obs.op_probes;
       check_int "2 matches" 2 (st j).Obs.op_matches
   | l -> Alcotest.failf "expected 1 join node, got %d" (List.length l));
-  let totals = Obs.join_totals (Option.get (stats p)) in
+  let totals = Obs.join_totals profile in
   check_int "totals aggregate probes" 3 totals.Obs.op_probes
 
 (* The nested loop materializes its inner side once per call, as the
@@ -181,9 +195,9 @@ let test_join_statistics () =
 let test_join_counters_per_algorithm () =
   List.iter
     (fun (alg, prefix) ->
-      let p = prepare ~stats:true ~force_join:alg hash_join_query in
-      check_string "result" "2 3" (serialize (run p (context ())));
-      match find_rows (fun r -> r.Pretty.join) (plan_rows p) with
+      let result, p, profile = run_profiled ~force_join:alg hash_join_query in
+      check_string "result" "2 3" (serialize result);
+      match find_rows (fun r -> r.Pretty.join) (plan_rows p profile) with
       | [ j ] ->
           check_bool ("planned " ^ prefix) true
             (String.starts_with ~prefix j.Pretty.label);
@@ -195,11 +209,11 @@ let test_join_counters_per_algorithm () =
     [ (Physical.Nested_loop, "PNestedLoop"); (Physical.Hash, "PHashJoin") ]
 
 let test_sort_join_statistics () =
-  let result, c =
-    run_with_stats "for $x in (1,2,3), $y in (2,3,4) where $x < $y return $x + $y"
+  let result, _, profile =
+    run_profiled "for $x in (1,2,3), $y in (2,3,4) where $x < $y return $x + $y"
   in
   check_string "result" "3 4 5 5 6 7" (serialize result);
-  let totals = Obs.join_totals c in
+  let totals = Obs.join_totals profile in
   check_int "one sorted build" 1 totals.Obs.op_builds;
   check_bool "numeric sort keys materialized" true (totals.Obs.op_sort_numeric > 0);
   check_int "6 matches" 6 totals.Obs.op_matches
@@ -212,13 +226,12 @@ let test_hash_join_counters_n4 () =
   let doc = Xqc_workload.Clio.generate ~target_bytes:50_000 () in
   let ctx = context () in
   bind_variable ctx "doc" [ Item.Node doc ];
-  let p = prepare ~stats:true Xqc_workload.Clio.n4 in
-  ignore (run p ctx);
+  let _, p, profile = run_profiled ~ctx Xqc_workload.Clio.n4 in
   let joins =
     find_rows
       (fun r ->
         String.starts_with ~prefix:"PHashJoin" r.Pretty.label && (st r).Obs.op_tuples > 0)
-      (plan_rows p)
+      (plan_rows p profile)
   in
   check_bool "N4 has hash joins that output tuples" true (joins <> []);
   List.iter
@@ -238,9 +251,8 @@ let test_cursor_calls_q8 () =
   let doc = Xqc_workload.Xmark.generate ~target_bytes:50_000 () in
   let ctx = context () in
   bind_variable ctx "auction" [ Item.Node doc ];
-  let p = prepare ~stats:true Xqc_workload.Xmark_queries.q8 in
-  ignore (run p ctx);
-  let rows = plan_rows p in
+  let _, p, profile = run_profiled ~ctx Xqc_workload.Xmark_queries.q8 in
+  let rows = plan_rows p profile in
   check_bool "some steps ran" true
     (List.exists
        (fun r -> String.starts_with ~prefix:"Steps" r.Pretty.label && (st r).Obs.op_items > 0)
@@ -258,9 +270,10 @@ let test_cursor_calls_q8 () =
 (* The MapConcat-to-Join unnesting chain of Figure 5 on a two-generator
    FLWOR: product insertion, join insertion, map removal, then the
    physical pass picking the hash algorithm for [=]. *)
+let rewrite_trace ?strategy q = (prepare ?strategy q).pipeline.Obs.co_rewrite
+
 let test_rewrite_trace_unnesting () =
-  let _, c = run_with_stats hash_join_query in
-  let t = c.Obs.co_rewrite in
+  let t = rewrite_trace hash_join_query in
   List.iter
     (fun rule -> check_int ("fired once: " ^ rule) 1 (Obs.rule_count t rule))
     [ "insert product"; "insert join"; "remove map"; "choose hash join" ];
@@ -269,21 +282,20 @@ let test_rewrite_trace_unnesting () =
 let test_rewrite_trace_strategies () =
   (* no-optim performs no rewriting at all; nl-join never picks physical
      algorithms *)
-  let _, c_none = run_with_stats ~strategy:Algebra_unoptimized hash_join_query in
-  check_int "no-optim fires nothing" 0 (Obs.total_firings c_none.Obs.co_rewrite);
-  let _, c_nl = run_with_stats ~strategy:Optimized_nl hash_join_query in
-  check_int "nl-join inserts the join" 1 (Obs.rule_count c_nl.Obs.co_rewrite "insert join");
-  check_int "nl-join picks no algorithm" 0
-    (Obs.rule_count c_nl.Obs.co_rewrite "choose hash join")
+  check_int "no-optim fires nothing" 0
+    (Obs.total_firings (rewrite_trace ~strategy:Algebra_unoptimized hash_join_query));
+  let nl = rewrite_trace ~strategy:Optimized_nl hash_join_query in
+  check_int "nl-join inserts the join" 1 (Obs.rule_count nl "insert join");
+  check_int "nl-join picks no algorithm" 0 (Obs.rule_count nl "choose hash join")
 
 let test_groupby_rule_trace () =
   let q =
     "for $x in (1,1,3) let $a := avg(for $y in (1,2) where $x <= $y return $y * 10) \
      return ($x, $a)"
   in
-  let result, c = run_with_stats q in
+  let result, p, _ = run_profiled q in
   check_string "figure 4 result" "1 15 1 15 3" (serialize result);
-  let t = c.Obs.co_rewrite in
+  let t = p.pipeline.Obs.co_rewrite in
   check_bool "insert group-by fired" true (Obs.rule_count t "insert group-by" > 0);
   check_bool "insert outer-join fired" true (Obs.rule_count t "insert outer-join" > 0);
   check_bool "choose sort join fired" true (Obs.rule_count t "choose sort join" > 0)
@@ -292,6 +304,8 @@ let test_groupby_rule_trace () =
 (* Statistics collection is observation only                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Timed and untimed runs give the same output under every strategy,
+   streamed and materialized. *)
 let test_stats_do_not_change_results () =
   let queries =
     [
@@ -304,17 +318,25 @@ let test_stats_do_not_change_results () =
        for $x in $s where $x/b mod 2 = 0 return $x/b/text()";
     ]
   in
+  let saved = !Eval.force_materialize in
+  Fun.protect ~finally:(fun () -> Eval.force_materialize := saved) @@ fun () ->
   List.iter
-    (fun q ->
+    (fun materialize ->
+      Eval.force_materialize := materialize;
       List.iter
-        (fun strategy ->
-          let plain = serialize (run (prepare ~strategy q) (context ())) in
-          let with_stats = serialize (run (prepare ~strategy ~stats:true q) (context ())) in
-          check_string
-            (Printf.sprintf "%s / %s" (strategy_name strategy) q)
-            plain with_stats)
-        all_strategies)
-    queries
+        (fun q ->
+          List.iter
+            (fun strategy ->
+              let output timed =
+                let result, _, _ = run_profiled ~strategy ~timed q in
+                serialize result
+              in
+              check_string
+                (Printf.sprintf "%s / %s / materialize %b" (strategy_name strategy) q materialize)
+                (output false) (output true))
+            all_strategies)
+        queries)
+    [ false; true ]
 
 (* Generated field names (and therefore plans and reports) must not
    depend on how many queries were prepared before. *)
@@ -329,16 +351,10 @@ let test_deterministic_field_names () =
 (* ------------------------------------------------------------------ *)
 
 let test_explain_analyze_report () =
-  let p = prepare ~stats:true hash_join_query in
-  ignore (run p (context ()));
-  let report = explain_analyze p in
-  let contains needle =
-    let nl = String.length needle and hl = String.length report in
-    let rec go i = i + nl <= hl && (String.sub report i nl = needle || go (i + 1)) in
-    go 0
-  in
+  let _, p, profile = run_profiled ~timed:true hash_join_query in
+  let report = explain_analyze p profile in
   List.iter
-    (fun needle -> check_bool ("report contains " ^ needle) true (contains needle))
+    (fun needle -> check_bool ("report contains " ^ needle) true (contains report needle))
     [
       "=== Pipeline phases ===";
       "rewrite";
@@ -349,32 +365,19 @@ let test_explain_analyze_report () =
       "est_rows=";
       "builds=1";
       "calls=";
+      "time=";
+      "out=";
       "=== Join totals ===";
     ]
 
-let test_explain_analyze_requires_stats () =
-  let p = prepare "1 + 1" in
-  match explain_analyze p with
-  | exception Error _ -> ()
-  | _ -> Alcotest.fail "expected Error for a stats-less prepared query"
-
 let test_stats_json () =
-  let p = prepare ~stats:true hash_join_query in
-  check_bool "json absent without stats" true (stats_json (prepare "1") = None);
-  ignore (run p (context ()));
-  match stats_json p with
-  | None -> Alcotest.fail "expected JSON"
-  | Some s ->
-      check_bool "is an object" true (String.length s > 0 && s.[0] = '{');
-      let contains needle =
-        let nl = String.length needle and hl = String.length s in
-        let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
-        go 0
-      in
-      List.iter
-        (fun needle -> check_bool ("json contains " ^ needle) true (contains needle))
-        [ {|"phases":[|}; {|"rewrite":{|}; {|"insert join":1|}; {|"joins":{|};
-          {|"plans":[|}; {|"op":"MapToItem"|} ]
+  let _, p, profile = run_profiled ~timed:true hash_join_query in
+  let s = stats_json p profile in
+  check_bool "is an object" true (String.length s > 0 && s.[0] = '{');
+  List.iter
+    (fun needle -> check_bool ("json contains " ^ needle) true (contains s needle))
+    [ {|"phases":[|}; {|"rewrite":{|}; {|"insert join":1|}; {|"timed":true|}; {|"joins":{|};
+      {|"plans":[|}; {|"op":"MapToItem"|} ]
 
 let () =
   Alcotest.run "obs"
@@ -389,7 +392,7 @@ let () =
       ( "phases",
         [
           Alcotest.test_case "phase timing" `Quick test_phase_timing;
-          Alcotest.test_case "off by default" `Quick test_stats_off_by_default;
+          Alcotest.test_case "untimed by default" `Quick test_untimed_by_default;
         ] );
       ( "operators",
         [
@@ -415,7 +418,6 @@ let () =
       ( "reports",
         [
           Alcotest.test_case "explain analyze" `Quick test_explain_analyze_report;
-          Alcotest.test_case "requires stats" `Quick test_explain_analyze_requires_stats;
           Alcotest.test_case "stats json" `Quick test_stats_json;
         ] );
     ]

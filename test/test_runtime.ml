@@ -10,7 +10,7 @@ let ctx = Dynamic_ctx.create ()
    planner before compilation, like the real pipeline *)
 let run (p : plan) : Eval.dval =
   let pp = Planner.plan p in
-  let comp, _ = Eval.compile (Eval.top_env pp) pp in
+  let comp, _ = Eval.compile (Eval.top_env (Obs.profile ~timed:false) pp) pp in
   comp ctx Eval.INone
 
 let run_items p = match run p with Eval.Xml s -> s | Eval.Tab _ -> Alcotest.fail "expected items"
@@ -39,7 +39,7 @@ let test_concat_spec () =
 
 let test_slot_resolution_error () =
   let pp = Planner.plan (FieldAccess "nosuch") in
-  match Eval.compile { (Eval.top_env pp) with Eval.layout = [ "a" ] } pp with
+  match Eval.compile { (Eval.top_env (Obs.profile ~timed:false) pp) with Eval.layout = [ "a" ] } pp with
   | exception Eval.Compile_error _ -> ()
   | _ -> Alcotest.fail "expected a compile error for an unknown field"
 

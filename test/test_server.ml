@@ -790,8 +790,8 @@ let test_deterministic_server_ids () =
   Alcotest.(check (list int)) "consecutive from the seed" [ 7777; 7778; 7779 ] ids
 
 (* With a threshold of effectively zero every request is slow: the ring
-   fills, entries keep their span timelines, and the analyzer attaches
-   an EXPLAIN ANALYZE re-run. *)
+   fills, entries keep their span timelines, and each query's entry
+   carries the EXPLAIN ANALYZE of its own run. *)
 let test_slow_query_ring () =
   with_server ~workers:1 ~preload:(preload_xmark ()) ~slow_ms:0.001
   @@ fun sock ->
@@ -862,36 +862,67 @@ let test_slow_ring_outcomes () =
   Alcotest.(check string) "query error recorded" "query_error" bad_outcome;
   Alcotest.(check string) "timeout recorded" "timeout" slow_outcome
 
-(* A slow request that timed out is not re-run for EXPLAIN ANALYZE: the
-   worker is free for the next request as soon as the timeout reply is
-   out (a re-run would hold it for its own deadline, at least 1 s). *)
-let test_slow_timeout_not_rerun () =
-  with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
-  let c = Client.connect_unix sock in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (match Client.query ~timeout_ms:100 c (slow_query 2000) with
-  | Error (code, _) -> Alcotest.(check string) "deadline" "timeout" code
-  | Ok v -> Alcotest.failf "slow query returned %S instead of timing out" v);
-  let after_timeout = Obs.now () in
-  Alcotest.(check string) "next request answered" "2" (check_ok "1+1" (Client.query c "1+1"));
-  let waited = Obs.now () -. after_timeout in
-  if waited > 0.5 then
-    Alcotest.failf "1+1 waited %.2fs behind the timed-out query" waited
+(* The slow-ring entry of [source] once its analysis is attached (the
+   ring is offered the request after its reply is written: poll). *)
+let slow_entry c source =
+  let rec poll tries =
+    let entries = jarr "slow" "entries" (Option.get (jfield "slow_queries" (Client.metrics c))) in
+    match List.find_opt (fun e -> jstr "entry" "source" e = source) entries with
+    | Some e when jfield "explain" e <> None -> e
+    | _ when tries > 0 ->
+        Thread.delay 0.05;
+        poll (tries - 1)
+    | _ -> Alcotest.failf "no analyzed slow entry for %s" source
+  in
+  poll 60
 
-(* A slow query that finishes while another request waits in the
-   queue is not re-run for EXPLAIN ANALYZE, so on one worker the waiting
-   request is served next; its slow entry says why it has no analysis.
-   The waiting request finishes on an idle server and is analyzed. *)
-let test_slow_rerun_yields_to_queue () =
+(* The EXPLAIN ANALYZE line of the first row labelled [label], and an
+   integer field of such a line ("calls", "out"). *)
+let explain_row e label =
+  let text = jstr "entry" "explain" e in
+  match
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:label (String.trim l))
+      (String.split_on_char '\n' text)
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no %s row in:\n%s" label text
+
+(* The offset just past the first [needle] in [hay], if any. *)
+let find_after hay needle =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length hay then None
+    else if String.sub hay i n = needle then Some (i + n)
+    else go (i + 1)
+  in
+  go 0
+
+let contains hay needle = find_after hay needle <> None
+
+let row_int row key =
+  let start =
+    match find_after row (key ^ "=") with Some i -> i | None -> Alcotest.failf "no %s= in %s" key row
+  in
+  let stop = ref start in
+  while !stop < String.length row && row.[!stop] >= '0' && row.[!stop] <= '9' do incr stop done;
+  int_of_string (String.sub row start (!stop - start))
+
+(* With one worker, a request queued behind a slow query is answered
+   right after it: the slow query's analysis is drawn from its own run,
+   so nothing runs between the two.  A re-run would hold the worker for
+   as long again (about 0.5 s). *)
+let test_queued_after_slow_query () =
   with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
   let slow = slow_query 700 in
-  let slow_result = ref (Error ("unset", "")) in
+  let slow_result = ref (Error ("unset", "")) and slow_done = ref 0.0 in
   let blocker =
     Thread.create
       (fun () ->
         let c = Client.connect_unix sock in
         Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-        slow_result := Client.query ~timeout_ms:10_000 c slow)
+        slow_result := Client.query ~timeout_ms:10_000 c slow;
+        slow_done := Obs.now ())
       ()
   in
   let c = Client.connect_unix sock in
@@ -905,33 +936,72 @@ let test_slow_rerun_yields_to_queue () =
   in
   await_admitted 500;
   Alcotest.(check string) "queued request answered" "2" (check_ok "1+1" (Client.query c "1+1"));
+  let answered = Obs.now () in
   Thread.join blocker;
   Alcotest.(check string) "slow query answered" "0" (check_ok "slow" !slow_result);
-  let explain_of source =
-    let entries = jarr "slow" "entries" (Option.get (jfield "slow_queries" (Client.metrics c))) in
-    match List.find_opt (fun e -> jstr "entry" "source" e = source) entries with
-    | Some e -> (match jfield "explain" e with Some (Obs.Str text) -> Some text | _ -> None)
-    | None -> None
+  if answered -. !slow_done > 0.25 then
+    Alcotest.failf "1+1 answered %.2fs after the slow query" (answered -. !slow_done);
+  ignore (slow_entry c slow : Obs.json)
+
+(* The slow entry's rows are its own run's: the nested loop of
+   [slow_query 700] built its 700 inner tuples once and evaluated the
+   product once per pair. *)
+let test_slow_entry_own_rows () =
+  with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let slow = slow_query 700 in
+  Alcotest.(check string) "slow query answered" "0" (check_ok "slow" (Client.query c slow));
+  let e = slow_entry c slow in
+  Alcotest.(check int) "product per pair" (700 * 700) (row_int (explain_row e "Call[op:multiply]") "calls");
+  Alcotest.(check int) "count called once" 1 (row_int (explain_row e "Call[fn:count]") "calls");
+  Alcotest.(check int) "one build" 1 (row_int (explain_row e "PNestedLoop") "builds");
+  Alcotest.(check int) "probes" 700 (row_int (explain_row e "PNestedLoop") "probes")
+
+(* Q8 on the small XMark document: its entry shows the hash join with
+   calls and output rows, the root's output rows are the reply's items,
+   and no row is timed — the server's runs do not read the clock per
+   operator. *)
+let test_slow_entry_q8 () =
+  with_server ~workers:1 ~preload:(preload_xmark ()) ~slow_ms:0.001 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let q8 = Xqc_workload.Xmark_queries.q8 in
+  let items = jint "response" "items" (check_ok "Q8" (Client.query_json c q8)) in
+  let e = slow_entry c q8 in
+  let join = explain_row e "PHashJoin" in
+  Alcotest.(check bool) "hash join called" true (row_int join "calls" > 0);
+  Alcotest.(check bool) "hash join emits rows" true (row_int join "out" > 0);
+  let lines = String.split_on_char '\n' (jstr "entry" "explain" e) in
+  let rec root = function
+    | "=== EXPLAIN ANALYZE (main) ===" :: row :: _ -> row
+    | _ :: rest -> root rest
+    | [] -> Alcotest.fail "no main plan in the analysis"
   in
-  (* note_slow runs after the reply is written: poll for the analysis *)
-  let rec poll tries =
-    match explain_of "1+1" with
-    | None when tries > 0 ->
-        Thread.delay 0.05;
-        poll (tries - 1)
-    | e -> e
-  in
-  Alcotest.(check (option string)) "slow entry not re-run"
-    (Some "analyze skipped: requests were waiting") (explain_of slow);
-  match poll 60 with
-  | Some text ->
-      Alcotest.(check bool) "idle server analyzes the last request" true
-        (String.length text > 0 && not (String.starts_with ~prefix:"analyze" text))
-  | None -> Alcotest.fail "no EXPLAIN ANALYZE attached to the request served last"
+  Alcotest.(check int) "root rows = reply items" items (row_int (root lines) "out");
+  List.iter
+    (fun l -> if contains l "calls=" then Alcotest.(check bool) ("untimed: " ^ l) false (contains l "time="))
+    lines
+
+(* A query that timed out keeps the rows its run counted before the
+   deadline. *)
+let test_slow_entry_after_timeout () =
+  with_server ~workers:1 ~slow_ms:0.001 @@ fun sock ->
+  let c = Client.connect_unix sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let slow = slow_query 2000 in
+  (match Client.query ~timeout_ms:100 c slow with
+  | Error (code, _) -> Alcotest.(check string) "deadline" "timeout" code
+  | Ok v -> Alcotest.failf "slow query returned %S instead of timing out" v);
+  let e = slow_entry c slow in
+  Alcotest.(check string) "outcome" "timeout" (jstr "entry" "outcome" e);
+  let calls = row_int (explain_row e "Call[op:multiply]") "calls" in
+  if calls <= 0 || calls >= 2000 * 2000 then
+    Alcotest.failf "partial run counted %d products, expected some of %d" calls (2000 * 2000)
 
 (* A 10 KB flat sequence does not hold the only worker: whether it
-   stays under the default slow-query threshold or the ring re-runs it
-   for EXPLAIN ANALYZE (a near-zero threshold), the next request is
+   stays under the default slow-query threshold or enters the ring with
+   its EXPLAIN ANALYZE (a near-zero threshold), the next request is
    answered within 2 s. *)
 let test_flat_sequence_frees_worker () =
   let q = "count((" ^ String.concat "," (List.init 5_000 (fun _ -> "1")) ^ "))" in
@@ -1085,10 +1155,11 @@ let () =
           Alcotest.test_case "flat sequence frees the worker" `Quick
             test_flat_sequence_frees_worker;
           Alcotest.test_case "slow ring outcomes" `Quick test_slow_ring_outcomes;
-          Alcotest.test_case "slow timeout not re-run" `Quick
-            test_slow_timeout_not_rerun;
-          Alcotest.test_case "slow re-run yields to the queue" `Quick
-            test_slow_rerun_yields_to_queue;
+          Alcotest.test_case "queued request follows a slow query" `Quick test_queued_after_slow_query;
+          Alcotest.test_case "slow entry keeps its run's rows" `Quick test_slow_entry_own_rows;
+          Alcotest.test_case "slow entry of Q8" `Quick test_slow_entry_q8;
+          Alcotest.test_case "timed-out query keeps its rows" `Quick
+            test_slow_entry_after_timeout;
           Alcotest.test_case "untraced reply has trace" `Quick
             test_untraced_reply_has_trace;
           Alcotest.test_case "outcome counters" `Quick test_outcome_counters;

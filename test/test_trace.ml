@@ -235,15 +235,24 @@ let test_slow_log_racing_domains () =
   Alcotest.(check (list (float 0.0))) "global top-8 survives the race" want
     (entry_times sl)
 
+(* The entry keeps what its run's renderer drew, and a trace under the
+   threshold is never rendered. *)
 let test_slow_log_explain_attach () =
   let sl = Slow_log.create ~capacity:2 ~threshold_ms:1.0 () in
-  (match Slow_log.note sl (finished 10.0) with
-  | Some e -> Slow_log.set_explain sl e "PLAN"
-  | None -> Alcotest.fail "over-threshold trace not admitted");
+  let rendered = ref 0 in
+  let explain () =
+    incr rendered;
+    "PLAN"
+  in
+  Alcotest.(check bool) "fast trace rejected" true (Slow_log.note sl ~explain (finished 0.5) = None);
+  Alcotest.(check int) "fast trace not rendered" 0 !rendered;
+  if Slow_log.note sl ~explain (finished 10.0) = None then
+    Alcotest.fail "over-threshold trace not admitted";
   match Slow_log.entries sl with
   | [ stored ] ->
       Alcotest.(check (option string)) "explain attached" (Some "PLAN")
-        stored.Slow_log.en_explain
+        stored.Slow_log.en_explain;
+      Alcotest.(check int) "rendered once" 1 !rendered
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
