@@ -169,6 +169,12 @@ type query = {
 
 let build_side_name = function Build_left -> "left" | Build_right -> "right"
 
+(* Constant-time reads with no operand.  The evaluator neither counts
+   nor times them (their cost is their parent's), and EXPLAIN ANALYZE
+   prints them without counters. *)
+let is_leaf_read (p : t) : bool =
+  match p.pop with PInput | PEmpty | PScalar _ | PVar _ | PFieldAccess _ -> true | _ -> false
+
 let children (p : t) : t list =
   match p.pop with
   | PInput | PEmpty | PScalar _ | PVar _ | PFieldAccess _ -> []

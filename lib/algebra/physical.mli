@@ -143,5 +143,9 @@ type query = {
 
 val build_side_name : build_side -> string
 
+val is_leaf_read : t -> bool
+(** [PInput], [PEmpty], [PScalar], [PVar], [PFieldAccess]: constant-time
+    reads the evaluator neither counts nor times. *)
+
 val children : t -> t list
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a

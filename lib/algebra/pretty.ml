@@ -326,7 +326,7 @@ let kids = function
 let rec node_count n = List.fold_left (fun acc k -> acc + node_count k) 1 (kids n)
 
 (* With a profile every row carries its node's statistics (a zero record
-   for one that never ran). *)
+   for one that never ran), except a leaf read's, which is not profiled. *)
 let row ?(profile : Obs.profile option) (n : node) : row =
   let stats id =
     Option.map
@@ -340,7 +340,7 @@ let row ?(profile : Obs.profile option) (n : node) : row =
   | Op ({ Physical.pid; pop; pest } as p) ->
       let join = match pop with Physical.PNestedLoop _ | PHashJoin _ | PSortJoin _ -> true | _ -> false in
       { label = physical_label p; est_rows = pest.Physical.est_rows; cost = Some pest.Physical.est_cost;
-        mode = mode_of pop; join; stats = stats pid }
+        mode = mode_of pop; join; stats = (if Physical.is_leaf_read p then None else stats pid) }
 
 let rows ?profile (p : Physical.t) : row list =
   let rec go acc n = List.fold_left go (row ?profile n :: acc) (kids n) in
@@ -389,20 +389,19 @@ let plan_to_json (profile : Obs.profile) (p : Physical.t) : Obs.json =
     if depth >= max_depth then elided (node_count n)
     else
       let r = row ~profile n in
-      let st = Option.value r.stats ~default:(Obs.op_stats ()) in
       let shown, rest = shown_kids ~size:node_count (kids n) in
       let children = List.map (go (depth + 1)) shown @ if rest > 0 then [ elided rest ] else [] in
+      let counted f = match r.stats with Some st -> f st | None -> [] in
       Obs.Obj
-        ([ ("op", Obs.Str r.label); ("calls", Obs.Int st.Obs.op_calls) ]
-        @ (if profile.Obs.pf_timed then [ ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs)) ] else [])
-        @ [
-            ("tuples", Obs.Int st.Obs.op_tuples);
-            ("items", Obs.Int st.Obs.op_items);
-            ("estimated_rows", Obs.Float r.est_rows);
-            ("actual_rows", Obs.Int (actual_rows st));
-          ]
+        ([ ("op", Obs.Str r.label) ]
+        @ counted (fun st ->
+              ("calls", Obs.Int st.Obs.op_calls)
+              :: (if profile.Obs.pf_timed then [ ("time_ms", Obs.Float (Obs.ms st.Obs.op_secs)) ] else [])
+              @ [ ("tuples", Obs.Int st.Obs.op_tuples); ("items", Obs.Int st.Obs.op_items) ])
+        @ [ ("estimated_rows", Obs.Float r.est_rows) ]
+        @ counted (fun st -> [ ("actual_rows", Obs.Int (actual_rows st)) ])
         @ (match r.mode with Some m -> [ ("mode", Obs.Str m) ] | None -> [])
-        @ (if r.join then [ ("join", Obs.join_to_json st) ] else [])
+        @ (if r.join then counted (fun st -> [ ("join", Obs.join_to_json st) ]) else [])
         @ match children with [] -> [] | cs -> [ ("children", Obs.Arr cs) ])
   in
   go 0 (Op p)

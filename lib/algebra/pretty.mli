@@ -39,7 +39,8 @@ type row = {
   mode : string option;  (** ["streamed"] / ["blocking"], from the operator *)
   join : bool;  (** one of the three join operators *)
   stats : Xqc_obs.Obs.op_stats option;
-      (** with a profile: the node's statistics, zero if it never ran *)
+      (** with a profile: the node's statistics, zero if it never ran;
+          [None] on a leaf read ({!Physical.is_leaf_read}) *)
 }
 
 val rows : ?profile:Xqc_obs.Obs.profile -> Physical.t -> row list
@@ -52,12 +53,13 @@ val plan_to_string : ?profile:Xqc_obs.Obs.profile -> Physical.t -> string
     steps under their Steps node.  With a profile (EXPLAIN ANALYZE) each
     line adds [calls], [time] (timed profiles only), [out] (tuples plus
     items), the streaming mode and, on joins,
-    [\[builds=… probes=… matches=…\]]. *)
+    [\[builds=… probes=… matches=…\]]; leaf reads are not profiled
+    and print as in EXPLAIN. *)
 
 val plan_to_json : Xqc_obs.Obs.profile -> Physical.t -> Xqc_obs.Obs.json
 (** The same rows as a tree: [op], [calls], [time_ms] (timed profiles
     only), [tuples], [items], [estimated_rows], [actual_rows], [mode],
-    [join], [children].  Cut at {!max_depth} levels and children as the
+    [join], [children]; a leaf read has no counters.  Cut at {!max_depth} levels and children as the
     text is: a deeper subtree, or a node's children after its first
     {!max_depth}, is one [{"op": "…", "elided_operators": N}] node, [N]
     their size. *)

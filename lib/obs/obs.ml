@@ -384,32 +384,19 @@ let op_stats () =
     op_sort_string = 0;
   }
 
-(* Wrap a lazy cursor so every pull is counted into the given
-   cardinality field and, [timed], timed into [op_secs].  Pull timing is
-   inclusive: a parent operator's pull forces its child's pull inside
-   the parent's timed window, as the eager calls are timed. *)
-let counted_seq ~timed (st : op_stats) (count : op_stats -> unit) (s : 'a Seq.t) : 'a Seq.t =
-  let rec counted s () =
-    match s () with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (x, rest) ->
-        count st;
-        Seq.Cons (x, counted rest)
-  in
-  let rec timed_counted s () =
+(* Wrap a lazy cursor so every pull is timed into [op_secs]: a timed
+   profile only; rows are counted by the operators that make them.
+   Pull timing is inclusive: a parent operator's pull forces its
+   child's pull inside the parent's timed window, as the eager calls
+   are timed. *)
+let timed_seq (st : op_stats) (s : 'a Seq.t) : 'a Seq.t =
+  let rec timed s () =
     let t0 = now () in
     let node = s () in
     st.op_secs <- st.op_secs +. (now () -. t0);
-    match node with
-    | Seq.Nil -> Seq.Nil
-    | Seq.Cons (x, rest) ->
-        count st;
-        Seq.Cons (x, timed_counted rest)
+    match node with Seq.Nil -> Seq.Nil | Seq.Cons (x, rest) -> Seq.Cons (x, timed rest)
   in
-  if timed then timed_counted s else counted s
-
-let tuple_counted_seq ~timed st s = counted_seq ~timed st (fun st -> st.op_tuples <- st.op_tuples + 1) s
-let item_counted_seq ~timed st s = counted_seq ~timed st (fun st -> st.op_items <- st.op_items + 1) s
+  timed s
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline phase timing                                               *)

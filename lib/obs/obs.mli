@@ -134,13 +134,10 @@ type op_stats = {
 
 val op_stats : unit -> op_stats
 
-val tuple_counted_seq : timed:bool -> op_stats -> 'a Seq.t -> 'a Seq.t
-(** Wrap a lazy cursor so every pull is counted into [op_tuples] and,
-    [timed], timed into [op_secs] (inclusive: child pulls nest inside
-    the parent's timed window). *)
-
-val item_counted_seq : timed:bool -> op_stats -> 'a Seq.t -> 'a Seq.t
-(** The same, counting into [op_items]. *)
+val timed_seq : op_stats -> 'a Seq.t -> 'a Seq.t
+(** Wrap a lazy cursor so every pull is timed into [op_secs]
+    (inclusive: child pulls nest inside the parent's timed window).
+    For timed profiles only; it counts nothing. *)
 
 (** {1 Pipeline phase timing} *)
 

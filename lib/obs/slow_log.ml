@@ -41,29 +41,35 @@ let rec insert_sorted (e : entry) = function
   | x :: rest when ms x >= ms e -> x :: insert_sorted e rest
   | rest -> e :: rest
 
+(* Would an entry of [total] ms enter the ring now?  Under the lock. *)
+let admits (t : t) (total : float) : bool =
+  match List.nth_opt t.sl_entries (t.sl_capacity - 1) with
+  | None -> true
+  | Some worst_kept -> total > ms worst_kept
+
 (* Offer a finished trace, with the renderer of its run's EXPLAIN
-   ANALYZE, called only for a trace over the threshold.  Returns its
-   entry when it entered the ring. *)
+   ANALYZE.  Admission is decided first, so only a trace that enters
+   the ring is rendered; the rendering runs outside the lock, and the
+   insert checks admission again, since another request may have
+   entered meanwhile.  Returns the entry when it entered the ring. *)
 let note (t : t) ?(explain : (unit -> string) option) (tr : Trace.t) : entry option =
-  if tr.Trace.tr_total_ms < t.sl_threshold_ms then None
+  let total = tr.Trace.tr_total_ms in
+  if total < t.sl_threshold_ms then None
+  else if
+    not
+      (Obs.with_lock t.sl_lock (fun () ->
+           t.sl_seen <- t.sl_seen + 1;
+           admits t total))
+  then None
   else
     let e = { en_trace = tr; en_explain = Option.map (fun f -> f ()) explain } in
     Obs.with_lock t.sl_lock (fun () ->
-        t.sl_seen <- t.sl_seen + 1;
-        let n = List.length t.sl_entries in
-        if n < t.sl_capacity then begin
-          t.sl_entries <- insert_sorted e t.sl_entries;
+        if not (admits t total) then None
+        else begin
+          (* evict the least-slow entry of a full ring *)
+          t.sl_entries <- insert_sorted e (List.filteri (fun i _ -> i < t.sl_capacity - 1) t.sl_entries);
           Some e
-        end
-        else
-          let worst_kept = List.nth t.sl_entries (n - 1) in
-          if ms e > ms worst_kept then begin
-            (* evict the least-slow entry *)
-            t.sl_entries <-
-              insert_sorted e (List.filteri (fun i _ -> i < n - 1) t.sl_entries);
-            Some e
-          end
-          else None)
+        end)
 
 let entries (t : t) : entry list =
   Obs.with_lock t.sl_lock (fun () -> t.sl_entries)

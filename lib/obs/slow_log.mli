@@ -19,8 +19,8 @@ val threshold_ms : t -> float
 val note : t -> ?explain:(unit -> string) -> Trace.t -> entry option
 (** Offer a finished trace; [Some entry] when it entered the ring.
     [explain] renders the EXPLAIN ANALYZE of the request's own run; it
-    is called only for a trace over the threshold.  Traces under the
-    threshold are always rejected. *)
+    is called, outside the lock, only for a trace the ring admits.
+    Traces under the threshold are always rejected. *)
 
 val entries : t -> entry list
 (** Worst first. *)

@@ -376,104 +376,146 @@ let materialize_comp (c : comp) : comp =
   | Xml _ as v -> v
   | Tab s -> tab_list (List.of_seq s)
 
-(* [f x], its time added to [st] in a timed run. *)
-let timed_call ~timed (st : Obs.op_stats) (f : 'a -> 'b) (x : 'a) : 'b =
-  if not timed then f x
-  else
-    let t0 = Obs.now () in
-    let v = f x in
-    st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
-    v
+(* [f], each call's time added to [st]: the timed form of a closure,
+   chosen once when the closure is compiled, so an untimed run never
+   tests for it. *)
+let timed_fn (st : Obs.op_stats) (f : 'a -> 'b -> 'c) : 'a -> 'b -> 'c =
+ fun x y ->
+  let t0 = Obs.now () in
+  let v = f x y in
+  st.Obs.op_secs <- st.Obs.op_secs +. (Obs.now () -. t0);
+  v
 
-(* Every operator's closure checks the deadline and counts its calls
-   and its output cardinality.  The deadline check is the cooperative
-   cancellation point: dependent sub-plans (per-tuple predicates, map
-   bodies, join predicate legs) are invoked once per tuple, so a
-   deadline-armed context unwinds within one operator's work; with no
-   deadline — every context except the query server's — it is a single
-   field load.  Tabular results are lazy, so their cardinality is
-   counted per pull (a never-pulled tuple is never counted — exactly the
-   quantity early termination bounds).  A timed run adds each call's
-   and each pull's inclusive time. *)
+(* One output tuple of [st]'s operator.  A tuple operator counts its
+   output itself, as the consumer pulls it, in the function it already
+   applies per tuple, so no cursor is wrapped to count it. *)
+let out_tuple (st : Obs.op_stats) (t : tuple) : tuple =
+  st.Obs.op_tuples <- st.Obs.op_tuples + 1;
+  t
+
+(* [tab_list l], each tuple counted as it is pulled. *)
+let counted_tab_list (st : Obs.op_stats) (l : tuple list) : dval =
+  let rec go l () = match l with [] -> Seq.Nil | t :: rest -> Seq.Cons (out_tuple st t, go rest) in
+  Tab (go l)
+
+(* [Seq.concat_map f s], each output tuple counted as it is pulled. *)
+let counted_concat_map (st : Obs.op_stats) (f : 'a -> tuple Seq.t) (s : 'a Seq.t) : dval =
+  let rec outer s () = match s () with Seq.Nil -> Seq.Nil | Seq.Cons (x, rest) -> inner (f x) rest ()
+  and inner ts rest () =
+    match ts () with
+    | Seq.Nil -> outer rest ()
+    | Seq.Cons (t, ts) -> Seq.Cons (out_tuple st t, inner ts rest)
+  in
+  Tab (outer s)
+
+(* Every operator's closure but a leaf read's checks the deadline and
+   counts its calls and, for an item sequence, its output items; tuple
+   operators count their own output (see [out_tuple]).  The deadline
+   check is the cooperative cancellation point: dependent sub-plans
+   (per-tuple predicates, map bodies, join predicate legs) are invoked
+   once per tuple, so a deadline-armed context unwinds within one
+   operator's work; with no deadline — every context except the query
+   server's — it is a single field load.  A timed run adds each call's
+   and each tuple pull's inclusive time. *)
 let instrument ~timed (st : Obs.op_stats) (c : comp) : comp =
-  let c = if timed then fun ctx inp -> timed_call ~timed st (c ctx) inp else c in
-  fun ctx inp ->
-  check_deadline ctx;
-  st.Obs.op_calls <- st.Obs.op_calls + 1;
-  match c ctx inp with
-  | Xml s as v ->
-      st.Obs.op_items <- st.Obs.op_items + List.length s;
-      v
-  | Tab t -> Tab (Obs.tuple_counted_seq ~timed st t)
+  let counted ctx inp =
+    check_deadline ctx;
+    st.Obs.op_calls <- st.Obs.op_calls + 1;
+    match c ctx inp with
+    | Xml s as v ->
+        st.Obs.op_items <- st.Obs.op_items + List.length s;
+        v
+    | Tab _ as v -> v
+  in
+  if not timed then counted
+  else
+    let counted = timed_fn st counted in
+    fun ctx inp -> match counted ctx inp with Xml _ as v -> v | Tab t -> Tab (Obs.timed_seq st t)
 
 (* ------------------------------------------------------------------ *)
 (* Item-level cursors                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One walked step from [n], as a cursor: descendant axes walk the
-   subtree on demand so an existential consumer visits only the prefix
-   it needs; the other axes read a list the node already holds, so it
-   is filtered at once. *)
-let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (n : Node.t) :
-    Item.t Seq.t =
-  let keep m = if test_matches schema axis test m then Some (Item.Node m) else None in
+(* One walked step from [n], as a cursor of [out m] for every match
+   [m]: descendant axes walk the subtree on demand so an existential
+   consumer visits only the prefix it needs; the other axes filter a
+   list the node already holds. *)
+let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (out : Node.t -> Item.t)
+    (n : Node.t) : Item.t Seq.t =
+  let keep m = if test_matches schema axis test m then Some (out m) else None in
   match axis with
   | Ast.Descendant -> Seq.filter_map keep (Node.descendants_seq n)
   | Ast.Descendant_or_self -> Seq.filter_map keep (Node.descendant_or_self_seq n)
-  | a -> List.to_seq (List.filter_map keep (apply_axis a n))
+  | a -> Seq.filter_map keep (List.to_seq (apply_axis a n))
 
 (* The streaming form of a step chain, used by [compile_pulled] only.
-   Each step counts its pulls into its own record, and the absorbed
-   [PSteps] node [parent] counts the chain's final output (exactly as
-   the strict fold does), so a fully consumed cursor reports the same
-   pull totals as the materialized execution of the same plan; each
-   invocation of the chain counts one call on the node and on every
-   step. *)
+   Each step counts the nodes it yields as they are pulled, and the
+   absorbed [PSteps] node [parent] counts the chain's final output with
+   the last step (exactly as the strict fold does), so a fully consumed
+   cursor reports the same pull totals as the materialized execution
+   of the same plan; each invocation of the chain counts one call on
+   the node and on every step.  A timed run times every step's pulls
+   and the chain's. *)
 let compile_cursor_steps (env : cenv) ~(parent : P.t) (steps : P.pstep list) :
     Dynamic_ctx.t -> Item.t Seq.t -> Item.t Seq.t =
   let timed = timed env and parent_stats = node_stats env parent.P.pid in
-  let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
+  let last = List.length steps - 1 in
+  let comps =
+    List.mapi
+      (fun i (s : P.pstep) ->
+        let st = node_stats env s.P.ps_id in
+        let out m =
+          st.Obs.op_items <- st.Obs.op_items + 1;
+          if i = last then parent_stats.Obs.op_items <- parent_stats.Obs.op_items + 1;
+          Item.Node m
+        in
+        (s, st, out))
+      steps
+  in
+  let timing st s = if timed then Obs.timed_seq st s else s in
   fun ctx s0 ->
     parent_stats.Obs.op_calls <- parent_stats.Obs.op_calls + 1;
     List.fold_left
-      (fun s ((ps : P.pstep), st) ->
+      (fun s ((ps : P.pstep), st, out) ->
         st.Obs.op_calls <- st.Obs.op_calls + 1;
         let axis = ps.P.ps_axis and test = ps.P.ps_test in
         let resolver = index_resolver axis test in
-        let s' =
-          Seq.concat_map
-            (fun it ->
-              match it with
-              | Item.Node n -> (
-                  (* a [Some] sequence already satisfies the node test *)
-                  match match resolver with Some (r, self) -> Store.descendants_seq ~self r n | None -> None with
-                  | Some ms -> Seq.map (fun m -> Item.Node m) ms
-                  | None -> walk_step_seq ctx.schema axis test n)
-              | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
-            s
-        in
-        Obs.item_counted_seq ~timed st s')
+        Seq.concat_map
+          (fun it ->
+            match it with
+            | Item.Node n -> (
+                (* a [Some] sequence already satisfies the node test *)
+                match match resolver with Some (r, self) -> Store.descendants_seq ~self r n | None -> None with
+                | Some ms -> Seq.map out ms
+                | None -> walk_step_seq ctx.schema axis test out n)
+            | Item.Atom _ -> dynamic_error "path step applied to an atomic value")
+          s
+        |> timing st)
       s0 comps
-    |> Obs.item_counted_seq ~timed parent_stats
+    |> timing parent_stats
 
-(* A strict call of [f], counted into [st]: one call and its output
-   count (and, timed, its time). *)
-let counted_call ~timed (st : Obs.op_stats) (f : 'a -> Item.sequence) (x : 'a) : Item.sequence =
-  st.Obs.op_calls <- st.Obs.op_calls + 1;
-  let out = timed_call ~timed st f x in
-  st.Obs.op_items <- st.Obs.op_items + List.length out;
-  out
+(* [f] counted into [st]: one call and its output count per call (and,
+   timed, its time). *)
+let counted_call ~timed (st : Obs.op_stats) (f : 'a -> 'b -> Item.sequence) : 'a -> 'b -> Item.sequence =
+  let counted x y =
+    st.Obs.op_calls <- st.Obs.op_calls + 1;
+    let out = f x y in
+    st.Obs.op_items <- st.Obs.op_items + List.length out;
+    out
+  in
+  if timed then timed_fn st counted else counted
 
 (* The strict form of a step chain: each planned step runs in turn over
    the accumulated node set and records its output count. *)
 let strict_steps (env : cenv) (steps : P.pstep list) : Dynamic_ctx.t -> Item.sequence -> Item.sequence =
-  let timed = timed env in
-  let comps = List.map (fun (s : P.pstep) -> (s, node_stats env s.P.ps_id)) steps in
-  fun ctx items ->
-    List.fold_left
-      (fun items ((s : P.pstep), st) ->
-        counted_call ~timed st (tree_join ctx.schema s.P.ps_axis s.P.ps_test) items)
-      items comps
+  let comps =
+    List.map
+      (fun (s : P.pstep) ->
+        counted_call ~timed:(timed env) (node_stats env s.P.ps_id) (fun schema items ->
+            tree_join schema s.P.ps_axis s.P.ps_test items))
+      steps
+  in
+  fun ctx items -> List.fold_left (fun items step -> step ctx.schema items) items comps
 
 (* A plan as a pulling consumer reads it (see [compile_pulled]):
    [source] evaluates a step chain's source, or any other plan whole;
@@ -517,12 +559,14 @@ type join_parts = {
 }
 
 let rec compile (env : cenv) (p : P.t) : comp * layout =
-  let st = node_stats env p.P.pid in
+  let leaf = P.is_leaf_read p in
+  let st = if leaf then Obs.op_stats () else node_stats env p.P.pid in
   let c, layout = compile_node env st p in
-  let c = instrument ~timed:(timed env) st c in
+  let c = if leaf then c else instrument ~timed:(timed env) st c in
   if !force_materialize then (materialize_comp c, layout) else (c, layout)
 
-(* [st]: the profile record of [p] itself *)
+(* [st]: the profile record of [p] itself (a throwaway one for a leaf
+   read, which is not profiled) *)
 and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
   let adopt = env.adopt in
   let env = { env with adopt = false } in
@@ -651,7 +695,7 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
           for i = 0 to n - 1 do
             t.(i) <- as_items (comps.(i) ctx inp)
           done;
-          Tab (Seq.return t)),
+          Tab (fun () -> Seq.Cons (out_tuple st t, Seq.empty))),
         List.map fst compiled )
   | P.PFieldAccess q -> (
       match field_index env.layout q with
@@ -666,7 +710,13 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
       let ci, li = compile env input in
       let cp, _ = compile { env with layout = li } pred in
       ( (fun ctx inp ->
-          Tab (Seq.filter (fun t -> ebv (cp ctx (ITuple t))) (as_table (ci ctx inp)))),
+          Tab
+            (Seq.filter
+               (fun t ->
+                 ebv (cp ctx (ITuple t))
+                 && (st.Obs.op_tuples <- st.Obs.op_tuples + 1;
+                     true))
+               (as_table (ci ctx inp)))),
         li )
   | P.PProduct (a, b) ->
       let ca, la = compile env a
@@ -675,12 +725,8 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
       let n1 = List.length la in
       ( (fun ctx inp ->
           let left = as_table (ca ctx inp) in
-          let right = table_list (cb ctx inp) in
-          Tab
-            (Seq.concat_map
-               (fun l ->
-                 List.to_seq (List.map (fun r -> apply_concat n1 width moves l r) right))
-               left)),
+          let right = List.to_seq (table_list (cb ctx inp)) in
+          counted_concat_map st (fun l -> Seq.map (fun r -> apply_concat n1 width moves l r) right) left),
         out )
   | P.PNestedLoop { outer; pred; left; right } ->
       compile_nested_loop env st outer pred left right
@@ -691,17 +737,13 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
   | P.PMap (dep, input) ->
       let ci, li = compile env input in
       let cd, ld = compile { env with layout = li } dep in
-      ( (fun ctx inp ->
-          Tab
-            (Seq.concat_map
-               (fun t -> as_table (cd ctx (ITuple t)))
-               (as_table (ci ctx inp)))),
+      ( (fun ctx inp -> counted_concat_map st (fun t -> as_table (cd ctx (ITuple t))) (as_table (ci ctx inp))),
         ld )
   | P.POMap (q, input) ->
       let ci, li = compile env input in
       let width = 1 + List.length li in
       let mark t =
-        let out = Array.make width [] in
+        let out = out_tuple st (Array.make width []) in
         out.(0) <- false_flag;
         Array.blit t 0 out 1 (Array.length t);
         out
@@ -714,7 +756,7 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
             (fun () ->
               match s () with
               | Seq.Nil ->
-                  let t = Array.make width [] in
+                  let t = out_tuple st (Array.make width []) in
                   t.(0) <- true_flag;
                   Seq.Cons (t, Seq.empty)
               | Seq.Cons (t, rest) -> Seq.Cons (mark t, Seq.map mark rest))),
@@ -729,7 +771,7 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
             (Seq.concat_map
                (fun t ->
                  Seq.map
-                   (fun d -> apply_concat n1 width moves t d)
+                   (fun d -> out_tuple st (apply_concat n1 width moves t d))
                    (as_table (cd ctx (ITuple t))))
                (as_table (ci ctx inp)))),
         out )
@@ -741,14 +783,14 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
       let width = 1 + mwidth in
       let n1 = List.length li in
       let unmatched t =
-        let o = Array.make width [] in
+        let o = out_tuple st (Array.make width []) in
         o.(0) <- true_flag;
         Array.blit t 0 o 1 n1;
         o
       in
       let matched t d =
         let m = apply_concat n1 mwidth moves t d in
-        let o = Array.make width [] in
+        let o = out_tuple st (Array.make width []) in
         o.(0) <- false_flag;
         Array.blit m 0 o 1 mwidth;
         o
@@ -768,7 +810,7 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
           Tab
             (Seq.mapi
                (fun i t ->
-                 let out = Array.make (1 + Array.length t) [] in
+                 let out = out_tuple st (Array.make (1 + Array.length t) []) in
                  out.(0) <- [ Item.Atom (Atomic.Integer (i + 1)) ];
                  Array.blit t 0 out 1 (Array.length t);
                  out)
@@ -784,9 +826,9 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
       in
       ( (fun ctx inp ->
           let tuples = table_list (ci ctx inp) in
-          tab_list (order_by ctx cspecs tuples)),
+          counted_tab_list st (order_by ctx cspecs tuples)),
         li )
-  | P.PGroupBy (g, input) -> compile_groupby env ~adopt g input
+  | P.PGroupBy (g, input) -> compile_groupby env st ~adopt g input
   | P.PMapFromItem (dep, input) ->
       (* an order-preserving step chain feeds the tuple pipeline node by
          node instead of materializing the whole step output first *)
@@ -796,15 +838,16 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
       let expand ctx items =
         match dep.P.pop with
         | P.PTupleConstruct _ ->
-            Seq.map
-              (fun it ->
-                match as_table (cd ctx (IItems [ it ])) () with
-                | Seq.Cons (t, _) -> t
-                | Seq.Nil -> dynamic_error "tuple constructor produced no tuple")
-              items
-        | _ -> Seq.concat_map (fun it -> as_table (cd ctx (IItems [ it ]))) items
+            Tab
+              (Seq.map
+                 (fun it ->
+                   match as_table (cd ctx (IItems [ it ])) () with
+                   | Seq.Cons (t, _) -> out_tuple st t
+                   | Seq.Nil -> dynamic_error "tuple constructor produced no tuple")
+                 items)
+        | _ -> counted_concat_map st (fun it -> as_table (cd ctx (IItems [ it ]))) items
       in
-      ((fun ctx inp -> Tab (expand ctx (src.read ctx (src.source ctx inp)))), ld)
+      ((fun ctx inp -> expand ctx (src.read ctx (src.source ctx inp))), ld)
   | P.PMapToItem (dep, input) ->
       let ci, li =
         compile { env with adopt = adopted_group env ~adopt dep input } input
@@ -873,9 +916,11 @@ and compile_pulled env ~any_order (p : P.t) : pulled =
   match p.P.pop with
   | P.PSteps { steps; ordered; input } ->
       let csrc, _ = compile env input in
-      let run = strict_steps env steps and st = node_stats env p.P.pid and timed = timed env in
-      let source ctx inp = timed_call ~timed st (fun inp -> as_items (csrc ctx inp)) inp in
-      let strict ctx items = List.to_seq (counted_call ~timed st (run ctx) items) in
+      let st = node_stats env p.P.pid and timed = timed env in
+      let run = counted_call ~timed st (strict_steps env steps) in
+      let source ctx inp = as_items (csrc ctx inp) in
+      let source = if timed then timed_fn st source else source in
+      let strict ctx items = List.to_seq (run ctx items) in
       if !force_materialize then { source; read = strict; index = None }
       else
         let pipe = compile_cursor_steps env ~parent:p steps in
@@ -1015,7 +1060,7 @@ and order_by ctx cspecs tuples =
 
 (* [adopt]: this GroupBy's aggregate is adopted by its reader (see
    [adopted_group]), so the pre plan builds it fresh. *)
-and compile_groupby env ~adopt (g : P.pgroup_spec) input =
+and compile_groupby env st ~adopt (g : P.pgroup_spec) input =
   let ci, li =
     compile { env with adopt = adopted_group env ~adopt g.P.pg_pre input } input
   in
@@ -1057,8 +1102,7 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
              is what makes the (insert group-by) rewriting an identity *)
           match tuples with
           | [] -> Tab Seq.empty
-          | first :: _ ->
-              Tab (Seq.return (emit first (List.concat_map pre_of tuples))))
+          | first :: _ -> counted_tab_list st [ emit first (List.concat_map pre_of tuples) ])
       | slots -> (
           let emit_group (first, items) = emit first (List.concat (List.rev items)) in
           match ascending_int_keys slots tuples with
@@ -1076,7 +1120,7 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
                     else runs k t [ pre ] ((first, items) :: acc) rest
               in
               let pre = pre_of first in
-              tab_list (List.rev_map emit_group (runs key first [ pre ] [] rest))
+              counted_tab_list st (List.rev_map emit_group (runs key first [ pre ] [] rest))
           | None ->
               (* the general partitioning of Section 5: groups in the
                  order of their first tuple, keyed on the index values'
@@ -1101,7 +1145,7 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
                       Hashtbl.add partitions k (t, ref [ pre_of t ]);
                       order := k :: !order)
                 tuples;
-              tab_list
+              counted_tab_list st
                 (List.rev_map
                    (fun k ->
                      let first, items = Hashtbl.find partitions k in
@@ -1109,7 +1153,7 @@ and compile_groupby env ~adopt (g : P.pgroup_spec) input =
                    !order))),
     out_layout )
 
-and join_scaffold env (outer : P.field option) a b : join_parts =
+and join_scaffold env stats (outer : P.field option) a b : join_parts =
   let ca, la = compile env a and cb, lb = compile env b in
   let merged, mwidth, moves = concat_spec la lb in
   let n1 = List.length la in
@@ -1131,13 +1175,12 @@ and join_scaffold env (outer : P.field option) a b : join_parts =
     o
   in
   let run left matches_of =
-    Tab
-      (Seq.concat_map
-         (fun l ->
-           match matches_of l with
-           | [] -> if is_outer then Seq.return (emit_unmatched l) else Seq.empty
-           | ms -> List.to_seq (List.map (emit_match l) ms))
-         left)
+    counted_concat_map stats
+      (fun l ->
+        match matches_of l with
+        | [] -> if is_outer then Seq.return (emit_unmatched l) else Seq.empty
+        | ms -> Seq.map (emit_match l) (List.to_seq ms))
+      left
   in
   {
     jp_left = ca;
@@ -1153,7 +1196,7 @@ and join_scaffold env (outer : P.field option) a b : join_parts =
   }
 
 and compile_nested_loop env stats outer (pred : P.ppred) a b : comp * layout =
-  let jp = join_scaffold env outer a b in
+  let jp = join_scaffold env stats outer a b in
   (* each call materializes the inner side once: one build *)
   let note_build right = note_build stats (List.length right); right in
   let note_probe = note_probe stats in
@@ -1188,7 +1231,7 @@ and compile_nested_loop env stats outer (pred : P.ppred) a b : comp * layout =
 
 and compile_hash_join env stats outer (build : P.build_side) left_key right_key a
     b : comp * layout =
-  let jp = join_scaffold env outer a b in
+  let jp = join_scaffold env stats outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   match build with
@@ -1235,7 +1278,7 @@ and compile_sort_join env stats outer (op : Promotion.cmp_op) left_key right_key
   | Promotion.Lt | Promotion.Le | Promotion.Gt | Promotion.Ge -> ()
   | Promotion.Eq | Promotion.Ne ->
       compile_error "sort join planned for a non-inequality operator");
-  let jp = join_scaffold env outer a b in
+  let jp = join_scaffold env stats outer a b in
   let cl, _ = compile { env with layout = jp.jp_llayout } left_key in
   let cr, _ = compile { env with layout = jp.jp_rlayout } right_key in
   ( (fun ctx inp ->

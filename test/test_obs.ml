@@ -129,14 +129,17 @@ let run_profiled ?(strategy = Optimized) ?force_join ?(timed = false) ?(ctx = co
   let result = run ~profile p ctx in
   (result, p, profile)
 
-(* The profiled rows of every plan of [p] (functions, globals, main). *)
-let plan_rows ?(only_main = false) p profile =
+(* The rows of every plan of [p] (functions, globals, main); with
+   [~leaves:false] (the default) only the profiled ones, leaf reads left
+   out. *)
+let plan_rows ?(only_main = false) ?(leaves = false) p profile =
   match physical_plan p with
   | None -> Alcotest.fail "no physical plan"
   | Some q ->
       List.concat_map
         (fun (name, plan) ->
-          if only_main && name <> "main" then [] else Pretty.rows ~profile plan)
+          if only_main && name <> "main" then []
+          else List.filter (fun r -> leaves || r.Pretty.stats <> None) (Pretty.rows ~profile plan))
         (Pretty.query_plans q)
 
 let st (r : Pretty.row) =
@@ -158,6 +161,25 @@ let test_untimed_by_default () =
   check_bool "calls printed" true (contains report "calls=");
   check_bool "output rows printed" true (contains report "out=");
   check_bool "no time printed" false (contains report "time=")
+
+(* Leaf reads (constants, variables, field reads, IN) are neither
+   counted nor timed: their rows carry no statistics and their report
+   lines no counters, while every other row is profiled. *)
+let test_leaf_reads_unprofiled () =
+  let _, p, profile = run_profiled ~timed:true "for $x in (1,2,3) return $x + 1" in
+  let is_leaf r =
+    List.exists (fun prefix -> String.starts_with ~prefix r.Pretty.label) [ "Scalar["; "Var["; "IN" ]
+  in
+  let rows = plan_rows ~leaves:true p profile in
+  check_bool "some leaf reads" true (List.exists is_leaf rows);
+  List.iter
+    (fun r -> check_bool (r.Pretty.label ^ ": profiled iff not a leaf") (not (is_leaf r)) (r.Pretty.stats <> None))
+    rows;
+  List.iter
+    (fun line ->
+      if contains line "Scalar[" || contains line "IN#" then
+        check_bool (line ^ ": no counters") false (contains line "calls="))
+    (String.split_on_char '\n' (explain_analyze p profile))
 
 let test_operator_cardinalities () =
   let _, p, profile = run_profiled "for $x in (1,2,3) return $x + 1" in
@@ -393,6 +415,7 @@ let () =
         [
           Alcotest.test_case "phase timing" `Quick test_phase_timing;
           Alcotest.test_case "untimed by default" `Quick test_untimed_by_default;
+          Alcotest.test_case "leaf reads unprofiled" `Quick test_leaf_reads_unprofiled;
         ] );
       ( "operators",
         [

@@ -248,12 +248,23 @@ let test_slow_log_explain_attach () =
   Alcotest.(check int) "fast trace not rendered" 0 !rendered;
   if Slow_log.note sl ~explain (finished 10.0) = None then
     Alcotest.fail "over-threshold trace not admitted";
-  match Slow_log.entries sl with
+  (match Slow_log.entries sl with
   | [ stored ] ->
       Alcotest.(check (option string)) "explain attached" (Some "PLAN")
         stored.Slow_log.en_explain;
       Alcotest.(check int) "rendered once" 1 !rendered
-  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
+  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l));
+  (* full ring of 10 ms and 20 ms: a 5 ms trace is over the threshold
+     but not admitted, and is never rendered; a 30 ms one evicts 10 ms *)
+  ignore (Slow_log.note sl ~explain (finished 20.0));
+  Alcotest.(check bool) "not worse than the least slow: rejected" true
+    (Slow_log.note sl ~explain (finished 5.0) = None);
+  Alcotest.(check int) "rejected trace not rendered" 2 !rendered;
+  Alcotest.(check int) "rejected trace seen" 3 (Slow_log.seen sl);
+  if Slow_log.note sl ~explain (finished 30.0) = None then Alcotest.fail "30 ms trace not admitted";
+  Alcotest.(check int) "admitted trace rendered" 3 !rendered;
+  Alcotest.(check (list (float 1e-9))) "worst two kept" [ 30.0; 20.0 ]
+    (entry_times sl)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text renderer                                            *)
