@@ -70,6 +70,12 @@ let as_table = function
 let table_list v = List.of_seq (as_table v)
 let tab_list l = Tab (List.to_seq l)
 
+(* [List.to_seq (List.map f l)] without the mapped list: [f] is applied
+   to each element as it is pulled. *)
+let map_to_seq (f : 'a -> 'b) (l : 'a list) : 'b Seq.t =
+  let rec go l () = match l with [] -> Seq.Nil | x :: rest -> Seq.Cons (f x, go rest) in
+  go l
+
 let ebv (v : dval) : bool = Item.effective_boolean_value (as_items v)
 
 let true_flag : Item.sequence = [ Item.Atom (Atomic.Boolean true) ]
@@ -394,9 +400,7 @@ let out_tuple (st : Obs.op_stats) (t : tuple) : tuple =
   t
 
 (* [tab_list l], each tuple counted as it is pulled. *)
-let counted_tab_list (st : Obs.op_stats) (l : tuple list) : dval =
-  let rec go l () = match l with [] -> Seq.Nil | t :: rest -> Seq.Cons (out_tuple st t, go rest) in
-  Tab (go l)
+let counted_tab_list (st : Obs.op_stats) (l : tuple list) : dval = Tab (map_to_seq (out_tuple st) l)
 
 (* [Seq.concat_map f s], each output tuple counted as it is pulled. *)
 let counted_concat_map (st : Obs.op_stats) (f : 'a -> tuple Seq.t) (s : 'a Seq.t) : dval =
@@ -437,16 +441,20 @@ let instrument ~timed (st : Obs.op_stats) (c : comp) : comp =
 (* ------------------------------------------------------------------ *)
 
 (* One walked step from [n], as a cursor of [out m] for every match
-   [m]: descendant axes walk the subtree on demand so an existential
-   consumer visits only the prefix it needs; the other axes filter a
-   list the node already holds. *)
+   [m], [out] applied as [m] is pulled: descendant axes walk the subtree
+   on demand so an existential consumer visits only the prefix it
+   needs; the other axes filter the list the node already holds at
+   once. *)
 let walk_step_seq schema (axis : Ast.axis) (test : Ast.node_test) (out : Node.t -> Item.t)
     (n : Node.t) : Item.t Seq.t =
-  let keep m = if test_matches schema axis test m then Some (out m) else None in
   match axis with
-  | Ast.Descendant -> Seq.filter_map keep (Node.descendants_seq n)
-  | Ast.Descendant_or_self -> Seq.filter_map keep (Node.descendant_or_self_seq n)
-  | a -> Seq.filter_map keep (List.to_seq (apply_axis a n))
+  | Ast.Descendant ->
+      Seq.filter_map (fun m -> if test_matches schema axis test m then Some (out m) else None) (Node.descendants_seq n)
+  | Ast.Descendant_or_self ->
+      Seq.filter_map
+        (fun m -> if test_matches schema axis test m then Some (out m) else None)
+        (Node.descendant_or_self_seq n)
+  | a -> map_to_seq out (List.filter (fun m -> test_matches schema a test m) (apply_axis a n))
 
 (* The streaming form of a step chain, used by [compile_pulled] only.
    Each step counts the nodes it yields as they are pulled, and the
@@ -725,8 +733,8 @@ and compile_node (env : cenv) (st : Obs.op_stats) (p : P.t) : comp * layout =
       let n1 = List.length la in
       ( (fun ctx inp ->
           let left = as_table (ca ctx inp) in
-          let right = List.to_seq (table_list (cb ctx inp)) in
-          counted_concat_map st (fun l -> Seq.map (fun r -> apply_concat n1 width moves l r) right) left),
+          let right = table_list (cb ctx inp) in
+          counted_concat_map st (fun l -> map_to_seq (fun r -> apply_concat n1 width moves l r) right) left),
         out )
   | P.PNestedLoop { outer; pred; left; right } ->
       compile_nested_loop env st outer pred left right
@@ -1179,7 +1187,7 @@ and join_scaffold env stats (outer : P.field option) a b : join_parts =
       (fun l ->
         match matches_of l with
         | [] -> if is_outer then Seq.return (emit_unmatched l) else Seq.empty
-        | ms -> Seq.map (emit_match l) (List.to_seq ms))
+        | ms -> map_to_seq (emit_match l) ms)
       left
   in
   {
